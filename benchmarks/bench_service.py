@@ -9,25 +9,10 @@ twice:
   ``SIGKILL`` the server mid-run, restart it from the snapshot, replay
   the second half with the first half's shadow ledger preloaded.
 
-With ``--shards K`` (default 4) two sharded runs follow:
-
-* **Run C (sharded, uninterrupted)** — the same trace against
-  ``repro serve --shards K``; its accepted checksum must equal run A's
-  (sharded and single-calendar decisions are bit-identical), and its
-  throughput yields the ``speedup_vs_single`` figure.
-* **Run D (kill one shard)** — replay the first half, force a
-  coordinated snapshot, ``SIGKILL`` one calendar-shard subprocess; the
-  service must crash-stop (exit 1, snapshot untouched).  A coordinated
-  restart from the snapshot replays the second half; the final checksum
-  must again equal run A's.
-
-Every replay must finish with zero shadow-ledger violations and all
+Every replay must finish with zero shadow-ledger violations and both
 checksums must agree — the virtual clock plus persisted slot-tree
-tie-break uids make a restarted (or re-sharded) server bit-identical to
-one that never died.  The K-vs-1 throughput gate (≥ 1.5x) only applies
-when the host has at least ``shards + 2`` CPUs; smaller hosts record
-the ratio without failing on it.  Results land in
-``BENCH_service.json`` at the repository root.
+tie-break uids make a restarted server bit-identical to one that never
+died.  Results land in ``BENCH_service.json`` at the repository root.
 
 Run from the repository root::
 
@@ -73,12 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--q-slots", type=int, default=96)
     parser.add_argument("--window", type=int, default=64, help="loadgen in-flight window")
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="calendar shards for the sharded runs (1 disables them)",
-    )
-    parser.add_argument(
         "--out",
         default=str(_REPO_ROOT / "BENCH_service.json"),
         help="result JSON path (default: BENCH_service.json at the repo root)",
@@ -87,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def start_server(
-    args: argparse.Namespace, snapshot: str | None, shards: int = 0
+    args: argparse.Namespace, snapshot: str | None
 ) -> tuple[subprocess.Popen, int]:
     """Launch ``repro serve`` and parse its ephemeral port off stdout."""
     cmd = [
@@ -98,8 +77,6 @@ def start_server(
     ]
     if snapshot:
         cmd += ["--snapshot-path", snapshot]
-    if shards > 1:
-        cmd += ["--shards", str(shards)]
     proc = subprocess.Popen(
         cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=_ENV, text=True
     )
@@ -196,92 +173,6 @@ def main(argv: list[str] | None = None) -> int:
     wall_b = time.perf_counter() - t0
     server_b2.wait(timeout=30)
 
-    # ---- runs C/D: K calendar shards ---------------------------------
-    sharded_ok = True
-    sharded_result = None
-    if args.shards > 1:
-        # run C: sharded, uninterrupted
-        server_c, port_c = start_server(args, snapshot=None, shards=args.shards)
-        t0 = time.perf_counter()
-        report_c = loadgen(
-            args, port_c, work / "run_c.json", swf=str(trace), shutdown=True
-        )
-        wall_c = time.perf_counter() - t0
-        server_c.wait(timeout=30)
-
-        # run D: SIGKILL one shard after the snapshot, coordinated restart
-        snapshot_d = str(work / "state_sharded.snap")
-        server_d, port_d = start_server(args, snapshot=snapshot_d, shards=args.shards)
-        report_d1 = loadgen(
-            args, port_d, work / "run_d1.json",
-            swf=str(trace), limit=half, ledger_out=str(work / "ledger_d.json"),
-        )
-        forced_d = rpc(port_d, {"op": "snapshot"})
-        assert forced_d.get("ok"), f"coordinated snapshot failed: {forced_d}"
-        victim = int(rpc(port_d, {"op": "status"})["shards"]["pids"][0])
-        os.kill(victim, signal.SIGKILL)
-        try:
-            # force a scatter onto the dead shard: the service must answer
-            # INTERNAL (or drop the line) and crash-stop with exit code 1
-            poke = rpc(port_d, {"op": "probe", "ta": 0.0, "tb": 1.0, "limit": 1})
-            crash_stop = not poke.get("ok")
-        except (OSError, json.JSONDecodeError):
-            crash_stop = True
-        server_d.wait(timeout=30)
-        crash_stop = crash_stop and server_d.returncode not in (0, None)
-
-        server_d2, port_d2 = start_server(args, snapshot=snapshot_d, shards=args.shards)
-        report_d2 = loadgen(
-            args, port_d2, work / "run_d2.json",
-            swf=str(trace), offset=half, ledger_in=str(work / "ledger_d.json"),
-            shutdown=True,
-        )
-        server_d2.wait(timeout=30)
-
-        cpu_count = os.cpu_count() or 1
-        speedup = (
-            report_c["throughput_rps"] / report_a["throughput_rps"]
-            if report_a["throughput_rps"]
-            else 0.0
-        )
-        speedup_gated = cpu_count >= args.shards + 2
-        checksum_c = report_c["accepted_checksum"]
-        checksum_d = report_d2["accepted_checksum"]
-        sharded_violations = (
-            report_c["violations_total"]
-            + report_d1["violations_total"]
-            + report_d2["violations_total"]
-        )
-        sharded_ok = (
-            checksum_c == report_a["accepted_checksum"]
-            and checksum_d == report_a["accepted_checksum"]
-            and sharded_violations == 0
-            and crash_stop
-            and (speedup >= 1.5 or not speedup_gated)
-        )
-        sharded_result = {
-            "uninterrupted": {
-                "wall_s": round(wall_c, 3),
-                "throughput_rps": report_c["throughput_rps"],
-                "accepted": report_c["accepted"],
-                "latency_ms": report_c["latency_ms"],
-                "accepted_checksum": checksum_c,
-            },
-            "kill_one_shard": {
-                "killed_after": half,
-                "crash_stop_observed": crash_stop,
-                "service_exit_code": server_d.returncode,
-                "resumed_with_ledger_entries": report_d2["config"][
-                    "preloaded_ledger_entries"
-                ],
-                "accepted": report_d1["accepted"] + report_d2["accepted"],
-                "accepted_checksum": checksum_d,
-            },
-            "violations_total": sharded_violations,
-            "speedup_vs_single": round(speedup, 3),
-            "speedup_gate_applied": speedup_gated,
-        }
-
     # ---- verdict ------------------------------------------------------
     checksum_a = report_a["accepted_checksum"]
     checksum_b = report_b2["accepted_checksum"]
@@ -295,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         report_a["server_status"]["accepted_checksum"] == checksum_a
         and report_b2["server_status"]["accepted_checksum"] == checksum_b
     )
-    passed = identical and server_agrees and violations == 0 and sharded_ok
+    passed = identical and server_agrees and violations == 0
 
     result = {
         "benchmark": "service",
@@ -304,7 +195,6 @@ def main(argv: list[str] | None = None) -> int:
         "tau": args.tau,
         "q_slots": args.q_slots,
         "seed": args.seed,
-        "shards": args.shards,
         "cpu_count": os.cpu_count(),
         "passed": passed,
         "violations_total": violations,
@@ -327,23 +217,13 @@ def main(argv: list[str] | None = None) -> int:
             "accepted_checksum": checksum_b,
         },
     }
-    if sharded_result is not None:
-        result["sharded"] = sharded_result
     out = Path(args.out)
     out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
 
-    sharded_note = ""
-    if sharded_result is not None:
-        sharded_note = (
-            f", shards={args.shards} C={sharded_result['uninterrupted']['accepted_checksum']} "
-            f"D={sharded_result['kill_one_shard']['accepted_checksum']} "
-            f"speedup={sharded_result['speedup_vs_single']}x"
-            f"{' (gated)' if sharded_result['speedup_gate_applied'] else ' (recorded)'}"
-        )
     print(
         f"bench_service: {args.jobs} requests over TCP — "
         f"A {report_a['throughput_rps']} req/s, "
-        f"checksums A={checksum_a} B={checksum_b}{sharded_note}, "
+        f"checksums A={checksum_a} B={checksum_b}, "
         f"{violations} violation(s) -> {'PASS' if passed else 'FAIL'} ({out})"
     )
     return 0 if passed else 1

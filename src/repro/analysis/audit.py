@@ -550,8 +550,8 @@ class MutationAuditor:
         self._orig_advance(to_time)
         self._after_mutation()
 
-    def _add_servers(self, count: int, uids: list[int] | None = None) -> list[int]:
-        new_ids = self._orig_add_servers(count, uids)
+    def _add_servers(self, count: int) -> list[int]:
+        new_ids = self._orig_add_servers(count)
         # a joined server's ledger starts empty: its timeline begins at
         # its trailing idle period's start, so tiling holds from day one
         for _ in new_ids:

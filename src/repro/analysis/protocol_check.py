@@ -1,25 +1,24 @@
 """Wire-protocol conformance checking: RA205 and RA206.
 
-The coordinator/shard/client wire vocabulary lives in one declarative
+The client/follower wire vocabulary lives in one declarative
 registry (:data:`repro.service.protocol.REGISTRY`).  This module
 cross-checks the *code* against that registry, both directions:
 
 * **RA205 — send sites.**  Every literal ``{"op": ...}`` dict
-  constructed in the service modules (``server.py``, ``coordinator.py``,
-  ``shards.py``, ``loadgen.py``) and the gateway modules (``app.py``,
-  ``follower.py``) is a message somebody will put on the wire.  The op
-  must be registered, required fields must be present (unless a ``**``
-  splat may supply them), literal field values must have the spec'd
-  JSON type, and no field may be unknown to the spec.  Dicts carrying a
+  constructed in the service modules (``server.py``, ``loadgen.py``)
+  and the gateway modules (``app.py``, ``follower.py``) is a message
+  somebody will put on the wire.  The op must be registered, required
+  fields must be present (unless a ``**`` splat may supply them),
+  literal field values must have the spec'd JSON type, and no field
+  may be unknown to the spec.  Dicts carrying a
   literal ``ok`` key are *responses* (they echo the op, their payload
   schema is the handler's business) and only get the op-is-known check.
 
 * **RA206 — exhaustiveness.**  Registry and handler tables must agree
   both ways, per role: every registered public op has a server
-  ``_actor_apply_<op>`` method and vice versa; every registered shard
-  op has a ``ShardState._op_<op>`` method and vice versa; every
-  registered follower op has a ``_ctl_<op>`` method in
-  ``gateway/follower.py`` and vice versa; and every
+  ``_actor_apply_<op>`` method and vice versa; every registered
+  follower op has a ``_ctl_<op>`` method in ``gateway/follower.py``
+  and vice versa; and every
   :class:`~repro.errors.ErrorCode` member (except ``OK``) is carried on
   the wire by some ``ReproError`` subclass' ``code`` attribute.
 
@@ -54,7 +53,7 @@ __all__ = [
 ]
 
 #: the modules whose literal ``{"op": ...}`` constructions go on the wire
-SEND_SITE_MODULES = ("server.py", "coordinator.py", "shards.py", "loadgen.py")
+SEND_SITE_MODULES = ("server.py", "loadgen.py")
 
 #: gateway modules with wire send sites, resolved against the sibling
 #: ``gateway`` package (skipped when absent, e.g. in fixture trees)
@@ -66,7 +65,7 @@ _HINT_205 = (
 )
 _HINT_206 = (
     "registry and handlers must stay exhaustive both ways: add the missing "
-    "_actor_apply_<op> / _op_<op> handler or OpSpec entry, or delete the dead "
+    "_actor_apply_<op> / _ctl_<op> handler or OpSpec entry, or delete the dead "
     "one; map every ErrorCode through a ReproError subclass' `code` attribute"
 )
 
@@ -84,9 +83,6 @@ class ProtocolModel:
     server_path: str = ""
     server_class_line: int = 1
     server_handlers: dict[str, int] = field(default_factory=dict)  # op -> line
-    shards_path: str = ""
-    shards_class_line: int = 1
-    shard_handlers: dict[str, int] = field(default_factory=dict)
     follower_path: str = ""
     follower_class_line: int = 1
     follower_handlers: dict[str, int] = field(default_factory=dict)
@@ -176,11 +172,6 @@ def collect_model(
     model.server_handlers, model.server_class_line = _handler_table(
         server_tree, "_actor_apply_"
     )
-
-    shards_file = service_dir / "shards.py"
-    model.shards_path = str(shards_file)
-    shards_tree = ast.parse(shards_file.read_text(encoding="utf-8"), filename=str(shards_file))
-    model.shard_handlers, model.shards_class_line = _handler_table(shards_tree, "_op_")
 
     follower_file = service_dir.parent / "gateway" / "follower.py"
     model.follower_path = str(follower_file)
@@ -317,7 +308,6 @@ def _exhaustiveness(model: ProtocolModel) -> list[Violation]:
         )
 
     public = {name for name, spec in model.registry.items() if spec.role == "public"}
-    internal = {name for name, spec in model.registry.items() if spec.role == "shard"}
     follower = {name for name, spec in model.registry.items() if spec.role == "follower"}
 
     for op in sorted(public - set(model.server_handlers)):
@@ -331,18 +321,6 @@ def _exhaustiveness(model: ProtocolModel) -> list[Violation]:
             model.server_path,
             model.server_handlers[op],
             f"handler _actor_apply_{op} serves an op missing from protocol.REGISTRY",
-        )
-    for op in sorted(internal - set(model.shard_handlers)):
-        emit(
-            model.shards_path,
-            model.shards_class_line,
-            f"registered shard op {op!r} has no _op_{op} handler",
-        )
-    for op in sorted(set(model.shard_handlers) - internal):
-        emit(
-            model.shards_path,
-            model.shard_handlers[op],
-            f"handler _op_{op} serves an op missing from protocol.REGISTRY",
         )
     if model.follower_present:
         for op in sorted(follower - set(model.follower_handlers)):

@@ -5,9 +5,8 @@ shared between coroutines is only safe to read-modify-write *within*
 one await-free segment (RA201); nothing may block the loop (RA202);
 every spawned task needs an owner (RA203); and every stream read needs
 an explicit size bound, because ``asyncio``'s default ``limit`` is
-64 KiB and a legitimate multi-MiB shard payload kills the connection
-(RA204 — the exact bug class the sharded-service PR hit and fixed by
-hand).  These rules make all four invariants lintable.
+64 KiB and a legitimate longer line kills the connection (RA204).
+These rules make all four invariants lintable.
 
 Scope: ``service/``, ``gateway/`` and ``verify/`` — the packages that
 run coroutines.  RA201 additionally exempts the single-writer actor
@@ -199,7 +198,7 @@ class UnboundedStreamRule(Rule):
     id = "RA204"
     title = "stream created without an explicit limit"
     hint = (
-        "pass limit= explicitly (MAX_LINE_BYTES / SHARD_MAX_LINE_BYTES): the "
+        "pass limit= explicitly (MAX_LINE_BYTES): the "
         "asyncio default is 64 KiB and readline()/readuntil() raise on any "
         "longer line, killing the connection on legitimate large payloads"
     )

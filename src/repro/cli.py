@@ -273,14 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="log a JSON metrics line to stderr this often (0 = off)",
     )
     srv.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="K",
-        help="partition the calendar across K shard subprocesses "
-        "(1 = single in-process calendar; decisions are identical either way)",
-    )
-    srv.add_argument(
         "--log-dir",
         default=None,
         help="decision-log directory for follower replication "
@@ -427,11 +419,19 @@ def build_parser() -> argparse.ArgumentParser:
     fz.add_argument(
         "--plan",
         default="all",
-        help="chaos plan: kill-restart, duplicate, reorder, kill-shard, "
-        "front-door (replay through a repro gateway over HTTP), "
-        "kill-promote (SIGKILL the primary, promote a log-tailing "
-        "follower), or all (the first three, plus kill-shard when "
-        "sharded; front-door and kill-promote are explicit-only)",
+        choices=(
+            "all",
+            "kill-restart",
+            "duplicate",
+            "reorder",
+            "scale-events",
+            "front-door",
+            "kill-promote",
+        ),
+        help="chaos plan: front-door replays through a repro gateway over "
+        "HTTP, kill-promote SIGKILLs the primary and promotes a log-tailing "
+        "follower; all = the first three (scale-events, front-door and "
+        "kill-promote are explicit-only)",
     )
     fz.add_argument(
         "--shrink",
@@ -450,14 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="compare full per-server idle state every k ops (1 = every op)",
-    )
-    fz.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="K",
-        help="fuzz the K-sharded scheduler against the oracle (0 = unsharded); "
-        "with --chaos, runs the server with --shards K and adds a kill-shard plan",
     )
     fz.add_argument(
         "--scale-events",
@@ -932,19 +924,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_delay=args.max_delay,
         max_batch=args.max_batch,
         metrics_interval=args.metrics_interval,
-        shards=args.shards,
         log_dir=args.log_dir,
         log_segment_bytes=args.log_segment_bytes,
         log_cursor_ttl=args.log_cursor_ttl,
         autoscale=autoscale,
     )
     try:
-        crashed = asyncio.run(serve_forever(config))
+        asyncio.run(serve_forever(config))
     except KeyboardInterrupt:
         # the serve_forever cancellation path already snapshots on the
         # graceful stop, so ^C is a clean exit
-        return int(ErrorCode.OK)
-    return int(ErrorCode.INTERNAL) if crashed else int(ErrorCode.OK)
+        pass
+    return int(ErrorCode.OK)
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
@@ -1043,7 +1034,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         "seeds": seeds,
         "profiles": profile_names,
         "inject": args.inject,
-        "shards": args.shards,
         "scale_events": args.scale_events,
         "runs": [],
     }
@@ -1053,8 +1043,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     if args.chaos:
         for stream in streams:
-            for plan in default_plans(args.plan, shards=args.shards):
-                chaos_report = run_chaos(stream, plan, shards=args.shards)
+            for plan in default_plans(args.plan):
+                chaos_report = run_chaos(stream, plan)
                 runs.append(chaos_report)
                 verdict = "ok" if chaos_report["passed"] else "FAILED"
                 if not chaos_report["passed"]:
@@ -1073,16 +1063,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                 stream,
                 inject=args.inject,
                 state_stride=max(1, args.state_stride),
-                shards=args.shards,
             )
             entry: dict[str, object] = {
                 "profile": stream.profile,
                 "seed": stream.seed,
                 **result.to_dict(),
             }
-            label = f"[{stream.profile}/seed={stream.seed}" + (
-                f"/shards={args.shards}]" if args.shards else "]"
-            )
+            label = f"[{stream.profile}/seed={stream.seed}]"
             if result.divergence is None:
                 print(
                     f"fuzz {label}: {result.ops_run} ops, "
@@ -1095,7 +1082,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                 print(f"fuzz {label}: DIVERGENCE at op {result.divergence.index}")
                 print(result.divergence.describe())
                 if args.shrink:
-                    shrunk = shrink_stream(stream, inject=args.inject, shards=args.shards)
+                    shrunk = shrink_stream(stream, inject=args.inject)
                     assert shrunk is not None
                     entry["shrunk"] = shrunk.to_dict()
                     print(
@@ -1208,10 +1195,10 @@ def _cmd_follow(args: argparse.Namespace) -> int:
         promote_port=args.promote_port,
     )
     try:
-        crashed = asyncio.run(serve_follower(config))
+        asyncio.run(serve_follower(config))
     except KeyboardInterrupt:
-        return int(ErrorCode.OK)
-    return int(ErrorCode.INTERNAL) if crashed else int(ErrorCode.OK)
+        pass
+    return int(ErrorCode.OK)
 
 
 def _cmd_promote(args: argparse.Namespace) -> int:

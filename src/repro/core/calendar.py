@@ -37,8 +37,8 @@ elastic-cluster extension): :meth:`add_servers` grows the pool,
 every existing commitment is honored, and :meth:`remove` retires a
 server once drained.  Server identity is positional and stable forever —
 a removed server keeps its index (with an empty period list) so snapshot
-layout, shard arithmetic and every ``range(n_servers)`` iteration stay
-valid; ``n_servers`` therefore counts every server that ever joined.
+layout and every ``range(n_servers)`` iteration stay valid;
+``n_servers`` therefore counts every server that ever joined.
 Draining is implemented entirely in the *derived* indexes: the
 authoritative per-server lists are untouched (physical idleness is what
 conservation audits), but the server's periods leave the slot trees,
@@ -398,20 +398,12 @@ class AvailabilityCalendar:
         start: float,
         end: float,
         rid: int = 0,
-        remnant_uids: list[int] | None = None,
     ) -> list[Reservation]:
         """Carve ``[start, end)`` out of each given feasible idle period.
 
         Each period is removed from every index it lives in and replaced
         by at most two remnants — ``(st, start)`` and ``(end, et)`` —
         exactly the update rule of Section 4.2.
-
-        ``remnant_uids``, when given, supplies the uid of every remnant
-        created, consumed left-then-right per period in order — the
-        sharded coordinator assigns uids centrally so that remnant uid
-        order (the slot trees' tie-break) matches the single-calendar
-        creation order exactly.  Raises ``ValueError`` if the list runs
-        out before every remnant is created.
 
         This is the batch-reserve path: the ``O(n_r · Q)`` slot-tree
         updates one request implies are accumulated per slot while the
@@ -424,16 +416,6 @@ class AvailabilityCalendar:
         period), and Phase-2 selection is a pure function of stored
         periods — so fusing changes no scheduling outcome.
         """
-        uid_iter = iter(remnant_uids) if remnant_uids is not None else None
-
-        def fresh(server: int, st: float, et: float) -> IdlePeriod:
-            if uid_iter is None:
-                return IdlePeriod(server=server, st=st, et=et)
-            uid = next(uid_iter, None)
-            if uid is None:
-                raise ValueError("remnant_uids exhausted before all remnants were made")
-            return IdlePeriod(server=server, st=st, et=et, uid=uid)
-
         for period in periods:
             if not period.is_feasible(start, end):
                 raise ValueError(
@@ -444,25 +426,25 @@ class AvailabilityCalendar:
         for period in periods:
             self._drop_period(period, batches)
             if period.st < start:
-                self._add_period(fresh(period.server, period.st, start), batches)
+                self._add_period(
+                    IdlePeriod(server=period.server, st=period.st, et=start), batches
+                )
             if end < period.et:
-                self._add_period(fresh(period.server, end, period.et), batches)
+                self._add_period(
+                    IdlePeriod(server=period.server, st=end, et=period.et), batches
+                )
             reservations.append(Reservation(rid=rid, server=period.server, start=start, end=end))
         trees = self._trees
         for q, (removals, inserts) in batches.items():
             trees[q].apply_batch(removals, inserts)
         return reservations
 
-    def release(
-        self, server: int, start: float, end: float, uid: int | None = None
-    ) -> None:
+    def release(self, server: int, start: float, end: float) -> None:
         """Return ``[start, end)`` on ``server`` to the idle pool.
 
         Used by cancellation and early-completion reclamation.  The
         released interval is merged with adjacent idle periods so that
-        idle periods stay maximal.  ``uid``, when given, is assigned to
-        the merged period (the sharded coordinator numbers releases
-        centrally for uid-order parity with a single calendar).
+        idle periods stay maximal.
         """
         if not start < end:
             raise ValueError(f"release window [{start}, {end}) is empty")
@@ -489,10 +471,7 @@ class AvailabilityCalendar:
                     f"release of [{start}, {end}) on server {server} overlaps "
                     f"idle period {periods[neighbour_idx]}"
                 )
-        if uid is None:
-            self._add_period(IdlePeriod(server=server, st=lo, et=hi))
-        else:
-            self._add_period(IdlePeriod(server=server, st=lo, et=hi, uid=uid))
+        self._add_period(IdlePeriod(server=server, st=lo, et=hi))
 
     # ------------------------------------------------------------------
     # elastic pool (runtime join / drain / leave)
@@ -544,29 +523,20 @@ class AvailabilityCalendar:
         assert trailing.et == INF, f"server {server} lost its trailing period"
         return trailing.st <= self.now
 
-    def add_servers(self, count: int, uids: list[int] | None = None) -> list[int]:
+    def add_servers(self, count: int) -> list[int]:
         """Grow the pool by ``count`` fresh servers, idle from ``now`` on.
 
         Returns the new server ids (always ``n_servers_before .. +count``).
-        ``uids``, when given, supplies the uid of each new trailing idle
-        period in server order — the sharded coordinator numbers them
-        centrally for uid-order parity with a single calendar.
         """
         if count <= 0:
             raise ValueError(f"must add at least one server, got {count}")
-        if uids is not None and len(uids) != count:
-            raise ValueError(f"got {len(uids)} uids for {count} new servers")
         new_ids = list(range(self.n_servers, self.n_servers + count))
-        for i, server in enumerate(new_ids):
+        for server in new_ids:
             self._server_periods.append([])
             self._server_keys.append([])
             self._status.append("active")
             self.n_servers += 1
-            if uids is None:
-                period = IdlePeriod(server=server, st=self.now, et=INF)
-            else:
-                period = IdlePeriod(server=server, st=self.now, et=INF, uid=uids[i])
-            self._add_period(period)
+            self._add_period(IdlePeriod(server=server, st=self.now, et=INF))
         return new_ids
 
     def drain(self, server: int) -> bool:
@@ -678,21 +648,6 @@ class AvailabilityCalendar:
     def idle_periods(self, server: int) -> list[IdlePeriod]:
         """A copy of the authoritative idle-period list for one server."""
         return list(self._server_periods[server])
-
-    def period_at(self, server: int, st: float) -> IdlePeriod:
-        """The idle period on ``server`` starting exactly at ``st``.
-
-        Starts are unique per server (periods are maximal and disjoint),
-        so ``(server, st)`` pins one period; raises ``KeyError`` when no
-        period starts there.  The sharded commit path uses this to turn a
-        coordinator-chosen ``(server, st)`` pick back into the live
-        period object.
-        """
-        keys = self._server_keys[server]
-        idx = bisect_left(keys, st)
-        if idx >= len(keys) or keys[idx] != st:
-            raise KeyError(f"no idle period starting at {st} on server {server}")
-        return self._server_periods[server][idx]
 
     # ------------------------------------------------------------------
     # serializable state (snapshot/restore support)

@@ -26,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .calendar import AvailabilityCalendar
-from .merge import merge_earliest
 from .opcount import NULL_COUNTER, OpCounter
 from .types import Allocation, IdlePeriod, RangeQuery, Request
 
-__all__ = ["OnlineCoAllocator", "ScheduleOutcome", "merge_earliest"]
+__all__ = ["OnlineCoAllocator", "ScheduleOutcome"]
 
 
 @dataclass(frozen=True, slots=True)

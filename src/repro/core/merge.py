@@ -4,13 +4,10 @@ PR 4 made Phase-2 selection canonical: among the feasible candidate
 periods, the globally earliest-ending ones win, ties broken by uid
 ascending.  Inside one :class:`~repro.core.slot_tree.TwoDimTree` that is
 a k-way merge over the marked subtrees' secondary ``(et, uid)`` arrays.
-Across calendar *shards* it is the very same merge, one level up: each
-shard returns its own earliest-ending prefix and the coordinator merges
-those prefixes.  This module is that merge, factored out so both layers
-run literally the same code — the sharded service's bit-identical-
-decisions guarantee reduces to the associativity of this function.
+This module is that merge, factored out so the array-backed kernel and
+the retained node-based reference tree run literally the same code.
 
-The function is deliberately free of tree/shard vocabulary: a *run* is
+The function is deliberately free of tree vocabulary: a *run* is
 any ascending list of comparable tuples plus a start offset, and the
 result is the globally smallest ``need`` items across all runs, in
 order.  Tuples longer than ``(et, uid)`` are fine — ``(et, uid)`` is a
@@ -45,8 +42,9 @@ def merge_earliest(
 
     The items' relative order is total across runs (the callers' keys
     carry a unique ``(et, uid)`` prefix), so the output is independent of
-    run partitioning: merging per-shard prefixes equals slicing the
-    single-calendar order.  Cost is ``O(need · log k)`` for ``k`` live
+    run partitioning: however the tree's shape splits the stored periods
+    across marked subtrees, merging them equals slicing the one global
+    ``(et, uid)`` order.  Cost is ``O(need · log k)`` for ``k`` live
     runs, with a zero-copy slice fast path when only one run is live.
     """
     if need <= 0:

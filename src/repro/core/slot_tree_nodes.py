@@ -343,9 +343,8 @@ class TwoDimTree:
         the choice a pure function of the stored periods: a calendar
         rebuilt from a snapshot selects byte-identical servers, which is
         the reservation service's restart guarantee.  The merge itself is
-        :func:`~repro.core.merge.merge_earliest` — the same function the
-        sharded coordinator runs over per-shard candidate prefixes, which
-        is what makes sharded selection bit-identical to this one.  The
+        :func:`~repro.core.merge.merge_earliest`, whose output does not
+        depend on how the periods are partitioned into runs.  The
         bound is unchanged — ``O(log N)`` bisects of ``O(log N)`` marks
         plus ``O(need · log log N)`` heap pops.
 

@@ -222,17 +222,15 @@ class CoAllocationScheduler:
 
     # -- elastic pool ----------------------------------------------------
 
-    def add_servers(self, count: int, uids: list[int] | None = None) -> list[int]:
+    def add_servers(self, count: int) -> list[int]:
         """Grow the pool by ``count`` servers; returns the new server ids.
 
         Raises :class:`~repro.errors.MalformedRequestError` for a
-        non-positive count.  ``uids``, when given, names the new trailing
-        idle periods' uids (the sharded coordinator assigns them
-        centrally for uid-order parity with a single calendar).
+        non-positive count.
         """
         if count <= 0:
             raise MalformedRequestError(f"must add at least one server, got {count}")
-        return self.calendar.add_servers(count, uids=uids)
+        return self.calendar.add_servers(count)
 
     def drain(self, server: int) -> dict:
         """Stop ``server`` from admitting new reservations (idempotent).

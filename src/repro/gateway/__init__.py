@@ -4,7 +4,7 @@ Two subsystems that turn the TCP reservation service into a deployable
 one (``docs/gateway.md``):
 
 * :mod:`repro.gateway.app` — an asyncio HTTP/1.1 server fronting the
-  actor/coordinator with JSON endpoints, bearer-token tenancy,
+  actor with JSON endpoints, bearer-token tenancy,
   per-tenant token-bucket rate limits and Prometheus ``/metrics``.
 * :mod:`repro.gateway.follower` — a replication client that tails the
   primary's rid-keyed decision log to maintain a warm standby calendar,

@@ -34,6 +34,7 @@ from typing import Any
 from ..errors import BusyError, error_payload
 from ..service.protocol import (
     MAX_LINE_BYTES,
+    READ_CHUNK_BYTES,
     ProtocolError,
     encode,
     validate_payload,
@@ -170,6 +171,7 @@ class Gateway:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        writer.transport.max_size = READ_CHUNK_BYTES
         try:
             while True:
                 try:
@@ -385,6 +387,7 @@ class Gateway:
                             self.config.backend_port,
                             limit=MAX_LINE_BYTES,
                         )
+                        self._backend[1].transport.max_size = READ_CHUNK_BYTES
                     reader, writer = self._backend
                     writer.write(encode(message))
                     await writer.drain()

@@ -402,13 +402,12 @@ class Follower:
         }
 
 
-async def serve_follower(config: FollowerConfig, ready_line: bool = True) -> bool:
+async def serve_follower(config: FollowerConfig, ready_line: bool = True) -> None:
     """Boot a follower; runs until cancelled or the promoted service stops.
 
     Bootstraps from ``config.bootstrap_snapshot`` when given, else fresh
     from the primary's ``status`` geometry (retrying until the primary
-    answers, so boot order does not matter).  Returns True when a
-    promoted service crash-stopped (mirrors ``serve_forever``).
+    answers, so boot order does not matter).
     """
     follower = Follower(config)
     if config.bootstrap_snapshot:
@@ -438,5 +437,3 @@ async def serve_follower(config: FollowerConfig, ready_line: bool = True) -> boo
     except asyncio.CancelledError:
         await follower.stop()
         raise
-    service = follower._service
-    return service.crashed if service is not None else False

@@ -104,7 +104,7 @@ def entry_from_outcome(outcome: Any) -> dict[str, Any]:
 def decide_reserve(scheduler: Any, message: dict[str, Any]) -> dict[str, Any]:
     """Decide one fresh ``reserve`` against an in-process scheduler.
 
-    This is *the* unsharded decision path: the primary actor calls it for
+    This is *the* decision path: the primary actor calls it for
     rids not yet in the decision table, and the follower calls it again
     for every logged record — determinism makes both produce the same
     entry, and the follower asserts they do.

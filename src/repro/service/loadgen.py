@@ -38,7 +38,7 @@ from time import perf_counter
 from typing import Any, Iterable, Iterator
 
 from ..core.types import Request
-from .metrics import LatencyWindow
+from .metrics import ReservoirWindow
 from .protocol import MAX_LINE_BYTES, encode
 
 __all__ = [
@@ -251,7 +251,7 @@ class _RunState:
     malformed: int = 0
     errors: int = 0
     replayed: int = 0
-    latency: LatencyWindow = field(default_factory=lambda: LatencyWindow(65536))
+    latency: ReservoirWindow = field(default_factory=lambda: ReservoirWindow(65536))
 
 
 class _ConnectionLost(Exception):

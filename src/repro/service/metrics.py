@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 
-__all__ = ["LatencyWindow", "ReservoirWindow", "ServiceMetrics"]
+__all__ = ["ReservoirWindow", "ServiceMetrics"]
 
 
 class ReservoirWindow:
@@ -56,11 +56,6 @@ class ReservoirWindow:
             "p95_ms": round(self.percentile(95), 4),
             "p99_ms": round(self.percentile(99), 4),
         }
-
-
-# Historical name from before the window grew reservoir semantics; the
-# loadgen and external callers still import it.
-LatencyWindow = ReservoirWindow
 
 
 class ServiceMetrics:

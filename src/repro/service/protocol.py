@@ -16,13 +16,12 @@ Responses on one connection come back in request order, so pipelining
 clients may correlate FIFO; ``rid`` (reserve/cancel) and the optional
 pass-through ``seq`` field support out-of-band bookkeeping.
 
-The whole vocabulary — public client ops and internal coordinator→shard
-ops alike — lives in one declarative :data:`REGISTRY` of
-:class:`OpSpec` entries.  Everything else derives from it: runtime
-validation (:func:`decode_line`, :func:`missing_required`), the public
-``OPS`` tuple and internal ``SHARD_OPS`` set, and the static
-protocol-conformance rules ``RA205``/``RA206``
-(:mod:`repro.analysis.protocol_check`), which cross-check every literal
+The whole vocabulary — public client ops and the follower's control ops
+alike — lives in one declarative :data:`REGISTRY` of :class:`OpSpec`
+entries.  Everything else derives from it: runtime validation
+(:func:`decode_line`, :func:`validate_payload`), the ``OPS`` and
+``FOLLOWER_OPS`` tuples, and the static protocol-conformance rules
+``RA205``/``RA206`` (:mod:`repro.analysis.protocol_check`), which cross-check every literal
 ``{"op": ...}`` send site and every handler table against this registry.
 Adding an op means adding one :class:`OpSpec`; forgetting the handler —
 or sending a field the spec does not know — is a lint failure, not a
@@ -46,17 +45,15 @@ from ..errors import MalformedRequestError
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_LINE_BYTES",
+    "READ_CHUNK_BYTES",
     "OPS",
     "FOLLOWER_OPS",
-    "SHARD_MAX_LINE_BYTES",
-    "SHARD_OPS",
     "FIELD_TYPES",
     "OpSpec",
     "REGISTRY",
     "ProtocolError",
     "decode_line",
     "encode",
-    "missing_required",
     "request_from_payload",
     "validate_payload",
 ]
@@ -67,12 +64,17 @@ PROTOCOL_VERSION = 1
 #: hard cap on one NDJSON line; longer lines are a framing attack/bug
 MAX_LINE_BYTES = 1 << 20
 
-#: cap on one internal coordinator <-> shard line.  Shard payloads scale
-#: with calendar content (a shard_load/shard_export carries a whole
-#: calendar slice; a shard_ladder answer carries candidates for every
-#: rung of the retry ladder), so the public 1 MiB cap is far too small —
-#: a busy 10k-reservation calendar legitimately ships multi-MiB lines.
-SHARD_MAX_LINE_BYTES = 64 << 20
+#: bytes asked of ``recv()`` per read event, set as ``transport.max_size``
+#: on every request-serving connection.  asyncio's selector transport
+#: allocates a fresh buffer of that size for each read, and its default
+#: (256 KiB) is above glibc's mmap threshold: whenever the heap happens
+#: to hold no free chunk that large, every read costs an
+#: mmap/mremap/munmap round and two page faults.  Whether it does
+#: depends on nothing more than which modules the process imported —
+#: measured at +25 % server CPU per op on ``mixed-http`` (DESIGN.md §7).
+#: Requests are ~100 B; line length is bounded by the StreamReader
+#: ``limit``, not by this.
+READ_CHUNK_BYTES = 64 * 1024
 
 #: wire-type vocabulary: spec tag -> accepted Python types.  ``bool`` is
 #: excluded from ``int``/``number`` (JSON ``true`` is not a count).
@@ -86,7 +88,7 @@ FIELD_TYPES: dict[str, tuple[type, ...]] = {
 
 
 #: listener vocabularies an op may belong to
-ROLES = ("public", "shard", "follower")
+ROLES = ("public", "follower")
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,9 +96,7 @@ class OpSpec:
     """One operation's wire contract: fields as ``(name, type tag)`` pairs.
 
     ``role`` names the listener that accepts the op: ``"public"`` (the
-    actor/coordinator front door, also proxied by the HTTP gateway),
-    ``"shard"`` (trusted coordinator→shard ops — only the coordinator
-    speaks them, never accepted on the public listener), or
+    actor's front door, also proxied by the HTTP gateway) or
     ``"follower"`` (the warm-standby follower's control listener).
     """
 
@@ -111,11 +111,6 @@ class OpSpec:
         for fname, tag in self.required + self.optional:
             if tag not in FIELD_TYPES:
                 raise ValueError(f"{self.name}.{fname}: unknown type tag {tag!r}")
-
-    @property
-    def internal(self) -> bool:
-        """Whether this op rides the trusted coordinator→shard link."""
-        return self.role == "shard"
 
     @property
     def field_names(self) -> frozenset[str]:
@@ -166,45 +161,6 @@ _SPECS: tuple[OpSpec, ...] = (
         optional=(("aid", "str"), ("qr", "number")),
     ),
     OpSpec("pool_status"),
-    # -- internal coordinator -> shard ops -------------------------------
-    OpSpec(
-        "shard_load",
-        required=(("lo", "int"), ("state", "dict"), ("hwm", "int")),
-        role="shard",
-    ),
-    OpSpec(
-        "shard_ladder",
-        required=(("now", "number"), ("nr", "int"), ("attempts", "list"), ("hwm", "int")),
-        role="shard",
-    ),
-    OpSpec(
-        "shard_commit",
-        required=(
-            ("rid", "int"),
-            ("now", "number"),
-            ("start", "number"),
-            ("end", "number"),
-            ("picks", "list"),
-            ("remnant_uids", "list"),
-            ("hwm", "int"),
-        ),
-        role="shard",
-    ),
-    OpSpec("shard_abort", required=(("rid", "int"), ("now", "number")), role="shard"),
-    OpSpec(
-        "shard_release",
-        required=(("now", "number"), ("windows", "list"), ("hwm", "int")),
-        role="shard",
-    ),
-    OpSpec(
-        "shard_range",
-        required=(("now", "number"), ("ta", "number"), ("tb", "number")),
-        role="shard",
-    ),
-    OpSpec("shard_export", role="shard"),
-    OpSpec("shard_pool", required=(("now", "number"),), role="shard"),
-    OpSpec("shard_status", role="shard"),
-    OpSpec("shard_shutdown", role="shard"),
     # -- warm-standby follower control ops -------------------------------
     OpSpec("follower_status", role="follower"),
     OpSpec("promote", optional=(("port", "int"),), role="follower"),
@@ -215,12 +171,6 @@ REGISTRY: dict[str, OpSpec] = {spec.name: spec for spec in _SPECS}
 
 #: every operation the public server understands, in documented order
 OPS: tuple[str, ...] = tuple(s.name for s in _SPECS if s.role == "public")
-
-#: coordinator -> shard operations on the internal shard link (same NDJSON
-#: framing; trusted, so shards validate only op name and field presence —
-#: a malformed internal message is a coordinator bug, answered with
-#: ``ok: false``)
-SHARD_OPS: frozenset[str] = frozenset(s.name for s in _SPECS if s.role == "shard")
 
 #: operations the warm-standby follower's control listener understands
 FOLLOWER_OPS: tuple[str, ...] = tuple(s.name for s in _SPECS if s.role == "follower")
@@ -310,20 +260,6 @@ def validate_payload(op: str, payload: dict[str, Any]) -> dict[str, Any]:
         if name in payload and payload[name] is not None:
             _check_type(op, name, payload[name], tag)
     return {**payload, "op": op}
-
-
-def missing_required(op: str, message: dict[str, Any]) -> list[str]:
-    """Required fields of ``op`` absent from ``message`` (unknown op: empty).
-
-    The shard actor uses this for its light-touch validation of the
-    trusted internal link: field *presence* is checked (a missing field
-    is a coordinator bug worth a loud ``ok: false``), field types are
-    not (the coordinator constructs them; RA205 checks the literals).
-    """
-    spec = REGISTRY.get(op)
-    if spec is None:
-        return []
-    return [name for name, _ in spec.required if name not in message]
 
 
 def request_from_payload(message: dict[str, Any]) -> Request:

@@ -24,20 +24,6 @@ log keyed by ``rid``; a resent rid (an at-least-once client retrying
 after a connection loss) is answered with the recorded verdict instead
 of being scheduled twice.  The log rides inside snapshots, so the
 guarantee spans restarts.
-
-**Sharding.** With ``shards > 1`` the calendar is partitioned across K
-shard subprocesses behind an
-:class:`~repro.service.coordinator.AsyncShardedScheduler`; the actor
-stays the single writer, it just awaits scatter/merge rounds instead of
-calling a local calendar.  Decisions are bit-identical to the unsharded
-server over the same stream (the differential oracle gates this), and
-snapshots stay K-agnostic: the coordinated export assembles the exact
-single-calendar state, so a snapshot taken at K=4 restores at K=1 and
-vice versa.  A lost shard is a **crash-stop**: the service answers the
-in-flight op with ``INTERNAL``, refuses new work, and exits *without*
-snapshotting (the state may be mid-commit); the supervisor restarts all
-K shards from the last coordinated snapshot and determinism re-decides
-the lost window identically.
 """
 
 from __future__ import annotations
@@ -52,9 +38,7 @@ from time import perf_counter
 from typing import Any
 
 from ..errors import (
-    ConflictError,
     MalformedRequestError,
-    NotFoundError,
     ReproError,
     ShuttingDownError,
     error_payload,
@@ -63,23 +47,21 @@ from ..facade import CoAllocationScheduler
 from .admission import AdmissionController
 from .autoscale import AutoScaleConfig, AutoScaler
 from .batching import drain_batch
-from .coordinator import AsyncShardedScheduler, ShardFailureError, ShardProtocolError
 from .declog import (
     DecisionLog,
     decide_admin,
     decide_cancel,
     decide_reserve,
     decision_message,
-    entry_from_outcome,
 )
 from .metrics import ServiceMetrics
 from .protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
+    READ_CHUNK_BYTES,
     ProtocolError,
     decode_line,
     encode,
-    request_from_payload,
 )
 from .snapshot import read_snapshot, write_snapshot
 
@@ -107,7 +89,6 @@ class ServiceConfig:
     max_batch: int = 64
     metrics_interval: float = 0.0  # seconds; 0 disables the periodic log line
     probe_limit: int = 64  # max idle periods returned per probe
-    shards: int = 1  # calendar shard subprocesses (1 = in-process calendar)
     log_dir: str | None = None  # decision-log directory (None disables the log)
     log_segment_bytes: int = 1 << 20  # rotate segments at this size
     log_tail_limit: int = 512  # default/max records per log_tail answer
@@ -138,10 +119,6 @@ class ReservationService:
     def __init__(self, config: ServiceConfig, state: dict[str, Any] | None = None) -> None:
         self.config = config
         self.restored = state is not None
-        self.crashed = False
-        self._sharded = config.shards > 1
-        #: scheduler state to load into the shards during :meth:`start`
-        self._restore_scheduler_state: dict[str, Any] | None = None
         if state is not None:
             self._decided: dict[int, dict[str, Any]] = {
                 int(rid): entry for rid, entry in state.get("decided", {}).items()
@@ -151,37 +128,16 @@ class ReservationService:
                 str(aid): entry
                 for aid, entry in state.get("admin_decided", {}).items()
             }
-            if self._sharded:
-                scheduler_state = state["scheduler"]
-                calendar_state = scheduler_state["calendar"]
-                # snapshots are K-agnostic: restore reads the exact
-                # single-calendar format regardless of the writer's K
-                self.scheduler: Any = AsyncShardedScheduler(
-                    n_servers=int(calendar_state["n_servers"]),
-                    tau=float(calendar_state["tau"]),
-                    q_slots=int(calendar_state["q_slots"]),
-                    delta_t=float(scheduler_state["delta_t"]),
-                    r_max=int(scheduler_state["r_max"]),
-                    start_time=float(calendar_state["now"]),
-                    shards=config.shards,
-                )
-                self._restore_scheduler_state = scheduler_state
-            else:
-                self.scheduler = CoAllocationScheduler.from_state(state["scheduler"])
+            self.scheduler = CoAllocationScheduler.from_state(state["scheduler"])
         else:
             self._decided = {}
             self._admin_decided = {}
-            scheduler_cls = AsyncShardedScheduler if self._sharded else CoAllocationScheduler
-            kwargs: dict[str, Any] = {}
-            if self._sharded:
-                kwargs["shards"] = config.shards
-            self.scheduler = scheduler_cls(
+            self.scheduler = CoAllocationScheduler(
                 n_servers=config.n_servers,
                 tau=config.tau,
                 q_slots=config.q_slots,
                 delta_t=config.delta_t,
                 r_max=config.r_max,
-                **kwargs,
             )
         self.admission = AdmissionController(
             max_depth=config.max_queue, max_delay=config.max_delay
@@ -236,11 +192,6 @@ class ReservationService:
 
     async def start(self) -> None:
         """Bind the socket and launch the actor (and metrics) tasks."""
-        if self._sharded:
-            # spawn and load the shard workers before accepting clients,
-            # so a failed spawn aborts boot instead of shedding requests
-            await self.scheduler.start(self._restore_scheduler_state)
-            self._restore_scheduler_state = None
         self._server = await asyncio.start_server(
             self._handle_connection,
             host=self.config.host,
@@ -290,8 +241,6 @@ class ReservationService:
         for writer in list(self._writers):
             with _suppress_connection_errors():
                 writer.close()
-        if self._sharded:
-            await self.scheduler.stop()
         if self._log is not None:
             self._log.close()
         self._stopped.set()
@@ -304,6 +253,7 @@ class ReservationService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         responses: asyncio.Queue[asyncio.Future | None] = asyncio.Queue()
+        writer.transport.max_size = READ_CHUNK_BYTES
         self._writers.add(writer)
         writer_task = asyncio.create_task(self._connection_writer(writer, responses))
         loop = asyncio.get_running_loop()
@@ -394,10 +344,7 @@ class ReservationService:
         while not self._stopping:
             batch = await drain_batch(self._queue, self.config.max_batch)
             self.metrics.record_batch(len(batch))
-            # unsharded, the handlers never suspend, so the batch applies
-            # atomically; sharded, the actor awaits shard round-trips but
-            # remains the only task that ever touches the scheduler — the
-            # single-writer argument is ownership, not non-suspension
+            # the handlers never suspend, so the batch applies atomically
             for message, enqueued_at, future in batch:
                 started = perf_counter()
                 if self._stopping:
@@ -492,19 +439,6 @@ class ReservationService:
         try:
             handler = getattr(self, f"_actor_apply_{op}")
             response = await handler(message)
-        except (ShardFailureError, ShardProtocolError) as exc:
-            # crash-stop: a dead shard (or a broken cross-shard commit)
-            # means the distributed calendar may be inconsistent; answer
-            # this op, refuse new work, and exit WITHOUT snapshotting
-            self.crashed = True
-            self._stopping = True
-            self.metrics.errors += 1
-            print(
-                f"repro serve: shard failure, crash-stopping: {exc}",
-                file=sys.stderr,
-                flush=True,
-            )
-            response = _error_response(message, exc)
         except ReproError as exc:
             response = _error_response(message, exc)
         except Exception as exc:  # never kill the actor on one bad op
@@ -523,12 +457,9 @@ class ReservationService:
             response = dict(recorded)
             response.update(op="reserve", rid=rid, replayed=True)
             return response
-        if self._sharded:
-            entry = await self._actor_decide_reserve_sharded(message)
-        else:
-            # the shared decision path (declog.decide_reserve) is exactly
-            # what the warm-standby follower replays against the log
-            entry = decide_reserve(self.scheduler, message)
+        # the shared decision path (declog.decide_reserve) is exactly
+        # what the warm-standby follower replays against the log
+        entry = decide_reserve(self.scheduler, message)
         self._decided[rid] = entry
         self._record_decision("reserve", message, entry)
         if entry["ok"]:
@@ -540,20 +471,6 @@ class ReservationService:
         else:
             self.metrics.malformed += 1
         return {"ok": False, "op": "reserve", "rid": rid, "error": error}
-
-    async def _actor_decide_reserve_sharded(
-        self, message: dict[str, Any]
-    ) -> dict[str, Any]:
-        """The sharded twin of :func:`~repro.service.declog.decide_reserve`."""
-        try:
-            request = request_from_payload(message)
-        except MalformedRequestError as exc:
-            return {"ok": False, "error": exc.payload()}
-        # the virtual clock: simulated time only ever advances from
-        # request-carried submission times, keeping replays deterministic
-        self.scheduler.advance(max(self.scheduler.now, request.qr))
-        outcome = await self.scheduler.schedule_detailed(request)
-        return entry_from_outcome(outcome)
 
     def _record_decision(
         self, kind: str, message: dict[str, Any], verdict: dict[str, Any]
@@ -568,8 +485,6 @@ class ReservationService:
             raise MalformedRequestError(f"probe window [{ta}, {tb}) is empty")
         limit = int(message.get("limit") or self.config.probe_limit)
         periods = self.scheduler.range_search(ta, tb)
-        if asyncio.iscoroutine(periods):
-            periods = await periods
         return {
             "ok": True,
             "op": "probe",
@@ -582,14 +497,7 @@ class ReservationService:
 
     async def _actor_apply_cancel(self, message: dict[str, Any]) -> dict[str, Any]:
         rid = int(message["rid"])
-        if self._sharded:
-            try:
-                await self.scheduler.cancel(rid)
-                verdict: dict[str, Any] = {"ok": True}
-            except NotFoundError as exc:
-                verdict = {"ok": False, "error": exc.payload()}
-        else:
-            verdict = decide_cancel(self.scheduler, rid)
+        verdict = decide_cancel(self.scheduler, rid)
         self._record_decision("cancel", message, verdict)
         return {"op": "cancel", "rid": rid, **verdict}
 
@@ -624,10 +532,7 @@ class ReservationService:
                 response = dict(recorded)
                 response.update(op=kind, aid=aid, replayed=True)
                 return response
-        if self._sharded:
-            verdict = await self._actor_decide_admin_sharded(kind, message)
-        else:
-            verdict = decide_admin(self.scheduler, kind, message)
+        verdict = decide_admin(self.scheduler, kind, message)
         if aid is not None:
             self._admin_decided[str(aid)] = verdict
         self._record_decision(kind, message, verdict)
@@ -636,38 +541,8 @@ class ReservationService:
             response["aid"] = aid
         return response
 
-    async def _actor_decide_admin_sharded(
-        self, kind: str, message: dict[str, Any]
-    ) -> dict[str, Any]:
-        """The sharded twin of :func:`~repro.service.declog.decide_admin`.
-
-        Shard failures propagate (crash-stop); only the scheduler's own
-        typed refusals become ``ok: false`` verdicts.
-        """
-        qr = message.get("qr")
-        if qr is not None:
-            self.scheduler.advance(max(self.scheduler.now, float(qr)))
-        try:
-            if kind == "add_servers":
-                new_ids = await self.scheduler.add_servers(int(message["count"]))
-                return {
-                    "ok": True,
-                    "servers": new_ids,
-                    "n_servers": self.scheduler.n_servers,
-                }
-            if kind == "drain":
-                return {"ok": True, **await self.scheduler.drain(int(message["server"]))}
-            if kind == "remove":
-                return {"ok": True, **await self.scheduler.remove(int(message["server"]))}
-        except (MalformedRequestError, ConflictError) as exc:
-            return {"ok": False, "error": exc.payload()}
-        raise ValueError(f"not an admin decision kind: {kind!r}")
-
     async def _actor_apply_pool_status(self, message: dict[str, Any]) -> dict[str, Any]:
-        pool = self.scheduler.pool_status()
-        if asyncio.iscoroutine(pool):
-            pool = await pool
-        return {"ok": True, "op": "pool_status", **pool}
+        return {"ok": True, "op": "pool_status", **self.scheduler.pool_status()}
 
     async def _actor_apply_log_tail(self, message: dict[str, Any]) -> dict[str, Any]:
         if self._log is None:
@@ -699,14 +574,8 @@ class ReservationService:
             "n_servers": self.scheduler.n_servers,
             "tau": self.scheduler.calendar.tau,
             "q_slots": self.scheduler.calendar.q_slots,
-            "delta_t": (
-                self.scheduler.delta_t
-                if self._sharded
-                else self.scheduler.allocator.delta_t
-            ),
-            "r_max": (
-                self.scheduler.r_max if self._sharded else self.scheduler.allocator.r_max
-            ),
+            "delta_t": self.scheduler.allocator.delta_t,
+            "r_max": self.scheduler.allocator.r_max,
             "uptime_s": round(perf_counter() - self._started, 3),
             "restored": self.restored,
             "stopping": self._stopping,
@@ -718,20 +587,11 @@ class ReservationService:
             "metrics": self.metrics.summary(),
         }
         pool = self.scheduler.pool_status()
-        if asyncio.iscoroutine(pool):
-            pool = await pool
         response["pool"] = {
             key: pool[key] for key in ("active", "draining", "removed", "total")
         }
         if self.autoscaler is not None:
             response["autoscale"] = self.autoscaler.summary()
-        if self._sharded:
-            response["shards"] = {
-                "count": self.config.shards,
-                "hwm": self.scheduler.hwm,
-                "pids": self.scheduler.shard_pids(),
-                "ports": self.scheduler.shard_ports(),
-            }
         if self._log is not None:
             response["log"] = self._log.summary()
         return response
@@ -745,8 +605,6 @@ class ReservationService:
         state = await self._actor_state()
         meta = write_snapshot(path, state)
         self.metrics.snapshots += 1
-        if "sharded" in state:
-            meta = {**meta, "sharded": state["sharded"]}
         if self._log is not None:
             # everything below the snapshot (and every follower cursor)
             # is now durable elsewhere: drop the covered whole segments
@@ -770,30 +628,19 @@ class ReservationService:
         }
 
     async def _actor_state(self) -> dict[str, Any]:
-        """Full service state for a snapshot (coordinated across shards).
+        """Full service state for a snapshot.
 
-        The actor's serial execution *is* the quiescence the coordinated
-        snapshot needs: no decision is in flight while this runs, so all
-        K shards export at the same high-water mark (asserted by the
-        coordinator).  The scheduler state keeps the single-calendar
-        format either way; sharded runs add a ``sharded`` section with
-        the per-shard and combined checksums.
+        The actor's serial execution *is* the quiescence a consistent
+        snapshot needs: no decision is in flight while this runs.
         """
-        if self._sharded:
-            scheduler_state, sharded_meta = await self.scheduler.export_full()
-        else:
-            scheduler_state, sharded_meta = self.scheduler.export_state(), None
-        state = {
-            "scheduler": scheduler_state,
+        return {
+            "scheduler": self.scheduler.export_state(),
             "decided": {str(rid): self._decided[rid] for rid in sorted(self._decided)},
             "admin_decided": {
                 aid: self._admin_decided[aid] for aid in sorted(self._admin_decided)
             },
             "log_hwm": self._log.hwm if self._log is not None else 0,
         }
-        if sharded_meta is not None:
-            state["sharded"] = sharded_meta
-        return state
 
 
 def _error_response(message: dict[str, Any], exc: BaseException) -> dict[str, Any]:
@@ -828,23 +675,21 @@ class _suppress_connection_errors:
         )
 
 
-async def serve_forever(config: ServiceConfig, ready_line: bool = True) -> bool:
+async def serve_forever(config: ServiceConfig, ready_line: bool = True) -> None:
     """Boot a service and run until a ``shutdown`` op stops it.
 
     Prints a parseable ``listening on HOST:PORT`` line to stdout once
     bound (``repro loadgen`` and the CI smoke job read it to discover an
-    ephemeral port).  Returns ``True`` if the service crash-stopped on a
-    shard failure (the CLI maps that to a non-zero exit).
+    ephemeral port).
     """
     service = ReservationService.create(config)
     await service.start()
     if ready_line:
         extra = " (restored from snapshot)" if service.restored else ""
-        shard_note = f", shards={config.shards}" if config.shards > 1 else ""
         print(
             f"repro serve: listening on {config.host}:{service.port} "
             f"(N={service.scheduler.n_servers}, tau={service.scheduler.calendar.tau:g}, "
-            f"Q={service.scheduler.calendar.q_slots}{shard_note}){extra}",
+            f"Q={service.scheduler.calendar.q_slots}){extra}",
             flush=True,
         )
     try:
@@ -852,4 +697,3 @@ async def serve_forever(config: ServiceConfig, ready_line: bool = True) -> bool:
     except asyncio.CancelledError:
         await service.stop()
         raise
-    return service.crashed

@@ -38,7 +38,6 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "SUPPORTED_VERSIONS",
     "SnapshotError",
-    "combine_checksums",
     "snapshot_bytes",
     "state_checksum",
     "write_snapshot",
@@ -68,15 +67,6 @@ def _canonical(state: dict[str, Any]) -> str:
 def state_checksum(state: dict[str, Any]) -> str:
     """SHA-256 over the canonical state JSON."""
     return hashlib.sha256(_canonical(state).encode("utf-8")).hexdigest()
-
-
-def combine_checksums(checksums: list[str]) -> str:
-    """One cross-shard checksum over per-shard state checksums, in shard
-    order — the coordinated-snapshot integrity stamp.  Order-sensitive by
-    design: shard contents are positional (shard ``s`` owns a specific
-    server slice), so swapped shards must not collide."""
-    joined = "\n".join(checksums).encode("utf-8")
-    return hashlib.sha256(joined).hexdigest()
 
 
 def snapshot_bytes(state: dict[str, Any]) -> bytes:

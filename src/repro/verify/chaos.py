@@ -29,15 +29,6 @@ Plans
     The op list is deterministically shuffled within fixed-size windows
     before sending — an at-least-once client's retry storm.  The oracle
     replays the *same* shuffled order, so verdicts must still agree.
-``kill-shard`` (sharded service only)
-    ``snapshot`` after op *s*, then after op *k* > *s* SIGKILL one
-    calendar-shard subprocess (pid taken from ``status``) and poke the
-    service with a probe.  The coordinator's next scatter hits the dead
-    shard, the service answers ``INTERNAL`` and crash-stops (exit
-    code 1) *without* overwriting the snapshot.  A full coordinated
-    restart from that snapshot must then re-decide ops *s+1..k*
-    identically and finish the stream with the same accepted checksum
-    as the uninterrupted oracle.
 ``front-door`` (explicit ``--plan front-door``)
     The whole stream is replayed through a real ``repro gateway``
     subprocess as HTTP/JSON instead of raw NDJSON — the gateway passes
@@ -55,7 +46,7 @@ Plans
     the snapshot must re-decide ops *s+1..k* identically *and* restore
     byte-equal pool membership.  The final snapshot's pool must match
     the oracle's, on top of the usual ledger/verdict/checksum standards.
-``kill-promote`` (explicit ``--plan kill-promote``, unsharded only)
+``kill-promote`` (explicit ``--plan kill-promote``)
     The primary runs with ``--log-dir`` and a ``repro follow``
     subprocess tails its decision log.  After op *k* the primary is
     SIGKILLed — **no snapshot was ever taken** — and the follower is
@@ -104,7 +95,7 @@ _RPC_TIMEOUT = 30.0
 class ChaosPlan:
     """One deterministic fault schedule."""
 
-    kind: str  # kill-restart | duplicate | reorder | kill-shard | front-door | kill-promote
+    kind: str  # kill-restart | duplicate | reorder | scale-events | front-door | kill-promote
     snapshot_at: int | None = None  # kill-*: snapshot after this op index
     kill_at: int | None = None  # kill-*: SIGKILL after this op index
     duplicate_every: int = 5  # duplicate: resend every n-th reserve
@@ -122,27 +113,18 @@ class ChaosPlan:
         }
 
 
-def default_plans(kind: str | None = None, shards: int = 0) -> list[ChaosPlan]:
+def default_plans(kind: str | None = None) -> list[ChaosPlan]:
     plans = [
         ChaosPlan(kind="kill-restart"),
         ChaosPlan(kind="duplicate"),
         ChaosPlan(kind="reorder"),
     ]
-    if shards > 1:
-        plans.append(ChaosPlan(kind="kill-shard"))
     if kind is None or kind == "all":
         return plans
-    if kind == "kill-shard" and shards <= 1:
-        raise ValueError("kill-shard plan needs a sharded service (--shards > 1)")
     if kind in ("front-door", "kill-promote", "scale-events"):
         # explicit-only plans: they spawn extra subprocesses (gateway /
         # follower) or need a specially generated stream (scale events),
         # so "all" does not imply them
-        if kind == "kill-promote" and shards > 1:
-            raise ValueError(
-                "kill-promote plan needs the unsharded service "
-                "(the follower replays a single calendar)"
-            )
         return [ChaosPlan(kind=kind)]
     matched = [p for p in plans if p.kind == kind]
     if not matched:
@@ -180,7 +162,6 @@ def _spawn_ready(cmd: list[str]) -> tuple[subprocess.Popen, int]:
 def _start_server(
     config: dict[str, Any],
     snapshot_path: str,
-    shards: int = 0,
     extra: list[str] | None = None,
 ) -> tuple[subprocess.Popen, int]:
     cmd = [
@@ -205,8 +186,6 @@ def _start_server(
         cmd += ["--delta-t", str(config["delta_t"])]
     if config.get("r_max") is not None:
         cmd += ["--r-max", str(config["r_max"])]
-    if shards > 1:
-        cmd += ["--shards", str(shards)]
     if extra:
         cmd += extra
     return _spawn_ready(cmd)
@@ -479,38 +458,13 @@ def _jsonable(value: Any) -> Any:
     return json.loads(json.dumps(value, allow_nan=False))
 
 
-def _kill_one_shard(client: _Client, proc: subprocess.Popen, kill_at: int) -> bool:
-    """SIGKILL one calendar-shard worker and confirm the crash-stop.
-
-    Returns True when the service behaved as specified: the poke op that
-    forces the next scatter is answered ``INTERNAL`` (or the connection
-    drops mid-answer), and the service process itself exits nonzero
-    without being signalled by us.
-    """
-    status = client.rpc({"op": "status"})
-    pids = [int(p) for p in status["shards"]["pids"]]
-    os.kill(pids[kill_at % len(pids)], signal.SIGKILL)
-    answered_internal = False
-    try:
-        # any scatter works; probe is read-only so the replay window stays
-        # exactly snapshot_at+1..kill_at
-        poke = client.rpc({"op": "probe", "ta": 0.0, "tb": 1.0, "limit": 1})
-        error = poke.get("error") or {}
-        answered_internal = not poke.get("ok") and error.get("code") == "INTERNAL"
-    except (ConnectionError, OSError, json.JSONDecodeError):
-        answered_internal = True  # died mid-answer: still a crash-stop
-    client.close()
-    proc.wait(timeout=30)
-    return answered_internal and proc.returncode not in (0, None)
-
-
 # ----------------------------------------------------------------------
 # the run
 # ----------------------------------------------------------------------
 
 
 def run_chaos(
-    stream: Stream, plan: ChaosPlan, work_dir: str | None = None, shards: int = 0
+    stream: Stream, plan: ChaosPlan, work_dir: str | None = None
 ) -> dict[str, Any]:
     """Execute one (stream, plan) pair; returns the JSON-ready report.
 
@@ -518,18 +472,7 @@ def run_chaos(
     verdict divergence from the oracle, identical replayed verdicts
     across the kill/restart, ``replayed`` flags on duplicates, equal
     final state and checksums.
-
-    ``shards`` > 1 runs the service with ``--shards K``; the oracle side
-    is untouched, so every plan doubles as a sharded/single-calendar
-    equivalence check.  The ``kill-shard`` plan requires it.
     """
-    if plan.kind == "kill-shard" and shards <= 1:
-        raise ValueError("kill-shard plan needs a sharded service (shards > 1)")
-    if plan.kind == "kill-promote" and shards > 1:
-        raise ValueError(
-            "kill-promote plan needs the unsharded service "
-            "(the follower replays a single calendar)"
-        )
     ops = [op for op in stream.ops if op["kind"] != "restore"]
     if plan.kind == "reorder":
         rng = random.Random(f"repro-chaos:{plan.seed}")
@@ -540,7 +483,7 @@ def run_chaos(
             rng.shuffle(block)
             ops[base : base + window] = block
     snapshot_at = kill_at = None
-    if plan.kind in ("kill-restart", "kill-shard", "scale-events"):
+    if plan.kind in ("kill-restart", "scale-events"):
         snapshot_at = plan.snapshot_at if plan.snapshot_at is not None else len(ops) // 3
         if plan.kill_at is not None:
             kill_at = plan.kill_at
@@ -581,8 +524,6 @@ def run_chaos(
     reserve_count = 0
     scale_ops = 0
     pool_restore_mismatch: dict[str, Any] | None = None
-    shard_kills = 0
-    crash_stop_ok = True  # kill-shard: INTERNAL answer + nonzero exit observed
     follower_proc = gateway_proc = None
     promote_info: dict[str, Any] | None = None
     # kill-promote: log_index[h-1] = index of the op that wrote decision-log
@@ -593,7 +534,7 @@ def run_chaos(
     logged_rids: set[int] = set()
 
     extra = ["--log-dir", str(Path(work) / "primary-log")] if plan.kind == "kill-promote" else None
-    proc, port = _start_server(stream.config, snapshot_path, shards, extra=extra)
+    proc, port = _start_server(stream.config, snapshot_path, extra=extra)
     if plan.kind == "kill-promote":
         follower_proc, follower_ctl_port = _start_follower(port, snapshot_path, work)
     client: Any
@@ -684,7 +625,7 @@ def run_chaos(
                                 {"index": j, "before_kill": verdicts[j],
                                  "after_promote": replayed}
                             )
-            if plan.kind in ("kill-restart", "kill-shard", "scale-events"):
+            if plan.kind in ("kill-restart", "scale-events"):
                 if index == snapshot_at:
                     client.rpc({"op": "snapshot"})
                 if index == kill_at:
@@ -694,15 +635,10 @@ def run_chaos(
                             {"kind": "pool_status"},
                             client.rpc({"op": "pool_status"}),
                         )
-                    if plan.kind == "kill-shard":
-                        if not _kill_one_shard(client, proc, kill_at):
-                            crash_stop_ok = False
-                        shard_kills += 1
-                    else:
-                        client.close()
-                        proc.send_signal(signal.SIGKILL)
-                        proc.wait(timeout=30)
-                    proc, port = _start_server(stream.config, snapshot_path, shards)
+                    client.close()
+                    proc.send_signal(signal.SIGKILL)
+                    proc.wait(timeout=30)
+                    proc, port = _start_server(stream.config, snapshot_path)
                     restarts += 1
                     client = _Client(port)
                     # ops decided after the snapshot died with the process;
@@ -791,22 +727,18 @@ def run_chaos(
         and pool_restore_mismatch is None
         and state_equal
         and pool_equal
-        and crash_stop_ok
         and len(set(checksums.values())) == 1
     )
     report = {
         "plan": plan.to_dict(),
         "profile": stream.profile,
         "seed": stream.seed,
-        "shards": shards,
         "ops": len(ops),
         "reserves": reserve_count,
         "scale_ops": scale_ops,
         "accepted": len(ledger.entries),
         "restarts": restarts,
         "promote": promote_info,
-        "shard_kills": shard_kills,
-        "crash_stop_ok": crash_stop_ok,
         "duplicate_checks": duplicate_checks,
         "ledger_violations": ledger.violations,
         "verdict_divergences": verdict_divergences[:20],

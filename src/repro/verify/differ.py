@@ -38,7 +38,6 @@ from ..core.slot_tree import TwoDimTree
 from ..core.types import INF, Request
 from ..errors import MalformedRequestError, NotFoundError, ReproError
 from ..facade import CoAllocationScheduler
-from ..service.coordinator import ShardedScheduler
 from .genstream import Stream
 from .oracle import ReferenceScheduler
 
@@ -131,9 +130,9 @@ def _jsonable(value: Any) -> Any:
 
 
 def _apply_production(
-    scheduler: Any, op: dict[str, Any]
-) -> tuple[dict[str, Any], Any]:
-    """Apply one op to the production side (single-calendar or sharded)."""
+    scheduler: CoAllocationScheduler, op: dict[str, Any]
+) -> tuple[dict[str, Any], CoAllocationScheduler]:
+    """Apply one op to the production side."""
     kind = op["kind"]
     if kind == "reserve":
         try:
@@ -184,10 +183,6 @@ def _apply_production(
         # the real persistence path: canonical JSON out, parsed back in —
         # catches float serialization drift, not just in-memory identity
         blob = json.dumps(scheduler.export_state(), sort_keys=True, allow_nan=False)
-        if isinstance(scheduler, ShardedScheduler):
-            return {"ok": True, "restored": True}, ShardedScheduler.from_state(
-                json.loads(blob), shards=scheduler.shards
-            )
         return {"ok": True, "restored": True}, CoAllocationScheduler.from_state(
             json.loads(blob)
         )
@@ -293,23 +288,15 @@ def run_stream(
     stream: Stream,
     inject: str | None = None,
     state_stride: int = 1,
-    shards: int = 0,
 ) -> FuzzResult:
     """Execute one stream on both implementations, lock-step.
 
     ``state_stride`` compares the full per-server idle state every k ops
-    (1 = every op; the final op is always state-checked).  ``shards > 0``
-    runs the K-sharded scatter/merge scheduler as the production side —
-    the cross-shard coordinator differentially gated against the same
-    oracle that gates the single calendar.
+    (1 = every op; the final op is always state-checked).
     """
     result = FuzzResult(ops_run=0)
     with inject_bug(inject):
-        production: Any = (
-            ShardedScheduler(**stream.config, shards=shards)
-            if shards > 0
-            else CoAllocationScheduler(**stream.config)
-        )
+        production = CoAllocationScheduler(**stream.config)
         oracle = ReferenceScheduler(**stream.config)
         for index, op in enumerate(stream.ops):
             try:
@@ -452,7 +439,6 @@ def shrink_stream(
     stream: Stream,
     inject: str | None = None,
     max_evaluations: int = 3000,
-    shards: int = 0,
 ) -> ShrinkResult | None:
     """Delta-debug a diverging stream to a 1-minimal op subsequence.
 
@@ -469,7 +455,7 @@ def shrink_stream(
         candidate = Stream(
             config=stream.config, ops=ops, profile=stream.profile, seed=stream.seed
         )
-        return run_stream(candidate, inject=inject, shards=shards).divergence
+        return run_stream(candidate, inject=inject).divergence
 
     divergence = probe(stream.ops)
     if divergence is None:

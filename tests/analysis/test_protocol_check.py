@@ -101,10 +101,8 @@ class TestConformance:
     def test_model_tables_are_complete(self):
         model = collect_model()
         public = {n for n, s in model.registry.items() if s.role == "public"}
-        internal = {n for n, s in model.registry.items() if s.role == "shard"}
         follower = {n for n, s in model.registry.items() if s.role == "follower"}
         assert set(model.server_handlers) == public
-        assert set(model.shard_handlers) == internal
         if model.follower_present:
             assert set(model.follower_handlers) == follower
         assert set(model.error_codes) - model.mapped_codes == {"OK"}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.service.metrics import LatencyWindow, ReservoirWindow, ServiceMetrics
+from repro.service.metrics import ReservoirWindow, ServiceMetrics
 
 
 class TestReservoirWindowPercentile:
@@ -47,9 +47,6 @@ class TestReservoirWindowPercentile:
         # only the last 4 samples remain: min is 96 s -> 96000 ms
         assert window.percentile(0) == pytest.approx(96_000.0)
         assert window.percentile(100) == pytest.approx(99_000.0)
-
-    def test_latency_window_name_still_works(self):
-        assert LatencyWindow is ReservoirWindow
 
 
 def test_service_metrics_summary_on_empty_windows():

@@ -10,6 +10,7 @@ from repro.errors import MalformedRequestError
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     OPS,
+    REGISTRY,
     ProtocolError,
     decode_line,
     encode,
@@ -59,6 +60,9 @@ class TestDecodeLine:
     def test_unknown_op_rejected(self):
         with pytest.raises(ProtocolError, match="unknown op"):
             decode_line(line({"op": "frobnicate"}))
+
+    def test_registry_has_only_public_and_follower_roles(self):
+        assert {s.role for s in REGISTRY.values()} == {"public", "follower"}
 
     def test_missing_required_field_rejected(self):
         with pytest.raises(ProtocolError, match="missing required field 'nr'"):

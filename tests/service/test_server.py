@@ -3,6 +3,7 @@
 import asyncio
 import json
 
+from repro.service.protocol import READ_CHUNK_BYTES
 from repro.service.server import accepted_checksum
 
 from .harness import SMALL, reserve_msg, rpc, rpc_all, start_service
@@ -84,16 +85,38 @@ def test_rejected_and_malformed_are_distinct_codes():
 def test_bad_lines_answered_without_poisoning_the_connection():
     async def scenario():
         service = await start_service(n_servers=2, tau=10.0, q_slots=8)
-        garbage, unknown, status = await rpc_all(
+        garbage, unknown, retired, status = await rpc_all(
             service.port,
             b"this is not json\n",
             {"op": "frobnicate"},
+            # an op of the deleted shard tier is as unknown as any other
+            {"op": "shard_load", "lo": 0, "state": {}, "hwm": 0},
             {"op": "status"},
         )
         assert garbage["error"]["code"] == "MALFORMED"
         assert unknown["error"]["code"] == "MALFORMED"
+        assert retired["error"]["code"] == "MALFORMED"
+        assert "unknown op 'shard_load'" in retired["error"]["message"]
         assert status["ok"] and status["op"] == "status"
-        assert service.metrics.malformed == 2
+        assert "shards" not in status
+        assert service.metrics.malformed == 3
+        await service.stop()
+
+    run(scenario())
+
+
+def test_accepted_connections_read_in_bounded_chunks():
+    """Every accepted connection caps asyncio's per-read recv buffer
+    (see ``protocol.READ_CHUNK_BYTES`` for what the 256 KiB default costs)."""
+
+    async def scenario():
+        service = await start_service(**SMALL)
+        reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+        writer.write(b'{"op":"status"}\n')
+        assert json.loads(await reader.readline())["ok"]
+        (accepted,) = service._writers
+        assert accepted.transport.max_size == READ_CHUNK_BYTES
+        writer.close()
         await service.stop()
 
     run(scenario())

@@ -293,3 +293,35 @@ class TestSnapshotMigration:
         # the aid table rode along: the duplicate answers the recorded verdict
         replay = _apply(restored, {"op": "add_servers", "count": 2, "aid": "grow-1"})
         assert replay["replayed"] and replay["servers"] == [4, 5]
+
+
+def test_sharded_section_from_an_old_deployment_is_ignored(tmp_path):
+    """Snapshots written by a ``--shards K`` service carry a
+    ``state.sharded`` section (per-shard checksums) next to the
+    single-calendar scheduler state.  They must keep loading: the
+    section is ignored, decisions match a restore without it, and the
+    re-export drops it."""
+    service = ReservationService(CONFIG)
+    for rid, (sr, lr, nr) in enumerate([(0.0, 10.0, 2), (15.0, 20.0, 1)]):
+        _apply(service, {"op": "reserve", "rid": rid, "sr": sr, "lr": lr, "nr": nr})
+    plain_state = _state(service)
+    sharded_state = {
+        **plain_state,
+        "sharded": {
+            "shards": 2,
+            "hwm": 2,
+            "shard_checksums": ["0" * 64, "1" * 64],
+            "combined_checksum": "2" * 64,
+        },
+    }
+    plain_path, sharded_path = tmp_path / "plain.snap", tmp_path / "sharded.snap"
+    write_snapshot(plain_path, plain_state)
+    write_snapshot(sharded_path, sharded_state)
+
+    from_plain = ReservationService(CONFIG, state=read_snapshot(plain_path))
+    from_sharded = ReservationService(CONFIG, state=read_snapshot(sharded_path))
+    reexported = _state(from_sharded)
+    assert "sharded" not in reexported
+    assert snapshot_bytes(reexported) == snapshot_bytes(plain_state)
+    message = {"op": "reserve", "rid": 7, "sr": 0.0, "lr": 15.0, "nr": 3}
+    assert _apply(from_sharded, dict(message)) == _apply(from_plain, dict(message))

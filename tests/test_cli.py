@@ -162,6 +162,20 @@ class TestServiceParsers:
         )
         assert args.duration == 60.0 and args.nodes == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--shards", "4"],
+            ["fuzz", "--shards", "2"],
+            ["fuzz", "--chaos", "--plan", "kill-shard"],
+        ],
+    )
+    def test_shard_tier_options_are_argparse_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
 
 class TestReserveExitCodes:
     def test_malformed_is_exit_2_without_contacting_a_server(self, capsys):

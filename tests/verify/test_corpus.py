@@ -32,18 +32,6 @@ def test_corpus_trace_replays_clean(path: Path) -> None:
     assert result.ops_run == len(stream.ops)
 
 
-@pytest.mark.parametrize("path", TRACES, ids=lambda p: p.stem)
-def test_corpus_trace_replays_clean_sharded(path: Path) -> None:
-    """The same traces through the sharded scheduler (K=4, clamped to the
-    trace's server count): the scatter/merge path must stay lock-step
-    with the reference too."""
-    stream = load_trace(str(path))
-    shards = min(4, int(stream.config["n_servers"]))
-    result = run_stream(stream, state_stride=1, shards=shards)
-    assert result.divergence is None, result.divergence.describe()
-    assert result.ops_run == len(stream.ops)
-
-
 def test_equal_end_ties_trace_catches_reverse_tiebreak() -> None:
     """The ties trace is a live tripwire, not a fixture: breaking the
     canonical (end, uid) selection order must flip it to a divergence."""
