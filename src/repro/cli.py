@@ -51,7 +51,7 @@ Installed as ``repro`` (see ``pyproject.toml``); also runnable as
 ``repro loadgen``
     Replay an SWF-derived trace against a running server at a target
     open-loop rate, re-verify every accepted reservation in a
-    client-side shadow ledger, and write a ``BENCH_service.json``
+    client-side shadow ledger, and print (with ``--out``, also write) a
     latency/throughput report.  Exits non-zero on ledger violations.
 
 ``repro fuzz``
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     lg.add_argument("--limit", type=int, default=None, help="send at most this many")
     lg.add_argument("--ledger-in", default=None, help="preload this shadow ledger")
     lg.add_argument("--ledger-out", default=None, help="dump the final shadow ledger here")
-    lg.add_argument("--out", default="BENCH_service.json", help="report JSON path")
+    lg.add_argument("--out", default=None, help="write the report JSON here")
     lg.add_argument(
         "--shutdown", action="store_true", help="send a shutdown op after the replay"
     )
@@ -978,7 +978,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         f"({report['throughput_rps']} req/s); "
         f"latency p50 {lat['p50_ms']}ms p95 {lat['p95_ms']}ms p99 {lat['p99_ms']}ms"
     )
-    print(f"loadgen: accepted checksum {report['accepted_checksum']}; report -> {args.out}")
+    print(
+        f"loadgen: accepted checksum {report['accepted_checksum']}"
+        + (f"; report -> {args.out}" if args.out else "")
+    )
     if report["violations_total"]:
         print(
             f"loadgen: {report['violations_total']} SHADOW-LEDGER VIOLATION(S)",

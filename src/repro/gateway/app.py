@@ -214,7 +214,7 @@ class Gateway:
         if request.path == "/v1/admin/scale":
             if request.method != "POST":
                 return _error_response(405, "scale is POST-only")
-            return await self._handle_admin_scale(request)
+            return await self._handle_op(request, _SCALE_LABEL, rate_limited=False)
         for op in _DATA_OPS:
             if request.path == f"/v1/{op}":
                 if request.method != "POST":
@@ -229,6 +229,13 @@ class Gateway:
     async def _handle_op(
         self, request: HttpRequest, op: str, rate_limited: bool
     ) -> bytes:
+        """Authenticate → validate → backend RPC → render, for every endpoint.
+
+        ``POST /v1/admin/scale`` arrives as ``op == "scale"`` and names
+        its wire op in the body; once that is resolved it is the standard
+        path, so validation still derives from the registry and the
+        backend's JSON verdict passes through verbatim.
+        """
         tenant = self.tokens.authenticate(request.headers.get("authorization"))
         if tenant is None:
             self.rejects_total.inc(tenant="unknown", reason="unauthorized")
@@ -237,7 +244,15 @@ class Gateway:
                 {"ok": False, "op": op, "error": _edge_error("unauthorized")},
                 extra_headers=(("WWW-Authenticate", 'Bearer realm="repro"'),),
             )
-        self.requests_total.inc(tenant=tenant, endpoint=op)
+        endpoint = op
+        body: dict[str, Any] | None = None
+        if op == _SCALE_LABEL:
+            try:
+                op, body = _scale_op(request)
+            except (ProtocolError, HttpError) as exc:
+                return self._malformed(tenant, op, exc)
+            endpoint = f"scale:{op}"
+        self.requests_total.inc(tenant=tenant, endpoint=endpoint)
         if rate_limited:
             retry_after = self.limiter.acquire(tenant)
             if retry_after > 0.0:
@@ -252,17 +267,9 @@ class Gateway:
                     extra_headers=(("Retry-After", format_retry_after(retry_after)),),
                 )
         try:
-            message = validate_payload(op, request.json())
+            message = validate_payload(op, request.json() if body is None else body)
         except (ProtocolError, HttpError) as exc:
-            self.rejects_total.inc(tenant=tenant, reason="malformed")
-            # same MALFORMED payload the TCP front door would answer, so
-            # response classification is transport-independent
-            malformed = (
-                exc if isinstance(exc, ProtocolError) else ProtocolError(exc.message)
-            )
-            return json_response(
-                400, {"ok": False, "op": op, "error": error_payload(malformed)}
-            )
+            return self._malformed(tenant, op, exc)
         try:
             response = await self._backend_rpc(message)
         except (ConnectionError, OSError) as exc:
@@ -275,68 +282,15 @@ class Gateway:
         self.backend_up.set(1)
         return self._render_backend(op, tenant, response)
 
-    async def _handle_admin_scale(self, request: HttpRequest) -> bytes:
-        """``POST /v1/admin/scale``: one pool mutation per request.
-
-        The body names the mutation in ``action`` plus that op's own
-        wire fields (``count`` / ``server``, optional ``aid``/``qr``);
-        everything after the action dispatch is the standard wire-op
-        path, so validation still derives from the registry and the
-        backend's JSON verdict passes through verbatim.
-        """
-        tenant = self.tokens.authenticate(request.headers.get("authorization"))
-        if tenant is None:
-            self.rejects_total.inc(tenant="unknown", reason="unauthorized")
-            return json_response(
-                401,
-                {"ok": False, "op": _SCALE_LABEL, "error": _edge_error("unauthorized")},
-                extra_headers=(("WWW-Authenticate", 'Bearer realm="repro"'),),
-            )
-        try:
-            body = dict(request.json())
-        except HttpError as exc:
-            self.rejects_total.inc(tenant=tenant, reason="malformed")
-            return json_response(
-                400,
-                {
-                    "ok": False,
-                    "op": _SCALE_LABEL,
-                    "error": error_payload(ProtocolError(exc.message)),
-                },
-            )
-        action = body.pop("action", None)
-        if action not in _SCALE_ACTIONS:
-            self.rejects_total.inc(tenant=tenant, reason="malformed")
-            malformed = ProtocolError(
-                f"scale action must be one of {', '.join(_SCALE_ACTIONS)}, "
-                f"got {action!r}"
-            )
-            return json_response(
-                400, {"ok": False, "op": _SCALE_LABEL, "error": error_payload(malformed)}
-            )
-        self.requests_total.inc(tenant=tenant, endpoint=f"scale:{action}")
-        try:
-            message = validate_payload(action, body)
-        except ProtocolError as exc:
-            self.rejects_total.inc(tenant=tenant, reason="malformed")
-            return json_response(
-                400, {"ok": False, "op": action, "error": error_payload(exc)}
-            )
-        try:
-            response = await self._backend_rpc(message)
-        except (ConnectionError, OSError) as exc:
-            self.rejects_total.inc(tenant=tenant, reason="backend_down")
-            self.backend_up.set(0)
-            return json_response(
-                502,
-                {
-                    "ok": False,
-                    "op": action,
-                    "error": _edge_error("backend_down", str(exc)),
-                },
-            )
-        self.backend_up.set(1)
-        return self._render_backend(action, tenant, response)
+    def _malformed(
+        self, tenant: str, op: str, exc: ProtocolError | HttpError
+    ) -> bytes:
+        self.rejects_total.inc(tenant=tenant, reason="malformed")
+        # same MALFORMED payload the TCP front door would answer, so
+        # response classification is transport-independent
+        if isinstance(exc, HttpError):
+            exc = ProtocolError(exc.message)
+        return json_response(400, {"ok": False, "op": op, "error": error_payload(exc)})
 
     def _render_backend(self, op: str, tenant: str, response: dict[str, Any]) -> bytes:
         """Backend JSON out as HTTP, body verbatim."""
@@ -452,6 +406,17 @@ class Gateway:
             self.registry.render().encode("utf-8"),
             content_type="text/plain; version=0.0.4; charset=utf-8",
         )
+
+
+def _scale_op(request: HttpRequest) -> tuple[str, dict[str, Any]]:
+    """The wire op a ``/v1/admin/scale`` body names, and the body without it."""
+    body = dict(request.json())
+    action = body.pop("action", None)
+    if action not in _SCALE_ACTIONS:
+        raise ProtocolError(
+            f"scale action must be one of {', '.join(_SCALE_ACTIONS)}, got {action!r}"
+        )
+    return action, body
 
 
 def _edge_error(reason: str, detail: str = "") -> dict[str, Any]:

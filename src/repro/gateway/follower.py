@@ -6,16 +6,16 @@ the service already proves elsewhere:
 * the primary's decision log (:mod:`repro.service.declog`) carries every
   write decision as ``(message, verdict)``;
 * the scheduler is deterministic, so replaying ``message`` through the
-  *same* decision functions (:func:`~repro.service.declog.decide_reserve`
-  / :func:`~repro.service.declog.decide_cancel`) reproduces ``verdict``
+  *same* state machine the primary's actor runs
+  (:meth:`repro.service.state.ServiceState.apply`) reproduces ``verdict``
   bit-for-bit — the follower asserts this on every record and
   crash-stops on divergence rather than serving a silently wrong
   calendar;
-* promotion (``repro promote``) hands the replayed state to a real
-  :class:`~repro.service.server.ReservationService` — the exact code
-  path of a restart-from-snapshot, so failover is decision-identical by
-  the same argument (and verified end-to-end by the ``kill-promote``
-  chaos plan).
+* promotion (``repro promote``) exports the replayed state and hands it
+  to a real :class:`~repro.service.server.ReservationService` — the
+  exact code path of a restart-from-snapshot, so failover is
+  decision-identical by the same argument (and verified end-to-end by
+  the ``kill-promote`` chaos plan).
 
 Replication is asynchronous: decisions acknowledged by the primary but
 not yet tailed are lost on failover — and re-decided identically when
@@ -46,9 +46,9 @@ from ..service.protocol import (
     decode_line,
     encode,
 )
-from ..service.declog import ADMIN_KINDS, decide_admin, decide_cancel, decide_reserve
-from ..service.server import ReservationService, ServiceConfig, accepted_checksum
+from ..service.server import ReservationService, ServiceConfig
 from ..service.snapshot import read_snapshot
+from ..service.state import DECISION_KINDS, ServiceState
 
 __all__ = [
     "Follower",
@@ -89,19 +89,12 @@ class Follower:
 
     def __init__(self, config: FollowerConfig) -> None:
         self.config = config
-        self.scheduler: CoAllocationScheduler | None = None
-        self.decided: dict[int, dict[str, Any]] = {}
-        #: aid-keyed admin verdicts, replayed so promotion keeps them
-        self.admin_decided: dict[str, dict[str, Any]] = {}
+        #: the standby's copy of the primary's state machine (None until
+        #: bootstrapped)
+        self.state: ServiceState | None = None
         #: records ``1..cursor`` are applied
         self.cursor = 0
-        self.applied = {
-            "reserve": 0,
-            "cancel": 0,
-            "add_servers": 0,
-            "drain": 0,
-            "remove": 0,
-        }
+        self.applied = dict.fromkeys(DECISION_KINDS, 0)
         self.primary_up = False
         self.promoted = False
         self.failed: str | None = None  # crash-stop reason, if any
@@ -118,27 +111,19 @@ class Follower:
 
     def bootstrap_from_snapshot(self, path: str | Path) -> None:
         """Adopt a primary snapshot: its state *and* its log position."""
-        state = read_snapshot(path)
-        self.scheduler = CoAllocationScheduler.from_state(state["scheduler"])
-        self.decided = {
-            int(rid): entry for rid, entry in state.get("decided", {}).items()
-        }
-        self.admin_decided = {
-            str(aid): entry for aid, entry in state.get("admin_decided", {}).items()
-        }
-        self.cursor = int(state.get("log_hwm", 0))
+        self.state, self.cursor = ServiceState.from_snapshot(read_snapshot(path))
 
     def bootstrap_fresh(self, status: dict[str, Any]) -> None:
         """Start from an empty calendar with the primary's geometry."""
-        self.scheduler = CoAllocationScheduler(
-            n_servers=int(status["n_servers"]),
-            tau=float(status["tau"]),
-            q_slots=int(status["q_slots"]),
-            delta_t=float(status["delta_t"]),
-            r_max=int(status["r_max"]),
+        self.state = ServiceState(
+            CoAllocationScheduler(
+                n_servers=int(status["n_servers"]),
+                tau=float(status["tau"]),
+                q_slots=int(status["q_slots"]),
+                delta_t=float(status["delta_t"]),
+                r_max=int(status["r_max"]),
+            )
         )
-        self.decided = {}
-        self.admin_decided = {}
         self.cursor = 0
 
     # ------------------------------------------------------------------
@@ -147,7 +132,7 @@ class Follower:
 
     def apply_record(self, record: dict[str, Any]) -> None:
         """Apply one log record, verifying hwm continuity and the verdict."""
-        assert self.scheduler is not None, "follower not bootstrapped"
+        assert self.state is not None, "follower not bootstrapped"
         hwm = int(record["hwm"])
         if hwm != self.cursor + 1:
             raise ReplicationGapError(
@@ -155,38 +140,26 @@ class Follower:
             )
         kind = record["kind"]
         message = record["message"]
-        if kind == "reserve":
-            verdict = decide_reserve(self.scheduler, message)
-        elif kind == "cancel":
-            verdict = decide_cancel(self.scheduler, int(message["rid"]))
-        elif kind in ADMIN_KINDS:
-            verdict = decide_admin(self.scheduler, kind, message)
-        else:
+        if kind not in DECISION_KINDS:
             raise ReplicationDivergenceError(f"unknown record kind {kind!r}")
+        verdict, replayed = self.state.apply(kind, message)
+        if replayed:
+            # the primary logs fresh decisions only: a record for a rid/aid
+            # this standby already holds means the two histories forked
+            raise ReplicationDivergenceError(
+                f"record {hwm} ({kind} rid={message.get('rid')} "
+                f"aid={message.get('aid')}) was already decided here as "
+                f"{verdict!r} — the primary's log and this follower disagree "
+                f"on history"
+            )
         if verdict != record["verdict"]:
             raise ReplicationDivergenceError(
                 f"record {hwm} ({kind} rid={message.get('rid')}): local verdict "
                 f"{verdict!r} != logged verdict {record['verdict']!r} — the "
                 f"follower would serve a different calendar than the primary"
             )
-        if kind == "reserve":
-            self.decided[int(message["rid"])] = verdict
-        elif kind in ADMIN_KINDS and message.get("aid") is not None:
-            self.admin_decided[str(message["aid"])] = verdict
         self.applied[kind] += 1
         self.cursor = hwm
-
-    def export_service_state(self) -> dict[str, Any]:
-        """The replayed state in exact snapshot format (for promotion)."""
-        assert self.scheduler is not None, "follower not bootstrapped"
-        return {
-            "scheduler": self.scheduler.export_state(),
-            "decided": {str(rid): self.decided[rid] for rid in sorted(self.decided)},
-            "admin_decided": {
-                aid: self.admin_decided[aid] for aid in sorted(self.admin_decided)
-            },
-            "log_hwm": self.cursor,
-        }
 
     # ------------------------------------------------------------------
     # tailing the primary (single-writer: only this task mutates state,
@@ -334,23 +307,18 @@ class Follower:
             writer.close()
 
     async def _ctl_follower_status(self, message: dict[str, Any]) -> dict[str, Any]:
+        assert self.state is not None, "follower not bootstrapped"
         return {
             "ok": True,
             "op": "follower_status",
             "follower_id": self.config.follower_id,
             "hwm": self.cursor,
             "applied": dict(self.applied),
-            "decided": len(self.decided),
-            "admin_decided": len(self.admin_decided),
-            "pool": (
-                self.scheduler.calendar.pool_counts()
-                if self.scheduler is not None
-                else None
-            ),
+            **self.state.summary(),
+            "pool": self.state.scheduler.calendar.pool_counts(),
             "primary_up": self.primary_up,
             "promoted": self.promoted,
             "failed": self.failed,
-            "accepted_checksum": accepted_checksum(self.decided),
         }
 
     async def _ctl_promote(self, message: dict[str, Any]) -> dict[str, Any]:
@@ -369,17 +337,20 @@ class Follower:
         if self._conn is not None:
             self._conn[1].close()
             self._conn = None
-        assert self.scheduler is not None, "follower not bootstrapped"
+        assert self.state is not None, "follower not bootstrapped"
+        scheduler = self.state.scheduler
         config = ServiceConfig(
             host=self.config.host,
             port=int(message.get("port") or self.config.promote_port),
-            n_servers=self.scheduler.n_servers,
-            tau=self.scheduler.calendar.tau,
-            q_slots=self.scheduler.calendar.q_slots,
+            n_servers=scheduler.n_servers,
+            tau=scheduler.calendar.tau,
+            q_slots=scheduler.calendar.q_slots,
             snapshot_path=self.config.snapshot_path,
             log_dir=self.config.log_dir,
         )
-        service = ReservationService(config, state=self.export_service_state())
+        # through the snapshot format, not by handing the object over:
+        # promotion then *is* a restart-from-snapshot at hwm = cursor
+        service = ReservationService(config, state=self.state.export(self.cursor))
         await service.start()
         self._service = service
         # once the promoted service shuts down (shutdown op), the whole
@@ -398,7 +369,7 @@ class Follower:
             "port": service.port,
             "hwm": self.cursor,
             "applied": dict(self.applied),
-            "accepted_checksum": accepted_checksum(self.decided),
+            "accepted_checksum": self.state.accepted_checksum(),
         }
 
 
@@ -413,7 +384,7 @@ async def serve_follower(config: FollowerConfig, ready_line: bool = True) -> Non
     if config.bootstrap_snapshot:
         follower.bootstrap_from_snapshot(config.bootstrap_snapshot)
     else:
-        while follower.scheduler is None:
+        while follower.state is None:
             try:
                 status = await follower._primary_rpc({"op": "status"})
                 follower.bootstrap_fresh(status)

@@ -10,7 +10,7 @@ calendar code path.
 
 Responses are still per-operation (each carries its own future); batching
 changes *when* work happens, never its FIFO order or its outcome — the
-kill/restart identity check in ``benchmarks/bench_service.py`` depends
+kill/restart identity check of the ``kill-restart`` chaos plan depends
 on that.
 """
 

@@ -67,7 +67,7 @@ class LoadgenConfig:
     limit: int | None = None  # send at most this many (None = all)
     ledger_in: str | None = None  # preload accepted reservations (resume)
     ledger_out: str | None = None  # dump the final ledger here
-    out: str | None = None  # write the BENCH_service.json report here
+    out: str | None = None  # write the JSON report here
     shutdown: bool = False  # send a shutdown op once the replay drains
     reconnect: int = 5  # reconnect attempts on connection loss
     report_violations: int = 50  # violations listed verbatim in the report

@@ -16,22 +16,24 @@ commit path.
 submission times (``advance(max(now, q_r))``), never from the wall
 clock.  Replaying the same request stream therefore yields bit-identical
 accept/reject decisions regardless of pacing, batching boundaries, or a
-kill/restart from snapshot in the middle — the property
-``benchmarks/bench_service.py`` certifies.
+kill/restart from snapshot in the middle — the property the
+``kill-restart`` chaos plan (``repro fuzz --chaos``) certifies.
 
-**Exactly-once.** Every ``reserve`` verdict is recorded in a decision
-log keyed by ``rid``; a resent rid (an at-least-once client retrying
-after a connection loss) is answered with the recorded verdict instead
-of being scheduled twice.  The log rides inside snapshots, so the
-guarantee spans restarts.
+**Exactly-once.** The scheduler and the rid/aid-keyed verdict tables
+live in one :class:`~repro.service.state.ServiceState`; every write op
+goes through its ``apply``, which answers a resent rid (an at-least-once
+client retrying after a connection loss) with the recorded verdict
+instead of scheduling it twice.  The tables ride inside snapshots, so
+the guarantee spans restarts.  This module adds only what a socket
+needs: admission, the queue, metrics and the decision log.
 """
 
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -47,13 +49,7 @@ from ..facade import CoAllocationScheduler
 from .admission import AdmissionController
 from .autoscale import AutoScaleConfig, AutoScaler
 from .batching import drain_batch
-from .declog import (
-    DecisionLog,
-    decide_admin,
-    decide_cancel,
-    decide_reserve,
-    decision_message,
-)
+from .declog import DecisionLog, decision_message
 from .metrics import ServiceMetrics
 from .protocol import (
     MAX_LINE_BYTES,
@@ -64,6 +60,7 @@ from .protocol import (
     encode,
 )
 from .snapshot import read_snapshot, write_snapshot
+from .state import ServiceState, accepted_checksum
 
 __all__ = ["ServiceConfig", "ReservationService", "accepted_checksum", "serve_forever"]
 
@@ -96,48 +93,26 @@ class ServiceConfig:
     autoscale: AutoScaleConfig | None = None  # None disables the scaler task
 
 
-def accepted_checksum(decided: dict[int, dict[str, Any]]) -> str:
-    """Digest over every accepted reservation, in rid order.
-
-    Two servers that granted the same reservations — e.g. an
-    uninterrupted run vs. a kill/restart-from-snapshot run over the same
-    trace — produce equal checksums.
-    """
-    digest = hashlib.sha256()
-    for rid in sorted(decided):
-        entry = decided[rid]
-        if entry.get("ok"):
-            digest.update(
-                f"{rid}:{entry['start']}:{entry['end']}:{entry['servers']}\n".encode()
-            )
-    return digest.hexdigest()[:16]
-
-
 class ReservationService:
     """One server instance: scheduler, actor, admission, telemetry."""
 
     def __init__(self, config: ServiceConfig, state: dict[str, Any] | None = None) -> None:
         self.config = config
         self.restored = state is not None
+        # a restored snapshot says how far the durable history reached;
+        # a fresh boot starts the numbering at zero either way
+        log_hwm = 0
         if state is not None:
-            self._decided: dict[int, dict[str, Any]] = {
-                int(rid): entry for rid, entry in state.get("decided", {}).items()
-            }
-            #: aid-keyed exactly-once table for pool-mutating admin ops
-            self._admin_decided: dict[str, dict[str, Any]] = {
-                str(aid): entry
-                for aid, entry in state.get("admin_decided", {}).items()
-            }
-            self.scheduler = CoAllocationScheduler.from_state(state["scheduler"])
+            self.state, log_hwm = ServiceState.from_snapshot(state)
         else:
-            self._decided = {}
-            self._admin_decided = {}
-            self.scheduler = CoAllocationScheduler(
-                n_servers=config.n_servers,
-                tau=config.tau,
-                q_slots=config.q_slots,
-                delta_t=config.delta_t,
-                r_max=config.r_max,
+            self.state = ServiceState(
+                CoAllocationScheduler(
+                    n_servers=config.n_servers,
+                    tau=config.tau,
+                    q_slots=config.q_slots,
+                    delta_t=config.delta_t,
+                    r_max=config.r_max,
+                )
             )
         self.admission = AdmissionController(
             max_depth=config.max_queue, max_delay=config.max_delay
@@ -149,9 +124,6 @@ class ReservationService:
                 config.log_segment_bytes,
                 cursor_ttl=config.log_cursor_ttl,
             )
-            # a restored snapshot says how far the durable history reached;
-            # a fresh boot starts the numbering at zero either way
-            log_hwm = int(state.get("log_hwm", 0)) if state is not None else 0
             self._log.align(log_hwm)
         self.metrics = ServiceMetrics()
         self.autoscaler: AutoScaler | None = (
@@ -183,6 +155,11 @@ class ReservationService:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
+
+    @property
+    def scheduler(self) -> CoAllocationScheduler:
+        """The calendar owner, for the read ops (writes go through ``state.apply``)."""
+        return self.state.scheduler
 
     @property
     def port(self) -> int:
@@ -239,7 +216,7 @@ class ReservationService:
                 break
             await asyncio.sleep(0)
         for writer in list(self._writers):
-            with _suppress_connection_errors():
+            with suppress(ConnectionError, RuntimeError, OSError):
                 writer.close()
         if self._log is not None:
             self._log.close()
@@ -306,11 +283,9 @@ class ReservationService:
                 self.metrics.shed += 1
                 future.set_result(_error_response(message, exc))
                 return
-            self._queue.put_nowait((message, perf_counter(), future))
-        else:
-            # lifecycle/introspection ops bypass admission but still run
-            # on the actor so every calendar read is single-threaded
-            self._queue.put_nowait((message, perf_counter(), future))
+        # lifecycle/introspection ops bypass admission but still run on
+        # the actor so every calendar read is single-threaded
+        self._queue.put_nowait((message, perf_counter(), future))
 
     async def _connection_writer(
         self, writer: asyncio.StreamWriter, responses: asyncio.Queue
@@ -332,7 +307,7 @@ class ReservationService:
                     alive = False
             finally:
                 self._pending_responses -= 1
-        with _suppress_connection_errors():
+        with suppress(ConnectionError, RuntimeError, OSError):
             writer.close()
 
     # ------------------------------------------------------------------
@@ -352,7 +327,7 @@ class ReservationService:
                         message, ShuttingDownError("server is shutting down")
                     )
                 else:
-                    response = await self._actor_apply(message)
+                    response = self._actor_apply(message)
                 service_time = perf_counter() - started
                 self.metrics.record_op(
                     message["op"], started - enqueued_at, service_time
@@ -434,11 +409,10 @@ class ReservationService:
     # operation application (actor-confined; the only scheduler caller)
     # ------------------------------------------------------------------
 
-    async def _actor_apply(self, message: dict[str, Any]) -> dict[str, Any]:
+    def _actor_apply(self, message: dict[str, Any]) -> dict[str, Any]:
         op = message["op"]
         try:
-            handler = getattr(self, f"_actor_apply_{op}")
-            response = await handler(message)
+            response = getattr(self, f"_actor_apply_{op}")(message)
         except ReproError as exc:
             response = _error_response(message, exc)
         except Exception as exc:  # never kill the actor on one bad op
@@ -448,38 +422,37 @@ class ReservationService:
             response["seq"] = message["seq"]
         return response
 
-    async def _actor_apply_reserve(self, message: dict[str, Any]) -> dict[str, Any]:
-        rid = int(message["rid"])
-        recorded = self._decided.get(rid)
-        if recorded is not None:
-            # at-least-once client, exactly-once decision: replay the verdict
-            self.metrics.replayed += 1
-            response = dict(recorded)
-            response.update(op="reserve", rid=rid, replayed=True)
-            return response
-        # the shared decision path (declog.decide_reserve) is exactly
-        # what the warm-standby follower replays against the log
-        entry = decide_reserve(self.scheduler, message)
-        self._decided[rid] = entry
-        self._record_decision("reserve", message, entry)
-        if entry["ok"]:
-            self.metrics.record_accept(entry["attempts"])
-            return {"op": "reserve", "rid": rid, **entry}
-        error = entry["error"]
-        if error.get("code") == "REJECTED":
-            self.metrics.record_reject(error["reason"], error["attempts"])
-        else:
-            self.metrics.malformed += 1
-        return {"ok": False, "op": "reserve", "rid": rid, "error": error}
+    def _decide(self, kind: str, message: dict[str, Any]) -> dict[str, Any]:
+        """One write op through the shared state machine.
 
-    def _record_decision(
-        self, kind: str, message: dict[str, Any], verdict: dict[str, Any]
-    ) -> None:
-        """Append one fresh decision to the replication log (if enabled)."""
+        A rid/aid decided before comes back with ``replayed: true``
+        (at-least-once client, exactly-once decision); a fresh verdict —
+        MALFORMED/CONFLICT refusals included — is appended to the
+        replication log, which the follower replays through the same
+        :meth:`ServiceState.apply`.  A fresh verdict is the table's own
+        entry: the handlers spread it into the response, never mutate it.
+        """
+        verdict, replayed = self.state.apply(kind, message)
+        if replayed:
+            self.metrics.replayed += 1
+            return {**verdict, "replayed": True}
         if self._log is not None:
             self._log.append(kind, decision_message(kind, message), verdict)
+        return verdict
 
-    async def _actor_apply_probe(self, message: dict[str, Any]) -> dict[str, Any]:
+    def _actor_apply_reserve(self, message: dict[str, Any]) -> dict[str, Any]:
+        entry = self._decide("reserve", message)
+        if "replayed" not in entry:
+            error = entry.get("error")
+            if error is None:
+                self.metrics.record_accept(entry["attempts"])
+            elif error.get("code") == "REJECTED":
+                self.metrics.record_reject(error["reason"], error["attempts"])
+            else:
+                self.metrics.malformed += 1
+        return {"op": "reserve", "rid": int(message["rid"]), **entry}
+
+    def _actor_apply_probe(self, message: dict[str, Any]) -> dict[str, Any]:
         ta, tb = float(message["ta"]), float(message["tb"])
         if not ta < tb:
             raise MalformedRequestError(f"probe window [{ta}, {tb}) is empty")
@@ -495,56 +468,35 @@ class ReservationService:
             ],
         }
 
-    async def _actor_apply_cancel(self, message: dict[str, Any]) -> dict[str, Any]:
-        rid = int(message["rid"])
-        verdict = decide_cancel(self.scheduler, rid)
-        self._record_decision("cancel", message, verdict)
-        return {"op": "cancel", "rid": rid, **verdict}
+    def _actor_apply_cancel(self, message: dict[str, Any]) -> dict[str, Any]:
+        return {
+            "op": "cancel",
+            "rid": int(message["rid"]),
+            **self._decide("cancel", message),
+        }
 
     # -- elastic pool (admin wire ops) ---------------------------------
 
-    async def _actor_apply_add_servers(self, message: dict[str, Any]) -> dict[str, Any]:
-        return await self._apply_admin_op("add_servers", message)
+    def _actor_apply_add_servers(self, message: dict[str, Any]) -> dict[str, Any]:
+        return self._apply_admin_op("add_servers", message)
 
-    async def _actor_apply_drain(self, message: dict[str, Any]) -> dict[str, Any]:
-        return await self._apply_admin_op("drain", message)
+    def _actor_apply_drain(self, message: dict[str, Any]) -> dict[str, Any]:
+        return self._apply_admin_op("drain", message)
 
-    async def _actor_apply_remove(self, message: dict[str, Any]) -> dict[str, Any]:
-        return await self._apply_admin_op("remove", message)
+    def _actor_apply_remove(self, message: dict[str, Any]) -> dict[str, Any]:
+        return self._apply_admin_op("remove", message)
 
-    async def _apply_admin_op(
-        self, kind: str, message: dict[str, Any]
-    ) -> dict[str, Any]:
-        """One pool mutation: aid-replayed, logged, snapshot-durable.
-
-        Mirrors the ``reserve`` discipline — an ``aid`` (admin
-        idempotency token) that was already decided is answered with the
-        recorded verdict, fresh verdicts (including MALFORMED/CONFLICT
-        refusals) go through the shared decision path and into the
-        replication log, and the aid table rides inside snapshots so a
-        resent ``drain`` after a kill/restart stays exactly-once.
-        """
-        aid = message.get("aid")
-        if aid is not None:
-            recorded = self._admin_decided.get(str(aid))
-            if recorded is not None:
-                self.metrics.replayed += 1
-                response = dict(recorded)
-                response.update(op=kind, aid=aid, replayed=True)
-                return response
-        verdict = decide_admin(self.scheduler, kind, message)
-        if aid is not None:
-            self._admin_decided[str(aid)] = verdict
-        self._record_decision(kind, message, verdict)
-        response = {"op": kind, **verdict}
-        if aid is not None:
-            response["aid"] = aid
+    def _apply_admin_op(self, kind: str, message: dict[str, Any]) -> dict[str, Any]:
+        """One pool mutation; an ``aid`` makes it exactly-once like a rid does."""
+        response = {"op": kind, **self._decide(kind, message)}
+        if message.get("aid") is not None:
+            response["aid"] = message["aid"]
         return response
 
-    async def _actor_apply_pool_status(self, message: dict[str, Any]) -> dict[str, Any]:
+    def _actor_apply_pool_status(self, message: dict[str, Any]) -> dict[str, Any]:
         return {"ok": True, "op": "pool_status", **self.scheduler.pool_status()}
 
-    async def _actor_apply_log_tail(self, message: dict[str, Any]) -> dict[str, Any]:
+    def _actor_apply_log_tail(self, message: dict[str, Any]) -> dict[str, Any]:
         if self._log is None:
             raise MalformedRequestError(
                 "decision log disabled: start the server with --log-dir"
@@ -565,7 +517,7 @@ class ReservationService:
             "records": self._log.tail(cursor, limit),
         }
 
-    async def _actor_apply_status(self, message: dict[str, Any]) -> dict[str, Any]:
+    def _actor_apply_status(self, message: dict[str, Any]) -> dict[str, Any]:
         response = {
             "ok": True,
             "op": "status",
@@ -579,10 +531,8 @@ class ReservationService:
             "uptime_s": round(perf_counter() - self._started, 3),
             "restored": self.restored,
             "stopping": self._stopping,
-            "decided": len(self._decided),
-            "admin_decided": len(self._admin_decided),
+            **self.state.summary(),
             "active_allocations": len(self.scheduler._allocations),
-            "accepted_checksum": accepted_checksum(self._decided),
             "admission": self.admission.summary(),
             "metrics": self.metrics.summary(),
         }
@@ -596,51 +546,43 @@ class ReservationService:
             response["log"] = self._log.summary()
         return response
 
-    async def _actor_apply_snapshot(self, message: dict[str, Any]) -> dict[str, Any]:
+    def _actor_apply_snapshot(self, message: dict[str, Any]) -> dict[str, Any]:
         path = message.get("path") or self.config.snapshot_path
         if not path:
             raise MalformedRequestError(
                 "no snapshot path: pass \"path\" or start the server with --snapshot-path"
             )
-        state = await self._actor_state()
-        meta = write_snapshot(path, state)
-        self.metrics.snapshots += 1
-        if self._log is not None:
-            # everything below the snapshot (and every follower cursor)
-            # is now durable elsewhere: drop the covered whole segments
-            meta = {**meta, "log_compacted": self._log.compact(state["log_hwm"])}
+        meta, compacted = self._write_snapshot(path)
+        if compacted is not None:
+            meta = {**meta, "log_compacted": compacted}
         return {"ok": True, "op": "snapshot", **meta}
 
-    async def _actor_apply_shutdown(self, message: dict[str, Any]) -> dict[str, Any]:
+    def _actor_apply_shutdown(self, message: dict[str, Any]) -> dict[str, Any]:
         self._stopping = True
         meta = None
         if self.config.snapshot_path:
-            state = await self._actor_state()
-            meta = write_snapshot(self.config.snapshot_path, state)
-            self.metrics.snapshots += 1
-            if self._log is not None:
-                self._log.compact(state["log_hwm"])
+            meta, _ = self._write_snapshot(self.config.snapshot_path)
         return {
             "ok": True,
             "op": "shutdown",
             "snapshot": meta,
-            "accepted_checksum": accepted_checksum(self._decided),
+            "accepted_checksum": self.state.accepted_checksum(),
         }
 
-    async def _actor_state(self) -> dict[str, Any]:
-        """Full service state for a snapshot.
+    def _write_snapshot(self, path: str) -> tuple[dict[str, Any], int | None]:
+        """Snapshot the full service state; ``(file meta, segments compacted)``.
 
         The actor's serial execution *is* the quiescence a consistent
         snapshot needs: no decision is in flight while this runs.
         """
-        return {
-            "scheduler": self.scheduler.export_state(),
-            "decided": {str(rid): self._decided[rid] for rid in sorted(self._decided)},
-            "admin_decided": {
-                aid: self._admin_decided[aid] for aid in sorted(self._admin_decided)
-            },
-            "log_hwm": self._log.hwm if self._log is not None else 0,
-        }
+        hwm = self._log.hwm if self._log is not None else 0
+        meta = write_snapshot(path, self.state.export(hwm))
+        self.metrics.snapshots += 1
+        if self._log is None:
+            return meta, None
+        # everything below the snapshot (and every follower cursor) is
+        # now durable elsewhere: drop the covered whole segments
+        return meta, self._log.compact(hwm)
 
 
 def _error_response(message: dict[str, Any], exc: BaseException) -> dict[str, Any]:
@@ -661,18 +603,6 @@ async def _result_of(future: asyncio.Future) -> dict[str, Any]:
         return await future
     except Exception as exc:  # defensive: a failed future still gets answered
         return _error_response({}, exc)
-
-
-class _suppress_connection_errors:
-    """``contextlib.suppress`` for the write-side teardown races."""
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type: type | None, exc: BaseException | None, tb: Any) -> bool:
-        return exc_type is not None and issubclass(
-            exc_type, (ConnectionError, RuntimeError, OSError)
-        )
 
 
 async def serve_forever(config: ServiceConfig, ready_line: bool = True) -> None:

@@ -9,7 +9,9 @@ class, and then holds the service to three simultaneous standards:
   every accepted reservation and must finish violation-free;
 * every verdict the service ever produced must match the
   :class:`~repro.verify.oracle.ReferenceScheduler` replaying the same
-  logical op order in-process;
+  logical op order in-process (through the differ's
+  :class:`~repro.verify.differ.OracleDriver`, wire mapping and verdict
+  normal form — this module adds only the transport and the faults);
 * the final snapshot's per-server idle periods and the service's
   ``accepted_checksum`` must equal the oracle's.
 
@@ -78,12 +80,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, IO
 
+from ..service.declog import ADMIN_KINDS
 from ..service.loadgen import ShadowLedger
 from ..service.protocol import encode
-from ..service.server import accepted_checksum
 from ..service.snapshot import read_snapshot
+from ..service.state import accepted_checksum
+from .differ import OracleDriver, _jsonable, _normalize, _wire
 from .genstream import Stream
-from .oracle import ReferenceScheduler
 
 __all__ = ["ChaosPlan", "default_plans", "run_chaos"]
 
@@ -286,7 +289,7 @@ class _HttpClient:
             self.conn.request("GET", "/v1/admin/pool")
             response = self.conn.getresponse()
             return json.loads(response.read().decode("utf-8"))
-        if op in _ADMIN_KINDS:
+        if op in ADMIN_KINDS:
             path = "/v1/admin/scale"
             payload = {k: v for k, v in message.items() if k != "op"}
             payload["action"] = op
@@ -321,141 +324,6 @@ def _wait_follower_hwm(ctl: _Client, min_hwm: int, timeout: float = 10.0) -> int
         if hwm >= min_hwm or time.monotonic() > deadline:
             return hwm
         time.sleep(0.05)
-
-
-# ----------------------------------------------------------------------
-# op <-> wire mapping and verdict normalization
-# ----------------------------------------------------------------------
-
-
-_ADMIN_KINDS = ("add_servers", "drain", "remove")
-
-
-def _wire(op: dict[str, Any], index: int | None = None) -> dict[str, Any]:
-    kind = op["kind"]
-    if kind in _ADMIN_KINDS:
-        # a deterministic aid per op position: the back-to-back duplicate
-        # must hit the aid-keyed exactly-once table, and a post-restart
-        # resend reuses the same identity
-        message = {"op": kind, "qr": op["qr"], "aid": f"chaos-{kind}-{index}"}
-        if kind == "add_servers":
-            message["count"] = op["count"]
-        else:
-            message["server"] = op["server"]
-        return message
-    if kind == "pool_status":
-        return {"op": "pool_status"}
-    if kind == "reserve":
-        message = {
-            "op": "reserve",
-            "rid": op["rid"],
-            "qr": op["qr"],
-            "sr": op["sr"],
-            "lr": op["lr"],
-            "nr": op["nr"],
-        }
-        if op.get("deadline") is not None:
-            message["deadline"] = op["deadline"]
-        return message
-    if kind == "probe":
-        # a limit far above any plausible period count: the comparison
-        # against the oracle needs the full result, not a page
-        return {"op": "probe", "ta": op["ta"], "tb": op["tb"], "limit": 1_000_000}
-    if kind == "cancel":
-        return {"op": "cancel", "rid": op["rid"]}
-    raise ValueError(f"op kind {kind!r} has no wire form")
-
-
-def _normalize(op: dict[str, Any], response: dict[str, Any]) -> dict[str, Any]:
-    kind = op["kind"]
-    if kind == "reserve":
-        if response.get("ok"):
-            return {
-                "ok": True,
-                "start": response["start"],
-                "end": response["end"],
-                "servers": list(response["servers"]),  # already sorted by the service
-                "attempts": response["attempts"],
-                "delay": response["delay"],
-            }
-        error = response.get("error") or {}
-        return {
-            "ok": False,
-            "reason": error.get("reason"),
-            "attempts": error.get("attempts"),
-        }
-    if kind == "probe":
-        return {"count": response["count"], "periods": response["periods"]}
-    if kind == "cancel":
-        return {"ok": bool(response.get("ok"))}
-    if kind in _ADMIN_KINDS:
-        if response.get("ok"):
-            keep = {
-                "add_servers": ("servers", "n_servers"),
-                "drain": ("server", "status", "changed", "drained"),
-                "remove": ("server", "status", "changed"),
-            }[kind]
-            return {"ok": True, **{k: response[k] for k in keep}}
-        error = response.get("error") or {}
-        return {"ok": False, "code": error.get("code")}
-    if kind == "pool_status":
-        return {
-            k: response[k]
-            for k in ("active", "draining", "removed", "total", "servers",
-                      "drain_progress")
-        }
-    raise ValueError(f"op kind {kind!r} has no verdict form")
-
-
-def _oracle_verdict(oracle: ReferenceScheduler, op: dict[str, Any]) -> dict[str, Any]:
-    kind = op["kind"]
-    if kind == "reserve":
-        oracle.advance(max(oracle.now, float(op["qr"])))
-        result = oracle.schedule(
-            rid=int(op["rid"]),
-            sr=float(op["sr"]),
-            lr=float(op["lr"]),
-            nr=int(op["nr"]),
-            deadline=op.get("deadline"),
-        )
-        if result["ok"]:
-            return {
-                "ok": True,
-                "start": result["start"],
-                "end": result["end"],
-                "servers": sorted(result["servers"]),
-                "attempts": result["attempts"],
-                "delay": result["delay"],
-            }
-        return {"ok": False, "reason": result["reason"], "attempts": result["attempts"]}
-    if kind == "probe":
-        periods = oracle.probe(float(op["ta"]), float(op["tb"]))
-        return {
-            "count": len(periods),
-            "periods": [
-                [server, st, None if et == float("inf") else et]
-                for server, st, et in periods
-            ],
-        }
-    if kind == "cancel":
-        return oracle.cancel(int(op["rid"]))
-    if kind in _ADMIN_KINDS:
-        # mirror of the service's decide_admin: advance to the submission
-        # time, then mutate
-        oracle.advance(max(oracle.now, float(op["qr"])))
-        if kind == "add_servers":
-            return oracle.add_servers(int(op["count"]))
-        if kind == "drain":
-            return oracle.drain(int(op["server"]))
-        return oracle.remove(int(op["server"]))
-    if kind == "pool_status":
-        # read-only: the service answers at its current clock, no advance
-        return dict(oracle.pool_status())
-    raise ValueError(f"op kind {kind!r} has no oracle form")
-
-
-def _jsonable(value: Any) -> Any:
-    return json.loads(json.dumps(value, allow_nan=False))
 
 
 # ----------------------------------------------------------------------
@@ -547,9 +415,9 @@ def run_chaos(
         for index, op in enumerate(ops):
             verdict = _normalize(op, client.rpc(_wire(op, index)))
             verdicts.append(verdict)
-            if op["kind"] in _ADMIN_KINDS or op["kind"] == "pool_status":
+            if op["kind"] in ADMIN_KINDS or op["kind"] == "pool_status":
                 scale_ops += 1
-            if plan.kind == "scale-events" and op["kind"] in _ADMIN_KINDS:
+            if plan.kind == "scale-events" and op["kind"] in ADMIN_KINDS:
                 # every pool mutation is sent twice: the duplicate carries
                 # the same aid and must answer the recorded verdict
                 duplicate_checks += 1
@@ -590,7 +458,7 @@ def run_chaos(
             if plan.kind == "kill-promote":
                 if (
                     op["kind"] == "cancel"
-                    or op["kind"] in _ADMIN_KINDS
+                    or op["kind"] in ADMIN_KINDS
                     or (op["kind"] == "reserve" and int(op["rid"]) not in logged_rids)
                 ):
                     if op["kind"] == "reserve":
@@ -685,21 +553,17 @@ def run_chaos(
                 child.wait(timeout=30)
 
     # oracle replay over the same logical order, and checksum mirror
-    oracle = ReferenceScheduler(**stream.config)
+    driver = OracleDriver(stream.config)
+    oracle = driver.oracle
     verdict_divergences: list[dict[str, Any]] = []
-    decided: dict[int, dict[str, Any]] = {}
     for index, op in enumerate(ops):
-        expected = _oracle_verdict(oracle, op)
-        if op["kind"] == "reserve":
-            rid = int(op["rid"])
-            if rid not in decided:
-                decided[rid] = dict(expected)
+        expected = driver.apply(op)
         if _jsonable(expected) != _jsonable(verdicts[index]):
             verdict_divergences.append(
                 {"index": index, "op": op, "service": verdicts[index],
                  "oracle": expected}
             )
-    oracle_checksum = accepted_checksum(decided)
+    oracle_checksum = accepted_checksum(driver.decided)
 
     final_state = read_snapshot(snapshot_path)
     final_periods = [

@@ -1,18 +1,30 @@
 """Lock-step differential executor, shrinker, and repro emitter.
 
-:func:`run_stream` feeds one operation stream to both the production
-:class:`~repro.facade.CoAllocationScheduler` and the
-:class:`~repro.verify.oracle.ReferenceScheduler`, comparing per
+:func:`run_stream` feeds one operation stream to two peers under one
+harness: the production :class:`~repro.service.state.ServiceState` — the
+very state machine ``repro serve`` and ``repro follow`` run, driven
+through the same wire messages a client would send, minus the socket —
+and :class:`OracleDriver` over the
+:class:`~repro.verify.oracle.ReferenceScheduler`.  Compared per
 operation:
 
 * the full normalized decision (accept/reject, start, end, chosen
-  servers *in selection order*, attempt count, failure reason);
+  servers, attempt count, delay, failure reason), plus — read off both
+  allocation books, since the wire sorts ``servers`` — the order the
+  servers were selected in;
 * probe results (ordered ``(server, st, et)`` triples);
 * cancel verdicts (found / not found);
 * scale-event verdicts (``add_servers``/``drain``/``remove``/
   ``pool_status`` — successes field-by-field, refusals by error code);
-* the complete per-server idle-period state plus the pool's lifecycle
-  statuses (every ``state_stride`` ops and always after the last one).
+* the complete per-server idle-period state, the clock, plus the pool's
+  lifecycle statuses (every ``state_stride`` ops and always after the
+  last one).
+
+The op ↔ wire mapping (:func:`_wire`), the verdict normal form
+(:func:`_normalize`) and the oracle driver are shared with
+:mod:`repro.verify.chaos`, which sends the same messages over TCP/HTTP
+to real subprocesses: the two harnesses differ in transport and fault
+plan only.
 
 On the first mismatch it returns a :class:`Divergence` carrying both
 sides' views.  :func:`shrink_stream` then delta-debugs the trace to a
@@ -35,9 +47,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from ..core.slot_tree import TwoDimTree
-from ..core.types import INF, Request
-from ..errors import MalformedRequestError, NotFoundError, ReproError
+from ..core.types import INF
+from ..errors import MalformedRequestError
 from ..facade import CoAllocationScheduler
+from ..service.declog import ADMIN_KINDS
+from ..service.protocol import request_from_payload
+from ..service.state import DECISION_KINDS, ServiceState
 from .genstream import Stream
 from .oracle import ReferenceScheduler
 
@@ -45,6 +60,7 @@ __all__ = [
     "Divergence",
     "FuzzResult",
     "INJECTIONS",
+    "OracleDriver",
     "dump_trace",
     "emit_pytest",
     "inject_bug",
@@ -98,6 +114,7 @@ class FuzzResult:
     probes: int = 0
     restores: int = 0
     scale_ops: int = 0
+    replayed: int = 0  # ops answered from the rid/aid tables, not decided
     divergence: Divergence | None = None
 
     @property
@@ -114,13 +131,14 @@ class FuzzResult:
             "probes": self.probes,
             "restores": self.restores,
             "scale_ops": self.scale_ops,
+            "replayed": self.replayed,
             "ok": self.ok,
             "divergence": self.divergence.to_dict() if self.divergence else None,
         }
 
 
 # ----------------------------------------------------------------------
-# normalized op application (production / oracle)
+# op <-> wire mapping and verdict normalization (shared with chaos)
 # ----------------------------------------------------------------------
 
 
@@ -129,100 +147,179 @@ def _jsonable(value: Any) -> Any:
     return json.loads(json.dumps(value, allow_nan=False))
 
 
-def _apply_production(
-    scheduler: CoAllocationScheduler, op: dict[str, Any]
-) -> tuple[dict[str, Any], CoAllocationScheduler]:
-    """Apply one op to the production side."""
+def _wire(op: dict[str, Any], index: int | None = None) -> dict[str, Any]:
+    """The wire message a client sends for one stream op."""
+    kind = op["kind"]
+    if kind in ADMIN_KINDS:
+        # a deterministic aid per op position: a back-to-back duplicate
+        # must hit the aid-keyed exactly-once table, and a post-restart
+        # resend reuses the same identity
+        message = {"op": kind, "qr": op["qr"], "aid": f"chaos-{kind}-{index}"}
+        if kind == "add_servers":
+            message["count"] = op["count"]
+        else:
+            message["server"] = op["server"]
+        return message
+    if kind == "pool_status":
+        return {"op": "pool_status"}
+    if kind == "reserve":
+        message = {
+            "op": "reserve",
+            "rid": op["rid"],
+            "qr": op["qr"],
+            "sr": op["sr"],
+            "lr": op["lr"],
+            "nr": op["nr"],
+        }
+        if op.get("deadline") is not None:
+            message["deadline"] = op["deadline"]
+        return message
+    if kind == "probe":
+        # a limit far above any plausible period count: the comparison
+        # against the oracle needs the full result, not a page
+        return {"op": "probe", "ta": op["ta"], "tb": op["tb"], "limit": 1_000_000}
+    if kind == "cancel":
+        return {"op": "cancel", "rid": op["rid"]}
+    raise ValueError(f"op kind {kind!r} has no wire form")
+
+
+def _normalize(op: dict[str, Any], response: dict[str, Any]) -> dict[str, Any]:
+    """A service response (or bare verdict) as the form the oracle answers in."""
     kind = op["kind"]
     if kind == "reserve":
-        try:
-            request = Request(
-                qr=float(op["qr"]),
-                sr=float(op["sr"]),
-                lr=float(op["lr"]),
-                nr=int(op["nr"]),
-                rid=int(op["rid"]),
-                deadline=op.get("deadline"),
-            )
-        except (MalformedRequestError, ValueError) as exc:
-            return {"ok": False, "reason": "malformed", "error": str(exc)}, scheduler
-        # the service's virtual clock: advance from the submission time
-        scheduler.advance(max(scheduler.now, request.qr))
-        outcome = scheduler.schedule_detailed(request)
-        if outcome.allocation is None:
+        if response.get("ok"):
             return {
-                "ok": False,
-                "attempts": outcome.attempts,
-                "reason": outcome.reason,
-            }, scheduler
-        allocation = outcome.allocation
+                "ok": True,
+                "start": response["start"],
+                "end": response["end"],
+                "servers": list(response["servers"]),  # already sorted by the service
+                "attempts": response["attempts"],
+                "delay": response["delay"],
+            }
+        error = response.get("error") or {}
         return {
-            "ok": True,
-            "start": allocation.start,
-            "end": allocation.end,
-            "servers": list(allocation.servers),
-            "attempts": allocation.attempts,
-            "delay": allocation.delay,
-            "reason": None,
-        }, scheduler
+            "ok": False,
+            "reason": error.get("reason"),
+            "attempts": error.get("attempts"),
+        }
     if kind == "probe":
-        periods = scheduler.range_search(float(op["ta"]), float(op["tb"]))
+        return {"count": response["count"], "periods": response["periods"]}
+    if kind == "cancel":
+        return {"ok": bool(response.get("ok"))}
+    if kind in ADMIN_KINDS:
+        if response.get("ok"):
+            keep = {
+                "add_servers": ("servers", "n_servers"),
+                "drain": ("server", "status", "changed", "drained"),
+                "remove": ("server", "status", "changed"),
+            }[kind]
+            return {"ok": True, **{k: response[k] for k in keep}}
+        # refusals compare by code: the message strings are a production
+        # implementation detail the oracle does not mirror
+        error = response.get("error") or {}
+        return {"ok": False, "code": error.get("code")}
+    if kind == "pool_status":
         return {
+            k: response[k]
+            for k in ("active", "draining", "removed", "total", "servers",
+                      "drain_progress")
+        }
+    raise ValueError(f"op kind {kind!r} has no verdict form")
+
+
+# ----------------------------------------------------------------------
+# the two peers: production state machine / reference oracle
+# ----------------------------------------------------------------------
+
+
+def _apply_service(
+    state: ServiceState, op: dict[str, Any], index: int
+) -> tuple[dict[str, Any], bool, ServiceState]:
+    """One op through the service's own decision path, minus the socket.
+
+    Returns ``(normalized verdict, replayed, state)`` — ``state`` is a
+    new object after a ``restore``.
+    """
+    kind = op["kind"]
+    if kind == "restore":
+        # the real persistence path: canonical JSON out, parsed back in —
+        # catches float serialization drift and a verdict table that does
+        # not survive, not just in-memory identity
+        blob = json.dumps(state.export(0), sort_keys=True, allow_nan=False)
+        restored, _ = ServiceState.from_snapshot(json.loads(blob))
+        return {"ok": True, "restored": True}, False, restored
+    message = _wire(op, index)
+    replayed = False
+    if kind in DECISION_KINDS:
+        response, replayed = state.apply(kind, message)
+    elif kind == "probe":
+        periods = state.scheduler.range_search(message["ta"], message["tb"])
+        response = {
+            "count": len(periods),
             "periods": [
                 [p.server, p.st, None if p.et == INF else p.et] for p in periods
             ],
-            "count": len(periods),
-        }, scheduler
-    if kind == "cancel":
-        try:
-            scheduler.cancel(int(op["rid"]))
-        except NotFoundError:
-            return {"ok": False}, scheduler
-        return {"ok": True}, scheduler
-    if kind == "restore":
-        # the real persistence path: canonical JSON out, parsed back in —
-        # catches float serialization drift, not just in-memory identity
-        blob = json.dumps(scheduler.export_state(), sort_keys=True, allow_nan=False)
-        return {"ok": True, "restored": True}, CoAllocationScheduler.from_state(
-            json.loads(blob)
-        )
-    if kind in ("add_servers", "drain", "remove", "pool_status"):
-        # admin ops carry a submission time like reserves do
-        scheduler.advance(max(scheduler.now, float(op["qr"])))
-        try:
+        }
+    else:
+        # pool_status — like probe a read: no clock advance, nothing recorded
+        response = state.scheduler.pool_status()
+    return _normalize(op, response), replayed, state
+
+
+class OracleDriver:
+    """The reference peer: :class:`ReferenceScheduler` + its own rid table.
+
+    Answers every stream op in the normalized verdict form, with the
+    service's exactly-once rule mirrored independently (a rid seen
+    before answers its first verdict) so duplicate sends and post-restore
+    resends compare too.  ``decided`` feeds ``accepted_checksum``.
+    """
+
+    def __init__(self, config: dict[str, Any]) -> None:
+        self.oracle = ReferenceScheduler(**config)
+        self.decided: dict[int, dict[str, Any]] = {}
+
+    def apply(self, op: dict[str, Any]) -> dict[str, Any]:
+        oracle = self.oracle
+        kind = op["kind"]
+        if kind == "reserve":
+            rid = int(op["rid"])
+            if rid not in self.decided:
+                self.decided[rid] = self._reserve(op)
+            return self.decided[rid]
+        if kind == "probe":
+            periods = oracle.probe(float(op["ta"]), float(op["tb"]))
+            return {
+                "count": len(periods),
+                "periods": [
+                    [server, st, None if et == INF else et] for server, st, et in periods
+                ],
+            }
+        if kind == "cancel":
+            return oracle.cancel(int(op["rid"]))
+        if kind == "restore":
+            return {"ok": True, "restored": True}  # the oracle has no snapshot path
+        if kind in ADMIN_KINDS:
+            # admin ops carry a submission time like reserves do
+            oracle.advance(max(oracle.now, float(op["qr"])))
             if kind == "add_servers":
-                new_ids = scheduler.add_servers(int(op["count"]))
-                return {
-                    "ok": True,
-                    "servers": list(new_ids),
-                    "n_servers": scheduler.n_servers,
-                }, scheduler
+                return oracle.add_servers(int(op["count"]))
             if kind == "drain":
-                return {"ok": True, **scheduler.drain(int(op["server"]))}, scheduler
-            if kind == "remove":
-                return {"ok": True, **scheduler.remove(int(op["server"]))}, scheduler
-            return dict(scheduler.pool_status()), scheduler
-        except ReproError as exc:
-            # refusal verdicts compare by code: the message strings are a
-            # production implementation detail the oracle does not mirror
-            return {"ok": False, "code": exc.payload()["code"]}, scheduler
-    raise ValueError(f"unknown op kind {kind!r}")
+                return oracle.drain(int(op["server"]))
+            return oracle.remove(int(op["server"]))
+        if kind == "pool_status":
+            # a read: answered at the current clock, which it never moves
+            return dict(oracle.pool_status())
+        raise ValueError(f"unknown op kind {kind!r}")
 
-
-def _apply_oracle(oracle: ReferenceScheduler, op: dict[str, Any]) -> dict[str, Any]:
-    kind = op["kind"]
-    if kind == "reserve":
+    def _reserve(self, op: dict[str, Any]) -> dict[str, Any]:
         try:
-            Request(
-                qr=float(op["qr"]),
-                sr=float(op["sr"]),
-                lr=float(op["lr"]),
-                nr=int(op["nr"]),
-                rid=int(op["rid"]),
-                deadline=op.get("deadline"),
-            )
-        except (MalformedRequestError, ValueError) as exc:
-            return {"ok": False, "reason": "malformed", "error": str(exc)}
+            # input validation is shared, not under test: the oracle
+            # mirrors scheduling semantics and would happily place nr=0
+            request_from_payload(_wire(op))
+        except MalformedRequestError:
+            return {"ok": False, "reason": None, "attempts": None}
+        oracle = self.oracle
         oracle.advance(max(oracle.now, float(op["qr"])))
         result = oracle.schedule(
             rid=int(op["rid"]),
@@ -236,34 +333,11 @@ def _apply_oracle(oracle: ReferenceScheduler, op: dict[str, Any]) -> dict[str, A
                 "ok": True,
                 "start": result["start"],
                 "end": result["end"],
-                "servers": result["servers"],
+                "servers": sorted(result["servers"]),
                 "attempts": result["attempts"],
                 "delay": result["delay"],
-                "reason": None,
             }
-        return {"ok": False, "attempts": result["attempts"], "reason": result["reason"]}
-    if kind == "probe":
-        periods = oracle.probe(float(op["ta"]), float(op["tb"]))
-        return {
-            "periods": [
-                [server, st, None if et == INF else et] for server, st, et in periods
-            ],
-            "count": len(periods),
-        }
-    if kind == "cancel":
-        return oracle.cancel(int(op["rid"]))
-    if kind == "restore":
-        return {"ok": True, "restored": True}  # the oracle has no snapshot path
-    if kind in ("add_servers", "drain", "remove", "pool_status"):
-        oracle.advance(max(oracle.now, float(op["qr"])))
-        if kind == "add_servers":
-            return oracle.add_servers(int(op["count"]))
-        if kind == "drain":
-            return oracle.drain(int(op["server"]))
-        if kind == "remove":
-            return oracle.remove(int(op["server"]))
-        return dict(oracle.pool_status())
-    raise ValueError(f"unknown op kind {kind!r}")
+        return {"ok": False, "reason": result["reason"], "attempts": result["attempts"]}
 
 
 def _production_state(scheduler: Any) -> list[list[list[Any]]]:
@@ -296,25 +370,38 @@ def run_stream(
     """
     result = FuzzResult(ops_run=0)
     with inject_bug(inject):
-        production = CoAllocationScheduler(**stream.config)
-        oracle = ReferenceScheduler(**stream.config)
+        state = ServiceState(CoAllocationScheduler(**stream.config))
+        driver = OracleDriver(stream.config)
+        oracle = driver.oracle
         for index, op in enumerate(stream.ops):
             try:
-                prod_result, production = _apply_production(production, op)
+                prod_result, replayed, state = _apply_service(state, op, index)
             except Exception as exc:
                 result.divergence = Divergence(
                     index, op, "exception", f"{type(exc).__name__}: {exc}", None
                 )
                 return result
             try:
-                oracle_result = _apply_oracle(oracle, op)
+                oracle_result = driver.apply(op)
             except Exception as exc:
                 result.divergence = Divergence(
                     index, op, "exception", None, f"{type(exc).__name__}: {exc}"
                 )
                 return result
             result.ops_run += 1
-            _tally(result, op, prod_result)
+            _tally(result, op, prod_result, replayed)
+            if op["kind"] == "reserve":
+                # the service sorts ``servers`` on the wire; in-process the
+                # order they were *selected* in is visible too, and it fixes
+                # remnant uid order and with it every later tie-break
+                rid = int(op["rid"])
+                booked = state.scheduler._allocations.get(rid)
+                reserved = oracle._allocations.get(rid)
+                prod_result["selection"] = booked and list(booked.servers)
+                oracle_result = {  # a copy: the verdict is the driver's table entry
+                    **oracle_result,
+                    "selection": reserved and [server for server, _, _ in reserved],
+                }
             if _jsonable(prod_result) != _jsonable(oracle_result):
                 result.divergence = Divergence(
                     index, op, "result", _jsonable(prod_result), _jsonable(oracle_result)
@@ -322,6 +409,7 @@ def run_stream(
                 return result
             last = index == len(stream.ops) - 1
             if last or index % state_stride == 0:
+                production = state.scheduler
                 prod_state = _production_state(production)
                 oracle_state = _oracle_state(oracle)
                 prod_pool = list(production.pool_status()["servers"])
@@ -342,9 +430,13 @@ def run_stream(
     return result
 
 
-def _tally(result: FuzzResult, op: dict[str, Any], prod_result: dict[str, Any]) -> None:
+def _tally(
+    result: FuzzResult, op: dict[str, Any], prod_result: dict[str, Any], replayed: bool
+) -> None:
     kind = op["kind"]
-    if kind == "reserve":
+    if replayed:
+        result.replayed += 1
+    elif kind == "reserve":
         if prod_result.get("ok"):
             result.accepted += 1
         else:

@@ -17,6 +17,8 @@ from repro.gateway.follower import (
 )
 from repro.service.declog import decide_cancel, decide_reserve, decision_message
 from repro.service.server import accepted_checksum
+from repro.service.snapshot import snapshot_bytes
+from repro.service.state import ServiceState
 
 from ..service.harness import SMALL, reserve_msg, rpc, start_service
 
@@ -112,13 +114,13 @@ class TestReplicationProperty:
         records, states, checksums = run_primary(ops)
         k = data.draw(st.integers(min_value=0, max_value=len(records)))
         follower = Follower(FollowerConfig())
-        follower.scheduler = fresh_scheduler()
+        follower.state = ServiceState(fresh_scheduler())
         for record in records[:k]:
             follower.apply_record(record)  # raises on any divergence
-        exported = follower.export_service_state()
+        exported = follower.state.export(follower.cursor)
         assert normalized(exported["scheduler"]) == normalized(states[k])
         assert exported["log_hwm"] == k
-        assert accepted_checksum(follower.decided) == checksums[k]
+        assert accepted_checksum(follower.state.decided) == checksums[k]
 
     @settings(max_examples=25, deadline=None)
     @given(ops=ops_strategy())
@@ -129,27 +131,96 @@ class TestReplicationProperty:
         records, _, checksums = run_primary(ops)
         k = len(records) // 2
         follower = Follower(FollowerConfig())
-        follower.scheduler = fresh_scheduler()
+        follower.state = ServiceState(fresh_scheduler())
         for record in records[:k]:
             follower.apply_record(record)
         # the promoted service would route these through the same
         # decision functions; replaying the logged messages stands in
         for record in records[k:]:
             if record["kind"] == "reserve":
-                verdict = decide_reserve(follower.scheduler, record["message"])
-                follower.decided[int(record["message"]["rid"])] = verdict
+                verdict = decide_reserve(follower.state.scheduler, record["message"])
+                follower.state.decided[int(record["message"]["rid"])] = verdict
             else:
                 verdict = decide_cancel(
-                    follower.scheduler, int(record["message"]["rid"])
+                    follower.state.scheduler, int(record["message"]["rid"])
                 )
             assert verdict == record["verdict"]
-        assert accepted_checksum(follower.decided) == checksums[-1]
+        assert accepted_checksum(follower.state.decided) == checksums[-1]
+
+
+class TestOneDecisionPath:
+    """The actor and the follower run the same ``ServiceState``."""
+
+    def test_live_actor_and_follower_export_identically(self, tmp_path):
+        """One record stream — reserves (fresh, rejected, malformed,
+        replayed), cancels, aid-keyed and aid-less pool mutations —
+        decided by a live actor and replayed by ``apply_record`` ends in
+        the same snapshot bytes, verdict tables included."""
+        ops = [
+            reserve_msg(1, 0.0, 5.0, 1),
+            reserve_msg(2, 0.0, 5.0, 3),  # nr > N: rejected
+            reserve_msg(3, 0.0, -1.0, 1),  # malformed
+            reserve_msg(1, 0.0, 5.0, 1),  # replay: not logged
+            {"op": "add_servers", "count": 2, "aid": "grow-1", "qr": 1.0},
+            {"op": "add_servers", "count": 2, "aid": "grow-1", "qr": 1.0},  # replay
+            {"op": "drain", "server": 0, "aid": "drain-0", "qr": 2.0},
+            {"op": "remove", "server": 9},  # no aid, refused: logged, not tabled
+            {"op": "cancel", "rid": 1},
+            {"op": "cancel", "rid": 1},  # NOT_FOUND: logged
+            reserve_msg(4, 3.0, 5.0, 3, qr=3.0),
+        ]
+
+        async def scenario():
+            primary = await start_service(**SMALL, log_dir=str(tmp_path / "log"))
+            status = await rpc(primary.port, {"op": "status"})  # boot geometry
+            for op in ops:
+                await rpc(primary.port, op)
+            tail = await rpc(primary.port, {"op": "log_tail", "cursor": 0})
+            exported = primary.state.export(tail["hwm"])
+            await primary.stop()
+            return status, tail, exported
+
+        status, tail, exported = asyncio.run(scenario())
+        assert tail["hwm"] == len(ops) - 2  # the two replays were not logged
+
+        follower = Follower(FollowerConfig())
+        follower.bootstrap_fresh(status)
+        for record in tail["records"]:
+            follower.apply_record(record)
+        replayed = follower.state.export(follower.cursor)
+
+        def canonical(state):
+            return snapshot_bytes({**state, "scheduler": normalized(state["scheduler"])})
+
+        assert canonical(replayed) == canonical(exported)
+        assert sorted(replayed["admin_decided"]) == ["drain-0", "grow-1"]
+        assert sorted(replayed["decided"]) == ["1", "2", "3", "4"]
+
+    def test_a_record_for_an_already_decided_rid_crash_stops(self):
+        """The primary logs fresh decisions only; a second record for a
+        rid (or aid) this follower holds means the histories forked, and
+        re-deciding it would silently rewrite the exactly-once table."""
+        records, _, _ = run_primary(
+            [
+                reserve_msg(1, 0.0, 5.0, 1),
+                reserve_msg(2, 0.0, 5.0, 1),
+            ]
+        )
+        follower = Follower(FollowerConfig())
+        follower.state = ServiceState(fresh_scheduler())
+        for record in records:
+            follower.apply_record(record)
+        before = follower.state.export(follower.cursor)
+        with pytest.raises(ReplicationDivergenceError, match="already decided"):
+            follower.apply_record({**records[0], "hwm": 3})
+        assert follower.cursor == 2
+        assert follower.state.export(follower.cursor) == before
 
 
 class TestCrashStops:
     def _bootstrapped(self):
         follower = Follower(FollowerConfig())
-        follower.scheduler = fresh_scheduler()
+        follower.state = ServiceState(fresh_scheduler())
         return follower
 
     def test_hwm_gap_raises(self):
@@ -261,13 +332,13 @@ class TestTailLoop:
                     primary_port=primary.port, poll_interval=0.01, batch_limit=16
                 )
             )
-            follower.scheduler = fresh_scheduler()
+            follower.state = ServiceState(fresh_scheduler())
             await follower.start()
             for _ in range(500):
                 if follower.cursor == len(records):
                     break
                 await asyncio.sleep(0.01)
-            state = follower.export_service_state()
+            state = follower.state.export(follower.cursor)
             applied = dict(follower.applied)
             torn = primary.torn_replies
             await follower.stop()
@@ -280,7 +351,7 @@ class TestTailLoop:
         assert state["log_hwm"] == len(records)
         # nothing double-applied across the reconnect
         assert applied["reserve"] + applied["cancel"] == len(records)
-        assert accepted_checksum(follower.decided) == checksum
+        assert accepted_checksum(follower.state.decided) == checksum
 
     def test_compaction_gap_crash_stops_the_follower(self):
         records, _ = _sample_records()
@@ -294,7 +365,7 @@ class TestTailLoop:
             follower = Follower(
                 FollowerConfig(primary_port=primary.port, poll_interval=0.01)
             )
-            follower.scheduler = fresh_scheduler()
+            follower.state = ServiceState(fresh_scheduler())
             await follower.start()
             for _ in range(500):
                 if follower.failed is not None:

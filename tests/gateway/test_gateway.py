@@ -312,6 +312,78 @@ class TestAuth:
         assert 'reason="unauthorized"' in metrics
 
 
+class TestAdminScale:
+    def test_scale_endpoint_statuses_bodies_and_labels(self, tmp_path):
+        """``POST /v1/admin/scale`` resolves ``action`` to the wire op and
+        is otherwise the standard op path: edge errors raised before the
+        action is known are labelled ``scale``, later ones carry the wire
+        op, verdicts pass through verbatim, and a request is counted —
+        as ``scale:<action>`` — only once its action is known."""
+        tokens = tmp_path / "tokens"
+        tokens.write_text("s3cret:ops\n")
+        auth = (("Authorization", "Bearer s3cret"),)
+
+        async def scenario():
+            service, gateway = await start_stack(token_file=str(tokens))
+            results = {}
+
+            async def scale(body, headers=auth):
+                return await http(
+                    gateway.port, "POST", "/v1/admin/scale", body, headers=headers
+                )
+
+            results["denied"] = await scale({"action": "drain", "server": 0}, ())
+            results["no_action"] = await scale({"count": 1})
+            results["bad_action"] = await scale({"action": "status"})
+            results["bad_field"] = await scale({"action": "drain", "count": 1})
+            results["grow"] = await scale(
+                {"action": "add_servers", "count": 2, "aid": "grow-1"}
+            )
+            results["grow_again"] = await scale(
+                {"action": "add_servers", "count": 2, "aid": "grow-1"}
+            )
+            results["conflict"] = await scale({"action": "remove", "server": 0})
+            results["get"] = await http(
+                gateway.port, "GET", "/v1/admin/scale", headers=auth
+            )
+            results["pool"] = await http(
+                gateway.port, "GET", "/v1/admin/pool", headers=auth
+            )
+            via_tcp = await rpc(
+                service.port, {"op": "add_servers", "count": 2, "aid": "grow-1"}
+            )
+            metrics = await fetch_metrics(gateway.port)
+            await gateway.stop()
+            await service.stop()
+            return results, via_tcp, metrics
+
+        results, via_tcp, metrics = asyncio.run(scenario())
+        assert results["denied"][0] == 401
+        assert results["denied"][2]["op"] == "scale"
+        for early in ("no_action", "bad_action"):
+            status, _, body = results[early]
+            assert status == 400 and body["op"] == "scale"
+            assert body["error"]["code"] == "MALFORMED"
+            assert "scale action must be one of" in body["error"]["message"]
+        status, _, body = results["bad_field"]
+        assert status == 400 and body["op"] == "drain"
+        assert "unknown field 'count'" in body["error"]["message"]
+        assert results["grow"][0] == 200
+        assert results["grow"][2]["servers"] == [2, 3]
+        assert results["grow_again"][2]["replayed"] is True
+        assert results["grow_again"][2] == via_tcp  # the backend's body, verbatim
+        assert results["conflict"][0] == 409
+        assert results["conflict"][2]["error"]["code"] == "CONFLICT"
+        assert results["get"][0] == 405
+        assert results["pool"][2]["total"] == 4
+        assert 'requests_total{endpoint="scale:add_servers",tenant="ops"} 2' in metrics
+        assert 'requests_total{endpoint="scale:drain",tenant="ops"} 1' in metrics
+        assert 'requests_total{endpoint="scale:remove",tenant="ops"} 1' in metrics
+        assert 'endpoint="scale"' not in metrics  # never a label of its own
+        assert 'rejects_total{reason="malformed",tenant="ops"} 3' in metrics
+        assert 'repro_gateway_replayed_total{tenant="ops"} 1' in metrics
+
+
 class TestRateLimit:
     def test_burst_429s_carry_the_buckets_own_retry_after(self):
         """Satellite: one back-off source. Under a 10x-burst flood every

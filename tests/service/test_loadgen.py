@@ -171,8 +171,8 @@ def test_replay_flags_a_corrupted_server(monkeypatch):
 
     original = ReservationService._actor_apply_reserve
 
-    async def corrupted(self, message):
-        response = await original(self, message)
+    def corrupted(self, message):
+        response = original(self, message)
         if response.get("ok") and message["rid"] % 2 == 1:
             response = dict(response, servers=[0])  # herd everyone onto server 0
         return response

@@ -160,7 +160,7 @@ def test_status_reports_checksum_and_telemetry():
         status = await rpc(service.port, {"op": "status"})
         assert status["protocol"] == 1
         assert status["decided"] == 1 and status["active_allocations"] == 1
-        assert status["accepted_checksum"] == accepted_checksum(service._decided)
+        assert status["accepted_checksum"] == accepted_checksum(service.state.decided)
         assert len(status["accepted_checksum"]) == 16
         assert status["admission"]["depth"] == 0
         metrics = status["metrics"]
@@ -185,7 +185,7 @@ def test_shutdown_drains_then_refuses_and_snapshots(tmp_path):
         assert accepted["ok"]
         down = await rpc(port, {"op": "shutdown"})
         assert down["ok"] and down["snapshot"]["path"] == str(snapshot)
-        assert down["accepted_checksum"] == accepted_checksum(service._decided)
+        assert down["accepted_checksum"] == accepted_checksum(service.state.decided)
         await service.wait_stopped()
         assert snapshot.exists()
         # the listener is gone: new connections fail or close immediately

@@ -6,7 +6,6 @@ server is indistinguishable from the original, down to the slot-tree
 tie-break order (persisted period uids make that possible).
 """
 
-import asyncio
 import json
 
 import pytest
@@ -28,14 +27,12 @@ CONFIG = ServiceConfig(n_servers=4, tau=10.0, q_slots=8)
 
 
 def _apply(service: ReservationService, message: dict) -> dict:
-    """Drive the actor's apply coroutine to completion (single-mode
-    handlers never actually suspend, so this is identical to what TCP
-    requests would drive)."""
-    return asyncio.run(service._actor_apply(message))
+    """Call the actor's apply step directly (what a TCP request drives)."""
+    return service._actor_apply(message)
 
 
 def _state(service: ReservationService) -> dict:
-    return asyncio.run(service._actor_state())
+    return service.state.export(0)
 
 
 def apply_history(service: ReservationService, history: list[tuple]) -> None:
@@ -74,7 +71,7 @@ def test_snapshot_restore_snapshot_is_byte_identical(history):
     second = snapshot_bytes(_state(restored))
 
     assert second == first
-    assert accepted_checksum(restored._decided) == accepted_checksum(original._decided)
+    assert accepted_checksum(restored.state.decided) == accepted_checksum(original.state.decided)
 
 
 @given(histories())
@@ -157,7 +154,7 @@ def test_cancel_after_restore_frees_the_window(tmp_path):
         ]
 
     assert periods_sans_uids(restored) == periods_sans_uids(original)
-    assert accepted_checksum(restored._decided) == accepted_checksum(original._decided)
+    assert accepted_checksum(restored.state.decided) == accepted_checksum(original.state.decided)
 
     # a second cancel of the same rid is a clean not-found, not a crash
     second = _apply(restored, {"op": "cancel", "rid": 1})

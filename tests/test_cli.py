@@ -152,7 +152,8 @@ class TestServiceParsers:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["loadgen"])
         args = build_parser().parse_args(["loadgen", "--port", "9"])
-        assert args.out == "BENCH_service.json" and not args.shutdown
+        # no default report file: a run from the repo root writes nothing
+        assert args.out is None and not args.shutdown
 
     def test_reserve_requires_shape(self):
         with pytest.raises(SystemExit):
