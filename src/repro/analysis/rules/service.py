@@ -38,6 +38,8 @@ _GUARDED_METHODS = frozenset(
         "advance",
         "range_search",
         "find_feasible",
+        "skip_infeasible",
+        "next_start",
         "suggest_alternatives",
     }
 )

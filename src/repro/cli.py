@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         default="dense",
         help="comma-separated workload profiles, or 'all' "
-        "(dense, sparse, ties — see repro.verify.genstream)",
+        "(dense, sparse, ties, fine-grid — see repro.verify.genstream)",
     )
     fz.add_argument(
         "--chaos",
@@ -440,10 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fz.add_argument(
         "--inject",
-        choices=("reverse-tiebreak", "latest-ending"),
+        choices=("reverse-tiebreak", "latest-ending", "skip-past-feasible"),
         default=None,
-        help="self-test: break the production Phase-2 selection and require "
-        "the differ to catch it (exit 0 = bug caught)",
+        help="self-test: break the production Phase-2 selection (or, with "
+        "skip-past-feasible, the retry ladder's infeasibility certificate) "
+        "and require the differ to catch it (exit 0 = bug caught)",
     )
     fz.add_argument(
         "--state-stride",

@@ -630,6 +630,58 @@ class AvailabilityCalendar:
         self.counter.add("retrieve", need)
         return chosen + tail
 
+    def skip_infeasible(
+        self,
+        base: float,
+        delta_t: float,
+        k: int,
+        k_end: int,
+        latest: float,
+        lr: float,
+        nr: int,
+    ) -> int:
+        """First index ``>= k`` of the ladder ``base + k * delta_t`` whose
+        start is *not provably infeasible* for ``lr`` × ``nr`` (``nr >= 1``).
+
+        A start ``s`` in slot ``q`` is skipped iff fewer than ``nr``
+        trailing periods have begun by ``s`` **and** no period in slot
+        ``q``'s tree ends at or after ``s + lr``.  That is an
+        infeasibility certificate: with no tree period passing the
+        Phase-2 test, :meth:`find_feasible` could only draw on the tail
+        index, which holds too few candidates — it would return ``None``.
+        Both tests are O(1): the ``nr``-th smallest trailing start is
+        read once (the ladder only moves forward, so once it has begun
+        nothing further can be skipped) and each point reads one
+        :meth:`~repro.core.slot_tree.TwoDimTree.max_end`.
+
+        The walk stops — returning that index unexamined — at ``k_end``,
+        at the first start past ``latest`` and at the first start outside
+        the horizon, so the caller's exhaustion, deadline and horizon
+        exits fire at the index they always did.  Pure query.  In dense
+        mode trailing periods sit in the trees with ``et = ∞``, so the
+        same two tests almost never certify anything — and stay sound.
+        """
+        tail = self._inf_keys
+        # from this start on the tail index alone can host the request
+        tail_from = tail[nr - 1][0] if 0 < nr <= len(tail) else INF
+        trees = self._trees
+        checks = 0
+        while k < k_end:
+            s = base + k * delta_t
+            if s > latest or s >= tail_from:
+                break
+            tree = trees.get(self.slot_of(s))
+            if tree is None:
+                break  # outside the horizon
+            checks += 1
+            if tree.max_end() >= s + lr:
+                break
+            k += 1
+        if checks:
+            # each certificate reads the root's secondary index once
+            self.counter.add("secondary_probe", checks)
+        return k
+
     def range_search(self, ta: float, tb: float) -> list[IdlePeriod]:
         """Every idle period covering the whole window ``[ta, tb)``.
 

@@ -7,7 +7,9 @@ paper's scheduling loop:
 1. attempt to find ``n_r`` feasible idle periods starting at ``s_r``
    (Phase 1 + Phase 2 range search in the slot tree of ``slot(s_r)``);
 2. on failure, retry at ``s_r + Δt``, ``s_r + 2Δt``, … up to ``R_max``
-   total attempts;
+   total attempts — running the search only at the grid points the
+   calendar cannot certify infeasible in O(1) (see
+   :meth:`OnlineCoAllocator.next_start`);
 3. on success, commit the reservations and report the allocation together
    with the attempt count and the incurred delay.
 
@@ -36,10 +38,12 @@ __all__ = ["OnlineCoAllocator", "ScheduleOutcome"]
 class ScheduleOutcome:
     """Full result of one scheduling call, success or not.
 
-    ``attempts`` is the number of Phase-1 searches actually performed —
-    a deadline or horizon early exit stops the retry loop before
-    ``R_max``, and the count reflects that (it may even be zero when the
-    very first candidate start is already out of range).
+    ``attempts`` is the number of grid points ``s_r + kΔt`` examined —
+    searched with Phase 1/2 or passed over by the calendar's O(1)
+    infeasibility certificate; either way the point could not host the
+    request.  A deadline or horizon early exit stops the retry loop
+    before ``R_max``, and the count reflects that (it may even be zero
+    when the very first candidate start is already out of range).
     """
 
     #: the committed allocation, or ``None`` when the request was rejected
@@ -101,23 +105,17 @@ class OnlineCoAllocator:
 
         Callers tracking per-request effort (``job.attempts``, Table 2)
         need the *actual* attempt count on failure: a deadline or horizon
-        early exit performs fewer than ``R_max`` attempts.
+        early exit covers fewer than ``R_max`` grid points.
         """
         calendar = self.calendar
         base = max(request.sr, calendar.now)
-        latest = request.latest_start
-        for k in range(self.r_max):
+        k, reason = self.next_start(request, base, 0)
+        while reason is None:
             start = base + k * self.delta_t
-            if start > latest:
-                # any later start would miss the deadline
-                return ScheduleOutcome(None, k, "deadline")
-            if not calendar.in_horizon(start):
-                # beyond the schedulable horizon
-                return ScheduleOutcome(None, k, "horizon")
-            self.counter.add("attempt")
             end = start + request.lr
             feasible = calendar.find_feasible(start, end, request.nr)
             if feasible is not None:
+                self.counter.add("attempt", k + 1)
                 reservations = calendar.allocate(feasible, start, end, rid=request.rid)
                 allocation = Allocation(
                     rid=request.rid,
@@ -128,7 +126,37 @@ class OnlineCoAllocator:
                     delay=start - request.sr,
                 )
                 return ScheduleOutcome(allocation, k + 1, None)
-        return ScheduleOutcome(None, self.r_max, "exhausted")
+            k, reason = self.next_start(request, base, k + 1)
+        self.counter.add("attempt", k)
+        return ScheduleOutcome(None, k, reason)
+
+    def next_start(self, request: Request, base: float, k: int) -> tuple[int, str | None]:
+        """The ladder's next grid index ``>= k`` worth a Phase 1/2 search.
+
+        The one walk of the Section 4.2 ladder ``base + k·Δt``: grid
+        points the calendar certifies infeasible
+        (:meth:`~repro.core.calendar.AvailabilityCalendar.skip_infeasible`)
+        are passed over in O(1) each — they still count as attempts,
+        because ``k`` stays the grid index.  Returns ``(k, None)`` when
+        index ``k`` must be searched, or ``(k, reason)`` when the ladder
+        ends there: ``"exhausted"`` (``k == R_max``), ``"deadline"`` or
+        ``"horizon"`` — so on every exit ``k`` is the attempt count.
+        """
+        calendar = self.calendar
+        latest = request.latest_start
+        k = calendar.skip_infeasible(
+            base, self.delta_t, k, self.r_max, latest, request.lr, request.nr
+        )
+        if k >= self.r_max:
+            return k, "exhausted"
+        start = base + k * self.delta_t
+        if start > latest:
+            # any later start would miss the deadline
+            return k, "deadline"
+        if not calendar.in_horizon(start):
+            # beyond the schedulable horizon
+            return k, "horizon"
+        return k, None
 
     def range_search(self, query: RangeQuery) -> list[IdlePeriod]:
         """All idle periods covering ``[ta, tb)``; commits nothing.

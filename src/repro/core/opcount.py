@@ -26,7 +26,8 @@ class OpCounter:
     ``node_visit``
         Primary-tree nodes touched during Phase 1 or structural updates.
     ``secondary_probe``
-        Binary-search steps inside secondary (ending-time) indexes.
+        Binary-search steps inside secondary (ending-time) indexes, plus
+        one per retry-ladder certificate (it reads a root's last key).
     ``mark``
         Subtrees marked as candidate containers in Phase 1.
     ``retrieve``
@@ -34,7 +35,8 @@ class OpCounter:
     ``insert`` / ``remove``
         Idle-period insertions/removals across slot trees.
     ``attempt``
-        Scheduling attempts (Phase 1 invocations).
+        Scheduling attempts: grid points of the retry ladder covered,
+        whether searched by Phase 1/2 or certified infeasible in O(1).
     ``rebuild``
         Leaves rebuilt during weight-balance partial rebuilds.
     """

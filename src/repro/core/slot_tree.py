@@ -159,6 +159,19 @@ class TwoDimTree:
             self._counter.add("node_visit", visits)
         return bool(node != _NIL)
 
+    def max_end(self) -> float:
+        """Latest ending time of any stored period; ``-inf`` when empty.
+
+        O(1): the root's secondary index holds every stored ``(et, uid)``
+        in ascending order, so its last key is the maximum.
+        """
+        k = self._kernel
+        root = k.root
+        if root == _NIL:
+            return -math.inf
+        latest: float = k.secs[root][-1][0]
+        return latest
+
     def periods(self) -> Iterator[IdlePeriod]:
         """All stored idle periods in ascending start-time order."""
         by_uid = self._by_uid

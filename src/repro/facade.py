@@ -170,20 +170,22 @@ class CoAllocationScheduler:
     ) -> list[float]:
         """Start times at which the request *would* fit, without committing.
 
-        Probes ``s_r, s_r + Δt, s_r + 2Δt, …`` like the scheduling loop
-        but read-only; used by front-ends to answer "when could I get
+        Walks the scheduling loop's own ladder
+        (:meth:`OnlineCoAllocator.next_start`: ``s_r, s_r + Δt, …`` up to
+        ``R_max`` points, ending at the deadline or the horizon) but
+        read-only, so every suggestion is a start :meth:`schedule` itself
+        would grant; used by front-ends to answer "when could I get
         this?" after a refusal.
         """
+        allocator = self.allocator
         suggestions: list[float] = []
         base = max(request.sr, self.calendar.now)
-        for k in range(self.allocator.r_max):
-            start = base + k * self.allocator.delta_t
-            if not self.calendar.in_horizon(start):
-                break
+        k, reason = allocator.next_start(request, base, 0)
+        while reason is None and len(suggestions) < max_suggestions:
+            start = base + k * allocator.delta_t
             if self.calendar.find_feasible(start, start + request.lr, request.nr) is not None:
                 suggestions.append(start)
-                if len(suggestions) >= max_suggestions:
-                    break
+            k, reason = allocator.next_start(request, base, k + 1)
         return suggestions
 
     # -- giving resources back -----------------------------------------

@@ -32,9 +32,11 @@ sides' views.  :func:`shrink_stream` then delta-debugs the trace to a
 pass), and :func:`emit_pytest` renders it as a ready-to-paste failing
 test.
 
-:func:`inject_bug` deliberately breaks the production Phase-2 selection
-(class-level patch of ``TwoDimTree.phase2``) so the detector and the
-shrinker can prove, in CI, that they would catch a real regression.
+:func:`inject_bug` deliberately breaks the production side — the Phase-2
+selection (class-level patch of ``TwoDimTree.phase2``) or the retry
+ladder's infeasibility certificate (``AvailabilityCalendar.
+skip_infeasible``) — so the detector and the shrinker can prove, in CI,
+that they would catch a real regression.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
+from ..core.calendar import AvailabilityCalendar
 from ..core.slot_tree import TwoDimTree
 from ..core.types import INF
 from ..errors import MalformedRequestError
@@ -460,49 +463,68 @@ def _tally(
 
 #: selection orders a deliberately broken Phase 2 uses instead of the
 #: canonical (et, uid) ascending merge
-INJECTIONS: dict[str, Callable[[Any], tuple[float, float]]] = {
+_PHASE2_ORDERS: dict[str, Callable[[Any], tuple[float, float]]] = {
     # same earliest-ending preference, uid ties broken the *wrong* way
     "reverse-tiebreak": lambda p: (p.et, -p.uid),
     # worst-fit: latest-ending feasible periods win
     "latest-ending": lambda p: (-p.et, p.uid),
 }
 
+#: every seeded bug ``inject_bug`` knows.  ``skip-past-feasible`` is an
+#: off-by-one in the ladder certificate's tail test (it reads the
+#: ``n_r + 1``-th trailing start where the ``n_r``-th decides), so a start
+#: that exactly ``n_r`` trailing periods could host is passed over
+INJECTIONS: tuple[str, ...] = (*_PHASE2_ORDERS, "skip-past-feasible")
+
 
 @contextmanager
 def inject_bug(kind: str | None) -> Iterator[None]:
-    """Temporarily replace ``TwoDimTree.phase2`` with a broken selection.
+    """Temporarily break the production side in one known way.
 
-    The patch recovers the *full* feasible set through the original
-    implementation (``need=inf``), re-sorts it with the injected order,
-    and slices — so feasibility stays correct and only the canonical
-    selection rule is violated, exactly the bug class PR 4 fixed.
+    The Phase-2 injections replace ``TwoDimTree.phase2``: the patch
+    recovers the *full* feasible set through the original implementation
+    (``need=inf``), re-sorts it with the injected order, and slices — so
+    feasibility stays correct and only the canonical selection rule is
+    violated, exactly the bug class PR 4 fixed.  ``skip-past-feasible``
+    replaces ``AvailabilityCalendar.skip_infeasible`` (see
+    :data:`INJECTIONS`): selection stays canonical, but grants come late
+    or not at all.
     """
     if kind is None:
         yield
         return
-    try:
-        order = INJECTIONS[kind]
-    except KeyError:
+    if kind not in INJECTIONS:
         raise ValueError(
             f"unknown injection {kind!r} (expected one of {', '.join(INJECTIONS)})"
-        ) from None
-    original = TwoDimTree.phase2
+        )
+    if kind == "skip-past-feasible":
+        owner, name = AvailabilityCalendar, "skip_infeasible"
+        original = AvailabilityCalendar.skip_infeasible
 
-    def patched(self, marks, er, need, partial=False):  # type: ignore[no-untyped-def]
-        full = original(self, marks, er, math.inf, True) or []
-        full = sorted(full, key=order)
-        if need == math.inf:
-            return full
-        need_int = int(need)
-        if len(full) < need_int and not partial:
-            return None
-        return full[:need_int]
+        def patched(self, base, delta_t, k, k_end, latest, lr, nr):  # type: ignore[no-untyped-def]
+            # nr only feeds the tail test, so nr + 1 *is* the off-by-one
+            return original(self, base, delta_t, k, k_end, latest, lr, nr + 1)
 
-    TwoDimTree.phase2 = patched  # type: ignore[method-assign]
+    else:
+        owner, name = TwoDimTree, "phase2"
+        original = TwoDimTree.phase2
+        order = _PHASE2_ORDERS[kind]
+
+        def patched(self, marks, er, need, partial=False):  # type: ignore[no-untyped-def]
+            full = original(self, marks, er, math.inf, True) or []
+            full = sorted(full, key=order)
+            if need == math.inf:
+                return full
+            need_int = int(need)
+            if len(full) < need_int and not partial:
+                return None
+            return full[:need_int]
+
+    setattr(owner, name, patched)
     try:
         yield
     finally:
-        TwoDimTree.phase2 = original  # type: ignore[method-assign]
+        setattr(owner, name, original)
 
 
 # ----------------------------------------------------------------------

@@ -129,6 +129,29 @@ PROFILES: dict[str, Profile] = {
         description="fractional tau, fully slot-aligned times: equal-end-key "
         "ties and boundary floats everywhere",
     ),
+    "fine-grid": Profile(
+        name="fine-grid",
+        n_servers=10,
+        tau=10.0,
+        q_slots=12,
+        # Δt = τ/4 puts four retry points in every slot (the other profiles
+        # run Δt = τ: one per slot); r_max keeps R_max·Δt = (Q/2)·τ
+        delta_t=2.5,
+        r_max=24,
+        p_probe=0.10,
+        p_cancel=0.20,
+        p_restore=0.03,
+        gap_tau=0.45,
+        adv_tau=7.0,
+        lr_min_tau=0.25,
+        lr_max_tau=3.0,
+        nr_max=8,
+        p_deadline=0.25,
+        slack_tau=2.0,
+        align=0.5,
+        description="retry increment a quarter slot: long ladders of "
+        "same-slot grid points, half the times on exact boundaries",
+    ),
 }
 
 

@@ -81,6 +81,40 @@ class TestSuggestions:
         out = sched.suggest_alternatives(Request(qr=0.0, sr=0.0, lr=10.0, nr=5, rid=1))
         assert out == []
 
+    def test_suggestions_stop_at_the_deadline(self):
+        """Regression: the suggestion walk used to ignore ``latest_start``
+        and offered starts ``schedule`` refuses with ``"deadline"``."""
+        sched = make(n=1)
+        sched.schedule(Request(qr=0.0, sr=0.0, lr=35.0, nr=1, rid=1))
+        # latest admissible start is 65 - 10 = 55: 40 and 50 fit, 60 does not
+        request = Request(qr=0.0, sr=0.0, lr=10.0, nr=1, rid=2, deadline=65.0)
+        suggestions = sched.suggest_alternatives(request, max_suggestions=5)
+        assert suggestions == [40.0, 50.0]
+        assert all(s <= request.latest_start for s in suggestions)
+        # a deadline no start can meet yields nothing, as schedule would
+        tight = Request(qr=0.0, sr=0.0, lr=10.0, nr=1, rid=3, deadline=30.0)
+        assert sched.suggest_alternatives(tight) == []
+        assert sched.schedule_detailed(tight).reason == "deadline"
+
+    def test_suggestions_are_the_starts_schedule_would_pick(self):
+        sched = make(n=2)
+        sched.schedule(Request(qr=0.0, sr=0.0, lr=35.0, nr=2, rid=1))
+        sched.schedule(Request(qr=0.0, sr=50.0, lr=25.0, nr=1, rid=2))
+        request = Request(qr=0.0, sr=0.0, lr=20.0, nr=2, rid=3, deadline=200.0)
+        suggestions = sched.suggest_alternatives(request, max_suggestions=4)
+        assert suggestions
+        state = sched.export_state()
+        # the first suggestion is where a clone grants the request itself …
+        granted = CoAllocationScheduler.from_state(state).schedule(request)
+        assert granted is not None and granted.start == suggestions[0]
+        # … and each one is granted on its first attempt when asked for directly
+        for start in suggestions:
+            clone = CoAllocationScheduler.from_state(state)
+            rigid = Request(qr=0.0, sr=start, lr=20.0, nr=2, rid=4, deadline=200.0)
+            outcome = clone.schedule_detailed(rigid)
+            assert outcome.allocation is not None
+            assert (outcome.allocation.start, outcome.attempts) == (start, 1)
+
 
 class TestUtilization:
     def test_utilization_window(self):

@@ -1,8 +1,9 @@
-"""Fault-injection self-test: the differ must catch seeded selection
-bugs and shrink them to tiny repros.
+"""Fault-injection self-test: the differ must catch seeded bugs and
+shrink them to tiny repros.
 
 A fuzzer that never fails proves nothing.  These tests patch the slot
-tree's Phase-2 selection with two known-wrong orders and require the
+tree's Phase-2 selection with two known-wrong orders, and the retry
+ladder's infeasibility certificate with an off-by-one, and require the
 lock-step comparison to (a) notice, (b) delta-debug the stream down to a
 handful of operations, and (c) emit a self-contained failing pytest.
 """
@@ -20,24 +21,29 @@ from repro.verify.differ import (
 )
 from repro.verify.genstream import generate_stream
 
+#: the profile each injection is hunted on: selection bugs need equal-end
+#: ties, the ladder bug is sought where several grid points share a slot
+PROFILE = {"skip-past-feasible": "fine-grid"}
+
 
 @pytest.mark.parametrize("kind", sorted(INJECTIONS))
 def test_injected_selection_bug_is_caught(kind: str) -> None:
-    stream = generate_stream("ties", 0, 400)
+    stream = generate_stream(PROFILE.get(kind, "ties"), 0, 400)
     result = run_stream(stream, inject=kind)
     assert result.divergence is not None, f"injection {kind!r} went unnoticed"
 
 
 def test_clean_run_stays_clean_after_injection_context() -> None:
-    """The phase2 patch must not leak out of the context manager."""
+    """The patches must not leak out of the context manager."""
     stream = generate_stream("ties", 0, 200)
     assert run_stream(stream, inject="reverse-tiebreak").divergence is not None
+    assert run_stream(stream, inject="skip-past-feasible").divergence is not None
     assert run_stream(stream).divergence is None
 
 
 @pytest.mark.parametrize("kind", sorted(INJECTIONS))
 def test_shrink_reaches_a_tiny_repro(kind: str) -> None:
-    stream = generate_stream("ties", 0, 400)
+    stream = generate_stream(PROFILE.get(kind, "ties"), 0, 400)
     shrunk = shrink_stream(stream, inject=kind)
     assert shrunk is not None
     assert len(shrunk.stream.ops) <= 10
