@@ -5,9 +5,10 @@ registry (:data:`repro.service.protocol.REGISTRY`).  This module
 cross-checks the *code* against that registry, both directions:
 
 * **RA205 — send sites.**  Every literal ``{"op": ...}`` dict
-  constructed in the service modules (``server.py``, ``loadgen.py``)
-  and the gateway modules (``app.py``, ``follower.py``) is a message
-  somebody will put on the wire.  The op must be registered, required
+  constructed anywhere in ``service/``, ``gateway/`` or ``cli.py`` is a
+  message somebody will put on the wire (the packages are scanned
+  whole — a hand-kept module list goes stale the day a new sender is
+  added).  The op must be registered, required
   fields must be present (unless a ``**`` splat may supply them),
   literal field values must have the spec'd JSON type, and no field
   may be unknown to the spec.  Dicts carrying a
@@ -43,21 +44,14 @@ from ..service.protocol import FIELD_TYPES, OpSpec, REGISTRY
 from .rules.base import Violation
 
 __all__ = [
-    "GATEWAY_SEND_SITE_MODULES",
     "PROTOCOL_INJECTIONS",
     "ProtocolModel",
     "ProtocolReport",
     "collect_model",
     "run_protocol_check",
     "scan_send_sites",
+    "send_site_files",
 ]
-
-#: the modules whose literal ``{"op": ...}`` constructions go on the wire
-SEND_SITE_MODULES = ("server.py", "loadgen.py")
-
-#: gateway modules with wire send sites, resolved against the sibling
-#: ``gateway`` package (skipped when absent, e.g. in fixture trees)
-GATEWAY_SEND_SITE_MODULES = ("app.py", "follower.py")
 
 _HINT_205 = (
     "make the send site agree with protocol.REGISTRY: fix the message literal, "
@@ -193,6 +187,17 @@ def collect_model(
 # ----------------------------------------------------------------------
 # RA205: send sites
 # ----------------------------------------------------------------------
+
+
+def send_site_files(service_dir: str | Path) -> list[Path]:
+    """The modules RA205 reads: all of ``service/`` and the sibling
+    ``gateway/``, plus ``cli.py`` (whatever of those exists — fixture
+    trees carry only a service directory)."""
+    package = Path(service_dir).parent
+    files = sorted(Path(service_dir).glob("*.py"))
+    files += sorted((package / "gateway").glob("*.py"))
+    files += package.glob("cli.py")  # a glob, so absent means none
+    return files
 
 
 def _literal_type_ok(node: ast.expr, tag: str) -> bool | None:
@@ -459,13 +464,7 @@ def run_protocol_check(
         injected = {"kind": inject, "description": description, "expected": expected}
 
     report = ProtocolReport(injected=injected)
-    base = Path(model.server_path).parent
-    gateway_base = base.parent / "gateway"
-    candidates = [base / name for name in SEND_SITE_MODULES]
-    candidates += [gateway_base / name for name in GATEWAY_SEND_SITE_MODULES]
-    for module_file in candidates:
-        if not module_file.exists():
-            continue
+    for module_file in send_site_files(Path(model.server_path).parent):
         source = module_file.read_text(encoding="utf-8")
         report.files_checked += 1
         suppressed = _suppressed_lines(source)

@@ -46,13 +46,9 @@ Installed as ``repro`` (see ``pyproject.toml``); also runnable as
     single-writer asyncio actor, speaking NDJSON over TCP (``reserve``,
     ``probe``, ``cancel``, ``status``, ``snapshot``, ``shutdown``) with
     bounded admission, micro-batching, and checksummed snapshot/restore.
-    See ``docs/service.md``.
-
-``repro loadgen``
-    Replay an SWF-derived trace against a running server at a target
-    open-loop rate, re-verify every accepted reservation in a
-    client-side shadow ledger, and print (with ``--out``, also write) a
-    latency/throughput report.  Exits non-zero on ledger violations.
+    See ``docs/service.md``.  Load comes from ``benchmarks/stack/run.py``
+    and ledger-checked replay from ``repro fuzz --chaos``; there is no
+    load-generating subcommand.
 
 ``repro fuzz``
     Differential-oracle fuzzing: replay seeded request streams against
@@ -93,8 +89,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-import numpy as np
 
 from .errors import ErrorCode
 
@@ -359,39 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--autoscale-dry-run",
         action="store_true",
         help="log what the autoscaler would do without touching the pool",
-    )
-
-    lg = sub.add_parser("loadgen", help="replay a trace against a running server")
-    lg.add_argument("--host", default="127.0.0.1")
-    lg.add_argument("--port", type=int, required=True)
-    lg.add_argument(
-        "--transport",
-        choices=("tcp", "http"),
-        default="tcp",
-        help="tcp = NDJSON to the service; http = pipelined POST /v1/reserve "
-        "through a repro gateway at --host:--port",
-    )
-    lg.add_argument(
-        "--token", default=None, help="bearer token (http transport only)"
-    )
-    lg.add_argument("--swf", default=None, help="replay this SWF log")
-    lg.add_argument("--workload", choices=_WORKLOADS, default="KTH")
-    lg.add_argument("--jobs", type=int, default=2000)
-    lg.add_argument("--seed", type=int, default=42)
-    lg.add_argument("--rho", type=float, default=0.0, help="advance-reservation fraction")
-    lg.add_argument(
-        "--rate", type=float, default=0.0, help="open-loop sends/sec (0 = flat out)"
-    )
-    lg.add_argument(
-        "--window", type=int, default=0, help="max unacknowledged in flight (0 = unbounded)"
-    )
-    lg.add_argument("--offset", type=int, default=0, help="skip this many requests")
-    lg.add_argument("--limit", type=int, default=None, help="send at most this many")
-    lg.add_argument("--ledger-in", default=None, help="preload this shadow ledger")
-    lg.add_argument("--ledger-out", default=None, help="dump the final shadow ledger here")
-    lg.add_argument("--out", default=None, help="write the report JSON here")
-    lg.add_argument(
-        "--shutdown", action="store_true", help="send a shutdown op after the replay"
     )
 
     fz = sub.add_parser(
@@ -674,6 +635,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_swf_info(args: argparse.Namespace) -> int:
+    # numpy stays out of module scope: `repro serve`/`gateway` never need it
+    import numpy as np
+
     from .workloads.swf import read_swf, swf_to_requests
 
     jobs, meta = read_swf(args.path)
@@ -939,61 +903,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return int(ErrorCode.OK)
 
 
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .service.loadgen import LoadgenConfig, run_loadgen
-
-    if args.transport == "http" and args.shutdown:
-        print(
-            "loadgen: --shutdown needs --transport tcp "
-            "(the gateway deliberately exposes no shutdown endpoint)",
-            file=sys.stderr,
-        )
-        return int(ErrorCode.MALFORMED)
-    config = LoadgenConfig(
-        host=args.host,
-        port=args.port,
-        swf=args.swf,
-        workload=args.workload,
-        jobs=args.jobs,
-        seed=args.seed,
-        rho=args.rho,
-        rate=args.rate,
-        window=args.window,
-        offset=args.offset,
-        limit=args.limit,
-        ledger_in=args.ledger_in,
-        ledger_out=args.ledger_out,
-        out=args.out,
-        shutdown=args.shutdown,
-        transport=args.transport,
-        token=args.token,
-    )
-    report = asyncio.run(run_loadgen(config))
-    lat = report["latency_ms"]
-    print(
-        f"loadgen: {report['completed']}/{report['requests']} answered "
-        f"({report['accepted']} accepted, {report['rejected']} rejected, "
-        f"{report['busy']} busy) in {report['wall_s']}s "
-        f"({report['throughput_rps']} req/s); "
-        f"latency p50 {lat['p50_ms']}ms p95 {lat['p95_ms']}ms p99 {lat['p99_ms']}ms"
-    )
-    print(
-        f"loadgen: accepted checksum {report['accepted_checksum']}"
-        + (f"; report -> {args.out}" if args.out else "")
-    )
-    if report["violations_total"]:
-        print(
-            f"loadgen: {report['violations_total']} SHADOW-LEDGER VIOLATION(S)",
-            file=sys.stderr,
-        )
-        for violation in report["violations"]:
-            print(f"  {violation}", file=sys.stderr)
-        return int(ErrorCode.INTERNAL)
-    return int(ErrorCode.OK)
-
-
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     import json
 
@@ -1124,39 +1033,44 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return int(ErrorCode.OK)
 
 
-def _cmd_reserve(args: argparse.Namespace) -> int:
+def _one_shot(host: str, port: int, message: dict) -> int:
+    """One exchange with a running server: print the reply, return its exit code."""
     import asyncio
     import json
 
-    from .service.loadgen import _rpc
+    from .service.client import ServiceClient
 
+    async def exchange() -> dict:
+        client = ServiceClient(host, port)
+        try:
+            return await client.rpc(message)
+        finally:
+            client.close()
+
+    response = asyncio.run(exchange())
+    print(json.dumps(response, indent=2, sort_keys=True))
+    if response.get("ok"):
+        return int(ErrorCode.OK)
+    return int((response.get("error") or {}).get("exit_code", ErrorCode.INTERNAL))
+
+
+def _cmd_reserve(args: argparse.Namespace) -> int:
     if args.duration <= 0 or args.nodes <= 0:
         print(
             f"reserve: malformed request (duration {args.duration}, nodes {args.nodes})",
             file=sys.stderr,
         )
         return int(ErrorCode.MALFORMED)
-
-    async def _one_shot() -> dict:
-        reader, writer = await asyncio.open_connection(args.host, args.port)
-        message = {
-            "op": "reserve",
-            "rid": args.rid,
-            "sr": args.start,
-            "lr": args.duration,
-            "nr": args.nodes,
-        }
-        if args.deadline is not None:
-            message["deadline"] = args.deadline
-        response = await _rpc(reader, writer, message)
-        writer.close()
-        return response
-
-    response = asyncio.run(_one_shot())
-    print(json.dumps(response, indent=2, sort_keys=True))
-    if response.get("ok"):
-        return int(ErrorCode.OK)
-    return int((response.get("error") or {}).get("exit_code", ErrorCode.INTERNAL))
+    message = {
+        "op": "reserve",
+        "rid": args.rid,
+        "sr": args.start,
+        "lr": args.duration,
+        "nr": args.nodes,
+    }
+    if args.deadline is not None:
+        message["deadline"] = args.deadline
+    return _one_shot(args.host, args.port, message)
 
 
 def _cmd_gateway(args: argparse.Namespace) -> int:
@@ -1206,28 +1120,10 @@ def _cmd_follow(args: argparse.Namespace) -> int:
 
 
 def _cmd_promote(args: argparse.Namespace) -> int:
-    import asyncio
-    import json
-
-    from .service.loadgen import _rpc
-    from .service.protocol import MAX_LINE_BYTES
-
-    async def _one_shot() -> dict:
-        reader, writer = await asyncio.open_connection(
-            args.host, args.port, limit=MAX_LINE_BYTES
-        )
-        message: dict = {"op": "promote"}
-        if args.promote_port:
-            message["port"] = args.promote_port
-        response = await _rpc(reader, writer, message)
-        writer.close()
-        return response
-
-    response = asyncio.run(_one_shot())
-    print(json.dumps(response, indent=2, sort_keys=True))
-    if response.get("ok"):
-        return int(ErrorCode.OK)
-    return int((response.get("error") or {}).get("exit_code", ErrorCode.INTERNAL))
+    message: dict = {"op": "promote"}
+    if args.promote_port:
+        message["port"] = args.promote_port
+    return _one_shot(args.host, args.port, message)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1241,7 +1137,6 @@ def main(argv: list[str] | None = None) -> int:
         "check": _cmd_check,
         "cache": _cmd_cache,
         "serve": _cmd_serve,
-        "loadgen": _cmd_loadgen,
         "fuzz": _cmd_fuzz,
         "reserve": _cmd_reserve,
         "gateway": _cmd_gateway,

@@ -25,20 +25,14 @@ rendered through the same :func:`~repro.gateway.http.format_retry_after`.
 from __future__ import annotations
 
 import asyncio
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 from typing import Any
 
 from ..errors import BusyError, error_payload
-from ..service.protocol import (
-    MAX_LINE_BYTES,
-    READ_CHUNK_BYTES,
-    ProtocolError,
-    encode,
-    validate_payload,
-)
+from ..service.client import ServiceClient
+from ..service.protocol import READ_CHUNK_BYTES, ProtocolError, validate_payload
 from .auth import TenantLimiter, TokenTable
 from .http import (
     MAX_BODY_BYTES,
@@ -102,9 +96,9 @@ class Gateway:
             self.tokens = TokenTable()
         self.limiter = TenantLimiter(config.rate, config.burst)
         self._server: asyncio.base_events.Server | None = None
-        #: the single multiplexed backend NDJSON connection (lazily opened,
-        #: dropped on any transport error and reopened on the next call)
-        self._backend: tuple[asyncio.StreamReader, asyncio.StreamWriter] | None = None
+        #: the single backend connection, shared by every HTTP client; the
+        #: lock keeps one exchange in flight, so replies correlate FIFO
+        self._backend = ServiceClient(config.backend_host, config.backend_port)
         self._backend_lock = asyncio.Lock()
 
         self.registry = PromRegistry()
@@ -162,7 +156,7 @@ class Gateway:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        self._drop_backend()
+        self._backend.close()
 
     # ------------------------------------------------------------------
     # connection handling
@@ -198,7 +192,7 @@ class Gateway:
         if request.path == "/healthz":
             if request.method != "GET":
                 return _error_response(405, "healthz is GET-only")
-            return json_response(200, {"ok": True, "backend": self._backend is not None})
+            return json_response(200, {"ok": True, "backend": self._backend.connected})
         if request.path == "/metrics":
             if request.method != "GET":
                 return _error_response(405, "metrics is GET-only")
@@ -272,7 +266,7 @@ class Gateway:
             return self._malformed(tenant, op, exc)
         try:
             response = await self._backend_rpc(message)
-        except (ConnectionError, OSError) as exc:
+        except ConnectionError as exc:
             self.rejects_total.inc(tenant=tenant, reason="backend_down")
             self.backend_up.set(0)
             return json_response(
@@ -314,8 +308,9 @@ class Gateway:
     async def _backend_rpc(self, message: dict[str, Any]) -> dict[str, Any]:
         """One exchange on the shared backend connection (FIFO via lock).
 
-        A transport error drops the connection.  Most ops then retry
-        once through a fresh one: ``reserve`` is rid-keyed exactly-once
+        A lost connection (:class:`~repro.service.client.ServiceClient`
+        raises ``ConnectionError`` and reopens on the next call) is
+        retried once for most ops: ``reserve`` is rid-keyed exactly-once
         (the resend returns the recorded verdict instead of
         double-applying) and ``probe``/``status`` are read-only.
         ``cancel`` is the exception — the backend re-decides a resent
@@ -332,42 +327,13 @@ class Gateway:
         retriable = op != "cancel" and not (
             op in _SCALE_ACTIONS and message.get("aid") is None
         )
-        for attempt in (0, 1):
-            async with self._backend_lock:
-                try:
-                    if self._backend is None:
-                        self._backend = await asyncio.open_connection(
-                            self.config.backend_host,
-                            self.config.backend_port,
-                            limit=MAX_LINE_BYTES,
-                        )
-                        self._backend[1].transport.max_size = READ_CHUNK_BYTES
-                    reader, writer = self._backend
-                    writer.write(encode(message))
-                    await writer.drain()
-                    raw = await reader.readline()
-                    if not raw:
-                        raise ConnectionError("backend closed the connection")
-                    return json.loads(raw.decode("utf-8"))
-                except asyncio.CancelledError:
-                    # a timed-out caller (the /metrics status probe) may
-                    # abandon the exchange between write and readline;
-                    # the unread reply would stay buffered and answer
-                    # the *next* rpc on this connection, so drop it
-                    self._drop_backend()
+        async with self._backend_lock:
+            try:
+                return await self._backend.rpc(message)
+            except ConnectionError:
+                if not retriable:
                     raise
-                except (ConnectionError, OSError, ValueError):
-                    self._drop_backend()
-                    if attempt or not retriable:
-                        raise
-        raise AssertionError("unreachable")
-
-    def _drop_backend(self) -> None:
-        """Invalidate and close the pooled backend connection."""
-        if self._backend is not None:
-            _, writer = self._backend
-            self._backend = None
-            writer.close()
+            return await self._backend.rpc(message)
 
     # ------------------------------------------------------------------
     # observability
@@ -379,7 +345,7 @@ class Gateway:
             status = await asyncio.wait_for(
                 self._backend_rpc({"op": "status"}), timeout=self.config.status_timeout
             )
-        except (ConnectionError, OSError, asyncio.TimeoutError):
+        except (ConnectionError, asyncio.TimeoutError):
             self.backend_up.set(0)
         else:
             self.backend_up.set(1)

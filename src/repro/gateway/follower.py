@@ -31,7 +31,6 @@ a snapshot.
 from __future__ import annotations
 
 import asyncio
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,6 +38,7 @@ from typing import Any
 
 from ..errors import ConflictError, ReproError, error_payload
 from ..facade import CoAllocationScheduler
+from ..service.client import ServiceClient
 from ..service.protocol import (
     FOLLOWER_OPS,
     MAX_LINE_BYTES,
@@ -98,7 +98,7 @@ class Follower:
         self.primary_up = False
         self.promoted = False
         self.failed: str | None = None  # crash-stop reason, if any
-        self._conn: tuple[asyncio.StreamReader, asyncio.StreamWriter] | None = None
+        self._primary = ServiceClient(config.primary_host, config.primary_port)
         self._server: asyncio.base_events.Server | None = None
         self._tail_task: asyncio.Task | None = None
         self._service: ReservationService | None = None
@@ -166,37 +166,11 @@ class Follower:
     # hence the actor naming — mirrors the service's RA201/RA009 carve-out)
     # ------------------------------------------------------------------
 
-    async def _primary_rpc(self, message: dict[str, Any]) -> dict[str, Any]:
-        if self._conn is None:
-            self._conn = await asyncio.open_connection(
-                self.config.primary_host,
-                self.config.primary_port,
-                limit=MAX_LINE_BYTES,
-            )
-        reader, writer = self._conn
-        try:
-            writer.write(encode(message))
-            await writer.drain()
-            raw = await reader.readline()
-        except (ConnectionError, OSError):
-            self._conn = None
-            raise
-        if not raw:
-            self._conn = None
-            raise ConnectionError("primary closed the connection")
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except ValueError as exc:
-            # a torn reply (primary died mid-line): treat as a lost
-            # connection and re-request from the last good cursor
-            self._conn = None
-            raise ConnectionError(f"garbled reply from primary: {exc}") from exc
-
     async def _tail_actor_loop(self) -> None:
         """Poll ``log_tail`` and fold records into the standby calendar."""
         while not self.promoted and self.failed is None:
             try:
-                response = await self._primary_rpc(
+                response = await self._primary.rpc(
                     {
                         "op": "log_tail",
                         "cursor": self.cursor,
@@ -204,7 +178,7 @@ class Follower:
                         "follower_id": self.config.follower_id,
                     }
                 )
-            except (ConnectionError, OSError):
+            except ConnectionError:
                 self.primary_up = False
                 await asyncio.sleep(self.config.poll_interval)
                 continue
@@ -263,9 +237,7 @@ class Follower:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._conn is not None:
-            self._conn[1].close()
-            self._conn = None
+        self._primary.close()
         self._stopped.set()
 
     async def wait_stopped(self) -> None:
@@ -334,9 +306,7 @@ class Follower:
                 await self._tail_task
             except asyncio.CancelledError:
                 pass
-        if self._conn is not None:
-            self._conn[1].close()
-            self._conn = None
+        self._primary.close()
         assert self.state is not None, "follower not bootstrapped"
         scheduler = self.state.scheduler
         config = ServiceConfig(
@@ -386,9 +356,9 @@ async def serve_follower(config: FollowerConfig, ready_line: bool = True) -> Non
     else:
         while follower.state is None:
             try:
-                status = await follower._primary_rpc({"op": "status"})
+                status = await follower._primary.rpc({"op": "status"})
                 follower.bootstrap_fresh(status)
-            except (ConnectionError, OSError):
+            except ConnectionError:
                 await asyncio.sleep(config.poll_interval)
     await follower.start()
     if ready_line:

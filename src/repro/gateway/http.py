@@ -204,8 +204,8 @@ async def http_request(
 ) -> tuple[int, dict[str, str], dict[str, Any]]:
     """One client request/response exchange on an open keep-alive stream.
 
-    The gateway's own test/loadgen client: returns ``(status, headers,
-    json-body)``.  Raises :class:`ConnectionError` mid-exchange if the
+    The client the gateway's tests drive it with: returns ``(status,
+    headers, json-body)``.  Raises :class:`ConnectionError` mid-exchange if the
     server goes away (callers reconnect and resend).
     """
     payload = b""

@@ -1,4 +1,4 @@
-"""`repro serve` — an online co-allocation server, and its load client.
+"""`repro serve` — an online co-allocation server, and its client.
 
 The paper's algorithm is explicitly *online*: requests arrive one at a
 time and must be answered in ``O((log N)^2)``.  This package wraps the
@@ -17,9 +17,11 @@ reservation daemon speaking newline-delimited JSON over TCP:
   snapshots so a restarted server resumes its reservations;
 * :mod:`~repro.service.metrics` — per-request latency/queue/shed
   telemetry surfaced via ``status`` and periodic log lines;
-* :mod:`~repro.service.loadgen` — `repro loadgen`, an open-loop
-  trace-replay client with a shadow ledger that re-verifies every
-  accepted reservation (no double-booking, ``start >= s_r``).
+* :mod:`~repro.service.client` — :class:`ServiceClient`, the one
+  request/reply exchange the gateway, the follower and the CLI share;
+* :mod:`~repro.service.loadgen` — the :class:`ShadowLedger` with which
+  the chaos plans and ``benchmarks/stack`` re-verify every accepted
+  reservation (no double-booking, ``start >= s_r``).
 
 See ``docs/service.md`` for the protocol spec and operational knobs.
 """

@@ -68,6 +68,12 @@ __all__ = ["ServiceConfig", "ReservationService", "accepted_checksum", "serve_fo
 #: ops are always admitted so operators can reach an overloaded server
 _CONTROLLED_OPS = frozenset({"reserve", "probe", "cancel"})
 
+#: idle periods listed in one ``probe`` reply unless the request says otherwise
+PROBE_LIMIT = 64
+
+#: records in one ``log_tail`` reply: the default, and the cap on a requested limit
+LOG_TAIL_LIMIT = 512
+
 
 @dataclass(slots=True)
 class ServiceConfig:
@@ -85,10 +91,8 @@ class ServiceConfig:
     max_delay: float = 5.0
     max_batch: int = 64
     metrics_interval: float = 0.0  # seconds; 0 disables the periodic log line
-    probe_limit: int = 64  # max idle periods returned per probe
     log_dir: str | None = None  # decision-log directory (None disables the log)
     log_segment_bytes: int = 1 << 20  # rotate segments at this size
-    log_tail_limit: int = 512  # default/max records per log_tail answer
     log_cursor_ttl: float = 900.0  # drop follower cursors idle this long (s)
     autoscale: AutoScaleConfig | None = None  # None disables the scaler task
 
@@ -456,7 +460,7 @@ class ReservationService:
         ta, tb = float(message["ta"]), float(message["tb"])
         if not ta < tb:
             raise MalformedRequestError(f"probe window [{ta}, {tb}) is empty")
-        limit = int(message.get("limit") or self.config.probe_limit)
+        limit = int(message.get("limit") or PROBE_LIMIT)
         periods = self.scheduler.range_search(ta, tb)
         return {
             "ok": True,
@@ -502,10 +506,7 @@ class ReservationService:
                 "decision log disabled: start the server with --log-dir"
             )
         cursor = int(message["cursor"])
-        limit = min(
-            int(message.get("limit") or self.config.log_tail_limit),
-            self.config.log_tail_limit,
-        )
+        limit = min(int(message.get("limit") or LOG_TAIL_LIMIT), LOG_TAIL_LIMIT)
         follower_id = message.get("follower_id")
         if follower_id:
             self._log.register_cursor(str(follower_id), cursor)
@@ -609,8 +610,8 @@ async def serve_forever(config: ServiceConfig, ready_line: bool = True) -> None:
     """Boot a service and run until a ``shutdown`` op stops it.
 
     Prints a parseable ``listening on HOST:PORT`` line to stdout once
-    bound (``repro loadgen`` and the CI smoke job read it to discover an
-    ephemeral port).
+    bound (the chaos plans and ``benchmarks/stack`` read it to discover
+    an ephemeral port).
     """
     service = ReservationService.create(config)
     await service.start()

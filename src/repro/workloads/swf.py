@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 from ..core.types import Request
 
@@ -39,8 +39,6 @@ __all__ = [
     "read_swf",
     "write_swf",
     "swf_to_requests",
-    "iter_swf_jobs",
-    "stream_swf_requests",
 ]
 
 
@@ -183,39 +181,3 @@ def swf_to_requests(jobs: Iterable[SWFJob], use_estimates: bool = True) -> list[
             Request(qr=job.submit_time, sr=job.submit_time, lr=lr, nr=nr, rid=job.job_number)
         )
     return requests
-
-
-def iter_swf_jobs(source: str | Path | TextIO) -> Iterator[SWFJob]:
-    """Stream SWF records one at a time without materializing the log.
-
-    The streaming counterpart of :func:`read_swf` for request sources
-    that feed a live consumer (the ``repro loadgen`` replay client):
-    archive logs run to millions of jobs, and an open-loop sender only
-    ever needs the next one.  Header/comment lines are skipped.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from iter_swf_jobs(fh)
-        return
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith(";"):
-            continue
-        yield _parse_line(line, lineno)
-
-
-def stream_swf_requests(
-    source: str | Path | TextIO, use_estimates: bool = True
-) -> Iterator[Request]:
-    """Stream the paper's ``(q_r, s_r, l_r, n_r)`` tuples from an SWF log.
-
-    Lazy counterpart of :func:`swf_to_requests` with identical cleaning
-    (jobs without a usable duration or processor count are skipped, and
-    ``s_r = q_r`` — archive traces contain no advance reservations).
-    """
-    for job in iter_swf_jobs(source):
-        nr = job.processors()
-        lr = job.estimated_runtime() if use_estimates else job.run_time
-        if nr <= 0 or lr <= 0:
-            continue
-        yield Request(qr=job.submit_time, sr=job.submit_time, lr=lr, nr=nr, rid=job.job_number)

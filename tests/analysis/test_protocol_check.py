@@ -14,12 +14,11 @@ import pytest
 import repro.errors
 import repro.service
 from repro.analysis.protocol_check import (
-    GATEWAY_SEND_SITE_MODULES,
     PROTOCOL_INJECTIONS,
-    SEND_SITE_MODULES,
     collect_model,
     run_protocol_check,
     scan_send_sites,
+    send_site_files,
 )
 
 SERVICE_DIR = Path(repro.service.__file__).resolve().parent
@@ -30,7 +29,7 @@ def _copy_tree(tmp_path: Path) -> tuple[Path, Path]:
     """The real service modules + errors.py, copied so tests can break them."""
     service_dir = tmp_path / "service"
     service_dir.mkdir()
-    for name in SEND_SITE_MODULES:
+    for name in ("server.py", "autoscale.py"):
         shutil.copy(SERVICE_DIR / name, service_dir / name)
     errors_path = tmp_path / "errors.py"
     shutil.copy(ERRORS_PATH, errors_path)
@@ -91,11 +90,13 @@ class TestConformance:
     def test_shipped_service_conforms(self):
         report = run_protocol_check()
         assert report.ok, report.to_text()
-        gateway_dir = SERVICE_DIR.parent / "gateway"
-        gateway_present = sum(
-            1 for name in GATEWAY_SEND_SITE_MODULES if (gateway_dir / name).exists()
-        )
-        assert report.files_checked == len(SEND_SITE_MODULES) + gateway_present + 1
+        scanned = send_site_files(SERVICE_DIR)
+        # whole packages, not a hand-kept list: every module that builds a
+        # literal message is read, wherever it was added
+        assert {"server.py", "autoscale.py", "app.py", "follower.py", "cli.py"} <= {
+            path.name for path in scanned
+        }
+        assert report.files_checked == len(scanned) + 1  # + errors.py
         assert report.injected is None
 
     def test_model_tables_are_complete(self):
@@ -124,9 +125,9 @@ class TestDrift:
 
     def test_rogue_send_site_is_ra205(self, tmp_path):
         service_dir, errors_path = _copy_tree(tmp_path)
-        loadgen = service_dir / "loadgen.py"
-        loadgen.write_text(
-            loadgen.read_text()
+        autoscale = service_dir / "autoscale.py"
+        autoscale.write_text(
+            autoscale.read_text()
             + '\n\ndef rogue(rid):\n    return {"op": "cancel", "rid": rid, "force": 1}\n'
         )
         report = run_protocol_check(service_dir=service_dir, errors_path=errors_path)
@@ -135,9 +136,9 @@ class TestDrift:
 
     def test_noqa_suppresses_a_protocol_finding(self, tmp_path):
         service_dir, errors_path = _copy_tree(tmp_path)
-        loadgen = service_dir / "loadgen.py"
-        loadgen.write_text(
-            loadgen.read_text()
+        autoscale = service_dir / "autoscale.py"
+        autoscale.write_text(
+            autoscale.read_text()
             + "\n\ndef rogue(rid):\n"
             + '    return {"op": "cancel", "rid": rid, "force": 1}  # repro: noqa: RA205\n'
         )

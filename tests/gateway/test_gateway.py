@@ -13,7 +13,14 @@ from repro.errors import BusyError
 from repro.gateway.app import Gateway, GatewayConfig
 from repro.gateway.http import format_retry_after, http_request
 
-from ..service.harness import SMALL, reserve_msg, rpc, start_service
+from ..service.harness import (
+    SMALL,
+    ScriptedBackend,
+    reserve_msg,
+    rpc,
+    start_fake_backend,
+    start_service,
+)
 
 
 async def start_stack(service_overrides=None, **gateway_overrides):
@@ -176,12 +183,6 @@ class TestProxySemantics:
         assert body["error"]["code"] == "BACKEND_DOWN"
 
 
-async def start_fake_backend(handler):
-    """An NDJSON 'backend' whose per-connection behavior the test scripts."""
-    server = await asyncio.start_server(handler, host="127.0.0.1", port=0)
-    return server, server.sockets[0].getsockname()[1]
-
-
 class TestBackendConnection:
     """The shared multiplexed backend connection: cancellation hygiene
     and the per-op retry policy."""
@@ -277,6 +278,59 @@ class TestBackendConnection:
         assert failed[0] == 502
         assert failed[2]["error"]["code"] == "BACKEND_DOWN"
         assert recovered[0] == 200 and recovered[2]["op"] == "probe"
+
+    def _torn_reply_scenario(self, request):
+        """Run ``request(gateway_port)`` against a backend that dies
+        mid-reply on every connection, then one probe once it has healed.
+        Returns ``(response, connections the request cost, healed probe)``."""
+
+        async def scenario():
+            healed = False
+
+            async def script(message):
+                if not healed:
+                    return b'{"ok": true, "op": "canc'  # torn mid-JSON
+                return json.dumps({"ok": True, "op": message["op"]}).encode() + b"\n"
+
+            backend = ScriptedBackend(script)
+            server, backend_port = await start_fake_backend(backend.handle)
+            gateway = Gateway(GatewayConfig(backend_port=backend_port))
+            await gateway.start()
+            response = await request(gateway.port)
+            cost = backend.connections
+            healed = True
+            after = await http(gateway.port, "POST", "/v1/probe", {"ta": 0.0, "tb": 1.0})
+            await gateway.stop()
+            server.close()
+            await server.wait_closed()
+            return response, cost, after
+
+        return asyncio.run(scenario())
+
+    def test_torn_cancel_reply_is_502_without_a_retry(self):
+        """A backend that dies mid-reply owes the HTTP client a 502, not a
+        dropped connection (an undecodable line is a lost connection)."""
+        failed, cost, after = self._torn_reply_scenario(
+            lambda port: http(port, "POST", "/v1/cancel", {"rid": 1})
+        )
+        assert failed[0] == 502
+        assert failed[2]["error"]["code"] == "BACKEND_DOWN"
+        assert cost == 1  # a cancel may have applied: never resent
+        assert after[0] == 200 and after[2]["op"] == "probe"
+
+    def test_torn_reserve_reply_retries_once_then_502(self):
+        failed, cost, after = self._torn_reply_scenario(
+            lambda port: http(port, "POST", "/v1/reserve", reserve_msg(1, 0.0, 5.0, 1))
+        )
+        assert failed[0] == 502
+        assert failed[2]["error"]["code"] == "BACKEND_DOWN"
+        assert cost == 2  # one resend, on a fresh connection
+        assert after[0] == 200 and after[2]["op"] == "probe"
+
+    def test_torn_status_reply_reads_as_backend_down_on_metrics(self):
+        metrics, _, after = self._torn_reply_scenario(fetch_metrics)
+        assert "repro_gateway_backend_up 0" in metrics
+        assert after[0] == 200 and after[2]["op"] == "probe"
 
 
 class TestAuth:

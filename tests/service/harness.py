@@ -13,7 +13,15 @@ from typing import Any
 
 from repro.service.server import ReservationService, ServiceConfig
 
-__all__ = ["start_service", "rpc_all", "rpc", "reserve_msg", "SMALL"]
+__all__ = [
+    "ScriptedBackend",
+    "start_service",
+    "start_fake_backend",
+    "rpc_all",
+    "rpc",
+    "reserve_msg",
+    "SMALL",
+]
 
 #: a calendar small enough to fill deterministically: N=2 servers,
 #: horizon = tau * q_slots = 40 time units, r_max = q_slots // 2 = 2
@@ -25,6 +33,37 @@ async def start_service(**overrides: Any) -> ReservationService:
     service = ReservationService.create(ServiceConfig(**overrides))
     await service.start()
     return service
+
+
+async def start_fake_backend(handler):
+    """An NDJSON 'backend' whose per-connection behavior the test scripts."""
+    server = await asyncio.start_server(handler, host="127.0.0.1", port=0)
+    return server, server.sockets[0].getsockname()[1]
+
+
+class ScriptedBackend:
+    """Answers each line per ``script(message)``: bytes to write back, or
+    ``None`` to drop the connection with whatever was already written."""
+
+    def __init__(self, script):
+        self.script = script
+        self.connections = 0
+
+    async def handle(self, reader, writer):
+        self.connections += 1
+        try:
+            while raw := await reader.readline():
+                answer = await self.script(json.loads(raw))
+                if answer is None:
+                    break
+                writer.write(answer)
+                await writer.drain()
+                if not answer.endswith(b"\n"):
+                    break  # a torn line: die mid-reply
+        except (ConnectionError, OSError):
+            pass  # the client dropped us mid-answer: expected
+        finally:
+            writer.close()
 
 
 async def rpc_all(port: int, *messages: dict | bytes) -> list[dict]:

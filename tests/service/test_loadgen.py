@@ -1,19 +1,20 @@
-"""Loadgen: shadow-ledger validation and an in-process end-to-end replay."""
+"""The shadow ledger, and the server behaviour only a replay witnesses.
+
+The replays pipeline a seeded reserve stream over a real asyncio server
+(``harness.rpc_all``) and book every accepted reply into a
+:class:`ShadowLedger`; they check decisions, not speed
+(``benchmarks/stack`` owns load, DESIGN.md §10).
+"""
 
 import asyncio
 
-import pytest
-
-from repro.service.loadgen import (
-    LoadgenConfig,
-    OpenLoopPacer,
-    ShadowLedger,
-    request_source,
-    run_loadgen,
-)
+from repro.gateway.app import Gateway, GatewayConfig
+from repro.gateway.http import http_request
+from repro.service.loadgen import ShadowLedger
 from repro.service.server import accepted_checksum
+from repro.workloads.archive import generate_workload
 
-from .harness import start_service
+from .harness import reserve_msg, rpc_all, start_service
 
 
 class TestShadowLedger:
@@ -59,109 +60,48 @@ class TestShadowLedger:
         }
         assert ledger.checksum() == accepted_checksum(decided)
 
-    def test_dump_load_round_trip(self, tmp_path):
-        ledger = ShadowLedger()
-        ledger.record(1, 0.0, 0.0, 10.0, [0, 1])
-        ledger.record(2, 0.0, 10.0, 20.0, [0])
-        path = tmp_path / "ledger.json"
-        ledger.dump(str(path))
-        reloaded = ShadowLedger.load(str(path))
-        assert reloaded.checksum() == ledger.checksum()
-        # the reloaded book still detects conflicts with preloaded entries
-        reloaded.record(3, 0.0, 5.0, 15.0, [1])
-        assert [v["kind"] for v in reloaded.violations] == ["double_booking"]
+
+def reserve_stream(jobs: int, seed: int) -> list[dict]:
+    return [
+        reserve_msg(r.rid, r.sr, r.lr, r.nr, qr=r.qr)
+        for r in generate_workload("KTH", n_jobs=jobs, seed=seed)
+    ]
 
 
-class TestOpenLoopPacer:
-    def test_cumulative_schedule_bounds_total_drift(self):
-        """10k sends where every sleep overshoots by 30% of the pacing
-        interval (asyncio.sleep never undersleeps, and often overshoots).
-        A relative sleep-1/rate pacer would finish ~3000 intervals late;
-        the cumulative schedule repays each overshoot on the next send,
-        so the replay's total wall-time error stays under one interval."""
-        rate = 100.0
-        interval = 1.0 / rate
-        overshoot = 0.3 * interval
-        clock = [0.0]
-        pacer = OpenLoopPacer(rate, clock=lambda: clock[0])
-        n = 10_000
-        for _ in range(n):
-            delay = pacer.delay()
-            if delay > 0:
-                clock[0] += delay + overshoot
-            pacer.mark_sent()
-        assert abs(clock[0] - n / rate) < interval
-
-    def test_unpaced_run_never_sleeps(self):
-        pacer = OpenLoopPacer(0.0)
-        for _ in range(100):
-            assert pacer.delay() == 0.0
-            pacer.mark_sent()
-
-    def test_anchor_survives_a_reconnect_stall(self):
-        clock = [5.0]
-        pacer = OpenLoopPacer(10.0, clock=lambda: clock[0])
-        assert pacer.delay() == 0.0  # the first send is immediate
-        pacer.mark_sent()
-        clock[0] += 3.0  # a long reconnect stall: 30 sends behind schedule
-        for _ in range(30):
-            assert pacer.delay() == 0.0  # catch up, don't re-anchor
-            pacer.mark_sent()
-        assert pacer.delay() > 0.0  # caught up: pacing resumes
+def book(messages: list[dict], replies: list[dict]) -> ShadowLedger:
+    """The client's view of a replay: every accepted reply, re-verified."""
+    ledger = ShadowLedger()
+    for message, reply in zip(messages, replies, strict=True):
+        assert reply["rid"] == message["rid"]  # FIFO on one connection
+        if reply["ok"]:
+            ledger.record(
+                message["rid"], message["sr"], reply["start"], reply["end"],
+                reply["servers"],
+            )
+        else:
+            assert reply["error"]["code"] == "REJECTED"
+    return ledger
 
 
-class TestRequestSource:
-    def test_offset_and_limit_slice_the_stream(self):
-        base = LoadgenConfig(workload="KTH", jobs=50, seed=7)
-        full = [r.rid for r in request_source(base)]
-        assert len(full) == 50
-        sliced = LoadgenConfig(workload="KTH", jobs=50, seed=7, offset=10, limit=5)
-        assert [r.rid for r in request_source(sliced)] == full[10:15]
-
-    def test_same_seed_same_stream(self):
-        a = [(r.rid, r.qr, r.lr, r.nr) for r in request_source(LoadgenConfig(jobs=30))]
-        b = [(r.rid, r.qr, r.lr, r.nr) for r in request_source(LoadgenConfig(jobs=30))]
-        assert a == b
-
-    def test_swf_source(self, tmp_path):
-        from repro.cli import main
-
-        swf = tmp_path / "w.swf"
-        assert main(["generate", "--jobs", "40", "--out", str(swf)]) == 0
-        config = LoadgenConfig(swf=str(swf), limit=25)
-        requests = list(request_source(config))
-        assert len(requests) == 25
-
-
-def test_replay_end_to_end_with_zero_violations(tmp_path):
-    """150 synthetic requests over real TCP: every response validated
+def test_replay_end_to_end_with_zero_violations():
+    """150 pipelined requests over real TCP: every response validated
     against the shadow ledger, client and server checksums agree."""
-    out = tmp_path / "report.json"
+    messages = reserve_stream(150, seed=1)
 
     async def scenario():
         service = await start_service(n_servers=64, tau=900.0, q_slots=96)
-        config = LoadgenConfig(
-            port=service.port,
-            workload="KTH",
-            jobs=150,
-            seed=1,
-            window=16,
-            out=str(out),
-            shutdown=True,
+        *replies, status, shutdown = await rpc_all(
+            service.port, *messages, {"op": "status"}, {"op": "shutdown"}
         )
-        report = await run_loadgen(config)
         await service.wait_stopped()  # the shutdown op stopped the server
-        return report
+        return replies, status, shutdown
 
-    report = asyncio.run(scenario())
-    assert report["completed"] == report["requests"] == 150
-    assert report["violations_total"] == 0
-    assert report["accepted"] > 0
-    assert report["accepted"] + report["rejected"] == 150
-    assert report["server_status"]["accepted_checksum"] == report["accepted_checksum"]
-    assert report["server_shutdown"]["accepted_checksum"] == report["accepted_checksum"]
-    assert report["latency_ms"]["count"] == 150
-    assert out.exists()
+    replies, status, shutdown = asyncio.run(scenario())
+    ledger = book(messages, replies)
+    assert ledger.violations == []
+    assert 0 < len(ledger.entries) < 150  # some accepted, some rejected
+    assert status["accepted_checksum"] == ledger.checksum()
+    assert shutdown["accepted_checksum"] == ledger.checksum()
 
 
 def test_replay_flags_a_corrupted_server(monkeypatch):
@@ -177,53 +117,50 @@ def test_replay_flags_a_corrupted_server(monkeypatch):
             response = dict(response, servers=[0])  # herd everyone onto server 0
         return response
 
+    messages = reserve_stream(40, seed=3)
+
     async def scenario():
         monkeypatch.setattr(ReservationService, "_actor_apply_reserve", corrupted)
         service = await start_service(n_servers=8, tau=900.0, q_slots=96)
-        config = LoadgenConfig(port=service.port, workload="KTH", jobs=40, seed=3)
-        report = await run_loadgen(config)
+        replies = await rpc_all(service.port, *messages)
         await service.stop()
-        return report
+        return replies
 
-    report = asyncio.run(scenario())
-    assert report["violations_total"] > 0
-    assert any(v["kind"] == "double_booking" for v in report["violations"])
+    ledger = book(messages, asyncio.run(scenario()))
+    assert any(v["kind"] == "double_booking" for v in ledger.violations)
 
 
-def test_http_transport_matches_tcp_checksum(tmp_path):
+def test_http_transport_matches_tcp_checksum():
     """The same replay through the HTTP front door (an in-process real
     Gateway) and through raw TCP yields the same accepted checksum and
     zero violations — the transport cannot change decisions."""
-    from repro.gateway.app import Gateway, GatewayConfig
+    messages = reserve_stream(120, seed=5)
 
     async def tcp_run():
         service = await start_service(n_servers=16, tau=900.0, q_slots=96)
-        report = await run_loadgen(
-            LoadgenConfig(port=service.port, workload="KTH", jobs=120, seed=5)
-        )
+        *replies, status = await rpc_all(service.port, *messages, {"op": "status"})
         await service.stop()
-        return report
+        return replies, status
 
     async def http_run():
         service = await start_service(n_servers=16, tau=900.0, q_slots=96)
-        gateway = Gateway(
-            GatewayConfig(backend_port=service.port, rate=1e6, burst=1e6)
-        )
+        gateway = Gateway(GatewayConfig(backend_port=service.port, rate=1e6, burst=1e6))
         await gateway.start()
-        report = await run_loadgen(
-            LoadgenConfig(
-                port=gateway.port, workload="KTH", jobs=120, seed=5,
-                transport="http",
-            )
-        )
+        reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+        replies = [
+            (await http_request(reader, writer, "POST", "/v1/reserve", message))[2]
+            for message in messages
+        ]
+        _, _, status = await http_request(reader, writer, "GET", "/v1/status")
+        writer.close()
         await gateway.stop()
         await service.stop()
-        return report
+        return replies, status
 
-    via_tcp = asyncio.run(tcp_run())
-    via_http = asyncio.run(http_run())
-    assert via_http["completed"] == via_tcp["completed"] == 120
-    assert via_http["violations_total"] == via_tcp["violations_total"] == 0
-    assert via_http["accepted_checksum"] == via_tcp["accepted_checksum"]
-    assert via_http["server_status"]["accepted_checksum"] == via_tcp["accepted_checksum"]
-    assert via_http["config"]["transport"] == "http"
+    tcp_replies, tcp_status = asyncio.run(tcp_run())
+    http_replies, http_status = asyncio.run(http_run())
+    via_tcp, via_http = book(messages, tcp_replies), book(messages, http_replies)
+    assert via_tcp.violations == via_http.violations == []
+    assert via_http.checksum() == via_tcp.checksum()
+    assert http_status["accepted_checksum"] == tcp_status["accepted_checksum"]
+    assert http_status["accepted_checksum"] == via_tcp.checksum()
