@@ -19,7 +19,7 @@ Three engines guard the correctness of the co-allocation hot path:
   injections that self-test the checker.
 
 * :mod:`repro.analysis.audit` — deep structural audits (checks ``RA101``
-  … ``RA115``) over :class:`~repro.core.slot_tree.TwoDimTree` and
+  … ``RA116``) over :class:`~repro.core.slot_tree.TwoDimTree` and
   :class:`~repro.core.calendar.AvailabilityCalendar`: size fields, split
   keys, leaf ordering, secondary-index synchrony, uid-map bijection,
   slot-coverage, pending-bucket bookkeeping, tail-index ordering, and

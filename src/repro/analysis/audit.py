@@ -21,14 +21,26 @@ Per-tree (``audit_tree``):
   keys of the leaves below it (primary/secondary leaf-set equality);
 * ``RA107`` — parent/child pointers are mutually consistent and the
   root has no parent;
-* ``RA108`` — every internal node is α-weight-balanced.
+* ``RA108`` — every internal node is α-weight-balanced;
+* ``RA116`` — the write buffer is consistent with the stored tree:
+  buffered removals are of stored periods, and a buffered insert's uid
+  is not stored unless its stored holder is buffered for removal (a
+  snapshot restore re-uses uids; a flush removes before it inserts).
+
+Slot trees are write-buffered, and an audit must not change what it
+audits: nothing here flushes.  The structural checks read the *stored*
+tree; the cross-calendar checks compare each tree's *effective* content
+(stored − buffered removals + buffered inserts) with the calendar's
+authoritative lists — so a run audited after every mutation walks
+exactly the buffer states an unaudited run does.
 
 Cross-calendar (``audit_calendar``, which also audits every slot tree):
 
 * ``RA111`` — per-server idle periods are sorted, pairwise disjoint,
   carry the right server id, and the bisect key arrays mirror them;
-* ``RA112`` — every bounded period is indexed in exactly the slot trees
-  it overlaps (and unbounded ones never leak into trees in tail mode);
+* ``RA112`` — every bounded period is indexed (stored or buffered) in
+  exactly the slot trees it overlaps (and unbounded ones never leak
+  into trees in tail mode);
 * ``RA113`` — the pending set, its slot map, and its rollover buckets
   agree, and every pending period really ends beyond the horizon;
 * ``RA115`` — the tail index is sorted, its parallel arrays agree, and
@@ -65,6 +77,7 @@ __all__ = [
     "MutationAuditor",
     "audit_calendar",
     "audit_tree",
+    "corrupt_buffer",
     "corrupt_secondary_key",
     "corrupt_size_field",
     "corrupt_uid_map",
@@ -75,7 +88,7 @@ __all__ = [
 AUDIT_CHECK_IDS = frozenset(
     {
         "RA101", "RA102", "RA103", "RA104", "RA105", "RA106", "RA107", "RA108",
-        "RA111", "RA112", "RA113", "RA114", "RA115",
+        "RA111", "RA112", "RA113", "RA114", "RA115", "RA116",
     }
 )
 
@@ -130,11 +143,35 @@ def audit_tree(tree: "TwoDimTree", label: str = "tree") -> list[AuditFinding]:
     resolved through the wrapper's uid map — so the leaf-key checks
     (RA103/RA106) validate against ``by_uid`` rather than a per-leaf
     period pointer, and RA105 additionally ties the kernel's cached
-    ``count`` to the actual leaf population.
+    ``count`` to the actual leaf population.  The write buffer is
+    checked against the uid map (RA116) and otherwise left alone.
     """
     findings: list[AuditFinding] = []
     kernel = tree._kernel
     by_uid = tree._by_uid
+    for uid, period in tree._ins.items():
+        if (uid in by_uid and uid not in tree._rem) or period.uid != uid:
+            findings.append(
+                AuditFinding(
+                    "RA116",
+                    label,
+                    f"buffered insert of uid {uid} ({period}) is already stored "
+                    "or filed under the wrong uid",
+                )
+            )
+    for uid, period in tree._rem.items():
+        if uid not in by_uid or period.uid != uid:
+            findings.append(
+                AuditFinding(
+                    "RA116", label, f"buffered removal of uid {uid} ({period}) is not stored"
+                )
+            )
+    if kernel is None:  # never read: everything this tree holds is buffered
+        if by_uid:
+            findings.append(
+                AuditFinding("RA105", label, f"uid map holds {len(by_uid)} entrie(s), no kernel")
+            )
+        return findings
     keys: list[tuple[float, int]] = kernel.keys
     size: list[int] = kernel.size
     left: list[int] = kernel.left
@@ -292,6 +329,20 @@ def audit_tree(tree: "TwoDimTree", label: str = "tree") -> list[AuditFinding]:
 # ----------------------------------------------------------------------
 
 
+def _effective_periods(tree: "TwoDimTree") -> list[IdlePeriod]:
+    """What ``tree`` holds once its write buffer is applied — read, not flushed.
+
+    Stored uids are resolved defensively: a corrupted uid map (missing
+    entry) is already reported as RA105 by :func:`audit_tree` and must
+    not abort the cross-structure checks.
+    """
+    by_uid = tree._by_uid
+    removed = tree._rem
+    uids = tree._kernel.uids_inorder() if tree._kernel is not None else []
+    stored = (by_uid.get(uid) for uid in uids if uid not in removed)
+    return [p for p in stored if p is not None] + list(tree._ins.values())
+
+
 def audit_calendar(cal: "AvailabilityCalendar") -> list[AuditFinding]:
     """Audit the whole calendar: every slot tree plus the cross-structure
     invariants tying per-server lists, trees, tail index and pending set
@@ -327,13 +378,7 @@ def audit_calendar(cal: "AvailabilityCalendar") -> list[AuditFinding]:
     for q, tree in cal._trees.items():
         findings.extend(audit_tree(tree, label=f"slot {q}"))
         lo, hi = q * cal.tau, (q + 1) * cal.tau
-        # resolve stored uids defensively: a corrupted uid map (missing
-        # entry) is already reported as RA105 by audit_tree and must not
-        # abort the remaining cross-structure checks
-        stored = (tree._by_uid.get(uid) for uid in tree._kernel.uids_inorder())
-        for p in stored:
-            if p is None:
-                continue
+        for p in _effective_periods(tree):
             if cal._status[p.server] != "active":
                 findings.append(
                     AuditFinding(
@@ -706,10 +751,19 @@ def corrupt_uid_map(cal: "AvailabilityCalendar") -> str:
     return f"removed uid {uid} from the tree's uid map"
 
 
+def corrupt_buffer(cal: "AvailabilityCalendar") -> str:
+    """Buffer an insert of a stored period; the audit must report RA116."""
+    tree = _pick_tree(cal, lambda t: len(t) >= 1)
+    uid, period = next(iter(tree._by_uid.items()))
+    tree._ins[uid] = period
+    return f"buffered a second insert of stored uid {uid}"
+
+
 #: corruption kinds exposed by ``repro check --inject``, mapped to the
 #: audit check each one must trip
 CORRUPTIONS: dict[str, tuple[Callable[["AvailabilityCalendar"], str], str]] = {
     "size": (corrupt_size_field, "RA101"),
     "seckey": (corrupt_secondary_key, "RA106"),
     "uidmap": (corrupt_uid_map, "RA105"),
+    "buffer": (corrupt_buffer, "RA116"),
 }

@@ -222,13 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
             "size",
             "seckey",
             "uidmap",
+            "buffer",
             "drop-field",
             "unknown-op",
             "drop-handler",
             "drop-follower-handler",
         ),
         default=None,
-        help="self-test: corrupt the audited calendar (size/seckey/uidmap, "
+        help="self-test: corrupt the audited calendar (size/seckey/uidmap/buffer, "
         "needs --audit) or the protocol model (drop-field/unknown-op/"
         "drop-handler/drop-follower-handler, needs --concurrency) and "
         "require the check to catch it",

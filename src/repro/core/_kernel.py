@@ -32,15 +32,16 @@ The kernel speaks *primitives only*: a period is ``(st, et, uid)``.
 per-operation accounting fields into the shared
 :class:`~repro.core.opcount.OpCounter`.
 
-Batch updates (the batch-reserve fast path)
--------------------------------------------
+Batch updates (the only update path)
+------------------------------------
 
-``apply_batch(removals, insertions)`` applies every operation of one
-allocation against this tree in a single pass with **deferred
-rebalancing**: the per-operation walks update sizes and secondary arrays
-exactly as the sequential operations would, but instead of partially
-rebuilding at the first α-unbalanced ancestor of every single operation,
-each walk only *records* the unbalanced nodes it passes.  After the last
+:class:`~repro.core.slot_tree.TwoDimTree` buffers writes and applies them
+when the tree is next read, so every update reaches the kernel as one
+``apply_batch(removals, insertions)``: a single pass with **deferred
+rebalancing**.  The per-operation walks update sizes and secondary
+arrays one period at a time, but instead of partially rebuilding at the
+first α-unbalanced ancestor of every single operation, each walk only
+*records* the unbalanced nodes it passes.  After the last
 operation the recorded candidates are re-checked against the final sizes
 and only the ones still unbalanced are rebuilt — typically one rebuild
 per batch instead of one per ~3 operations.  This is sound because a
@@ -50,10 +51,12 @@ size; and it changes *nothing observable*: Phase-2 selection has been a
 pure function of tree content since the canonical-merge change, so
 different intermediate shapes cannot change scheduling outcomes.
 
-When the batch is large relative to the tree, the kernel skips the
+When the batch is large relative to the tree — always so for an empty
+tree, where ``k`` walks would chain ``k`` same-slot keys into a list
+before the deferred rebuild straightens it — the kernel skips the
 per-operation walks entirely and rebuilds the whole tree from the merged
-leaf list (the bulk-load path) — asymptotically ``O(n)`` against the
-batch's ``O(k · log² n)``.
+leaf list (the bulk-load path): ``O(n + k log k)`` against the batch's
+``O(k · log² n)``.
 """
 
 from __future__ import annotations
@@ -282,33 +285,12 @@ class TreeKernel:
     # updates
     # ------------------------------------------------------------------
 
-    def insert(self, st: float, et: float, uid: int) -> None:
-        """Insert one period (O(log² n) amortized); immediate rebalance."""
-        unbal = self._insert_op(st, et, uid, None)
-        self.last_rebuilt = 0
-        if unbal != NIL:
-            self._rebuild(unbal)
+    def _insert_op(self, st: float, et: float, uid: int, cands: list[int]) -> None:
+        """One insertion walk of a batch.
 
-    def remove(self, st: float, et: float, uid: int) -> bool:
-        """Remove one period; returns False when absent (caller raises)."""
-        found, unbal = self._remove_op(st, et, uid, None)
-        self.last_rebuilt = 0
-        if unbal != NIL:
-            self._rebuild(unbal)
-        return found
-
-    def _insert_op(
-        self, st: float, et: float, uid: int, cands: list[int] | None
-    ) -> int:
-        """One insertion walk.
-
-        With ``cands`` None (sequential mode) returns the highest
-        α-unbalanced ancestor found on the path, ``NIL`` when balanced —
-        the balance test stops at the first hit, as the follow-up rebuild
-        of the highest node fixes everything below it.  In batch mode
-        (``cands`` a list) *every* unbalanced node on the path is
-        appended as ``(id, epoch)`` pairs flattened into the list, and
-        ``NIL`` is returned: rebuilds are the batch flush's job.
+        *Every* α-unbalanced node on the path is appended to ``cands`` as
+        an ``(id, epoch)`` pair flattened into the list: rebuilds are the
+        batch flush's job (:meth:`_flush_rebuilds`).
         """
         key = (st, uid)
         sec_key = (et, uid)
@@ -317,7 +299,7 @@ class TreeKernel:
             self.root = self._new_node(key, 1, NIL, NIL, NIL, [sec_key])
             self.last_visits = 0
             self.last_probes = 0
-            return NIL
+            return
         keys = self.keys
         size = self.size
         left = self.left
@@ -327,7 +309,6 @@ class TreeKernel:
         node = self.root
         visits = 0
         probes = 0
-        unbal = NIL
         while left[node] != NIL:
             visits += 1
             sz = size[node] + 1
@@ -338,22 +319,15 @@ class TreeKernel:
             probes += sz.bit_length()
             lc = left[node]
             child = lc if key <= keys[node] else right[node]
-            if cands is None:
-                if unbal == NIL:
-                    limit = ALPHA * sz
-                    other = right[node] if child == lc else lc
-                    # the descent child's final size is current + 1 — for
-                    # the split leaf too, which becomes an internal node
-                    # of size 2 — so the post-update balance test can run
-                    # before the update completes
-                    if size[child] + 1 > limit or size[other] > limit:
-                        unbal = node
-            else:
-                limit = ALPHA * sz
-                other = right[node] if child == lc else lc
-                if size[child] + 1 > limit or size[other] > limit:
-                    cands.append(node)
-                    cands.append(epoch[node])
+            limit = ALPHA * sz
+            other = right[node] if child == lc else lc
+            # the descent child's final size is current + 1 — for the
+            # split leaf too, which becomes an internal node of size 2 —
+            # so the post-update balance test can run before the update
+            # completes
+            if size[child] + 1 > limit or size[other] > limit:
+                cands.append(node)
+                cands.append(epoch[node])
             node = child
         # split the leaf into an internal node with two leaf children
         old_key = keys[node]
@@ -379,17 +353,15 @@ class TreeKernel:
             self.right[old_parent] = internal
         self.last_visits = visits
         self.last_probes = probes
-        return unbal
 
-    def _remove_op(
-        self, st: float, et: float, uid: int, cands: list[int] | None
-    ) -> tuple[bool, int]:
-        """One removal walk; returns ``(found, unbal)`` (see _insert_op)."""
+    def _remove_op(self, st: float, et: float, uid: int, cands: list[int]) -> bool:
+        """One removal walk of a batch; False when the period is absent.
+        Unbalanced ancestors are recorded in ``cands`` (see _insert_op)."""
         leaf, visits = self.find(st, uid)
         if leaf == NIL:
             self.last_visits = visits
             self.last_probes = 0
-            return False, NIL
+            return False
         self.count -= 1
         par = self.parent
         parent = par[leaf]
@@ -398,7 +370,7 @@ class TreeKernel:
             self.root = NIL
             self.last_visits = visits
             self.last_probes = 0
-            return True, NIL
+            return True
         left = self.left
         right = self.right
         size = self.size
@@ -415,11 +387,9 @@ class TreeKernel:
         else:
             right[grand] = sibling
         # fused upward walk: sizes below the current ancestor are already
-        # final, so the balance test runs in the same pass; the *last*
-        # unbalanced node seen is the highest one, as the rebuild wants
+        # final, so the balance test runs in the same pass
         sec_key = (et, uid)
         probes = 0
-        unbal = NIL
         anc = grand
         while anc != NIL:
             sz = size[anc] - 1
@@ -429,15 +399,12 @@ class TreeKernel:
             probes += (sz + 1).bit_length()
             limit = ALPHA * sz
             if size[left[anc]] > limit or size[right[anc]] > limit:
-                if cands is None:
-                    unbal = anc
-                else:
-                    cands.append(anc)
-                    cands.append(epoch[anc])
+                cands.append(anc)
+                cands.append(epoch[anc])
             anc = par[anc]
         self.last_visits = visits
         self.last_probes = probes
-        return True, unbal
+        return True
 
     def bulk_load(self, items: list[tuple[float, float, int]]) -> None:
         """Replace the contents with ``items`` (``(st, et, uid)`` each)
@@ -471,25 +438,28 @@ class TreeKernel:
         removals: list[tuple[float, float, int]],
         inserts: list[tuple[float, float, int]],
     ) -> bool:
-        """Apply one allocation's operations against this tree in one pass.
+        """Apply one batch of operations against this tree in one pass.
 
         Removals run first, then insertions; rebalancing is deferred to a
         single flush (see the module docstring).  Accounting totals land
         in the ``last_*`` fields as one fused batch.  Returns False when
-        a removal was absent — the tree may then be partially updated,
-        matching the sequential failure contract (a missing removal means
-        the caller's bookkeeping is already inconsistent).
+        a removal was absent — on the per-operation path the tree may
+        then be partially updated (a missing removal means the caller's
+        bookkeeping is already inconsistent).
         """
         n_ops = len(removals) + len(inserts)
         visits = 0
         probes = 0
         self.last_rebuilt = 0
-        if n_ops * _BULK_DIVISOR >= self.count + len(inserts) and self.root != NIL:
+        # an empty tree always builds (sort + _build); its one-insert
+        # batch stays on the single-node fast path of _insert_op
+        if n_ops * _BULK_DIVISOR >= self.count + len(inserts) and (
+            self.root != NIL or len(inserts) > 1
+        ):
             return self._apply_bulk(removals, inserts)
         cands: list[int] = []
         for st, et, uid in removals:
-            found, _ = self._remove_op(st, et, uid, cands)
-            if not found:
+            if not self._remove_op(st, et, uid, cands):
                 return False
             visits += self.last_visits
             probes += self.last_probes
@@ -514,8 +484,12 @@ class TreeKernel:
         single-key secondary arrays), dropped leaves are freed, new
         leaves are allocated off the free list, and the old internal
         nodes become the rebuild pool — so the arrays never shrink and
-        reallocate the way a clear-and-reload would.
+        reallocate the way a clear-and-reload would.  A removal that was
+        never stored (or is listed twice) fails the batch before anything
+        is freed or relinked: the tree is left exactly as it was.
         """
+        self.last_visits = 0
+        self.last_probes = 0
         drop = {uid for _st, _et, uid in removals}
         if len(drop) != len(removals):
             return False
@@ -523,25 +497,25 @@ class TreeKernel:
         left = self.left
         right = self.right
         leaves: list[int] = []  # survivors, in (st, uid) order
+        dropped: list[int] = []  # leaves the batch removes
         pool: list[int] = []  # old internal nodes, recycled by _build
-        stack = [self.root]
+        stack = [self.root] if self.root != NIL else []
         while stack:
             node = stack.pop()
             lc = left[node]
             if lc == NIL:
                 if keys[node][1] in drop:
-                    drop.discard(keys[node][1])
-                    self._free_node(node)
+                    dropped.append(node)
                 else:
                     leaves.append(node)
             else:
                 pool.append(node)
                 stack.append(right[node])
                 stack.append(lc)
-        if drop:
-            # a removal was never stored; free the pool so the partially
-            # dismantled tree is not silently reused (the caller raises)
+        if len(dropped) != len(drop):
             return False
+        for node in dropped:
+            self._free_node(node)
         if inserts:
             ordered = sorted([(st, uid, et) for st, et, uid in inserts])
             fresh = [
@@ -567,8 +541,6 @@ class TreeKernel:
                 merged.extend(fresh[j:])
             leaves = merged
         self.count = len(leaves)
-        self.last_visits = 0
-        self.last_probes = 0
         if not leaves:
             for node in pool:
                 self._free_node(node)

@@ -31,6 +31,14 @@ is discarded and a fresh tree is created at the far end of the horizon —
 the paper's discard/initialize cycle — seeded with the pending periods
 that overlap the new slot.
 
+Slot trees are write-buffered (see :mod:`repro.core.slot_tree`): the
+calendar registers and withdraws a period with one O(1) ``insert`` /
+``remove`` per overlapped slot, and a slot's tree is brought up to date
+when a search next reads it.  That is the one update path: allocation,
+release, drain and the seeding of a rolled-in slot all write such notes,
+and a slot that is written and rolled over without being searched costs
+no tree work at all.
+
 **Elastic pool.**  The server set may change at runtime (the ROADMAP's
 elastic-cluster extension): :meth:`add_servers` grows the pool,
 :meth:`drain` stops a server from admitting *new* reservations while
@@ -67,10 +75,6 @@ POOL_STATES = ("active", "draining", "removed")
 
 #: sentinel uid bound making ``(t, _UID_HIGH)`` compare after any real key
 _UID_HIGH = math.inf
-
-#: per-slot update batches accumulated by one :meth:`allocate` call:
-#: slot index -> (periods to remove from that slot's tree, periods to add)
-_SlotBatches = dict[int, tuple[list[IdlePeriod], list[IdlePeriod]]]
 
 
 class AvailabilityCalendar:
@@ -217,36 +221,43 @@ class AvailabilityCalendar:
     def advance(self, to_time: float) -> None:
         """Move the clock forward, rolling the horizon over expired slots.
 
-        For every slot that fully expires, its tree is discarded and a
-        new tree is initialized at the end of the horizon, seeded with
-        the pending bounded periods that now overlap it.
+        Every slot that fully expires loses its tree, and a new tree is
+        initialized at the end of the horizon for each slot that enters
+        it, seeded with the pending bounded periods that now overlap it
+        (as buffered inserts: the tree is built if and when it is read).
+        Costs ``O(min(jump/τ, Q))`` plus the pending periods released,
+        however far the clock jumps.
         """
         if to_time < self.now:
             raise ValueError(f"cannot move time backwards ({to_time} < {self.now})")
         self.now = to_time
         current = self.slot_of(to_time)
-        rolled = False
-        while self._base_slot < current:
-            del self._trees[self._base_slot]
-            self._base_slot += 1
-            new_slot = self._base_slot + self.q_slots - 1
-            new_end = (new_slot + 1) * self.tau
+        old_base = self._base_slot
+        if current == old_base:
+            return
+        q_slots = self.q_slots
+        tau = self.tau
+        first_new = old_base + q_slots
+        if current >= first_new:
+            # the jump clears the whole horizon: every active tree expired,
+            # and so did every slot between the old horizon and the new one
+            self._trees.clear()
+            self._skip_pending_buckets(current)
+            first_new = current
+        else:
+            for q in range(old_base, current):
+                del self._trees[q]
+        self._base_slot = current
+        for new_slot in range(first_new, current + q_slots):
+            new_end = (new_slot + 1) * tau
             tree = TwoDimTree(self.counter)
             bucket = self._pending_buckets.pop(new_slot, None)
-            seeds = list(bucket.values()) if bucket else []
-            if self.dense:
-                # (new_end, -1.0) sorts before any real (new_end, uid) key,
-                # matching the old 1-tuple probe while keeping key types uniform
-                seeds.extend(
-                    self._inf_periods[: bisect_left(self._inf_keys, (new_end, -1.0))]
-                )
-            tree.bulk_load(seeds)
-            self._trees[new_slot] = tree
             if bucket:
                 # periods now fully inside the horizon leave the pending
                 # set; the rest overlap the next slot too and carry over
                 carry: dict[int, IdlePeriod] = {}
                 for uid, p in bucket.items():
+                    tree.insert(p)
                     if p.et > new_end:
                         carry[uid] = p
                         self._pending_slot[uid] = new_slot + 1
@@ -256,9 +267,36 @@ class AvailabilityCalendar:
                 if carry:
                     nxt = self._pending_buckets.setdefault(new_slot + 1, {})
                     nxt.update(carry)
-            rolled = True
-        if rolled:
-            self._trim_history()
+            if self.dense:
+                # (new_end, -1.0) sorts before any real (new_end, uid) key,
+                # matching the old 1-tuple probe while keeping key types uniform
+                for p in self._inf_periods[: bisect_left(self._inf_keys, (new_end, -1.0))]:
+                    tree.insert(p)
+            self._trees[new_slot] = tree
+        self._trim_history()
+
+    def _skip_pending_buckets(self, current: int) -> None:
+        """Settle the rollover buckets of slots a long jump passes over.
+
+        Stepping slot by slot would seed and at once discard a tree for
+        every slot before ``current``; all that survives of it is the
+        pending bookkeeping, done here per period instead of per slot:
+        one that reaches into slot ``current`` is carried to that bucket
+        (which the caller rolls in next, fixing its slot-map entry), one
+        that ends before it has expired unseen.
+        """
+        reach = current * self.tau
+        buckets = self._pending_buckets
+        carry: dict[int, IdlePeriod] = {}
+        for slot in [q for q in buckets if q < current]:
+            for uid, p in buckets.pop(slot).items():
+                if p.et > reach:
+                    carry[uid] = p
+                else:
+                    del self._pending[uid]
+                    del self._pending_slot[uid]
+        if carry:
+            buckets.setdefault(current, {}).update(carry)
 
     def _trim_history(self) -> None:
         """Drop per-server periods that ended before the horizon start."""
@@ -302,14 +340,11 @@ class AvailabilityCalendar:
             return range(0)
         return range(first, last + 1)
 
-    def _index_period(self, period: IdlePeriod, batches: _SlotBatches | None = None) -> None:
+    def _index_period(self, period: IdlePeriod) -> None:
         """Register ``period`` with every derived index.
 
-        With ``batches`` given (the batch-reserve path), per-slot tree
-        insertions are *recorded* under their slot instead of applied —
-        :meth:`allocate` flushes each slot's accumulated operations as one
-        fused :meth:`~repro.core.slot_tree.TwoDimTree.apply_batch` call.
-        Tail-index and pending bookkeeping stay immediate either way
+        Slot-tree insertions are O(1) notes in each overlapped tree's
+        write buffer; tail-index and pending bookkeeping are immediate
         (they are O(log N) array work with no rebalancing to fuse).
 
         Periods of draining or removed servers are *not* registered in
@@ -328,20 +363,16 @@ class AvailabilityCalendar:
                 return
             # dense (paper-literal) mode: the trailing period also lives
             # in the tree of every remaining slot
-        if batches is None:
-            trees = self._trees
-            for q in self._overlapping_slots(period):
-                trees[q].insert(period)
-        else:
-            for q in self._overlapping_slots(period):
-                batches.setdefault(q, ([], []))[1].append(period)
+        trees = self._trees
+        for q in self._overlapping_slots(period):
+            trees[q].insert(period)
         if period.et != INF and period.et > self.horizon_end:
             bucket_slot = max(self.slot_of(period.st), self._base_slot + self.q_slots)
             self._pending[period.uid] = period
             self._pending_slot[period.uid] = bucket_slot
             self._pending_buckets.setdefault(bucket_slot, {})[period.uid] = period
 
-    def _unindex_period(self, period: IdlePeriod, batches: _SlotBatches | None = None) -> None:
+    def _unindex_period(self, period: IdlePeriod) -> None:
         if self._status[period.server] != "active":
             # non-active servers' periods were unindexed when the server
             # left the pool (see drain); there is nothing to remove
@@ -354,13 +385,9 @@ class AvailabilityCalendar:
             self.counter.add("remove")
             if not self.dense:
                 return
-        if batches is None:
-            trees = self._trees
-            for q in self._overlapping_slots(period):
-                trees[q].remove(period)
-        else:
-            for q in self._overlapping_slots(period):
-                batches.setdefault(q, ([], []))[0].append(period)
+        trees = self._trees
+        for q in self._overlapping_slots(period):
+            trees[q].remove(period)
         if self._pending.pop(period.uid, None) is not None:
             bucket_slot = self._pending_slot.pop(period.uid)
             bucket = self._pending_buckets[bucket_slot]
@@ -368,14 +395,14 @@ class AvailabilityCalendar:
             if not bucket:
                 del self._pending_buckets[bucket_slot]
 
-    def _add_period(self, period: IdlePeriod, batches: _SlotBatches | None = None) -> None:
+    def _add_period(self, period: IdlePeriod) -> None:
         keys = self._server_keys[period.server]
         idx = bisect_right(keys, period.st)
         keys.insert(idx, period.st)
         self._server_periods[period.server].insert(idx, period)
-        self._index_period(period, batches)
+        self._index_period(period)
 
-    def _drop_period(self, period: IdlePeriod, batches: _SlotBatches | None = None) -> None:
+    def _drop_period(self, period: IdlePeriod) -> None:
         keys = self._server_keys[period.server]
         periods = self._server_periods[period.server]
         idx = bisect_left(keys, period.st)
@@ -386,7 +413,7 @@ class AvailabilityCalendar:
             raise ValueError(f"{period} is not registered on server {period.server}")
         del keys[idx]
         del periods[idx]
-        self._unindex_period(period, batches)
+        self._unindex_period(period)
 
     # ------------------------------------------------------------------
     # allocation and release
@@ -405,38 +432,29 @@ class AvailabilityCalendar:
         by at most two remnants — ``(st, start)`` and ``(end, et)`` —
         exactly the update rule of Section 4.2.
 
-        This is the batch-reserve path: the ``O(n_r · Q)`` slot-tree
-        updates one request implies are accumulated per slot while the
-        authoritative lists and the tail/pending indexes update in the
-        usual order, then each touched slot tree applies its removals and
-        insertions as one fused
-        :meth:`~repro.core.slot_tree.TwoDimTree.apply_batch` pass with
-        deferred rebalancing.  Remnant uids are created in exactly the
-        sequential order (left remnant then right remnant, period by
-        period), and Phase-2 selection is a pure function of stored
-        periods — so fusing changes no scheduling outcome.
+        The authoritative lists and the tail/pending indexes update at
+        once; the ``O(n_r · Q)`` slot-tree updates one request implies
+        are O(1) notes in the write buffers of the overlapped trees, each
+        applied — fused with whatever else that slot has been told since
+        — when the slot is next searched, or never if it rolls out of the
+        horizon first.  Remnant uids are created left remnant then right
+        remnant, period by period, and Phase-2 selection is a pure
+        function of stored periods — so deferring changes no scheduling
+        outcome.
         """
         for period in periods:
             if not period.is_feasible(start, end):
                 raise ValueError(
                     f"period {period} cannot host [{start}, {end}) on server {period.server}"
                 )
-        batches: _SlotBatches = {}
         reservations: list[Reservation] = []
         for period in periods:
-            self._drop_period(period, batches)
+            self._drop_period(period)
             if period.st < start:
-                self._add_period(
-                    IdlePeriod(server=period.server, st=period.st, et=start), batches
-                )
+                self._add_period(IdlePeriod(server=period.server, st=period.st, et=start))
             if end < period.et:
-                self._add_period(
-                    IdlePeriod(server=period.server, st=end, et=period.et), batches
-                )
+                self._add_period(IdlePeriod(server=period.server, st=end, et=period.et))
             reservations.append(Reservation(rid=rid, server=period.server, start=start, end=end))
-        trees = self._trees
-        for q, (removals, inserts) in batches.items():
-            trees[q].apply_batch(removals, inserts)
         return reservations
 
     def release(self, server: int, start: float, end: float) -> None:

@@ -24,10 +24,25 @@ ids indexing parallel lists — which mypyc compiles to a C extension when
 the package is built with ``REPRO_MYPYC=1`` (see ``docs/algorithm.md``).
 This module is the thin uncompiled boundary around it: it owns the
 uid → :class:`~repro.core.types.IdlePeriod` map (the kernel speaks
-``(st, et, uid)`` primitives only), flushes the kernel's per-operation
-accounting into the shared :class:`~repro.core.opcount.OpCounter`, and —
-because it stays pure python — remains monkeypatchable by the differ's
-bug injectors and the audit engine's mutation wrappers.
+``(st, et, uid)`` primitives only), the **write buffer** (below), flushes
+the kernel's per-operation accounting into the shared
+:class:`~repro.core.opcount.OpCounter`, and — because it stays pure
+python — remains monkeypatchable by the differ's bug injectors and the
+audit engine's mutation wrappers.
+
+**Writes are noted, trees are built on read.**  The paper's update rule
+registers a remnant in the tree of every slot it overlaps, but most of
+those trees are never searched before the remnant is carved again or the
+slot rolls out of the horizon.  So ``insert``/``remove`` record the
+period in two per-tree dicts — O(1), with the ``KeyError`` for an absent
+period still raised at the call — and every read (``phase1``,
+``max_end``, ``len``, ``in``, ``periods`` and what is built on them)
+first applies the buffer as one :meth:`TwoDimTree.apply_batch`.  An
+insert and a remove of the same period that meet in the buffer cancel
+and never reach the kernel.  Nothing observable depends on *when* the
+kernel is updated: Phase 2 is a pure function of stored content, and
+elementary operations are counted when they happen, at the flush.
+DESIGN.md §11 has the measurements behind this.
 
 Backend selection happens once, at import:
 
@@ -129,7 +144,12 @@ def backend_info() -> dict[str, object]:
 
 
 class TwoDimTree:
-    """The per-slot 2-dimensional tree over idle periods.
+    """The per-slot 2-dimensional tree over idle periods, write-buffered.
+
+    :meth:`insert` and :meth:`remove` only *note* the period; whoever
+    reads the tree next pays for one fused :meth:`apply_batch` of
+    everything noted since the last read.  A tree nobody reads before it
+    is discarded never builds a kernel at all.
 
     Parameters
     ----------
@@ -138,23 +158,40 @@ class TwoDimTree:
         operation counts; defaults to a do-nothing counter.
     """
 
-    __slots__ = ("_kernel", "_counter", "_by_uid")
+    __slots__ = ("_kernel", "_counter", "_by_uid", "_ins", "_rem")
 
     def __init__(self, counter: OpCounter = NULL_COUNTER) -> None:
-        self._kernel: Any = _TreeKernel()
+        #: the stored tree; ``None`` until the first read
+        self._kernel: Any = None
         self._counter = counter
-        #: uid -> period for everything stored; resolves secondary keys
+        #: uid -> period for everything *stored* in the kernel; resolves
+        #: secondary keys
         self._by_uid: dict[int, IdlePeriod] = {}
+        #: the write buffer, by uid: periods noted for removal (always
+        #: stored) and for insertion (never stored, unless the stored
+        #: holder of that uid is noted for removal: snapshot restore
+        #: re-uses uids, and a flush removes before it inserts)
+        self._ins: dict[int, IdlePeriod] = {}
+        self._rem: dict[int, IdlePeriod] = {}
 
     # ------------------------------------------------------------------
     # basic protocol
     # ------------------------------------------------------------------
 
+    def _stored(self) -> Any:
+        """The kernel with the write buffer applied — every read's first step."""
+        if self._ins or self._rem:
+            self._flush()
+        k = self._kernel
+        if k is None:
+            k = self._kernel = _TreeKernel()
+        return k
+
     def __len__(self) -> int:
-        return int(self._kernel.count)
+        return int(self._stored().count)
 
     def __contains__(self, period: IdlePeriod) -> bool:
-        node, visits = self._kernel.find(period.st, period.uid)
+        node, visits = self._stored().find(period.st, period.uid)
         if visits:
             self._counter.add("node_visit", visits)
         return bool(node != _NIL)
@@ -162,61 +199,76 @@ class TwoDimTree:
     def max_end(self) -> float:
         """Latest ending time of any stored period; ``-inf`` when empty.
 
-        O(1): the root's secondary index holds every stored ``(et, uid)``
-        in ascending order, so its last key is the maximum.
+        O(1) on a tree with nothing buffered: the root's secondary index
+        holds every stored ``(et, uid)`` in ascending order, so its last
+        key is the maximum.
         """
+        # the retry ladder's per-rung read: _stored() inlined, and an
+        # untouched slot answers without being given a kernel
+        if self._ins or self._rem:
+            self._flush()
         k = self._kernel
-        root = k.root
-        if root == _NIL:
+        if k is None or k.root == _NIL:
             return -math.inf
-        latest: float = k.secs[root][-1][0]
+        latest: float = k.secs[k.root][-1][0]
         return latest
 
     def periods(self) -> Iterator[IdlePeriod]:
         """All stored idle periods in ascending start-time order."""
+        uids = self._stored().uids_inorder()
         by_uid = self._by_uid
-        return (by_uid[uid] for uid in self._kernel.uids_inorder())
+        return (by_uid[uid] for uid in uids)
 
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
 
     def insert(self, period: IdlePeriod) -> None:
-        """Insert an idle period (O(log^2 N) amortized)."""
-        k = self._kernel
-        self._by_uid[period.uid] = period
-        k.insert(period.st, period.et, period.uid)
-        # batched accounting: totals are identical to counting each
-        # elementary step as it happens, at a fraction of the call overhead
-        self._counter.add_insert(k.last_visits, k.last_probes)
-        if k.last_rebuilt:
-            self._counter.add("rebuild", k.last_rebuilt)
+        """Note an idle period for insertion — O(1).
+
+        The tree work (amortized O(log^2 N)) is done by the next read's
+        flush.
+        """
+        self._ins[period.uid] = period
 
     def remove(self, period: IdlePeriod) -> None:
-        """Remove an idle period; raises ``KeyError`` if absent."""
-        k = self._kernel
-        if not k.remove(period.st, period.et, period.uid):
-            self._counter.add_remove(k.last_visits, 0)
-            raise KeyError(f"idle period uid={period.uid} not in tree")
-        del self._by_uid[period.uid]
-        self._counter.add_remove(k.last_visits, k.last_probes)
-        if k.last_rebuilt:
-            self._counter.add("rebuild", k.last_rebuilt)
+        """Note an idle period for removal — O(1).
+
+        Raises ``KeyError`` *now*, not at the flush, when the period is
+        neither stored nor buffered or its removal is already buffered.
+        Removing a period whose insertion is still buffered cancels the
+        pair: the kernel never sees either.
+        """
+        uid = period.uid
+        if self._ins.pop(uid, None) is None:
+            if uid not in self._by_uid or uid in self._rem:
+                raise KeyError(f"idle period uid={uid} not in tree")
+            self._rem[uid] = period
+
+    def _flush(self) -> None:
+        """Apply the write buffer as one fused batch, removals first."""
+        removals = list(self._rem.values())
+        inserts = list(self._ins.values())
+        self._rem.clear()
+        self._ins.clear()
+        self.apply_batch(removals, inserts)
 
     def apply_batch(self, removals: list[IdlePeriod], inserts: list[IdlePeriod]) -> None:
-        """Apply one allocation's removals and insertions in a single pass.
+        """Apply removals and insertions to the stored tree in a single pass.
 
-        The batch-reserve fast path: every tree update one request makes
-        against this slot is fused into one kernel call with *deferred*
-        rebalancing — each operation's descent/walk runs as usual, but
-        partial rebuilds are postponed to a single flush that rebuilds
-        only the nodes still unbalanced under the final sizes (typically
-        one rebuild per batch instead of one per ~3 operations).  Since
-        Phase-2 selection is a pure function of stored periods, the
-        different intermediate tree shapes change no outcome.  Raises
-        ``KeyError`` when a removal is absent, like :meth:`remove`.
+        The one place slot-tree update work happens (besides
+        :meth:`bulk_load`): each read hands the write buffer here as one
+        kernel call with *deferred* rebalancing — each operation's
+        descent/walk runs as usual, but partial rebuilds are postponed to
+        a single flush that rebuilds only the nodes still unbalanced
+        under the final sizes; a batch that is large against the tree
+        (any batch, for an empty tree) rebuilds it from the merged leaf
+        list instead.  Since Phase-2 selection is a pure function of
+        stored periods, the different intermediate tree shapes change no
+        outcome.  Called directly, anything still buffered is applied
+        first; raises ``KeyError`` when a removal is absent.
         """
-        k = self._kernel
+        k = self._stored()
         ok = k.apply_batch(
             [(p.st, p.et, p.uid) for p in removals],
             [(p.st, p.et, p.uid) for p in inserts],
@@ -234,14 +286,16 @@ class TwoDimTree:
             self._counter.add("rebuild", k.last_rebuilt)
 
     def bulk_load(self, periods: list[IdlePeriod]) -> None:
-        """Replace the tree contents with ``periods`` in O(k log k).
+        """Replace the tree contents with ``periods`` in O(k log k), eagerly.
 
-        Used when a slot tree is (re-)initialized — at calendar start-up
-        and at each horizon rollover — where item-by-item insertion would
-        waste an O(log N) factor.
+        Drops anything buffered along with the stored contents.  Used at
+        calendar start-up in dense mode, where item-by-item insertion
+        would waste an O(log N) factor.
         """
+        self._ins.clear()
+        self._rem.clear()
         self._by_uid = {p.uid: p for p in periods}
-        self._kernel.bulk_load([(p.st, p.et, p.uid) for p in periods])
+        self._stored().bulk_load([(p.st, p.et, p.uid) for p in periods])
         if periods:
             self._counter.add("rebuild", len(periods))
 
@@ -257,9 +311,10 @@ class TwoDimTree:
         merges their secondary indexes into one canonical feasibility
         order, so the partition produced here is an implementation detail
         — only the union of the marked leaves matters.  Marks are only
-        valid until the next update of this tree.
+        valid until the next read of this tree that follows an update
+        (updates are buffered; :meth:`phase2` itself never flushes).
         """
-        k = self._kernel
+        k = self._stored()
         count, marks = k.phase1(sr)
         self._counter.add_search(k.last_visits, len(marks), 0, 0)
         return int(count), list(marks)
@@ -337,6 +392,9 @@ class TwoDimTree:
         """
         from ..analysis.audit import AuditError, audit_tree
 
+        # test support for the tree as its readers see it; the audits
+        # themselves never flush (see audit_calendar)
+        self._stored()
         findings = audit_tree(self)
         if findings:
             raise AuditError(findings)

@@ -12,6 +12,7 @@ from repro.analysis.audit import (
     MutationAuditor,
     audit_calendar,
     audit_tree,
+    corrupt_buffer,
     corrupt_secondary_key,
     corrupt_size_field,
     corrupt_uid_map,
@@ -59,6 +60,18 @@ class TestTreeCorruptions:
         cal = populated().calendar
         corrupt_uid_map(cal)
         assert "RA105" in check_ids(audit_calendar(cal))
+
+    def test_corrupt_buffer_reports_ra116(self):
+        cal = populated().calendar
+        corrupt_buffer(cal)
+        assert "RA116" in check_ids(audit_calendar(cal))
+
+    def test_buffered_removal_of_an_unstored_period_reports_ra116(self):
+        cal = populated().calendar
+        tree = next(t for t in cal._trees.values() if t._ins)
+        uid, period = next(iter(tree._ins.items()))
+        tree._rem[uid] = period  # noted both ways, stored neither
+        assert "RA116" in check_ids(audit_tree(tree))
 
     def test_validate_raises_audit_error_which_is_assertion_error(self):
         cal = populated().calendar
@@ -129,6 +142,23 @@ class TestMutationAuditor:
             audit_stride=1,
         )
         assert audited.outcome_checksum == plain.outcome_checksum
+
+    def test_auditing_does_not_flush_the_write_buffers(self):
+        """An audit reads each tree's stored and buffered content where it
+        lies: the audited run does the same tree work, op for op, and ends
+        with as many periods still buffered, slot by slot, as the unaudited one."""
+        requests = stress_workload(150, 8, rho=0.3, seed=11)
+        runs = []
+        for stride in (None, 1):
+            scheduler = OnlineScheduler(n_servers=8, tau=900.0, q_slots=96)
+            replay(scheduler, requests, record_latencies=False, audit_stride=stride)
+            buffered = {
+                q: (len(t._ins), len(t._rem), t._kernel is None)
+                for q, t in scheduler.calendar._trees.items()
+            }
+            runs.append((scheduler.counter.snapshot(), buffered))
+        assert runs[0] == runs[1]
+        assert any(ins for ins, _rem, _unbuilt in runs[0][1].values())
 
     def test_ledger_tampering_reports_ra114(self):
         cal = AvailabilityCalendar(n_servers=4, tau=900.0, q_slots=96)

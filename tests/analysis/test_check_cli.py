@@ -134,7 +134,8 @@ class TestAuditMode:
         assert "audit: clean" in out
 
     @pytest.mark.parametrize(
-        "kind,check_id", [("size", "RA101"), ("seckey", "RA106"), ("uidmap", "RA105")]
+        "kind,check_id",
+        [("size", "RA101"), ("seckey", "RA106"), ("uidmap", "RA105"), ("buffer", "RA116")],
     )
     def test_injected_corruption_is_caught(self, capsys, kind, check_id):
         rc = main(

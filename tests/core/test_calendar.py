@@ -1,5 +1,7 @@
 """Unit tests for the availability calendar."""
 
+from time import perf_counter
+
 import pytest
 
 from repro.core.calendar import AvailabilityCalendar
@@ -183,6 +185,38 @@ class TestAdvanceAndRollover:
         cal.validate()
         found = cal.find_feasible(505.0, 550.0, 4)
         assert found is not None and len(found) == 4
+
+    @pytest.mark.parametrize("indexing", ["tail", "dense"])
+    def test_jump_cost_is_bounded_by_the_horizon_not_the_distance(self, indexing):
+        """`qr` is unbounded on the wire: one request may move the clock
+        any distance, and must not roll one slot tree per slot passed."""
+        cal = AvailabilityCalendar(8, 900.0, 96, indexing=indexing)
+        trailing = cal.idle_periods(0)[-1]
+        cal.allocate([trailing], 50_000.0, 51_000.0)  # a gap [0, 50000) beyond slot 0
+        far = cal.idle_periods(0)[-1]
+        cal.allocate([far], 200_000.0, 201_000.0)  # a pending period past the horizon
+        assert cal._pending
+        started = perf_counter()
+        cal.advance(1e12 * 900.0)
+        assert perf_counter() - started < 1.0
+        assert cal._base_slot == 10**12 and len(cal._trees) == 96
+        assert not cal._pending and not cal._pending_buckets
+        cal.validate()
+        found = cal.find_feasible(cal.now + 10.0, cal.now + 5000.0, 8)
+        assert found is not None and len(found) == 8
+
+    def test_jump_past_the_horizon_settles_pending_periods_by_where_they_end(self):
+        cal = make_calendar(n=3, tau=10.0, q=4)  # horizon [0, 40)
+        for server, end in enumerate((100.0, 100.5, 85.0)):
+            trailing = cal.idle_periods(server)[-1]
+            cal.allocate([trailing], 45.0, 60.0)  # bounds [0, 45), inside the horizon...
+            cal.allocate([cal.idle_periods(server)[-1]], end, end + 5.0)  # ...and [60, end)
+        assert sorted(p.et for p in cal._pending.values()) == [45.0, 45.0, 45.0, 85.0, 100.0, 100.5]
+        cal.advance(100.0)  # lands on slot 10 = [100, 110), 6 slots past the old horizon
+        cal.validate()
+        # [60, 100) ends exactly where slot 10 begins: expired, not carried
+        assert [p.et for p in cal._trees[10].periods()] == [100.5]
+        assert not cal._pending and not cal._pending_buckets
 
     def test_history_trimmed(self):
         cal = make_calendar(n=2, tau=10.0, q=12)

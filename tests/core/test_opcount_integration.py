@@ -35,13 +35,26 @@ class TestTreeCounting:
         assert counter.get("mark") == len(marks)
 
     def test_updates_counted(self):
+        """Tree work is counted when it happens — at the read that flushes
+        the write buffer — and a pair that cancels in the buffer is free."""
         counter = OpCounter()
         tree = TwoDimTree(counter)
         p = IdlePeriod(server=0, st=1.0, et=2.0)
         tree.insert(p)
+        assert counter.get("insert") == 0  # noted, not yet applied
+        assert len(tree) == 1
         tree.remove(p)
+        assert counter.get("remove") == 0
+        assert len(tree) == 0
         assert counter.get("insert") == 1
         assert counter.get("remove") == 1
+
+        counter.reset()
+        tree.insert(p)
+        tree.remove(p)
+        assert len(tree) == 0
+        assert counter.get("insert") == 0
+        assert counter.get("remove") == 0
 
 
 class TestSchedulerCounting:

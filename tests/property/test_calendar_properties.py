@@ -118,3 +118,64 @@ class TestPartitionInvariant:
                         assert found is not None and len(found) == nr
                     else:
                         assert found is None
+
+
+JUMP_Q = 5
+
+
+@st.composite
+def carved_calendars(draw):
+    """A small calendar with bounded idle periods inside, across and far
+    beyond the horizon (so the pending buckets are populated), some slot
+    trees read and some only written."""
+    cal = AvailabilityCalendar(
+        N, TAU, JUMP_Q, start_time=draw(st.sampled_from([0.0, 7.0, 30.0])),
+        indexing=draw(st.sampled_from(["tail", "dense"])),
+    )
+    for _ in range(draw(st.integers(0, 14))):
+        server = draw(st.integers(0, N - 1))
+        trailing = cal.idle_periods(server)[-1]
+        gap = draw(st.sampled_from([0.0, 3.0, 10.0, 25.0, 70.0]))
+        dur = draw(st.sampled_from([2.0, 10.0, 33.0]))
+        start = max(trailing.st, cal.now) + gap
+        cal.allocate([trailing], start, start + dur)
+    if draw(st.booleans()):
+        cal.drain(draw(st.integers(0, N - 1)))
+    reads = draw(st.lists(st.integers(0, JUMP_Q - 1), max_size=3))
+    return cal, reads
+
+
+def _clone(cal: AvailabilityCalendar, reads: list[int]) -> AvailabilityCalendar:
+    """Same periods under the same uids; the same slots searched."""
+    clone = AvailabilityCalendar.from_state(cal.export_state())
+    for offset in reads:
+        clone.find_feasible(clone.horizon_start + offset * TAU + 1.0, INF, 1)
+    return clone
+
+
+def _derived_state(cal: AvailabilityCalendar):
+    return {
+        "base": cal._base_slot,
+        "trees": {q: sorted(p.uid for p in t.periods()) for q, t in cal._trees.items()},
+        "pending": sorted(cal._pending),
+        "pending_slot": dict(cal._pending_slot),
+        "buckets": {q: sorted(b) for q, b in cal._pending_buckets.items()},
+        "tail": list(cal._inf_keys),
+    }
+
+
+class TestAdvanceJump:
+    @given(built=carved_calendars(), jump=st.integers(1, 3 * JUMP_Q + 1))
+    @settings(max_examples=200, deadline=None)
+    def test_one_jump_equals_slot_by_slot_stepping(self, built, jump):
+        cal, reads = built
+        jumped, stepped = _clone(cal, reads), _clone(cal, reads)
+        origin = jumped.horizon_start
+        jumped.advance(origin + jump * TAU)
+        for k in range(1, jump + 1):
+            stepped.advance(origin + k * TAU)
+        jumped.validate()
+        stepped.validate()
+        assert jumped.export_state() == stepped.export_state()
+        assert _derived_state(jumped) == _derived_state(stepped)
+        assert set(jumped._trees) == set(range(jumped._base_slot, jumped._base_slot + JUMP_Q))

@@ -115,6 +115,7 @@ class TestStructuralInvariants:
         if not periods:
             return
 
+        assert len(tree) == len(periods)  # a read: the buffered inserts are applied
         kernel = tree._kernel
 
         def depth(node):

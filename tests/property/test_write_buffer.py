@@ -1,0 +1,273 @@
+"""Write-buffered slot tree ≡ the eager node-backed specification.
+
+``repro.core.slot_tree.TwoDimTree`` only *notes* ``insert``/``remove``
+and applies the notes, as one fused ``apply_batch``, when the tree is
+next read.  ``repro.core.slot_tree_nodes`` updates eagerly.  Under any
+history of writes interleaved with any read, every read must answer what
+the eager tree answers — and the buffer's own rules (a remove cancels a
+pending insert, ``KeyError`` at the call and not at the flush, removals
+flushed before inserts, a kernel only once something is read) each get a
+case a mutation of that rule fails.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.calendar import AvailabilityCalendar
+from repro.core.opcount import OpCounter
+from repro.core.slot_tree import TwoDimTree
+from repro.core.slot_tree_nodes import TwoDimTree as NodeTree
+from repro.core.types import INF, IdlePeriod
+
+from .test_array_equivalence import _uids, period_pools
+
+_times = st.floats(min_value=0.0, max_value=500.0, allow_nan=False, width=32)
+
+WRITES = ("insert", "remove", "apply_batch", "bulk_load")
+
+
+def _spec_max_end(spec: NodeTree) -> float:
+    return max((p.et for p in spec.periods()), default=-math.inf)
+
+
+# one entry per read of the buffered tree: (name, answer on the buffered
+# tree, answer on the eager spec); ``sr`` is the history's probe time
+READS = {
+    "phase1": (lambda t, sr: t.phase1(sr)[0], lambda s, sr: s.phase1(sr)[0]),
+    "count_candidates": (
+        lambda t, sr: t.count_candidates(sr),
+        lambda s, sr: s.count_candidates(sr),
+    ),
+    "find_feasible": (
+        lambda t, sr: _uids(t.find_feasible(sr, sr + 40.0, 2) or []),
+        lambda s, sr: _uids(s.find_feasible(sr, sr + 40.0, 2) or []),
+    ),
+    "range_search": (
+        lambda t, sr: _uids(t.range_search(sr, sr + 0.5)),
+        lambda s, sr: _uids(s.range_search(sr, sr + 0.5)),
+    ),
+    "max_end": (lambda t, sr: t.max_end(), lambda s, sr: _spec_max_end(s)),
+    "len": (lambda t, sr: len(t), lambda s, sr: len(s)),
+    "periods": (lambda t, sr: _uids(t.periods()), lambda s, sr: _uids(s.periods())),
+}
+
+
+def _assert_same_answers(arr: TwoDimTree, spec: NodeTree, sr: float) -> None:
+    """After a read has flushed, *every* read must agree with the spec."""
+    for name, (on_arr, on_spec) in READS.items():
+        assert on_arr(arr, sr) == on_spec(spec, sr), name
+    for p in spec.periods():
+        assert p in arr
+    # Phase-2 selection order: the full canonical (et, uid) listing
+    _, marks_a = arr.phase1(sr)
+    _, marks_s = spec.phase1(sr)
+    assert _uids(arr.phase2(marks_a, sr + 40.0, math.inf) or []) == _uids(
+        spec.phase2(marks_s, sr + 40.0, math.inf) or []
+    )
+
+
+class TestBufferedEqualsEager:
+    @given(
+        pool=period_pools(max_size=40),
+        script=st.lists(
+            st.tuples(st.sampled_from(WRITES + tuple(READS)), st.integers(0, 10**6)),
+            max_size=80,
+        ),
+        sr=_times,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_history(self, pool, script, sr):
+        arr, spec = TwoDimTree(), NodeTree()
+        live: list[IdlePeriod] = []
+        todo = list(pool)
+        for op, pick in script:
+            if op == "insert" and todo:
+                p = todo.pop(pick % len(todo))
+                arr.insert(p)
+                spec.insert(p)
+                live.append(p)
+            elif op == "remove" and live:
+                p = live.pop(pick % len(live))
+                arr.remove(p)
+                spec.remove(p)
+            elif op == "apply_batch":
+                removals = [live.pop(pick % len(live))] if live else []
+                inserts = [todo.pop() for _ in range(min(len(todo), pick % 4))]
+                arr.apply_batch(removals, inserts)
+                for p in removals:
+                    spec.remove(p)
+                for p in inserts:
+                    spec.insert(p)
+                live.extend(inserts)
+            elif op == "bulk_load":
+                todo.extend(live)
+                live = [todo.pop() for _ in range(min(len(todo), pick % 6))]
+                arr.bulk_load(live)
+                spec.bulk_load(live)
+            elif op in READS:
+                # the read under test comes first: it alone must flush
+                on_arr, on_spec = READS[op]
+                assert on_arr(arr, sr) == on_spec(spec, sr), op
+                _assert_same_answers(arr, spec, sr)
+                arr.validate()
+        _assert_same_answers(arr, spec, sr)
+        arr.validate()
+        spec.validate()
+
+
+class TestBufferRules:
+    @pytest.mark.parametrize("read", sorted(READS) + ["contains"])
+    def test_every_read_flushes(self, read):
+        """Each read on its own sees a write made just before it."""
+        tree = TwoDimTree()
+        p = IdlePeriod(server=0, st=1.0, et=90.0)
+        tree.insert(p)
+        if read == "contains":
+            assert p in tree
+        else:
+            expected = {
+                "phase1": 1,
+                "count_candidates": 1,
+                "find_feasible": [],  # needs two periods
+                "range_search": [p.uid],
+                "max_end": 90.0,
+                "len": 1,
+                "periods": [p.uid],
+            }[read]
+            assert READS[read][0](tree, 5.0) == expected
+        assert not tree._ins and tree._by_uid == {p.uid: p}
+        q = IdlePeriod(server=1, st=2.0, et=95.0)
+        tree.insert(q)
+        tree.remove(p)
+        if read == "contains":
+            assert p not in tree
+        elif read == "find_feasible":
+            assert tree.find_feasible(5.0, 45.0, 1) == [q]
+        else:
+            expected = {
+                "phase1": 1,
+                "count_candidates": 1,
+                "range_search": [q.uid],
+                "max_end": 95.0,
+                "len": 1,
+                "periods": [q.uid],
+            }[read]
+            assert READS[read][0](tree, 5.0) == expected
+        assert not tree._ins and not tree._rem
+
+    def test_remove_of_pending_insert_cancels(self):
+        counter = OpCounter()
+        tree = TwoDimTree(counter)
+        p = IdlePeriod(server=0, st=1.0, et=2.0)
+        tree.insert(p)
+        tree.remove(p)
+        assert not tree._ins and not tree._rem
+        assert tree._kernel is None
+        assert len(tree) == 0 and p not in tree
+        assert counter.total() == 0  # the kernel never saw the pair
+        with pytest.raises(KeyError):
+            tree.remove(p)
+
+    def test_reinsert_after_flush(self):
+        tree, spec = TwoDimTree(), NodeTree()
+        p = IdlePeriod(server=0, st=1.0, et=20.0)
+        for t in (tree, spec):
+            t.insert(p)
+        assert len(tree) == 1
+        for t in (tree, spec):
+            t.remove(p)
+        assert len(tree) == 0
+        for t in (tree, spec):
+            t.insert(p)
+        _assert_same_answers(tree, spec, 5.0)
+        assert _uids(tree.periods()) == [p.uid]
+
+    def test_key_error_is_raised_at_the_call(self):
+        tree = TwoDimTree()
+        stored = IdlePeriod(server=0, st=1.0, et=20.0)
+        tree.insert(stored)
+        assert len(tree) == 1
+        absent = IdlePeriod(server=1, st=3.0, et=9.0)
+        with pytest.raises(KeyError):
+            tree.remove(absent)  # neither stored nor buffered
+        tree.remove(stored)
+        with pytest.raises(KeyError):
+            tree.remove(stored)  # its removal is already buffered
+        # neither failure left anything behind for the flush to trip on
+        assert list(tree._rem) == [stored.uid] and not tree._ins
+        assert len(tree) == 0
+
+    def test_removals_are_flushed_before_inserts(self):
+        """A uid can be handed over without a read in between (snapshot
+        restore re-creates periods under their persisted uids): the old
+        holder must leave before the new one enters."""
+        tree = TwoDimTree()
+        old = IdlePeriod(server=0, st=1.0, et=20.0)
+        filler = [IdlePeriod(server=s, st=float(s), et=50.0 + s) for s in range(1, 40)]
+        tree.bulk_load([old] + filler)
+        new = IdlePeriod(server=0, st=7.0, et=30.0, uid=old.uid)
+        tree.remove(old)
+        tree.insert(new)
+        assert tree._by_uid[old.uid] is old  # still only noted
+        stored = {p.uid: p for p in tree.periods()}
+        assert stored[old.uid] is new and len(stored) == 40
+        assert tree.range_search(7.0, 30.0)[0] is new
+        tree.validate()
+
+
+class TestCalendarLevel:
+    def test_slot_written_and_rolled_over_unread_never_builds_a_kernel(self):
+        counter = OpCounter()
+        cal = AvailabilityCalendar(64, 10.0, 8, counter=counter)
+        tree = cal._trees[5]
+        # 50 carves of trailing periods, each leaving a bounded remnant in
+        # slot 5; nothing searches that slot
+        for server in range(50):
+            (trailing,) = cal.idle_periods(server)
+            cal.allocate([trailing], 55.0, 58.0, rid=server)
+        assert len(tree._ins) == 50 and tree._kernel is None
+        cal.validate()  # audits the buffered content without flushing it
+        assert len(tree._ins) == 50 and tree._kernel is None
+        before = counter.snapshot()
+        cal.advance(60.0)  # slot 5 expires
+        assert 5 not in cal._trees
+        assert tree._kernel is None
+        after = counter.snapshot()
+        for name in ("node_visit", "rebuild"):
+            assert after.get(name, 0) == before.get(name, 0) == 0
+        cal.validate()
+
+    def test_dense_restore_reuses_uids_of_the_periods_it_replaces(self):
+        """``from_state`` drops the constructor's synthetic periods and adds
+        the recorded ones under their persisted uids; in a fresh process
+        those collide, and in dense mode both sit in the same trees."""
+        probe = IdlePeriod(server=0, st=0.0, et=1.0).uid
+        synthetic = [probe + 1 + server for server in range(3)]
+        state = {
+            "n_servers": 3,
+            "tau": 10.0,
+            "q_slots": 4,
+            "now": 0.0,
+            "indexing": "dense",
+            "periods": [
+                [[0.0, 5.0, synthetic[1]], [15.0, None, synthetic[0]]],
+                [[0.0, None, synthetic[2]]],
+                [[0.0, 12.0, synthetic[0] + 100], [30.0, None, synthetic[1] + 100]],
+            ],
+        }
+        cal = AvailabilityCalendar.from_state(state)
+        assert [p.uid for p in cal.idle_periods(0)] == [synthetic[1], synthetic[0]]
+        cal.validate()
+        assert sorted((p.server, p.st) for p in cal._trees[0].periods()) == [
+            (0, 0.0),
+            (1, 0.0),
+            (2, 0.0),
+        ]
+        assert cal.export_state()["periods"] == state["periods"]
+        assert [p.server for p in cal.find_feasible(16.0, 25.0, 2)] == [0, 1]
+        assert INF == cal._trees[1].max_end()

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+from time import perf_counter
 
 from repro.service.protocol import READ_CHUNK_BYTES
 from repro.service.server import accepted_checksum
@@ -148,6 +149,25 @@ def test_virtual_clock_advances_from_request_qr_only():
         assert late["ok"]
         status = await rpc(service.port, {"op": "status"})
         assert status["now"] == 30.0
+        await service.stop()
+
+    run(scenario())
+
+
+def test_far_future_qr_does_not_hold_the_actor():
+    """`qr` is unbounded on the wire; the clock jump it causes must cost
+    at most one horizon of slot rollover, not one per slot passed."""
+
+    async def scenario():
+        service = await start_service(n_servers=128, tau=900.0, q_slots=96)
+        started = perf_counter()
+        far = await rpc(service.port, reserve_msg(1, 9e12, 1800.0, 4, qr=9e12))
+        assert perf_counter() - started < 1.0
+        assert far["ok"] and far["start"] == 9e12 and far["attempts"] == 1
+        nxt = await rpc(service.port, reserve_msg(2, 9e12 + 900.0, 900.0, 128, qr=9e12 + 60.0))
+        assert nxt["ok"] and nxt["start"] == 9e12 + 1800.0  # after rid 1 ends
+        status = await rpc(service.port, {"op": "status"})
+        assert status["now"] == 9e12 + 60.0
         await service.stop()
 
     run(scenario())
