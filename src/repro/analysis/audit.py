@@ -41,8 +41,9 @@ Cross-calendar (``audit_calendar``, which also audits every slot tree):
 * ``RA112`` — every bounded period is indexed (stored or buffered) in
   exactly the slot trees it overlaps (and unbounded ones never leak
   into trees in tail mode);
-* ``RA113`` — the pending set, its slot map, and its rollover buckets
-  agree, and every pending period really ends beyond the horizon;
+* ``RA113`` — the horizon is arithmetic: every bounded period of an
+  active server ends inside it, no tree sits outside it, and the tree
+  that unwritten slots are read through is empty;
 * ``RA115`` — the tail index is sorted, its parallel arrays agree, and
   it holds exactly the live unbounded periods.
 
@@ -345,8 +346,7 @@ def _effective_periods(tree: "TwoDimTree") -> list[IdlePeriod]:
 
 def audit_calendar(cal: "AvailabilityCalendar") -> list[AuditFinding]:
     """Audit the whole calendar: every slot tree plus the cross-structure
-    invariants tying per-server lists, trees, tail index and pending set
-    together."""
+    invariants tying per-server lists, trees and tail index together."""
     findings: list[AuditFinding] = []
 
     # RA111: authoritative per-server lists and their bisect key arrays
@@ -375,7 +375,13 @@ def audit_calendar(cal: "AvailabilityCalendar") -> list[AuditFinding]:
 
     # per-tree structural audits + collect where every uid is indexed
     indexed: dict[int, set[int]] = {}
+    if _effective_periods(cal._unwritten):
+        findings.append(
+            AuditFinding("RA113", "unwritten slots", "the shared empty tree was written to")
+        )
     for q, tree in cal._trees.items():
+        if not cal._base_slot <= q < cal._base_slot + cal.q_slots:
+            findings.append(AuditFinding("RA113", f"slot {q}", "tree outside the horizon"))
         findings.extend(audit_tree(tree, label=f"slot {q}"))
         lo, hi = q * cal.tau, (q + 1) * cal.tau
         for p in _effective_periods(tree):
@@ -445,15 +451,6 @@ def audit_calendar(cal: "AvailabilityCalendar") -> list[AuditFinding]:
                         f"in slots {sorted(indexed[p.uid])}",
                     )
                 )
-            if p.uid in cal._pending:
-                findings.append(
-                    AuditFinding(
-                        "RA113",
-                        f"server {p.server}",
-                        f"period {p} of a {cal._status[p.server]} server still "
-                        "in the pending set",
-                    )
-                )
             continue
         if p.et == INF:
             if p.uid not in tail_uids:
@@ -474,46 +471,12 @@ def audit_calendar(cal: "AvailabilityCalendar") -> list[AuditFinding]:
                     f"period {p} indexed in slots {sorted(got)} but overlaps {sorted(expected)}",
                 )
             )
-        if p.et != INF and p.et > cal.horizon_end and p.uid not in cal._pending:
+        if p.et != INF and p.et > cal.horizon_end:
             findings.append(
                 AuditFinding(
-                    "RA113", f"server {p.server}", f"period {p} missing from the pending set"
+                    "RA113", f"server {p.server}", f"period {p} ends beyond the horizon"
                 )
             )
-
-    # RA113: pending set / slot map / rollover buckets agree
-    first_inactive = cal._base_slot + cal.q_slots
-    for uid, p in cal._pending.items():
-        where = f"pending uid {uid}"
-        if p.et <= cal.horizon_end:
-            findings.append(
-                AuditFinding("RA113", where, f"pending period {p} ends inside the horizon")
-            )
-        if uid not in all_periods:
-            findings.append(AuditFinding("RA113", where, f"pending period {p} is not live"))
-        bucket_slot = cal._pending_slot.get(uid)
-        expected_slot = max(cal.slot_of(p.st), first_inactive)
-        if bucket_slot != expected_slot:
-            findings.append(
-                AuditFinding(
-                    "RA113",
-                    where,
-                    f"bucketed at slot {bucket_slot}, expected first-overlap slot {expected_slot}",
-                )
-            )
-        if bucket_slot is None or cal._pending_buckets.get(bucket_slot, {}).get(uid) is not p:
-            findings.append(
-                AuditFinding("RA113", where, "bucket membership does not match the pending set")
-            )
-    bucketed = {uid for bucket in cal._pending_buckets.values() for uid in bucket}
-    if bucketed != set(cal._pending):
-        findings.append(
-            AuditFinding("RA113", "pending buckets", "bucket contents out of sync with pending set")
-        )
-    if set(cal._pending_slot) != set(cal._pending):
-        findings.append(
-            AuditFinding("RA113", "pending slots", "slot map out of sync with pending set")
-        )
     return findings
 
 

@@ -3,13 +3,13 @@
 The :class:`AvailabilityCalendar` owns, for a system of ``N`` servers:
 
 * the authoritative per-server lists of idle periods (sorted by start);
-* ``Q`` slot-aligned :class:`~repro.core.slot_tree.TwoDimTree` indexes,
-  one per slot of length ``tau`` within the horizon ``H = Q * tau``,
-  holding the *bounded* idle periods overlapping each slot;
+* slot-aligned :class:`~repro.core.slot_tree.TwoDimTree` indexes, at
+  most one per slot of length ``tau`` within the horizon ``H = Q * tau``,
+  holding the *bounded* idle periods overlapping that slot — a slot gets
+  its tree when a period is first written to it, and reads as empty
+  until then;
 * the **tail index**: one sorted array over the unbounded trailing idle
-  periods (``et = ∞``, exactly one per server with no future commitment);
-* the *pending set*: bounded periods ending beyond the current horizon,
-  which must be added to new slot trees as the horizon rolls forward.
+  periods (``et = ∞``, exactly one per server with no future commitment).
 
 Why the tail index?  The paper stores every idle period in the tree of
 every slot it overlaps; a trailing period overlaps *all* ``Q`` slots, so
@@ -26,18 +26,25 @@ preserved sensibly: bounded feasible periods (earliest-ending first, the
 paper's secondary-tree in-order preference) are taken before unbounded
 ones, which is exactly the best-fit tendency of the paper's traversal.
 
-As simulated time advances past a slot boundary the expired slot's tree
-is discarded and a fresh tree is created at the far end of the horizon —
-the paper's discard/initialize cycle — seeded with the pending periods
-that overlap the new slot.
+**The horizon is arithmetic.**  Slot ``q`` is active iff
+``base <= q < base + Q``, where ``base`` is the slot holding ``now``; the
+paper's discard/initialize cycle at a slot boundary is "move ``base``,
+drop the trees of the slots that expired".  Nothing has to be created
+for a slot that rolls in, because nothing can already be waiting for it:
+a bounded idle period ends where some reservation starts, a reservation
+may only start inside the horizon (:meth:`allocate` and :meth:`release`
+refuse anything else), and the horizon's end never moves back — so
+**every bounded period ends at or before ``horizon_end``**, when it is
+created and ever after.  Dense (paper-literal) indexing is the one exception to "nothing
+created": it is the reference, so it keeps a tree per active slot and
+seeds each rolled-in one with the trailing periods that reach it.
 
 Slot trees are write-buffered (see :mod:`repro.core.slot_tree`): the
 calendar registers and withdraws a period with one O(1) ``insert`` /
 ``remove`` per overlapped slot, and a slot's tree is brought up to date
 when a search next reads it.  That is the one update path: allocation,
-release, drain and the seeding of a rolled-in slot all write such notes,
-and a slot that is written and rolled over without being searched costs
-no tree work at all.
+release and drain all write such notes, and a slot that is written and
+rolled over without being searched costs no tree work at all.
 
 **Elastic pool.**  The server set may change at runtime (the ROADMAP's
 elastic-cluster extension): :meth:`add_servers` grows the pool,
@@ -49,8 +56,8 @@ layout and every ``range(n_servers)`` iteration stay valid;
 ``n_servers`` therefore counts every server that ever joined.
 Draining is implemented entirely in the *derived* indexes: the
 authoritative per-server lists are untouched (physical idleness is what
-conservation audits), but the server's periods leave the slot trees,
-tail index and pending buckets, so Phase-1 counts, Phase-2 selection and
+conservation audits), but the server's periods leave the slot trees
+and the tail index, so Phase-1 counts, Phase-2 selection and
 range searches naturally stop offering it.  Every server always carries
 exactly one trailing unbounded idle period (allocation regenerates the
 right remnant, release merges preserve it, history trimming never drops
@@ -133,9 +140,11 @@ class AvailabilityCalendar:
         # original's now — a floor-based base would shift its horizon one
         # slot relative to the original's, breaking restart identity
         self._base_slot = self.slot_of(self.now)
-        self._trees: dict[int, TwoDimTree] = {
-            q: TwoDimTree(counter) for q in range(self._base_slot, self._base_slot + q_slots)
-        }
+        # sparse: a tree per active slot that has been written to (dense
+        # mode writes every slot at once, below); any other active slot
+        # is read through the one shared, never-written ``_unwritten``
+        self._trees: dict[int, TwoDimTree] = {}
+        self._unwritten = TwoDimTree(counter)
         self._server_periods: list[list[IdlePeriod]] = []
         # parallel per-server key arrays: starting times of the periods in
         # ``_server_periods`` (disjoint periods have unique starts per
@@ -146,12 +155,6 @@ class AvailabilityCalendar:
         # keyed as float pairs so probes like ``(sr, _UID_HIGH)`` type-check
         self._inf_keys: list[tuple[float, float]] = []
         self._inf_periods: list[IdlePeriod] = []
-        # bounded periods ending beyond the horizon, keyed by uid, bucketed
-        # by the first not-yet-active slot each overlaps so rollover seeds
-        # a new slot tree without scanning the whole pending set
-        self._pending: dict[int, IdlePeriod] = {}
-        self._pending_slot: dict[int, int] = {}
-        self._pending_buckets: dict[int, dict[int, IdlePeriod]] = {}
         # elastic pool: per-server lifecycle state, positionally parallel
         # to _server_periods; only "active" servers live in derived indexes
         self._status: list[str] = ["active"] * n_servers
@@ -165,7 +168,8 @@ class AvailabilityCalendar:
             self._inf_periods.append(period)
             initial.append(period)
         if self.dense:
-            for tree in self._trees.values():
+            for q in range(self._base_slot, self._base_slot + q_slots):
+                tree = self._trees[q] = TwoDimTree(counter)
                 tree.bulk_load(initial)
 
     # ------------------------------------------------------------------
@@ -203,17 +207,6 @@ class AvailabilityCalendar:
         """True when ``t`` falls inside an active slot."""
         return self._base_slot <= self.slot_of(t) < self._base_slot + self.q_slots
 
-    def tree_for(self, t: float) -> TwoDimTree:
-        """The slot tree indexing time ``t``; raises ``KeyError`` outside the horizon."""
-        q = self.slot_of(t)
-        try:
-            return self._trees[q]
-        except KeyError:
-            raise KeyError(
-                f"time {t} (slot {q}) is outside the active horizon "
-                f"[{self.horizon_start}, {self.horizon_end})"
-            ) from None
-
     # ------------------------------------------------------------------
     # time advance / rollover
     # ------------------------------------------------------------------
@@ -221,12 +214,13 @@ class AvailabilityCalendar:
     def advance(self, to_time: float) -> None:
         """Move the clock forward, rolling the horizon over expired slots.
 
-        Every slot that fully expires loses its tree, and a new tree is
-        initialized at the end of the horizon for each slot that enters
-        it, seeded with the pending bounded periods that now overlap it
-        (as buffered inserts: the tree is built if and when it is read).
-        Costs ``O(min(jump/τ, Q))`` plus the pending periods released,
-        however far the clock jumps.
+        The horizon is arithmetic, so rolling it is setting the base
+        slot and dropping the trees of the slots that expired —
+        ``O(min(jump/τ, Q))`` pops however far the clock jumps.  Nothing
+        is created for the slots that roll in: no bounded period can end
+        beyond the old horizon (see the module docstring), so none was
+        waiting for them.  Dense indexing alone gives each one a tree,
+        seeded with the trailing periods that reach it.
         """
         if to_time < self.now:
             raise ValueError(f"cannot move time backwards ({to_time} < {self.now})")
@@ -235,68 +229,21 @@ class AvailabilityCalendar:
         old_base = self._base_slot
         if current == old_base:
             return
-        q_slots = self.q_slots
-        tau = self.tau
-        first_new = old_base + q_slots
-        if current >= first_new:
-            # the jump clears the whole horizon: every active tree expired,
-            # and so did every slot between the old horizon and the new one
-            self._trees.clear()
-            self._skip_pending_buckets(current)
-            first_new = current
+        self._base_slot = current
+        trees = self._trees
+        if current - old_base >= self.q_slots:
+            trees.clear()  # the jump clears the whole horizon
         else:
             for q in range(old_base, current):
-                del self._trees[q]
-        self._base_slot = current
-        for new_slot in range(first_new, current + q_slots):
-            new_end = (new_slot + 1) * tau
-            tree = TwoDimTree(self.counter)
-            bucket = self._pending_buckets.pop(new_slot, None)
-            if bucket:
-                # periods now fully inside the horizon leave the pending
-                # set; the rest overlap the next slot too and carry over
-                carry: dict[int, IdlePeriod] = {}
-                for uid, p in bucket.items():
-                    tree.insert(p)
-                    if p.et > new_end:
-                        carry[uid] = p
-                        self._pending_slot[uid] = new_slot + 1
-                    else:
-                        del self._pending[uid]
-                        del self._pending_slot[uid]
-                if carry:
-                    nxt = self._pending_buckets.setdefault(new_slot + 1, {})
-                    nxt.update(carry)
-            if self.dense:
-                # (new_end, -1.0) sorts before any real (new_end, uid) key,
-                # matching the old 1-tuple probe while keeping key types uniform
+                trees.pop(q, None)
+        if self.dense:
+            for q in range(max(old_base + self.q_slots, current), current + self.q_slots):
+                new_end = (q + 1) * self.tau
+                tree = trees[q] = TwoDimTree(self.counter)
+                # (new_end, -1.0) sorts before any real (new_end, uid) key
                 for p in self._inf_periods[: bisect_left(self._inf_keys, (new_end, -1.0))]:
                     tree.insert(p)
-            self._trees[new_slot] = tree
         self._trim_history()
-
-    def _skip_pending_buckets(self, current: int) -> None:
-        """Settle the rollover buckets of slots a long jump passes over.
-
-        Stepping slot by slot would seed and at once discard a tree for
-        every slot before ``current``; all that survives of it is the
-        pending bookkeeping, done here per period instead of per slot:
-        one that reaches into slot ``current`` is carried to that bucket
-        (which the caller rolls in next, fixing its slot-map entry), one
-        that ends before it has expired unseen.
-        """
-        reach = current * self.tau
-        buckets = self._pending_buckets
-        carry: dict[int, IdlePeriod] = {}
-        for slot in [q for q in buckets if q < current]:
-            for uid, p in buckets.pop(slot).items():
-                if p.et > reach:
-                    carry[uid] = p
-                else:
-                    del self._pending[uid]
-                    del self._pending_slot[uid]
-        if carry:
-            buckets.setdefault(current, {}).update(carry)
 
     def _trim_history(self) -> None:
         """Drop per-server periods that ended before the horizon start."""
@@ -335,17 +282,17 @@ class AvailabilityCalendar:
             # every remaining slot of the horizon
             last = self._base_slot + self.q_slots - 1
         else:
-            last = min(self._last_overlapping_slot(period.et), self._base_slot + self.q_slots - 1)
-        if first > last:
-            return range(0)
+            # inside the horizon: no bounded period ends beyond it
+            last = self._last_overlapping_slot(period.et)
         return range(first, last + 1)
 
     def _index_period(self, period: IdlePeriod) -> None:
         """Register ``period`` with every derived index.
 
         Slot-tree insertions are O(1) notes in each overlapped tree's
-        write buffer; tail-index and pending bookkeeping are immediate
-        (they are O(log N) array work with no rebalancing to fuse).
+        write buffer — the first one written to a slot creates its tree;
+        tail-index bookkeeping is immediate (it is O(log N) array work
+        with no rebalancing to fuse).
 
         Periods of draining or removed servers are *not* registered in
         any derived index — a drained-out server must stop appearing in
@@ -365,12 +312,10 @@ class AvailabilityCalendar:
             # in the tree of every remaining slot
         trees = self._trees
         for q in self._overlapping_slots(period):
-            trees[q].insert(period)
-        if period.et != INF and period.et > self.horizon_end:
-            bucket_slot = max(self.slot_of(period.st), self._base_slot + self.q_slots)
-            self._pending[period.uid] = period
-            self._pending_slot[period.uid] = bucket_slot
-            self._pending_buckets.setdefault(bucket_slot, {})[period.uid] = period
+            tree = trees.get(q)
+            if tree is None:
+                tree = trees[q] = TwoDimTree(self.counter)
+            tree.insert(period)
 
     def _unindex_period(self, period: IdlePeriod) -> None:
         if self._status[period.server] != "active":
@@ -388,12 +333,6 @@ class AvailabilityCalendar:
         trees = self._trees
         for q in self._overlapping_slots(period):
             trees[q].remove(period)
-        if self._pending.pop(period.uid, None) is not None:
-            bucket_slot = self._pending_slot.pop(period.uid)
-            bucket = self._pending_buckets[bucket_slot]
-            del bucket[period.uid]
-            if not bucket:
-                del self._pending_buckets[bucket_slot]
 
     def _add_period(self, period: IdlePeriod) -> None:
         keys = self._server_keys[period.server]
@@ -432,8 +371,14 @@ class AvailabilityCalendar:
         by at most two remnants — ``(st, start)`` and ``(end, et)`` —
         exactly the update rule of Section 4.2.
 
-        The authoritative lists and the tail/pending indexes update at
-        once; the ``O(n_r · Q)`` slot-tree updates one request implies
+        ``start`` must lie inside the horizon (``ValueError`` otherwise,
+        before anything is touched): the left remnant ends at ``start``,
+        and no bounded period may end beyond the horizon.  The retry
+        ladder never offers such a start; this guards callers that bring
+        their own (:meth:`~repro.core.coalloc.OnlineCoAllocator.commit`).
+
+        The authoritative lists and the tail index update at once; the
+        ``O(n_r · Q)`` slot-tree updates one request implies
         are O(1) notes in the write buffers of the overlapped trees, each
         applied — fused with whatever else that slot has been told since
         — when the slot is next searched, or never if it rolls out of the
@@ -442,6 +387,11 @@ class AvailabilityCalendar:
         function of stored periods — so deferring changes no scheduling
         outcome.
         """
+        if start >= self.horizon_end:
+            raise ValueError(
+                f"start {start} is beyond the schedulable horizon "
+                f"[{self.horizon_start}, {self.horizon_end})"
+            )
         for period in periods:
             if not period.is_feasible(start, end):
                 raise ValueError(
@@ -476,6 +426,14 @@ class AvailabilityCalendar:
         if idx < len(keys) and keys[idx] == end:
             hi = periods[idx].et
             self._drop_period(periods[idx])
+        elif end > self.horizon_end:
+            # nothing idle starts at ``end``, so the freed period would be
+            # bounded there; a reservation's own end always passes (what
+            # follows it is idle, or busy from a start inside the horizon)
+            raise ValueError(
+                f"release of [{start}, {end}) on server {server} would leave an "
+                f"idle period ending beyond the horizon end {self.horizon_end}"
+            )
         idx = bisect_left(keys, start) - 1
         if idx >= 0 and periods[idx].et == start:
             lo = periods[idx].st
@@ -561,9 +519,9 @@ class AvailabilityCalendar:
         """Stop ``server`` from admitting new periods; keep its commitments.
 
         Unindexes every one of the server's idle periods from the derived
-        indexes (slot trees, tail index, pending buckets) so searches stop
-        offering it, while the authoritative list — physical idleness —
-        is untouched and existing reservations are honored to the end.
+        indexes (slot trees, tail index) so searches stop offering it,
+        while the authoritative list — physical idleness — is untouched
+        and existing reservations are honored to the end.
         Idempotent on an already-draining server (returns ``False``);
         raises :class:`ValueError` for a removed server.
         """
@@ -632,7 +590,7 @@ class AvailabilityCalendar:
         q = self.slot_of(sr)
         if not self._base_slot <= q < self._base_slot + self.q_slots:
             return None
-        tree = self._trees[q]
+        tree = self._trees.get(q, self._unwritten)
         count, marks = tree.phase1(sr)
         tail_count = self._tail_candidates(sr)
         if count + tail_count < nr:
@@ -682,17 +640,18 @@ class AvailabilityCalendar:
         tail = self._inf_keys
         # from this start on the tail index alone can host the request
         tail_from = tail[nr - 1][0] if 0 < nr <= len(tail) else INF
-        trees = self._trees
+        trees, unwritten = self._trees, self._unwritten
+        first, end = self._base_slot, self._base_slot + self.q_slots
         checks = 0
         while k < k_end:
             s = base + k * delta_t
             if s > latest or s >= tail_from:
                 break
-            tree = trees.get(self.slot_of(s))
-            if tree is None:
+            q = self.slot_of(s)
+            if not first <= q < end:
                 break  # outside the horizon
             checks += 1
-            if tree.max_end() >= s + lr:
+            if trees.get(q, unwritten).max_end() >= s + lr:
                 break
             k += 1
         if checks:
@@ -709,7 +668,7 @@ class AvailabilityCalendar:
         q = self.slot_of(ta)
         if not self._base_slot <= q < self._base_slot + self.q_slots:
             return []
-        found = self._trees[q].range_search(ta, tb)
+        found = self._trees.get(q, self._unwritten).range_search(ta, tb)
         if not self.dense:
             tail_count = self._tail_candidates(ta)
             found.extend(self._inf_periods[:tail_count])
@@ -727,8 +686,8 @@ class AvailabilityCalendar:
         """The calendar's authoritative state as JSON-serializable data.
 
         Only the *authoritative* per-server idle-period lists are
-        exported; every derived index (slot trees, tail index, pending
-        buckets) is rebuilt by :meth:`from_state`.  ``math.inf`` ending
+        exported; every derived index (slot trees, tail index) is
+        rebuilt by :meth:`from_state`.  ``math.inf`` ending
         times serialize as ``None`` (JSON has no ``Infinity``).  Period
         ``uid``\\ s ride along because uid order is the slot trees'
         tie-break among equal keys — restoring them keeps a restored
@@ -795,9 +754,11 @@ class AvailabilityCalendar:
         The restored instance is behaviorally identical to the exported
         one: same clock, same horizon geometry, same idle periods *with
         their original uids* (the tie-break order inside the trees), and
-        all slot-tree/tail/pending indexes reconstructed from scratch.
-        The global uid counter is advanced past every restored uid so
-        fresh periods never collide.
+        all slot-tree/tail indexes reconstructed from scratch.  The
+        global uid counter is advanced past every restored uid so fresh
+        periods never collide.  A bounded period ending beyond the
+        restored horizon is refused (``ValueError``): no calendar exports
+        one (see the module docstring), so the state was edited by hand.
         """
         n_servers = int(state["n_servers"])  # type: ignore[arg-type]
         now = float(state["now"])  # type: ignore[arg-type]
@@ -836,6 +797,11 @@ class AvailabilityCalendar:
                         f"calendar state for server {server} is not sorted/disjoint "
                         f"around [{st}, {et})"
                     )
+                if et != INF and et > calendar.horizon_end:
+                    raise ValueError(
+                        f"calendar state for server {server} holds a bounded period "
+                        f"[{st}, {et}) ending beyond the horizon end {calendar.horizon_end}"
+                    )
                 last_end = et
                 max_uid = max(max_uid, uid)
                 calendar._add_period(IdlePeriod(server=server, st=st, et=et, uid=uid))
@@ -847,7 +813,7 @@ class AvailabilityCalendar:
     # ------------------------------------------------------------------
 
     def validate(self) -> None:
-        """Cross-check per-server lists, slot trees, tail index and pending set.
+        """Cross-check per-server lists, slot trees and tail index.
 
         Delegates to :func:`repro.analysis.audit.audit_calendar`, which
         audits every slot tree plus the cross-structure invariants (one

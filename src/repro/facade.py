@@ -156,7 +156,9 @@ class CoAllocationScheduler:
 
         Raises :class:`~repro.errors.ConflictError` (a ``ValueError``)
         when a period can no longer host the window — someone else
-        committed it between the range search and this commit.
+        committed it between the range search and this commit — or when
+        ``start`` lies beyond the schedulable horizon (the retry ladder
+        never offers such a start; a caller's own may not use one).
         """
         try:
             allocation = self.allocator.commit(periods, start, end, rid=rid)

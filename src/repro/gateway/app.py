@@ -266,6 +266,10 @@ class Gateway:
             return self._malformed(tenant, op, exc)
         try:
             response = await self._backend_rpc(message)
+        except ValueError as exc:
+            # the message cannot be put on the wire: ``seq`` is passed
+            # through unchecked and NaN is not JSON
+            return self._malformed(tenant, op, ProtocolError(str(exc)))
         except ConnectionError as exc:
             self.rejects_total.inc(tenant=tenant, reason="backend_down")
             self.backend_up.set(0)

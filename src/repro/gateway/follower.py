@@ -42,6 +42,7 @@ from ..service.client import ServiceClient
 from ..service.protocol import (
     FOLLOWER_OPS,
     MAX_LINE_BYTES,
+    READ_CHUNK_BYTES,
     ProtocolError,
     decode_line,
     encode,
@@ -250,9 +251,18 @@ class Follower:
     async def _handle_control(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        writer.transport.max_size = READ_CHUNK_BYTES
         try:
             while True:
-                raw = await reader.readline()
+                try:
+                    raw = await reader.readline()
+                except ValueError:
+                    # over-long line: unrecoverable framing — answer as the
+                    # primary does, then close the stream
+                    exc = ProtocolError(f"line exceeds {MAX_LINE_BYTES} bytes")
+                    writer.write(encode({"ok": False, "op": None, "error": error_payload(exc)}))
+                    await writer.drain()
+                    break
                 if not raw:
                     break
                 if not raw.strip():

@@ -277,6 +277,11 @@ class AutoScaler:
         Independently of the decision, any already-drained draining
         server is removed — finishing a scale-in is not gated on the
         policy still wanting one.
+
+        Every aid is minted from pool state, never from :attr:`ticks`:
+        the aid table rides in the snapshot while this object restarts
+        from zero, so a tick-numbered aid would come back ``replayed``
+        — and change nothing — after a restart.
         """
         self.ticks += 1
         messages: list[dict[str, Any]] = []
@@ -295,7 +300,8 @@ class AutoScaler:
                 {
                     "op": "add_servers",
                     "count": decision.count,
-                    "aid": f"autoscale-add-{self.ticks}",
+                    # ids ever used: grows with every applied add
+                    "aid": f"autoscale-add-{pool['total']}",
                 }
             )
         elif decision.direction == "down":
@@ -306,7 +312,7 @@ class AutoScaler:
                     {
                         "op": "drain",
                         "server": server,
-                        "aid": f"autoscale-drain-{server}-{self.ticks}",
+                        "aid": f"autoscale-drain-{server}",  # a server drains once
                     }
                 )
         if decision.direction != "hold" or messages:

@@ -45,6 +45,7 @@ with re-bootstrap instructions, exactly like any other cursor gap.
 from __future__ import annotations
 
 import json
+import math
 import time
 from pathlib import Path
 from typing import Any, Callable
@@ -113,6 +114,15 @@ def decide_reserve(scheduler: Any, message: dict[str, Any]) -> dict[str, Any]:
         request = request_from_payload(message)
     except MalformedRequestError as exc:
         return {"ok": False, "error": exc.payload()}
+    # every field is finite (the wire checks that), but the last end the
+    # retry ladder can reach is a sum: refused before the clock moves,
+    # or a granted [start, inf) would sit in the tables unencodable
+    # (RA008 guards attempt counts; this r_max is a time span)
+    allocator = scheduler.allocator
+    span = allocator.r_max * allocator.delta_t  # repro: noqa: RA008
+    if not math.isfinite(max(request.sr, scheduler.now) + span + request.lr):
+        error = MalformedRequestError(f"request {request.rid}: sr + lr overflows the clock")
+        return {"ok": False, "error": error.payload()}
     # the virtual clock: simulated time only ever advances from
     # request-carried submission times, keeping replays deterministic
     scheduler.advance(max(scheduler.now, request.qr))

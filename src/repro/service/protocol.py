@@ -36,6 +36,7 @@ to the same ``MALFORMED`` error code.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -77,7 +78,8 @@ MAX_LINE_BYTES = 1 << 20
 READ_CHUNK_BYTES = 64 * 1024
 
 #: wire-type vocabulary: spec tag -> accepted Python types.  ``bool`` is
-#: excluded from ``int``/``number`` (JSON ``true`` is not a count).
+#: excluded from ``int``/``number`` (JSON ``true`` is not a count), and a
+#: ``number`` must be finite (``NaN``/``Infinity`` are not times).
 FIELD_TYPES: dict[str, tuple[type, ...]] = {
     "int": (int,),
     "number": (int, float),
@@ -193,6 +195,15 @@ def _check_type(op: str, name: str, value: Any, tag: str) -> None:
         raise ProtocolError(
             f"{op}: field {name!r} must be {' or '.join(t.__name__ for t in types)}"
         )
+    if tag == "number":
+        # json.loads accepts NaN/Infinity, and an int too large for a
+        # float is as unusable as either: a time must be a finite float
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ProtocolError(f"{op}: field {name!r} must be a finite number")
 
 
 def decode_line(raw: bytes, ops: tuple[str, ...] = OPS) -> dict[str, Any]:

@@ -305,7 +305,14 @@ class ReservationService:
                 if not alive:
                     continue  # keep consuming futures so the actor never blocks
                 try:
-                    writer.write(encode(response))
+                    data = encode(response)
+                except ValueError as exc:
+                    # a non-finite float got into a response (a ``seq`` of
+                    # NaN is echoed as sent): answer INTERNAL rather than
+                    # die with the client waiting on this connection
+                    data = encode(_error_response({"op": response.get("op")}, exc))
+                try:
+                    writer.write(data)
                     await writer.drain()
                 except (ConnectionError, RuntimeError):
                     alive = False

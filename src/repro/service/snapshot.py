@@ -4,7 +4,7 @@ A snapshot file is one JSON document::
 
     {
       "format": "repro.service.snapshot",
-      "version": 1,
+      "version": 2,
       "sha256": "<hex digest over the canonical state JSON>",
       "state": { ... }
     }
@@ -48,8 +48,9 @@ SNAPSHOT_FORMAT = "repro.service.snapshot"
 #: version 2 added the elastic pool: the calendar state carries a
 #: ``pool`` status list and the service state an ``admin_decided`` table
 SNAPSHOT_VERSION = 2
-#: versions this build can read (older ones are migrated on read)
-SUPPORTED_VERSIONS = frozenset({1, 2})
+#: versions this build can read (no writer has produced version 1 since
+#: the elastic pool landed; such a file is refused, naming its version)
+SUPPORTED_VERSIONS = frozenset({2})
 
 #: legal per-server pool states (mirrors ``repro.core.calendar.POOL_STATES``;
 #: duplicated so the snapshot layer stays dependency-free)
@@ -131,25 +132,8 @@ def read_snapshot(path: str | Path) -> dict[str, Any]:
             f"snapshot {target} fails its checksum "
             f"(header {document.get('sha256')!r}, computed {digest!r})"
         )
-    if version < SNAPSHOT_VERSION:
-        return _migrate_state(state, version)
     _check_pool_sections(state, target)
     return state
-
-
-def _migrate_state(state: dict[str, Any], version: int) -> dict[str, Any]:
-    """Lift an older-version state to the current in-memory shape.
-
-    v1 → v2: v1 snapshots predate the elastic pool, so every recorded
-    server was active (the calendar restore defaults a missing ``pool``
-    section to all-active) and no admin decisions existed.  Re-exporting
-    the restored state yields a byte-identical v2 snapshot of the same
-    logical state, which the migration tests assert.
-    """
-    migrated = dict(state)
-    if version < 2:
-        migrated.setdefault("admin_decided", {})
-    return migrated
 
 
 def _check_pool_sections(state: dict[str, Any], target: Path) -> None:

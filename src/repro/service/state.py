@@ -112,10 +112,7 @@ class ServiceState:
 
     @classmethod
     def from_snapshot(cls, state: dict[str, Any]) -> tuple["ServiceState", int]:
-        """Inverse of :meth:`export`: ``(restored state, log_hwm)``.
-
-        Unknown sections (an old deployment's ``sharded``) are ignored.
-        """
+        """Inverse of :meth:`export`: ``(restored state, log_hwm)``."""
         restored = cls(CoAllocationScheduler.from_state(state["scheduler"]))
         restored.decided = {
             int(rid): entry for rid, entry in state.get("decided", {}).items()

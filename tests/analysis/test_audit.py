@@ -18,6 +18,7 @@ from repro.analysis.audit import (
     corrupt_uid_map,
 )
 from repro.core.calendar import AvailabilityCalendar
+from repro.core.slot_tree import TwoDimTree
 from repro.core.types import INF, IdlePeriod
 from repro.schedulers import OnlineScheduler
 from repro.sim.replay import _audit_stride_from_env, replay
@@ -108,10 +109,23 @@ class TestCalendarCorruptions:
         tree.remove(period)
         assert "RA112" in check_ids(audit_calendar(cal))
 
-    def test_fabricated_pending_entry_reports_ra113(self):
+    def test_tree_outside_the_horizon_reports_ra113(self):
         cal = populated().calendar
-        ghost = IdlePeriod(server=0, st=0.0, et=cal.horizon_end + 100.0)
-        cal._pending[ghost.uid] = ghost
+        cal._trees[cal._base_slot + cal.q_slots] = TwoDimTree()
+        assert "RA113" in check_ids(audit_calendar(cal))
+
+    def test_period_beyond_the_horizon_reports_ra113(self):
+        cal = populated().calendar
+        trailing = cal._server_periods[0].pop()
+        beyond = max(trailing.st, cal.horizon_end) + 100.0
+        cal._server_periods[0].append(
+            IdlePeriod(server=0, st=trailing.st, et=beyond, uid=trailing.uid)
+        )
+        assert "RA113" in check_ids(audit_calendar(cal))
+
+    def test_write_to_the_shared_empty_tree_reports_ra113(self):
+        cal = populated().calendar
+        cal._unwritten.insert(IdlePeriod(server=0, st=0.0, et=5.0))
         assert "RA113" in check_ids(audit_calendar(cal))
 
     def test_tail_index_desync_reports_ra115(self):

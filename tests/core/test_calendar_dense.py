@@ -22,7 +22,7 @@ class TestDenseMode:
     def test_trailing_periods_live_in_every_tree(self):
         cal = make(n=3, q=12)
         for q in range(12):
-            tree = cal.tree_for(q * 10.0)
+            tree = cal._trees[cal.slot_of(q * 10.0)]
             assert len(tree) == 3  # one trailing period per server
         cal.validate()
 
@@ -34,16 +34,16 @@ class TestDenseMode:
         server = periods[0].server
         # the bounded remnant [0, 20) appears only in slots 0 and 1;
         # the trailing remnant (40, inf) appears in slots 4..11
-        assert any(p.st == 40.0 and p.et == INF for p in cal.tree_for(50.0).periods())
-        assert any(p.et == 20.0 for p in cal.tree_for(0.0).periods())
-        assert not any(p.server == server for p in cal.tree_for(25.0).periods())
+        assert any(p.st == 40.0 and p.et == INF for p in cal._trees[cal.slot_of(50.0)].periods())
+        assert any(p.et == 20.0 for p in cal._trees[cal.slot_of(0.0)].periods())
+        assert not any(p.server == server for p in cal._trees[cal.slot_of(25.0)].periods())
 
     def test_rollover_seeds_trailing_periods(self):
         cal = make(n=2, q=12)
         cal.allocate(cal.find_feasible(0.0, 30.0, 2), 0.0, 30.0)
         cal.advance(25.0)  # new slot [120, 130) created
         cal.validate()
-        new_tree = cal.tree_for(125.0)
+        new_tree = cal._trees[cal.slot_of(125.0)]
         assert len(new_tree) == 2  # both trailing periods reached the new slot
 
     def test_find_feasible_without_tail_index(self):

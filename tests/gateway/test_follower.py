@@ -15,6 +15,7 @@ from repro.gateway.follower import (
     ReplicationDivergenceError,
     ReplicationGapError,
 )
+from repro.service.protocol import MAX_LINE_BYTES, READ_CHUNK_BYTES
 from repro.service.declog import decide_cancel, decide_reserve, decision_message
 from repro.service.server import accepted_checksum
 from repro.service.snapshot import snapshot_bytes
@@ -441,3 +442,50 @@ class TestPromote:
             r.get("replayed") for r in replays if r.get("op") == "reserve" and r["ok"]
         )
         assert fstatus["promoted"] is True
+
+
+class TestControlListener:
+    def test_over_long_line_is_answered_like_the_primary_answers_it(self, tmp_path):
+        """A line over ``MAX_LINE_BYTES`` is unrecoverable framing: both
+        listeners answer ``MALFORMED`` and close; the follower's handler
+        task used to die on the ``ValueError`` and reset the peer."""
+
+        async def over_long(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"x" * (MAX_LINE_BYTES + 1) + b"\n")
+            await writer.drain()
+            answer = json.loads(await reader.readline())
+            closed = await reader.read()
+            writer.close()
+            return answer, closed
+
+        async def scenario():
+            primary = await start_service(**SMALL, log_dir=str(tmp_path / "log"))
+            follower = Follower(FollowerConfig(primary_port=primary.port, poll_interval=0.01))
+            follower.bootstrap_fresh(await rpc(primary.port, {"op": "status"}))
+            accepted = []
+            handle = follower._handle_control
+
+            async def spy(reader, writer):
+                accepted.append(writer.transport)
+                await handle(reader, writer)
+
+            follower._handle_control = spy
+            await follower.start()
+            try:
+                return (
+                    await asyncio.wait_for(over_long(primary.port), 10.0),
+                    await asyncio.wait_for(over_long(follower.port), 10.0),
+                    await rpc(follower.port, {"op": "follower_status"}),
+                    accepted,
+                )
+            finally:
+                await follower.stop()
+                await primary.stop()
+
+        from_primary, from_follower, after, accepted = asyncio.run(scenario())
+        assert from_follower == from_primary
+        answer, closed = from_follower
+        assert answer["error"]["code"] == "MALFORMED" and closed == b""
+        assert after["ok"]  # the listener itself is unharmed
+        assert [t.max_size for t in accepted] == [READ_CHUNK_BYTES] * 2

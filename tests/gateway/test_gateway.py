@@ -95,7 +95,55 @@ class TestRouting:
         assert all(status == 200 for status, _ in statuses)
 
 
+async def raw_post(reader, writer, path: str, payload: bytes):
+    """POST bytes the stdlib encoder refuses to produce (``Infinity``)."""
+    head = f"POST {path} HTTP/1.1\r\nHost: repro\r\nContent-Length: {len(payload)}\r\n\r\n"
+    writer.write(head.encode("latin-1") + payload)
+    await writer.drain()
+    raw_head = (await reader.readuntil(b"\r\n\r\n")).decode("latin-1")
+    status = int(raw_head.split(" ")[1])
+    length = next(
+        int(line.split(":")[1])
+        for line in raw_head.split("\r\n")
+        if line.lower().startswith("content-length")
+    )
+    return status, json.loads(await reader.readexactly(length))
+
+
 class TestProxySemantics:
+    def test_non_finite_numbers_are_a_400_and_the_connection_is_kept(self):
+        async def scenario():
+            service, gateway = await start_stack()
+            reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+            answers = [
+                await raw_post(reader, writer, path, payload)
+                for path, payload in (
+                    ("/v1/reserve", b'{"rid":2,"sr":0,"lr":Infinity,"nr":1}'),
+                    ("/v1/reserve", b'{"rid":2,"sr":0,"lr":5,"nr":1,"qr":NaN}'),
+                    ("/v1/probe", b'{"ta":0,"tb":Infinity}'),
+                    ("/v1/admin/scale", b'{"action":"add_servers","count":1,"qr":Infinity}'),
+                )
+            ]
+            # ``seq`` is passed through unchecked: unencodable, so refused here
+            unsendable = await raw_post(reader, writer, "/v1/probe", b'{"ta":0,"tb":5,"seq":NaN}')
+            # same connection, next request served; nothing reached the backend
+            served = await http_request(
+                reader, writer, "POST", "/v1/reserve", reserve_msg(2, 0.0, 5.0, 1)
+            )
+            status = await rpc(service.port, {"op": "status"})
+            writer.close()
+            await gateway.stop()
+            await service.stop()
+            return answers, unsendable, served, status
+
+        answers, unsendable, served, status = asyncio.run(scenario())
+        for code, body in answers:
+            assert code == 400 and body["error"]["code"] == "MALFORMED"
+            assert "finite" in body["error"]["message"]
+        assert unsendable[0] == 400 and unsendable[1]["error"]["code"] == "MALFORMED"
+        assert served[0] == 200 and served[2]["ok"]
+        assert status["decided"] == 1 and status["metrics"]["malformed"] == 0
+
     def test_gateway_and_tcp_answer_identically(self):
         """The HTTP body is the backend's NDJSON response verbatim: the
         same op via the gateway and via raw TCP yields the same JSON."""

@@ -224,12 +224,14 @@ class TestCalendarLevel:
     def test_slot_written_and_rolled_over_unread_never_builds_a_kernel(self):
         counter = OpCounter()
         cal = AvailabilityCalendar(64, 10.0, 8, counter=counter)
-        tree = cal._trees[5]
+        assert not cal._trees  # a slot gets its tree on the first write
         # 50 carves of trailing periods, each leaving a bounded remnant in
         # slot 5; nothing searches that slot
         for server in range(50):
             (trailing,) = cal.idle_periods(server)
             cal.allocate([trailing], 55.0, 58.0, rid=server)
+        assert sorted(cal._trees) == [0, 1, 2, 3, 4, 5]
+        tree = cal._trees[5]
         assert len(tree._ins) == 50 and tree._kernel is None
         cal.validate()  # audits the buffered content without flushing it
         assert len(tree._ins) == 50 and tree._kernel is None

@@ -7,12 +7,15 @@ import asyncio
 
 import pytest
 
+from repro.facade import CoAllocationScheduler
 from repro.service.autoscale import (
     POLICIES,
     AutoScaleConfig,
     AutoScaler,
     build_policy,
 )
+
+from repro.service.state import ServiceState
 
 from .harness import SMALL, rpc, start_service
 
@@ -155,7 +158,7 @@ class TestDriver:
         scaler = AutoScaler(AutoScaleConfig(policy="step", step=2, max_servers=8))
         decision, messages = scaler.plan(_telemetry(delay=1.0), _pool(4))
         assert decision.direction == "up"
-        assert messages == [{"op": "add_servers", "count": 2, "aid": "autoscale-add-1"}]
+        assert messages == [{"op": "add_servers", "count": 2, "aid": "autoscale-add-4"}]
 
     def test_scale_in_drains_the_highest_active_server(self):
         scaler = AutoScaler(AutoScaleConfig(policy="step", min_servers=1))
@@ -170,6 +173,34 @@ class TestDriver:
         decision, messages = scaler.plan(_telemetry(delay=0.2), pool)
         assert decision.direction == "hold"  # drain in progress
         assert messages == [{"op": "remove", "server": 4, "aid": "autoscale-remove-4"}]
+
+    def test_a_restarted_scaler_still_grows_a_restored_pool(self):
+        """The aid table survives a restart and the scaler's tick count
+        does not: aids minted from ticks came back as replays."""
+        config = AutoScaleConfig(policy="step", step=1, max_servers=16)
+        state = ServiceState(CoAllocationScheduler(n_servers=4, tau=10.0, q_slots=8))
+
+        def overloaded_tick(scaler: AutoScaler, state: ServiceState) -> list[bool]:
+            _, messages = scaler.plan(
+                _telemetry(delay=1.0), state.scheduler.pool_status()
+            )
+            assert [m["op"] for m in messages] == ["add_servers"]
+            return [state.apply(m["op"], m)[1] for m in messages]
+
+        scaler = AutoScaler(config)
+        assert overloaded_tick(scaler, state) == [False]
+        assert overloaded_tick(scaler, state) == [False]
+        assert state.scheduler.pool_status()["active"] == 6
+
+        restored, _ = ServiceState.from_snapshot(state.export(log_hwm=2))
+        assert overloaded_tick(AutoScaler(config), restored) == [False]
+        assert restored.scheduler.pool_status()["active"] == 7
+
+    def test_scale_in_aids_name_the_server_only(self):
+        scaler = AutoScaler(AutoScaleConfig(policy="step", min_servers=1))
+        scaler.ticks = 41
+        _, messages = scaler.plan(_telemetry(delay=0.0), _pool(4))
+        assert [m["aid"] for m in messages] == ["autoscale-drain-3"]
 
     def test_dry_run_records_history_but_applies_nothing(self):
         scaler = AutoScaler(

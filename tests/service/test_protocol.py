@@ -15,6 +15,7 @@ from repro.service.protocol import (
     decode_line,
     encode,
     request_from_payload,
+    validate_payload,
 )
 
 
@@ -86,6 +87,15 @@ class TestDecodeLine:
     def test_optional_field_null_is_absent(self):
         message = {"op": "reserve", "rid": 1, "sr": 0, "lr": 1, "nr": 1, "deadline": None}
         assert decode_line(line(message))["deadline"] is None
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "9" * 400])
+    def test_number_fields_must_be_finite(self, literal):
+        """``json.loads`` reads all five; none of them is a time."""
+        raw = b'{"op":"reserve","rid":1,"sr":0,"lr":5,"nr":1,"qr":%s}\n' % literal.encode()
+        with pytest.raises(ProtocolError, match="'qr' must be a finite number"):
+            decode_line(raw)
+        with pytest.raises(ProtocolError, match="'tb' must be a finite number"):
+            validate_payload("probe", {"ta": 0, "tb": json.loads(literal)})
 
     def test_oversized_line_rejected(self):
         with pytest.raises(ProtocolError, match="exceeds"):

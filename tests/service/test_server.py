@@ -106,6 +106,85 @@ def test_bad_lines_answered_without_poisoning_the_connection():
     run(scenario())
 
 
+NON_FINITE_LINES = [
+    b'{"op":"reserve","rid":2,"sr":0,"lr":Infinity,"nr":1}\n',
+    b'{"op":"reserve","rid":2,"sr":NaN,"lr":5,"nr":1}\n',
+    b'{"op":"reserve","rid":2,"sr":0,"lr":5,"nr":1,"qr":NaN}\n',
+    b'{"op":"reserve","rid":2,"sr":0,"lr":5,"nr":1,"deadline":Infinity}\n',
+    b'{"op":"probe","ta":0,"tb":Infinity}\n',
+    b'{"op":"add_servers","count":1,"qr":-Infinity}\n',
+    b'{"op":"reserve","rid":2,"sr":1e999,"lr":5,"nr":1}\n',
+    b'{"op":"reserve","rid":2,"sr":' + b"9" * 400 + b',"lr":5,"nr":1}\n',
+]
+
+
+def _fingerprint(status: dict) -> tuple:
+    return (status["now"], status["decided"], status["log"]["hwm"], status["pool"])
+
+
+def test_non_finite_numbers_are_malformed_at_the_door(tmp_path):
+    """``json.loads`` reads NaN/Infinity; one granted ``[0, inf)`` used to
+    fail every later snapshot and hang the connection that resent it."""
+
+    async def scenario():
+        service = await start_service(
+            **SMALL, log_dir=str(tmp_path / "log"), snapshot_path=str(tmp_path / "s.snap")
+        )
+        before = _fingerprint(await rpc(service.port, {"op": "status"}))
+        for line in NON_FINITE_LINES:
+            # the bad line, a resend of it, then a good request: one connection
+            bad, again, status = await rpc_all(service.port, line, line, {"op": "status"})
+            for reply in (bad, again):
+                assert reply["error"]["code"] == "MALFORMED", (line, reply)
+                assert "finite" in reply["error"]["message"]
+            assert _fingerprint(status) == before, line
+        granted = await rpc(service.port, reserve_msg(2, 0.0, 5.0, 1))
+        assert granted["ok"]
+        assert (await rpc(service.port, {"op": "snapshot"}))["ok"]
+        await service.stop()
+
+    run(asyncio.wait_for(scenario(), timeout=30.0))  # the regression is a hang
+
+
+def test_a_request_whose_ladder_overflows_the_clock_is_malformed(tmp_path):
+    """Finite fields, non-finite sum: refused before the clock moves, and
+    recorded like any other domain-malformed reserve (a resend replays)."""
+
+    async def scenario():
+        service = await start_service(
+            **SMALL, log_dir=str(tmp_path / "log"), snapshot_path=str(tmp_path / "s.snap")
+        )
+        huge = reserve_msg(2, 1.7e308, 1.7e308, 1)
+        first, again, status = await rpc_all(service.port, huge, huge, {"op": "status"})
+        assert first["error"]["code"] == again["error"]["code"] == "MALFORMED"
+        assert again["replayed"] and not first.get("replayed")
+        assert status["now"] == 0.0 and status["active_allocations"] == 0
+        assert status["decided"] == status["log"]["hwm"] == 1
+        assert (await rpc(service.port, reserve_msg(3, 0.0, 5.0, 2)))["ok"]
+        assert (await rpc(service.port, {"op": "snapshot"}))["ok"]
+        await service.stop()
+
+    run(asyncio.wait_for(scenario(), timeout=30.0))  # the regression is a hang
+
+
+def test_an_unencodable_response_is_answered_not_dropped():
+    """``seq`` is echoed as sent, and ``NaN`` is not JSON: the writer task
+    used to die on it, leaving the client waiting for ever."""
+
+    async def scenario():
+        service = await start_service(**SMALL)
+        bad, good = await asyncio.wait_for(
+            rpc_all(service.port, b'{"op":"status","seq":NaN}\n', {"op": "status", "seq": 7}),
+            timeout=5.0,
+        )
+        assert bad == {**bad, "ok": False, "op": "status"}
+        assert bad["error"]["code"] == "INTERNAL"
+        assert good["ok"] and good["seq"] == 7
+        await service.stop()
+
+    run(scenario())
+
+
 def test_accepted_connections_read_in_bounded_chunks():
     """Every accepted connection caps asyncio's per-read recv buffer
     (see ``protocol.READ_CHUNK_BYTES`` for what the 256 KiB default costs)."""

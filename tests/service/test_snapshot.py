@@ -207,38 +207,19 @@ def _write_document(path, document):
 
 
 class TestSnapshotMigration:
-    """v1 snapshots (pre elastic pool) must restore under v2 and
-    re-export byte-identically; corrupt pool sections in a v2 snapshot
-    are hard errors, never a silently empty or all-active pool."""
+    """There is none any more: version 1 (pre elastic pool) is refused;
+    corrupt pool sections in a v2 snapshot are hard errors, never a
+    silently empty or all-active pool."""
 
-    def _v1_document(self, state: dict) -> dict:
+    def test_v1_is_refused_naming_the_version(self, tmp_path):
+        state = _state(ReservationService(CONFIG))
         # a faithful v1 snapshot: no pool section, no admin table
-        v1_state = json.loads(json.dumps(state))
-        v1_state.pop("admin_decided", None)
-        v1_state["scheduler"]["calendar"].pop("pool", None)
-        return {"format": SNAPSHOT_FORMAT, "version": 1, "state": v1_state}
-
-    def test_v1_restores_and_reexports_byte_identically_as_v2(self, tmp_path):
-        service = ReservationService(CONFIG)
-        for rid, (sr, lr, nr) in enumerate([(0.0, 10.0, 2), (15.0, 20.0, 1)]):
-            _apply(service, {"op": "reserve", "rid": rid, "sr": sr, "lr": lr, "nr": nr})
-        v2_state = _state(service)
+        state.pop("admin_decided", None)
+        state["scheduler"]["calendar"].pop("pool", None)
         path = tmp_path / "old.snap"
-        _write_document(path, self._v1_document(v2_state))
-
-        migrated = read_snapshot(path)
-        assert migrated["admin_decided"] == {}
-        restored = ReservationService(CONFIG, state=migrated)
-        assert _state(restored) == v2_state
-        assert snapshot_bytes(_state(restored)) == snapshot_bytes(v2_state)
-
-    def test_migrated_pool_is_all_active(self, tmp_path):
-        service = ReservationService(CONFIG)
-        path = tmp_path / "old.snap"
-        _write_document(path, self._v1_document(_state(service)))
-        restored = ReservationService(CONFIG, state=read_snapshot(path))
-        pool = _apply(restored, {"op": "pool_status"})
-        assert pool["servers"] == ["active"] * CONFIG.n_servers
+        _write_document(path, {"format": SNAPSHOT_FORMAT, "version": 1, "state": state})
+        with pytest.raises(SnapshotError, match=r"version 1; this build reads versions \[2\]"):
+            read_snapshot(path)
 
     def test_corrupt_pool_states_are_a_hard_error(self, tmp_path):
         service = ReservationService(CONFIG)
