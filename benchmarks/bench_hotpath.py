@@ -4,8 +4,9 @@ Replays a synthetic heavy-traffic workload (see
 :mod:`repro.workloads.stress`) through :class:`OnlineScheduler`, timing
 every admission decision, and writes machine-readable results to
 ``BENCH_hotpath.json`` at the repository root.  The JSON carries
-requests/sec, p50/p99 per-request latency, the workload parameters, and
-an ``outcome_checksum`` over every job's schedule — equal checksums
+requests/sec, p50/p99 per-request latency, the workload parameters, the
+machine it ran on (``env``), and an ``outcome_checksum`` over every job's
+schedule — equal checksums
 across code revisions prove a speedup changed *nothing* but speed.
 
 Run from the repository root::
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
@@ -104,10 +107,17 @@ def run(args: argparse.Namespace) -> dict:
     by_throughput = sorted(results, key=lambda r: r.requests_per_sec)
     result = by_throughput[len(results) // 2]
 
+    backend = backend_info()["backend"]
     record = {
         "benchmark": "hotpath-replay",
         "quick": bool(args.quick),
-        "backend": backend_info()["backend"],
+        "backend": backend,
+        "env": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+            "kernel_backend": backend,
+        },
         "n_servers": n_servers,
         "requests": n_requests,
         "rho": args.rho,

@@ -9,23 +9,26 @@ index:
 
 Per-tree (``audit_tree``):
 
-* ``RA101`` — every node's ``size`` equals the leaves below it;
-* ``RA102`` — every internal split key bounds its subtrees
-  (``max(left) <= key < min(right)``);
-* ``RA103`` — leaves appear in ascending ``(st, uid)`` order and each
-  leaf's key matches its period;
-* ``RA104`` — every secondary index (``sec_keys``) is sorted ascending;
+* ``RA101`` — the kernel's cached leaf count and latest ending time
+  agree with its leaves;
+* ``RA103`` — leaves appear in strictly ascending ``(st, uid)`` order
+  and each leaf equals its period's ``(st, uid, et)``;
+* ``RA104`` — every materialised secondary index is sorted ascending;
 * ``RA105`` — the per-tree uid map is a bijection onto the stored
-  periods (same uids, identical objects, no strays);
-* ``RA106`` — every node's secondary key set equals the ``(et, uid)``
-  keys of the leaves below it (primary/secondary leaf-set equality);
-* ``RA107`` — parent/child pointers are mutually consistent and the
-  root has no parent;
-* ``RA108`` — every internal node is α-weight-balanced;
+  periods (same uids, no strays, no uid stored twice);
+* ``RA106`` — every materialised secondary index holds exactly the
+  ``(et, uid)`` keys of the leaf range it names (primary/secondary
+  leaf-set equality);
 * ``RA116`` — the write buffer is consistent with the stored tree:
   buffered removals are of stored periods, and a buffered insert's uid
   is not stored unless its stored holder is buffered for removal (a
   snapshot restore re-uses uids; a flush removes before it inserts).
+
+``RA102`` (split keys), ``RA107`` (parent/child pointers) and ``RA108``
+(α-weight balance) guarded the dynamic tree; in the implicit tree a
+node's split key, children and weight are index arithmetic over the
+sorted leaves and cannot be wrong while ``RA103`` holds.  The IDs stay
+retired.
 
 Slot trees are write-buffered, and an audit must not change what it
 audits: nothing here flushes.  The structural checks read the *stored*
@@ -63,8 +66,6 @@ from __future__ import annotations
 from bisect import insort
 from typing import TYPE_CHECKING, Callable
 
-from ..core._kernel import NIL
-from ..core.slot_tree import ALPHA
 from ..core.types import INF, IdlePeriod, Reservation
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep core import-light
@@ -88,7 +89,7 @@ __all__ = [
 #: ``docs/analysis.md``); the lint pass treats these as known RA ids
 AUDIT_CHECK_IDS = frozenset(
     {
-        "RA101", "RA102", "RA103", "RA104", "RA105", "RA106", "RA107", "RA108",
+        "RA101", "RA103", "RA104", "RA105", "RA106",
         "RA111", "RA112", "RA113", "RA114", "RA115", "RA116",
     }
 )
@@ -137,15 +138,13 @@ class AuditError(AssertionError):
 def audit_tree(tree: "TwoDimTree", label: str = "tree") -> list[AuditFinding]:
     """Audit one slot tree; returns findings (empty == every invariant holds).
 
-    Reads the array layout directly: the tree's
-    :class:`~repro.core._kernel.TreeKernel` stores nodes as integer ids
-    into parallel ``keys``/``size``/``left``/``right``/``parent``/``secs``
-    arrays (``left[i] == NIL`` marks a leaf), and period objects are
-    resolved through the wrapper's uid map — so the leaf-key checks
-    (RA103/RA106) validate against ``by_uid`` rather than a per-leaf
-    period pointer, and RA105 additionally ties the kernel's cached
-    ``count`` to the actual leaf population.  The write buffer is
-    checked against the uid map (RA116) and otherwise left alone.
+    Reads the kernel's layout directly: ``leaves`` is the stored periods
+    as ``(st, uid, et)`` sorted ascending, ``count`` and ``max_et`` cache
+    its length and latest ending time, and ``secs`` maps each node
+    ``(lo, hi)`` a search has bisected to the sorted ``(et, uid)`` keys
+    of ``leaves[lo:hi]``.  Period objects are resolved through the
+    wrapper's uid map.  The write buffer is checked against the uid map
+    (RA116) and otherwise left alone.
     """
     findings: list[AuditFinding] = []
     kernel = tree._kernel
@@ -173,154 +172,71 @@ def audit_tree(tree: "TwoDimTree", label: str = "tree") -> list[AuditFinding]:
                 AuditFinding("RA105", label, f"uid map holds {len(by_uid)} entrie(s), no kernel")
             )
         return findings
-    keys: list[tuple[float, int]] = kernel.keys
-    size: list[int] = kernel.size
-    left: list[int] = kernel.left
-    right: list[int] = kernel.right
-    parent: list[int] = kernel.parent
-    secs: list[list[tuple[float, int]]] = kernel.secs
-    root: int = kernel.root
-    if root == NIL:
-        if by_uid:
-            findings.append(
-                AuditFinding(
-                    "RA105",
-                    label,
-                    f"uid map retains {len(by_uid)} entrie(s) for an empty tree",
-                )
-            )
-        if kernel.count != 0:
-            findings.append(
-                AuditFinding("RA101", label, f"empty tree caches count {kernel.count}")
-            )
-        return findings
-    if parent[root] != NIL:
-        findings.append(AuditFinding("RA107", label, "root has a parent pointer"))
+    leaves: list[tuple[float, int, float]] = kernel.leaves
 
-    leaf_keys: list[tuple[float, int]] = []
+    # RA101: the cached summary
+    if kernel.count != len(leaves):
+        findings.append(
+            AuditFinding(
+                "RA101",
+                label,
+                f"kernel caches count {kernel.count} but the tree holds {len(leaves)} leaves",
+            )
+        )
+    latest = max((leaf[2] for leaf in leaves), default=-INF)
+    if kernel.max_et != latest:
+        findings.append(
+            AuditFinding(
+                "RA101", label, f"kernel caches max end {kernel.max_et} but the latest is {latest}"
+            )
+        )
 
-    def check(node: int) -> tuple[int, tuple[float, int], tuple[float, int]]:
-        """Returns (size, min_key, max_key) of the subtree; appends findings."""
-        where = f"{label}/node@key={keys[node]}"
-        lc = left[node]
-        rc = right[node]
-        if lc == NIL:  # leaf
-            leaf_keys.append(keys[node])
-            if rc != NIL:
-                findings.append(AuditFinding("RA107", where, "leaf has a right child"))
-            if size[node] != 1:
-                findings.append(
-                    AuditFinding("RA101", where, f"leaf size {size[node]} != 1")
-                )
-            uid = keys[node][1]
-            period = by_uid.get(uid)
-            if period is None:
-                findings.append(
-                    AuditFinding(
-                        "RA105", where, f"uid {uid} stored in tree but absent from uid map"
-                    )
-                )
-            else:
-                expected_key = (period.st, period.uid)
-                if keys[node] != expected_key:
-                    findings.append(
-                        AuditFinding(
-                            "RA103",
-                            where,
-                            f"leaf key {keys[node]} != period key {expected_key}",
-                        )
-                    )
-                expected_sec = [(period.et, period.uid)]
-                if secs[node] != expected_sec:
-                    findings.append(
-                        AuditFinding(
-                            "RA106",
-                            where,
-                            f"leaf sec keys {secs[node]} != {expected_sec}",
-                        )
-                    )
-            return 1, keys[node], keys[node]
-        if rc == NIL:
-            findings.append(AuditFinding("RA107", where, "internal node missing a child"))
-            return size[node], keys[node], keys[node]
-        for child, side in ((lc, "left"), (rc, "right")):
-            if parent[child] != node:
-                findings.append(
-                    AuditFinding(
-                        "RA107", where, f"{side} child's parent pointer does not point back"
-                    )
-                )
-        ls, lmin, lmax = check(lc)
-        rs, rmin, rmax = check(rc)
-        if size[node] != ls + rs:
+    # RA103: leaf order and leaf-vs-period agreement
+    for a, b in zip(leaves, leaves[1:]):
+        if a[:2] >= b[:2]:
+            findings.append(
+                AuditFinding("RA103", label, f"leaves out of order: {a[:2]} before {b[:2]}")
+            )
+            break
+    for leaf in leaves:
+        uid = leaf[1]
+        period = by_uid.get(uid)
+        if period is None:
             findings.append(
                 AuditFinding(
-                    "RA101", where, f"size {size[node]} != left {ls} + right {rs}"
+                    "RA105", f"{label}/leaf={leaf}", f"uid {uid} stored in tree but absent from uid map"
                 )
             )
-        if not (lmax <= keys[node] < rmin):
+        elif leaf != (period.st, period.uid, period.et):
             findings.append(
-                AuditFinding(
-                    "RA102",
-                    where,
-                    f"split key violates max(left)={lmax} <= key < min(right)={rmin}",
-                )
+                AuditFinding("RA103", f"{label}/leaf={leaf}", f"leaf differs from its period {period}")
             )
-        limit = ALPHA * (ls + rs)
-        if ls > limit or rs > limit:
+
+    # RA105: uid-map bijection (identity holds by construction: periods
+    # are only reachable through the map)
+    leaf_uids = {leaf[1] for leaf in leaves}
+    if len(leaf_uids) != len(leaves):
+        findings.append(AuditFinding("RA105", label, "a uid is stored in more than one leaf"))
+    for uid in by_uid:
+        if uid not in leaf_uids:
             findings.append(
-                AuditFinding(
-                    "RA108",
-                    where,
-                    f"weight balance violated: |left|={ls}, |right|={rs}, "
-                    f"alpha*size={limit:.1f}",
-                )
+                AuditFinding("RA105", label, f"uid map holds stray uid {uid} with no leaf")
             )
-        sec = secs[node]
+
+    # RA104 / RA106: every materialised secondary is the sorted slice it names
+    for (lo, hi), sec in kernel.secs.items():
+        where = f"{label}/node[{lo}:{hi}]"
         if any(sec[i] > sec[i + 1] for i in range(len(sec) - 1)):
             findings.append(AuditFinding("RA104", where, "sec keys not sorted ascending"))
-        expected = sorted(secs[lc] + secs[rc])
+        in_range = 0 <= lo < hi <= len(leaves)
+        expected = sorted((et, uid) for _st, uid, et in leaves[lo:hi]) if in_range else []
         if sorted(sec) != expected:
             findings.append(
                 AuditFinding(
                     "RA106",
                     where,
-                    "sec keys do not hold exactly the children's (et, uid) keys",
+                    "sec keys do not hold exactly the (et, uid) keys of that leaf range",
                 )
-            )
-        return ls + rs, lmin, rmax
-
-    check(root)
-
-    # leaves were collected left-to-right; verify global ordering
-    for a, b in zip(leaf_keys, leaf_keys[1:]):
-        if a >= b:
-            findings.append(
-                AuditFinding(
-                    "RA103",
-                    label,
-                    f"leaves out of order: {a} before {b}",
-                )
-            )
-            break
-
-    # the kernel's cached population vs the actual leaf count
-    if kernel.count != len(leaf_keys):
-        findings.append(
-            AuditFinding(
-                "RA101",
-                label,
-                f"kernel caches count {kernel.count} but the tree holds {len(leaf_keys)} leaves",
-            )
-        )
-
-    # uid-map bijection (identity holds by construction: periods are only
-    # reachable through the map, so membership equality is the whole check)
-    leaf_uids = {key[1] for key in leaf_keys}
-    for uid in by_uid:
-        if uid not in leaf_uids:
-            findings.append(
-                AuditFinding("RA105", label, f"uid map holds stray uid {uid} with no leaf")
             )
     return findings
 
@@ -684,23 +600,20 @@ def _pick_tree(
 
 
 def corrupt_size_field(cal: "AvailabilityCalendar") -> str:
-    """Break a size field; the audit must report RA101."""
+    """Break the cached leaf count; the audit must report RA101."""
     tree = _pick_tree(cal, lambda t: len(t) >= 2)
     kernel = tree._kernel
-    assert kernel.root != NIL
-    kernel.size[kernel.root] += 1
-    return (
-        f"incremented root size to {kernel.size[kernel.root]} in a tree of "
-        f"{len(kernel.secs[kernel.root])} leaves"
-    )
+    kernel.count += 1
+    return f"incremented cached count to {kernel.count} in a tree of {len(kernel.leaves)} leaves"
 
 
 def corrupt_secondary_key(cal: "AvailabilityCalendar") -> str:
-    """Drift a secondary key; the audit must report RA106 (and usually RA104)."""
-    tree = _pick_tree(cal, lambda t: len(t) >= 2)
-    kernel = tree._kernel
-    sec = kernel.secs[kernel.root]
-    assert kernel.root != NIL and sec
+    """Drift a key of a materialised secondary index; the audit must
+    report RA106 (and usually RA104)."""
+    tree = _pick_tree(cal, lambda t: len(t) >= 2 and min(p.et for p in t.periods()) != INF)
+    # a search over every leaf materialises the secondary of each mark
+    tree.range_search(INF, -INF)
+    sec = min(tree._kernel.secs.values())  # the one holding the earliest (finite) end
     et, uid = sec[0]
     sec[0] = (et + 1.0, uid)
     return f"drifted secondary key of uid {uid} from et={et} to et={et + 1.0}"

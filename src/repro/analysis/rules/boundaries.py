@@ -1,8 +1,9 @@
 """Rules enforcing module boundaries and API contracts.
 
-``RA007`` keeps slot-tree internals private: the fused-update invariants
-(``size`` fields, merged ``sec_keys`` arrays, the per-tree uid map) are
-maintained by ``core/slot_tree.py`` alone, and any outside reader becomes
+``RA007`` keeps slot-tree internals private: the update invariants (the
+sorted leaf array and its cached summary, the materialised secondary
+indexes, the per-tree uid map) are maintained by ``core/slot_tree.py``
+and its kernel alone, and any outside reader becomes
 an outside *mutator* one refactor later.  ``RA008`` enforces the
 ``ScheduleOutcome`` contract: the attempt count on rejection is
 ``outcome.attempts`` (a deadline/horizon early exit performs fewer than
@@ -18,23 +19,19 @@ from .base import LintContext, Rule, Violation
 
 __all__ = ["SlotTreeInternalsRule", "OutcomeContractRule"]
 
-#: attributes that exist only on slot-tree internals — node-backed names
-#: (``sec_keys``/``_root``) and array-kernel names (``_kernel``/``secs``)
-_PRIVATE_ATTRS = frozenset(
-    {"sec_keys", "_root", "_by_uid", "_find_leaf", "_rebuild", "_kernel", "secs"}
-)
+#: attributes that exist only on slot-tree internals: the wrapper's
+#: (``_kernel``/``_by_uid``) and the kernel's (``leaves``/``secs``/``max_et``)
+_PRIVATE_ATTRS = frozenset({"_by_uid", "_kernel", "leaves", "secs", "max_et"})
 
 #: names private to the kernel/tree modules that must not be imported
-#: elsewhere (``_Node`` is the node-backed reference's node class;
-#: ``TreeKernel`` is the array kernel's storage class)
-_PRIVATE_IMPORTS = frozenset({"_Node", "TreeKernel"})
+#: elsewhere (``TreeKernel`` is the kernel's storage class)
+_PRIVATE_IMPORTS = frozenset({"TreeKernel"})
 
-#: modules allowed to touch them: the tree itself (array wrapper, kernel,
-#: and the node-backed reference) and the designated invariant auditor
-#: (whose whole job is inspecting internals)
+#: modules allowed to touch them: the tree itself (wrapper and kernel)
+#: and the designated invariant auditor (whose whole job is inspecting
+#: internals)
 _ALLOWED_MODULES = (
     "core/slot_tree.py",
-    "core/slot_tree_nodes.py",
     "core/_kernel.py",
     "analysis/audit.py",
 )

@@ -57,8 +57,8 @@ class FrontOfListRule(Rule):
 class SortInLoopRule(Rule):
     """RA002: ``sorted()`` / ``.sort()`` inside a loop body, hot path only.
 
-    The slot-tree and calendar code maintain order incrementally
-    (``bisect``/``insort``, partial rebuilds); re-sorting inside a loop
+    The calendar maintains order incrementally (``bisect``/``insort``)
+    and a slot tree sorts once per update; re-sorting inside a loop
     is how an ``O((log N)^2)`` search quietly becomes ``O(N log N)`` per
     request.  Comprehensions do not count as loops — a single sort over a
     freshly built list is the idiomatic fast path.
@@ -68,7 +68,7 @@ class SortInLoopRule(Rule):
     title = "sort inside a loop"
     hint = (
         "hoist the sort out of the loop, or maintain order incrementally "
-        "with bisect/insort (see TwoDimTree's secondary arrays)"
+        "with bisect/insort (see the calendar's per-server key arrays)"
     )
 
     def applies_to(self, module: str) -> bool:

@@ -24,21 +24,23 @@ class OpCounter:
     The categories used by the library:
 
     ``node_visit``
-        Primary-tree nodes touched during Phase 1 or structural updates.
+        Primary-tree nodes touched during Phase 1 (descent steps).
     ``secondary_probe``
         Binary-search steps inside secondary (ending-time) indexes, plus
-        one per retry-ladder certificate (it reads a root's last key).
+        one per retry-ladder certificate (it reads a tree's latest end).
     ``mark``
         Subtrees marked as candidate containers in Phase 1.
     ``retrieve``
         Feasible idle periods retrieved (the ``O(n_r)`` traversal).
     ``insert`` / ``remove``
-        Idle-period insertions/removals across slot trees.
+        Idle-period insertions/removals applied to slot trees (counted at
+        the flush; a pair that cancels in a write buffer is never counted).
     ``attempt``
         Scheduling attempts: grid points of the retry ladder covered,
         whether searched by Phase 1/2 or certified infeasible in O(1).
     ``rebuild``
-        Leaves rebuilt during weight-balance partial rebuilds.
+        Leaves settled by slot-tree updates: the size of the tree each
+        flush (or ``bulk_load``) leaves behind — its one array pass.
     """
 
     __slots__ = ("counts",)
@@ -49,27 +51,9 @@ class OpCounter:
     def add(self, name: str, n: int = 1) -> None:
         self.counts[name] += n
 
-    # Fused per-operation entry points for the slot-tree hot path: one
-    # call per tree operation instead of one per category.  Totals are
-    # identical to the equivalent sequence of :meth:`add` calls.
-
-    def add_insert(self, visits: int, probes: int) -> None:
-        """One primary-tree insertion: ``visits`` node visits, ``probes``
-        secondary binary-search steps."""
-        c = self.counts
-        c["insert"] += 1
-        if visits:
-            c["node_visit"] += visits
-            c["secondary_probe"] += probes
-
-    def add_remove(self, visits: int, probes: int) -> None:
-        """One primary-tree removal, counted like :meth:`add_insert`."""
-        c = self.counts
-        c["remove"] += 1
-        if visits:
-            c["node_visit"] += visits
-        if probes:
-            c["secondary_probe"] += probes
+    # Fused entry points for the slot-tree hot path: one call per tree
+    # operation instead of one per category.  Totals are identical to
+    # the equivalent sequence of :meth:`add` calls.
 
     def add_search(self, visits: int, marks: int, probes: int, retrieved: int) -> None:
         """One Phase-1 walk (+ optional Phase 2) over a slot tree."""
@@ -83,21 +67,16 @@ class OpCounter:
         if retrieved:
             c["retrieve"] += retrieved
 
-    def add_batch(self, inserts: int, removals: int, visits: int, probes: int) -> None:
-        """One fused batch of tree updates (the batch-reserve path): the
-        category totals match the equivalent sequence of
-        :meth:`add_insert`/:meth:`add_remove` calls, at one call per batch.
-        Rebuild leaf counts are flushed separately — deferred rebalancing
-        legitimately rebuilds fewer leaves than the sequential schedule."""
+    def add_batch(self, inserts: int, removals: int, settled: int) -> None:
+        """One slot-tree flush: ``inserts`` and ``removals`` applied,
+        leaving a tree of ``settled`` leaves."""
         c = self.counts
         if inserts:
             c["insert"] += inserts
         if removals:
             c["remove"] += removals
-        if visits:
-            c["node_visit"] += visits
-        if probes:
-            c["secondary_probe"] += probes
+        if settled:
+            c["rebuild"] += settled
 
     def total(self) -> int:
         """Total operations across every category."""
@@ -129,16 +108,10 @@ class _NullCounter(OpCounter):
     def add(self, name: str, n: int = 1) -> None:  # noqa: D102 - interface
         pass
 
-    def add_insert(self, visits: int, probes: int) -> None:  # noqa: D102
-        pass
-
-    def add_remove(self, visits: int, probes: int) -> None:  # noqa: D102
-        pass
-
     def add_search(self, visits: int, marks: int, probes: int, retrieved: int) -> None:  # noqa: D102
         pass
 
-    def add_batch(self, inserts: int, removals: int, visits: int, probes: int) -> None:  # noqa: D102
+    def add_batch(self, inserts: int, removals: int, settled: int) -> None:  # noqa: D102
         pass
 
 

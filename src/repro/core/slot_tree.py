@@ -1,31 +1,33 @@
-"""The 2-dimensional availability tree of Section 4.1 — array-backed.
+"""The 2-dimensional availability tree of Section 4.1.
 
 One :class:`TwoDimTree` exists per time slot; it stores every idle period
-that overlaps the slot.  The *primary* dimension is a leaf-oriented,
-weight-balanced binary search tree keyed by idle-period **starting time**
+that overlaps the slot.  The *primary* dimension is a leaf-oriented
+balanced binary search tree keyed by idle-period **starting time**
 (ascending; the paper stores descending — a mirror image with identical
 semantics).  Every node additionally carries the *secondary* dimension: an
 index over the same set of idle periods ordered by **ending time**.
 
-The paper describes the secondary structures as binary search trees.  Here
-each one is an *implicit* balanced BST backed by a sorted array: the
-Phase-2 median-split search is literally a binary search (``bisect``),
-"subtree size" is index arithmetic, and single-element updates are C-speed
-``memmove`` — strictly faster than pointer-chasing for every set that fits
-in one slot tree (at most the number of servers, ``N``).  The primary tree
-uses partial rebuilding (the canonical dynamic range-tree construction) so
-the paper's bounds hold: Phase 1 visits ``O(log N)`` nodes and marks
-``O(log N)`` subtrees, Phase 2 costs ``O((log N)^2)``, and updates are
-amortized ``O(log^2 N)`` tree work plus the array shifts.
+Both dimensions are *implicit* trees over sorted arrays.  The primary is
+one list of leaves sorted by ``(st, uid)``: the node over ``leaves[lo:hi]``
+splits at ``mid = (lo + hi + 1) // 2``, so "child", "subtree size" and
+"split key" are index arithmetic and the tree is perfectly balanced by
+construction.  A node's secondary is the sorted ``(et, uid)`` array of its
+leaves, on which the Phase-2 median-split search is literally a binary
+search (``bisect``); it is materialised when a search first bisects that
+node and dropped by the next update.  The paper's search bounds hold:
+Phase 1 visits ``O(log N)`` nodes and marks ``O(log N)`` subtrees, Phase 2
+costs ``O((log N)^2)`` once the marked secondaries exist.  An update is
+one array pass — drop, append, re-sort — per *read* slot (below) where
+the paper pays ``O(log^2 N)`` per period per slot; for the tree sizes a
+slot holds that pass is the cheaper of the two (DESIGN.md §13).
 
-Since the array-backed rewrite, the tree itself lives in
-:class:`repro.core._kernel.TreeKernel` as struct-of-arrays storage — node
-ids indexing parallel lists — which mypyc compiles to a C extension when
-the package is built with ``REPRO_MYPYC=1`` (see ``docs/algorithm.md``).
-This module is the thin uncompiled boundary around it: it owns the
+The storage lives in :class:`repro.core._kernel.TreeKernel`, which mypyc
+compiles to a C extension when the package is built with
+``REPRO_MYPYC=1`` (see ``docs/algorithm.md``).  This module is the thin
+uncompiled boundary around it: it owns the
 uid → :class:`~repro.core.types.IdlePeriod` map (the kernel speaks
-``(st, et, uid)`` primitives only), the **write buffer** (below), flushes
-the kernel's per-operation accounting into the shared
+``(st, et, uid)`` primitives only), the **write buffer** (below), folds
+the kernel's per-call accounting into the shared
 :class:`~repro.core.opcount.OpCounter`, and — because it stays pure
 python — remains monkeypatchable by the differ's bug injectors and the
 audit engine's mutation wrappers.
@@ -57,19 +59,19 @@ Backend selection happens once, at import:
 
 :func:`backend_info` reports which backend this process actually runs.
 
-The node-backed implementation this replaced is preserved verbatim as
-:mod:`repro.core.slot_tree_nodes`; the hypothesis equivalence suite keeps
-the two in lock-step.
+The reference this is lock-stepped against is the flat-list
+:class:`repro.verify.oracle.ReferenceTree` (linear scans and ``sorted``;
+``tests/property/test_array_equivalence.py``).
 
 Invariants (exercised by ``validate()`` and the property tests):
 
-* leaves appear in ascending ``(st, uid)`` order;
-* every internal node's key equals or exceeds every key in its left
-  subtree and is strictly below every key in its right subtree;
-* every node's secondary index holds exactly the ``(et, uid)`` keys of
-  the leaves below it, in ascending order (the periods themselves are
-  resolved through a per-tree uid map);
-* every internal node is α-weight-balanced (see ``ALPHA``).
+* leaves appear in strictly ascending ``(st, uid)`` order and each equals
+  the period the uid map holds for it;
+* the cached leaf count and latest ending time agree with the leaves;
+* every materialised secondary index holds exactly the ``(et, uid)`` keys
+  of the leaf range it names, in ascending order;
+* the write buffer names only what it may (removals of stored periods,
+  inserts of unstored ones).
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ from typing import Any, Iterator
 from .opcount import NULL_COUNTER, OpCounter
 from .types import IdlePeriod
 
-__all__ = ["TwoDimTree", "ALPHA", "backend_info"]
+__all__ = ["TwoDimTree", "backend_info"]
 
 
 def _pure_kernel_module() -> ModuleType:
@@ -120,10 +122,6 @@ _impl: ModuleType = (
 )
 
 _TreeKernel: Any = _impl.TreeKernel
-_NIL: int = _impl.NIL
-
-#: Weight-balance factor — re-exported from the kernel; see there.
-ALPHA: float = _impl.ALPHA
 
 
 def backend_info() -> dict[str, object]:
@@ -191,26 +189,23 @@ class TwoDimTree:
         return int(self._stored().count)
 
     def __contains__(self, period: IdlePeriod) -> bool:
-        node, visits = self._stored().find(period.st, period.uid)
-        if visits:
-            self._counter.add("node_visit", visits)
-        return bool(node != _NIL)
+        self._stored()
+        return period.uid in self._by_uid
 
     def max_end(self) -> float:
         """Latest ending time of any stored period; ``-inf`` when empty.
 
-        O(1) on a tree with nothing buffered: the root's secondary index
-        holds every stored ``(et, uid)`` in ascending order, so its last
-        key is the maximum.
+        O(1) on a tree with nothing buffered: the kernel caches the
+        maximum at each update.
         """
         # the retry ladder's per-rung read: _stored() inlined, and an
         # untouched slot answers without being given a kernel
         if self._ins or self._rem:
             self._flush()
         k = self._kernel
-        if k is None or k.root == _NIL:
+        if k is None:
             return -math.inf
-        latest: float = k.secs[k.root][-1][0]
+        latest: float = k.max_et
         return latest
 
     def periods(self) -> Iterator[IdlePeriod]:
@@ -226,8 +221,7 @@ class TwoDimTree:
     def insert(self, period: IdlePeriod) -> None:
         """Note an idle period for insertion — O(1).
 
-        The tree work (amortized O(log^2 N)) is done by the next read's
-        flush.
+        The tree work is done by the next read's flush.
         """
         self._ins[period.uid] = period
 
@@ -254,19 +248,15 @@ class TwoDimTree:
         self.apply_batch(removals, inserts)
 
     def apply_batch(self, removals: list[IdlePeriod], inserts: list[IdlePeriod]) -> None:
-        """Apply removals and insertions to the stored tree in a single pass.
+        """Apply removals, then insertions, to the stored tree in one pass.
 
-        The one place slot-tree update work happens (besides
-        :meth:`bulk_load`): each read hands the write buffer here as one
-        kernel call with *deferred* rebalancing — each operation's
-        descent/walk runs as usual, but partial rebuilds are postponed to
-        a single flush that rebuilds only the nodes still unbalanced
-        under the final sizes; a batch that is large against the tree
-        (any batch, for an empty tree) rebuilds it from the merged leaf
-        list instead.  Since Phase-2 selection is a pure function of
-        stored periods, the different intermediate tree shapes change no
-        outcome.  Called directly, anything still buffered is applied
-        first; raises ``KeyError`` when a removal is absent.
+        The one place slot-tree update work happens (:meth:`bulk_load` is
+        the same kernel path on an empty tree): each read hands the write
+        buffer here as one kernel call.  Called directly, anything still
+        buffered is applied first.  Raises ``KeyError`` when a removal is
+        not stored or is listed twice — the batch is checked before it is
+        applied, so the tree, its uid map and the counter are then
+        exactly what they were.
         """
         k = self._stored()
         ok = k.apply_batch(
@@ -274,23 +264,19 @@ class TwoDimTree:
             [(p.st, p.et, p.uid) for p in inserts],
         )
         if not ok:
-            self._counter.add_remove(k.last_visits, 0)
             raise KeyError("batch removal of an idle period not in tree")
         by_uid = self._by_uid
         for p in removals:
             del by_uid[p.uid]
         for p in inserts:
             by_uid[p.uid] = p
-        self._counter.add_batch(len(inserts), len(removals), k.last_visits, k.last_probes)
-        if k.last_rebuilt:
-            self._counter.add("rebuild", k.last_rebuilt)
+        self._counter.add_batch(len(inserts), len(removals), k.count)
 
     def bulk_load(self, periods: list[IdlePeriod]) -> None:
         """Replace the tree contents with ``periods`` in O(k log k), eagerly.
 
         Drops anything buffered along with the stored contents.  Used at
-        calendar start-up in dense mode, where item-by-item insertion
-        would waste an O(log N) factor.
+        calendar start-up in dense mode.
         """
         self._ins.clear()
         self._rem.clear()
@@ -303,11 +289,12 @@ class TwoDimTree:
     # searches (the two phases of Section 4.2)
     # ------------------------------------------------------------------
 
-    def phase1(self, sr: float) -> tuple[int, list[int]]:
+    def phase1(self, sr: float) -> tuple[int, list[tuple[int, int]]]:
         """Locate every *candidate* idle period (``st <= sr``).
 
         Returns the candidate count and the marked subtree roots (kernel
-        node ids) in marking order (ascending start ranges).  Phase 2
+        nodes, each a ``(lo, hi)`` leaf range) in marking order
+        (ascending start ranges).  Phase 2
         merges their secondary indexes into one canonical feasibility
         order, so the partition produced here is an implementation detail
         — only the union of the marked leaves matters.  Marks are only
@@ -320,7 +307,11 @@ class TwoDimTree:
         return int(count), list(marks)
 
     def phase2(
-        self, marks: list[int], er: float, need: int | float, partial: bool = False
+        self,
+        marks: list[tuple[int, int]],
+        er: float,
+        need: int | float,
+        partial: bool = False,
     ) -> list[IdlePeriod] | None:
         """Among the marked candidates, find ``need`` periods with ``et >= er``.
 
@@ -383,10 +374,10 @@ class TwoDimTree:
         """Check every structural invariant; raises ``AssertionError`` on violation.
 
         Delegates to :func:`repro.analysis.audit.audit_tree` — the full
-        machine-checked invariant list (size fields, split keys, leaf and
-        secondary ordering, uid-map bijection, primary/secondary leaf-set
-        equality, parent links, weight balance) lives there, with one
-        stable check ID per invariant.  The raised
+        machine-checked invariant list (cached count and maximum, leaf
+        and secondary ordering, uid-map bijection, primary/secondary
+        leaf-set equality, write buffer) lives there, with one stable
+        check ID per invariant.  The raised
         :class:`~repro.analysis.audit.AuditError` is an
         ``AssertionError`` subclass, preserving this method's contract.
         """

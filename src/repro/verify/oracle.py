@@ -46,15 +46,19 @@ Semantics mirrored from the production implementation
   only legal once drained.  The oracle keeps the same one-way status
   list and returns the same canonical verdicts, including the same
   malformed/conflict error classification.
+
+:class:`ReferenceTree` is the same idea one level down: the read surface
+of one :class:`repro.core.slot_tree.TwoDimTree` over a flat list, which
+the property suites lock-step the production tree against.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Any
+from typing import Any, Iterator
 
-__all__ = ["OraclePeriod", "ReferenceScheduler"]
+__all__ = ["OraclePeriod", "ReferenceScheduler", "ReferenceTree"]
 
 INF = math.inf
 
@@ -63,6 +67,64 @@ ST, ET, UID = 0, 1, 2
 
 #: an idle period as stored by the oracle: ``(st, et, uid)``
 OraclePeriod = tuple[float, float, int]
+
+
+class ReferenceTree:
+    """One slot tree as a flat list: every read is a scan and a ``sorted``.
+
+    Periods are whatever the caller hands in; only ``.st``, ``.et`` and
+    ``.uid`` are read.  Updates are eager.  A Phase-1 "mark" list is
+    simply the candidate periods themselves.
+    """
+
+    def __init__(self) -> None:
+        self._held: list[Any] = []
+
+    def insert(self, period: Any) -> None:
+        self._held.append(period)
+
+    def remove(self, period: Any) -> None:
+        for i, p in enumerate(self._held):
+            if p.uid == period.uid:
+                del self._held[i]
+                return
+        raise KeyError(f"idle period uid={period.uid} not in tree")
+
+    def bulk_load(self, periods: list[Any]) -> None:
+        self._held = list(periods)
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    def periods(self) -> Iterator[Any]:
+        return iter(sorted(self._held, key=lambda p: (p.st, p.uid)))
+
+    def max_end(self) -> float:
+        return max((p.et for p in self._held), default=-INF)
+
+    def phase1(self, sr: float) -> tuple[int, list[Any]]:
+        candidates = [p for p in self._held if p.st <= sr]
+        return len(candidates), candidates
+
+    def phase2(
+        self, marks: list[Any], er: float, need: int | float, partial: bool = False
+    ) -> list[Any] | None:
+        feasible = sorted((p for p in marks if p.et >= er), key=lambda p: (p.et, p.uid))
+        if need == INF:
+            return feasible
+        if len(feasible) < need and not partial:
+            return None
+        return feasible[: int(need)]
+
+    def find_feasible(self, sr: float, er: float, nr: int) -> list[Any] | None:
+        count, marks = self.phase1(sr)
+        return None if count < nr else self.phase2(marks, er, nr)
+
+    def count_candidates(self, sr: float) -> int:
+        return self.phase1(sr)[0]
+
+    def range_search(self, ta: float, tb: float) -> list[Any]:
+        return self.phase2(self.phase1(ta)[1], tb, INF) or []
 
 
 class ReferenceScheduler:

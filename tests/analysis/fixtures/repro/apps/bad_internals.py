@@ -1,5 +1,5 @@
 """Fixture: exactly one RA007 violation (slot-tree internals reached)."""
 
 
-def root_key(tree):
-    return tree._root.key
+def stored_uids(tree):
+    return tree._by_uid

@@ -34,6 +34,40 @@ class TestTreeCounting:
         _, marks = tree.phase1(63.0)
         assert counter.get("mark") == len(marks)
 
+    def test_search_and_flush_counts_on_a_hand_built_tree(self):
+        """Seven leaves imply the tree [0:7) -> [0:4) | [4:7) -> [0:2) |
+        [2:4), [4:6) | [6:7): the counts below are read off that shape."""
+        counter = OpCounter()
+        tree = TwoDimTree(counter)
+        periods = [IdlePeriod(server=s, st=float(s), et=60.0 - s) for s in range(7)]
+        tree.bulk_load(periods)
+        assert counter.snapshot() == {"rebuild": 7}
+        counter.reset()
+        # descent: root (marks [0:4)), [4:7), [4:6) (marks [4:5)), leaf [5:6)
+        # Phase 2 bisects a 4-key and a 1-key secondary: 3 + 1 steps
+        assert len(tree.find_feasible(4.5, 57.0, 2)) == 2
+        assert counter.snapshot() == {
+            "node_visit": 4,
+            "mark": 2,
+            "secondary_probe": 4,
+            "retrieve": 2,
+        }
+        counter.reset()
+        assert tree.find_feasible(4.5, 59.5, 2) is None  # probed, nothing retrieved
+        assert counter.snapshot() == {"node_visit": 4, "mark": 2, "secondary_probe": 4}
+        counter.reset()
+        # the whole tree: root, [4:7), leaf [6:7) — one mark per step
+        assert tree.count_candidates(9.0) == 7
+        assert counter.snapshot() == {"node_visit": 3, "mark": 3}
+        counter.reset()
+        # a flush counts what it applied and the tree it settled
+        tree.remove(periods[0])
+        tree.remove(periods[1])
+        tree.insert(IdlePeriod(server=9, st=2.5, et=70.0))
+        assert counter.total() == 0
+        assert tree.max_end() == 70.0
+        assert counter.snapshot() == {"insert": 1, "remove": 2, "rebuild": 6}
+
     def test_updates_counted(self):
         """Tree work is counted when it happens — at the read that flushes
         the write buffer — and a pair that cancels in the buffer is free."""

@@ -6,20 +6,11 @@ import random
 import pytest
 
 from repro.core.opcount import OpCounter
-from repro.core.slot_tree import ALPHA, TwoDimTree
+from repro.core.slot_tree import TwoDimTree
 from repro.core.types import INF, IdlePeriod
+from repro.verify.oracle import ReferenceTree
 
 from ..conftest import make_periods
-
-
-def _subtree_periods(tree, node):
-    """Every idle period stored at the leaves below kernel node id ``node``."""
-    kernel = tree._kernel
-    if kernel.left[node] == -1:  # leaf
-        return [tree._by_uid[kernel.keys[node][1]]]
-    return _subtree_periods(tree, kernel.left[node]) + _subtree_periods(
-        tree, kernel.right[node]
-    )
 
 
 def naive_candidates(periods, sr):
@@ -124,6 +115,46 @@ class TestBulkLoad:
         assert {p.uid for p in tree.periods()} == {p.uid for p in fresh}
 
 
+class TestFailedBatchChangesNothing:
+    @pytest.mark.parametrize("n_real", [1, 60], ids=["small-batch", "tree-sized-batch"])
+    @pytest.mark.parametrize("fault", ["ghost", "listed-twice"])
+    def test_failed_batch_leaves_tree_map_buffer_and_counter_as_they_were(
+        self, n_real, fault
+    ):
+        """A batch naming a removal the tree does not hold, or naming one
+        twice, is refused before anything is applied."""
+        counter = OpCounter()
+        tree = TwoDimTree(counter)
+        periods = [IdlePeriod(server=s, st=float(s % 7), et=50.0 + s) for s in range(100)]
+        tree.bulk_load(periods)
+        incoming = [IdlePeriod(server=200 + s, st=3.5, et=80.0) for s in range(n_real)]
+        removals = periods[:n_real]
+        if fault == "ghost":
+            removals = removals + [IdlePeriod(server=99, st=3.5, et=60.0)]
+        else:
+            removals = removals + removals[:1]
+        before = (
+            [p.uid for p in tree.periods()],
+            len(tree),
+            dict(tree._by_uid),
+            counter.snapshot(),
+        )
+        with pytest.raises(KeyError):
+            tree.apply_batch(removals, incoming)
+        assert not tree._ins and not tree._rem
+        assert before == (
+            [p.uid for p in tree.periods()],
+            len(tree),
+            dict(tree._by_uid),
+            counter.snapshot(),
+        )
+        tree.validate()
+        # and the same batch without the fault still goes through
+        tree.apply_batch(periods[:n_real], incoming)
+        assert len(tree) == 100
+        tree.validate()
+
+
 class TestPhase1:
     def test_candidate_count_matches_naive(self):
         periods = make_periods(60, seed=7)
@@ -137,12 +168,18 @@ class TestPhase1:
         periods = make_periods(40, seed=8)
         tree = TwoDimTree()
         tree.bulk_load(periods)
-        sr = 50.0
-        _, marks = tree.phase1(sr)
-        marked = [p for node in marks for p in _subtree_periods(tree, node)]
-        assert sorted(p.uid for p in marked) == sorted(
-            p.uid for p in naive_candidates(periods, sr)
-        )
+        spec = ReferenceTree()
+        spec.bulk_load(periods)
+        sr, er = 50.0, 120.0
+        count, marks = tree.phase1(sr)
+        spec_count, candidates = spec.phase1(sr)
+        assert count == spec_count
+        # a full Phase 2 over the marks lists what the marks cover: exactly
+        # the candidates (er = -inf), and exactly those ending at or after er
+        for bound in (-INF, er):
+            assert [p.uid for p in tree.phase2(marks, bound, math.inf)] == [
+                p.uid for p in spec.phase2(candidates, bound, math.inf)
+            ]
 
     def test_marks_bounded_by_log(self):
         periods = make_periods(256, seed=9)
@@ -283,7 +320,7 @@ class TestRangeSearch:
 
 class TestBalanceAndCounting:
     def test_sorted_insertion_stays_balanced(self):
-        # monotone keys are the scapegoat worst case; validate() checks ALPHA
+        # monotone keys: the worst case for a tree that rebalances
         tree = TwoDimTree()
         for i in range(200):
             tree.insert(IdlePeriod(server=0, st=float(i), et=1000.0 + i))
@@ -294,9 +331,6 @@ class TestBalanceAndCounting:
         for i in reversed(range(200)):
             tree.insert(IdlePeriod(server=0, st=float(i), et=1000.0 + i))
         tree.validate()
-
-    def test_alpha_is_sane(self):
-        assert 0.5 < ALPHA < 1.0
 
     def test_counter_records_operations(self):
         counter = OpCounter()

@@ -1,15 +1,15 @@
-"""Differential equivalence: array-backed kernel vs the node-backed spec.
+"""Differential equivalence: the slot tree vs the flat-list reference.
 
-``repro.core.slot_tree`` stores trees as struct-of-arrays (optionally
-mypyc-compiled); ``repro.core.slot_tree_nodes`` keeps the original
-``_Node``-object implementation as the executable specification.  Every
-query answer and every stored-content multiset must agree between the
-two under arbitrary operation streams — including the fused
-``apply_batch`` path, which the spec tree models as sequential
-remove-then-insert.
+``repro.core.slot_tree`` stores a tree as a sorted array and the balanced
+tree it implies (optionally mypyc-compiled);
+``repro.verify.oracle.ReferenceTree`` is a Python list read by linear
+scans and ``sorted`` — the executable specification.  Every query answer
+and the stored content must agree between the two under arbitrary
+operation streams — including the fused ``apply_batch`` path, which the
+reference models as sequential remove-then-insert.
 
 Phase-2 selection is a pure function of stored periods (the canonical
-``(et, uid)`` merge), so equal contents must yield *identical* selection
+``(et, uid)`` order), so equal contents must yield *identical* selection
 sequences, not just equal sets.
 """
 
@@ -23,14 +23,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.slot_tree import TwoDimTree, backend_info
-from repro.core.slot_tree_nodes import TwoDimTree as NodeTree
 from repro.core.types import INF, IdlePeriod
+from repro.verify.oracle import ReferenceTree
 
 _times = st.floats(min_value=0.0, max_value=500.0, allow_nan=False, width=32)
 
 
 @st.composite
-def period_pools(draw, max_size=50):
+def period_pools(draw, max_size=300):
+    # the N = 512 hot-path trace holds up to 288 periods in one tree
     n = draw(st.integers(min_value=0, max_value=max_size))
     periods = []
     for _ in range(n):
@@ -58,10 +59,13 @@ def _uids(periods) -> list[int]:
     return [p.uid for p in periods]
 
 
-def _assert_query_equivalent(arr: TwoDimTree, spec: NodeTree, probes: list[float]) -> None:
+def _assert_query_equivalent(arr: TwoDimTree, spec: ReferenceTree, probes: list[float]) -> None:
     """Every query answer must match between the two implementations."""
     assert len(arr) == len(spec)
     assert _uids(arr.periods()) == _uids(spec.periods())
+    assert arr.max_end() == spec.max_end()
+    for p in spec.periods():
+        assert p in arr
     for sr in probes:
         ca, _ = arr.phase1(sr)
         cs, _ = spec.phase1(sr)
@@ -87,11 +91,71 @@ def _assert_query_equivalent(arr: TwoDimTree, spec: NodeTree, probes: list[float
         assert _uids(pa) == _uids(ps)
 
 
+WRITES = ("insert", "remove", "apply_batch", "bulk_load")
+
+# every read of the shared surface, by name; ``sr`` is the history's probe time
+READS = {
+    "phase1": lambda t, sr: t.phase1(sr)[0],
+    "count_candidates": lambda t, sr: t.count_candidates(sr),
+    "find_feasible": lambda t, sr: _uids(t.find_feasible(sr, sr + 40.0, 2) or []),
+    "range_search": lambda t, sr: _uids(t.range_search(sr, sr + 0.5)),
+    "max_end": lambda t, sr: t.max_end(),
+    "len": lambda t, sr: len(t),
+    "periods": lambda t, sr: _uids(t.periods()),
+}
+
+
+def run_history(seeded, incoming, script, sr, span):
+    """Drive a buffered tree and the eager reference through ``script``.
+
+    Both start holding ``seeded``; writes draw on ``incoming``.
+    ``span`` caps how many periods one ``apply_batch``/``bulk_load`` moves.
+    Every read in the script must answer alike on both — the read under
+    test comes first, so it alone must flush — and so must every other
+    read after it.
+    """
+    arr, spec = TwoDimTree(), ReferenceTree()
+    live, todo = list(seeded), list(incoming)
+    if live:  # else the buffered tree starts with no kernel at all
+        arr.bulk_load(live)
+        spec.bulk_load(live)
+    for op, pick in script:
+        if op == "insert" and todo:
+            p = todo.pop(pick % len(todo))
+            arr.insert(p)
+            spec.insert(p)
+            live.append(p)
+        elif op == "remove" and live:
+            p = live.pop(pick % len(live))
+            arr.remove(p)
+            spec.remove(p)
+        elif op == "apply_batch":
+            removals = [live.pop() for _ in range(min(len(live), pick % span))]
+            inserts = [todo.pop() for _ in range(min(len(todo), pick // span % span))]
+            arr.apply_batch(removals, inserts)
+            for p in removals:
+                spec.remove(p)
+            for p in inserts:
+                spec.insert(p)
+            live.extend(inserts)
+        elif op == "bulk_load":
+            todo.extend(live)
+            live = [todo.pop() for _ in range(min(len(todo), pick % (span + 2)))]
+            arr.bulk_load(live)
+            spec.bulk_load(live)
+        elif op in READS:
+            assert READS[op](arr, sr) == READS[op](spec, sr), op
+            _assert_query_equivalent(arr, spec, [sr])
+            arr.validate()
+    _assert_query_equivalent(arr, spec, [sr])
+    arr.validate()
+
+
 class TestOpStreamEquivalence:
     @given(pool=period_pools(), script=op_scripts(), probes=st.lists(_times, max_size=4))
     @settings(max_examples=120, deadline=None)
     def test_insert_remove_stream(self, pool, script, probes):
-        arr, spec = TwoDimTree(), NodeTree()
+        arr, spec = TwoDimTree(), ReferenceTree()
         live: list[IdlePeriod] = []
         todo = list(pool)
         for op, pick in script:
@@ -105,17 +169,15 @@ class TestOpStreamEquivalence:
                 arr.remove(p)
                 spec.remove(p)
         arr.validate()
-        spec.validate()
         _assert_query_equivalent(arr, spec, probes)
 
     @given(pool=period_pools(), probes=st.lists(_times, max_size=4))
     @settings(max_examples=100, deadline=None)
     def test_bulk_load(self, pool, probes):
-        arr, spec = TwoDimTree(), NodeTree()
+        arr, spec = TwoDimTree(), ReferenceTree()
         arr.bulk_load(pool)
         spec.bulk_load(pool)
         arr.validate()
-        spec.validate()
         _assert_query_equivalent(arr, spec, probes)
 
     @given(
@@ -127,14 +189,13 @@ class TestOpStreamEquivalence:
     @settings(max_examples=100, deadline=None)
     def test_apply_batch_matches_sequential_spec(self, pool, split, drop, probes):
         """The fused batch path must land on the same contents and answers
-        as the spec tree doing each removal then each insert one at a time
-        (both the per-op-walk and the in-place bulk-rebuild regimes are
-        exercised — batch size vs tree size varies freely here)."""
+        as the reference doing each removal then each insert one at a time
+        (batch size vs tree size varies freely here)."""
         if not pool:
             return
         cut = split % (len(pool) + 1)
         seeded, incoming = pool[:cut], pool[cut:]
-        arr, spec = TwoDimTree(), NodeTree()
+        arr, spec = TwoDimTree(), ReferenceTree()
         arr.bulk_load(seeded)
         spec.bulk_load(seeded)
         n_drop = drop % (len(seeded) + 1)
@@ -145,8 +206,22 @@ class TestOpStreamEquivalence:
         for p in incoming:
             spec.insert(p)
         arr.validate()
-        spec.validate()
         _assert_query_equivalent(arr, spec, probes)
+
+    @given(
+        pool=period_pools(),
+        script=st.lists(
+            st.tuples(st.sampled_from(WRITES + tuple(READS)), st.integers(0, 10**6)),
+            max_size=40,
+        ),
+        sr=_times,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_history_at_the_tree_sizes_that_occur(self, pool, script, sr):
+        """Buffered writes, direct batches, reloads and every read,
+        interleaved on a tree of up to a few hundred periods."""
+        half = len(pool) // 2
+        run_history(pool[:half], pool[half:], script, sr, span=64)
 
     @given(pool=period_pools(max_size=20))
     @settings(max_examples=50, deadline=None)

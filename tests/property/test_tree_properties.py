@@ -10,6 +10,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.opcount import OpCounter
 from repro.core.slot_tree import TwoDimTree
 from repro.core.types import INF, IdlePeriod
 
@@ -106,23 +107,19 @@ class TestStructuralInvariants:
         tree.validate()
         assert sorted(p.uid for p in tree.periods()) == sorted(p.uid for p in live)
 
-    @given(periods=period_lists(max_size=60))
+    @given(periods=period_lists(max_size=60), sr=_times)
     @settings(max_examples=60, deadline=None)
-    def test_depth_is_logarithmic(self, periods):
-        tree = TwoDimTree()
+    def test_depth_is_logarithmic(self, periods, sr):
+        """One search descends, and marks, at most ⌈log2 n⌉ + 1 nodes."""
+        counter = OpCounter()
+        tree = TwoDimTree(counter)
         for p in periods:
             tree.insert(p)
         if not periods:
             return
-
         assert len(tree) == len(periods)  # a read: the buffered inserts are applied
-        kernel = tree._kernel
-
-        def depth(node):
-            if node == -1 or kernel.left[node] == -1:  # empty or leaf
-                return 1
-            return 1 + max(depth(kernel.left[node]), depth(kernel.right[node]))
-
-        # alpha-weight-balance implies depth <= log_{1/alpha}(n) + O(1)
-        bound = math.log(max(len(periods), 2), 4.0 / 3.0) + 2
-        assert depth(kernel.root) <= bound
+        counter.reset()
+        tree.phase1(sr)
+        bound = math.ceil(math.log2(len(periods))) + 1
+        assert counter.get("node_visit") <= bound
+        assert counter.get("mark") <= bound

@@ -1,8 +1,8 @@
-"""Write-buffered slot tree ≡ the eager node-backed specification.
+"""Write-buffered slot tree ≡ the eager flat-list reference.
 
 ``repro.core.slot_tree.TwoDimTree`` only *notes* ``insert``/``remove``
 and applies the notes, as one fused ``apply_batch``, when the tree is
-next read.  ``repro.core.slot_tree_nodes`` updates eagerly.  Under any
+next read.  ``repro.verify.oracle.ReferenceTree`` updates eagerly.  Under any
 history of writes interleaved with any read, every read must answer what
 the eager tree answers — and the buffer's own rules (a remove cancels a
 pending insert, ``KeyError`` at the call and not at the flush, removals
@@ -12,8 +12,6 @@ case a mutation of that rule fails.
 
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,54 +19,19 @@ from hypothesis import strategies as st
 from repro.core.calendar import AvailabilityCalendar
 from repro.core.opcount import OpCounter
 from repro.core.slot_tree import TwoDimTree
-from repro.core.slot_tree_nodes import TwoDimTree as NodeTree
 from repro.core.types import INF, IdlePeriod
+from repro.verify.oracle import ReferenceTree
 
-from .test_array_equivalence import _uids, period_pools
+from .test_array_equivalence import (
+    READS,
+    WRITES,
+    _assert_query_equivalent,
+    _uids,
+    period_pools,
+    run_history,
+)
 
 _times = st.floats(min_value=0.0, max_value=500.0, allow_nan=False, width=32)
-
-WRITES = ("insert", "remove", "apply_batch", "bulk_load")
-
-
-def _spec_max_end(spec: NodeTree) -> float:
-    return max((p.et for p in spec.periods()), default=-math.inf)
-
-
-# one entry per read of the buffered tree: (name, answer on the buffered
-# tree, answer on the eager spec); ``sr`` is the history's probe time
-READS = {
-    "phase1": (lambda t, sr: t.phase1(sr)[0], lambda s, sr: s.phase1(sr)[0]),
-    "count_candidates": (
-        lambda t, sr: t.count_candidates(sr),
-        lambda s, sr: s.count_candidates(sr),
-    ),
-    "find_feasible": (
-        lambda t, sr: _uids(t.find_feasible(sr, sr + 40.0, 2) or []),
-        lambda s, sr: _uids(s.find_feasible(sr, sr + 40.0, 2) or []),
-    ),
-    "range_search": (
-        lambda t, sr: _uids(t.range_search(sr, sr + 0.5)),
-        lambda s, sr: _uids(s.range_search(sr, sr + 0.5)),
-    ),
-    "max_end": (lambda t, sr: t.max_end(), lambda s, sr: _spec_max_end(s)),
-    "len": (lambda t, sr: len(t), lambda s, sr: len(s)),
-    "periods": (lambda t, sr: _uids(t.periods()), lambda s, sr: _uids(s.periods())),
-}
-
-
-def _assert_same_answers(arr: TwoDimTree, spec: NodeTree, sr: float) -> None:
-    """After a read has flushed, *every* read must agree with the spec."""
-    for name, (on_arr, on_spec) in READS.items():
-        assert on_arr(arr, sr) == on_spec(spec, sr), name
-    for p in spec.periods():
-        assert p in arr
-    # Phase-2 selection order: the full canonical (et, uid) listing
-    _, marks_a = arr.phase1(sr)
-    _, marks_s = spec.phase1(sr)
-    assert _uids(arr.phase2(marks_a, sr + 40.0, math.inf) or []) == _uids(
-        spec.phase2(marks_s, sr + 40.0, math.inf) or []
-    )
 
 
 class TestBufferedEqualsEager:
@@ -82,42 +45,7 @@ class TestBufferedEqualsEager:
     )
     @settings(max_examples=150, deadline=None)
     def test_history(self, pool, script, sr):
-        arr, spec = TwoDimTree(), NodeTree()
-        live: list[IdlePeriod] = []
-        todo = list(pool)
-        for op, pick in script:
-            if op == "insert" and todo:
-                p = todo.pop(pick % len(todo))
-                arr.insert(p)
-                spec.insert(p)
-                live.append(p)
-            elif op == "remove" and live:
-                p = live.pop(pick % len(live))
-                arr.remove(p)
-                spec.remove(p)
-            elif op == "apply_batch":
-                removals = [live.pop(pick % len(live))] if live else []
-                inserts = [todo.pop() for _ in range(min(len(todo), pick % 4))]
-                arr.apply_batch(removals, inserts)
-                for p in removals:
-                    spec.remove(p)
-                for p in inserts:
-                    spec.insert(p)
-                live.extend(inserts)
-            elif op == "bulk_load":
-                todo.extend(live)
-                live = [todo.pop() for _ in range(min(len(todo), pick % 6))]
-                arr.bulk_load(live)
-                spec.bulk_load(live)
-            elif op in READS:
-                # the read under test comes first: it alone must flush
-                on_arr, on_spec = READS[op]
-                assert on_arr(arr, sr) == on_spec(spec, sr), op
-                _assert_same_answers(arr, spec, sr)
-                arr.validate()
-        _assert_same_answers(arr, spec, sr)
-        arr.validate()
-        spec.validate()
+        run_history([], pool, script, sr, span=4)
 
 
 class TestBufferRules:
@@ -139,7 +67,7 @@ class TestBufferRules:
                 "len": 1,
                 "periods": [p.uid],
             }[read]
-            assert READS[read][0](tree, 5.0) == expected
+            assert READS[read](tree, 5.0) == expected
         assert not tree._ins and tree._by_uid == {p.uid: p}
         q = IdlePeriod(server=1, st=2.0, et=95.0)
         tree.insert(q)
@@ -157,7 +85,7 @@ class TestBufferRules:
                 "len": 1,
                 "periods": [q.uid],
             }[read]
-            assert READS[read][0](tree, 5.0) == expected
+            assert READS[read](tree, 5.0) == expected
         assert not tree._ins and not tree._rem
 
     def test_remove_of_pending_insert_cancels(self):
@@ -174,7 +102,7 @@ class TestBufferRules:
             tree.remove(p)
 
     def test_reinsert_after_flush(self):
-        tree, spec = TwoDimTree(), NodeTree()
+        tree, spec = TwoDimTree(), ReferenceTree()
         p = IdlePeriod(server=0, st=1.0, et=20.0)
         for t in (tree, spec):
             t.insert(p)
@@ -184,7 +112,7 @@ class TestBufferRules:
         assert len(tree) == 0
         for t in (tree, spec):
             t.insert(p)
-        _assert_same_answers(tree, spec, 5.0)
+        _assert_query_equivalent(tree, spec, [5.0])
         assert _uids(tree.periods()) == [p.uid]
 
     def test_key_error_is_raised_at_the_call(self):
