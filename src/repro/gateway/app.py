@@ -9,9 +9,16 @@ text exposition at ``GET /metrics`` — all stdlib asyncio, no framework.
 Request validation is *derived from* the wire registry
 (:func:`repro.service.protocol.validate_payload`): the HTTP surface has
 no second schema to drift from the NDJSON one.  Responses pass the
-backend's JSON body through **verbatim** (the HTTP layer only adds the
-status code and headers), so every checksum/ledger tool that reads TCP
-responses reads gateway responses unchanged.
+backend's JSON body through **verbatim** — the reply line's own bytes,
+minus the newline; the HTTP layer only adds the status code and headers
+— so every checksum/ledger tool that reads TCP responses reads gateway
+responses unchanged.
+
+Both hops are pipelined (HTTP/1.1 pipelining in front, FIFO NDJSON
+behind): a connection's reader submits each request to the backend
+without waiting for the reply, and its writer answers strictly in
+request order, so many exchanges share the one backend connection and
+the service's actor sees batches instead of one request at a time.
 
 Status mapping: ``ok`` and domain *rejections* are 200 (a reject is a
 successful decision, not a transport failure); ``MALFORMED`` 400,
@@ -25,12 +32,14 @@ rendered through the same :func:`~repro.gateway.http.format_retry_after`.
 from __future__ import annotations
 
 import asyncio
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..errors import BusyError, error_payload
+from ..service.batching import ready_runs
 from ..service.client import ServiceClient
 from ..service.protocol import READ_CHUNK_BYTES, ProtocolError, validate_payload
 from .auth import TenantLimiter, TokenTable
@@ -39,7 +48,7 @@ from .http import (
     HttpError,
     HttpRequest,
     format_retry_after,
-    json_response,
+    json_body,
     read_request,
     response_bytes,
 )
@@ -69,6 +78,45 @@ _SCALE_ACTIONS = ("add_servers", "drain", "remove")
 #: action — the actual wire op — is known; deliberately not a wire op
 _SCALE_LABEL = "scale"
 
+#: requests one HTTP connection may have read and not yet answered; its
+#: reader stops there until the writer has flushed some.  A constant, not
+#: a knob: it is the actor's ``max_batch`` — deep enough for one
+#: connection to fill a batch, and a client that never reads its
+#: responses costs this many held replies, not its whole backlog.
+PIPELINE_DEPTH = 64
+
+
+class _Reply(NamedTuple):
+    """One response minus what the connection decides (``Connection:``)."""
+
+    status: int
+    body: bytes
+    headers: tuple[tuple[str, str], ...] = ()
+    content_type: str = "application/json"
+
+
+@dataclass(slots=True)
+class _Exchange:
+    """A request submitted to the backend: who asked, and the reply line to come."""
+
+    op: str
+    tenant: str
+    message: dict[str, Any]
+    line: asyncio.Future[bytes]
+
+
+@dataclass(slots=True)
+class _Pending:
+    """One request read off an HTTP connection and not yet answered on it."""
+
+    started: float  # perf_counter() when the request was parsed
+    keep_alive: bool
+    answer: _Reply | _Exchange
+
+    def waits_on(self) -> asyncio.Future[bytes] | None:
+        answer = self.answer
+        return answer.line if isinstance(answer, _Exchange) else None
+
 
 @dataclass(slots=True)
 class GatewayConfig:
@@ -86,7 +134,7 @@ class GatewayConfig:
 
 
 class Gateway:
-    """One HTTP front door over one TCP backend connection."""
+    """One HTTP front door over one pipelined TCP backend connection."""
 
     def __init__(self, config: GatewayConfig) -> None:
         self.config = config
@@ -96,10 +144,11 @@ class Gateway:
             self.tokens = TokenTable()
         self.limiter = TenantLimiter(config.rate, config.burst)
         self._server: asyncio.base_events.Server | None = None
-        #: the single backend connection, shared by every HTTP client; the
-        #: lock keeps one exchange in flight, so replies correlate FIFO
+        #: the single backend connection, shared by every HTTP client;
+        #: replies come back in submission order, whoever submitted
         self._backend = ServiceClient(config.backend_host, config.backend_port)
-        self._backend_lock = asyncio.Lock()
+        #: the request-reading task of each open HTTP connection
+        self._readers: set[asyncio.Task[None]] = set()
 
         self.registry = PromRegistry()
         self.requests_total = self.registry.counter(
@@ -115,10 +164,14 @@ class Gateway:
         )
         self.latency = self.registry.summary(
             "repro_gateway_request_seconds",
-            "Gateway request latency (reservoir percentiles), seconds",
+            "Gateway request latency, parsed to rendered (reservoir percentiles), seconds",
         )
         self.backend_up = self.registry.gauge(
             "repro_gateway_backend_up", "1 when the backend TCP service answers"
+        )
+        self.backend_inflight = self.registry.gauge(
+            "repro_gateway_backend_inflight",
+            "Requests submitted to the backend and not yet answered (sampled)",
         )
         self.service_gauges = {
             name: self.registry.gauge(f"repro_service_{name}", help_text)
@@ -155,6 +208,11 @@ class Gateway:
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
+        # no further requests are read; each open connection answers what
+        # it already owes, then closes
+        for reading in list(self._readers):
+            reading.cancel()
+        if self._server is not None:
             await self._server.wait_closed()
         self._backend.close()
 
@@ -165,78 +223,125 @@ class Gateway:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """One HTTP connection: a task that reads, this one that answers.
+
+        The reader submits each request to the backend without waiting;
+        responses leave strictly in request order, everything already
+        answered in one ``write``.  The reader holds a slot per request
+        read and not yet flushed, so it stops at :data:`PIPELINE_DEPTH`.
+        """
         writer.transport.max_size = READ_CHUNK_BYTES
+        responses: asyncio.Queue[_Pending | None] = asyncio.Queue()
+        slots = asyncio.Semaphore(PIPELINE_DEPTH)
+        reading = asyncio.create_task(self._read_requests(reader, responses, slots))
+        self._readers.add(reading)
+        try:
+            async for run in ready_runs(responses, _Pending.waits_on):
+                chunks = []
+                for pending in run:
+                    answer = pending.answer
+                    if isinstance(answer, _Exchange):
+                        answer = await self._settle(answer)
+                    self.latency.observe(perf_counter() - pending.started)
+                    status, body, headers, content_type = answer
+                    chunks.append(
+                        response_bytes(
+                            status, body, content_type, headers, pending.keep_alive
+                        )
+                    )
+                writer.write(b"".join(chunks))
+                await writer.drain()
+                for _ in run:
+                    slots.release()
+        except (ConnectionError, OSError):
+            pass  # client went away; nothing to answer
+        finally:
+            self._readers.discard(reading)
+            reading.cancel()
+            writer.close()
+
+    async def _read_requests(
+        self,
+        reader: asyncio.StreamReader,
+        responses: asyncio.Queue[_Pending | None],
+        slots: asyncio.Semaphore,
+    ) -> None:
+        """Parse requests until EOF, a framing error or a last request."""
         try:
             while True:
+                await slots.acquire()
                 try:
                     request = await read_request(reader, self.config.max_body)
                 except HttpError as exc:
-                    writer.write(_error_response(exc.status, exc.message, keep_alive=False))
-                    await writer.drain()
+                    # framing is not recoverable mid-stream: answer and close
+                    error = _error_reply(exc.status, exc.message)
+                    responses.put_nowait(_Pending(perf_counter(), False, error))
                     break
                 if request is None:
                     break
                 started = perf_counter()
-                response = await self._dispatch(request)
-                self.latency.observe(perf_counter() - started)
-                writer.write(response)
-                await writer.drain()
+                if request.path == "/metrics" and request.method == "GET":
+                    answer: _Reply | _Exchange = await self._handle_metrics()
+                else:
+                    answer = self._dispatch(request)
+                responses.put_nowait(_Pending(started, request.keep_alive, answer))
                 if not request.keep_alive:
                     break
         except (ConnectionError, OSError):
-            pass  # client went away; nothing to answer
+            pass  # client went away; the writer answers what it can
         finally:
-            writer.close()
+            responses.put_nowait(None)
 
-    async def _dispatch(self, request: HttpRequest) -> bytes:
+    def _dispatch(self, request: HttpRequest) -> _Reply | _Exchange:
         if request.path == "/healthz":
             if request.method != "GET":
-                return _error_response(405, "healthz is GET-only")
-            return json_response(200, {"ok": True, "backend": self._backend.connected})
+                return _error_reply(405, "healthz is GET-only")
+            return _json_reply(200, {"ok": True, "backend": self._backend.connected})
         if request.path == "/metrics":
-            if request.method != "GET":
-                return _error_response(405, "metrics is GET-only")
-            return await self._handle_metrics()
+            return _error_reply(405, "metrics is GET-only")
         if request.path == "/v1/status":
             if request.method != "GET":
-                return _error_response(405, "status is GET-only")
-            return await self._handle_op(request, "status", rate_limited=False)
+                return _error_reply(405, "status is GET-only")
+            return self._handle_op(request, "status", rate_limited=False)
         if request.path == "/v1/admin/pool":
             if request.method != "GET":
-                return _error_response(405, "pool is GET-only")
-            return await self._handle_op(request, "pool_status", rate_limited=False)
+                return _error_reply(405, "pool is GET-only")
+            return self._handle_op(request, "pool_status", rate_limited=False)
         if request.path == "/v1/admin/scale":
             if request.method != "POST":
-                return _error_response(405, "scale is POST-only")
-            return await self._handle_op(request, _SCALE_LABEL, rate_limited=False)
+                return _error_reply(405, "scale is POST-only")
+            return self._handle_op(request, _SCALE_LABEL, rate_limited=False)
         for op in _DATA_OPS:
             if request.path == f"/v1/{op}":
                 if request.method != "POST":
-                    return _error_response(405, f"{op} is POST-only")
-                return await self._handle_op(request, op, rate_limited=True)
-        return _error_response(404, f"no route for {request.path!r}")
+                    return _error_reply(405, f"{op} is POST-only")
+                return self._handle_op(request, op, rate_limited=True)
+        return _error_reply(404, f"no route for {request.path!r}")
 
     # ------------------------------------------------------------------
     # the data plane
     # ------------------------------------------------------------------
 
-    async def _handle_op(
+    def _handle_op(
         self, request: HttpRequest, op: str, rate_limited: bool
-    ) -> bytes:
-        """Authenticate → validate → backend RPC → render, for every endpoint.
+    ) -> _Reply | _Exchange:
+        """Authenticate → limit → validate → submit, for every endpoint.
 
-        ``POST /v1/admin/scale`` arrives as ``op == "scale"`` and names
-        its wire op in the body; once that is resolved it is the standard
-        path, so validation still derives from the registry and the
-        backend's JSON verdict passes through verbatim.
+        Answers what the edge can answer itself; otherwise the request is
+        on its way to the backend when this returns and :meth:`_settle`
+        renders the reply.  ``POST /v1/admin/scale`` arrives as ``op ==
+        "scale"`` and names its wire op in the body; once that is
+        resolved it is the standard path, so validation still derives
+        from the registry and the backend's JSON verdict passes through
+        verbatim.
         """
         tenant = self.tokens.authenticate(request.headers.get("authorization"))
         if tenant is None:
             self.rejects_total.inc(tenant="unknown", reason="unauthorized")
-            return json_response(
+            return _json_reply(
                 401,
                 {"ok": False, "op": op, "error": _edge_error("unauthorized")},
-                extra_headers=(("WWW-Authenticate", 'Bearer realm="repro"'),),
+                (("WWW-Authenticate", 'Bearer realm="repro"'),),
             )
         endpoint = op
         body: dict[str, Any] | None = None
@@ -255,47 +360,51 @@ class Gateway:
                     f"tenant {tenant!r} exceeded {self.limiter.rate:g} req/s",
                     retry_after=retry_after,
                 )
-                return json_response(
+                return _json_reply(
                     429,
                     {"ok": False, "op": op, "error": busy.payload()},
-                    extra_headers=(("Retry-After", format_retry_after(retry_after)),),
+                    (("Retry-After", format_retry_after(retry_after)),),
                 )
         try:
             message = validate_payload(op, request.json() if body is None else body)
         except (ProtocolError, HttpError) as exc:
             return self._malformed(tenant, op, exc)
         try:
-            response = await self._backend_rpc(message)
+            return _Exchange(op, tenant, message, self._backend.submit(message))
         except ValueError as exc:
             # the message cannot be put on the wire: ``seq`` is passed
             # through unchecked and NaN is not JSON
             return self._malformed(tenant, op, ProtocolError(str(exc)))
-        except ConnectionError as exc:
-            self.rejects_total.inc(tenant=tenant, reason="backend_down")
-            self.backend_up.set(0)
-            return json_response(
-                502,
-                {"ok": False, "op": op, "error": _edge_error("backend_down", str(exc))},
-            )
-        self.backend_up.set(1)
-        return self._render_backend(op, tenant, response)
 
     def _malformed(
         self, tenant: str, op: str, exc: ProtocolError | HttpError
-    ) -> bytes:
+    ) -> _Reply:
         self.rejects_total.inc(tenant=tenant, reason="malformed")
         # same MALFORMED payload the TCP front door would answer, so
         # response classification is transport-independent
         if isinstance(exc, HttpError):
             exc = ProtocolError(exc.message)
-        return json_response(400, {"ok": False, "op": op, "error": error_payload(exc)})
+        return _json_reply(400, {"ok": False, "op": op, "error": error_payload(exc)})
 
-    def _render_backend(self, op: str, tenant: str, response: dict[str, Any]) -> bytes:
-        """Backend JSON out as HTTP, body verbatim."""
+    async def _settle(self, exchange: _Exchange) -> _Reply:
+        """The backend's reply line out as HTTP, body verbatim."""
+        op, tenant = exchange.op, exchange.tenant
+        try:
+            line = await self._reply_line(exchange)
+            response = json.loads(line)
+        except (ConnectionError, ValueError) as exc:
+            self.rejects_total.inc(tenant=tenant, reason="backend_down")
+            self.backend_up.set(0)
+            return _json_reply(
+                502,
+                {"ok": False, "op": op, "error": _edge_error("backend_down", str(exc))},
+            )
+        self.backend_up.set(1)
+        body = line[:-1]  # ``protocol.encode`` and ``json_body`` agree byte for byte
         if response.get("ok"):
             if response.get("replayed"):
                 self.replayed_total.inc(tenant=tenant)
-            return json_response(200, response)
+            return _Reply(200, body)
         error = response.get("error") or {}
         status = _STATUS_FOR.get(error.get("code"), 500)
         headers: tuple[tuple[str, str], ...] = ()
@@ -307,49 +416,56 @@ class Gateway:
             retry_after = error.get("retry_after")
             if retry_after is not None:
                 headers = (("Retry-After", format_retry_after(float(retry_after))),)
-        return json_response(status, response, extra_headers=headers)
+        return _Reply(status, body, headers)
 
-    async def _backend_rpc(self, message: dict[str, Any]) -> dict[str, Any]:
-        """One exchange on the shared backend connection (FIFO via lock).
+    async def _reply_line(self, exchange: _Exchange) -> bytes:
+        """The reply to one submitted request, resent once if its connection died.
 
-        A lost connection (:class:`~repro.service.client.ServiceClient`
-        raises ``ConnectionError`` and reopens on the next call) is
-        retried once for most ops: ``reserve`` is rid-keyed exactly-once
-        (the resend returns the recorded verdict instead of
-        double-applying) and ``probe``/``status`` are read-only.
-        ``cancel`` is the exception — the backend re-decides a resent
-        cancel, so a first attempt that applied but lost its reply would
-        come back ``NOT_FOUND``; rather than launder a cancel that
-        actually succeeded into a 404, the gateway surfaces the
+        A lost connection fails every exchange in flight on it
+        (:class:`~repro.service.client.ServiceClient`; the next submit
+        reopens).  Most ops are then resent, once: ``reserve`` is
+        rid-keyed exactly-once (the resend returns the recorded verdict
+        instead of double-applying) and ``probe``/``status`` are
+        read-only.  ``cancel`` is the exception — the backend re-decides
+        a resent cancel, so a first attempt that applied but lost its
+        reply would come back ``NOT_FOUND``; rather than launder a cancel
+        that actually succeeded into a 404, the gateway surfaces the
         transport error (502) and leaves the retry decision to the
         caller, who knows the outcome is ambiguous.  Pool mutations are
         retriable only when they carry an ``aid`` (the backend's
         admin-idempotency key); without one a resent ``add_servers``
         would grow the pool twice.
+
+        A connection's writer settles its exchanges one at a time in
+        request order, so its resends reach the fresh backend connection
+        in the order the requests came.
         """
-        op = message.get("op")
-        retriable = op != "cancel" and not (
-            op in _SCALE_ACTIONS and message.get("aid") is None
-        )
-        async with self._backend_lock:
-            try:
-                return await self._backend.rpc(message)
-            except ConnectionError:
-                if not retriable:
-                    raise
-            return await self._backend.rpc(message)
+        try:
+            return await exchange.line
+        except ConnectionError:
+            message = exchange.message
+            op = message.get("op")
+            if op == "cancel" or (op in _SCALE_ACTIONS and message.get("aid") is None):
+                raise
+        return await self._backend.submit(exchange.message)
 
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
 
-    async def _handle_metrics(self) -> bytes:
+    async def _handle_metrics(self) -> _Reply:
         """Render the registry, refreshing service-level gauges first."""
+        message = {"op": "status"}
+        probe = _Exchange("status", "", message, self._backend.submit(message))
         try:
-            status = await asyncio.wait_for(
-                self._backend_rpc({"op": "status"}), timeout=self.config.status_timeout
+            # on a timeout the probe is abandoned, not the connection: its
+            # late reply is dropped when it arrives
+            status = json.loads(
+                await asyncio.wait_for(
+                    self._reply_line(probe), timeout=self.config.status_timeout
+                )
             )
-        except (ConnectionError, asyncio.TimeoutError):
+        except (ConnectionError, ValueError, asyncio.TimeoutError):
             self.backend_up.set(0)
         else:
             self.backend_up.set(1)
@@ -371,7 +487,8 @@ class Gateway:
                 gauges["service_latency_ms"].set(
                     latency.get(f"p{quantile}_ms", 0.0), quantile=f"0.{quantile}"
                 )
-        return response_bytes(
+        self.backend_inflight.set(self._backend.inflight)
+        return _Reply(
             200,
             self.registry.render().encode("utf-8"),
             content_type="text/plain; version=0.0.4; charset=utf-8",
@@ -403,11 +520,18 @@ def _edge_error(reason: str, detail: str = "") -> dict[str, Any]:
     }
 
 
-def _error_response(status: int, message: str, keep_alive: bool = True) -> bytes:
-    return json_response(
+def _json_reply(
+    status: int,
+    payload: dict[str, Any],
+    headers: tuple[tuple[str, str], ...] = (),
+) -> _Reply:
+    return _Reply(status, json_body(payload), headers)
+
+
+def _error_reply(status: int, message: str) -> _Reply:
+    return _json_reply(
         status,
         {"ok": False, "error": {"code": "HTTP", "http_status": status, "message": message}},
-        keep_alive=keep_alive,
     )
 
 

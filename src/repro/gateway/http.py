@@ -1,8 +1,8 @@
 """Minimal HTTP/1.1 framing over asyncio streams (stdlib only).
 
 Just enough of RFC 9112 for a JSON API front door: request-line +
-headers + ``Content-Length`` bodies, keep-alive by default, explicit
-caps on header and body sizes.  No chunked transfer coding (answered
+headers + ``Content-Length`` bodies, keep-alive by default for HTTP/1.1
+and on request for HTTP/1.0, explicit caps on header and body sizes.  No chunked transfer coding (answered
 with 411 — every stdlib and curl client sends ``Content-Length`` for
 small JSON bodies), no trailers, no upgrade.
 
@@ -27,6 +27,7 @@ __all__ = [
     "MAX_HEADER_BYTES",
     "format_retry_after",
     "http_request",
+    "json_body",
     "json_response",
     "read_request",
     "response_bytes",
@@ -73,6 +74,7 @@ class HttpRequest:
     query: str
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    version: str = "HTTP/1.1"
 
     def json(self) -> dict[str, Any]:
         """The body as a JSON object (400 on anything else)."""
@@ -90,7 +92,16 @@ class HttpRequest:
 
     @property
     def keep_alive(self) -> bool:
-        return self.headers.get("connection", "").lower() != "close"
+        """Whether the connection outlives this request's response.
+
+        HTTP/1.1 persists unless told ``Connection: close``; an HTTP/1.0
+        client waits for the close to know the response is over unless
+        it asked for ``Connection: keep-alive``.
+        """
+        connection = self.headers.get("connection", "").lower()
+        if self.version == "HTTP/1.0":
+            return connection == "keep-alive"
+        return connection != "close"
 
 
 async def read_request(
@@ -115,7 +126,7 @@ async def read_request(
     parts = lines[0].split(" ")
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise HttpError(400, f"malformed request line: {lines[0]!r}")
-    method, target, _version = parts
+    method, target, version = parts
     path, _, query = target.partition("?")
     headers: dict[str, str] = {}
     for line in lines[1:]:
@@ -144,7 +155,9 @@ async def read_request(
                 raise HttpError(400, "connection closed mid-body") from exc
     elif method in ("POST", "PUT", "PATCH"):
         raise HttpError(411, "a request body requires Content-Length")
-    return HttpRequest(method=method, path=path, query=query, headers=headers, body=body)
+    return HttpRequest(
+        method=method, path=path, query=query, headers=headers, body=body, version=version
+    )
 
 
 def format_retry_after(retry_after: float) -> str:
@@ -182,16 +195,22 @@ def response_bytes(
     return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
 
 
+def json_body(payload: dict[str, Any]) -> bytes:
+    """A JSON response body: byte for byte ``protocol.encode`` minus the newline."""
+    return json.dumps(
+        payload, separators=(",", ":"), sort_keys=True, allow_nan=False
+    ).encode("utf-8")
+
+
 def json_response(
     status: int,
     payload: dict[str, Any],
     extra_headers: tuple[tuple[str, str], ...] = (),
     keep_alive: bool = True,
 ) -> bytes:
-    body = json.dumps(
-        payload, separators=(",", ":"), sort_keys=True, allow_nan=False
-    ).encode("utf-8")
-    return response_bytes(status, body, extra_headers=extra_headers, keep_alive=keep_alive)
+    return response_bytes(
+        status, json_body(payload), extra_headers=extra_headers, keep_alive=keep_alive
+    )
 
 
 async def http_request(

@@ -12,16 +12,20 @@ Responses are still per-operation (each carries its own future); batching
 changes *when* work happens, never its FIFO order or its outcome — the
 kill/restart identity check of the ``kill-restart`` chaos plan depends
 on that.
+
+The way back out is batched the same way: the actor resolves a batch's
+futures in one step, so a connection writer finds a run of them done
+together (:func:`ready_runs`) and answers the run with one socket write.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, TypeVar
+from typing import Any, AsyncIterator, Callable, TypeVar
 
 T = TypeVar("T")
 
-__all__ = ["drain_batch"]
+__all__ = ["drain_batch", "ready_runs"]
 
 
 async def drain_batch(queue: "asyncio.Queue[T]", max_batch: int) -> list[T]:
@@ -41,3 +45,41 @@ async def drain_batch(queue: "asyncio.Queue[T]", max_batch: int) -> list[T]:
         except asyncio.QueueEmpty:
             break
     return batch
+
+
+async def ready_runs(
+    queue: "asyncio.Queue[T | None]",
+    future_of: "Callable[[T], asyncio.Future[Any] | None]",
+) -> AsyncIterator[list[T]]:
+    """The queue's items in FIFO runs, until its ``None`` sentinel.
+
+    A run is the head item once ``future_of(item)`` is done, plus every
+    item queued behind it whose future is done by then (``None`` counts
+    as done: nothing to wait for) — what a connection writer can answer
+    in order with one write.  Done includes failed: the consumer reads
+    each outcome off the future.  A lone item is a run of one, handed
+    over the moment it is done.
+    """
+    item = await queue.get()
+    while item is not None:
+        future = future_of(item)
+        if future is not None and not future.done():
+            try:
+                await future
+            except asyncio.CancelledError:
+                if not future.cancelled():
+                    raise  # this task was cancelled, not the item's future
+            except Exception:
+                pass  # the consumer's to read off the future, not ours
+        run = [item]
+        while True:
+            if queue.empty():
+                yield run
+                item = await queue.get()
+                break
+            item = queue.get_nowait()
+            future = None if item is None else future_of(item)
+            if item is None or (future is not None and not future.done()):
+                yield run
+                break
+            run.append(item)

@@ -7,8 +7,8 @@ handlers parse lines, run admission control, and enqueue
 ``(message, future)`` pairs; the actor drains the queue in micro-batches
 (:func:`~repro.service.batching.drain_batch`), applies each operation
 back-to-back without yielding, and resolves the futures.  Responses are
-written back per connection in request order, so pipelined clients
-correlate FIFO.  Lint rule ``RA009`` enforces the actor boundary
+written back per connection in request order — a batch's worth per
+socket write — so pipelined clients correlate FIFO.  Lint rule ``RA009`` enforces the actor boundary
 statically: no ``async def`` outside the actor may call the blocking
 commit path.
 
@@ -48,7 +48,7 @@ from ..errors import (
 from ..facade import CoAllocationScheduler
 from .admission import AdmissionController
 from .autoscale import AutoScaleConfig, AutoScaler
-from .batching import drain_batch
+from .batching import drain_batch, ready_runs
 from .declog import DecisionLog, decision_message
 from .metrics import ServiceMetrics
 from .protocol import (
@@ -294,30 +294,36 @@ class ReservationService:
     async def _connection_writer(
         self, writer: asyncio.StreamWriter, responses: asyncio.Queue
     ) -> None:
-        """Write responses in request order; tolerate a vanished client."""
+        """Write responses in request order; tolerate a vanished client.
+
+        The actor resolves a batch's futures in one step, so they are
+        found done together and leave in one ``write`` and one ``drain``.
+        """
         alive = True
-        while True:
-            future = await responses.get()
-            if future is None:
-                break
-            response = await _result_of(future)
+        async for run in ready_runs(responses, lambda future: future):
             try:
                 if not alive:
                     continue  # keep consuming futures so the actor never blocks
+                lines = []
+                for future in run:
+                    response = await _result_of(future)
+                    try:
+                        lines.append(encode(response))
+                    except ValueError as exc:
+                        # a non-finite float got into a response (a ``seq`` of
+                        # NaN is echoed as sent): answer INTERNAL rather than
+                        # die with the client waiting on this connection
+                        lines.append(
+                            encode(_error_response({"op": response.get("op")}, exc))
+                        )
                 try:
-                    data = encode(response)
-                except ValueError as exc:
-                    # a non-finite float got into a response (a ``seq`` of
-                    # NaN is echoed as sent): answer INTERNAL rather than
-                    # die with the client waiting on this connection
-                    data = encode(_error_response({"op": response.get("op")}, exc))
-                try:
-                    writer.write(data)
+                    writer.write(b"".join(lines))
                     await writer.drain()
                 except (ConnectionError, RuntimeError):
                     alive = False
             finally:
-                self._pending_responses -= 1
+                # only now: shutdown waits on this count for the flush
+                self._pending_responses -= len(run)
         with suppress(ConnectionError, RuntimeError, OSError):
             writer.close()
 

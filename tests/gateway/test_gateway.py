@@ -8,10 +8,14 @@ HTTP client in :func:`repro.gateway.http.http_request`.
 
 import asyncio
 import json
+import socket
+
+import pytest
 
 from repro.errors import BusyError
-from repro.gateway.app import Gateway, GatewayConfig
+from repro.gateway.app import PIPELINE_DEPTH, Gateway, GatewayConfig
 from repro.gateway.http import format_retry_after, http_request
+from repro.service.protocol import encode
 
 from ..service.harness import (
     SMALL,
@@ -41,20 +45,44 @@ async def http(port, method, path, body=None, headers=()):
         writer.close()
 
 
+async def read_response(reader):
+    """One response off the stream: ``(status, lower-cased headers, body bytes)``."""
+    lines = (await reader.readuntil(b"\r\n\r\n")).decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines[1:]:
+        if line:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+    body = await reader.readexactly(int(headers["content-length"]))
+    return int(lines[0].split(" ")[1]), headers, body
+
+
+def post_bytes(path: str, message: dict, version: str = "HTTP/1.1", headers=()) -> bytes:
+    """One POST as the bytes a client puts on the wire."""
+    body = json.dumps(message).encode()
+    head = [f"POST {path} {version}", "Host: repro", f"Content-Length: {len(body)}"]
+    head.extend(f"{name}: {value}" for name, value in headers)
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+
+
 async def fetch_metrics(port):
     """GET /metrics as text (it is Prometheus exposition, not JSON)."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     writer.write(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
     await writer.drain()
-    head = await reader.readuntil(b"\r\n\r\n")
-    length = next(
-        int(line.split(":")[1])
-        for line in head.decode().split("\r\n")
-        if line.lower().startswith("content-length")
-    )
-    text = (await reader.readexactly(length)).decode()
+    _, _, body = await read_response(reader)
     writer.close()
-    return text
+    return body.decode()
+
+
+async def settled(read, quiet: float = 0.15):
+    """``read()`` once it has stopped changing for ``quiet`` seconds."""
+    value = read()
+    while True:
+        await asyncio.sleep(quiet)
+        if read() == value:
+            return value
+        value = read()
 
 
 class TestRouting:
@@ -100,14 +128,8 @@ async def raw_post(reader, writer, path: str, payload: bytes):
     head = f"POST {path} HTTP/1.1\r\nHost: repro\r\nContent-Length: {len(payload)}\r\n\r\n"
     writer.write(head.encode("latin-1") + payload)
     await writer.drain()
-    raw_head = (await reader.readuntil(b"\r\n\r\n")).decode("latin-1")
-    status = int(raw_head.split(" ")[1])
-    length = next(
-        int(line.split(":")[1])
-        for line in raw_head.split("\r\n")
-        if line.lower().startswith("content-length")
-    )
-    return status, json.loads(await reader.readexactly(length))
+    status, _, body = await read_response(reader)
+    return status, json.loads(body)
 
 
 class TestProxySemantics:
@@ -236,96 +258,187 @@ class TestBackendConnection:
     and the per-op retry policy."""
 
     def test_metrics_timeout_does_not_poison_the_connection(self):
-        """A /metrics status probe that hits status_timeout abandons the
-        exchange between write and readline.  The connection must be
-        dropped with it: otherwise the late status reply stays buffered
-        and answers the *next* client rpc verbatim."""
+        """A /metrics status probe that hits status_timeout is abandoned,
+        the backend connection — which every HTTP client shares — is not:
+        the late status reply is dropped when it arrives instead of
+        answering the *next* request verbatim."""
 
         async def scenario():
-            async def backend(reader, writer):
-                try:
-                    while True:
-                        raw = await reader.readline()
-                        if not raw:
-                            break
-                        message = json.loads(raw)
-                        if message["op"] == "status":
-                            await asyncio.sleep(0.4)  # beyond status_timeout
-                        writer.write(
-                            json.dumps({"ok": True, "op": message["op"]}).encode()
-                            + b"\n"
-                        )
-                        await writer.drain()
-                except (ConnectionError, OSError):
-                    pass  # the gateway dropped us mid-answer: expected
-                finally:
-                    writer.close()
+            async def script(message):
+                if message["op"] == "status":
+                    await asyncio.sleep(0.4)  # beyond status_timeout
+                return encode({"ok": True, "op": message["op"]})
 
-            server, backend_port = await start_fake_backend(backend)
+            backend = ScriptedBackend(script)
+            server, backend_port = await start_fake_backend(backend.handle)
             gateway = Gateway(
                 GatewayConfig(backend_port=backend_port, status_timeout=0.05)
             )
             await gateway.start()
-            # warm the pooled connection, then force the abandoned probe
             first = await http(gateway.port, "POST", "/v1/probe", {"ta": 0.0, "tb": 1.0})
             metrics = await fetch_metrics(gateway.port)
             after = await http(gateway.port, "POST", "/v1/probe", {"ta": 0.0, "tb": 1.0})
             await gateway.stop()
             server.close()
             await server.wait_closed()
-            return first, metrics, after
+            return first, metrics, after, backend.connections
 
-        first, metrics, after = asyncio.run(scenario())
+        first, metrics, after, connections = asyncio.run(scenario())
         assert first[0] == 200 and first[2]["op"] == "probe"
         assert "repro_gateway_backend_up 0" in metrics
-        # without the invalidation this body would be the stale status reply
+        # the abandoned probe is still unanswered when the page is rendered
+        assert "repro_gateway_backend_inflight 1" in metrics
+        # were the late reply handed on, this body would be the status reply
         assert after[0] == 200 and after[2]["op"] == "probe"
+        assert connections == 1
 
     def test_cancel_is_never_retried_but_reserve_is(self):
-        """A half-dead pooled connection: reserve retries through a fresh
-        connection (rid-keyed exactly-once), but cancel surfaces 502 —
-        retrying could launder an applied cancel into NOT_FOUND."""
+        """A backend connection that dies with a request on it: reserve is
+        resent through a fresh connection (rid-keyed exactly-once), but
+        cancel surfaces 502 — resending could launder an applied cancel
+        into NOT_FOUND."""
 
         async def scenario():
-            async def one_shot_backend(reader, writer):
-                # answer exactly one op, then drop the connection: the
-                # gateway's next exchange on the pooled socket sees EOF
+            connections = 0
+
+            async def one_answer_backend(reader, writer):
+                # answers one op, reads the next and drops without a word:
+                # that op may or may not have been applied
+                nonlocal connections
+                connections += 1
                 try:
                     raw = await reader.readline()
                     if raw:
-                        message = json.loads(raw)
-                        writer.write(
-                            json.dumps({"ok": True, "op": message["op"]}).encode()
-                            + b"\n"
-                        )
+                        writer.write(encode({"ok": True, "op": json.loads(raw)["op"]}))
                         await writer.drain()
+                        await reader.readline()
                 finally:
                     writer.close()
 
-            server, backend_port = await start_fake_backend(one_shot_backend)
+            server, backend_port = await start_fake_backend(one_answer_backend)
             gateway = Gateway(GatewayConfig(backend_port=backend_port))
             await gateway.start()
             warm = await http(gateway.port, "POST", "/v1/probe", {"ta": 0.0, "tb": 1.0})
             retried = await http(
                 gateway.port, "POST", "/v1/reserve", reserve_msg(1, 0.0, 5.0, 1)
             )
-            # the retry's fresh connection answered one op, so the pool
-            # is half-dead again when the cancel arrives
+            cost_of_reserve = connections
+            # the resend was the fresh connection's one answer, so the
+            # cancel is read and dropped too
             failed = await http(gateway.port, "POST", "/v1/cancel", {"rid": 1})
+            cost_of_cancel = connections - cost_of_reserve
             recovered = await http(
                 gateway.port, "POST", "/v1/probe", {"ta": 0.0, "tb": 1.0}
             )
             await gateway.stop()
             server.close()
             await server.wait_closed()
-            return warm, retried, failed, recovered
+            return warm, retried, failed, recovered, cost_of_reserve, cost_of_cancel
 
-        warm, retried, failed, recovered = asyncio.run(scenario())
+        warm, retried, failed, recovered, cost_of_reserve, cost_of_cancel = asyncio.run(
+            scenario()
+        )
         assert warm[0] == 200
         assert retried[0] == 200 and retried[2]["op"] == "reserve"
+        assert cost_of_reserve == 2  # the warm one, and the resend's
         assert failed[0] == 502
         assert failed[2]["error"]["code"] == "BACKEND_DOWN"
+        assert cost_of_cancel == 0  # never resent
         assert recovered[0] == 200 and recovered[2]["op"] == "probe"
+
+    def test_connection_lost_with_k_in_flight_resends_in_order_exactly_once(self):
+        """The backend answers j of k pipelined requests and closes: the
+        j are answered, every unanswered retriable request is resent once
+        — in its original order — a cancel is 502, and the HTTP client
+        still reads k responses in request order."""
+
+        async def scenario():
+            received: list[list[dict]] = []
+
+            async def lossy_backend(reader, writer):
+                mine: list[dict] = []
+                received.append(mine)
+                first = len(received) == 1
+                try:
+                    while raw := await reader.readline():
+                        mine.append(json.loads(raw))
+                        if first and len(mine) > 3:
+                            break  # three answered, the rest lost with the connection
+                        reply = {"ok": True, "op": mine[-1]["op"], "seq": mine[-1]["seq"]}
+                        writer.write(encode(reply))
+                        await writer.drain()
+                finally:
+                    writer.close()
+
+            server, backend_port = await start_fake_backend(lossy_backend)
+            gateway = Gateway(GatewayConfig(backend_port=backend_port))
+            await gateway.start()
+            ops = ["reserve", "probe", "reserve", "reserve", "cancel", "probe", "reserve", "cancel", "reserve"]
+            requests = []
+            for seq, op in enumerate(ops):
+                message = {
+                    "reserve": reserve_msg(seq, 0.0, 5.0, 1),
+                    "probe": {"ta": 0.0, "tb": 1.0},
+                    "cancel": {"rid": seq},
+                }[op]
+                requests.append(post_bytes(f"/v1/{op}", {**message, "seq": seq}))
+            reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+            writer.write(b"".join(requests))
+            responses = [await read_response(reader) for _ in ops]
+            writer.close()
+            await gateway.stop()
+            server.close()
+            await server.wait_closed()
+            return ops, responses, received
+
+        ops, responses, received = asyncio.run(scenario())
+        bodies = [json.loads(body) for _, _, body in responses]
+        for seq, (op, (status, _, _), body) in enumerate(zip(ops, responses, bodies)):
+            assert body["op"] == op  # request order, through the loss
+            if op == "cancel" and seq >= 3:
+                assert status == 502 and body["error"]["code"] == "BACKEND_DOWN"
+            else:
+                assert status == 200 and body["seq"] == seq
+        # the fresh connection saw the unanswered retriable requests, each
+        # once, in the order the client sent them — and no cancel
+        assert [m["seq"] for m in received[1]] == [3, 5, 6, 8]
+        assert len(received) == 2
+
+    def test_a_second_loss_is_502_for_every_request_it_cost(self):
+        async def scenario():
+            received: list[dict] = []
+            connections = 0
+
+            async def dead_backend(reader, writer):
+                nonlocal connections
+                connections += 1
+                raw = await reader.readline()  # read one, answer none
+                if raw:
+                    received.append(json.loads(raw))
+                writer.close()
+
+            server, backend_port = await start_fake_backend(dead_backend)
+            gateway = Gateway(GatewayConfig(backend_port=backend_port))
+            await gateway.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+            writer.write(
+                b"".join(
+                    post_bytes("/v1/reserve", reserve_msg(rid, 0.0, 5.0, 1))
+                    for rid in (1, 2, 3)
+                )
+            )
+            responses = [await read_response(reader) for _ in range(3)]
+            writer.close()
+            await gateway.stop()
+            server.close()
+            await server.wait_closed()
+            return responses, received, connections
+
+        responses, received, connections = asyncio.run(scenario())
+        assert [status for status, _, _ in responses] == [502, 502, 502]
+        # the original send, then each request's one resend, in order
+        assert [m["rid"] for m in received] == [1, 1, 2, 3]
+        assert connections == 4
 
     def _torn_reply_scenario(self, request):
         """Run ``request(gateway_port)`` against a backend that dies
@@ -379,6 +492,225 @@ class TestBackendConnection:
         metrics, _, after = self._torn_reply_scenario(fetch_metrics)
         assert "repro_gateway_backend_up 0" in metrics
         assert after[0] == 200 and after[2]["op"] == "probe"
+
+
+class HeldBackend:
+    """Reads and counts every line at once; answers — in order, each
+    padded to ``padding`` bytes — only once ``release`` is set."""
+
+    def __init__(self, padding: int = 0) -> None:
+        self.received = 0
+        self.release = asyncio.Event()
+        self.padding = "x" * padding
+
+    async def handle(self, reader, writer):
+        lines: asyncio.Queue = asyncio.Queue()
+        answering = asyncio.create_task(self._answer(lines, writer))
+        try:
+            while raw := await reader.readline():
+                self.received += 1
+                lines.put_nowait(json.loads(raw))
+        except (ConnectionError, OSError):
+            pass
+        finally:
+            answering.cancel()
+            writer.close()
+
+    async def _answer(self, lines, writer):
+        while True:
+            message = await lines.get()
+            await self.release.wait()
+            reply = {"ok": True, "op": message["op"], "seq": message.get("seq")}
+            writer.write(encode({**reply, "padding": self.padding}))
+            await writer.drain()
+
+
+class TestPipelining:
+    """Many requests in flight per HTTP connection, answered in order."""
+
+    def test_a_burst_comes_back_in_order_and_reaches_the_actor_as_batches(self):
+        async def scenario():
+            service, gateway = await start_stack()
+            reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+            writer.write(
+                b"".join(
+                    post_bytes("/v1/reserve", reserve_msg(rid, 0.0, 5.0, 1))
+                    for rid in range(1, PIPELINE_DEPTH + 1)
+                )
+            )
+            responses = [await read_response(reader) for _ in range(PIPELINE_DEPTH)]
+            writer.close()
+            status = await rpc(service.port, {"op": "status"})
+            await gateway.stop()
+            await service.stop()
+            return responses, status
+
+        responses, status = asyncio.run(scenario())
+        assert all(code == 200 for code, _, _ in responses)  # grants and rejections
+        rids = [json.loads(body)["rid"] for _, _, body in responses]
+        assert rids == list(range(1, PIPELINE_DEPTH + 1))
+        assert status["decided"] == PIPELINE_DEPTH
+        # one exchange at a time would be one op per actor turn
+        assert status["metrics"]["mean_batch"] > 1
+
+    def test_two_connections_interleaved_each_get_their_own_replies(self):
+        async def scenario():
+            service, gateway = await start_stack()
+            a = await asyncio.open_connection("127.0.0.1", gateway.port)
+            b = await asyncio.open_connection("127.0.0.1", gateway.port)
+            for i in range(20):
+                a[1].write(post_bytes("/v1/reserve", reserve_msg(100 + i, 0.0, 5.0, 1)))
+                b[1].write(post_bytes("/v1/reserve", reserve_msg(200 + i, 0.0, 5.0, 1)))
+                if i % 5 == 0:
+                    await asyncio.sleep(0)  # let some leave before the rest are written
+            rids = []
+            for reader, writer in (a, b):
+                bodies = [json.loads((await read_response(reader))[2]) for _ in range(20)]
+                rids.append([body["rid"] for body in bodies])
+                writer.close()
+            await gateway.stop()
+            await service.stop()
+            return rids
+
+        rids_a, rids_b = asyncio.run(scenario())
+        assert rids_a == [100 + i for i in range(20)]
+        assert rids_b == [200 + i for i in range(20)]
+
+    def test_a_client_that_never_reads_holds_depth_requests_and_nobody_elses(self):
+        """The slow reader: A pipelines ten times the depth and never
+        reads a byte.  The gateway stops reading A at the depth; B, on
+        its own connection, is served throughout."""
+
+        async def scenario():
+            backend = HeldBackend(padding=32 * 1024)
+            server, backend_port = await start_fake_backend(backend.handle)
+            gateway = Gateway(
+                GatewayConfig(backend_port=backend_port, status_timeout=0.05)
+            )
+            await gateway.start()
+            # a small fixed receive buffer: the kernel cannot absorb the
+            # responses A does not read
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setblocking(False)
+            await asyncio.get_running_loop().sock_connect(sock, ("127.0.0.1", gateway.port))
+            _, a_writer = await asyncio.open_connection(sock=sock)
+            a_writer.write(
+                b"".join(
+                    post_bytes("/v1/probe", {"ta": 0.0, "tb": 1.0, "seq": seq})
+                    for seq in range(10 * PIPELINE_DEPTH)
+                )
+            )
+            # nothing answered yet: exactly the depth reaches the backend
+            held = await settled(lambda: backend.received)
+            b_reader, b_writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+            b_writer.write(post_bytes("/v1/probe", {"ta": 0.0, "tb": 1.0, "seq": "b-1"}))
+            with_b = await settled(lambda: backend.received)
+            metrics = await fetch_metrics(gateway.port)  # its probe times out behind A's
+            backend.release.set()
+            b_first = await asyncio.wait_for(read_response(b_reader), timeout=10)
+            # answered now, but A still does not read: the gateway takes one
+            # more of A's requests for each response the kernel's socket
+            # buffers take (a few MB at most), and then stops again
+            flooded = await settled(lambda: backend.received)
+            b_writer.write(post_bytes("/v1/probe", {"ta": 0.0, "tb": 1.0, "seq": "b-2"}))
+            b_second = await asyncio.wait_for(read_response(b_reader), timeout=10)
+            a_writer.close()
+            b_writer.close()
+            await gateway.stop()
+            server.close()
+            await server.wait_closed()
+            return held, with_b, metrics, b_first, flooded, b_second
+
+        held, with_b, metrics, b_first, flooded, b_second = asyncio.run(scenario())
+        assert held == PIPELINE_DEPTH
+        assert with_b == PIPELINE_DEPTH + 1  # B is let through while A is stopped
+        # A's, B's, and the scrape's own abandoned probe
+        assert f"repro_gateway_backend_inflight {PIPELINE_DEPTH + 2}" in metrics
+        assert b_first[0] == 200 and json.loads(b_first[2])["seq"] == "b-1"
+        assert flooded < 10 * PIPELINE_DEPTH  # never A's whole backlog (18 MB of replies)
+        assert b_second[0] == 200 and json.loads(b_second[2])["seq"] == "b-2"
+
+    def test_proxied_bodies_are_the_backends_bytes(self):
+        """Verbatim is literal: the body is the reply line minus its
+        newline, whatever its spacing or key order — only the status and
+        headers are the gateway's."""
+        shed = BusyError("admission queue full", retry_after=0.25)
+        rejection = {"code": "REJECTED", "exit_code": 3, "reason": "no_capacity", "attempts": 2}
+        lines = {
+            1: b'{"servers": [0, 1],  "ok": true, "op": "reserve", "rid": 1}\n',
+            2: encode({"ok": False, "op": "reserve", "rid": 2, "error": rejection}),
+            3: encode({"ok": False, "op": "reserve", "rid": 3, "error": shed.payload()}),
+        }
+
+        async def scenario():
+            async def script(message):
+                return lines[message["rid"]]
+
+            server, backend_port = await start_fake_backend(ScriptedBackend(script).handle)
+            gateway = Gateway(GatewayConfig(backend_port=backend_port))
+            await gateway.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+            writer.write(
+                b"".join(
+                    post_bytes("/v1/reserve", reserve_msg(rid, 0.0, 5.0, 1)) for rid in lines
+                )
+            )
+            responses = [await read_response(reader) for _ in lines]
+            writer.close()
+            await gateway.stop()
+            server.close()
+            await server.wait_closed()
+            return responses
+
+        granted, rejected, busy = asyncio.run(scenario())
+        assert (granted[0], granted[2]) == (200, lines[1][:-1])
+        assert (rejected[0], rejected[2]) == (200, lines[2][:-1])
+        assert (busy[0], busy[2]) == (429, lines[3][:-1])
+        assert busy[1]["retry-after"] == format_retry_after(0.25)
+        assert "retry-after" not in granted[1] and "retry-after" not in rejected[1]
+
+
+class TestHttpVersions:
+    """Who closes: HTTP/1.1 persists unless asked not to, HTTP/1.0 closes
+    unless asked not to, and the response header says which."""
+
+    @pytest.mark.parametrize(
+        "version, header, persists",
+        [
+            ("HTTP/1.1", None, True),
+            ("HTTP/1.1", "close", False),
+            ("HTTP/1.0", None, False),  # hung until PR 23: the close never came
+            ("HTTP/1.0", "keep-alive", True),
+        ],
+    )
+    def test_connection_persistence(self, version, header, persists):
+        headers = (("Connection", header),) if header else ()
+
+        async def scenario():
+            service, gateway = await start_stack()
+            reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+            request = post_bytes("/v1/probe", {"ta": 0.0, "tb": 1.0}, version, headers)
+            writer.write(request)
+            first = await asyncio.wait_for(read_response(reader), timeout=5)
+            if persists:
+                writer.write(request)
+                rest = await asyncio.wait_for(read_response(reader), timeout=5)
+            else:
+                rest = await asyncio.wait_for(reader.read(), timeout=5)  # to EOF
+            writer.close()
+            await gateway.stop()
+            await service.stop()
+            return first, rest
+
+        first, rest = asyncio.run(scenario())
+        assert first[0] == 200
+        if persists:
+            assert first[1]["connection"] == "keep-alive"
+            assert rest[0] == 200
+        else:
+            assert first[1]["connection"] == "close"
+            assert rest == b""
 
 
 class TestAuth:
@@ -521,24 +853,25 @@ class TestRateLimit:
         """A backend BUSY (admission shed) becomes 429 with Retry-After
         equal to the controller's own retry_after — the TCP and HTTP
         front doors advertise the same back-off for the same overload."""
+        shed = BusyError("admission queue full", retry_after=1.75)
 
         async def scenario():
-            service, gateway = await start_stack()
+            async def script(message):
+                return encode({"ok": False, "op": message["op"], "error": shed.payload()})
 
-            shed = BusyError("admission queue full", retry_after=1.75)
-
-            async def busy_backend(message):
-                return {"ok": False, "op": message["op"], "error": shed.payload()}
-
-            gateway._backend_rpc = busy_backend
+            server, backend_port = await start_fake_backend(ScriptedBackend(script).handle)
+            gateway = Gateway(GatewayConfig(backend_port=backend_port))
+            await gateway.start()
             response = await http(
                 gateway.port, "POST", "/v1/reserve", reserve_msg(1, 0.0, 5.0, 1)
             )
             await gateway.stop()
-            await service.stop()
-            return response, shed.payload()
+            server.close()
+            await server.wait_closed()
+            return response
 
-        (status, headers, body), tcp_payload = asyncio.run(scenario())
+        status, headers, body = asyncio.run(scenario())
+        tcp_payload = shed.payload()
         assert status == 429
         # byte-identical to what the TCP client sees in the BUSY error...
         assert body["error"] == tcp_payload
@@ -582,5 +915,7 @@ class TestMetrics:
         )
         assert "# TYPE repro_gateway_requests_total counter" in text
         assert "repro_gateway_backend_up 1" in text
+        assert "# TYPE repro_gateway_backend_inflight gauge" in text
+        assert "repro_gateway_backend_inflight 0" in text  # sampled after its own probe
         assert 'repro_service_accepted_total' in text
         assert 'repro_gateway_request_seconds{quantile="0.5"}' in text
