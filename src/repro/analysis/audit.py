@@ -41,6 +41,7 @@ Cross-calendar (``audit_calendar``, which also audits every slot tree):
 
 * ``RA111`` — per-server idle periods are sorted, pairwise disjoint,
   carry the right server id, and the bisect key arrays mirror them;
+  every non-removed server's list ends in its one unbounded period;
 * ``RA112`` — every bounded period is indexed (stored or buffered) in
   exactly the slot trees it overlaps (and unbounded ones never leak
   into trees in tail mode);
@@ -268,10 +269,17 @@ def audit_calendar(cal: "AvailabilityCalendar") -> list[AuditFinding]:
     # RA111: authoritative per-server lists and their bisect key arrays
     for server, periods in enumerate(cal._server_periods):
         where = f"server {server}"
-        if cal._status[server] == "removed" and periods:
+        if cal._status[server] == "removed":
+            if periods:
+                findings.append(
+                    AuditFinding(
+                        "RA111", where, f"removed server still lists {len(periods)} period(s)"
+                    )
+                )
+        elif not periods or periods[-1].et != INF or any(p.et == INF for p in periods[:-1]):
             findings.append(
                 AuditFinding(
-                    "RA111", where, f"removed server still lists {len(periods)} period(s)"
+                    "RA111", where, "list does not end in exactly one unbounded (trailing) period"
                 )
             )
         for a, b in zip(periods, periods[1:]):

@@ -72,7 +72,7 @@ from bisect import bisect_left, bisect_right
 
 from .opcount import NULL_COUNTER, OpCounter
 from .slot_tree import TwoDimTree
-from .types import INF, IdlePeriod, Reservation, ensure_uid_floor
+from .types import INF, IdlePeriod, Reservation, ensure_uid_floor, uid_source
 
 __all__ = ["AvailabilityCalendar", "POOL_STATES"]
 
@@ -371,40 +371,132 @@ class AvailabilityCalendar:
         by at most two remnants — ``(st, start)`` and ``(end, et)`` —
         exactly the update rule of Section 4.2.
 
-        ``start`` must lie inside the horizon (``ValueError`` otherwise,
-        before anything is touched): the left remnant ends at ``start``,
-        and no bounded period may end beyond the horizon.  The retry
-        ladder never offers such a start; this guards callers that bring
-        their own (:meth:`~repro.core.coalloc.OnlineCoAllocator.commit`).
+        Everything is checked before anything is touched, so a refused
+        call changes nothing (``ValueError``): the window must be
+        non-empty and ``start`` inside the horizon (the left remnant ends
+        at ``start``, and no bounded period may end beyond the horizon —
+        the retry ladder never offers such a start, but callers that
+        bring their own may:
+        :meth:`~repro.core.coalloc.OnlineCoAllocator.commit`); every
+        period must host the window, must still be registered (a handle
+        carved since a range search returned it is stale), and may be
+        named only once.
 
-        The authoritative lists and the tail index update at once; the
-        ``O(n_r · Q)`` slot-tree updates one request implies
-        are O(1) notes in the write buffers of the overlapped trees, each
-        applied — fused with whatever else that slot has been told since
-        — when the slot is next searched, or never if it rolls out of the
-        horizon first.  Remnant uids are created left remnant then right
-        remnant, period by period, and Phase-2 selection is a pure
-        function of stored periods — so deferring changes no scheduling
-        outcome.
+        One pass over the periods then does the carving (DESIGN.md §15):
+        one splice of each server's key and period arrays, one
+        ``bisect`` and ``del`` per trailing period leaving the tail
+        index, and each remnant's slot range computed once — the left
+        remnants all end at ``start``, so their last slot is computed
+        once per call.  The ``O(n_r · Q)`` slot-tree updates one request
+        implies are O(1) notes in the write buffers of the overlapped
+        trees, each applied — fused with whatever else that slot has been
+        told since — when the slot is next searched, or never if it rolls
+        out of the horizon first.  Remnant uids are drawn left remnant
+        then right remnant, period by period (the Phase-2 tie-break), so
+        the new trailing remnants — all starting at ``end``, with uids
+        above any stored one — enter the tail index as one sorted block.
+        Draining and removed servers' periods are carved in the
+        authoritative lists only.
         """
         if start >= self.horizon_end:
             raise ValueError(
                 f"start {start} is beyond the schedulable horizon "
                 f"[{self.horizon_start}, {self.horizon_end})"
             )
+        if not start < end:
+            raise ValueError(f"allocation window [{start}, {end}) is empty")
         for period in periods:
             if not period.is_feasible(start, end):
                 raise ValueError(
                     f"period {period} cannot host [{start}, {end}) on server {period.server}"
                 )
-        reservations: list[Reservation] = []
+        all_keys, all_periods = self._server_keys, self._server_periods
+        where: list[int] = []
         for period in periods:
-            self._drop_period(period)
-            if period.st < start:
-                self._add_period(IdlePeriod(server=period.server, st=period.st, et=start))
-            if end < period.et:
-                self._add_period(IdlePeriod(server=period.server, st=end, et=period.et))
-            reservations.append(Reservation(rid=rid, server=period.server, start=start, end=end))
+            # starts are unique per server, so the key pins the exact period
+            keys = all_keys[period.server]
+            idx = bisect_left(keys, period.st)
+            if idx == len(keys) or all_periods[period.server][idx] is not period:
+                raise ValueError(f"{period} is not registered on server {period.server}")
+            where.append(idx)
+        if len({period.server for period in periods}) < len(periods):
+            # registered periods of one server are disjoint, so two that
+            # both host the window are one period named twice
+            seen: set[int] = set()
+            for period in periods:
+                if period.server in seen:
+                    raise ValueError(f"{period} is named twice in one allocation")
+                seen.add(period.server)
+
+        status, dense, trees, counter = self._status, self.dense, self._trees, self.counter
+        inf_keys, inf_periods = self._inf_keys, self._inf_periods
+        next_uid = uid_source()
+        base = self._base_slot
+        top = base + self.q_slots
+        left_last = self._last_overlapping_slot(start)
+        # an open-ended window leaves no right remnant (and has no slot)
+        right_first = max(self.slot_of(end), base) if end != INF else top
+        tail_removed = 0
+        trailing: list[IdlePeriod] = []
+        reservations: list[Reservation] = []
+        for period, idx in zip(periods, where):
+            server, st, et = period.server, period.st, period.et
+            active = status[server] == "active"
+            if active:
+                # the carved period's slots; a right remnant ends where it
+                # does, so ``last`` serves both (tail mode indexes no
+                # unbounded period in a tree: an empty range)
+                first = max(self.slot_of(st), base)
+                if et == INF:
+                    i = bisect_right(inf_keys, (st, period.uid)) - 1
+                    assert inf_periods[i] is period, f"{period} missing from the tail index"
+                    del inf_keys[i]
+                    del inf_periods[i]
+                    tail_removed += 1
+                    last = top - 1 if dense else base - 1
+                else:
+                    last = self._last_overlapping_slot(et)
+                for q in range(first, last + 1):
+                    trees[q].remove(period)
+            new_keys: list[float] = []
+            new_periods: list[IdlePeriod] = []
+            if st < start:
+                left = IdlePeriod(server, st, start, next_uid())
+                new_keys.append(st)
+                new_periods.append(left)
+                if active:
+                    for q in range(first, left_last + 1):
+                        tree = trees.get(q)
+                        if tree is None:
+                            tree = trees[q] = TwoDimTree(counter)
+                        tree.insert(left)
+            if end < et:
+                right = IdlePeriod(server, end, et, next_uid())
+                new_keys.append(end)
+                new_periods.append(right)
+                if active:
+                    if et == INF:
+                        trailing.append(right)
+                    for q in range(right_first, last + 1):
+                        tree = trees.get(q)
+                        if tree is None:
+                            tree = trees[q] = TwoDimTree(counter)
+                        tree.insert(right)
+            all_keys[server][idx : idx + 1] = new_keys
+            all_periods[server][idx : idx + 1] = new_periods
+            reservations.append(Reservation(rid, server, start, end))
+        if tail_removed:
+            counter.add("remove", tail_removed)
+        if trailing:
+            # every new trailing remnant starts at ``end`` with a fresh,
+            # ascending uid above any stored one (the counter only grows,
+            # and restore floors it past every persisted uid), so they
+            # are one sorted run that no stored key falls inside
+            i = bisect_right(inf_keys, (end, trailing[0].uid))
+            assert i == len(inf_keys) or inf_keys[i][0] > end, "trailing remnant uid is not fresh"
+            inf_keys[i:i] = [(end, p.uid) for p in trailing]
+            inf_periods[i:i] = trailing
+            counter.add("insert", len(trailing))
         return reservations
 
     def release(self, server: int, start: float, end: float) -> None:
@@ -412,21 +504,20 @@ class AvailabilityCalendar:
 
         Used by cancellation and early-completion reclamation.  The
         released interval is merged with adjacent idle periods so that
-        idle periods stay maximal.
+        idle periods stay maximal.  A refused release (``ValueError``)
+        changes nothing: both merge candidates are found and the window
+        checked before either is dropped.
         """
         if not start < end:
             raise ValueError(f"release window [{start}, {end}) is empty")
         periods = self._server_periods[server]
         keys = self._server_keys[server]
-        lo, hi = start, end
-        # the only merge candidates are the period ending exactly at
-        # ``start`` (the last one starting before it) and the one starting
-        # exactly at ``end`` — both found by bisect on the key array
+        # the only merge candidates are the period starting exactly at
+        # ``end`` and the one ending exactly at ``start`` — both found by
+        # one bisect on the key array
         idx = bisect_left(keys, end)
-        if idx < len(keys) and keys[idx] == end:
-            hi = periods[idx].et
-            self._drop_period(periods[idx])
-        elif end > self.horizon_end:
+        after = periods[idx] if idx < len(keys) and keys[idx] == end else None
+        if after is None and end > self.horizon_end:
             # nothing idle starts at ``end``, so the freed period would be
             # bounded there; a reservation's own end always passes (what
             # follows it is idle, or busy from a start inside the horizon)
@@ -434,19 +525,23 @@ class AvailabilityCalendar:
                 f"release of [{start}, {end}) on server {server} would leave an "
                 f"idle period ending beyond the horizon end {self.horizon_end}"
             )
-        idx = bisect_left(keys, start) - 1
-        if idx >= 0 and periods[idx].et == start:
-            lo = periods[idx].st
-            self._drop_period(periods[idx])
-        # disjointness check: only the immediate neighbours of the merged
-        # window can overlap it (periods are sorted and pairwise disjoint)
-        idx = bisect_left(keys, lo)
-        for neighbour_idx in (idx - 1, idx):
-            if 0 <= neighbour_idx < len(periods) and periods[neighbour_idx].overlaps(lo, hi):
-                raise ValueError(
-                    f"release of [{start}, {end}) on server {server} overlaps "
-                    f"idle period {periods[neighbour_idx]}"
-                )
+        # disjointness check: periods are sorted and pairwise disjoint, so
+        # the last one starting before ``end`` ends latest among them and
+        # is the only one that can overlap the window; once it does not,
+        # it is also the only candidate for ending exactly at ``start``
+        before = periods[idx - 1] if idx > 0 else None
+        if before is not None and before.et > start:
+            raise ValueError(
+                f"release of [{start}, {end}) on server {server} overlaps "
+                f"idle period {before}"
+            )
+        lo, hi = start, end
+        if after is not None:
+            hi = after.et
+            self._drop_period(after)
+        if before is not None and before.et == start:
+            lo = before.st
+            self._drop_period(before)
         self._add_period(IdlePeriod(server=server, st=lo, et=hi))
 
     # ------------------------------------------------------------------

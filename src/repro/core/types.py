@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 __all__ = [
     "INF",
@@ -27,6 +28,7 @@ __all__ = [
     "Allocation",
     "RangeQuery",
     "ensure_uid_floor",
+    "uid_source",
 ]
 
 INF = math.inf
@@ -46,6 +48,15 @@ def ensure_uid_floor(floor: int) -> None:
     global _period_uids
     current = next(_period_uids)
     _period_uids = itertools.count(max(current, floor))
+
+
+def uid_source() -> Callable[[], int]:
+    """The global period-uid counter's ``__next__``, for explicit uids.
+
+    :func:`ensure_uid_floor` rebinds the counter, so take this at the
+    start of each batch of period creations, never once at import.
+    """
+    return _period_uids.__next__
 
 
 @dataclass(frozen=True, slots=True)

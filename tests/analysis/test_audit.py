@@ -97,6 +97,17 @@ class TestCalendarCorruptions:
         cal._server_keys[0].append(1e12)
         assert "RA111" in check_ids(audit_calendar(cal))
 
+    def test_dropped_trailing_period_reports_ra111(self):
+        """A server left without its unbounded period (what a refused
+        release once did) is a broken list, whatever the ledger says."""
+        cal = populated().calendar
+        trailing = cal._server_periods[0].pop()
+        cal._server_keys[0].pop()
+        assert trailing.et == INF
+        assert any(
+            f.check_id == "RA111" and f.location == "server 0" for f in audit_calendar(cal)
+        )
+
     def test_missing_tree_entry_reports_ra112(self):
         cal = populated().calendar
         period = next(

@@ -1,5 +1,6 @@
 """Unit tests for the availability calendar."""
 
+import json
 from time import perf_counter
 
 import pytest
@@ -104,6 +105,29 @@ class TestAllocate:
         stale = cal.idle_periods(0)[0]  # (0, 10)
         with pytest.raises(ValueError, match="cannot host"):
             cal.allocate([stale], 5.0, 15.0)
+
+    @pytest.mark.parametrize("indexing", ["tail", "dense"])
+    @pytest.mark.parametrize("case", ["fresh_then_stale", "named_twice", "empty_window"])
+    def test_a_refused_allocation_changes_nothing(self, indexing, case):
+        """Every handle is checked before the first one is carved: a stale
+        or repeated handle late in the list used to leave the earlier
+        servers carved, their time held by no allocation."""
+        cal = AvailabilityCalendar(4, 10.0, 10, indexing=indexing)
+        fresh, stale = cal.idle_periods(0)[0], cal.idle_periods(1)[0]
+        cal.allocate([stale], 0.0, 20.0, rid=1)
+        before = json.dumps(cal.export_state(), sort_keys=True)
+        notes = {q: (sorted(t._ins), sorted(t._rem)) for q, t in cal._trees.items()}
+        periods, start, end, match = {
+            "fresh_then_stale": ([fresh, stale], 0.0, 20.0, "not registered"),
+            "named_twice": ([fresh, fresh], 0.0, 20.0, "named twice"),
+            "empty_window": ([fresh], 20.0, 20.0, "empty"),
+        }[case]
+        with pytest.raises(ValueError, match=match):
+            cal.allocate(periods, start, end, rid=2)
+        assert json.dumps(cal.export_state(), sort_keys=True) == before
+        assert {q: (sorted(t._ins), sorted(t._rem)) for q, t in cal._trees.items()} == notes
+        cal.validate()
+        assert cal.allocate([fresh], 0.0, 20.0, rid=2)[0].server == 0
 
     def test_gap_fill_between_reservations(self):
         cal = make_calendar(n=1)
@@ -218,6 +242,18 @@ class TestRelease:
         cal = make_calendar(n=1)
         with pytest.raises(ValueError, match="overlaps"):
             cal.release(0, 10.0, 20.0)
+
+    def test_a_refused_release_keeps_its_merge_neighbours(self):
+        """The overlap is found before either merge candidate is dropped:
+        the trailing period used to be gone by the time it was."""
+        cal = AvailabilityCalendar(1, 10.0, 10)
+        cal.allocate(cal.idle_periods(0), 10.0, 20.0)
+        before = json.dumps(cal.export_state(), sort_keys=True)
+        with pytest.raises(ValueError, match="overlaps"):
+            cal.release(0, 5.0, 20.0)  # [5, 10) is idle already
+        assert json.dumps(cal.export_state(), sort_keys=True) == before
+        cal.validate()
+        assert not cal.is_drained(0)
 
     def test_release_empty_window_raises(self):
         cal = make_calendar(n=1)

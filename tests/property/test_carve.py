@@ -1,0 +1,271 @@
+"""``allocate`` carves a request in one pass (DESIGN.md §15).
+
+The pass splices each server's arrays, takes each trailing period out of
+the tail index with one bisect, computes each remnant's slot range once,
+and adds the new trailing remnants to the tail index as one sorted block.
+These tests hold it to what the per-period call chain it replaced
+guaranteed, tail and dense, under random histories of reserves,
+range-search commits, cancels, clock moves, drains and snapshot restores:
+
+* the calendar audits clean after every ``allocate``;
+* remnant uids are drawn left then right, period by period (the Phase-2
+  tie-break), above every stored uid;
+* the tail index stays sorted after a restore whose persisted uids exceed
+  the uid counter;
+* a handle taken before its server was drained is carved in the
+  authoritative list only;
+* carving a *bounded* period (0.1 % of ``wide-tcp`` carves) notes
+  removals and inserts in exactly the slots each period overlaps;
+* the operation counts of a fixed history are the call chain's.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.audit import audit_calendar
+from repro.core.calendar import AvailabilityCalendar
+from repro.core.opcount import NULL_COUNTER
+from repro.core.slot_tree import TwoDimTree
+from repro.core.types import INF, Request, uid_source
+from repro.facade import CoAllocationScheduler
+
+from .test_horizon_invariant import N, Q, TAU, make_scheduler
+
+
+def watch(cal: AvailabilityCalendar) -> None:
+    """Check every ``cal.allocate``: a clean audit, and remnant uids drawn
+    left then right, period by period, above every stored uid."""
+    original = cal.allocate
+
+    def allocate(periods, start, end, rid=0):
+        stored = max((p.uid for ps in cal._server_periods for p in ps), default=-1)
+        reservations = original(periods, start, end, rid=rid)
+        assert audit_calendar(cal) == []
+        uids = []
+        for period in periods:
+            remnants = {(p.st, p.et): p.uid for p in cal._server_periods[period.server]}
+            if period.st < start:
+                uids.append(remnants[(period.st, start)])
+            if end < period.et:
+                uids.append(remnants[(end, period.et)])
+        if uids:
+            assert uids == list(range(uids[0], uids[0] + len(uids)))
+            assert uids[0] > stored
+        return reservations
+
+    cal.allocate = allocate  # type: ignore[method-assign]
+
+
+def derived(cal: AvailabilityCalendar):
+    """Everything the derived indexes hold, buffered or stored."""
+    trees = {
+        q: (dict(t._ins), dict(t._rem), None if t._kernel is None else list(t._kernel.leaves))
+        for q, t in cal._trees.items()
+    }
+    return trees, list(cal._inf_keys), list(cal._inf_periods)
+
+
+def restored(scheduler: CoAllocationScheduler, uid_offset: int = 0) -> CoAllocationScheduler:
+    state = json.loads(json.dumps(scheduler.export_state()))
+    for server_periods in state["calendar"]["periods"]:
+        for entry in server_periods:
+            entry[2] += uid_offset
+    return CoAllocationScheduler.from_state(state)
+
+
+@st.composite
+def histories(draw):
+    ops = []
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(
+            st.sampled_from(
+                ["reserve", "reserve", "reserve", "commit", "cancel", "advance",
+                 "drain", "drained_handle", "restore", "restore_high"]
+            )
+        )
+        if kind == "reserve":
+            lead = draw(st.sampled_from([0.0, 7.0, TAU, 3 * TAU, (Q - 1) * TAU + 7.0]))
+            lr = draw(st.sampled_from([1.0, 4.0, TAU, 2.5 * TAU, Q * TAU]))
+            ops.append((kind, lead, lr, draw(st.integers(1, N))))
+        elif kind in ("commit", "drained_handle"):
+            lead = draw(st.sampled_from([0.0, 3.0, 2 * TAU, (Q - 1) * TAU]))
+            lr = draw(st.sampled_from([2.0, TAU, 4 * TAU]))
+            ops.append((kind, lead, lr, draw(st.integers(0, 10**6))))
+        elif kind == "advance":
+            ops.append((kind, draw(st.sampled_from([1.0, 4.0, TAU, 3 * TAU])), 0, 0))
+        else:
+            ops.append((kind, draw(st.integers(0, 10**6)), 0, 0))
+    return ops
+
+
+class TestOnePassCarve:
+    @pytest.mark.parametrize("indexing", ["tail", "dense"])
+    @given(history=histories())
+    @settings(max_examples=100, deadline=None)
+    def test_random_histories(self, indexing, history):
+        scheduler = make_scheduler(indexing)
+        watch(scheduler.calendar)
+        live: list[int] = []
+        rid = 0
+        for kind, a, b, c in history:
+            cal = scheduler.calendar
+            rid += 1
+            if kind == "reserve":
+                request = Request(qr=cal.now, sr=cal.now + a, lr=b, nr=c, rid=rid)
+                if scheduler.schedule(request) is not None:
+                    live.append(rid)
+            elif kind == "commit":
+                found = scheduler.range_search(cal.now + a, cal.now + a + b)
+                chosen = found[c % 3 :: 2]  # any subset a caller might pick
+                if chosen:
+                    scheduler.commit(chosen, cal.now + a, cal.now + a + b, rid=rid)
+                    live.append(rid)
+            elif kind == "drained_handle":
+                ta, tb = cal.now + a, cal.now + a + b
+                found = scheduler.range_search(ta, tb)
+                if found:
+                    handle = found[c % len(found)]
+                    scheduler.drain(handle.server)
+                    before = derived(cal)
+                    scheduler.commit([handle], ta, tb, rid=rid)
+                    live.append(rid)
+                    assert derived(cal) == before
+                    assert all(p is not handle for p in cal.idle_periods(handle.server))
+            elif kind == "cancel" and live:
+                scheduler.cancel(live.pop(int(a) % len(live)))
+            elif kind == "advance":
+                scheduler.advance(cal.now + a)
+            elif kind == "drain":
+                scheduler.drain(int(a) % cal.n_servers)
+            elif kind in ("restore", "restore_high"):
+                # restore_high: every persisted uid above the live counter
+                offset = uid_source()() + 1000 if kind == "restore_high" else 0
+                scheduler = restored(scheduler, offset)
+                assert scheduler.calendar.dense == (indexing == "dense")
+                assert audit_calendar(scheduler.calendar) == []
+                watch(scheduler.calendar)
+
+
+class NoteTree(TwoDimTree):
+    """A slot tree that records the notes written to it."""
+
+    __slots__ = ("notes",)
+
+    def __init__(self, counter=NULL_COUNTER):
+        super().__init__(counter)
+        self.notes: list[tuple[str, int]] = []
+
+    def insert(self, period):
+        self.notes.append(("insert", period.uid))
+        super().insert(period)
+
+    def remove(self, period):
+        self.notes.append(("remove", period.uid))
+        super().remove(period)
+
+
+def overlapped(cal: AvailabilityCalendar, st: float, et: float) -> set[int]:
+    """Active slots whose span meets ``[st, et)``, by brute force."""
+    first = cal._base_slot
+    return {
+        q
+        for q in range(first, first + cal.q_slots)
+        if st < (q + 1) * cal.tau and et > q * cal.tau
+    }
+
+
+@st.composite
+def bounded_carves(draw):
+    """A bounded idle period ``[a, b)`` on server 0, a clock time before
+    ``b``, and a window ``[s, e)`` inside the period — on a grid of τ/4,
+    with an integral and a fractional τ, so ends land on slot boundaries."""
+    tau = draw(st.sampled_from([10.0, 0.3]))
+    cells = 4 * Q
+    b = draw(st.integers(1, cells - 1))
+    a = draw(st.integers(0, b - 1))
+    s = draw(st.integers(a, b - 1))
+    e = draw(st.integers(s + 1, b))
+    now = draw(st.integers(0, b - 1))
+    return tau, [k * tau / 4 for k in (a, b, s, e, now)]
+
+
+class TestBoundedCarve:
+    @pytest.mark.parametrize("indexing", ["tail", "dense"])
+    @given(case=bounded_carves())
+    @settings(max_examples=150, deadline=None)
+    def test_notes_land_in_exactly_the_overlapped_slots(self, indexing, case):
+        tau, (a, b, s, e, now) = case
+        with mock.patch("repro.core.calendar.TwoDimTree", NoteTree):
+            cal = AvailabilityCalendar(2, tau, Q, indexing=indexing)
+            cal.allocate(cal.idle_periods(0), b, b + tau)
+            if a > 0:
+                cal.allocate(cal.idle_periods(0)[:1], 0.0, a)
+            cal.advance(now)
+            (period,) = (p for p in cal.idle_periods(0) if p.et == b)
+            assert period.st == a
+            for tree in cal._trees.values():
+                tree.notes.clear()
+            cal.allocate([period], s, e)
+        notes = {q: t.notes for q, t in cal._trees.items() if t.notes}
+        expected: dict[int, list[tuple[str, int]]] = {}
+        for q in overlapped(cal, a, b):
+            expected.setdefault(q, []).append(("remove", period.uid))
+        for p in cal.idle_periods(0):
+            if p.et != INF and p.uid > period.uid:  # a remnant
+                for q in overlapped(cal, p.st, p.et):
+                    expected.setdefault(q, []).append(("insert", p.uid))
+        assert notes == expected
+        cal.validate()
+
+
+class TestFixedHistoryCounts:
+    """Operation counts of a fixed 200-op history, pinned from the
+    per-period call chain the one-pass carve replaced: tail-index inserts
+    and removals are counted in one ``add`` per call now, and must total
+    the same."""
+
+    PINNED = {
+        "tail": {
+            "attempt": 358, "insert": 1100, "mark": 347, "node_visit": 434,
+            "rebuild": 1476, "remove": 534, "retrieve": 412, "secondary_probe": 1376,
+        },
+        "dense": {
+            "attempt": 381, "insert": 1797, "mark": 908, "node_visit": 1073,
+            "rebuild": 2428, "remove": 1235, "retrieve": 551, "secondary_probe": 1395,
+        },
+    }
+
+    @pytest.mark.parametrize("indexing", ["tail", "dense"])
+    def test_counts_match_the_call_chain(self, indexing):
+        rng = random.Random(26)
+        scheduler = CoAllocationScheduler(n_servers=16, tau=TAU, q_slots=12, r_max=6)
+        if indexing == "dense":
+            dense = AvailabilityCalendar(16, TAU, 12, counter=scheduler.counter, indexing="dense")
+            scheduler.calendar = scheduler.allocator.calendar = dense
+        cal = scheduler.calendar
+        live: list[int] = []
+        for rid in range(200):
+            roll = rng.random()
+            if roll < 0.6:
+                request = Request(
+                    qr=cal.now,
+                    sr=cal.now + rng.choice([0.0, 5.0, TAU, 4 * TAU, 11 * TAU]),
+                    lr=rng.choice([2.0, TAU, 3 * TAU, 12 * TAU]),
+                    nr=rng.randint(1, 16),
+                    rid=rid,
+                )
+                if scheduler.schedule(request) is not None:
+                    live.append(rid)
+            elif roll < 0.8 and live:
+                scheduler.cancel(live.pop(rng.randrange(len(live))))
+            else:
+                scheduler.advance(cal.now + rng.choice([1.0, TAU, 2.5 * TAU]))
+        cal.validate()
+        assert scheduler.counter.snapshot() == self.PINNED[indexing]
