@@ -39,8 +39,8 @@ exactly the buffer states an unaudited run does.
 
 Cross-calendar (``audit_calendar``, which also audits every slot tree):
 
-* ``RA111`` — per-server idle periods are sorted, pairwise disjoint,
-  carry the right server id, and the bisect key arrays mirror them;
+* ``RA111`` — per-server idle periods are non-empty, sorted, pairwise
+  disjoint, carry the right server id, and the bisect key arrays mirror them;
   every non-removed server's list ends in its one unbounded period;
 * ``RA112`` — every bounded period is indexed (stored or buffered) in
   exactly the slot trees it overlaps (and unbounded ones never leak
@@ -292,6 +292,9 @@ def audit_calendar(cal: "AvailabilityCalendar") -> list[AuditFinding]:
                 findings.append(
                     AuditFinding("RA111", where, f"period {p} carries server {p.server}")
                 )
+            if not p.st < p.et:
+                # the carve's trusted constructor does not check this
+                findings.append(AuditFinding("RA111", where, f"period {p} is empty"))
         if cal._server_keys[server] != [p.st for p in periods]:
             findings.append(
                 AuditFinding("RA111", where, "key array out of sync with period list")

@@ -72,7 +72,15 @@ from bisect import bisect_left, bisect_right
 
 from .opcount import NULL_COUNTER, OpCounter
 from .slot_tree import TwoDimTree
-from .types import INF, IdlePeriod, Reservation, ensure_uid_floor, uid_source
+from .types import (
+    INF,
+    IdlePeriod,
+    Reservation,
+    ensure_uid_floor,
+    make_period,
+    make_reservation,
+    uid_source,
+)
 
 __all__ = ["AvailabilityCalendar", "POOL_STATES"]
 
@@ -373,10 +381,11 @@ class AvailabilityCalendar:
 
         Everything is checked before anything is touched, so a refused
         call changes nothing (``ValueError``): the window must be
-        non-empty and ``start`` inside the horizon (the left remnant ends
-        at ``start``, and no bounded period may end beyond the horizon —
-        the retry ladder never offers such a start, but callers that
-        bring their own may:
+        non-empty, must end (an open-ended grant would leave its servers
+        no trailing period), and ``start`` must lie inside the horizon
+        (the left remnant ends at ``start``, and no bounded period may
+        end beyond the horizon — the retry ladder never offers such a
+        start, but callers that bring their own may:
         :meth:`~repro.core.coalloc.OnlineCoAllocator.commit`); every
         period must host the window, must still be registered (a handle
         carved since a range search returned it is stale), and may be
@@ -387,7 +396,12 @@ class AvailabilityCalendar:
         ``bisect`` and ``del`` per trailing period leaving the tail
         index, and each remnant's slot range computed once — the left
         remnants all end at ``start``, so their last slot is computed
-        once per call.  The ``O(n_r · Q)`` slot-tree updates one request
+        once per call, and a period starting before the horizon (nearly
+        every trailing one) has the base slot as its first by one float
+        comparison.  Remnants and reservations come from the trusted
+        constructors of :mod:`repro.core.types`: the branch that builds
+        each one has just proven it non-empty, so it is not proven
+        again.  The ``O(n_r · Q)`` slot-tree updates one request
         implies are O(1) notes in the write buffers of the overlapped
         trees, each applied — fused with whatever else that slot has been
         told since — when the slot is next searched, or never if it rolls
@@ -405,6 +419,8 @@ class AvailabilityCalendar:
             )
         if not start < end:
             raise ValueError(f"allocation window [{start}, {end}) is empty")
+        if end == INF:
+            raise ValueError(f"allocation window [{start}, {end}) never ends")
         for period in periods:
             if not period.is_feasible(start, end):
                 raise ValueError(
@@ -431,11 +447,14 @@ class AvailabilityCalendar:
         status, dense, trees, counter = self._status, self.dense, self._trees, self.counter
         inf_keys, inf_periods = self._inf_keys, self._inf_periods
         next_uid = uid_source()
+        new_period, new_reservation = make_period, make_reservation
         base = self._base_slot
+        # slot_of(t) < base exactly when t < base·τ: slot_of brackets t
+        # between the same float products, and they are monotone in q
+        base_start = base * self.tau
         top = base + self.q_slots
         left_last = self._last_overlapping_slot(start)
-        # an open-ended window leaves no right remnant (and has no slot)
-        right_first = max(self.slot_of(end), base) if end != INF else top
+        right_first = max(self.slot_of(end), base)
         tail_removed = 0
         trailing: list[IdlePeriod] = []
         reservations: list[Reservation] = []
@@ -446,7 +465,7 @@ class AvailabilityCalendar:
                 # the carved period's slots; a right remnant ends where it
                 # does, so ``last`` serves both (tail mode indexes no
                 # unbounded period in a tree: an empty range)
-                first = max(self.slot_of(st), base)
+                first = base if st < base_start else self.slot_of(st)
                 if et == INF:
                     i = bisect_right(inf_keys, (st, period.uid)) - 1
                     assert inf_periods[i] is period, f"{period} missing from the tail index"
@@ -461,7 +480,8 @@ class AvailabilityCalendar:
             new_keys: list[float] = []
             new_periods: list[IdlePeriod] = []
             if st < start:
-                left = IdlePeriod(server, st, start, next_uid())
+                # trusted: non-empty by this branch's condition
+                left = new_period(server, st, start, next_uid())
                 new_keys.append(st)
                 new_periods.append(left)
                 if active:
@@ -471,7 +491,8 @@ class AvailabilityCalendar:
                             tree = trees[q] = TwoDimTree(counter)
                         tree.insert(left)
             if end < et:
-                right = IdlePeriod(server, end, et, next_uid())
+                # trusted: non-empty by this branch's condition
+                right = new_period(server, end, et, next_uid())
                 new_keys.append(end)
                 new_periods.append(right)
                 if active:
@@ -484,7 +505,8 @@ class AvailabilityCalendar:
                         tree.insert(right)
             all_keys[server][idx : idx + 1] = new_keys
             all_periods[server][idx : idx + 1] = new_periods
-            reservations.append(Reservation(rid, server, start, end))
+            # trusted: ``start < end`` was checked before anything was touched
+            reservations.append(new_reservation(rid, server, start, end))
         if tail_removed:
             counter.add("remove", tail_removed)
         if trailing:
@@ -506,7 +528,12 @@ class AvailabilityCalendar:
         released interval is merged with adjacent idle periods so that
         idle periods stay maximal.  A refused release (``ValueError``)
         changes nothing: both merge candidates are found and the window
-        checked before either is dropped.
+        checked before either is dropped.  The merged period
+        ``[lo, hi) ⊇ [start, end)`` is therefore non-empty, and it is
+        built by the trusted constructor
+        (:func:`~repro.core.types.make_period`) with its uid drawn here,
+        after the drops — the draw order the validating constructor's
+        default uid had.
         """
         if not start < end:
             raise ValueError(f"release window [{start}, {end}) is empty")
@@ -542,7 +569,8 @@ class AvailabilityCalendar:
         if before is not None and before.et == start:
             lo = before.st
             self._drop_period(before)
-        self._add_period(IdlePeriod(server=server, st=lo, et=hi))
+        # trusted: lo <= start < end <= hi, the window checked above
+        self._add_period(make_period(server, lo, hi, uid_source()()))
 
     # ------------------------------------------------------------------
     # elastic pool (runtime join / drain / leave)

@@ -70,7 +70,9 @@ class Request:
     sr:
         Earliest start time; ``sr > qr`` is an advance reservation.
     lr:
-        Temporal size (duration) of the reservation; must be positive.
+        Temporal size (duration) of the reservation; must be positive and
+        finite (an open-ended grant would leave its servers no trailing
+        idle period and could never be cancelled).
     nr:
         Spatial size (number of servers); must be a positive integer.
     rid:
@@ -97,8 +99,10 @@ class Request:
     actual_lr: float | None = None
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise ValueError(f"request {self.rid}: duration must be positive, got {self.lr}")
+        if not 0 < self.lr < INF:
+            raise ValueError(
+                f"request {self.rid}: duration must be positive and finite, got {self.lr}"
+            )
         if self.actual_lr is not None and not 0 < self.actual_lr <= self.lr:
             raise ValueError(
                 f"request {self.rid}: actual runtime {self.actual_lr} must lie in (0, {self.lr}]"
@@ -188,6 +192,44 @@ class Reservation:
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+
+# Trusted construction.  ``AvailabilityCalendar.allocate`` builds two
+# remnants and a reservation per carved period from bounds its own branch
+# conditions have just ordered, so ``__post_init__`` re-proving them is
+# pure cost (DESIGN.md §15a).  These build the same frozen, slotted
+# instances the way the frozen ``__init__`` does — each slot set through
+# its member descriptor — minus the per-field ``object.__setattr__``
+# lookup and the check.  Only ``core/calendar.py`` calls them (CI holds
+# it to that); everything else, snapshot restore included, goes through
+# the validating constructors.
+_new = object.__new__
+_period_server, _period_st, _period_et, _period_uid = (
+    vars(IdlePeriod)[name].__set__ for name in ("server", "st", "et", "uid")
+)
+_res_rid, _res_server, _res_start, _res_end = (
+    vars(Reservation)[name].__set__ for name in ("rid", "server", "start", "end")
+)
+
+
+def make_period(server: int, st: float, et: float, uid: int) -> IdlePeriod:
+    """An :class:`IdlePeriod` whose caller has already proven ``st < et``."""
+    period = _new(IdlePeriod)
+    _period_server(period, server)
+    _period_st(period, st)
+    _period_et(period, et)
+    _period_uid(period, uid)
+    return period
+
+
+def make_reservation(rid: int, server: int, start: float, end: float) -> Reservation:
+    """A :class:`Reservation` whose caller has already proven ``start < end``."""
+    reservation = _new(Reservation)
+    _res_rid(reservation, rid)
+    _res_server(reservation, server)
+    _res_start(reservation, start)
+    _res_end(reservation, end)
+    return reservation
 
 
 @dataclass(frozen=True, slots=True)

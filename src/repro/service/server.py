@@ -144,6 +144,9 @@ class ReservationService:
         self._autoscale_task: asyncio.Task | None = None
         self._stopped: asyncio.Event = asyncio.Event()
         self._writers: set[asyncio.StreamWriter] = set()
+        #: live connection handlers; shutdown waits for them to finish so
+        #: ``asyncio.run`` never has to cancel one
+        self._handlers: set[asyncio.Task] = set()
         #: responses enqueued to connection writers but not yet flushed;
         #: shutdown waits for this to reach zero before closing sockets
         self._pending_responses = 0
@@ -222,6 +225,11 @@ class ReservationService:
         for writer in list(self._writers):
             with suppress(ConnectionError, RuntimeError, OSError):
                 writer.close()
+        # a closed socket reads as EOF, so each handler now finishes on
+        # its own; one left pending would be cancelled by ``asyncio.run``,
+        # and the stream callback then prints that CancelledError
+        if self._handlers:
+            await asyncio.wait(self._handlers, timeout=2.0)
         if self._log is not None:
             self._log.close()
         self._stopped.set()
@@ -235,6 +243,9 @@ class ReservationService:
     ) -> None:
         responses: asyncio.Queue[asyncio.Future | None] = asyncio.Queue()
         writer.transport.max_size = READ_CHUNK_BYTES
+        handler = asyncio.current_task()
+        assert handler is not None
+        self._handlers.add(handler)
         self._writers.add(writer)
         writer_task = asyncio.create_task(self._connection_writer(writer, responses))
         loop = asyncio.get_running_loop()
@@ -266,6 +277,7 @@ class ReservationService:
             await responses.put(None)
             await writer_task
             self._writers.discard(writer)
+            self._handlers.discard(handler)
 
     def _ingest(self, raw: bytes, future: asyncio.Future) -> None:
         """Parse, admit and enqueue one request line (or fail it fast)."""

@@ -19,7 +19,7 @@ from repro.analysis.audit import (
 )
 from repro.core.calendar import AvailabilityCalendar
 from repro.core.slot_tree import TwoDimTree
-from repro.core.types import INF, IdlePeriod
+from repro.core.types import INF, IdlePeriod, make_period
 from repro.schedulers import OnlineScheduler
 from repro.sim.replay import _audit_stride_from_env, replay
 from repro.workloads.stress import stress_workload
@@ -106,6 +106,18 @@ class TestCalendarCorruptions:
         assert trailing.et == INF
         assert any(
             f.check_id == "RA111" and f.location == "server 0" for f in audit_calendar(cal)
+        )
+
+    def test_empty_period_reports_ra111(self):
+        """The carve's trusted constructor does not check ``st < et``;
+        the audit does, for every listed period."""
+        cal = populated().calendar
+        trailing = cal._server_periods[0][-1]
+        cal._server_periods[0].insert(-1, make_period(0, trailing.st, trailing.st, -1))
+        cal._server_keys[0].insert(-1, trailing.st)
+        assert any(
+            f.check_id == "RA111" and f.location == "server 0" and "empty" in f.message
+            for f in audit_calendar(cal)
         )
 
     def test_missing_tree_entry_reports_ra112(self):

@@ -107,11 +107,15 @@ class TestAllocate:
             cal.allocate([stale], 5.0, 15.0)
 
     @pytest.mark.parametrize("indexing", ["tail", "dense"])
-    @pytest.mark.parametrize("case", ["fresh_then_stale", "named_twice", "empty_window"])
+    @pytest.mark.parametrize(
+        "case", ["fresh_then_stale", "named_twice", "empty_window", "open_ended"]
+    )
     def test_a_refused_allocation_changes_nothing(self, indexing, case):
         """Every handle is checked before the first one is carved: a stale
         or repeated handle late in the list used to leave the earlier
-        servers carved, their time held by no allocation."""
+        servers carved, their time held by no allocation.  An open-ended
+        window used to be granted, leaving its server no trailing period
+        and the grant impossible to release."""
         cal = AvailabilityCalendar(4, 10.0, 10, indexing=indexing)
         fresh, stale = cal.idle_periods(0)[0], cal.idle_periods(1)[0]
         cal.allocate([stale], 0.0, 20.0, rid=1)
@@ -121,6 +125,7 @@ class TestAllocate:
             "fresh_then_stale": ([fresh, stale], 0.0, 20.0, "not registered"),
             "named_twice": ([fresh, fresh], 0.0, 20.0, "named twice"),
             "empty_window": ([fresh], 20.0, 20.0, "empty"),
+            "open_ended": ([fresh], 0.0, INF, "never ends"),
         }[case]
         with pytest.raises(ValueError, match=match):
             cal.allocate(periods, start, end, rid=2)

@@ -1,10 +1,22 @@
 """Unit tests for the core value types."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 
-from repro.core.types import INF, Allocation, IdlePeriod, RangeQuery, Request, Reservation
+from repro.core.types import (
+    INF,
+    Allocation,
+    IdlePeriod,
+    RangeQuery,
+    Request,
+    Reservation,
+    make_period,
+    make_reservation,
+)
 
 
 class TestRequest:
@@ -33,6 +45,13 @@ class TestRequest:
             Request(qr=0.0, sr=0.0, lr=0.0, nr=1)
         with pytest.raises(ValueError, match="duration"):
             Request(qr=0.0, sr=0.0, lr=-5.0, nr=1)
+
+    def test_rejects_non_finite_duration(self):
+        """``[0, inf)`` used to be granted through the library, leaving
+        the server no trailing period and the grant uncancellable."""
+        for lr in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                Request(qr=0.0, sr=0.0, lr=lr, nr=1)
 
     def test_rejects_nonpositive_spatial_size(self):
         with pytest.raises(ValueError, match="spatial"):
@@ -117,6 +136,49 @@ class TestReservation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):
             Reservation(rid=1, server=2, start=10.0, end=10.0)
+
+
+class TestTrustedConstructors:
+    """``make_period`` / ``make_reservation`` skip the emptiness check and
+    nothing else: what they build cannot be told from a public twin."""
+
+    def twins(self):
+        return [
+            (make_period(3, 1.5, INF, 41), IdlePeriod(server=3, st=1.5, et=INF, uid=41)),
+            (make_reservation(7, 3, 1.5, 9.0), Reservation(rid=7, server=3, start=1.5, end=9.0)),
+        ]
+
+    def test_same_type_fields_and_repr(self):
+        for trusted, public in self.twins():
+            assert type(trusted) is type(public)
+            assert dataclasses.astuple(trusted) == dataclasses.astuple(public)
+            assert repr(trusted) == repr(public)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for trusted, public in self.twins():
+            for copied in (pickle.loads(pickle.dumps(trusted)), copy.deepcopy(trusted)):
+                assert type(copied) is type(public)
+                assert dataclasses.astuple(copied) == dataclasses.astuple(public)
+
+    def test_equality_and_hash_follow_the_class(self):
+        (period, public_period), (reservation, public_reservation) = self.twins()
+        # periods compare by identity, as the slot trees key them
+        assert period == period and period != public_period
+        assert hash(period) == object.__hash__(period)
+        assert reservation == public_reservation
+        assert hash(reservation) == hash(public_reservation)
+
+    def test_frozen(self):
+        for trusted, _public in self.twins():
+            field = dataclasses.fields(trusted)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(trusted, field, 0)
+
+    def test_the_public_constructors_still_validate(self):
+        with pytest.raises(ValueError, match="empty"):
+            IdlePeriod(server=0, st=2.0, et=2.0, uid=1)
+        with pytest.raises(ValueError, match="empty"):
+            Reservation(rid=1, server=0, start=2.0, end=1.0)
 
 
 class TestAllocation:

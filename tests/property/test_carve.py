@@ -16,12 +16,17 @@ range-search commits, cancels, clock moves, drains and snapshot restores:
   authoritative list only;
 * carving a *bounded* period (0.1 % of ``wide-tcp`` carves) notes
   removals and inserts in exactly the slots each period overlaps;
-* the operation counts of a fixed history are the call chain's.
+* so does carving a period that starts on or next to the horizon start,
+  where the first slot is one float comparison rather than ``slot_of``;
+* the operation counts of a fixed history are the call chain's, and its
+  final state is the validating constructors'.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import random
 from unittest import mock
 
@@ -181,6 +186,28 @@ def overlapped(cal: AvailabilityCalendar, st: float, et: float) -> set[int]:
     }
 
 
+def carve_notes(cal: AvailabilityCalendar, period, start: float, end: float):
+    """Carve ``[start, end)`` out of ``period`` on a calendar of
+    ``NoteTree``\\ s; return the notes written and the notes expected: the
+    period's removal, then each remnant's insert, in exactly the active
+    slots each overlaps (tail mode keeps unbounded periods out of trees)."""
+    before = cal.idle_periods(period.server)
+    for tree in cal._trees.values():
+        tree.notes.clear()
+    cal.allocate([period], start, end)
+    notes = {q: t.notes for q, t in cal._trees.items() if t.notes}
+    remnants = [
+        p for p in cal.idle_periods(period.server) if all(p is not old for old in before)
+    ]
+    expected: dict[int, list[tuple[str, int]]] = {}
+    for kind, p in [("remove", period)] + [("insert", p) for p in remnants]:
+        if p.et == INF and not cal.dense:
+            continue
+        for q in sorted(overlapped(cal, p.st, p.et)):
+            expected.setdefault(q, []).append((kind, p.uid))
+    return notes, expected
+
+
 @st.composite
 def bounded_carves(draw):
     """A bounded idle period ``[a, b)`` on server 0, a clock time before
@@ -210,26 +237,83 @@ class TestBoundedCarve:
             cal.advance(now)
             (period,) = (p for p in cal.idle_periods(0) if p.et == b)
             assert period.st == a
-            for tree in cal._trees.values():
-                tree.notes.clear()
-            cal.allocate([period], s, e)
-        notes = {q: t.notes for q, t in cal._trees.items() if t.notes}
-        expected: dict[int, list[tuple[str, int]]] = {}
-        for q in overlapped(cal, a, b):
-            expected.setdefault(q, []).append(("remove", period.uid))
-        for p in cal.idle_periods(0):
-            if p.et != INF and p.uid > period.uid:  # a remnant
-                for q in overlapped(cal, p.st, p.et):
-                    expected.setdefault(q, []).append(("insert", p.uid))
+            notes, expected = carve_notes(cal, period, s, e)
         assert notes == expected
         cal.validate()
+
+
+@st.composite
+def edge_carves(draw):
+    """A period on server 0 starting on, just either side of, or on the
+    τ/4 grid around the horizon start ``base·τ`` (or on or just before
+    the next slot boundary) at τ = 0.3 — trailing, or bounded by a later
+    reservation — and a window carved out of it."""
+    return {
+        "now_cell": draw(st.integers(4, 20)),  # clock on the τ/4 grid: base 1..5
+        "where": draw(st.sampled_from(["below", "on", "above", "next", "before_next", "grid"])),
+        # grid offset of the start, in τ/4: across base·τ and the next boundary
+        "k": draw(st.integers(-3, 7)),
+        "lead": draw(st.integers(0, 6)),  # window start after the period's, in τ/4
+        "length": draw(st.integers(1, 6)),
+        "bounded_after": draw(st.none() | st.integers(0, 3)),  # gap after the window
+    }
+
+
+class TestFirstSlotAtTheHorizonStart:
+    """``allocate`` takes a period's first slot as ``base`` when it starts
+    before ``base·τ`` and as ``slot_of(st)`` otherwise — one float
+    comparison in place of ``max(slot_of(st), base)``, exact because
+    ``slot_of`` brackets ``st`` between the same monotone products."""
+
+    @pytest.mark.parametrize("indexing", ["tail", "dense"])
+    @given(case=edge_carves())
+    @settings(max_examples=200, deadline=None)
+    def test_notes_land_in_exactly_the_overlapped_slots(self, indexing, case):
+        tau = 0.3
+        grid = tau / 4
+        with mock.patch("repro.core.calendar.TwoDimTree", NoteTree):
+            cal = AvailabilityCalendar(2, tau, Q, indexing=indexing)
+            cal.advance(case["now_cell"] * grid)
+            edge = cal._base_slot * tau
+            st0 = {
+                "below": math.nextafter(edge, -INF),
+                "on": edge,
+                "above": math.nextafter(edge, INF),
+                # the next boundary, where ``slot_of`` alone decides
+                "next": (cal._base_slot + 1) * tau,
+                "before_next": math.nextafter((cal._base_slot + 1) * tau, -INF),
+                "grid": edge + case["k"] * grid,
+            }[case["where"]]
+            cal.allocate(cal.idle_periods(0), 0.0, st0)  # server 0 idle from st0 on
+            start = st0 + case["lead"] * grid
+            end = start + case["length"] * grid
+            if case["bounded_after"] is not None:
+                booked = end + case["bounded_after"] * grid
+                cal.allocate(cal.idle_periods(0)[-1:], booked, booked + tau)
+            (period,) = (p for p in cal.idle_periods(0) if p.st == st0)
+            notes, expected = carve_notes(cal, period, start, end)
+        assert notes == expected
+        cal.validate()
+
+
+def state_digest(cal: AvailabilityCalendar, origin: int) -> str:
+    """A digest of ``export_state()`` with uids counted from ``origin``
+    (the global counter's value before the calendar drew any), so uid
+    order, every draw and every period must match byte for byte."""
+    state = cal.export_state()
+    for server_periods in state["periods"]:  # type: ignore[union-attr]
+        for entry in server_periods:
+            entry[2] -= origin
+    return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()[:16]
 
 
 class TestFixedHistoryCounts:
     """Operation counts of a fixed 200-op history, pinned from the
     per-period call chain the one-pass carve replaced: tail-index inserts
     and removals are counted in one ``add`` per call now, and must total
-    the same."""
+    the same.  A digest of its final state, pinned from the validating
+    constructors the trusted ones replaced: the remnants must come out
+    with the same bounds and the same uids."""
 
     PINNED = {
         "tail": {
@@ -242,9 +326,12 @@ class TestFixedHistoryCounts:
         },
     }
 
+    STATE = {"tail": "41a3eb345002ea26", "dense": "de5ee21e66594dfe"}
+
     @pytest.mark.parametrize("indexing", ["tail", "dense"])
     def test_counts_match_the_call_chain(self, indexing):
         rng = random.Random(26)
+        origin = uid_source()()
         scheduler = CoAllocationScheduler(n_servers=16, tau=TAU, q_slots=12, r_max=6)
         if indexing == "dense":
             dense = AvailabilityCalendar(16, TAU, 12, counter=scheduler.counter, indexing="dense")
@@ -269,3 +356,4 @@ class TestFixedHistoryCounts:
                 scheduler.advance(cal.now + rng.choice([1.0, TAU, 2.5 * TAU]))
         cal.validate()
         assert scheduler.counter.snapshot() == self.PINNED[indexing]
+        assert state_digest(cal, origin) == self.STATE[indexing]

@@ -2,8 +2,13 @@
 
 import asyncio
 import json
+import os
+import socket
+import subprocess
+import sys
 from time import perf_counter
 
+import repro
 from repro.service.protocol import READ_CHUNK_BYTES
 from repro.service.server import accepted_checksum
 
@@ -338,3 +343,35 @@ def test_restart_from_snapshot_resumes_reservations(tmp_path):
 
     checksum = run(first_life())
     run(second_life(checksum))
+
+
+def test_shutdown_over_an_open_connection_exits_cleanly():
+    """``repro serve`` shut down over a connection the client keeps open
+    exits 0 with a quiet stderr: the handler of that connection finishes
+    before the loop closes instead of being cancelled (whose stream
+    callback used to print a ``CancelledError`` traceback)."""
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve",
+         "--servers", "2", "--tau", "10", "--q-slots", "4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src_dir),
+        text=True,
+    )
+    try:
+        line = proc.stdout.readline()
+        assert "listening on" in line, line
+        port = int(line.split("listening on ")[1].split()[0].rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+            conn.sendall(b'{"op":"shutdown"}\n')
+            reply = conn.makefile("rb").readline()
+            assert json.loads(reply)["ok"] is True
+            # the connection is still open while the server exits
+            _, stderr = proc.communicate(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0
+    assert "Traceback" not in stderr, stderr
