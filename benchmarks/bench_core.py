@@ -16,7 +16,7 @@ from repro.core.types import IdlePeriod, Request
 def _periods(n, seed=0):
     rng = random.Random(seed)
     return [
-        IdlePeriod(server=i, st=rng.uniform(0, 1000), et=rng.uniform(1000, 2000))
+        IdlePeriod(server=i, st=rng.uniform(0, 1000), et=rng.uniform(1000, 2000), uid=i)
         for i in range(n)
     ]
 
@@ -44,7 +44,7 @@ class TestTreeOps:
 
     def test_insert_remove_512(self, benchmark):
         tree = _loaded_tree(512)
-        period = IdlePeriod(server=999, st=500.0, et=1500.0)
+        period = IdlePeriod(server=999, st=500.0, et=1500.0, uid=999)
 
         def cycle():
             tree.insert(period)

@@ -21,8 +21,7 @@ Per-tree (``audit_tree``):
   leaf-set equality);
 * ``RA116`` — the write buffer is consistent with the stored tree:
   buffered removals are of stored periods, and a buffered insert's uid
-  is not stored unless its stored holder is buffered for removal (a
-  snapshot restore re-uses uids; a flush removes before it inserts).
+  is not stored.
 
 ``RA102`` (split keys), ``RA107`` (parent/child pointers) and ``RA108``
 (α-weight balance) guarded the dynamic tree; in the implicit tree a
@@ -151,7 +150,7 @@ def audit_tree(tree: "TwoDimTree", label: str = "tree") -> list[AuditFinding]:
     kernel = tree._kernel
     by_uid = tree._by_uid
     for uid, period in tree._ins.items():
-        if (uid in by_uid and uid not in tree._rem) or period.uid != uid:
+        if uid in by_uid or period.uid != uid:
             findings.append(
                 AuditFinding(
                     "RA116",

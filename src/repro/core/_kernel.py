@@ -165,8 +165,7 @@ class TreeKernel:
         """Apply one batch (``(st, et, uid)`` each), removals first.
 
         Returns False — with nothing changed — when a removal is not
-        stored or is listed twice.  Removing before inserting lets a uid
-        change hands inside one batch (snapshot restore re-uses uids).
+        stored or is listed twice.
         """
         kept = self.leaves
         if removals:

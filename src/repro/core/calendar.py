@@ -72,15 +72,7 @@ from bisect import bisect_left, bisect_right
 
 from .opcount import NULL_COUNTER, OpCounter
 from .slot_tree import TwoDimTree
-from .types import (
-    INF,
-    IdlePeriod,
-    Reservation,
-    ensure_uid_floor,
-    make_period,
-    make_reservation,
-    uid_source,
-)
+from .types import INF, IdlePeriod, Reservation, make_period, make_reservation
 
 __all__ = ["AvailabilityCalendar", "POOL_STATES"]
 
@@ -115,6 +107,10 @@ class AvailabilityCalendar:
         slot tree — the paper's literal design, kept for cross-validation
         and for the ablation benchmark that measures what the tail index
         saves.  Both modes return identical scheduling outcomes.
+
+    The calendar numbers its own idle periods from 0, in creation order
+    (the Phase-2 tie-break), and its snapshot carries the counter: two
+    calendars that saw the same operations hold the same uids.
     """
 
     def __init__(
@@ -126,6 +122,30 @@ class AvailabilityCalendar:
         counter: OpCounter = NULL_COUNTER,
         indexing: str = "tail",
     ) -> None:
+        self._build_empty(n_servers, tau, q_slots, start_time, counter, indexing)
+        # every server idle from ``now`` on, numbered in server order
+        initial = [IdlePeriod(server=s, st=self.now, et=INF, uid=s) for s in range(n_servers)]
+        #: the uid of the next period this calendar creates
+        self._next_uid = n_servers
+        self._server_periods = [[period] for period in initial]
+        self._server_keys = [[period.st] for period in initial]
+        self._inf_keys = [(period.st, period.uid) for period in initial]
+        self._inf_periods = initial
+        if self.dense:
+            for q in range(self._base_slot, self._base_slot + q_slots):
+                tree = self._trees[q] = TwoDimTree(counter)
+                tree.bulk_load(initial)
+
+    def _build_empty(
+        self,
+        n_servers: int,
+        tau: float,
+        q_slots: int,
+        start_time: float,
+        counter: OpCounter,
+        indexing: str,
+    ) -> None:
+        """Geometry and empty indexes: ``n_servers`` servers with no periods."""
         if indexing not in ("tail", "dense"):
             raise ValueError(f"indexing must be 'tail' or 'dense', got {indexing!r}")
         self.dense = indexing == "dense"
@@ -149,16 +169,16 @@ class AvailabilityCalendar:
         # slot relative to the original's, breaking restart identity
         self._base_slot = self.slot_of(self.now)
         # sparse: a tree per active slot that has been written to (dense
-        # mode writes every slot at once, below); any other active slot
-        # is read through the one shared, never-written ``_unwritten``
+        # mode writes every slot at once); any other active slot is read
+        # through the one shared, never-written ``_unwritten``
         self._trees: dict[int, TwoDimTree] = {}
         self._unwritten = TwoDimTree(counter)
-        self._server_periods: list[list[IdlePeriod]] = []
+        self._server_periods: list[list[IdlePeriod]] = [[] for _ in range(n_servers)]
         # parallel per-server key arrays: starting times of the periods in
         # ``_server_periods`` (disjoint periods have unique starts per
         # server), so membership and insertion points are a bisect instead
         # of a scan or a per-insert key-list rebuild
-        self._server_keys: list[list[float]] = []
+        self._server_keys: list[list[float]] = [[] for _ in range(n_servers)]
         # tail index: unbounded periods, parallel arrays sorted by (st, uid);
         # keyed as float pairs so probes like ``(sr, _UID_HIGH)`` type-check
         self._inf_keys: list[tuple[float, float]] = []
@@ -166,19 +186,6 @@ class AvailabilityCalendar:
         # elastic pool: per-server lifecycle state, positionally parallel
         # to _server_periods; only "active" servers live in derived indexes
         self._status: list[str] = ["active"] * n_servers
-
-        initial = []
-        for server in range(n_servers):
-            period = IdlePeriod(server=server, st=self.now, et=INF)
-            self._server_periods.append([period])
-            self._server_keys.append([period.st])
-            self._inf_keys.append((period.st, period.uid))
-            self._inf_periods.append(period)
-            initial.append(period)
-        if self.dense:
-            for q in range(self._base_slot, self._base_slot + q_slots):
-                tree = self._trees[q] = TwoDimTree(counter)
-                tree.bulk_load(initial)
 
     # ------------------------------------------------------------------
     # geometry helpers
@@ -405,10 +412,11 @@ class AvailabilityCalendar:
         implies are O(1) notes in the write buffers of the overlapped
         trees, each applied — fused with whatever else that slot has been
         told since — when the slot is next searched, or never if it rolls
-        out of the horizon first.  Remnant uids are drawn left remnant
-        then right remnant, period by period (the Phase-2 tie-break), so
-        the new trailing remnants — all starting at ``end``, with uids
-        above any stored one — enter the tail index as one sorted block.
+        out of the horizon first.  Remnant uids are drawn from the
+        calendar's counter left remnant then right remnant, period by
+        period (the Phase-2 tie-break), so the new trailing remnants — all
+        starting at ``end``, with uids above any stored one — enter the
+        tail index as one sorted block.
         Draining and removed servers' periods are carved in the
         authoritative lists only.
         """
@@ -446,7 +454,9 @@ class AvailabilityCalendar:
 
         status, dense, trees, counter = self._status, self.dense, self._trees, self.counter
         inf_keys, inf_periods = self._inf_keys, self._inf_periods
-        next_uid = uid_source()
+        # nothing below can refuse the call, so the counter is stored
+        # back once, after the loop, with no draw lost
+        uid = self._next_uid
         new_period, new_reservation = make_period, make_reservation
         base = self._base_slot
         # slot_of(t) < base exactly when t < base·τ: slot_of brackets t
@@ -481,7 +491,8 @@ class AvailabilityCalendar:
             new_periods: list[IdlePeriod] = []
             if st < start:
                 # trusted: non-empty by this branch's condition
-                left = new_period(server, st, start, next_uid())
+                left = new_period(server, st, start, uid)
+                uid += 1
                 new_keys.append(st)
                 new_periods.append(left)
                 if active:
@@ -492,7 +503,8 @@ class AvailabilityCalendar:
                         tree.insert(left)
             if end < et:
                 # trusted: non-empty by this branch's condition
-                right = new_period(server, end, et, next_uid())
+                right = new_period(server, end, et, uid)
+                uid += 1
                 new_keys.append(end)
                 new_periods.append(right)
                 if active:
@@ -507,13 +519,14 @@ class AvailabilityCalendar:
             all_periods[server][idx : idx + 1] = new_periods
             # trusted: ``start < end`` was checked before anything was touched
             reservations.append(new_reservation(rid, server, start, end))
+        self._next_uid = uid
         if tail_removed:
             counter.add("remove", tail_removed)
         if trailing:
             # every new trailing remnant starts at ``end`` with a fresh,
             # ascending uid above any stored one (the counter only grows,
-            # and restore floors it past every persisted uid), so they
-            # are one sorted run that no stored key falls inside
+            # and from_state refuses one at or below a persisted uid), so
+            # they are one sorted run that no stored key falls inside
             i = bisect_right(inf_keys, (end, trailing[0].uid))
             assert i == len(inf_keys) or inf_keys[i][0] > end, "trailing remnant uid is not fresh"
             inf_keys[i:i] = [(end, p.uid) for p in trailing]
@@ -531,9 +544,8 @@ class AvailabilityCalendar:
         checked before either is dropped.  The merged period
         ``[lo, hi) ⊇ [start, end)`` is therefore non-empty, and it is
         built by the trusted constructor
-        (:func:`~repro.core.types.make_period`) with its uid drawn here,
-        after the drops — the draw order the validating constructor's
-        default uid had.
+        (:func:`~repro.core.types.make_period`) with the calendar's next
+        uid, drawn after the drops.
         """
         if not start < end:
             raise ValueError(f"release window [{start}, {end}) is empty")
@@ -569,8 +581,10 @@ class AvailabilityCalendar:
         if before is not None and before.et == start:
             lo = before.st
             self._drop_period(before)
+        uid = self._next_uid
+        self._next_uid = uid + 1
         # trusted: lo <= start < end <= hi, the window checked above
-        self._add_period(make_period(server, lo, hi, uid_source()()))
+        self._add_period(make_period(server, lo, hi, uid))
 
     # ------------------------------------------------------------------
     # elastic pool (runtime join / drain / leave)
@@ -635,7 +649,8 @@ class AvailabilityCalendar:
             self._server_keys.append([])
             self._status.append("active")
             self.n_servers += 1
-            self._add_period(IdlePeriod(server=server, st=self.now, et=INF))
+            self._add_period(IdlePeriod(server=server, st=self.now, et=INF, uid=self._next_uid))
+            self._next_uid += 1
         return new_ids
 
     def drain(self, server: int) -> bool:
@@ -814,7 +829,9 @@ class AvailabilityCalendar:
         times serialize as ``None`` (JSON has no ``Infinity``).  Period
         ``uid``\\ s ride along because uid order is the slot trees'
         tie-break among equal keys — restoring them keeps a restored
-        calendar's selection order bit-identical to the original's.
+        calendar's selection order bit-identical to the original's — and
+        so does ``next_uid``, the counter, so the periods a restored
+        calendar creates are numbered as the original's would have been.
 
         The export is deterministic: periods appear in their sorted
         per-server order, so ``export → restore → export`` round-trips
@@ -826,6 +843,7 @@ class AvailabilityCalendar:
             "q_slots": self.q_slots,
             "now": self.now,
             "indexing": "dense" if self.dense else "tail",
+            "next_uid": self._next_uid,
             "pool": list(self._status),
             "periods": [
                 [[p.st, None if p.et == INF else p.et, p.uid] for p in periods]
@@ -876,45 +894,45 @@ class AvailabilityCalendar:
 
         The restored instance is behaviorally identical to the exported
         one: same clock, same horizon geometry, same idle periods *with
-        their original uids* (the tie-break order inside the trees), and
-        all slot-tree/tail indexes reconstructed from scratch.  The
-        global uid counter is advanced past every restored uid so fresh
-        periods never collide.  A bounded period ending beyond the
-        restored horizon is refused (``ValueError``): no calendar exports
-        one (see the module docstring), so the state was edited by hand.
+        their original uids* (the tie-break order inside the trees), the
+        same uid counter, and every slot-tree/tail index built straight
+        into an empty calendar — no tree is told to remove one holder of
+        a uid and insert another.  No calendar exports a bounded period
+        ending beyond the horizon (see the module docstring), a uid twice
+        or a ``next_uid`` not above every persisted uid, so each is
+        refused (``ValueError``).  A state without ``next_uid`` (written
+        before calendars exported it) counts on from the largest uid + 1.
         """
         n_servers = int(state["n_servers"])  # type: ignore[arg-type]
-        now = float(state["now"])  # type: ignore[arg-type]
         periods = state["periods"]
         if not isinstance(periods, list) or len(periods) != n_servers:
             raise ValueError(
                 f"calendar state lists {len(periods) if isinstance(periods, list) else '?'} "
                 f"servers, header says {n_servers}"
             )
-        calendar = cls(
-            n_servers=n_servers,
-            tau=float(state["tau"]),  # type: ignore[arg-type]
-            q_slots=int(state["q_slots"]),  # type: ignore[arg-type]
-            start_time=now,
-            counter=counter,
-            indexing=str(state.get("indexing", "tail")),
+        calendar = cls.__new__(cls)
+        calendar._build_empty(
+            n_servers,
+            float(state["tau"]),  # type: ignore[arg-type]
+            int(state["q_slots"]),  # type: ignore[arg-type]
+            float(state["now"]),  # type: ignore[arg-type]
+            counter,
+            str(state.get("indexing", "tail")),
         )
-        pool = cls.validate_pool_state(state)
-        # drop the constructor's synthetic everyone-idle-from-now periods,
-        # then register the recorded ones through the normal indexing path
+        # register the recorded periods through the normal indexing path
         # — with the pool states applied first, so draining/removed
         # servers' periods stay out of the derived indexes
-        for server in range(n_servers):
-            for period in list(calendar._server_periods[server]):
-                calendar._drop_period(period)
-        calendar._status = pool
-        max_uid = -1
+        calendar._status = cls.validate_pool_state(state)
+        uids: set[int] = set()
         for server, server_periods in enumerate(periods):
             last_end = -INF
             for st_et_uid in server_periods:
                 st = float(st_et_uid[0])
                 et = INF if st_et_uid[1] is None else float(st_et_uid[1])
                 uid = int(st_et_uid[2])
+                if uid in uids:
+                    raise ValueError(f"calendar state lists period uid {uid} twice")
+                uids.add(uid)
                 if st < last_end:
                     raise ValueError(
                         f"calendar state for server {server} is not sorted/disjoint "
@@ -926,9 +944,15 @@ class AvailabilityCalendar:
                         f"[{st}, {et}) ending beyond the horizon end {calendar.horizon_end}"
                     )
                 last_end = et
-                max_uid = max(max_uid, uid)
                 calendar._add_period(IdlePeriod(server=server, st=st, et=et, uid=uid))
-        ensure_uid_floor(max_uid + 1)
+        floor = max(uids, default=-1) + 1
+        next_uid = int(state.get("next_uid", floor))  # type: ignore[call-overload]
+        if next_uid < floor:
+            raise ValueError(
+                f"calendar state's next_uid {next_uid} is not above every "
+                f"persisted uid (the largest is {floor - 1})"
+            )
+        calendar._next_uid = next_uid
         return calendar
 
     # ------------------------------------------------------------------

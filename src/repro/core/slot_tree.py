@@ -166,9 +166,7 @@ class TwoDimTree:
         #: secondary keys
         self._by_uid: dict[int, IdlePeriod] = {}
         #: the write buffer, by uid: periods noted for removal (always
-        #: stored) and for insertion (never stored, unless the stored
-        #: holder of that uid is noted for removal: snapshot restore
-        #: re-uses uids, and a flush removes before it inserts)
+        #: stored) and for insertion (never stored)
         self._ins: dict[int, IdlePeriod] = {}
         self._rem: dict[int, IdlePeriod] = {}
 

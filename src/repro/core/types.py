@@ -15,10 +15,8 @@ period whose server has no commitment after ``st`` extends to
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 __all__ = [
     "INF",
@@ -27,36 +25,9 @@ __all__ = [
     "Reservation",
     "Allocation",
     "RangeQuery",
-    "ensure_uid_floor",
-    "uid_source",
 ]
 
 INF = math.inf
-
-_period_uids = itertools.count()
-
-
-def ensure_uid_floor(floor: int) -> None:
-    """Advance the global period-uid counter to at least ``floor``.
-
-    Snapshot restore re-creates idle periods with their *persisted* uids
-    (uid order is the tree tie-break, so reusing it keeps a restored
-    calendar's selection order bit-identical to the original's).  The
-    counter must then skip past every restored uid so freshly created
-    periods never collide.
-    """
-    global _period_uids
-    current = next(_period_uids)
-    _period_uids = itertools.count(max(current, floor))
-
-
-def uid_source() -> Callable[[], int]:
-    """The global period-uid counter's ``__next__``, for explicit uids.
-
-    :func:`ensure_uid_floor` rebinds the counter, so take this at the
-    start of each batch of period creations, never once at import.
-    """
-    return _period_uids.__next__
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,13 +119,15 @@ class IdlePeriod:
     ``et`` may be ``math.inf`` for the trailing idle period of a server.
     Identity (``uid``) rather than value equality is used so that two
     coincidentally equal intervals on different servers, or re-created
-    intervals, never alias each other inside the slot trees.
+    intervals, never alias each other inside the slot trees.  The
+    :class:`~repro.core.calendar.AvailabilityCalendar` that owns a period
+    numbers it, in creation order; there is no default.
     """
 
     server: int
     st: float
     et: float
-    uid: int = field(default_factory=lambda: next(_period_uids))
+    uid: int
 
     def __post_init__(self) -> None:
         if not self.st < self.et:

@@ -12,8 +12,8 @@ class, and then holds the service to three simultaneous standards:
   logical op order in-process (through the differ's
   :class:`~repro.verify.differ.OracleDriver`, wire mapping and verdict
   normal form — this module adds only the transport and the faults);
-* the final snapshot's per-server idle periods and the service's
-  ``accepted_checksum`` must equal the oracle's.
+* the final snapshot's per-server idle periods, uids included, and the
+  service's ``accepted_checksum`` must equal the oracle's.
 
 Plans
 -----
@@ -567,13 +567,10 @@ def run_chaos(
 
     final_state = read_snapshot(snapshot_path)
     final_periods = [
-        [[float(st), None if et is None else float(et)] for st, et, _uid in periods]
+        [(float(st), None if et is None else float(et), uid) for st, et, uid in periods]
         for periods in final_state["scheduler"]["calendar"]["periods"]
     ]
-    oracle_periods = [
-        [[st, et] for st, et in periods] for periods in oracle.export_intervals()
-    ]
-    state_equal = final_periods == oracle_periods
+    state_equal = final_periods == oracle.export_intervals()
     final_pool = final_state["scheduler"]["calendar"].get("pool")
     pool_equal = final_pool == oracle.pool_status()["servers"]
 

@@ -16,9 +16,10 @@ operation:
 * cancel verdicts (found / not found);
 * scale-event verdicts (``add_servers``/``drain``/``remove``/
   ``pool_status`` — successes field-by-field, refusals by error code);
-* the complete per-server idle-period state, the clock, plus the pool's
-  lifecycle statuses (every ``state_stride`` ops and always after the
-  last one).
+* the complete per-server idle-period state — ``(st, et, uid)``, the
+  uid included, since both sides number their periods the same way —
+  the clock, plus the pool's lifecycle statuses (every ``state_stride``
+  ops and always after the last one).
 
 The op ↔ wire mapping (:func:`_wire`), the verdict normal form
 (:func:`_normalize`) and the oracle driver are shared with
@@ -343,16 +344,13 @@ class OracleDriver:
         return {"ok": False, "reason": result["reason"], "attempts": result["attempts"]}
 
 
-def _production_state(scheduler: Any) -> list[list[list[Any]]]:
+def _production_state(scheduler: Any) -> list[list[tuple[float, float | None, int]]]:
+    """Per-server ``(st, et, uid)`` in the form of
+    :meth:`~repro.verify.oracle.ReferenceScheduler.export_intervals`."""
+    calendar = scheduler.calendar
     return [
-        [[p.st, None if p.et == INF else p.et] for p in scheduler.calendar.idle_periods(s)]
+        [(p.st, None if p.et == INF else p.et, p.uid) for p in calendar.idle_periods(s)]
         for s in range(scheduler.n_servers)
-    ]
-
-
-def _oracle_state(oracle: ReferenceScheduler) -> list[list[list[Any]]]:
-    return [
-        [[st, et] for st, et in periods] for periods in oracle.export_intervals()
     ]
 
 
@@ -414,7 +412,7 @@ def run_stream(
             if last or index % state_stride == 0:
                 production = state.scheduler
                 prod_state = _production_state(production)
-                oracle_state = _oracle_state(oracle)
+                oracle_state = oracle.export_intervals()
                 prod_pool = list(production.pool_status()["servers"])
                 oracle_pool = list(oracle.pool_status()["servers"])
                 if (

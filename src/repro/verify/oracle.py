@@ -23,12 +23,14 @@ Semantics mirrored from the production implementation
   earliest-ending feasible bounded periods win, ties broken by uid
   ascending; when fewer than ``nr`` exist, the remainder is topped up
   from the *latest-starting* unbounded trailing periods.
-* **uid parity**: the oracle numbers its periods from its own counter in
-  the same logical creation order as production (constructor in server
-  order; allocation remnants left-then-right per chosen period in
-  selection order; one merged period per release).  Relative uid order —
-  all the tie-breaks ever consult — therefore matches production's, even
-  though the absolute values differ.
+* **uid equality**: the oracle numbers its periods from its own counter,
+  from 0, in the same logical creation order as the production calendar
+  does from its (constructor in server order; allocation remnants
+  left-then-right per chosen period in selection order; one merged
+  period per release; one per added server).  A snapshot carries the
+  calendar's counter, so a restore continues it.  The uids — and with
+  them every tie-break — are therefore equal, and the differ compares
+  them.
 * **Retry loop**: start candidates ``max(sr, now) + k·Δt``; a candidate
   past ``deadline - lr`` exits with reason ``deadline``, one outside the
   active horizon with ``horizon``, and ``R_max`` failures with
@@ -458,12 +460,12 @@ class ReferenceScheduler:
     # state export (what the differ compares against production)
     # ------------------------------------------------------------------
 
-    def export_intervals(self) -> list[list[tuple[float, float | None]]]:
-        """Per-server ``(st, et)`` lists, ``inf`` endings as ``None`` —
-        directly comparable with the production calendar's
-        ``idle_periods`` (uids are excluded: they differ by design)."""
+    def export_intervals(self) -> list[list[tuple[float, float | None, int]]]:
+        """Per-server ``(st, et, uid)`` lists, ``inf`` endings as ``None``
+        — equal, uids included, to the production calendar's
+        ``idle_periods`` after the same operations."""
         return [
-            [(p[ST], None if p[ET] == INF else p[ET]) for p in periods]
+            [(p[ST], None if p[ET] == INF else p[ET], p[UID]) for p in periods]
             for periods in self._periods
         ]
 

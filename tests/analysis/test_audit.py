@@ -74,6 +74,17 @@ class TestTreeCorruptions:
         tree._rem[uid] = period  # noted both ways, stored neither
         assert "RA116" in check_ids(audit_tree(tree))
 
+    def test_a_uid_noted_for_removal_and_insertion_reports_ra116(self):
+        """No calendar hands a stored uid to a new period — a restore
+        builds into an empty calendar — so a buffered insert of a stored
+        uid is a finding even when its holder is noted for removal."""
+        cal = populated().calendar
+        tree = next(t for t in cal._trees.values() if len(t))
+        old = next(tree.periods())
+        tree.remove(old)
+        tree.insert(IdlePeriod(server=old.server, st=old.st, et=old.et + 1.0, uid=old.uid))
+        assert "RA116" in check_ids(audit_tree(tree))
+
     def test_validate_raises_audit_error_which_is_assertion_error(self):
         cal = populated().calendar
         corrupt_size_field(cal)
@@ -148,7 +159,7 @@ class TestCalendarCorruptions:
 
     def test_write_to_the_shared_empty_tree_reports_ra113(self):
         cal = populated().calendar
-        cal._unwritten.insert(IdlePeriod(server=0, st=0.0, et=5.0))
+        cal._unwritten.insert(IdlePeriod(server=0, st=0.0, et=5.0, uid=cal._next_uid))
         assert "RA113" in check_ids(audit_calendar(cal))
 
     def test_tail_index_desync_reports_ra115(self):

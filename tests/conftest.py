@@ -23,16 +23,19 @@ def make_periods(
     servers: int = 8,
     st_range: tuple[float, float] = (0.0, 100.0),
     et_range: tuple[float, float] = (101.0, 200.0),
+    first_uid: int = 0,
 ) -> list[IdlePeriod]:
-    """Random non-degenerate idle periods (ends always after starts)."""
+    """Random non-degenerate idle periods (ends always after starts),
+    numbered ``first_uid`` on in creation order."""
     rng = random.Random(seed)
     return [
         IdlePeriod(
             server=rng.randrange(servers),
             st=rng.uniform(*st_range),
             et=rng.uniform(*et_range),
+            uid=uid,
         )
-        for _ in range(n)
+        for uid in range(first_uid, first_uid + n)
     ]
 
 

@@ -32,7 +32,7 @@ class TestEmptyTreeBulkPath:
     def test_same_start_ascending_uid_batch_is_built_not_walked(self):
         # what a wide reservation leaves in one slot: equal starts, ever
         # larger uids — the worst case for one-by-one insertion
-        periods = [IdlePeriod(server=s, st=100.0, et=200.0 + s) for s in range(64)]
+        periods = [IdlePeriod(server=s, st=100.0, et=200.0 + s, uid=s) for s in range(64)]
         kernel = TreeKernel()
         assert kernel.apply_batch([], _items(periods))
         assert kernel.count == 64 and kernel.max_et == 263.0
@@ -45,8 +45,8 @@ class TestEmptyTreeBulkPath:
         assert kernel.last_visits == len(marks) == math.ceil(math.log2(64)) + 1
 
     def test_bulk_load_is_a_batch_on_an_empty_tree(self):
-        old = [IdlePeriod(server=s, st=float(s), et=9.0) for s in range(5)]
-        new = [IdlePeriod(server=s, st=5.0 - s, et=20.0 + s) for s in range(3)]
+        old = [IdlePeriod(server=s, st=float(s), et=9.0, uid=s) for s in range(5)]
+        new = [IdlePeriod(server=s, st=5.0 - s, et=20.0 + s, uid=5 + s) for s in range(3)]
         loaded, batched = TreeKernel(), TreeKernel()
         loaded.bulk_load(_items(old))
         loaded.bulk_load(_items(new))
@@ -57,7 +57,7 @@ class TestEmptyTreeBulkPath:
         assert (loaded.leaves, loaded.count, loaded.max_et) == ([], 0, -math.inf)
 
     def test_removal_from_an_empty_tree_fails(self):
-        ghosts = [IdlePeriod(server=s, st=1.0, et=2.0) for s in range(3)]
+        ghosts = [IdlePeriod(server=s, st=1.0, et=2.0, uid=s) for s in range(3)]
         for removals, inserts in ((ghosts[:1], []), (ghosts[:1], ghosts[1:])):
             kernel = TreeKernel()
             assert not kernel.apply_batch(_items(removals), _items(inserts))
@@ -67,7 +67,7 @@ class TestEmptyTreeBulkPath:
 class TestImplicitTree:
     def test_phase1_walks_the_midpoint_tree(self):
         # seven leaves: root splits 4 | 3, then 2 | 2 and 2 | 1
-        periods = [IdlePeriod(server=s, st=float(s), et=50.0) for s in range(7)]
+        periods = [IdlePeriod(server=s, st=float(s), et=50.0, uid=s) for s in range(7)]
         kernel = TreeKernel()
         kernel.bulk_load(_items(periods))
         walks = {
@@ -82,7 +82,7 @@ class TestImplicitTree:
             assert kernel.last_visits == visits, sr
 
     def test_secondaries_exist_only_for_bisected_nodes_until_the_next_update(self):
-        periods = [IdlePeriod(server=s, st=float(s), et=60.0 - s) for s in range(7)]
+        periods = [IdlePeriod(server=s, st=float(s), et=60.0 - s, uid=s) for s in range(7)]
         kernel = TreeKernel()
         kernel.bulk_load(_items(periods))
         _, marks = kernel.phase1(4.5)
@@ -107,9 +107,9 @@ class TestImplicitTree:
 
 class TestBulkPathMissingRemoval:
     def test_failed_batch_leaves_the_tree_untouched(self):
-        periods = [IdlePeriod(server=s, st=float(s), et=50.0 + s) for s in range(16)]
-        ghost = IdlePeriod(server=99, st=3.5, et=60.0)
-        incoming = [IdlePeriod(server=s, st=20.0 + s, et=90.0) for s in range(4)]
+        periods = [IdlePeriod(server=s, st=float(s), et=50.0 + s, uid=s) for s in range(16)]
+        ghost = IdlePeriod(server=99, st=3.5, et=60.0, uid=99)
+        incoming = [IdlePeriod(server=s, st=20.0 + s, et=90.0, uid=16 + s) for s in range(4)]
         kernel = TreeKernel()
         kernel.bulk_load(_items(periods))
         _, marks = kernel.phase1(7.0)

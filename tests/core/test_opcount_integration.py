@@ -19,7 +19,7 @@ class TestTreeCounting:
         counter = OpCounter()
         tree = TwoDimTree(counter)
         tree.bulk_load(
-            [IdlePeriod(server=i, st=float(i), et=1000.0 + i) for i in range(256)]
+            [IdlePeriod(server=i, st=float(i), et=1000.0 + i, uid=i) for i in range(256)]
         )
         counter.reset()
         tree.phase1(128.0)
@@ -29,7 +29,7 @@ class TestTreeCounting:
     def test_phase1_marks_counted(self):
         counter = OpCounter()
         tree = TwoDimTree(counter)
-        tree.bulk_load([IdlePeriod(server=i, st=float(i), et=1e6) for i in range(64)])
+        tree.bulk_load([IdlePeriod(server=i, st=float(i), et=1e6, uid=i) for i in range(64)])
         counter.reset()
         _, marks = tree.phase1(63.0)
         assert counter.get("mark") == len(marks)
@@ -39,7 +39,7 @@ class TestTreeCounting:
         [2:4), [4:6) | [6:7): the counts below are read off that shape."""
         counter = OpCounter()
         tree = TwoDimTree(counter)
-        periods = [IdlePeriod(server=s, st=float(s), et=60.0 - s) for s in range(7)]
+        periods = [IdlePeriod(server=s, st=float(s), et=60.0 - s, uid=s) for s in range(7)]
         tree.bulk_load(periods)
         assert counter.snapshot() == {"rebuild": 7}
         counter.reset()
@@ -63,7 +63,7 @@ class TestTreeCounting:
         # a flush counts what it applied and the tree it settled
         tree.remove(periods[0])
         tree.remove(periods[1])
-        tree.insert(IdlePeriod(server=9, st=2.5, et=70.0))
+        tree.insert(IdlePeriod(server=9, st=2.5, et=70.0, uid=9))
         assert counter.total() == 0
         assert tree.max_end() == 70.0
         assert counter.snapshot() == {"insert": 1, "remove": 2, "rebuild": 6}
@@ -73,7 +73,7 @@ class TestTreeCounting:
         the write buffer — and a pair that cancels in the buffer is free."""
         counter = OpCounter()
         tree = TwoDimTree(counter)
-        p = IdlePeriod(server=0, st=1.0, et=2.0)
+        p = IdlePeriod(server=0, st=1.0, et=2.0, uid=0)
         tree.insert(p)
         assert counter.get("insert") == 0  # noted, not yet applied
         assert len(tree) == 1

@@ -39,8 +39,8 @@ PAPER_PERIODS = [
 def slot_tree():
     """The 2-D tree for slot q covering [10, 20), holding X, Y, Z, V."""
     tree = TwoDimTree()
-    for _, server, st, et in PAPER_PERIODS:
-        tree.insert(IdlePeriod(server=server, st=st, et=et))
+    for uid, (_, server, st, et) in enumerate(PAPER_PERIODS):  # created X, Y, Z, V
+        tree.insert(IdlePeriod(server=server, st=st, et=et, uid=uid))
     return tree
 
 
@@ -67,7 +67,7 @@ class TestFigure2:
     def test_x_and_v_are_candidates_but_not_feasible(self, slot_tree):
         # X ends at 25 < 29, V ends at 18 < 29
         for server, st, et in [(1, 4.0, 25.0), (4, 1.0, 18.0)]:
-            p = IdlePeriod(server=server, st=st, et=et)
+            p = IdlePeriod(server=server, st=st, et=et, uid=0)
             assert p.is_candidate(17.0)
             assert not p.is_feasible(17.0, 29.0)
 

@@ -30,7 +30,7 @@ class TestBasics:
 
     def test_single_insert(self):
         tree = TwoDimTree()
-        p = IdlePeriod(server=0, st=1.0, et=10.0)
+        p = IdlePeriod(server=0, st=1.0, et=10.0, uid=0)
         tree.insert(p)
         assert len(tree) == 1
         assert p in tree
@@ -64,15 +64,15 @@ class TestBasics:
 
     def test_contains_distinguishes_equal_intervals(self):
         tree = TwoDimTree()
-        a = IdlePeriod(server=0, st=1.0, et=5.0)
-        b = IdlePeriod(server=1, st=1.0, et=5.0)
+        a = IdlePeriod(server=0, st=1.0, et=5.0, uid=0)
+        b = IdlePeriod(server=1, st=1.0, et=5.0, uid=1)
         tree.insert(a)
         assert a in tree
         assert b not in tree
 
     def test_duplicate_start_times(self):
         tree = TwoDimTree()
-        periods = [IdlePeriod(server=i, st=5.0, et=10.0 + i) for i in range(20)]
+        periods = [IdlePeriod(server=i, st=5.0, et=10.0 + i, uid=i) for i in range(20)]
         for p in periods:
             tree.insert(p)
         tree.validate()
@@ -83,7 +83,7 @@ class TestBasics:
 
     def test_infinite_end_times(self):
         tree = TwoDimTree()
-        periods = [IdlePeriod(server=i, st=float(i), et=INF) for i in range(8)]
+        periods = [IdlePeriod(server=i, st=float(i), et=INF, uid=i) for i in range(8)]
         for p in periods:
             tree.insert(p)
         tree.validate()
@@ -108,8 +108,8 @@ class TestBulkLoad:
 
     def test_bulk_load_replaces_contents(self):
         tree = TwoDimTree()
-        tree.insert(IdlePeriod(server=0, st=0.0, et=1.0))
-        fresh = make_periods(5, seed=6)
+        tree.insert(IdlePeriod(server=0, st=0.0, et=1.0, uid=0))
+        fresh = make_periods(5, seed=6, first_uid=1)
         tree.bulk_load(fresh)
         assert len(tree) == 5
         assert {p.uid for p in tree.periods()} == {p.uid for p in fresh}
@@ -125,12 +125,12 @@ class TestFailedBatchChangesNothing:
         twice, is refused before anything is applied."""
         counter = OpCounter()
         tree = TwoDimTree(counter)
-        periods = [IdlePeriod(server=s, st=float(s % 7), et=50.0 + s) for s in range(100)]
+        periods = [IdlePeriod(server=s, st=float(s % 7), et=50.0 + s, uid=s) for s in range(100)]
         tree.bulk_load(periods)
-        incoming = [IdlePeriod(server=200 + s, st=3.5, et=80.0) for s in range(n_real)]
+        incoming = [IdlePeriod(server=200 + s, st=3.5, et=80.0, uid=200 + s) for s in range(n_real)]
         removals = periods[:n_real]
         if fault == "ghost":
-            removals = removals + [IdlePeriod(server=99, st=3.5, et=60.0)]
+            removals = removals + [IdlePeriod(server=99, st=3.5, et=60.0, uid=1000)]
         else:
             removals = removals + removals[:1]
         before = (
@@ -191,7 +191,7 @@ class TestPhase1:
 
     def test_boundary_start_time_inclusive(self):
         # candidate rule is st <= sr (inclusive)
-        p = IdlePeriod(server=0, st=10.0, et=20.0)
+        p = IdlePeriod(server=0, st=10.0, et=20.0, uid=0)
         tree = TwoDimTree()
         tree.insert(p)
         assert tree.count_candidates(10.0) == 1
@@ -218,7 +218,7 @@ class TestPhase2:
             assert found is None
 
     def test_returns_requested_count(self):
-        periods = [IdlePeriod(server=i, st=0.0, et=100.0) for i in range(16)]
+        periods = [IdlePeriod(server=i, st=0.0, et=100.0, uid=i) for i in range(16)]
         tree = TwoDimTree()
         tree.bulk_load(periods)
         found = tree.find_feasible(10.0, 50.0, 5)
@@ -226,8 +226,8 @@ class TestPhase2:
         assert len({p.uid for p in found}) == 5  # distinct periods
 
     def test_insufficient_feasible_returns_none(self):
-        periods = [IdlePeriod(server=i, st=0.0, et=40.0) for i in range(3)]
-        periods.append(IdlePeriod(server=3, st=0.0, et=100.0))
+        periods = [IdlePeriod(server=i, st=0.0, et=40.0, uid=i) for i in range(3)]
+        periods.append(IdlePeriod(server=3, st=0.0, et=100.0, uid=3))
         tree = TwoDimTree()
         tree.bulk_load(periods)
         # only one period survives the et >= 50 test
@@ -236,7 +236,7 @@ class TestPhase2:
         assert found is not None and found[0].et == 100.0
 
     def test_partial_mode_returns_shortfall(self):
-        periods = [IdlePeriod(server=i, st=0.0, et=40.0 + 20.0 * i) for i in range(3)]
+        periods = [IdlePeriod(server=i, st=0.0, et=40.0 + 20.0 * i, uid=i) for i in range(3)]
         tree = TwoDimTree()
         tree.bulk_load(periods)
         count, marks = tree.phase1(10.0)
@@ -247,7 +247,7 @@ class TestPhase2:
 
     def test_boundary_end_time_inclusive(self):
         # feasibility rule is et >= er (inclusive)
-        p = IdlePeriod(server=0, st=0.0, et=50.0)
+        p = IdlePeriod(server=0, st=0.0, et=50.0, uid=0)
         tree = TwoDimTree()
         tree.insert(p)
         assert tree.find_feasible(0.0, 50.0, 1) is not None
@@ -258,7 +258,7 @@ class TestPhase2:
         # earliest-ending periods win (best fit — long periods stay free
         # for long requests), regardless of how phase 1 happened to
         # partition the candidates into marked subtrees
-        periods = [IdlePeriod(server=i, st=0.0, et=60.0 + i * 10.0) for i in range(8)]
+        periods = [IdlePeriod(server=i, st=0.0, et=60.0 + i * 10.0, uid=i) for i in range(8)]
         tree = TwoDimTree()
         tree.bulk_load(periods)
         found = tree.find_feasible(0.0, 55.0, 3)
@@ -269,8 +269,8 @@ class TestPhase2:
         # ... and ties on ending time fall back to uid (creation order),
         # the persisted tie-break that makes a snapshot-restored calendar
         # choose byte-identical servers
-        early = IdlePeriod(server=0, st=0.0, et=100.0)
-        late = IdlePeriod(server=1, st=40.0, et=100.0)
+        early = IdlePeriod(server=0, st=0.0, et=100.0, uid=0)
+        late = IdlePeriod(server=1, st=40.0, et=100.0, uid=1)
         tree = TwoDimTree()
         tree.insert(early)
         tree.insert(late)
@@ -283,7 +283,7 @@ class TestPhase2:
         # and a bulk-loaded tree over the same periods choose the same
         # servers, even though their internal partitions differ
         periods = [
-            IdlePeriod(server=i, st=float(i % 5), et=50.0 + 7.0 * ((i * 3) % 11))
+            IdlePeriod(server=i, st=float(i % 5), et=50.0 + 7.0 * ((i * 3) % 11), uid=i)
             for i in range(40)
         ]
         evolved = TwoDimTree()
@@ -314,7 +314,7 @@ class TestRangeSearch:
 
     def test_range_search_empty_result(self):
         tree = TwoDimTree()
-        tree.insert(IdlePeriod(server=0, st=10.0, et=20.0))
+        tree.insert(IdlePeriod(server=0, st=10.0, et=20.0, uid=0))
         assert tree.range_search(0.0, 5.0) == []
 
 
@@ -323,13 +323,13 @@ class TestBalanceAndCounting:
         # monotone keys: the worst case for a tree that rebalances
         tree = TwoDimTree()
         for i in range(200):
-            tree.insert(IdlePeriod(server=0, st=float(i), et=1000.0 + i))
+            tree.insert(IdlePeriod(server=0, st=float(i), et=1000.0 + i, uid=i))
         tree.validate()
 
     def test_reverse_sorted_insertion_stays_balanced(self):
         tree = TwoDimTree()
         for i in reversed(range(200)):
-            tree.insert(IdlePeriod(server=0, st=float(i), et=1000.0 + i))
+            tree.insert(IdlePeriod(server=0, st=float(i), et=1000.0 + i, uid=i))
         tree.validate()
 
     def test_counter_records_operations(self):
@@ -353,6 +353,7 @@ class TestBalanceAndCounting:
                     server=rng.randrange(16),
                     st=rng.uniform(0, 100),
                     et=rng.uniform(100, 200),
+                    uid=step,
                 )
                 tree.insert(p)
                 live.append(p)

@@ -84,46 +84,47 @@ class TestRequest:
 
 
 class TestIdlePeriod:
-    def test_unique_uids(self):
-        a = IdlePeriod(server=0, st=0.0, et=1.0)
-        b = IdlePeriod(server=0, st=0.0, et=1.0)
-        assert a.uid != b.uid
+    def test_uid_is_required(self):
+        # the owning calendar numbers its periods; there is no fallback
+        with pytest.raises(TypeError, match="uid"):
+            IdlePeriod(server=0, st=0.0, et=1.0)  # type: ignore[call-arg]
 
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError, match="empty"):
-            IdlePeriod(server=0, st=5.0, et=5.0)
+            IdlePeriod(server=0, st=5.0, et=5.0, uid=0)
         with pytest.raises(ValueError, match="empty"):
-            IdlePeriod(server=0, st=5.0, et=4.0)
+            IdlePeriod(server=0, st=5.0, et=4.0, uid=0)
 
     def test_candidate_rule_matches_paper(self):
         # candidate iff st <= s_r
-        p = IdlePeriod(server=0, st=10.0, et=50.0)
+        p = IdlePeriod(server=0, st=10.0, et=50.0, uid=0)
         assert p.is_candidate(10.0)
         assert p.is_candidate(15.0)
         assert not p.is_candidate(9.0)
 
     def test_feasible_rule_matches_paper(self):
         # feasible iff st <= s_r and et >= e_r
-        p = IdlePeriod(server=0, st=10.0, et=50.0)
+        p = IdlePeriod(server=0, st=10.0, et=50.0, uid=0)
         assert p.is_feasible(10.0, 50.0)
         assert p.is_feasible(20.0, 40.0)
         assert not p.is_feasible(5.0, 40.0)
         assert not p.is_feasible(20.0, 51.0)
 
     def test_infinite_period_feasible_for_any_end(self):
-        p = IdlePeriod(server=0, st=10.0, et=INF)
+        p = IdlePeriod(server=0, st=10.0, et=INF, uid=0)
         assert p.is_feasible(10.0, 1e12)
 
     def test_overlaps_half_open(self):
-        p = IdlePeriod(server=0, st=10.0, et=20.0)
+        p = IdlePeriod(server=0, st=10.0, et=20.0, uid=0)
         assert p.overlaps(0.0, 11.0)
         assert p.overlaps(19.0, 30.0)
         assert not p.overlaps(20.0, 30.0)  # et is open
         assert not p.overlaps(0.0, 10.0)  # st is closed but window end is open
 
     def test_identity_equality(self):
-        p = IdlePeriod(server=0, st=0.0, et=1.0)
-        q = IdlePeriod(server=0, st=0.0, et=1.0)
+        # equal fields, uid included, and still two periods
+        p = IdlePeriod(server=0, st=0.0, et=1.0, uid=0)
+        q = IdlePeriod(server=0, st=0.0, et=1.0, uid=0)
         assert p == p
         assert p != q
 

@@ -18,7 +18,7 @@ from repro.gateway.follower import (
 from repro.service.protocol import MAX_LINE_BYTES, READ_CHUNK_BYTES
 from repro.service.declog import decide_cancel, decide_reserve, decision_message
 from repro.service.server import accepted_checksum
-from repro.service.snapshot import snapshot_bytes
+from repro.service.snapshot import snapshot_bytes, write_snapshot
 from repro.service.state import ServiceState
 
 from ..service.harness import SMALL, reserve_msg, rpc, start_service
@@ -30,51 +30,24 @@ def fresh_scheduler():
     return CoAllocationScheduler(**GEOMETRY)
 
 
-def normalized(state):
-    """Rank-map period uids so two independently built schedulers compare.
-
-    uids come from a process-global counter, so their absolute values are
-    instance-relative; only their *relative order* matters (it is the
-    slot trees' tie-break).  Mapping each uid to its rank preserves
-    exactly that order, making equal-ranked states behaviorally equal.
-    """
-    state = json.loads(json.dumps(state))
-    uids = sorted(
-        period[2]
-        for server_periods in state["calendar"]["periods"]
-        for period in server_periods
-    )
-    rank = {uid: index for index, uid in enumerate(uids)}
-    for server_periods in state["calendar"]["periods"]:
-        for period in server_periods:
-            period[2] = rank[period[2]]
-    return state
-
-
 def run_primary(ops):
-    """Mirror the actor's logging discipline over an in-process scheduler.
+    """Mirror the actor's logging discipline over an in-process state machine.
 
     Fresh reserves (anything entering the decision table, rejects and
     malformed included) and *all* cancels append one record; duplicate
     rids answer from the table without logging — exactly what
     ``ReservationService._record_decision`` does.  Returns the log plus
-    the primary's state snapshot after every record.
+    the primary's snapshot state and accepted checksum after every record.
     """
-    scheduler = fresh_scheduler()
-    decided = {}
+    primary = ServiceState(fresh_scheduler())
     records = []
-    states = [scheduler.export_state()]  # states[h] = state after record h
-    checksums = [accepted_checksum({})]
+    states = [primary.export(0)]  # states[h] = snapshot state after record h
+    checksums = [primary.accepted_checksum()]
     for op in ops:
-        if op["op"] == "reserve":
-            if op["rid"] in decided:
-                continue  # replay: answered from the table, not logged
-            verdict = decide_reserve(scheduler, op)
-            decided[op["rid"]] = verdict
-            kind = "reserve"
-        else:
-            verdict = decide_cancel(scheduler, int(op["rid"]))
-            kind = "cancel"
+        kind = op["op"]
+        verdict, replayed = primary.apply(kind, op)
+        if replayed:
+            continue  # answered from the table, not logged
         records.append(
             {
                 "hwm": len(records) + 1,
@@ -83,8 +56,8 @@ def run_primary(ops):
                 "verdict": verdict,
             }
         )
-        states.append(scheduler.export_state())
-        checksums.append(accepted_checksum(decided))
+        states.append(primary.export(len(records)))
+        checksums.append(primary.accepted_checksum())
     return records, states, checksums
 
 
@@ -106,22 +79,45 @@ def ops_strategy():
 
 class TestReplicationProperty:
     @settings(max_examples=60, deadline=None)
-    @given(ops=ops_strategy(), data=st.data())
-    def test_any_log_prefix_reproduces_the_primary_state(self, ops, data):
-        """For ANY op sequence and ANY prefix cut k: a follower that has
-        applied records 1..k holds exactly the primary's state at hwm k
-        (scheduler export, decision table, checksum) — and the verdict
-        verification inside apply_record never trips on honest logs."""
+    @given(ops=ops_strategy())
+    def test_any_log_prefix_reproduces_the_primary_state(self, ops):
+        """For ANY op sequence, at EVERY prefix k: a follower that has
+        applied records 1..k exports the primary's snapshot state at hwm
+        k byte for byte (calendar with its uids and uid counter, decision
+        tables, hwm) — and the verdict verification inside apply_record
+        never trips on honest logs."""
         records, states, checksums = run_primary(ops)
-        k = data.draw(st.integers(min_value=0, max_value=len(records)))
         follower = Follower(FollowerConfig())
         follower.state = ServiceState(fresh_scheduler())
-        for record in records[:k]:
-            follower.apply_record(record)  # raises on any divergence
-        exported = follower.state.export(follower.cursor)
-        assert normalized(exported["scheduler"]) == normalized(states[k])
-        assert exported["log_hwm"] == k
-        assert accepted_checksum(follower.state.decided) == checksums[k]
+        for k in range(len(records) + 1):
+            if k:
+                follower.apply_record(records[k - 1])  # raises on any divergence
+            assert snapshot_bytes(follower.state.export(follower.cursor)) == snapshot_bytes(
+                states[k]
+            )
+            assert accepted_checksum(follower.state.decided) == checksums[k]
+
+    @settings(max_examples=40, deadline=None)
+    @given(ops=ops_strategy(), data=st.data())
+    def test_a_follower_bootstrapped_from_a_snapshot_exports_the_primary_bytes(
+        self, ops, data, tmp_path_factory
+    ):
+        """A follower that adopts the primary's snapshot at hwm j and then
+        replays j+1..k exports the primary's state at k byte for byte: the
+        snapshot carries the calendar's uid counter, so the periods the
+        follower creates are numbered as the primary's were."""
+        records, states, _ = run_primary(ops)
+        j = data.draw(st.integers(min_value=0, max_value=len(records)))
+        path = tmp_path_factory.mktemp("bootstrap") / "primary.snap"
+        write_snapshot(path, states[j])
+        follower = Follower(FollowerConfig())
+        follower.bootstrap_from_snapshot(path)
+        assert follower.cursor == j
+        for k in range(j + 1, len(records) + 1):
+            follower.apply_record(records[k - 1])
+            assert snapshot_bytes(follower.state.export(follower.cursor)) == snapshot_bytes(
+                states[k]
+            )
 
     @settings(max_examples=25, deadline=None)
     @given(ops=ops_strategy())
@@ -189,11 +185,7 @@ class TestOneDecisionPath:
         for record in tail["records"]:
             follower.apply_record(record)
         replayed = follower.state.export(follower.cursor)
-
-        def canonical(state):
-            return snapshot_bytes({**state, "scheduler": normalized(state["scheduler"])})
-
-        assert canonical(replayed) == canonical(exported)
+        assert snapshot_bytes(replayed) == snapshot_bytes(exported)
         assert sorted(replayed["admin_decided"]) == ["drain-0", "grow-1"]
         assert sorted(replayed["decided"]) == ["1", "2", "3", "4"]
 

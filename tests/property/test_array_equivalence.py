@@ -34,14 +34,14 @@ def period_pools(draw, max_size=300):
     # the N = 512 hot-path trace holds up to 288 periods in one tree
     n = draw(st.integers(min_value=0, max_value=max_size))
     periods = []
-    for _ in range(n):
+    for uid in range(n):
         a, b = draw(_times), draw(_times)
         lo, hi = min(a, b), max(a, b)
         if lo == hi:
             hi = lo + 1.0
         if draw(st.integers(0, 9)) == 0:
             hi = INF
-        periods.append(IdlePeriod(server=draw(st.integers(0, 15)), st=lo, et=hi))
+        periods.append(IdlePeriod(server=draw(st.integers(0, 15)), st=lo, et=hi, uid=uid))
     return periods
 
 
@@ -228,7 +228,7 @@ class TestOpStreamEquivalence:
     def test_apply_batch_missing_removal_raises(self, pool):
         arr = TwoDimTree()
         arr.bulk_load(pool)
-        ghost = IdlePeriod(server=0, st=1.0, et=2.0)
+        ghost = IdlePeriod(server=0, st=1.0, et=2.0, uid=-1)
         with pytest.raises(KeyError):
             arr.apply_batch([ghost], [])
 
@@ -298,7 +298,7 @@ def test_phase2_inf_need_equals_int_overshoot() -> None:
     exactly what a huge integer ``need`` with ``partial=True`` lists."""
     tree = TwoDimTree()
     tree.bulk_load(
-        [IdlePeriod(server=s, st=float(s % 5), et=float(50 + s)) for s in range(30)]
+        [IdlePeriod(server=s, st=float(s % 5), et=float(50 + s), uid=s) for s in range(30)]
     )
     _, marks = tree.phase1(10.0)
     full = tree.phase2(list(marks), 60.0, math.inf)

@@ -9,9 +9,7 @@ range-search commits, cancels, clock moves, drains and snapshot restores:
 
 * the calendar audits clean after every ``allocate``;
 * remnant uids are drawn left then right, period by period (the Phase-2
-  tie-break), above every stored uid;
-* the tail index stays sorted after a restore whose persisted uids exceed
-  the uid counter;
+  tie-break), above every stored uid — across snapshot restores too;
 * a handle taken before its server was drained is carved in the
   authoritative list only;
 * carving a *bounded* period (0.1 % of ``wide-tcp`` carves) notes
@@ -38,7 +36,7 @@ from repro.analysis.audit import audit_calendar
 from repro.core.calendar import AvailabilityCalendar
 from repro.core.opcount import NULL_COUNTER
 from repro.core.slot_tree import TwoDimTree
-from repro.core.types import INF, Request, uid_source
+from repro.core.types import INF, Request
 from repro.facade import CoAllocationScheduler
 
 from .test_horizon_invariant import N, Q, TAU, make_scheduler
@@ -46,11 +44,14 @@ from .test_horizon_invariant import N, Q, TAU, make_scheduler
 
 def watch(cal: AvailabilityCalendar) -> None:
     """Check every ``cal.allocate``: a clean audit, and remnant uids drawn
-    left then right, period by period, above every stored uid."""
+    from the calendar's counter left then right, period by period, above
+    every stored uid."""
     original = cal.allocate
 
     def allocate(periods, start, end, rid=0):
         stored = max((p.uid for ps in cal._server_periods for p in ps), default=-1)
+        first = cal._next_uid
+        assert first > stored
         reservations = original(periods, start, end, rid=rid)
         assert audit_calendar(cal) == []
         uids = []
@@ -60,9 +61,8 @@ def watch(cal: AvailabilityCalendar) -> None:
                 uids.append(remnants[(period.st, start)])
             if end < period.et:
                 uids.append(remnants[(end, period.et)])
-        if uids:
-            assert uids == list(range(uids[0], uids[0] + len(uids)))
-            assert uids[0] > stored
+        assert uids == list(range(first, first + len(uids)))
+        assert cal._next_uid == first + len(uids)
         return reservations
 
     cal.allocate = allocate  # type: ignore[method-assign]
@@ -77,12 +77,8 @@ def derived(cal: AvailabilityCalendar):
     return trees, list(cal._inf_keys), list(cal._inf_periods)
 
 
-def restored(scheduler: CoAllocationScheduler, uid_offset: int = 0) -> CoAllocationScheduler:
-    state = json.loads(json.dumps(scheduler.export_state()))
-    for server_periods in state["calendar"]["periods"]:
-        for entry in server_periods:
-            entry[2] += uid_offset
-    return CoAllocationScheduler.from_state(state)
+def restored(scheduler: CoAllocationScheduler) -> CoAllocationScheduler:
+    return CoAllocationScheduler.from_state(json.loads(json.dumps(scheduler.export_state())))
 
 
 @st.composite
@@ -92,7 +88,7 @@ def histories(draw):
         kind = draw(
             st.sampled_from(
                 ["reserve", "reserve", "reserve", "commit", "cancel", "advance",
-                 "drain", "drained_handle", "restore", "restore_high"]
+                 "drain", "drained_handle", "restore"]
             )
         )
         if kind == "reserve":
@@ -149,13 +145,67 @@ class TestOnePassCarve:
                 scheduler.advance(cal.now + a)
             elif kind == "drain":
                 scheduler.drain(int(a) % cal.n_servers)
-            elif kind in ("restore", "restore_high"):
-                # restore_high: every persisted uid above the live counter
-                offset = uid_source()() + 1000 if kind == "restore_high" else 0
-                scheduler = restored(scheduler, offset)
+            elif kind == "restore":
+                scheduler = restored(scheduler)
                 assert scheduler.calendar.dense == (indexing == "dense")
                 assert audit_calendar(scheduler.calendar) == []
                 watch(scheduler.calendar)
+
+
+def two_server_state(indexing: str, **changes):
+    """A hand-written two-server state with uids 1..3 and counter 5,
+    edited by ``changes``."""
+    state = {
+        "n_servers": 2, "tau": TAU, "q_slots": Q, "now": 0.0, "indexing": indexing,
+        "next_uid": 5, "pool": ["active", "active"],
+        "periods": [[[0.0, 5.0, 2], [15.0, None, 3]], [[0.0, None, 1]]],
+    }
+    return {**state, **changes}
+
+
+class TestRestoredUids:
+    """``from_state`` takes the uids and the counter as recorded, and
+    refuses a state no calendar could have exported."""
+
+    @pytest.mark.parametrize("indexing", ["tail", "dense"])
+    def test_a_uid_listed_twice_is_refused(self, indexing):
+        twice = [[[0.0, 5.0, 2], [15.0, None, 3]], [[0.0, None, 2]]]
+        with pytest.raises(ValueError, match="uid 2 twice"):
+            AvailabilityCalendar.from_state(two_server_state(indexing, periods=twice))
+
+    @pytest.mark.parametrize("next_uid", [3, 0, -1])
+    def test_a_counter_not_above_every_persisted_uid_is_refused(self, next_uid):
+        with pytest.raises(ValueError, match="not above every persisted uid"):
+            AvailabilityCalendar.from_state(two_server_state("tail", next_uid=next_uid))
+
+    @pytest.mark.parametrize("indexing", ["tail", "dense"])
+    def test_the_recorded_counter_is_kept(self, indexing):
+        cal = AvailabilityCalendar.from_state(two_server_state(indexing))
+        cal.validate()
+        assert cal.export_state() == two_server_state(indexing)
+        (trailing,) = cal.idle_periods(1)
+        cal.allocate([trailing], 2.0, 4.0)
+        assert [p.uid for p in cal.idle_periods(1)] == [5, 6]
+
+    def test_a_state_without_a_counter_counts_on_from_the_largest_uid(self):
+        state = two_server_state("tail")
+        del state["next_uid"]
+        cal = AvailabilityCalendar.from_state(state)
+        assert cal.export_state()["next_uid"] == 4
+        cal.release(0, 5.0, 15.0)
+        assert [p.uid for p in cal.idle_periods(0)] == [4]
+
+    @pytest.mark.parametrize("indexing", ["tail", "dense"])
+    def test_a_restored_calendar_numbers_on_as_the_original_would(self, indexing):
+        original = make_scheduler(indexing)
+        for rid in range(3):
+            original.schedule(Request(qr=0.0, sr=3.0 * rid, lr=TAU, nr=2, rid=rid))
+        clone = restored(original)
+        for scheduler in (original, clone):
+            scheduler.cancel(1)
+            scheduler.add_servers(1)
+            scheduler.schedule(Request(qr=0.0, sr=1.0, lr=2.0, nr=N, rid=9))
+        assert clone.export_state() == original.export_state()
 
 
 class NoteTree(TwoDimTree):
@@ -296,15 +346,10 @@ class TestFirstSlotAtTheHorizonStart:
         cal.validate()
 
 
-def state_digest(cal: AvailabilityCalendar, origin: int) -> str:
-    """A digest of ``export_state()`` with uids counted from ``origin``
-    (the global counter's value before the calendar drew any), so uid
-    order, every draw and every period must match byte for byte."""
-    state = cal.export_state()
-    for server_periods in state["periods"]:  # type: ignore[union-attr]
-        for entry in server_periods:
-            entry[2] -= origin
-    return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()[:16]
+def state_digest(cal: AvailabilityCalendar) -> str:
+    """A digest of ``export_state()``: every period, every uid and the uid
+    counter must match byte for byte."""
+    return hashlib.sha256(json.dumps(cal.export_state(), sort_keys=True).encode()).hexdigest()[:16]
 
 
 class TestFixedHistoryCounts:
@@ -313,7 +358,11 @@ class TestFixedHistoryCounts:
     and removals are counted in one ``add`` per call now, and must total
     the same.  A digest of its final state, pinned from the validating
     constructors the trusted ones replaced: the remnants must come out
-    with the same bounds and the same uids."""
+    with the same bounds and the same uids.  The digests were re-pinned
+    when the calendar took over uid numbering; the earlier pins are what
+    this export gives with ``next_uid`` dropped and every uid shifted by
+    the draws the process-global counter had made first (1 in tail mode,
+    17 in dense, where the scheduler's tail calendar drew 16 more)."""
 
     PINNED = {
         "tail": {
@@ -326,12 +375,11 @@ class TestFixedHistoryCounts:
         },
     }
 
-    STATE = {"tail": "41a3eb345002ea26", "dense": "de5ee21e66594dfe"}
+    STATE = {"tail": "579808d37d4524d8", "dense": "61948f91877f41c5"}
 
     @pytest.mark.parametrize("indexing", ["tail", "dense"])
     def test_counts_match_the_call_chain(self, indexing):
         rng = random.Random(26)
-        origin = uid_source()()
         scheduler = CoAllocationScheduler(n_servers=16, tau=TAU, q_slots=12, r_max=6)
         if indexing == "dense":
             dense = AvailabilityCalendar(16, TAU, 12, counter=scheduler.counter, indexing="dense")
@@ -356,4 +404,4 @@ class TestFixedHistoryCounts:
                 scheduler.advance(cal.now + rng.choice([1.0, TAU, 2.5 * TAU]))
         cal.validate()
         assert scheduler.counter.snapshot() == self.PINNED[indexing]
-        assert state_digest(cal, origin) == self.STATE[indexing]
+        assert state_digest(cal) == self.STATE[indexing]

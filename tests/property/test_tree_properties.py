@@ -22,7 +22,7 @@ _times = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False, width=32)
 def period_lists(draw, max_size=40):
     n = draw(st.integers(min_value=0, max_value=max_size))
     periods = []
-    for _ in range(n):
+    for uid in range(n):
         a = draw(_times)
         b = draw(_times)
         lo, hi = min(a, b), max(a, b)
@@ -30,7 +30,7 @@ def period_lists(draw, max_size=40):
             hi = lo + 1.0
         if draw(st.booleans()) and draw(st.integers(0, 9)) == 0:
             hi = INF  # occasional unbounded period
-        periods.append(IdlePeriod(server=draw(st.integers(0, 15)), st=lo, et=hi))
+        periods.append(IdlePeriod(server=draw(st.integers(0, 15)), st=lo, et=hi, uid=uid))
     return periods
 
 

@@ -5,9 +5,9 @@ and applies the notes, as one fused ``apply_batch``, when the tree is
 next read.  ``repro.verify.oracle.ReferenceTree`` updates eagerly.  Under any
 history of writes interleaved with any read, every read must answer what
 the eager tree answers — and the buffer's own rules (a remove cancels a
-pending insert, ``KeyError`` at the call and not at the flush, removals
-flushed before inserts, a kernel only once something is read) each get a
-case a mutation of that rule fails.
+pending insert, ``KeyError`` at the call and not at the flush, a kernel
+only once something is read) each get a case a mutation of that rule
+fails.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class TestBufferRules:
     def test_every_read_flushes(self, read):
         """Each read on its own sees a write made just before it."""
         tree = TwoDimTree()
-        p = IdlePeriod(server=0, st=1.0, et=90.0)
+        p = IdlePeriod(server=0, st=1.0, et=90.0, uid=0)
         tree.insert(p)
         if read == "contains":
             assert p in tree
@@ -69,7 +69,7 @@ class TestBufferRules:
             }[read]
             assert READS[read](tree, 5.0) == expected
         assert not tree._ins and tree._by_uid == {p.uid: p}
-        q = IdlePeriod(server=1, st=2.0, et=95.0)
+        q = IdlePeriod(server=1, st=2.0, et=95.0, uid=1)
         tree.insert(q)
         tree.remove(p)
         if read == "contains":
@@ -91,7 +91,7 @@ class TestBufferRules:
     def test_remove_of_pending_insert_cancels(self):
         counter = OpCounter()
         tree = TwoDimTree(counter)
-        p = IdlePeriod(server=0, st=1.0, et=2.0)
+        p = IdlePeriod(server=0, st=1.0, et=2.0, uid=0)
         tree.insert(p)
         tree.remove(p)
         assert not tree._ins and not tree._rem
@@ -103,7 +103,7 @@ class TestBufferRules:
 
     def test_reinsert_after_flush(self):
         tree, spec = TwoDimTree(), ReferenceTree()
-        p = IdlePeriod(server=0, st=1.0, et=20.0)
+        p = IdlePeriod(server=0, st=1.0, et=20.0, uid=0)
         for t in (tree, spec):
             t.insert(p)
         assert len(tree) == 1
@@ -117,10 +117,10 @@ class TestBufferRules:
 
     def test_key_error_is_raised_at_the_call(self):
         tree = TwoDimTree()
-        stored = IdlePeriod(server=0, st=1.0, et=20.0)
+        stored = IdlePeriod(server=0, st=1.0, et=20.0, uid=0)
         tree.insert(stored)
         assert len(tree) == 1
-        absent = IdlePeriod(server=1, st=3.0, et=9.0)
+        absent = IdlePeriod(server=1, st=3.0, et=9.0, uid=1)
         with pytest.raises(KeyError):
             tree.remove(absent)  # neither stored nor buffered
         tree.remove(stored)
@@ -129,23 +129,6 @@ class TestBufferRules:
         # neither failure left anything behind for the flush to trip on
         assert list(tree._rem) == [stored.uid] and not tree._ins
         assert len(tree) == 0
-
-    def test_removals_are_flushed_before_inserts(self):
-        """A uid can be handed over without a read in between (snapshot
-        restore re-creates periods under their persisted uids): the old
-        holder must leave before the new one enters."""
-        tree = TwoDimTree()
-        old = IdlePeriod(server=0, st=1.0, et=20.0)
-        filler = [IdlePeriod(server=s, st=float(s), et=50.0 + s) for s in range(1, 40)]
-        tree.bulk_load([old] + filler)
-        new = IdlePeriod(server=0, st=7.0, et=30.0, uid=old.uid)
-        tree.remove(old)
-        tree.insert(new)
-        assert tree._by_uid[old.uid] is old  # still only noted
-        stored = {p.uid: p for p in tree.periods()}
-        assert stored[old.uid] is new and len(stored) == 40
-        assert tree.range_search(7.0, 30.0)[0] is new
-        tree.validate()
 
 
 class TestCalendarLevel:
@@ -172,32 +155,36 @@ class TestCalendarLevel:
             assert after.get(name, 0) == before.get(name, 0) == 0
         cal.validate()
 
-    def test_dense_restore_reuses_uids_of_the_periods_it_replaces(self):
-        """``from_state`` drops the constructor's synthetic periods and adds
-        the recorded ones under their persisted uids; in a fresh process
-        those collide, and in dense mode both sit in the same trees."""
-        probe = IdlePeriod(server=0, st=0.0, et=1.0).uid
-        synthetic = [probe + 1 + server for server in range(3)]
+    def test_dense_restore_never_hands_a_uid_over(self):
+        """``from_state`` builds the recorded periods into an empty
+        calendar, so no slot tree holds a note to remove one holder of a
+        uid and insert another — even where the recorded uids are the
+        ones a fresh calendar gives its own first periods."""
         state = {
             "n_servers": 3,
             "tau": 10.0,
             "q_slots": 4,
             "now": 0.0,
             "indexing": "dense",
+            "next_uid": 102,
+            "pool": ["active"] * 3,
             "periods": [
-                [[0.0, 5.0, synthetic[1]], [15.0, None, synthetic[0]]],
-                [[0.0, None, synthetic[2]]],
-                [[0.0, 12.0, synthetic[0] + 100], [30.0, None, synthetic[1] + 100]],
+                [[0.0, 5.0, 1], [15.0, None, 0]],
+                [[0.0, None, 2]],
+                [[0.0, 12.0, 100], [30.0, None, 101]],
             ],
         }
         cal = AvailabilityCalendar.from_state(state)
-        assert [p.uid for p in cal.idle_periods(0)] == [synthetic[1], synthetic[0]]
+        assert sorted(cal._trees) == [0, 1, 2, 3]
+        for tree in cal._trees.values():
+            assert not tree._rem and tree._kernel is None
+        assert [p.uid for p in cal.idle_periods(0)] == [1, 0]
         cal.validate()
         assert sorted((p.server, p.st) for p in cal._trees[0].periods()) == [
             (0, 0.0),
             (1, 0.0),
             (2, 0.0),
         ]
-        assert cal.export_state()["periods"] == state["periods"]
+        assert cal.export_state() == state
         assert [p.server for p in cal.find_feasible(16.0, 25.0, 2)] == [0, 1]
         assert INF == cal._trees[1].max_end()

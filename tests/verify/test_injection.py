@@ -10,8 +10,12 @@ handful of operations, and (c) emit a self-contained failing pytest.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
+from repro.core.calendar import AvailabilityCalendar
+from repro.core.types import make_period
 from repro.verify.differ import (
     INJECTIONS,
     emit_pytest,
@@ -58,6 +62,46 @@ def test_shrink_reaches_a_tiny_repro(kind: str) -> None:
             seed=shrunk.stream.seed,
         )
         assert run_stream(pruned, inject=kind).divergence is None
+
+
+def test_remnant_uid_order_is_a_state_divergence() -> None:
+    """Production and oracle number their periods alike, so the differ
+    compares uids: a carve that draws the right remnant's uid before the
+    left one's is caught by the state comparison right after the first
+    reserve that leaves two remnants — not at some later tie-break."""
+    allocate = AvailabilityCalendar.allocate
+    paired: list[int] = []  # rids whose carve swapped a pair, in order
+
+    def right_remnant_first(self, periods, start, end, rid=0):  # type: ignore[no-untyped-def]
+        # one uid shift per remnant built: a period leaving two remnants
+        # gives its left remnant the right one's uid and vice versa
+        shifts: list[int] = []
+        for period in periods:
+            if period.st < start and end < period.et:
+                shifts += [1, -1]
+            elif period.st < start or end < period.et:
+                shifts.append(0)
+        if 1 in shifts:
+            paired.append(rid)
+        shift = iter(shifts)
+
+        def swapped(server, st, et, uid):  # type: ignore[no-untyped-def]
+            return make_period(server, st, et, uid + next(shift))
+
+        with mock.patch("repro.core.calendar.make_period", swapped):
+            return allocate(self, periods, start, end, rid)
+
+    stream = generate_stream("dense", 0, 400)
+    with mock.patch.object(AvailabilityCalendar, "allocate", right_remnant_first):
+        result = run_stream(stream)
+    assert paired, "no reserve carved a period into two remnants"
+    first = next(
+        index
+        for index, op in enumerate(stream.ops)
+        if op["kind"] == "reserve" and int(op["rid"]) == paired[0]
+    )
+    assert result.divergence is not None
+    assert (result.divergence.kind, result.divergence.index) == ("state", first)
 
 
 def test_emitted_pytest_is_self_contained(tmp_path) -> None:
