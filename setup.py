@@ -1,41 +1,10 @@
-"""Build shim: legacy editable installs + the optional compiled core.
+"""Build shim for legacy editable installs.
 
-Plain ``pip install -e .`` (or ``--no-use-pep517`` in offline
-environments without the ``wheel`` package) builds the pure-python
-package exactly as before.
-
-Setting ``REPRO_MYPYC=1`` in the build environment compiles the
-allocation kernel with mypyc::
-
-    REPRO_MYPYC=1 pip install -e .
-
-Only the monkeypatch-free leaf modules are compiled —
-``repro/core/_kernel.py`` (the array-backed slot-tree storage) and
-``repro/core/merge.py`` (the canonical Phase-2 k-way merge).  The
-wrapper modules around them (``slot_tree.py``, ``calendar.py``) stay
-interpreted on purpose: the audit engine's ``MutationAuditor``
-monkeypatches calendar methods and the differential fuzzer patches
-``TwoDimTree.phase2``, neither of which works on mypyc-compiled classes.
-
-At runtime ``REPRO_PURE_CORE=1`` forces the pure-python kernel even when
-the compiled extension is installed (see ``repro.core.slot_tree``); CI
-runs the benchmark under both and gates on checksum equality.
+Plain ``pip install -e .`` builds from ``pyproject.toml``; this file only
+lets ``pip install -e . --no-use-pep517`` work in offline environments
+without the ``wheel`` package.
 """
-
-import os
 
 from setuptools import setup
 
-ext_modules = []
-if os.environ.get("REPRO_MYPYC", "").strip().lower() not in ("", "0", "off", "false", "no"):
-    from mypyc.build import mypycify  # build-time dependency, opt-in only
-
-    ext_modules = mypycify(
-        [
-            "src/repro/core/_kernel.py",
-            "src/repro/core/merge.py",
-        ],
-        opt_level="3",
-    )
-
-setup(ext_modules=ext_modules)
+setup()

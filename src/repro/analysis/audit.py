@@ -9,7 +9,7 @@ index:
 
 Per-tree (``audit_tree``):
 
-* ``RA101`` — the kernel's cached leaf count and latest ending time
+* ``RA101`` — the tree's cached leaf count and latest ending time
   agree with its leaves;
 * ``RA103`` — leaves appear in strictly ascending ``(st, uid)`` order
   and each leaf equals its period's ``(st, uid, et)``;
@@ -138,16 +138,15 @@ class AuditError(AssertionError):
 def audit_tree(tree: "TwoDimTree", label: str = "tree") -> list[AuditFinding]:
     """Audit one slot tree; returns findings (empty == every invariant holds).
 
-    Reads the kernel's layout directly: ``leaves`` is the stored periods
-    as ``(st, uid, et)`` sorted ascending, ``count`` and ``max_et`` cache
-    its length and latest ending time, and ``secs`` maps each node
+    Reads the tree's storage directly: ``_leaves`` is the stored periods
+    as ``(st, uid, et)`` sorted ascending, ``_count`` and ``_max_et``
+    cache its length and latest ending time, and ``_secs`` maps each node
     ``(lo, hi)`` a search has bisected to the sorted ``(et, uid)`` keys
-    of ``leaves[lo:hi]``.  Period objects are resolved through the
-    wrapper's uid map.  The write buffer is checked against the uid map
-    (RA116) and otherwise left alone.
+    of ``_leaves[lo:hi]``.  Period objects are resolved through the uid
+    map.  The write buffer is checked against the uid map (RA116) and
+    otherwise left alone.
     """
     findings: list[AuditFinding] = []
-    kernel = tree._kernel
     by_uid = tree._by_uid
     for uid, period in tree._ins.items():
         if uid in by_uid or period.uid != uid:
@@ -166,28 +165,22 @@ def audit_tree(tree: "TwoDimTree", label: str = "tree") -> list[AuditFinding]:
                     "RA116", label, f"buffered removal of uid {uid} ({period}) is not stored"
                 )
             )
-    if kernel is None:  # never read: everything this tree holds is buffered
-        if by_uid:
-            findings.append(
-                AuditFinding("RA105", label, f"uid map holds {len(by_uid)} entrie(s), no kernel")
-            )
-        return findings
-    leaves: list[tuple[float, int, float]] = kernel.leaves
+    leaves = tree._leaves
 
     # RA101: the cached summary
-    if kernel.count != len(leaves):
+    if tree._count != len(leaves):
         findings.append(
             AuditFinding(
                 "RA101",
                 label,
-                f"kernel caches count {kernel.count} but the tree holds {len(leaves)} leaves",
+                f"tree caches count {tree._count} but holds {len(leaves)} leaves",
             )
         )
     latest = max((leaf[2] for leaf in leaves), default=-INF)
-    if kernel.max_et != latest:
+    if tree._max_et != latest:
         findings.append(
             AuditFinding(
-                "RA101", label, f"kernel caches max end {kernel.max_et} but the latest is {latest}"
+                "RA101", label, f"tree caches max end {tree._max_et} but the latest is {latest}"
             )
         )
 
@@ -224,7 +217,7 @@ def audit_tree(tree: "TwoDimTree", label: str = "tree") -> list[AuditFinding]:
             )
 
     # RA104 / RA106: every materialised secondary is the sorted slice it names
-    for (lo, hi), sec in kernel.secs.items():
+    for (lo, hi), sec in tree._secs.items():
         where = f"{label}/node[{lo}:{hi}]"
         if any(sec[i] > sec[i + 1] for i in range(len(sec) - 1)):
             findings.append(AuditFinding("RA104", where, "sec keys not sorted ascending"))
@@ -255,8 +248,7 @@ def _effective_periods(tree: "TwoDimTree") -> list[IdlePeriod]:
     """
     by_uid = tree._by_uid
     removed = tree._rem
-    uids = tree._kernel.uids_inorder() if tree._kernel is not None else []
-    stored = (by_uid.get(uid) for uid in uids if uid not in removed)
+    stored = (by_uid.get(uid) for _st, uid, _et in tree._leaves if uid not in removed)
     return [p for p in stored if p is not None] + list(tree._ins.values())
 
 
@@ -612,9 +604,8 @@ def _pick_tree(
 def corrupt_size_field(cal: "AvailabilityCalendar") -> str:
     """Break the cached leaf count; the audit must report RA101."""
     tree = _pick_tree(cal, lambda t: len(t) >= 2)
-    kernel = tree._kernel
-    kernel.count += 1
-    return f"incremented cached count to {kernel.count} in a tree of {len(kernel.leaves)} leaves"
+    tree._count += 1
+    return f"incremented cached count to {tree._count} in a tree of {len(tree._leaves)} leaves"
 
 
 def corrupt_secondary_key(cal: "AvailabilityCalendar") -> str:
@@ -623,7 +614,7 @@ def corrupt_secondary_key(cal: "AvailabilityCalendar") -> str:
     tree = _pick_tree(cal, lambda t: len(t) >= 2 and min(p.et for p in t.periods()) != INF)
     # a search over every leaf materialises the secondary of each mark
     tree.range_search(INF, -INF)
-    sec = min(tree._kernel.secs.values())  # the one holding the earliest (finite) end
+    sec = min(tree._secs.values())  # the one holding the earliest (finite) end
     et, uid = sec[0]
     sec[0] = (et + 1.0, uid)
     return f"drifted secondary key of uid {uid} from et={et} to et={et + 1.0}"

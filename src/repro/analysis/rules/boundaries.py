@@ -3,11 +3,11 @@
 ``RA007`` keeps slot-tree internals private: the update invariants (the
 sorted leaf array and its cached summary, the materialised secondary
 indexes, the per-tree uid map) are maintained by ``core/slot_tree.py``
-and its kernel alone, and any outside reader becomes
-an outside *mutator* one refactor later.  ``RA008`` enforces the
-``ScheduleOutcome`` contract: the attempt count on rejection is
-``outcome.attempts`` (a deadline/horizon early exit performs fewer than
-``R_max`` attempts), never the scheduler's ``r_max`` parameter.
+alone, and any outside reader becomes an outside *mutator* one refactor
+later.  ``RA008`` enforces the ``ScheduleOutcome`` contract: the attempt
+count on rejection is ``outcome.attempts`` (a deadline/horizon early
+exit performs fewer than ``R_max`` attempts), never the scheduler's
+``r_max`` parameter.
 """
 
 from __future__ import annotations
@@ -19,20 +19,14 @@ from .base import LintContext, Rule, Violation
 
 __all__ = ["SlotTreeInternalsRule", "OutcomeContractRule"]
 
-#: attributes that exist only on slot-tree internals: the wrapper's
-#: (``_kernel``/``_by_uid``) and the kernel's (``leaves``/``secs``/``max_et``)
-_PRIVATE_ATTRS = frozenset({"_by_uid", "_kernel", "leaves", "secs", "max_et"})
+#: attributes that exist only on slot-tree internals: the uid map and
+#: the sorted leaves with their cached count, maximum and secondaries
+_PRIVATE_ATTRS = frozenset({"_by_uid", "_leaves", "_secs", "_max_et", "_count"})
 
-#: names private to the kernel/tree modules that must not be imported
-#: elsewhere (``TreeKernel`` is the kernel's storage class)
-_PRIVATE_IMPORTS = frozenset({"TreeKernel"})
-
-#: modules allowed to touch them: the tree itself (wrapper and kernel)
-#: and the designated invariant auditor (whose whole job is inspecting
-#: internals)
+#: modules allowed to touch them: the tree itself and the designated
+#: invariant auditor (whose whole job is inspecting internals)
 _ALLOWED_MODULES = (
     "core/slot_tree.py",
-    "core/_kernel.py",
     "analysis/audit.py",
 )
 
@@ -53,13 +47,7 @@ class SlotTreeInternalsRule(Rule):
 
     def check(self, ctx: LintContext) -> Iterator[Violation]:
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    if alias.name in _PRIVATE_IMPORTS:
-                        yield self.violation(
-                            ctx, node, f"{alias.name} is private to the slot-tree modules"
-                        )
-            elif isinstance(node, ast.Attribute) and node.attr in _PRIVATE_ATTRS:
+            if isinstance(node, ast.Attribute) and node.attr in _PRIVATE_ATTRS:
                 yield self.violation(
                     ctx,
                     node,

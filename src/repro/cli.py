@@ -661,43 +661,10 @@ def _cmd_swf_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    import importlib.util
-    import os
-
-    # cProfile only sees python frames: under a compiled (mypyc) core the
-    # entire kernel would vanish from the hot list and the report would be
-    # silently empty.  Detect the compiled extension *before* the core is
-    # imported and force the pure-python fallback for this process — the
-    # two are checksum-equivalent, so the pure profile names the same hot
-    # path the compiled build runs.
-    note = None
-    kernel_spec = importlib.util.find_spec("repro.core._kernel")
-    kernel_compiled = (
-        kernel_spec is not None
-        and kernel_spec.origin is not None
-        and not kernel_spec.origin.endswith(".py")
-    )
-    if kernel_compiled and "repro.core.slot_tree" not in sys.modules:
-        os.environ["REPRO_PURE_CORE"] = "1"
-    from .core.slot_tree import backend_info
     from .schedulers.online import OnlineScheduler
     from .schedulers.profile import profile_call
     from .sim.replay import replay
     from .workloads.stress import stress_workload
-
-    backend = backend_info()
-    if kernel_compiled and not backend["compiled"]:
-        note = (
-            "compiled core detected: profiling the pure-python fallback "
-            "(compiled frames are invisible to cProfile; outcomes are "
-            "checksum-identical across backends)"
-        )
-    elif bool(backend["compiled"]):  # pragma: no cover - import-order guard
-        note = (
-            "WARNING: the compiled core was already imported before profiling "
-            "could force the fallback — the hot list below will miss every "
-            "compiled frame; re-run with REPRO_PURE_CORE=1"
-        )
 
     requests = stress_workload(
         n_requests=args.requests,
@@ -710,11 +677,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     scheduler = OnlineScheduler(n_servers=args.servers, tau=args.tau, q_slots=args.q_slots)
     report = profile_call(replay, scheduler, requests, record_latencies=False)
     result = report.result
-    if note:
-        print(note)
     print(
         f"replayed {args.requests} requests on {args.servers} servers "
-        f"(rho {args.rho:g}, load {args.load:g}, {backend['backend']} core): "
+        f"(rho {args.rho:g}, load {args.load:g}): "
         f"{result.requests_per_sec:.1f} req/s under cProfile"
     )
     print(report.stats_text(sort=args.sort, limit=args.limit))

@@ -11,26 +11,19 @@ Both dimensions are *implicit* trees over sorted arrays.  The primary is
 one list of leaves sorted by ``(st, uid)``: the node over ``leaves[lo:hi]``
 splits at ``mid = (lo + hi + 1) // 2``, so "child", "subtree size" and
 "split key" are index arithmetic and the tree is perfectly balanced by
-construction.  A node's secondary is the sorted ``(et, uid)`` array of its
-leaves, on which the Phase-2 median-split search is literally a binary
-search (``bisect``); it is materialised when a search first bisects that
-node and dropped by the next update.  The paper's search bounds hold:
-Phase 1 visits ``O(log N)`` nodes and marks ``O(log N)`` subtrees, Phase 2
-costs ``O((log N)^2)`` once the marked secondaries exist.  An update is
-one array pass — drop, append, re-sort — per *read* slot (below) where
-the paper pays ``O(log^2 N)`` per period per slot; for the tree sizes a
-slot holds that pass is the cheaper of the two (DESIGN.md §13).
-
-The storage lives in :class:`repro.core._kernel.TreeKernel`, which mypyc
-compiles to a C extension when the package is built with
-``REPRO_MYPYC=1`` (see ``docs/algorithm.md``).  This module is the thin
-uncompiled boundary around it: it owns the
-uid → :class:`~repro.core.types.IdlePeriod` map (the kernel speaks
-``(st, et, uid)`` primitives only), the **write buffer** (below), folds
-the kernel's per-call accounting into the shared
-:class:`~repro.core.opcount.OpCounter`, and — because it stays pure
-python — remains monkeypatchable by the differ's bug injectors and the
-audit engine's mutation wrappers.
+construction — no node objects, links, size fields or balance factor to
+keep right.  A node *is* its ``(lo, hi)`` pair, and so is a Phase-1 mark.
+A node's secondary is the sorted ``(et, uid)`` array of its leaves, on
+which the Phase-2 median-split search is literally a binary search
+(``bisect``); it is materialised when a search first bisects that node
+and dropped by the next update.  The paper's search bounds hold: Phase 1
+visits ``O(log N)`` nodes and marks ``O(log N)`` subtrees, Phase 2 costs
+``O((log N)^2)`` once the marked secondaries exist.  An update is one
+array pass — drop, append, re-sort — per *read* slot (below) where the
+paper pays ``O(log^2 N)`` per period per slot; for the few dozen periods
+a slot holds that pass is the cheaper of the two (DESIGN.md §13 has the
+measured traffic and the tree size at which a dynamic tree would win
+again).
 
 **Writes are noted, trees are built on read.**  The paper's update rule
 registers a remnant in the tree of every slot it overlaps, but most of
@@ -41,23 +34,10 @@ period still raised at the call — and every read (``phase1``,
 ``max_end``, ``len``, ``in``, ``periods`` and what is built on them)
 first applies the buffer as one :meth:`TwoDimTree.apply_batch`.  An
 insert and a remove of the same period that meet in the buffer cancel
-and never reach the kernel.  Nothing observable depends on *when* the
-kernel is updated: Phase 2 is a pure function of stored content, and
+and never reach the leaves.  Nothing observable depends on *when* the
+leaves are updated: Phase 2 is a pure function of stored content, and
 elementary operations are counted when they happen, at the flush.
 DESIGN.md §11 has the measurements behind this.
-
-Backend selection happens once, at import:
-
-* normally ``repro.core._kernel`` is imported the usual way, resolving to
-  the compiled extension when one was built and the pure-python source
-  otherwise;
-* ``REPRO_PURE_CORE=1`` in the environment forces the pure-python source
-  to be loaded even when the compiled extension exists — the
-  checksum-gated fallback (CI asserts both backends produce bit-identical
-  outcome checksums) and the escape hatch ``repro profile`` uses, since
-  compiled frames are invisible to cProfile.
-
-:func:`backend_info` reports which backend this process actually runs.
 
 The reference this is lock-stepped against is the flat-list
 :class:`repro.verify.oracle.ReferenceTree` (linear scans and ``sorted``;
@@ -76,69 +56,79 @@ Invariants (exercised by ``validate()`` and the property tests):
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import os
-import sys
-from types import ModuleType
-from typing import Any, Iterator
+from bisect import bisect_left
+from heapq import heapify, heappop, heapreplace
+from typing import Iterator, Sequence, TypeVar
 
 from .opcount import NULL_COUNTER, OpCounter
 from .types import IdlePeriod
 
-__all__ = ["TwoDimTree", "backend_info"]
-
-
-def _pure_kernel_module() -> ModuleType:
-    """Load ``_kernel.py`` from source, bypassing any compiled extension.
-
-    Registered under its own name (``repro.core._kernel_pure``) so the
-    compiled module — if present — keeps its identity for anything that
-    imported it directly.
-    """
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.py")
-    spec = importlib.util.spec_from_file_location("repro.core._kernel_pure", path)
-    if spec is None or spec.loader is None:  # pragma: no cover - broken install
-        raise ImportError(f"cannot load pure-python kernel from {path}")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["repro.core._kernel_pure"] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-#: True when ``REPRO_PURE_CORE`` demands the pure-python kernel.
-_FORCE_PURE: bool = os.environ.get("REPRO_PURE_CORE", "").strip().lower() not in (
-    "",
-    "0",
-    "off",
-    "false",
-    "no",
-)
-
-from . import _kernel as _kernel_mod  # noqa: E402 - needs _FORCE_PURE first
-
-_impl: ModuleType = (
-    _pure_kernel_module() if _FORCE_PURE and _kernel_mod.IS_COMPILED else _kernel_mod
-)
-
-_TreeKernel: Any = _impl.TreeKernel
+__all__ = ["TwoDimTree", "backend_info", "merge_earliest"]
 
 
 def backend_info() -> dict[str, object]:
-    """Which slot-tree kernel this process runs.
+    """The slot-tree implementation this process runs — always the one.
 
-    ``backend`` is ``"compiled"`` (mypyc extension) or ``"pure-python"``;
-    ``forced_pure`` records whether ``REPRO_PURE_CORE`` overrode a
-    compiled build.  Benchmarks embed this next to their checksums so a
-    recorded number always names the backend that produced it.
+    Benchmarks embed this next to their checksums; it is a constant
+    since the package has a single, interpreted build (DESIGN.md §17).
     """
-    compiled = bool(_impl.IS_COMPILED)
-    return {
-        "backend": "compiled" if compiled else "pure-python",
-        "compiled": compiled,
-        "forced_pure": _FORCE_PURE,
-        "module": str(getattr(_impl, "__file__", "<unknown>")),
-    }
+    return {"backend": "pure-python", "compiled": False}
+
+
+_Item = TypeVar("_Item", bound=tuple)  # type: ignore[type-arg]
+
+
+def merge_earliest(
+    runs: Sequence[tuple[Sequence[_Item], int]], need: int
+) -> list[_Item]:
+    """Merge ascending ``runs`` and return the smallest ``need`` items.
+
+    Parameters
+    ----------
+    runs:
+        ``(keys, start)`` pairs: ``keys`` is sorted ascending and only
+        ``keys[start:]`` participates.  Runs whose suffix is empty are
+        skipped, so callers may pass them unfiltered.
+    need:
+        Maximum number of items to take; the result is shorter only when
+        the runs are collectively shorter.
+
+    The items' relative order is total across runs (the callers' keys
+    carry a unique ``(et, uid)`` prefix), so the output is independent of
+    run partitioning: however the tree's shape splits the stored periods
+    across marked subtrees, merging them equals slicing the one global
+    ``(et, uid)`` order.  Cost is ``O(need · log k)`` for ``k`` live
+    runs, with a zero-copy slice fast path when only one run is live.
+    """
+    if need <= 0:
+        return []
+    live: list[tuple[Sequence[_Item], int]] = [
+        (keys, idx) for keys, idx in runs if idx < len(keys)
+    ]
+    if not live:
+        return []
+    if len(live) == 1:
+        keys, idx = live[0]
+        return list(keys[idx : idx + need])
+    heap: list[tuple[_Item, int, int]] = [
+        (keys[idx], run, idx) for run, (keys, idx) in enumerate(live)
+    ]
+    heapify(heap)
+    out: list[_Item] = []
+    out_append = out.append
+    taken = 0
+    while heap and taken < need:
+        item, run, idx = heap[0]
+        out_append(item)
+        taken += 1
+        idx += 1
+        keys = live[run][0]
+        if idx < len(keys):
+            heapreplace(heap, (keys[idx], run, idx))
+        else:
+            heappop(heap)
+    return out
 
 
 class TwoDimTree:
@@ -147,7 +137,7 @@ class TwoDimTree:
     :meth:`insert` and :meth:`remove` only *note* the period; whoever
     reads the tree next pays for one fused :meth:`apply_batch` of
     everything noted since the last read.  A tree nobody reads before it
-    is discarded never builds a kernel at all.
+    is discarded never stores or counts anything.
 
     Parameters
     ----------
@@ -156,59 +146,56 @@ class TwoDimTree:
         operation counts; defaults to a do-nothing counter.
     """
 
-    __slots__ = ("_kernel", "_counter", "_by_uid", "_ins", "_rem")
+    __slots__ = ("_counter", "_by_uid", "_ins", "_rem", "_leaves", "_count", "_max_et", "_secs")
 
     def __init__(self, counter: OpCounter = NULL_COUNTER) -> None:
-        #: the stored tree; ``None`` until the first read
-        self._kernel: Any = None
         self._counter = counter
-        #: uid -> period for everything *stored* in the kernel; resolves
-        #: secondary keys
+        #: uid -> period for everything stored; resolves secondary keys
         self._by_uid: dict[int, IdlePeriod] = {}
         #: the write buffer, by uid: periods noted for removal (always
         #: stored) and for insertion (never stored)
         self._ins: dict[int, IdlePeriod] = {}
         self._rem: dict[int, IdlePeriod] = {}
+        #: stored periods as ``(st, uid, et)``, ascending — ``(st, uid)``
+        #: is unique, so the ordering never consults ``et``
+        self._leaves: list[tuple[float, int, float]] = []
+        #: ``len(_leaves)``, the root node's upper bound
+        self._count = 0
+        #: latest ending time of any leaf; ``-inf`` when empty
+        self._max_et = -math.inf
+        #: node ``(lo, hi)`` -> its secondary index, for the nodes a
+        #: search has bisected since the last update
+        self._secs: dict[tuple[int, int], list[tuple[float, int]]] = {}
 
     # ------------------------------------------------------------------
-    # basic protocol
+    # basic protocol (every read applies the write buffer first)
     # ------------------------------------------------------------------
-
-    def _stored(self) -> Any:
-        """The kernel with the write buffer applied — every read's first step."""
-        if self._ins or self._rem:
-            self._flush()
-        k = self._kernel
-        if k is None:
-            k = self._kernel = _TreeKernel()
-        return k
 
     def __len__(self) -> int:
-        return int(self._stored().count)
+        if self._ins or self._rem:
+            self._flush()
+        return self._count
 
     def __contains__(self, period: IdlePeriod) -> bool:
-        self._stored()
+        if self._ins or self._rem:
+            self._flush()
         return period.uid in self._by_uid
 
     def max_end(self) -> float:
         """Latest ending time of any stored period; ``-inf`` when empty.
 
-        O(1) on a tree with nothing buffered: the kernel caches the
-        maximum at each update.
+        O(1) on a tree with nothing buffered: the maximum is cached at
+        each update.
         """
-        # the retry ladder's per-rung read: _stored() inlined, and an
-        # untouched slot answers without being given a kernel
         if self._ins or self._rem:
             self._flush()
-        k = self._kernel
-        if k is None:
-            return -math.inf
-        latest: float = k.max_et
-        return latest
+        return self._max_et
 
     def periods(self) -> Iterator[IdlePeriod]:
         """All stored idle periods in ascending start-time order."""
-        uids = self._stored().uids_inorder()
+        if self._ins or self._rem:
+            self._flush()
+        uids = [uid for _st, uid, _et in self._leaves]
         by_uid = self._by_uid
         return (by_uid[uid] for uid in uids)
 
@@ -229,7 +216,7 @@ class TwoDimTree:
         Raises ``KeyError`` *now*, not at the flush, when the period is
         neither stored nor buffered or its removal is already buffered.
         Removing a period whose insertion is still buffered cancels the
-        pair: the kernel never sees either.
+        pair: the leaves never see either.
         """
         uid = period.uid
         if self._ins.pop(uid, None) is None:
@@ -248,27 +235,42 @@ class TwoDimTree:
     def apply_batch(self, removals: list[IdlePeriod], inserts: list[IdlePeriod]) -> None:
         """Apply removals, then insertions, to the stored tree in one pass.
 
-        The one place slot-tree update work happens (:meth:`bulk_load` is
-        the same kernel path on an empty tree): each read hands the write
-        buffer here as one kernel call.  Called directly, anything still
+        The one place slot-tree update work happens (:meth:`bulk_load`
+        shares its splice on an empty tree): each read hands the write
+        buffer here as one call.  Called directly, anything still
         buffered is applied first.  Raises ``KeyError`` when a removal is
         not stored or is listed twice — the batch is checked before it is
         applied, so the tree, its uid map and the counter are then
         exactly what they were.
         """
-        k = self._stored()
-        ok = k.apply_batch(
-            [(p.st, p.et, p.uid) for p in removals],
-            [(p.st, p.et, p.uid) for p in inserts],
-        )
-        if not ok:
-            raise KeyError("batch removal of an idle period not in tree")
+        if self._ins or self._rem:
+            self._flush()
+        self._splice(removals, inserts)
         by_uid = self._by_uid
         for p in removals:
             del by_uid[p.uid]
         for p in inserts:
             by_uid[p.uid] = p
-        self._counter.add_batch(len(inserts), len(removals), k.count)
+        self._counter.add_batch(len(inserts), len(removals), self._count)
+
+    def _splice(self, removals: list[IdlePeriod], inserts: list[IdlePeriod]) -> None:
+        """Drop the removed uids, append the inserts, re-sort — one pass,
+        near-linear because the survivors are already in order — and
+        refresh the cached count and maximum; secondaries are dropped."""
+        kept = self._leaves
+        if removals:
+            drop = {p.uid for p in removals}
+            kept = [leaf for leaf in kept if leaf[1] not in drop]
+            if len(drop) != len(removals) or len(kept) != len(self._leaves) - len(drop):
+                raise KeyError("batch removal of an idle period not in tree")
+        if inserts:
+            # in place when nothing was dropped: no failure can follow
+            kept += [(p.st, p.uid, p.et) for p in inserts]
+            kept.sort()
+        self._leaves = kept
+        self._count = len(kept)
+        self._max_et = max([et for _st, _uid, et in kept]) if kept else -math.inf
+        self._secs = {}
 
     def bulk_load(self, periods: list[IdlePeriod]) -> None:
         """Replace the tree contents with ``periods`` in O(k log k), eagerly.
@@ -279,7 +281,8 @@ class TwoDimTree:
         self._ins.clear()
         self._rem.clear()
         self._by_uid = {p.uid: p for p in periods}
-        self._stored().bulk_load([(p.st, p.et, p.uid) for p in periods])
+        self._leaves = []
+        self._splice([], periods)
         if periods:
             self._counter.add("rebuild", len(periods))
 
@@ -290,19 +293,37 @@ class TwoDimTree:
     def phase1(self, sr: float) -> tuple[int, list[tuple[int, int]]]:
         """Locate every *candidate* idle period (``st <= sr``).
 
-        Returns the candidate count and the marked subtree roots (kernel
-        nodes, each a ``(lo, hi)`` leaf range) in marking order
-        (ascending start ranges).  Phase 2
-        merges their secondary indexes into one canonical feasibility
-        order, so the partition produced here is an implementation detail
-        — only the union of the marked leaves matters.  Marks are only
-        valid until the next read of this tree that follows an update
-        (updates are buffered; :meth:`phase2` itself never flushes).
+        Walks the implicit tree from ``(0, count)`` and returns the
+        candidate count and the marked subtree roots (each a ``(lo, hi)``
+        leaf range) in marking order (ascending start ranges); together
+        they tile the ``st <= sr`` prefix.  Phase 2 merges their
+        secondary indexes into one canonical feasibility order, so the
+        partition produced here is an implementation detail — only the
+        union of the marked leaves matters.  Marks are only valid until
+        the next read of this tree that follows an update (updates are
+        buffered; :meth:`phase2` itself never flushes).
         """
-        k = self._stored()
-        count, marks = k.phase1(sr)
-        self._counter.add_search(k.last_visits, len(marks), 0, 0)
-        return int(count), list(marks)
+        if self._ins or self._rem:
+            self._flush()
+        leaves = self._leaves
+        marks: list[tuple[int, int]] = []
+        visits = 0
+        lo = 0
+        hi = self._count
+        while lo < hi:
+            visits += 1
+            mid = (lo + hi + 1) // 2
+            if leaves[mid - 1][0] <= sr:
+                # every leaf of the left child starts at or before sr
+                marks.append((lo, mid))
+                lo = mid
+            elif mid == hi:
+                break  # a single leaf, and it starts after sr
+            else:
+                hi = mid
+        self._counter.add_search(visits, len(marks), 0, 0)
+        # the marks tile the prefix [0, lo)
+        return lo, marks
 
     def phase2(
         self,
@@ -324,10 +345,10 @@ class TwoDimTree:
         the choice a pure function of the stored periods: a calendar
         rebuilt from a snapshot selects byte-identical servers, which is
         the reservation service's restart guarantee.  The merge itself is
-        :func:`~repro.core.merge.merge_earliest`, whose output does not
-        depend on how the periods are partitioned into runs.  The
-        bound is unchanged — ``O(log N)`` bisects of ``O(log N)`` marks
-        plus ``O(need · log log N)`` heap pops.
+        :func:`merge_earliest`, whose output does not depend on how the
+        periods are partitioned into runs.  The bound is unchanged —
+        ``O(log N)`` bisects of ``O(log N)`` marks plus
+        ``O(need · log log N)`` heap pops.
 
         Returns the chosen periods, or ``None`` when fewer than ``need``
         are feasible — unless ``partial`` is set, in which case whatever
@@ -336,15 +357,32 @@ class TwoDimTree:
         feasible period (range searches), in ascending ``(et, uid)``
         order.
         """
-        k = self._kernel
-        need_int = -1 if need == math.inf else int(need)
-        chosen = k.phase2(marks, er, need_int, partial)
-        if chosen is None:
-            self._counter.add_search(0, 0, k.last_probes, 0)
+        bound = (er, -1)
+        probes = 0
+        avail = 0
+        runs: list[tuple[list[tuple[float, int]], int]] = []
+        secs = self._secs
+        for mark in marks:
+            ks = secs.get(mark)
+            if ks is None:
+                # built once per node per update, then only bisected
+                lo, hi = mark
+                ks = sorted(  # repro: noqa: RA002
+                    [(et, uid) for _st, uid, et in self._leaves[lo:hi]]
+                )
+                secs[mark] = ks
+            idx = bisect_left(ks, bound)
+            probes += len(ks).bit_length()
+            if idx < len(ks):
+                avail += len(ks) - idx
+                runs.append((ks, idx))
+        take = avail if need == math.inf else int(need)
+        if avail < take and not partial:
+            self._counter.add_search(0, 0, probes, 0)
             return None
         by_uid = self._by_uid
-        out = [by_uid[key[1]] for key in chosen]
-        self._counter.add_search(0, 0, k.last_probes, len(out))
+        out = [by_uid[uid] for _et, uid in merge_earliest(runs, take)]
+        self._counter.add_search(0, 0, probes, len(out))
         return out
 
     def find_feasible(self, sr: float, er: float, nr: int) -> list[IdlePeriod] | None:
@@ -383,7 +421,8 @@ class TwoDimTree:
 
         # test support for the tree as its readers see it; the audits
         # themselves never flush (see audit_calendar)
-        self._stored()
+        if self._ins or self._rem:
+            self._flush()
         findings = audit_tree(self)
         if findings:
             raise AuditError(findings)

@@ -201,12 +201,12 @@ class TestMutationAuditor:
             scheduler = OnlineScheduler(n_servers=8, tau=900.0, q_slots=96)
             replay(scheduler, requests, record_latencies=False, audit_stride=stride)
             buffered = {
-                q: (len(t._ins), len(t._rem), t._kernel is None)
+                q: (len(t._ins), len(t._rem), list(t._leaves))
                 for q, t in scheduler.calendar._trees.items()
             }
             runs.append((scheduler.counter.snapshot(), buffered))
         assert runs[0] == runs[1]
-        assert any(ins for ins, _rem, _unbuilt in runs[0][1].values())
+        assert any(ins for ins, _rem, _leaves in runs[0][1].values())
 
     def test_ledger_tampering_reports_ra114(self):
         cal = AvailabilityCalendar(n_servers=4, tau=900.0, q_slots=96)

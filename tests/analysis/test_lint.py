@@ -24,6 +24,7 @@ CASES = [
     ("core/bad_wall_clock.py", "RA005", 7),
     ("sim/bad_unseeded.py", "RA006", 7),
     ("apps/bad_internals.py", "RA007", 5),
+    ("apps/bad_leaves.py", "RA007", 5),
     ("apps/bad_outcome.py", "RA008", 8),
     ("service/bad_actor_call.py", "RA009", 5),
     ("service/bad_lost_update.py", "RA201", 8),

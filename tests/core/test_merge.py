@@ -7,7 +7,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.merge import merge_earliest
+from repro.core.slot_tree import merge_earliest
 
 
 @given(

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.analysis.audit import audit_tree
 from repro.core.opcount import OpCounter
 from repro.core.slot_tree import TwoDimTree
 from repro.core.types import INF, IdlePeriod
@@ -153,6 +154,122 @@ class TestFailedBatchChangesNothing:
         tree.apply_batch(periods[:n_real], incoming)
         assert len(tree) == 100
         tree.validate()
+
+
+class TestEmptyTreeBulkPath:
+    """A batch is settled by one sort however its keys arrive."""
+
+    def test_same_start_ascending_uid_batch_is_built_not_walked(self):
+        # what a wide reservation leaves in one slot: equal starts, ever
+        # larger uids — the worst case for one-by-one insertion
+        periods = [IdlePeriod(server=s, st=100.0, et=200.0 + s, uid=s) for s in range(64)]
+        counter = OpCounter()
+        tree = TwoDimTree(counter)
+        tree.apply_batch([], periods)
+        assert len(tree) == 64 and tree.max_end() == 263.0
+        assert audit_tree(tree) == []
+        assert [p.uid for p in tree.periods()] == [p.uid for p in periods]
+        # the implied tree is perfectly balanced: a full-prefix walk takes
+        # one step per level
+        counter.reset()
+        count, marks = tree.phase1(100.0)
+        assert count == 64
+        assert counter.get("node_visit") == len(marks) == math.ceil(math.log2(64)) + 1
+
+    def test_bulk_load_is_a_batch_on_an_empty_tree(self):
+        old = [IdlePeriod(server=s, st=float(s), et=9.0, uid=s) for s in range(5)]
+        new = [IdlePeriod(server=s, st=5.0 - s, et=20.0 + s, uid=5 + s) for s in range(3)]
+        loaded, batched = TwoDimTree(), TwoDimTree()
+        loaded.bulk_load(old)
+        loaded.bulk_load(new)
+        batched.apply_batch([], new)
+        assert loaded._leaves == batched._leaves
+        assert (len(loaded), loaded.max_end()) == (len(batched), batched.max_end()) == (3, 22.0)
+        assert audit_tree(loaded) == []
+        loaded.bulk_load([])
+        assert (loaded._leaves, len(loaded), loaded.max_end()) == ([], 0, -math.inf)
+
+    def test_removal_from_an_empty_tree_fails(self):
+        ghosts = [IdlePeriod(server=s, st=1.0, et=2.0, uid=s) for s in range(3)]
+        for removals, inserts in ((ghosts[:1], []), (ghosts[:1], ghosts[1:])):
+            tree = TwoDimTree()
+            with pytest.raises(KeyError):
+                tree.apply_batch(removals, inserts)
+            assert len(tree) == 0 and tree._leaves == [] and not tree._by_uid
+
+
+class TestImplicitTree:
+    """Phase 1 walks the ``mid = (lo + hi + 1) // 2`` tree, and a
+    secondary index exists only for a node some search bisected since
+    the last update."""
+
+    def test_phase1_walks_the_midpoint_tree(self):
+        # seven leaves: root splits 4 | 3, then 2 | 2 and 2 | 1
+        periods = [IdlePeriod(server=s, st=float(s), et=50.0, uid=s) for s in range(7)]
+        counter = OpCounter()
+        tree = TwoDimTree(counter)
+        tree.bulk_load(periods)
+        walks = {
+            -1.0: (0, [], 4),  # root, [0:4), [0:2), leaf [0:1) — all start after sr
+            0.0: (1, [(0, 1)], 4),
+            3.0: (4, [(0, 4)], 4),  # then [4:7) -> [4:6) -> [4:5), none marked
+            4.5: (5, [(0, 4), (4, 5)], 4),
+            9.0: (7, [(0, 4), (4, 6), (6, 7)], 3),
+        }
+        for sr, (count, marks, visits) in walks.items():
+            counter.reset()
+            assert tree.phase1(sr) == (count, marks), sr
+            assert counter.get("node_visit") == visits, sr
+
+    def test_secondaries_exist_only_for_bisected_nodes_until_the_next_update(self):
+        periods = [IdlePeriod(server=s, st=float(s), et=60.0 - s, uid=s) for s in range(7)]
+        counter = OpCounter()
+        tree = TwoDimTree(counter)
+        tree.bulk_load(periods)
+        _, marks = tree.phase1(4.5)
+        assert tree._secs == {}  # Phase 1 alone materialises nothing
+        counter.reset()
+        assert tree.phase2(marks, 57.0, 2) == [periods[3], periods[2]]
+        assert sorted(tree._secs) == [(0, 4), (4, 5)]
+        assert tree._secs[(0, 4)] == sorted((p.et, p.uid) for p in periods[:4])
+        # 4 keys -> 3 probe steps, 1 key -> 1
+        assert counter.get("secondary_probe") == (4).bit_length() + (1).bit_length()
+        assert audit_tree(tree) == []
+        # too few feasible: None unless partial
+        assert tree.phase2(marks, 59.5, 2) is None
+        assert tree.phase2(marks, 59.5, 2, partial=True) == [periods[0]]
+        assert tree.phase2(marks, 58.5, math.inf) == [periods[1], periods[0]]
+        tree.apply_batch(periods[:1], [])
+        assert tree._secs == {}
+
+
+class TestBulkPathMissingRemoval:
+    def test_failed_batch_leaves_the_tree_untouched(self):
+        periods = [IdlePeriod(server=s, st=float(s), et=50.0 + s, uid=s) for s in range(16)]
+        ghost = IdlePeriod(server=99, st=3.5, et=60.0, uid=99)
+        incoming = [IdlePeriod(server=s, st=20.0 + s, et=90.0, uid=16 + s) for s in range(4)]
+        tree = TwoDimTree()
+        tree.bulk_load(periods)
+        _, marks = tree.phase1(7.0)
+        tree.phase2(marks, 0.0, math.inf)
+        secs_before = dict(tree._secs)
+        leaves_before = list(tree._leaves)
+        # the ghost must be noticed before the two real removals are dropped
+        with pytest.raises(KeyError):
+            tree.apply_batch([periods[2], ghost, periods[5]], incoming)
+        assert (tree._leaves, len(tree), tree.max_end()) == (leaves_before, 16, 65.0)
+        assert tree._secs == secs_before and secs_before
+        assert audit_tree(tree) == []
+        # a doubled removal is refused the same way
+        with pytest.raises(KeyError):
+            tree.apply_batch([periods[2], periods[2]], [])
+        assert tree._leaves == leaves_before
+        # and the tree is still fully usable
+        tree.apply_batch([periods[2], periods[5]], incoming)
+        survivors = [p for p in periods if p not in (periods[2], periods[5])] + incoming
+        assert tree.max_end() == 90.0
+        assert sorted(p.uid for p in tree.periods()) == sorted(p.uid for p in survivors)
+        assert audit_tree(tree) == []
 
 
 class TestPhase1:

@@ -1,12 +1,11 @@
 """Differential equivalence: the slot tree vs the flat-list reference.
 
 ``repro.core.slot_tree`` stores a tree as a sorted array and the balanced
-tree it implies (optionally mypyc-compiled);
-``repro.verify.oracle.ReferenceTree`` is a Python list read by linear
-scans and ``sorted`` — the executable specification.  Every query answer
-and the stored content must agree between the two under arbitrary
-operation streams — including the fused ``apply_batch`` path, which the
-reference models as sequential remove-then-insert.
+tree it implies; ``repro.verify.oracle.ReferenceTree`` is a Python list
+read by linear scans and ``sorted`` — the executable specification.
+Every query answer and the stored content must agree between the two
+under arbitrary operation streams — including the fused ``apply_batch``
+path, which the reference models as sequential remove-then-insert.
 
 Phase-2 selection is a pure function of stored periods (the canonical
 ``(et, uid)`` order), so equal contents must yield *identical* selection
@@ -16,7 +15,6 @@ sequences, not just equal sets.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -116,7 +114,7 @@ def run_history(seeded, incoming, script, sr, span):
     """
     arr, spec = TwoDimTree(), ReferenceTree()
     live, todo = list(seeded), list(incoming)
-    if live:  # else the buffered tree starts with no kernel at all
+    if live:  # else the buffered tree starts with nothing stored
         arr.bulk_load(live)
         spec.bulk_load(live)
     for op, pick in script:
@@ -265,32 +263,10 @@ class TestSnapshotByteIdentity:
             assert _uids(probe) == _uids(probe_restored)
 
 
-_CORPUS = Path(__file__).parent.parent / "verify" / "corpus"
-
-
-@pytest.mark.skipif(
-    not backend_info()["compiled"],
-    reason="compiled core not installed (build with REPRO_MYPYC=1); "
-    "the interpreted build replays this corpus in tests/verify/test_corpus.py",
-)
-@pytest.mark.parametrize("path", sorted(_CORPUS.glob("*.json")), ids=lambda p: p.stem)
-def test_corpus_replays_clean_on_compiled_core(path: Path) -> None:
-    """The minimized divergence corpus, replayed with the mypyc-compiled
-    kernel underneath: lock-step with the reference scheduler must hold
-    under the compiled build exactly as it does interpreted."""
-    from repro.verify.differ import load_trace, run_stream
-
-    stream = load_trace(str(path))
-    result = run_stream(stream, state_stride=1)
-    assert result.divergence is None, result.divergence.describe()
-    assert result.ops_run == len(stream.ops)
-
-
-def test_backend_info_reports_pure_fallback_consistently() -> None:
-    info = backend_info()
-    assert info["backend"] in ("compiled", "pure-python")
-    assert info["compiled"] == (info["backend"] == "compiled")
-    assert isinstance(info["module"], str)
+def test_backend_info_is_the_constant_the_benchmarks_embed() -> None:
+    """``benchmarks/stack/run.py`` records this beside every result and
+    ``benchmarks/bench_hotpath.py`` reads its ``backend``."""
+    assert backend_info() == {"backend": "pure-python", "compiled": False}
 
 
 def test_phase2_inf_need_equals_int_overshoot() -> None:

@@ -71,7 +71,7 @@ def watch(cal: AvailabilityCalendar) -> None:
 def derived(cal: AvailabilityCalendar):
     """Everything the derived indexes hold, buffered or stored."""
     trees = {
-        q: (dict(t._ins), dict(t._rem), None if t._kernel is None else list(t._kernel.leaves))
+        q: (dict(t._ins), dict(t._rem), list(t._leaves))
         for q, t in cal._trees.items()
     }
     return trees, list(cal._inf_keys), list(cal._inf_periods)

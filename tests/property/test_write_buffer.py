@@ -5,9 +5,9 @@ and applies the notes, as one fused ``apply_batch``, when the tree is
 next read.  ``repro.verify.oracle.ReferenceTree`` updates eagerly.  Under any
 history of writes interleaved with any read, every read must answer what
 the eager tree answers — and the buffer's own rules (a remove cancels a
-pending insert, ``KeyError`` at the call and not at the flush, a kernel
-only once something is read) each get a case a mutation of that rule
-fails.
+pending insert, ``KeyError`` at the call and not at the flush, nothing
+stored or counted until something is read) each get a case a mutation of
+that rule fails.
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ class TestBufferRules:
         tree.insert(p)
         tree.remove(p)
         assert not tree._ins and not tree._rem
-        assert tree._kernel is None
+        assert not tree._by_uid and tree._leaves == []
         assert len(tree) == 0 and p not in tree
-        assert counter.total() == 0  # the kernel never saw the pair
+        assert counter.total() == 0  # the leaves never saw the pair
         with pytest.raises(KeyError):
             tree.remove(p)
 
@@ -143,13 +143,13 @@ class TestCalendarLevel:
             cal.allocate([trailing], 55.0, 58.0, rid=server)
         assert sorted(cal._trees) == [0, 1, 2, 3, 4, 5]
         tree = cal._trees[5]
-        assert len(tree._ins) == 50 and tree._kernel is None
+        assert len(tree._ins) == 50 and not tree._by_uid and tree._leaves == []
         cal.validate()  # audits the buffered content without flushing it
-        assert len(tree._ins) == 50 and tree._kernel is None
+        assert len(tree._ins) == 50 and not tree._by_uid and tree._leaves == []
         before = counter.snapshot()
         cal.advance(60.0)  # slot 5 expires
         assert 5 not in cal._trees
-        assert tree._kernel is None
+        assert not tree._by_uid and tree._leaves == []
         after = counter.snapshot()
         for name in ("node_visit", "rebuild"):
             assert after.get(name, 0) == before.get(name, 0) == 0
@@ -177,7 +177,7 @@ class TestCalendarLevel:
         cal = AvailabilityCalendar.from_state(state)
         assert sorted(cal._trees) == [0, 1, 2, 3]
         for tree in cal._trees.values():
-            assert not tree._rem and tree._kernel is None
+            assert not tree._rem and not tree._by_uid and tree._leaves == []
         assert [p.uid for p in cal.idle_periods(0)] == [1, 0]
         cal.validate()
         assert sorted((p.server, p.st) for p in cal._trees[0].periods()) == [
