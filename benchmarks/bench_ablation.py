@@ -1,8 +1,9 @@
 """Ablations of the design choices DESIGN.md calls out (beyond the paper).
 
-* tree vs linear-scan allocator — the headline complexity claim: the
-  slotted 2-D tree search must beat the naive per-server scan as the
-  system grows;
+* tree vs linear scan — the headline complexity claim: the slotted 2-D
+  tree search must beat the reference scheduler of
+  :mod:`repro.verify.oracle`, which scans every server's periods, as the
+  system grows, at identical decisions;
 * Δt — smaller retry increments find starts sooner at the cost of more
   attempts (the tuning trade-off Section 4.2 describes);
 * R_max — more attempts convert rejections into delayed placements.
@@ -14,9 +15,9 @@ import numpy as np
 
 from repro.core.calendar import AvailabilityCalendar
 from repro.core.coalloc import OnlineCoAllocator
-from repro.core.linear import LinearScanAllocator
 from repro.core.types import Request
 from repro.metrics.report import format_table
+from repro.verify.oracle import ReferenceScheduler
 
 from .conftest import run_once
 
@@ -49,12 +50,12 @@ def _drive_tree(requests, n_servers, tau=900.0, q=96, delta_t=900.0, r_max=48):
     return outcomes
 
 
-def _drive_linear(requests, n_servers, tau=900.0, q=96, delta_t=900.0, r_max=48):
-    lin = LinearScanAllocator(n_servers, delta_t=delta_t, r_max=r_max, horizon=q * tau)
+def _drive_reference(requests, n_servers, tau=900.0, q=96, delta_t=900.0, r_max=48):
+    ref = ReferenceScheduler(n_servers, tau, q, delta_t=delta_t, r_max=r_max)
     outcomes = []
     for req in requests:
-        lin.advance(req.qr)
-        outcomes.append(lin.schedule(req))
+        ref.advance(req.qr)
+        outcomes.append(ref.schedule(req.rid, req.sr, req.lr, req.nr, req.deadline))
     return outcomes
 
 
@@ -63,46 +64,15 @@ class TestTreeVsLinear:
 
     def test_tree_allocator_512(self, benchmark):
         requests = _stream(300, 512)
-        benchmark.pedantic(_drive_tree, args=(requests, 512), rounds=1, iterations=1)
+        outcomes = benchmark.pedantic(_drive_tree, args=(requests, 512), rounds=1, iterations=1)
+        # the same decisions as the scan below, so the two times compare
+        assert [(a.start, list(a.servers)) for a in outcomes if a is not None] == [
+            (d["start"], d["servers"]) for d in _drive_reference(requests, 512) if d["ok"]
+        ]
 
-    def test_linear_allocator_512(self, benchmark):
+    def test_reference_scheduler_512(self, benchmark):
         requests = _stream(300, 512)
-        benchmark.pedantic(_drive_linear, args=(requests, 512), rounds=1, iterations=1)
-
-
-class TestTailVsDenseIndexing:
-    """What the tail index saves over the paper's literal layout.
-
-    Dense mode registers every unbounded trailing period in all Q slot
-    trees, paying the full O(n_r · Q · log² N) update bound on every
-    carve; the tail index collapses that to O(log N).  Feasibility
-    semantics are identical (property-tested), so this is a pure
-    constant/asymptotic ablation.
-    """
-
-    def _drive(self, indexing, requests, n_servers=64):
-        cal = AvailabilityCalendar(n_servers, 900.0, 96, indexing=indexing)
-        alloc = OnlineCoAllocator(cal, delta_t=900.0, r_max=48)
-        granted = 0
-        for req in requests:
-            cal.advance(req.qr)
-            if alloc.schedule(req) is not None:
-                granted += 1
-        return granted
-
-    def test_tail_indexing(self, benchmark):
-        requests = _stream(250, 64, seed=9)
-        granted = benchmark.pedantic(
-            self._drive, args=("tail", requests), rounds=1, iterations=1
-        )
-        assert granted > 0
-
-    def test_dense_indexing(self, benchmark):
-        requests = _stream(250, 64, seed=9)
-        granted = benchmark.pedantic(
-            self._drive, args=("dense", requests), rounds=1, iterations=1
-        )
-        assert granted > 0
+        benchmark.pedantic(_drive_reference, args=(requests, 512), rounds=1, iterations=1)
 
 
 class TestDeltaTSweep:

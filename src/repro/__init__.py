@@ -25,7 +25,6 @@ from .core import (
     Allocation,
     AvailabilityCalendar,
     IdlePeriod,
-    LinearScanAllocator,
     OnlineCoAllocator,
     OpCounter,
     RangeQuery,
@@ -43,7 +42,6 @@ __all__ = [
     "AvailabilityCalendar",
     "CoAllocationScheduler",
     "IdlePeriod",
-    "LinearScanAllocator",
     "OnlineCoAllocator",
     "OpCounter",
     "RangeQuery",

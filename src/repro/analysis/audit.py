@@ -43,7 +43,7 @@ Cross-calendar (``audit_calendar``, which also audits every slot tree):
   every non-removed server's list ends in its one unbounded period;
 * ``RA112`` — every bounded period is indexed (stored or buffered) in
   exactly the slot trees it overlaps (and unbounded ones never leak
-  into trees in tail mode);
+  into trees: they live in the tail index);
 * ``RA113`` — the horizon is arithmetic: every bounded period of an
   active server ends inside it, no tree sits outside it, and the tree
   that unwritten slots are read through is empty;
@@ -312,7 +312,7 @@ def audit_calendar(cal: "AvailabilityCalendar") -> list[AuditFinding]:
                         f"{p.server} indexed in a slot tree",
                     )
                 )
-            if not cal.dense and p.et == INF:
+            if p.et == INF:
                 findings.append(
                     AuditFinding(
                         "RA112", f"slot {q}", f"unbounded period {p} leaked into a slot tree"
@@ -377,8 +377,7 @@ def audit_calendar(cal: "AvailabilityCalendar") -> list[AuditFinding]:
                         "RA115", f"server {p.server}", f"trailing period {p} missing from tail index"
                     )
                 )
-            if not cal.dense:
-                continue
+            continue
         expected = set(cal._overlapping_slots(p))
         got = indexed.get(p.uid, set())
         if got != expected:
@@ -389,7 +388,7 @@ def audit_calendar(cal: "AvailabilityCalendar") -> list[AuditFinding]:
                     f"period {p} indexed in slots {sorted(got)} but overlaps {sorted(expected)}",
                 )
             )
-        if p.et != INF and p.et > cal.horizon_end:
+        if p.et > cal.horizon_end:
             findings.append(
                 AuditFinding(
                     "RA113", f"server {p.server}", f"period {p} ends beyond the horizon"

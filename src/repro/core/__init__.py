@@ -8,13 +8,11 @@ Public surface:
 * :class:`~repro.core.slot_tree.TwoDimTree` — the per-slot 2-D tree (§4.1);
 * :class:`~repro.core.calendar.AvailabilityCalendar` — Q rolling slot trees;
 * :class:`~repro.core.coalloc.OnlineCoAllocator` — the scheduling loop (§4.2);
-* :class:`~repro.core.linear.LinearScanAllocator` — the naive baseline/oracle;
 * :class:`~repro.core.opcount.OpCounter` — operation instrumentation (Fig 7b).
 """
 
 from .calendar import AvailabilityCalendar
 from .coalloc import OnlineCoAllocator
-from .linear import LinearScanAllocator
 from .opcount import NULL_COUNTER, OpCounter
 from .slot_tree import TwoDimTree
 from .types import INF, Allocation, IdlePeriod, RangeQuery, Request, Reservation
@@ -24,7 +22,6 @@ __all__ = [
     "Allocation",
     "AvailabilityCalendar",
     "IdlePeriod",
-    "LinearScanAllocator",
     "NULL_COUNTER",
     "OnlineCoAllocator",
     "OpCounter",

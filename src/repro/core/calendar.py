@@ -35,9 +35,7 @@ a bounded idle period ends where some reservation starts, a reservation
 may only start inside the horizon (:meth:`allocate` and :meth:`release`
 refuse anything else), and the horizon's end never moves back — so
 **every bounded period ends at or before ``horizon_end``**, when it is
-created and ever after.  Dense (paper-literal) indexing is the one exception to "nothing
-created": it is the reference, so it keeps a tree per active slot and
-seeds each rolled-in one with the trailing periods that reach it.
+created and ever after.
 
 Slot trees are write-buffered (see :mod:`repro.core.slot_tree`): the
 calendar registers and withdraws a period with one O(1) ``insert`` /
@@ -101,12 +99,6 @@ class AvailabilityCalendar:
         idle from ``start_time`` onward.
     counter:
         Optional operation counter shared with the slot trees.
-    indexing:
-        ``"tail"`` (default) keeps unbounded trailing periods in the
-        sorted tail index; ``"dense"`` registers them in every remaining
-        slot tree — the paper's literal design, kept for cross-validation
-        and for the ablation benchmark that measures what the tail index
-        saves.  Both modes return identical scheduling outcomes.
 
     The calendar numbers its own idle periods from 0, in creation order
     (the Phase-2 tie-break), and its snapshot carries the counter: two
@@ -120,9 +112,8 @@ class AvailabilityCalendar:
         q_slots: int,
         start_time: float = 0.0,
         counter: OpCounter = NULL_COUNTER,
-        indexing: str = "tail",
     ) -> None:
-        self._build_empty(n_servers, tau, q_slots, start_time, counter, indexing)
+        self._build_empty(n_servers, tau, q_slots, start_time, counter)
         # every server idle from ``now`` on, numbered in server order
         initial = [IdlePeriod(server=s, st=self.now, et=INF, uid=s) for s in range(n_servers)]
         #: the uid of the next period this calendar creates
@@ -131,10 +122,6 @@ class AvailabilityCalendar:
         self._server_keys = [[period.st] for period in initial]
         self._inf_keys = [(period.st, period.uid) for period in initial]
         self._inf_periods = initial
-        if self.dense:
-            for q in range(self._base_slot, self._base_slot + q_slots):
-                tree = self._trees[q] = TwoDimTree(counter)
-                tree.bulk_load(initial)
 
     def _build_empty(
         self,
@@ -143,12 +130,8 @@ class AvailabilityCalendar:
         q_slots: int,
         start_time: float,
         counter: OpCounter,
-        indexing: str,
     ) -> None:
         """Geometry and empty indexes: ``n_servers`` servers with no periods."""
-        if indexing not in ("tail", "dense"):
-            raise ValueError(f"indexing must be 'tail' or 'dense', got {indexing!r}")
-        self.dense = indexing == "dense"
         if n_servers <= 0:
             raise ValueError(f"need at least one server, got {n_servers}")
         if tau <= 0:
@@ -168,9 +151,9 @@ class AvailabilityCalendar:
         # original's now — a floor-based base would shift its horizon one
         # slot relative to the original's, breaking restart identity
         self._base_slot = self.slot_of(self.now)
-        # sparse: a tree per active slot that has been written to (dense
-        # mode writes every slot at once); any other active slot is read
-        # through the one shared, never-written ``_unwritten``
+        # sparse: a tree per active slot that has been written to; any
+        # other active slot is read through the one shared, never-written
+        # ``_unwritten``
         self._trees: dict[int, TwoDimTree] = {}
         self._unwritten = TwoDimTree(counter)
         self._server_periods: list[list[IdlePeriod]] = [[] for _ in range(n_servers)]
@@ -234,8 +217,7 @@ class AvailabilityCalendar:
         ``O(min(jump/τ, Q))`` pops however far the clock jumps.  Nothing
         is created for the slots that roll in: no bounded period can end
         beyond the old horizon (see the module docstring), so none was
-        waiting for them.  Dense indexing alone gives each one a tree,
-        seeded with the trailing periods that reach it.
+        waiting for them.
         """
         if to_time < self.now:
             raise ValueError(f"cannot move time backwards ({to_time} < {self.now})")
@@ -251,13 +233,6 @@ class AvailabilityCalendar:
         else:
             for q in range(old_base, current):
                 trees.pop(q, None)
-        if self.dense:
-            for q in range(max(old_base + self.q_slots, current), current + self.q_slots):
-                new_end = (q + 1) * self.tau
-                tree = trees[q] = TwoDimTree(self.counter)
-                # (new_end, -1.0) sorts before any real (new_end, uid) key
-                for p in self._inf_periods[: bisect_left(self._inf_keys, (new_end, -1.0))]:
-                    tree.insert(p)
         self._trim_history()
 
     def _trim_history(self) -> None:
@@ -290,16 +265,10 @@ class AvailabilityCalendar:
         return q - 1 if et <= q * self.tau else q
 
     def _overlapping_slots(self, period: IdlePeriod) -> range:
-        """Active slot indexes a tree-indexed period must appear in."""
+        """Active slot indexes a bounded period must appear in (all inside
+        the horizon: no bounded period ends beyond it)."""
         first = max(self.slot_of(period.st), self._base_slot)
-        if period.et == INF:
-            # only reachable in dense mode: an unbounded period overlaps
-            # every remaining slot of the horizon
-            last = self._base_slot + self.q_slots - 1
-        else:
-            # inside the horizon: no bounded period ends beyond it
-            last = self._last_overlapping_slot(period.et)
-        return range(first, last + 1)
+        return range(first, self._last_overlapping_slot(period.et) + 1)
 
     def _index_period(self, period: IdlePeriod) -> None:
         """Register ``period`` with every derived index.
@@ -321,10 +290,7 @@ class AvailabilityCalendar:
             self._inf_keys.insert(idx, (period.st, period.uid))
             self._inf_periods.insert(idx, period)
             self.counter.add("insert")
-            if not self.dense:
-                return
-            # dense (paper-literal) mode: the trailing period also lives
-            # in the tree of every remaining slot
+            return
         trees = self._trees
         for q in self._overlapping_slots(period):
             tree = trees.get(q)
@@ -343,8 +309,7 @@ class AvailabilityCalendar:
             self._inf_keys.pop(idx)
             self._inf_periods.pop(idx)
             self.counter.add("remove")
-            if not self.dense:
-                return
+            return
         trees = self._trees
         for q in self._overlapping_slots(period):
             trees[q].remove(period)
@@ -452,7 +417,7 @@ class AvailabilityCalendar:
                     raise ValueError(f"{period} is named twice in one allocation")
                 seen.add(period.server)
 
-        status, dense, trees, counter = self._status, self.dense, self._trees, self.counter
+        status, trees, counter = self._status, self._trees, self.counter
         inf_keys, inf_periods = self._inf_keys, self._inf_periods
         # nothing below can refuse the call, so the counter is stored
         # back once, after the loop, with no draw lost
@@ -462,7 +427,6 @@ class AvailabilityCalendar:
         # slot_of(t) < base exactly when t < base·τ: slot_of brackets t
         # between the same float products, and they are monotone in q
         base_start = base * self.tau
-        top = base + self.q_slots
         left_last = self._last_overlapping_slot(start)
         right_first = max(self.slot_of(end), base)
         tail_removed = 0
@@ -473,8 +437,8 @@ class AvailabilityCalendar:
             active = status[server] == "active"
             if active:
                 # the carved period's slots; a right remnant ends where it
-                # does, so ``last`` serves both (tail mode indexes no
-                # unbounded period in a tree: an empty range)
+                # does, so ``last`` serves both (an unbounded period is in
+                # no tree: an empty range)
                 first = base if st < base_start else self.slot_of(st)
                 if et == INF:
                     i = bisect_right(inf_keys, (st, period.uid)) - 1
@@ -482,7 +446,7 @@ class AvailabilityCalendar:
                     del inf_keys[i]
                     del inf_periods[i]
                     tail_removed += 1
-                    last = top - 1 if dense else base - 1
+                    last = base - 1
                 else:
                     last = self._last_overlapping_slot(et)
                 for q in range(first, last + 1):
@@ -706,14 +670,7 @@ class AvailabilityCalendar:
     # ------------------------------------------------------------------
 
     def _tail_candidates(self, sr: float) -> int:
-        """Unbounded periods with ``st <= sr`` (all feasible for any window).
-
-        In dense mode trailing periods live inside the trees, so the tail
-        index contributes nothing to searches (it remains the rollover
-        registry).
-        """
-        if self.dense:
-            return 0
+        """Unbounded periods with ``st <= sr`` (all feasible for any window)."""
         count = bisect_right(self._inf_keys, (sr, _UID_HIGH))
         self.counter.add("secondary_probe", max(1, len(self._inf_keys).bit_length()))
         return count
@@ -771,9 +728,7 @@ class AvailabilityCalendar:
         The walk stops — returning that index unexamined — at ``k_end``,
         at the first start past ``latest`` and at the first start outside
         the horizon, so the caller's exhaustion, deadline and horizon
-        exits fire at the index they always did.  Pure query.  In dense
-        mode trailing periods sit in the trees with ``et = ∞``, so the
-        same two tests almost never certify anything — and stay sound.
+        exits fire at the index they always did.  Pure query.
         """
         tail = self._inf_keys
         # from this start on the tail index alone can host the request
@@ -807,9 +762,7 @@ class AvailabilityCalendar:
         if not self._base_slot <= q < self._base_slot + self.q_slots:
             return []
         found = self._trees.get(q, self._unwritten).range_search(ta, tb)
-        if not self.dense:
-            tail_count = self._tail_candidates(ta)
-            found.extend(self._inf_periods[:tail_count])
+        found.extend(self._inf_periods[: self._tail_candidates(ta)])
         return found
 
     def idle_periods(self, server: int) -> list[IdlePeriod]:
@@ -842,7 +795,6 @@ class AvailabilityCalendar:
             "tau": self.tau,
             "q_slots": self.q_slots,
             "now": self.now,
-            "indexing": "dense" if self.dense else "tail",
             "next_uid": self._next_uid,
             "pool": list(self._status),
             "periods": [
@@ -901,7 +853,10 @@ class AvailabilityCalendar:
         ending beyond the horizon (see the module docstring), a uid twice
         or a ``next_uid`` not above every persisted uid, so each is
         refused (``ValueError``).  A state without ``next_uid`` (written
-        before calendars exported it) counts on from the largest uid + 1.
+        before calendars exported it) counts on from the largest uid + 1;
+        an ``indexing`` field (written while calendars had a second,
+        paper-literal layout) is ignored, because the authoritative
+        periods do not depend on the layout.
         """
         n_servers = int(state["n_servers"])  # type: ignore[arg-type]
         periods = state["periods"]
@@ -917,7 +872,6 @@ class AvailabilityCalendar:
             int(state["q_slots"]),  # type: ignore[arg-type]
             float(state["now"]),  # type: ignore[arg-type]
             counter,
-            str(state.get("indexing", "tail")),
         )
         # register the recorded periods through the normal indexing path
         # — with the pool states applied first, so draining/removed

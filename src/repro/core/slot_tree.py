@@ -275,8 +275,10 @@ class TwoDimTree:
     def bulk_load(self, periods: list[IdlePeriod]) -> None:
         """Replace the tree contents with ``periods`` in O(k log k), eagerly.
 
-        Drops anything buffered along with the stored contents.  Used at
-        calendar start-up in dense mode.
+        Drops anything buffered along with the stored contents.  The
+        calendar never calls it (its trees fill through write notes); it
+        is the one-shot build for callers that hold a whole slot's
+        periods at once.
         """
         self._ins.clear()
         self._rem.clear()

@@ -9,6 +9,13 @@ a list splice.  O(N · periods) per operation, no trees, no incremental
 indexes, no caching: small enough to audit by eye, which is the whole
 point.
 
+It is the one reference the repository compares against: the differ
+and the chaos plans lock-step the service with it, the property suites
+lock-step the calendar and the allocator with it, and the ablation
+benchmark times it as the linear-scan baseline the slot trees must beat
+at identical decisions.  It imports nothing from the calendar or the
+slot tree on purpose: a bug in shared code would hide from both sides.
+
 Semantics mirrored from the production implementation
 -----------------------------------------------------
 

@@ -106,17 +106,16 @@ class TestAllocate:
         with pytest.raises(ValueError, match="cannot host"):
             cal.allocate([stale], 5.0, 15.0)
 
-    @pytest.mark.parametrize("indexing", ["tail", "dense"])
     @pytest.mark.parametrize(
         "case", ["fresh_then_stale", "named_twice", "empty_window", "open_ended"]
     )
-    def test_a_refused_allocation_changes_nothing(self, indexing, case):
+    def test_a_refused_allocation_changes_nothing(self, case):
         """Every handle is checked before the first one is carved: a stale
         or repeated handle late in the list used to leave the earlier
         servers carved, their time held by no allocation.  An open-ended
         window used to be granted, leaving its server no trailing period
         and the grant impossible to release."""
-        cal = AvailabilityCalendar(4, 10.0, 10, indexing=indexing)
+        cal = AvailabilityCalendar(4, 10.0, 10)
         fresh, stale = cal.idle_periods(0)[0], cal.idle_periods(1)[0]
         cal.allocate([stale], 0.0, 20.0, rid=1)
         before = json.dumps(cal.export_state(), sort_keys=True)
@@ -199,19 +198,18 @@ class TestAdvanceAndRollover:
         found = cal.find_feasible(505.0, 550.0, 4)
         assert found is not None and len(found) == 4
 
-    @pytest.mark.parametrize("indexing", ["tail", "dense"])
-    def test_jump_cost_is_bounded_by_the_horizon_not_the_distance(self, indexing):
+    def test_jump_cost_is_bounded_by_the_horizon_not_the_distance(self):
         """`qr` is unbounded on the wire: one request may move the clock
         any distance, and must not roll one slot tree per slot passed."""
-        cal = AvailabilityCalendar(8, 900.0, 96, indexing=indexing)
+        cal = AvailabilityCalendar(8, 900.0, 96)
         trailing = cal.idle_periods(0)[-1]
         cal.allocate([trailing], 50_000.0, 51_000.0)  # a gap [0, 50000) across 56 slots
-        assert len(cal._trees) == (96 if indexing == "dense" else 56)
+        assert len(cal._trees) == 56
         started = perf_counter()
         cal.advance(1e12 * 900.0)
         assert perf_counter() - started < 1.0
         assert cal._base_slot == 10**12
-        assert len(cal._trees) == (96 if indexing == "dense" else 0)
+        assert not cal._trees
         cal.validate()
         found = cal.find_feasible(cal.now + 10.0, cal.now + 5000.0, 8)
         assert found is not None and len(found) == 8

@@ -129,8 +129,7 @@ def carved_calendars(draw):
     horizon (reservations may *end* far beyond it), some slot trees read
     and some only written."""
     cal = AvailabilityCalendar(
-        N, TAU, JUMP_Q, start_time=draw(st.sampled_from([0.0, 7.0, 30.0])),
-        indexing=draw(st.sampled_from(["tail", "dense"])),
+        N, TAU, JUMP_Q, start_time=draw(st.sampled_from([0.0, 7.0, 30.0]))
     )
     for _ in range(draw(st.integers(0, 14))):
         server = draw(st.integers(0, N - 1))
@@ -177,4 +176,4 @@ class TestAdvanceJump:
         assert jumped.export_state() == stepped.export_state()
         assert _derived_state(jumped) == _derived_state(stepped)
         active = set(range(jumped._base_slot, jumped._base_slot + JUMP_Q))
-        assert set(jumped._trees) == active if jumped.dense else set(jumped._trees) <= active
+        assert set(jumped._trees) <= active

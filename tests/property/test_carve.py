@@ -4,7 +4,7 @@ The pass splices each server's arrays, takes each trailing period out of
 the tail index with one bisect, computes each remnant's slot range once,
 and adds the new trailing remnants to the tail index as one sorted block.
 These tests hold it to what the per-period call chain it replaced
-guaranteed, tail and dense, under random histories of reserves,
+guaranteed, under random histories of reserves,
 range-search commits, cancels, clock moves, drains and snapshot restores:
 
 * the calendar audits clean after every ``allocate``;
@@ -107,11 +107,10 @@ def histories(draw):
 
 
 class TestOnePassCarve:
-    @pytest.mark.parametrize("indexing", ["tail", "dense"])
     @given(history=histories())
     @settings(max_examples=100, deadline=None)
-    def test_random_histories(self, indexing, history):
-        scheduler = make_scheduler(indexing)
+    def test_random_histories(self, history):
+        scheduler = make_scheduler()
         watch(scheduler.calendar)
         live: list[int] = []
         rid = 0
@@ -147,57 +146,61 @@ class TestOnePassCarve:
                 scheduler.drain(int(a) % cal.n_servers)
             elif kind == "restore":
                 scheduler = restored(scheduler)
-                assert scheduler.calendar.dense == (indexing == "dense")
                 assert audit_calendar(scheduler.calendar) == []
                 watch(scheduler.calendar)
 
 
-def two_server_state(indexing: str, **changes):
+def two_server_state(**changes):
     """A hand-written two-server state with uids 1..3 and counter 5,
     edited by ``changes``."""
     state = {
-        "n_servers": 2, "tau": TAU, "q_slots": Q, "now": 0.0, "indexing": indexing,
+        "n_servers": 2, "tau": TAU, "q_slots": Q, "now": 0.0,
         "next_uid": 5, "pool": ["active", "active"],
         "periods": [[[0.0, 5.0, 2], [15.0, None, 3]], [[0.0, None, 1]]],
     }
     return {**state, **changes}
 
 
+#: the ``indexing`` field calendars wrote while they had a second,
+#: paper-literal layout; a restore ignores it, so a state from before
+#: restores whichever layout it names
+LEGACY_LAYOUTS = ["tail", "dense"]
+
+
 class TestRestoredUids:
     """``from_state`` takes the uids and the counter as recorded, and
     refuses a state no calendar could have exported."""
 
-    @pytest.mark.parametrize("indexing", ["tail", "dense"])
+    @pytest.mark.parametrize("indexing", LEGACY_LAYOUTS)
     def test_a_uid_listed_twice_is_refused(self, indexing):
         twice = [[[0.0, 5.0, 2], [15.0, None, 3]], [[0.0, None, 2]]]
         with pytest.raises(ValueError, match="uid 2 twice"):
-            AvailabilityCalendar.from_state(two_server_state(indexing, periods=twice))
+            AvailabilityCalendar.from_state(two_server_state(periods=twice, indexing=indexing))
 
     @pytest.mark.parametrize("next_uid", [3, 0, -1])
     def test_a_counter_not_above_every_persisted_uid_is_refused(self, next_uid):
         with pytest.raises(ValueError, match="not above every persisted uid"):
-            AvailabilityCalendar.from_state(two_server_state("tail", next_uid=next_uid))
+            AvailabilityCalendar.from_state(two_server_state(next_uid=next_uid))
 
-    @pytest.mark.parametrize("indexing", ["tail", "dense"])
+    @pytest.mark.parametrize("indexing", LEGACY_LAYOUTS)
     def test_the_recorded_counter_is_kept(self, indexing):
-        cal = AvailabilityCalendar.from_state(two_server_state(indexing))
+        cal = AvailabilityCalendar.from_state(two_server_state(indexing=indexing))
         cal.validate()
-        assert cal.export_state() == two_server_state(indexing)
+        assert cal.export_state() == two_server_state()
         (trailing,) = cal.idle_periods(1)
         cal.allocate([trailing], 2.0, 4.0)
         assert [p.uid for p in cal.idle_periods(1)] == [5, 6]
 
     def test_a_state_without_a_counter_counts_on_from_the_largest_uid(self):
-        state = two_server_state("tail")
+        state = two_server_state()
         del state["next_uid"]
         cal = AvailabilityCalendar.from_state(state)
         assert cal.export_state()["next_uid"] == 4
         cal.release(0, 5.0, 15.0)
         assert [p.uid for p in cal.idle_periods(0)] == [4]
 
-    @pytest.mark.parametrize("indexing", ["tail", "dense"])
-    def test_a_restored_calendar_numbers_on_as_the_original_would(self, indexing):
-        original = make_scheduler(indexing)
+    def test_a_restored_calendar_numbers_on_as_the_original_would(self):
+        original = make_scheduler()
         for rid in range(3):
             original.schedule(Request(qr=0.0, sr=3.0 * rid, lr=TAU, nr=2, rid=rid))
         clone = restored(original)
@@ -240,7 +243,8 @@ def carve_notes(cal: AvailabilityCalendar, period, start: float, end: float):
     """Carve ``[start, end)`` out of ``period`` on a calendar of
     ``NoteTree``\\ s; return the notes written and the notes expected: the
     period's removal, then each remnant's insert, in exactly the active
-    slots each overlaps (tail mode keeps unbounded periods out of trees)."""
+    slots each overlaps (unbounded periods live in the tail index, in no
+    tree)."""
     before = cal.idle_periods(period.server)
     for tree in cal._trees.values():
         tree.notes.clear()
@@ -251,7 +255,7 @@ def carve_notes(cal: AvailabilityCalendar, period, start: float, end: float):
     ]
     expected: dict[int, list[tuple[str, int]]] = {}
     for kind, p in [("remove", period)] + [("insert", p) for p in remnants]:
-        if p.et == INF and not cal.dense:
+        if p.et == INF:
             continue
         for q in sorted(overlapped(cal, p.st, p.et)):
             expected.setdefault(q, []).append((kind, p.uid))
@@ -274,13 +278,12 @@ def bounded_carves(draw):
 
 
 class TestBoundedCarve:
-    @pytest.mark.parametrize("indexing", ["tail", "dense"])
     @given(case=bounded_carves())
     @settings(max_examples=150, deadline=None)
-    def test_notes_land_in_exactly_the_overlapped_slots(self, indexing, case):
+    def test_notes_land_in_exactly_the_overlapped_slots(self, case):
         tau, (a, b, s, e, now) = case
         with mock.patch("repro.core.calendar.TwoDimTree", NoteTree):
-            cal = AvailabilityCalendar(2, tau, Q, indexing=indexing)
+            cal = AvailabilityCalendar(2, tau, Q)
             cal.allocate(cal.idle_periods(0), b, b + tau)
             if a > 0:
                 cal.allocate(cal.idle_periods(0)[:1], 0.0, a)
@@ -315,14 +318,13 @@ class TestFirstSlotAtTheHorizonStart:
     comparison in place of ``max(slot_of(st), base)``, exact because
     ``slot_of`` brackets ``st`` between the same monotone products."""
 
-    @pytest.mark.parametrize("indexing", ["tail", "dense"])
     @given(case=edge_carves())
     @settings(max_examples=200, deadline=None)
-    def test_notes_land_in_exactly_the_overlapped_slots(self, indexing, case):
+    def test_notes_land_in_exactly_the_overlapped_slots(self, case):
         tau = 0.3
         grid = tau / 4
         with mock.patch("repro.core.calendar.TwoDimTree", NoteTree):
-            cal = AvailabilityCalendar(2, tau, Q, indexing=indexing)
+            cal = AvailabilityCalendar(2, tau, Q)
             cal.advance(case["now_cell"] * grid)
             edge = cal._base_slot * tau
             st0 = {
@@ -358,32 +360,24 @@ class TestFixedHistoryCounts:
     and removals are counted in one ``add`` per call now, and must total
     the same.  A digest of its final state, pinned from the validating
     constructors the trusted ones replaced: the remnants must come out
-    with the same bounds and the same uids.  The digests were re-pinned
-    when the calendar took over uid numbering; the earlier pins are what
+    with the same bounds and the same uids.  The digest was re-pinned
+    when the calendar took over uid numbering (the earlier pin is what
     this export gives with ``next_uid`` dropped and every uid shifted by
-    the draws the process-global counter had made first (1 in tail mode,
-    17 in dense, where the scheduler's tail calendar drew 16 more)."""
+    the one draw the process-global counter had made first), and again
+    when the export lost its ``"indexing": "tail"`` field with the dense
+    layout (the earlier pin, 579808d37d4524d8, is this export with that
+    field added back)."""
 
     PINNED = {
-        "tail": {
-            "attempt": 358, "insert": 1100, "mark": 347, "node_visit": 434,
-            "rebuild": 1476, "remove": 534, "retrieve": 412, "secondary_probe": 1376,
-        },
-        "dense": {
-            "attempt": 381, "insert": 1797, "mark": 908, "node_visit": 1073,
-            "rebuild": 2428, "remove": 1235, "retrieve": 551, "secondary_probe": 1395,
-        },
+        "attempt": 358, "insert": 1100, "mark": 347, "node_visit": 434,
+        "rebuild": 1476, "remove": 534, "retrieve": 412, "secondary_probe": 1376,
     }
 
-    STATE = {"tail": "579808d37d4524d8", "dense": "61948f91877f41c5"}
+    STATE = "b231bbfffe6f79c9"
 
-    @pytest.mark.parametrize("indexing", ["tail", "dense"])
-    def test_counts_match_the_call_chain(self, indexing):
+    def test_counts_match_the_call_chain(self):
         rng = random.Random(26)
         scheduler = CoAllocationScheduler(n_servers=16, tau=TAU, q_slots=12, r_max=6)
-        if indexing == "dense":
-            dense = AvailabilityCalendar(16, TAU, 12, counter=scheduler.counter, indexing="dense")
-            scheduler.calendar = scheduler.allocator.calendar = dense
         cal = scheduler.calendar
         live: list[int] = []
         for rid in range(200):
@@ -403,5 +397,5 @@ class TestFixedHistoryCounts:
             else:
                 scheduler.advance(cal.now + rng.choice([1.0, TAU, 2.5 * TAU]))
         cal.validate()
-        assert scheduler.counter.snapshot() == self.PINNED[indexing]
-        assert state_digest(cal) == self.STATE[indexing]
+        assert scheduler.counter.snapshot() == self.PINNED
+        assert state_digest(cal) == self.STATE

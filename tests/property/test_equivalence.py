@@ -1,12 +1,8 @@
 """Certificate-checking the online co-allocator against brute force.
 
-Two schedulers that pick *different servers* for the same requests drift
-apart: which servers a job lands on changes future per-server
-fragmentation, so global outcomes (start times, verdicts) are policy
-dependent and cannot be compared across implementations.  What *is*
-implementation independent is local correctness: given the allocator's
-own committed reservations, every attempt's verdict must match a
-brute-force feasibility check —
+Local correctness needs no second scheduler: given the allocator's own
+committed reservations, every attempt's verdict must match a brute-force
+feasibility check —
 
 * every failed attempt at time ``t`` really had fewer than ``n_r``
   servers free throughout ``[t, t + l_r)``;
@@ -14,7 +10,12 @@ brute-force feasibility check —
 * the granted servers really were free (no double booking).
 
 These certificates pin down Phase 1, Phase 2 and the ``Δt``/``R_max``
-retry loop exactly, with no reliance on tree internals.
+retry loop exactly, with no reliance on tree internals.  Global outcomes
+depend on which servers each job lands on (that choice shapes future
+fragmentation), so they can be compared only with a scheduler that makes
+the same canonical choice: the reference scheduler of
+:mod:`repro.verify.oracle`, which shares no code with the tree path and
+must make every decision the allocator makes.
 """
 
 from hypothesis import given, settings
@@ -22,8 +23,10 @@ from hypothesis import strategies as st
 
 from repro.core.calendar import AvailabilityCalendar
 from repro.core.coalloc import OnlineCoAllocator
-from repro.core.linear import LinearScanAllocator
 from repro.core.types import Request
+from repro.verify.oracle import ReferenceScheduler
+
+from .test_ladder_skip import decision
 
 TAU = 10.0
 Q = 24
@@ -142,25 +145,16 @@ class TestCertificates:
 
     @given(requests=request_streams())
     @settings(max_examples=50, deadline=None)
-    def test_linear_allocator_satisfies_same_certificates(self, requests):
-        """The independent brute-force scheduler obeys the same local
-        correctness contract (it shares no code with the tree path)."""
-        lin = LinearScanAllocator(N, delta_t=DELTA, r_max=RMAX, horizon=Q * TAU)
-        ledger = Ledger()
+    def test_reference_scheduler_makes_the_same_decisions(self, requests):
+        """The reference scheduler, a linear scan over plain tuples, grants
+        the same window on the same servers after the same number of
+        attempts, or refuses for the same reason."""
+        cal = AvailabilityCalendar(N, TAU, Q)
+        alloc = OnlineCoAllocator(cal, delta_t=DELTA, r_max=RMAX)
+        ref = ReferenceScheduler(N, TAU, Q, delta_t=DELTA, r_max=RMAX)
         for req in requests:
-            lin.advance(req.qr)
-            horizon_end = lin.horizon_end
-            a = lin.schedule(req)
-            base = max(req.sr, req.qr)
-            if a is None:
-                for k in range(RMAX):
-                    t = base + k * DELTA
-                    if t >= horizon_end:
-                        break
-                    assert ledger.free_count(t, t + req.lr) < req.nr
-            else:
-                for k in range(a.attempts - 1):
-                    t = base + k * DELTA
-                    assert ledger.free_count(t, t + req.lr) < req.nr
-                assert ledger.free_count(a.start, a.end) >= req.nr
-                ledger.record(a)
+            cal.advance(req.qr)
+            ref.advance(req.qr)
+            outcome = alloc.schedule_detailed(req)
+            expected = ref.schedule(req.rid, req.sr, req.lr, req.nr, req.deadline)
+            assert decision(outcome) == expected, req

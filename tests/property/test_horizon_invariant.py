@@ -4,9 +4,9 @@ No bounded idle period ever ends beyond ``horizon_end`` — a period ends
 where a reservation starts, a reservation starts inside the horizon, and
 the horizon's end only grows — so a slot that rolls in has nothing
 waiting for it and ``advance`` creates nothing.  Driven through the
-*scheduler* (the only source of reservations in production), in both
-indexing modes; the one way to break it by hand, ``allocate`` with a
-start beyond the horizon, is refused.
+*scheduler* (the only source of reservations in production); the one
+way to break it by hand, ``allocate`` with a start beyond the horizon,
+is refused.
 """
 
 from __future__ import annotations
@@ -48,13 +48,8 @@ class RecordingTree(TwoDimTree):
         super().remove(period)
 
 
-def make_scheduler(indexing: str) -> CoAllocationScheduler:
-    scheduler = CoAllocationScheduler(n_servers=N, tau=TAU, q_slots=Q, r_max=Q)
-    if indexing == "dense":
-        # the facade only builds tail calendars; dense is the reference
-        dense = AvailabilityCalendar(N, TAU, Q, counter=scheduler.counter, indexing="dense")
-        scheduler.calendar = scheduler.allocator.calendar = dense
-    return scheduler
+def make_scheduler() -> CoAllocationScheduler:
+    return CoAllocationScheduler(n_servers=N, tau=TAU, q_slots=Q, r_max=Q)
 
 
 @st.composite
@@ -92,23 +87,19 @@ def check_invariant(cal: AvailabilityCalendar, previous_keys: set[int]) -> None:
     assert all(first <= q < end for q in cal._trees)
     # a tree leaves the calendar only by expiring
     assert {q for q in previous_keys if q >= first} <= set(cal._trees)
-    if cal.dense:
-        assert set(cal._trees) == set(range(first, end))
-    else:
-        # a slot has a tree iff something was written to it while active
-        assert all(tree.writes > 0 for tree in cal._trees.values())
+    # a slot has a tree iff something was written to it while active
+    assert all(tree.writes > 0 for tree in cal._trees.values())
     assert cal._unwritten.writes == 0
 
 
 class TestHorizonInvariant:
-    @pytest.mark.parametrize("indexing", ["tail", "dense"])
     @given(history=histories())
     @settings(max_examples=120, deadline=None)
-    def test_no_bounded_period_outlives_the_horizon(self, indexing, history):
+    def test_no_bounded_period_outlives_the_horizon(self, history):
         with mock.patch("repro.core.calendar.TwoDimTree", RecordingTree):
-            scheduler = make_scheduler(indexing)
+            scheduler = make_scheduler()
             cal = scheduler.calendar
-            assert len(cal._trees) == (Q if indexing == "dense" else 0)
+            assert not cal._trees
             live: list[int] = []
             rid = 0
             for kind, a, b, c in history:
@@ -145,10 +136,9 @@ class TestHorizonInvariant:
 class TestTheGuard:
     """``allocate`` is the one door a start beyond the horizon could use."""
 
-    @pytest.mark.parametrize("indexing", ["tail", "dense"])
     @pytest.mark.parametrize("start", [60.0, 60.5, 1e9])
-    def test_allocate_beyond_the_horizon_raises_and_changes_nothing(self, indexing, start):
-        cal = AvailabilityCalendar(N, TAU, Q, indexing=indexing)  # horizon [0, 60)
+    def test_allocate_beyond_the_horizon_raises_and_changes_nothing(self, start):
+        cal = AvailabilityCalendar(N, TAU, Q)  # horizon [0, 60)
         cal.allocate(cal.find_feasible(20.0, 30.0, 2), 20.0, 30.0)
         before = json.dumps(cal.export_state(), sort_keys=True)
         trees = {q: sorted(t._ins) for q, t in cal._trees.items()}

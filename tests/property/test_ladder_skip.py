@@ -4,22 +4,20 @@
 grid points without running Phase 1/2 there.  Two properties pin it:
 
 * **soundness** — on any calendar state (random reserve / cancel /
-  advance / drain / remove histories, both indexings, Δt below, at and
-  above τ), ``find_feasible`` returns ``None`` at every point the walk
+  advance / drain / remove histories, Δt below, at and above τ),
+  ``find_feasible`` returns ``None`` at every point the walk
   skips, and the walk never runs past the deadline, the horizon or
   ``k_end``.  Every time is an integer-valued float, so windows end
   *exactly* on stored ending times — the ``>=`` side of the certificate;
 * **equivalence** — ``schedule_detailed`` reports the same ``(start,
-  end, attempts, reason)`` as the literal per-point loop over a
-  :class:`~repro.core.linear.LinearScanAllocator` holding the same
-  commitments (it shares no code with the calendar), including deadline
-  and horizon exits inside a skipped run and ``R_max`` reached by
-  skipping.
+  end, servers, attempts, reason)`` as the literal per-point loop of
+  :class:`~repro.verify.oracle.ReferenceScheduler` driven through the
+  same history, pool changes included (it shares no code with the
+  calendar), including deadline and horizon exits inside a skipped run
+  and ``R_max`` reached by skipping.
 """
 
 from __future__ import annotations
-
-from bisect import insort
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +25,9 @@ from hypothesis import strategies as st
 
 from repro.core.calendar import AvailabilityCalendar
 from repro.core.coalloc import OnlineCoAllocator
-from repro.core.linear import LinearScanAllocator
 from repro.core.opcount import OpCounter
 from repro.core.types import INF, Request
+from repro.verify.oracle import ReferenceScheduler
 
 TAU = 8.0
 Q = 12
@@ -71,8 +69,8 @@ def histories(draw):
 class Driver:
     """One calendar + allocator driven through a history."""
 
-    def __init__(self, indexing: str, delta_t: float, r_max: int) -> None:
-        self.cal = AvailabilityCalendar(N, TAU, Q, indexing=indexing)
+    def __init__(self, delta_t: float, r_max: int) -> None:
+        self.cal = AvailabilityCalendar(N, TAU, Q)
         self.alloc = OnlineCoAllocator(self.cal, delta_t=delta_t, r_max=r_max)
         self.live: list = []  # granted allocations not yet cancelled
         self.rid = 0
@@ -91,28 +89,31 @@ class Driver:
         return outcome
 
     def apply(self, op):
-        """Run one op; a cancel returns the allocation it released."""
+        """Run one op other than a reserve; return what it changed as the
+        name and argument of the reference scheduler's mirror call, or
+        ``None`` when it was a no-op."""
         cal = self.cal
         kind = op[0]
-        if kind == "reserve":
-            self.reserve(self.request(*op[1:]))
-        elif kind == "cancel":
+        if kind == "cancel":
             if self.live:
                 allocation = self.live.pop(op[1] % len(self.live))
                 for res in allocation.reservations:
                     lo = max(res.start, cal.now)
                     if lo < res.end:
                         cal.release(res.server, lo, res.end)
-                return allocation
+                return "cancel", allocation.rid
         elif kind == "advance":
             cal.advance(cal.now + op[1])
+            return "advance", cal.now
         elif kind == "drain":
             active = sum(1 for s in range(cal.n_servers) if cal.server_status(s) == "active")
             if active > 1 and cal.server_status(op[1]) == "active":
                 cal.drain(op[1])
+                return "drain", op[1]
         elif kind == "remove":
             if cal.server_status(op[1]) == "draining" and cal.is_drained(op[1]):
                 cal.remove(op[1])
+                return "remove", op[1]
         return None
 
 
@@ -149,7 +150,6 @@ def stored_ends(cal) -> list[float]:
 
 
 class TestSkipSoundness:
-    @pytest.mark.parametrize("indexing", ["tail", "dense"])
     @pytest.mark.parametrize("delta_t", DELTAS)
     @given(
         ops=histories(),
@@ -157,12 +157,15 @@ class TestSkipSoundness:
         nr=ints(1, N),
     )
     @settings(max_examples=25, deadline=None)
-    def test_no_feasible_point_is_skipped(self, indexing, delta_t, ops, lead, nr):
+    def test_no_feasible_point_is_skipped(self, delta_t, ops, lead, nr):
         k_end = int(Q * TAU / delta_t) + 2  # reaches past the horizon
-        driver = Driver(indexing, delta_t, r_max=k_end)
+        driver = Driver(delta_t, r_max=k_end)
         cal = driver.cal
         for op in ops:
-            driver.apply(op)
+            if op[0] == "reserve":
+                driver.reserve(driver.request(*op[1:]))
+            else:
+                driver.apply(op)
             base = cal.now + lead
             ends = stored_ends(cal)
             for lr in (1.0, 24.0):
@@ -181,35 +184,25 @@ class TestSkipSoundness:
         cal.validate()
 
 
-def literal_ladder(lin: LinearScanAllocator, cal, req: Request, delta_t: float, r_max: int):
-    """The paper's per-point retry loop over the linear allocator's view."""
-    base = max(req.sr, lin.now)
-    for k in range(r_max):
-        start = base + k * delta_t
-        if start > req.latest_start:
-            return None, k, "deadline"
-        if not cal.in_horizon(start):
-            return None, k, "horizon"
-        if len(lin.free_servers(start, start + req.lr)) >= req.nr:
-            return (start, start + req.lr), k + 1, None
-    return None, r_max, "exhausted"
+def decision(outcome) -> dict:
+    """A ``schedule_detailed`` outcome in the shape of the reference
+    scheduler's ``schedule`` reply."""
+    a = outcome.allocation
+    if a is None:
+        return {"ok": False, "attempts": outcome.attempts, "reason": outcome.reason}
+    return {
+        "ok": True, "start": a.start, "end": a.end, "servers": list(a.servers),
+        "attempts": outcome.attempts, "delay": a.delay, "reason": None,
+    }
 
 
-def mirror_allocate(lin: LinearScanAllocator, allocation) -> None:
-    # the linear allocator picks servers first-fit; to compare ladders on
-    # identical commitments the calendar's choice is written into its store
-    for res in allocation.reservations:
-        insort(lin._busy[res.server], (res.start, res.end))
-
-
-def mirror_cancel(lin: LinearScanAllocator, allocation) -> None:
-    for res in allocation.reservations:
-        lo = max(res.start, lin.now)
-        if lo < res.end:
-            busy = lin._busy[res.server]
-            busy.remove((res.start, res.end))
-            if res.start < lo:
-                insort(busy, (res.start, lo))  # the part already served
+def idle_state(cal) -> list[list[tuple[float, float | None, int]]]:
+    """The calendar's idle periods in the reference scheduler's export
+    format."""
+    return [
+        [(p.st, None if p.et == INF else p.et, p.uid) for p in cal.idle_periods(server)]
+        for server in range(cal.n_servers)
+    ]
 
 
 class TestLadderEquivalence:
@@ -217,31 +210,22 @@ class TestLadderEquivalence:
     @given(ops=histories())
     @settings(max_examples=80, deadline=None)
     def test_same_verdict_as_the_literal_loop(self, delta_t, r_max, ops):
-        driver = Driver("tail", delta_t, r_max)
+        driver = Driver(delta_t, r_max)
         cal = driver.cal
-        lin = LinearScanAllocator(N, delta_t=delta_t, r_max=r_max, horizon=Q * TAU)
+        ref = ReferenceScheduler(N, TAU, Q, delta_t=delta_t, r_max=r_max)
         for op in ops:
-            if op[0] in ("drain", "remove"):
-                continue  # the linear allocator has no pool lifecycle
-            if op[0] == "reserve":
-                req = driver.request(*op[1:])
-                # both sides see the state *before* the grant
-                expected = literal_ladder(lin, cal, req, delta_t, r_max)
-                outcome = driver.reserve(req)
-                window = (
-                    None
-                    if outcome.allocation is None
-                    else (outcome.allocation.start, outcome.allocation.end)
-                )
-                assert (window, outcome.attempts, outcome.reason) == expected
-                if outcome.allocation is not None:
-                    assert outcome.allocation.attempts == outcome.attempts
-                    mirror_allocate(lin, outcome.allocation)
+            if op[0] != "reserve":
+                mirror = driver.apply(op)
+                if mirror is not None:
+                    name, arg = mirror
+                    getattr(ref, name)(arg)
                 continue
-            released = driver.apply(op)
-            if released is not None:
-                mirror_cancel(lin, released)
-            lin.advance(cal.now)
+            req = driver.request(*op[1:])
+            outcome = driver.reserve(req)
+            assert decision(outcome) == ref.schedule(req.rid, req.sr, req.lr, req.nr, req.deadline)
+            if outcome.allocation is not None:
+                assert outcome.allocation.attempts == outcome.attempts
+        assert idle_state(cal) == ref.export_intervals()
         cal.validate()
 
 

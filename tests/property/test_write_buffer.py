@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core.calendar import AvailabilityCalendar
 from repro.core.opcount import OpCounter
 from repro.core.slot_tree import TwoDimTree
-from repro.core.types import INF, IdlePeriod
+from repro.core.types import IdlePeriod
 from repro.verify.oracle import ReferenceTree
 
 from .test_array_equivalence import (
@@ -155,7 +155,7 @@ class TestCalendarLevel:
             assert after.get(name, 0) == before.get(name, 0) == 0
         cal.validate()
 
-    def test_dense_restore_never_hands_a_uid_over(self):
+    def test_restore_never_hands_a_uid_over(self):
         """``from_state`` builds the recorded periods into an empty
         calendar, so no slot tree holds a note to remove one holder of a
         uid and insert another — even where the recorded uids are the
@@ -165,7 +165,6 @@ class TestCalendarLevel:
             "tau": 10.0,
             "q_slots": 4,
             "now": 0.0,
-            "indexing": "dense",
             "next_uid": 102,
             "pool": ["active"] * 3,
             "periods": [
@@ -175,16 +174,12 @@ class TestCalendarLevel:
             ],
         }
         cal = AvailabilityCalendar.from_state(state)
-        assert sorted(cal._trees) == [0, 1, 2, 3]
+        assert sorted(cal._trees) == [0, 1]  # the two bounded periods' slots
         for tree in cal._trees.values():
             assert not tree._rem and not tree._by_uid and tree._leaves == []
         assert [p.uid for p in cal.idle_periods(0)] == [1, 0]
         cal.validate()
-        assert sorted((p.server, p.st) for p in cal._trees[0].periods()) == [
-            (0, 0.0),
-            (1, 0.0),
-            (2, 0.0),
-        ]
+        assert sorted((p.server, p.uid) for p in cal._trees[0].periods()) == [(0, 1), (2, 100)]
         assert cal.export_state() == state
         assert [p.server for p in cal.find_feasible(16.0, 25.0, 2)] == [0, 1]
-        assert INF == cal._trees[1].max_end()
+        assert cal._trees[1].max_end() == 12.0
