@@ -92,9 +92,8 @@ def run(args: argparse.Namespace) -> dict:
     say = lambda line: print(line, file=sys.stderr)  # noqa: E731
 
     say(f"== sequential cold pass: {len(specs)} distinct runs ==")
-    # cache_dir="" = memory-only, ignoring $REPRO_CACHE_DIR: the baseline
-    # must not read a previously-populated disk cache
-    sequential = warm_store(specs, workers=1, store=ResultStore(cache_dir=""), progress=say)
+    # memory-only: the baseline must not read a previously-populated disk cache
+    sequential = warm_store(specs, workers=1, store=ResultStore(), progress=say)
 
     with tempfile.TemporaryDirectory() as tmp:
         cache_dir = args.cache_dir or tmp

@@ -26,10 +26,9 @@ Three engines guard the correctness of the co-allocation hot path:
   idle-time conservation across ``allocate``/``release``.
 
 All are surfaced by the ``repro check`` CLI subcommand (``--concurrency``
-adds the protocol pass; ``--format sarif`` renders findings via
-:mod:`repro.analysis.sarif`) and documented in ``docs/analysis.md``.  The
+adds the protocol pass) and documented in ``docs/analysis.md``.  The
 audit engine also backs the ``validate()`` methods of the core data
-structures and the ``REPRO_AUDIT`` replay mode.
+structures and ``replay(audit_stride=…)``.
 """
 
 from .audit import (
@@ -42,7 +41,6 @@ from .audit import (
 from .lint import KNOWN_RULE_IDS, LintReport, lint_paths, lint_source
 from .protocol_check import PROTOCOL_INJECTIONS, ProtocolReport, run_protocol_check
 from .rules import ALL_RULES, Rule, Violation
-from .sarif import render_sarif, sarif_report
 
 __all__ = [
     "ALL_RULES",
@@ -59,7 +57,5 @@ __all__ = [
     "audit_tree",
     "lint_paths",
     "lint_source",
-    "render_sarif",
     "run_protocol_check",
-    "sarif_report",
 ]

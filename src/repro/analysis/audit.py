@@ -417,7 +417,7 @@ class MutationAuditor:
     Attach to a freshly built calendar (before any allocation) or the
     ledger starts incomplete.  ``stride`` trades coverage for speed: 1
     audits every mutation (the ``repro check --audit`` setting), larger
-    values sample (the ``REPRO_AUDIT=1`` replay default).  Audits raise
+    values sample.  Audits raise
     :exc:`AuditError` on the first violated invariant.
     """
 

@@ -5,10 +5,9 @@ Installed as ``repro`` (see ``pyproject.toml``); also runnable as
 
 ``repro experiment <artifact>``
     Regenerate one paper artifact (``table1``, ``table2``, ``fig3`` …
-    ``fig7``) or ``all``/``--all``, at a chosen scale.  ``--parallel N``
-    fans the distinct simulations out over worker processes;
-    ``--cache-dir`` (or ``$REPRO_CACHE_DIR``) persists results across
-    runs in the content-addressed store.
+    ``fig7``) or ``all``, at a chosen scale.  ``--parallel N`` fans the
+    distinct simulations out over worker processes; ``--cache-dir``
+    persists results across runs in the content-addressed store.
 
 ``repro cache info|clear``
     Inspect or empty the on-disk result store.
@@ -37,9 +36,7 @@ Installed as ``repro`` (see ``pyproject.toml``); also runnable as
     ``service/protocol.py``; ``--audit`` replays a stress workload with
     deep structural invariant audits after every calendar mutation.
     Exits non-zero on any finding; ``--format json`` emits the
-    machine-readable report CI uploads as an artifact and
-    ``--format sarif`` (or ``--sarif-out``) renders findings as SARIF
-    2.1.0 for code-scanning annotation.
+    machine-readable report CI uploads as an artifact.
 
 ``repro serve``
     Run the online co-allocation server: a live calendar behind a
@@ -107,13 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
-    exp.add_argument("artifact", nargs="?", choices=_ARTIFACTS, default=None)
-    exp.add_argument(
-        "--all",
-        action="store_true",
-        dest="all_artifacts",
-        help="regenerate every artifact (same as the 'all' positional)",
-    )
+    exp.add_argument("artifact", choices=_ARTIFACTS)
     exp.add_argument("--scale", choices=("smoke", "default", "full"), default="default")
     exp.add_argument(
         "--parallel",
@@ -126,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument(
         "--cache-dir",
         default=None,
-        help="persist simulation results here (defaults to $REPRO_CACHE_DIR; "
-        "unset = in-memory cache only)",
+        help="persist simulation results here (omitted = in-memory cache only)",
     )
 
     sim = sub.add_parser("simulate", help="replay a workload through a scheduler")
@@ -166,9 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--seed", type=int, default=7)
     prof.add_argument("--tau", type=float, default=900.0)
     prof.add_argument("--q-slots", type=int, default=288)
-    prof.add_argument(
-        "--sort", default="cumulative", help="pstats sort key (cumulative, tottime, ...)"
-    )
     prof.add_argument("--limit", type=int, default=25, help="rows of the pstats table")
     prof.add_argument("--dump", default=None, help="also write the binary profile here")
 
@@ -177,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument(
         "--cache-dir",
         default=None,
-        help="store location (defaults to $REPRO_CACHE_DIR)",
+        help="store location (omitted = no disk tier)",
     )
 
     chk = sub.add_parser("check", help="static lint + structural invariant audit")
@@ -186,13 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         help="files/directories to lint (default: the installed repro package)",
     )
-    chk.add_argument("--format", choices=("text", "json", "sarif"), default="text")
+    chk.add_argument("--format", choices=("text", "json"), default="text")
     chk.add_argument("--out", default=None, help="also write the JSON report to this path")
-    chk.add_argument(
-        "--sarif-out",
-        default=None,
-        help="also write a SARIF 2.1.0 report to this path",
-    )
     chk.add_argument("--no-lint", action="store_true", help="skip the static lint pass")
     chk.add_argument(
         "--concurrency",
@@ -207,15 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chk.add_argument("--audit-requests", type=int, default=2000)
     chk.add_argument("--audit-servers", type=int, default=64)
-    chk.add_argument("--audit-seed", type=int, default=7)
-    chk.add_argument("--audit-tau", type=float, default=900.0)
-    chk.add_argument("--audit-q-slots", type=int, default=96)
-    chk.add_argument(
-        "--audit-stride",
-        type=int,
-        default=1,
-        help="audit every k-th mutation (1 = every mutation)",
-    )
     chk.add_argument(
         "--inject",
         choices=(
@@ -274,25 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(None disables the log and the log_tail op)",
     )
     srv.add_argument(
-        "--log-segment-bytes",
-        type=int,
-        default=1 << 20,
-        help="rotate decision-log segments at this size",
-    )
-    srv.add_argument(
-        "--log-cursor-ttl",
-        type=float,
-        default=900.0,
-        help="forget a follower cursor idle this many seconds, so a dead "
-        "follower stops pinning decision-log compaction",
-    )
-    srv.add_argument(
         "--autoscale",
-        choices=("step", "target", "hysteresis"),
-        default=None,
-        metavar="POLICY",
-        help="enable telemetry-driven auto-scaling with this policy "
-        "(step, target or hysteresis; off by default)",
+        action="store_true",
+        help="enable telemetry-driven auto-scaling (off by default)",
     )
     srv.add_argument(
         "--autoscale-interval",
@@ -348,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         metavar="TICKS",
-        help="hysteresis policy: consecutive breaching ticks before acting",
+        help="consecutive breaching ticks before acting (1 = on every breach)",
     )
     srv.add_argument(
         "--autoscale-dry-run",
@@ -407,12 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="self-test: break the production Phase-2 selection (or, with "
         "skip-past-feasible, the retry ladder's infeasibility certificate) "
         "and require the differ to catch it (exit 0 = bug caught)",
-    )
-    fz.add_argument(
-        "--state-stride",
-        type=int,
-        default=1,
-        help="compare full per-server idle state every k ops (1 = every op)",
     )
     fz.add_argument(
         "--scale-events",
@@ -511,14 +462,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     from .experiments import SCALES, configure_default_store, run_all
     from .experiments.parallel import ARTIFACTS, enumerate_runs, warm_store
 
-    artifact = args.artifact or ("all" if args.all_artifacts else None)
-    if artifact is None:
-        print("experiment: name an artifact or pass --all", file=sys.stderr)
-        return int(ErrorCode.MALFORMED)
     config = SCALES[args.scale]
     store = configure_default_store(args.cache_dir) if args.cache_dir else None
 
-    wanted = list(ARTIFACTS) if artifact == "all" else [artifact]
+    wanted = list(ARTIFACTS) if args.artifact == "all" else [args.artifact]
     if args.parallel > 0:
         # warm the store for every distinct run first; rendering below
         # then consumes cached results only
@@ -533,10 +480,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if report.failures:
             return 1
 
-    if artifact == "all":
+    if args.artifact == "all":
         print(run_all(config))
     else:
-        print(ARTIFACTS[artifact].run(config))
+        print(ARTIFACTS[args.artifact].run(config))
     return 0
 
 
@@ -550,7 +497,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(json.dumps(store.info(), indent=2))
         return 0
     if store.cache_dir is None:
-        print("cache: no cache dir configured (set --cache-dir or $REPRO_CACHE_DIR)")
+        print("cache: no cache dir configured (pass --cache-dir); nothing to clear")
         return 0
     removed = store.clear()
     print(f"cache: removed {removed} entries from {store.cache_dir}")
@@ -682,7 +629,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         f"(rho {args.rho:g}, load {args.load:g}): "
         f"{result.requests_per_sec:.1f} req/s under cProfile"
     )
-    print(report.stats_text(sort=args.sort, limit=args.limit))
+    print(report.stats_text(sort="cumulative", limit=args.limit))
     if args.dump:
         report.dump(args.dump)
         print(f"wrote binary profile to {args.dump}")
@@ -703,7 +650,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report: dict[str, object] = {}
     failed = False
     text_sections: list[str] = []
-    sarif_findings: list = []
 
     if not args.no_lint:
         from .analysis.lint import lint_paths
@@ -715,7 +661,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         lint_report = lint_paths(paths)
         report["lint"] = lint_report.to_json()
         text_sections.append(lint_report.to_text())
-        sarif_findings.extend(lint_report.violations)
         failed = failed or not lint_report.ok
 
     if args.concurrency:
@@ -724,7 +669,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         protocol_report = run_protocol_check(inject=protocol_inject)
         report["protocol"] = protocol_report.to_json()
         text_sections.append(protocol_report.to_text())
-        sarif_findings.extend(protocol_report.violations)
         failed = failed or not protocol_report.ok
 
     if args.audit:
@@ -736,23 +680,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report["ok"] = not failed
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    if args.sarif_out or args.format == "sarif":
-        from .analysis.sarif import render_sarif
-
-        sarif_doc = render_sarif(sarif_findings)
-        if args.sarif_out:
-            Path(args.sarif_out).write_text(sarif_doc)
     if args.format == "json":
         print(json.dumps(report, indent=2))
-    elif args.format == "sarif":
-        print(sarif_doc, end="")
     else:
         print("\n\n".join(text_sections) if text_sections else "nothing to check")
     return 1 if failed else 0
 
 
+#: the audited stress replay's fixed shape: every mutation is audited
+_AUDIT_SEED = 7
+_AUDIT_TAU = 900.0
+_AUDIT_Q_SLOTS = 96
+
+
 def _run_audit_replay(args: argparse.Namespace) -> tuple[dict, str, bool]:
-    """Replay a stress workload with per-mutation audits; returns
+    """Replay a stress workload auditing every mutation; returns
     ``(json_section, text, ok)``."""
     from .analysis.audit import CORRUPTIONS, AuditError, audit_calendar
     from .schedulers.online import OnlineScheduler
@@ -763,21 +705,19 @@ def _run_audit_replay(args: argparse.Namespace) -> tuple[dict, str, bool]:
         n_requests=args.audit_requests,
         n_servers=args.audit_servers,
         rho=0.3,
-        seed=args.audit_seed,
-        tau=args.audit_tau,
+        seed=_AUDIT_SEED,
+        tau=_AUDIT_TAU,
     )
     scheduler = OnlineScheduler(
-        n_servers=args.audit_servers, tau=args.audit_tau, q_slots=args.audit_q_slots
+        n_servers=args.audit_servers, tau=_AUDIT_TAU, q_slots=_AUDIT_Q_SLOTS
     )
     section: dict[str, object] = {
         "requests": args.audit_requests,
         "servers": args.audit_servers,
-        "stride": args.audit_stride,
+        "stride": 1,
     }
     try:
-        result = replay(
-            scheduler, requests, record_latencies=False, audit_stride=args.audit_stride
-        )
+        result = replay(scheduler, requests, record_latencies=False, audit_stride=1)
     except AuditError as exc:
         section["findings"] = [f.to_dict() for f in exc.findings]
         text = "audit: FAILED during replay\n" + "\n".join(
@@ -809,7 +749,7 @@ def _run_audit_replay(args: argparse.Namespace) -> tuple[dict, str, bool]:
     section["findings"] = []
     text = (
         f"audit: clean — {args.audit_requests} requests on {args.audit_servers} "
-        f"servers, every {args.audit_stride} mutation(s) audited, "
+        "servers, every mutation audited, "
         f"checksum {result.outcome_checksum}"
     )
     return section, text, True
@@ -819,13 +759,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .service.server import ServiceConfig, serve_forever
+    from .service.snapshot import SnapshotError
 
     autoscale = None
-    if args.autoscale is not None:
+    if args.autoscale:
         from .service.autoscale import AutoScaleConfig
 
         autoscale = AutoScaleConfig(
-            policy=args.autoscale,
             interval=args.autoscale_interval,
             min_servers=args.autoscale_min,
             max_servers=args.autoscale_max,
@@ -856,8 +796,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         metrics_interval=args.metrics_interval,
         log_dir=args.log_dir,
-        log_segment_bytes=args.log_segment_bytes,
-        log_cursor_ttl=args.log_cursor_ttl,
         autoscale=autoscale,
     )
     try:
@@ -866,6 +804,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # the serve_forever cancellation path already snapshots on the
         # graceful stop, so ^C is a clean exit
         pass
+    except SnapshotError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return int(ErrorCode.MALFORMED)
     return int(ErrorCode.OK)
 
 
@@ -941,7 +882,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             result = run_stream(
                 stream,
                 inject=args.inject,
-                state_stride=max(1, args.state_stride),
             )
             entry: dict[str, object] = {
                 "profile": stream.profile,
@@ -1064,6 +1004,7 @@ def _cmd_follow(args: argparse.Namespace) -> int:
     import asyncio
 
     from .gateway import FollowerConfig, serve_follower
+    from .service.snapshot import SnapshotError
 
     config = FollowerConfig(
         host=args.host,
@@ -1082,6 +1023,9 @@ def _cmd_follow(args: argparse.Namespace) -> int:
         asyncio.run(serve_follower(config))
     except KeyboardInterrupt:
         pass
+    except SnapshotError as exc:
+        print(f"follow: {exc}", file=sys.stderr)
+        return int(ErrorCode.MALFORMED)
     return int(ErrorCode.OK)
 
 

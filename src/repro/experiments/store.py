@@ -17,8 +17,8 @@ replaces hand-picked keys with a content address:
 
 Two tiers: an in-process dict (same-object hits, what the experiment
 modules rely on within one run) in front of an optional on-disk layer of
-gzipped JSON payloads, enabled with ``REPRO_CACHE_DIR`` or ``--cache-dir``
-so full-scale runs survive process restarts.  Disk entries that are
+gzipped JSON payloads, enabled with ``--cache-dir`` (a ``cache_dir``
+argument) so full-scale runs survive process restarts.  Disk entries that are
 corrupt, truncated, or written by an older format/fingerprint are
 treated as misses, never as errors.
 """
@@ -29,7 +29,7 @@ import gzip
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
 
@@ -46,9 +46,6 @@ __all__ = [
     "configure_default_store",
     "default_store",
 ]
-
-#: environment variable enabling the disk tier for every store consumer
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: packages whose source participates in the code fingerprint — exactly
 #: the modules a simulation outcome can depend on
@@ -154,14 +151,10 @@ def compute_result(spec: RunSpec) -> SimResult:
 class ResultStore:
     """Two-tier content-addressed cache of :class:`SimResult` objects.
 
-    ``cache_dir=None`` falls back to ``$REPRO_CACHE_DIR`` (unset = no
-    disk tier); pass ``cache_dir=""`` to force memory-only regardless of
-    the environment (benchmarks use this for their cold baseline).
+    ``cache_dir=None`` keeps results in memory only (no disk tier).
     """
 
     def __init__(self, cache_dir: str | Path | None = None) -> None:
-        if cache_dir is None:
-            cache_dir = os.environ.get(CACHE_DIR_ENV) or None
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self._memory: dict[str, SimResult] = {}
 

@@ -129,7 +129,6 @@ class GatewayConfig:
     token_file: str | None = None  # token:tenant lines; None = open mode
     rate: float = 1000.0  # tokens/second refill per tenant
     burst: float = 2000.0  # bucket capacity per tenant
-    max_body: int = MAX_BODY_BYTES
     status_timeout: float = 2.0  # budget for the backend status probe in /metrics
 
 
@@ -271,7 +270,7 @@ class Gateway:
             while True:
                 await slots.acquire()
                 try:
-                    request = await read_request(reader, self.config.max_body)
+                    request = await read_request(reader, MAX_BODY_BYTES)
                 except HttpError as exc:
                     # framing is not recoverable mid-stream: answer and close
                     error = _error_reply(exc.status, exc.message)

@@ -6,11 +6,11 @@ controller's telemetry (:meth:`AdmissionController.telemetry
 EWMA and shed rate) and the pool admin ops (``add_servers`` / ``drain``
 / ``remove``).  It is deliberately split in two:
 
-* **policies** are pure functions of ``(telemetry, pool)`` — one
+* the **policy** is a pure function of ``(telemetry, pool)`` — one
   :class:`ScaleDecision` per tick, no clocks, no IO, no internal
-  state beyond what hysteresis needs.  That makes every policy unit
-  testable with hand-built telemetry dicts and keeps the decision
-  logic out of the asyncio plumbing.
+  state beyond its breach counters.  That makes it unit testable
+  with hand-built telemetry dicts and keeps the decision logic out of
+  the asyncio plumbing.
 * the **driver** (:meth:`AutoScaler.plan`) turns a decision into
   concrete admin messages against a pool snapshot: scale-out becomes
   one ``add_servers``, scale-in drains the highest active server and
@@ -18,26 +18,16 @@ EWMA and shed rate) and the pool admin ops (``add_servers`` / ``drain``
   messages are recorded and reported but never applied — the operator
   sees what the policy *would* do before trusting it with the pool.
 
-Three policies ship:
+One policy ships, :class:`HysteresisPolicy`: a breach is either
+overload signal (queue delay or shed rate) above its high threshold, or
+both signals below the low ones, and it must persist for ``patience``
+consecutive ticks before the pool moves — ``step`` servers out, or one
+server in.  Acting resets both counters, so the next action needs fresh
+evidence.  ``patience=1`` acts on every breach: the naive threshold
+policy that "A Theory of Auto-Scaling for Resource Reservation" expects
+to oscillate, reachable by a setting rather than a second class.
 
-``step``
-    Scale out by ``step`` servers whenever either overload signal
-    (queue delay or shed rate) breaches its high threshold; scale in by
-    one when both signals sit below the low thresholds.  Simple and
-    twitchy — the reference baseline.
-``target``
-    Proportional control: pick the active-server count that would bring
-    the queue-delay EWMA back to the midpoint of the low/high band
-    (service rate scales ~linearly with servers, so the corrective
-    factor is ``delay / setpoint``), capped at ``step`` servers per
-    tick in either direction.
-``hysteresis``
-    The ``step`` policy gated by consecutive-breach counters: a breach
-    must persist for ``patience`` ticks before any action, and each
-    action resets both counters.  This is the production default — a
-    single shed burst (or one idle tick) no longer flaps the pool.
-
-All policies hold while a drain is already in progress: draining
+The policy holds while a drain is already in progress: draining
 servers still honor existing reservations, so stacking more drains on
 a transient signal would amplify, not damp, the oscillation.
 """
@@ -45,14 +35,13 @@ a transient signal would amplify, not damp, the oscillation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 __all__ = [
-    "POLICIES",
     "AutoScaleConfig",
     "AutoScaler",
+    "HysteresisPolicy",
     "ScaleDecision",
-    "build_policy",
 ]
 
 
@@ -73,9 +62,8 @@ HOLD = ScaleDecision("hold", 0, "signals in band")
 
 @dataclass(slots=True)
 class AutoScaleConfig:
-    """Knobs shared by every policy (see ``docs/service.md``)."""
+    """The scaler's knobs (see ``docs/service.md``)."""
 
-    policy: str = "hysteresis"
     interval: float = 5.0  # seconds between ticks (driver-level)
     min_servers: int = 1
     max_servers: int = 4096
@@ -83,15 +71,10 @@ class AutoScaleConfig:
     high_delay: float = 0.5  # queue-delay EWMA (s) above which we scale out
     low_delay: float = 0.05  # queue-delay EWMA (s) below which we may scale in
     high_shed_rate: float = 0.05  # shed-rate EWMA above which we scale out
-    patience: int = 3  # hysteresis: consecutive breaching ticks before acting
+    patience: int = 3  # consecutive breaching ticks before acting (1 = at once)
     dry_run: bool = False
 
     def validate(self) -> None:
-        if self.policy not in POLICIES:
-            raise ValueError(
-                f"unknown autoscale policy {self.policy!r} "
-                f"(choose from {', '.join(sorted(POLICIES))})"
-            )
         if self.interval <= 0:
             raise ValueError(f"tick interval must be positive, got {self.interval}")
         if not 1 <= self.min_servers <= self.max_servers:
@@ -115,26 +98,23 @@ class AutoScaleConfig:
 
 
 # ----------------------------------------------------------------------
-# policies (pure: (telemetry, pool) -> ScaleDecision)
+# the policy (pure: (telemetry, pool) -> ScaleDecision)
 # ----------------------------------------------------------------------
 
 
-def _signals(telemetry: dict[str, Any]) -> tuple[float, float]:
-    return (
-        float(telemetry.get("queue_delay_ewma", 0.0)),
-        float(telemetry.get("shed_rate", 0.0)),
-    )
-
-
-class StepPolicy:
-    """±``step`` on threshold breach; the reference baseline."""
+class HysteresisPolicy:
+    """Threshold scaling gated by consecutive-breach counters."""
 
     def __init__(self, config: AutoScaleConfig) -> None:
         self.config = config
+        self._up_ticks = 0
+        self._down_ticks = 0
 
-    def decide(self, telemetry: dict[str, Any], pool: dict[str, Any]) -> ScaleDecision:
+    def _threshold(self, telemetry: dict[str, Any], pool: dict[str, Any]) -> ScaleDecision:
+        """This tick's breach, before the patience gate."""
         config = self.config
-        delay, shed_rate = _signals(telemetry)
+        delay = float(telemetry.get("queue_delay_ewma", 0.0))
+        shed_rate = float(telemetry.get("shed_rate", 0.0))
         active = int(pool["active"])
         if int(pool["draining"]) > 0:
             return ScaleDecision("hold", 0, "drain in progress")
@@ -153,53 +133,8 @@ class StepPolicy:
             )
         return HOLD
 
-
-class TargetPolicy:
-    """Proportional control toward the middle of the delay band."""
-
-    def __init__(self, config: AutoScaleConfig) -> None:
-        self.config = config
-        self.setpoint = (config.low_delay + config.high_delay) / 2.0
-
     def decide(self, telemetry: dict[str, Any], pool: dict[str, Any]) -> ScaleDecision:
-        config = self.config
-        delay, shed_rate = _signals(telemetry)
-        active = int(pool["active"])
-        if int(pool["draining"]) > 0:
-            return ScaleDecision("hold", 0, "drain in progress")
-        if config.low_delay <= delay <= config.high_delay and shed_rate <= config.high_shed_rate:
-            return HOLD
-        if shed_rate > config.high_shed_rate:
-            # shedding means the delay EWMA understates demand (shed work
-            # never queues); treat it as a full-band breach
-            target = active + config.step
-        else:
-            target = max(1, round(active * delay / self.setpoint))
-        target = max(config.min_servers, min(config.max_servers, target))
-        if target > active:
-            count = min(config.step, target - active)
-            return ScaleDecision(
-                "up", count, f"target {target} active (delay {delay:.4f}s)"
-            )
-        if target < active:
-            count = min(config.step, active - target)
-            return ScaleDecision(
-                "down", count, f"target {target} active (delay {delay:.4f}s)"
-            )
-        return HOLD
-
-
-class HysteresisPolicy:
-    """:class:`StepPolicy` gated by consecutive-breach counters."""
-
-    def __init__(self, config: AutoScaleConfig) -> None:
-        self.config = config
-        self._inner = StepPolicy(config)
-        self._up_ticks = 0
-        self._down_ticks = 0
-
-    def decide(self, telemetry: dict[str, Any], pool: dict[str, Any]) -> ScaleDecision:
-        decision = self._inner.decide(telemetry, pool)
+        decision = self._threshold(telemetry, pool)
         if decision.direction == "up":
             self._down_ticks = 0
             self._up_ticks += 1
@@ -228,18 +163,6 @@ class HysteresisPolicy:
         return decision
 
 
-POLICIES: dict[str, Callable[[AutoScaleConfig], Any]] = {
-    "step": StepPolicy,
-    "target": TargetPolicy,
-    "hysteresis": HysteresisPolicy,
-}
-
-
-def build_policy(config: AutoScaleConfig) -> Any:
-    config.validate()
-    return POLICIES[config.policy](config)
-
-
 # ----------------------------------------------------------------------
 # the driver
 # ----------------------------------------------------------------------
@@ -257,15 +180,15 @@ class AutoScaler:
     """
 
     config: AutoScaleConfig
-    policy: Any = None
+    policy: HysteresisPolicy = field(init=False)
     ticks: int = 0
     actions: int = 0
     history: list[dict[str, Any]] = field(default_factory=list)
     history_limit: int = 32
 
     def __post_init__(self) -> None:
-        if self.policy is None:
-            self.policy = build_policy(self.config)
+        self.config.validate()
+        self.policy = HysteresisPolicy(self.config)
 
     def plan(
         self, telemetry: dict[str, Any], pool: dict[str, Any]
@@ -332,7 +255,7 @@ class AutoScaler:
 
     def summary(self) -> dict[str, Any]:
         return {
-            "policy": self.config.policy,
+            "patience": self.config.patience,
             "interval": self.config.interval,
             "dry_run": self.config.dry_run,
             "ticks": self.ticks,

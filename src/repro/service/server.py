@@ -74,6 +74,13 @@ PROBE_LIMIT = 64
 #: records in one ``log_tail`` reply: the default, and the cap on a requested limit
 LOG_TAIL_LIMIT = 512
 
+#: decision-log segments rotate at this size
+LOG_SEGMENT_BYTES = 1 << 20
+
+#: a follower cursor idle this long (s) is forgotten, so a dead follower
+#: stops pinning decision-log compaction
+LOG_CURSOR_TTL = 900.0
+
 
 @dataclass(slots=True)
 class ServiceConfig:
@@ -92,8 +99,6 @@ class ServiceConfig:
     max_batch: int = 64
     metrics_interval: float = 0.0  # seconds; 0 disables the periodic log line
     log_dir: str | None = None  # decision-log directory (None disables the log)
-    log_segment_bytes: int = 1 << 20  # rotate segments at this size
-    log_cursor_ttl: float = 900.0  # drop follower cursors idle this long (s)
     autoscale: AutoScaleConfig | None = None  # None disables the scaler task
 
 
@@ -124,9 +129,7 @@ class ReservationService:
         self._log: DecisionLog | None = None
         if config.log_dir:
             self._log = DecisionLog(
-                config.log_dir,
-                config.log_segment_bytes,
-                cursor_ttl=config.log_cursor_ttl,
+                config.log_dir, LOG_SEGMENT_BYTES, cursor_ttl=LOG_CURSOR_TTL
             )
             self._log.align(log_hwm)
         self.metrics = ServiceMetrics()

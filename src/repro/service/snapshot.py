@@ -33,6 +33,8 @@ import os
 from pathlib import Path
 from typing import Any
 
+from ..core.calendar import AvailabilityCalendar
+
 __all__ = [
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
@@ -51,10 +53,6 @@ SNAPSHOT_VERSION = 2
 #: versions this build can read (no writer has produced version 1 since
 #: the elastic pool landed; such a file is refused, naming its version)
 SUPPORTED_VERSIONS = frozenset({2})
-
-#: legal per-server pool states (mirrors ``repro.core.calendar.POOL_STATES``;
-#: duplicated so the snapshot layer stays dependency-free)
-_POOL_STATES = frozenset({"active", "draining", "removed"})
 
 
 class SnapshotError(ValueError):
@@ -141,19 +139,19 @@ def _check_pool_sections(state: dict[str, Any], target: Path) -> None:
 
     A checksum match proves the bytes are what the writer wrote, not that
     the writer wrote sense; a mangled pool must never silently restore as
-    an all-active (or empty) pool.
+    an all-active (or empty) pool.  The calendar's own restore check
+    decides, so a snapshot passes here exactly when ``from_state`` would
+    accept its pool.
     """
     scheduler = state.get("scheduler")
     calendar = scheduler.get("calendar") if isinstance(scheduler, dict) else None
     if isinstance(calendar, dict) and "pool" in calendar:
-        pool = calendar["pool"]
-        n_servers = calendar.get("n_servers")
-        if (
-            not isinstance(pool, list)
-            or any(entry not in _POOL_STATES for entry in pool)
-            or (isinstance(n_servers, int) and len(pool) != n_servers)
-        ):
-            raise SnapshotError(f"snapshot {target} carries a corrupt pool section")
+        try:
+            AvailabilityCalendar.validate_pool_state(calendar)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SnapshotError(
+                f"snapshot {target} carries a corrupt pool section: {exc}"
+            ) from exc
     admin = state.get("admin_decided")
     if admin is not None and (
         not isinstance(admin, dict)

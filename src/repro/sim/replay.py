@@ -16,21 +16,18 @@ The :class:`ReplayResult` carries an ``outcome_checksum`` — a digest over
 every job's ``(rid, start, servers)`` outcome — so performance work on
 the calendar can assert that replays stay bit-identical across changes.
 
-Setting ``REPRO_AUDIT`` in the environment attaches a
+Passing ``audit_stride=k`` attaches a
 :class:`~repro.analysis.audit.MutationAuditor` to the scheduler's
-calendar for the whole replay: every ``stride``-th calendar mutation is
+calendar for the whole replay: every ``k``-th calendar mutation is
 followed by a full structural + conservation audit, and a final full
-audit runs after the last submission.  ``REPRO_AUDIT=all`` audits every
-mutation; ``REPRO_AUDIT=<k>`` audits every ``k``-th; ``REPRO_AUDIT=1``
-(or ``on``/``true``) uses the sampled default stride of 1000, cheap
-enough for the 100k-request benchmark workload.  Audits never mutate
-anything, so the outcome checksum is unchanged by auditing.
+audit runs after the last submission (``repro check --audit`` replays
+with ``k = 1``).  Audits never mutate anything, so the outcome checksum
+is unchanged by auditing.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from time import perf_counter, perf_counter_ns
 
@@ -39,25 +36,6 @@ from ..sim.engine import Engine
 from ..sim.job import Job, JobState
 
 __all__ = ["ReplayResult", "replay"]
-
-#: sampled audit stride used for ``REPRO_AUDIT=1``/``on``/``true``
-_DEFAULT_AUDIT_STRIDE = 1000
-
-
-def _audit_stride_from_env() -> int | None:
-    """Decode ``REPRO_AUDIT``: ``None`` (off), or the mutation stride."""
-    raw = os.environ.get("REPRO_AUDIT", "").strip().lower()
-    if raw in ("", "0", "off", "false", "no"):
-        return None
-    if raw in ("all", "every", "full"):
-        return 1
-    if raw in ("1", "on", "true", "yes"):
-        return _DEFAULT_AUDIT_STRIDE
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return _DEFAULT_AUDIT_STRIDE
-
 
 @dataclass(slots=True)
 class ReplayResult:
@@ -114,8 +92,7 @@ def replay(
     ``reclaim_early`` off.
 
     ``audit_stride`` attaches a mutation auditor to the scheduler's
-    calendar (see the module docstring); when ``None``, the
-    ``REPRO_AUDIT`` environment variable decides.  Auditing raises
+    calendar (see the module docstring); ``None`` audits nothing.  Auditing raises
     :class:`~repro.analysis.audit.AuditError` on the first violated
     invariant and leaves outcomes bit-identical otherwise.
     """
@@ -126,8 +103,6 @@ def replay(
         return ReplayResult(0, 0, 0.0, [], _checksum([]), 0.0, [])
     engine = Engine(start_time=ordered[0].qr)
     scheduler.bind(engine)
-    if audit_stride is None:
-        audit_stride = _audit_stride_from_env()
     auditor = None
     if audit_stride is not None:
         calendar = getattr(scheduler, "calendar", None)

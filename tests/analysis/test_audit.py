@@ -21,13 +21,8 @@ from repro.core.calendar import AvailabilityCalendar
 from repro.core.slot_tree import TwoDimTree
 from repro.core.types import INF, IdlePeriod, make_period
 from repro.schedulers import OnlineScheduler
-from repro.sim.replay import _audit_stride_from_env, replay
+from repro.sim.replay import replay
 from repro.workloads.stress import stress_workload
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_audit(monkeypatch):
-    monkeypatch.delenv("REPRO_AUDIT", raising=False)
 
 
 def populated(n_requests=200, n_servers=8):
@@ -230,40 +225,3 @@ class TestMutationAuditor:
         with pytest.raises(ValueError):
             MutationAuditor(cal, stride=0)
 
-
-class TestEnvDecoding:
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [
-            ("", None),
-            ("0", None),
-            ("off", None),
-            ("no", None),
-            ("all", 1),
-            ("every", 1),
-            ("1", 1000),
-            ("on", 1000),
-            ("true", 1000),
-            ("250", 250),
-            ("junk", 1000),
-        ],
-    )
-    def test_repro_audit_values(self, monkeypatch, raw, expected):
-        monkeypatch.setenv("REPRO_AUDIT", raw)
-        assert _audit_stride_from_env() == expected
-
-    def test_env_attaches_auditor_and_keeps_checksum(self, monkeypatch):
-        requests = stress_workload(100, 8, rho=0.3, seed=3)
-        monkeypatch.delenv("REPRO_AUDIT", raising=False)
-        plain = replay(
-            OnlineScheduler(n_servers=8, tau=900.0, q_slots=96),
-            requests,
-            record_latencies=False,
-        )
-        monkeypatch.setenv("REPRO_AUDIT", "all")
-        audited = replay(
-            OnlineScheduler(n_servers=8, tau=900.0, q_slots=96),
-            requests,
-            record_latencies=False,
-        )
-        assert audited.outcome_checksum == plain.outcome_checksum

@@ -10,11 +10,6 @@ from repro.cli import main
 FIXTURES = Path(__file__).parent / "fixtures" / "repro"
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_audit(monkeypatch):
-    monkeypatch.delenv("REPRO_AUDIT", raising=False)
-
-
 class TestLintMode:
     def test_violating_file_exits_nonzero(self, capsys):
         rc = main(["check", str(FIXTURES / "core" / "bad_front_pop.py")])
@@ -81,39 +76,6 @@ class TestConcurrencyMode:
         assert rc == 1  # an injected run never exits 0
         assert report["protocol"]["injected"]["caught"] is True
         assert check_id in {v["rule"] for v in report["protocol"]["violations"]}
-
-
-class TestSarifOutput:
-    def test_sarif_format_on_violations(self, capsys):
-        rc = main(
-            ["check", str(FIXTURES / "core" / "bad_front_pop.py"), "--format", "sarif"]
-        )
-        doc = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert doc["version"] == "2.1.0"
-        (run,) = doc["runs"]
-        (result,) = run["results"]
-        assert result["ruleId"] == "RA001"
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] == 7 and region["startColumn"] >= 1
-        assert any(r["id"] == "RA001" for r in run["tool"]["driver"]["rules"])
-
-    def test_sarif_out_artifact_alongside_text(self, capsys, tmp_path):
-        artifact = tmp_path / "check.sarif"
-        rc = main(
-            [
-                "check",
-                str(FIXTURES / "core" / "clean.py"),
-                "--concurrency",
-                "--sarif-out",
-                str(artifact),
-            ]
-        )
-        capsys.readouterr()
-        assert rc == 0
-        doc = json.loads(artifact.read_text())
-        assert doc["version"] == "2.1.0"
-        assert doc["runs"][0]["results"] == []
 
 
 class TestAuditMode:

@@ -64,7 +64,7 @@ class TestWarmStore:
         return [RunSpec.normalized(w, s, TINY, rho) for w, s, rho in self.SPECS]
 
     def test_inline_worker_and_disk_paths_identical(self, tmp_path):
-        inline = warm_store(self._specs(), workers=1, store=ResultStore(""))
+        inline = warm_store(self._specs(), workers=1, store=ResultStore())
         assert inline.computed == 3 and not inline.failures
 
         pooled = warm_store(self._specs(), workers=2, store=ResultStore(tmp_path))
@@ -79,7 +79,7 @@ class TestWarmStore:
     def test_failure_is_isolated(self):
         specs = self._specs()
         specs.insert(1, RunSpec.normalized("NOSUCH", "online", TINY))
-        report = warm_store(specs, workers=2, store=ResultStore(""))
+        report = warm_store(specs, workers=2, store=ResultStore())
         assert len(report.failures) == 1
         assert report.failures[0].label.startswith("NOSUCH")
         assert "KeyError" in report.failures[0].error
@@ -87,12 +87,12 @@ class TestWarmStore:
 
     def test_inline_failure_is_isolated_too(self):
         specs = [RunSpec.normalized("NOSUCH", "online", TINY)] + self._specs()
-        report = warm_store(specs, workers=1, store=ResultStore(""))
+        report = warm_store(specs, workers=1, store=ResultStore())
         assert len(report.failures) == 1 and report.computed == 3
 
     def test_progress_lines_emitted(self):
         lines = []
-        warm_store(self._specs()[:1], workers=1, store=ResultStore(""), progress=lines.append)
+        warm_store(self._specs()[:1], workers=1, store=ResultStore(), progress=lines.append)
         assert len(lines) == 1 and "KTH/online" in lines[0]
 
     def test_report_json_shape(self, tmp_path):

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+import repro.experiments.store as store_mod
 from repro.experiments import clear_cache, get_result
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.store import (
@@ -17,6 +18,8 @@ from repro.experiments.store import (
     RunSpec,
     code_fingerprint,
     compute_result,
+    configure_default_store,
+    default_store,
 )
 from repro.sim.driver import RESULT_FORMAT, SimResult
 
@@ -154,17 +157,20 @@ class TestDiskTier:
         assert ResultStore(tmp_path).get(other) is None
 
     def test_no_cache_dir_is_memory_only(self):
-        store = ResultStore(cache_dir="")
+        store = ResultStore()
         assert store.cache_dir is None
         spec = RunSpec.normalized("KTH", "online", TINY)
         store.get_or_compute(spec)
         assert store.info()["disk_entries"] == 0
         assert store.info()["memory_entries"] == 1
 
-    def test_env_var_enables_disk_tier(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        store = ResultStore()
-        assert store.cache_dir == tmp_path
+    def test_configured_default_store_has_a_disk_tier(self, tmp_path, monkeypatch):
+        """--cache-dir is the one way to a disk tier: it points the
+        process-wide store at the directory."""
+        monkeypatch.setattr(store_mod, "_default_store", None)
+        assert default_store().cache_dir is None
+        configured = configure_default_store(tmp_path)
+        assert default_store() is configured and configured.cache_dir == tmp_path
 
     def test_clear_and_info(self, tmp_path):
         store = ResultStore(tmp_path)

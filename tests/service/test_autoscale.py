@@ -1,4 +1,4 @@
-"""The auto-scaler: pure policies, the message-planning driver, dry-run,
+"""The auto-scaler: the one policy, the message-planning driver, dry-run,
 and the live service loop applying mutations through the actor."""
 
 from __future__ import annotations
@@ -9,10 +9,10 @@ import pytest
 
 from repro.facade import CoAllocationScheduler
 from repro.service.autoscale import (
-    POLICIES,
     AutoScaleConfig,
     AutoScaler,
-    build_policy,
+    HysteresisPolicy,
+    ScaleDecision,
 )
 
 from repro.service.state import ServiceState
@@ -41,89 +41,76 @@ def _pool(active: int, draining: int = 0, removed: int = 0, drained=()) -> dict:
     }
 
 
+#: patience 1: every breach acts on the tick it is seen (the naive
+#: threshold policy, as a setting of the one policy)
 CONFIG = AutoScaleConfig(
-    policy="step", min_servers=1, max_servers=8, step=2,
-    high_delay=0.5, low_delay=0.05, high_shed_rate=0.05,
+    min_servers=1, max_servers=8, step=2,
+    high_delay=0.5, low_delay=0.05, high_shed_rate=0.05, patience=1,
 )
 
 
-class TestStepPolicy:
+def _decide(telemetry: dict, pool: dict) -> ScaleDecision:
+    return HysteresisPolicy(CONFIG).decide(telemetry, pool)
+
+
+class TestThresholdsAtPatienceOne:
     def test_scales_out_on_delay_breach(self):
-        decision = build_policy(CONFIG).decide(_telemetry(delay=1.0), _pool(4))
-        assert (decision.direction, decision.count) == ("up", 2)
+        assert _decide(_telemetry(delay=1.0), _pool(4)) == ScaleDecision(
+            "up", 2, "queue_delay=1.0000s shed_rate=0.0000 above band"
+        )
 
     def test_scales_out_on_shed_breach_alone(self):
-        decision = build_policy(CONFIG).decide(
-            _telemetry(delay=0.0, shed_rate=0.5), _pool(4)
+        assert _decide(_telemetry(delay=0.0, shed_rate=0.5), _pool(4)) == ScaleDecision(
+            "up", 2, "queue_delay=0.0000s shed_rate=0.5000 above band"
         )
-        assert decision.direction == "up"
 
     def test_scale_out_capped_at_max_servers(self):
-        decision = build_policy(CONFIG).decide(_telemetry(delay=1.0), _pool(7))
-        assert (decision.direction, decision.count) == ("up", 1)
-        hold = build_policy(CONFIG).decide(_telemetry(delay=1.0), _pool(8))
-        assert hold.direction == "hold"
+        assert _decide(_telemetry(delay=1.0), _pool(7)) == ScaleDecision(
+            "up", 1, "queue_delay=1.0000s shed_rate=0.0000 above band"
+        )
+        assert _decide(_telemetry(delay=1.0), _pool(8)) == ScaleDecision(
+            "hold", 0, "overloaded but at max_servers"
+        )
 
     def test_scales_in_when_idle(self):
-        decision = build_policy(CONFIG).decide(_telemetry(delay=0.01), _pool(4))
-        assert (decision.direction, decision.count) == ("down", 1)
+        assert _decide(_telemetry(delay=0.01), _pool(4)) == ScaleDecision(
+            "down", 1, "queue_delay=0.0100s below band, no shedding"
+        )
 
     def test_never_drains_below_min_servers(self):
-        decision = build_policy(CONFIG).decide(_telemetry(delay=0.0), _pool(1))
-        assert decision.direction == "hold"
+        assert _decide(_telemetry(delay=0.0), _pool(1)) == ScaleDecision(
+            "hold", 0, "signals in band"
+        )
 
     def test_holds_while_a_drain_is_in_progress(self):
-        decision = build_policy(CONFIG).decide(
-            _telemetry(delay=1.0), _pool(4, draining=1)
+        assert _decide(_telemetry(delay=1.0), _pool(4, draining=1)) == ScaleDecision(
+            "hold", 0, "drain in progress"
         )
-        assert decision.direction == "hold"
 
     def test_in_band_signals_hold(self):
-        decision = build_policy(CONFIG).decide(_telemetry(delay=0.2), _pool(4))
-        assert decision.direction == "hold"
-
-
-class TestTargetPolicy:
-    def test_proportional_target_capped_by_step(self):
-        config = AutoScaleConfig(policy="target", step=2, max_servers=64,
-                                 high_delay=0.5, low_delay=0.1)
-        # setpoint 0.3s, delay 1.2s -> target 4 * 4 = 16, capped to +2
-        decision = build_policy(config).decide(_telemetry(delay=1.2), _pool(4))
-        assert (decision.direction, decision.count) == ("up", 2)
-
-    def test_scale_in_toward_target(self):
-        config = AutoScaleConfig(policy="target", step=3, max_servers=64,
-                                 high_delay=0.5, low_delay=0.1)
-        # delay 0.03s: target = round(8 * 0.03 / 0.3) = 1, capped to -3
-        decision = build_policy(config).decide(_telemetry(delay=0.03), _pool(8))
-        assert (decision.direction, decision.count) == ("down", 3)
-
-    def test_shed_breach_counts_as_full_band_breach(self):
-        config = AutoScaleConfig(policy="target", step=2, max_servers=64)
-        decision = build_policy(config).decide(
-            _telemetry(delay=0.2, shed_rate=0.5), _pool(4)
+        assert _decide(_telemetry(delay=0.2), _pool(4)) == ScaleDecision(
+            "hold", 0, "signals in band"
         )
-        assert decision.direction == "up"
 
 
 class TestHysteresisPolicy:
     def test_acts_only_after_patience_consecutive_breaches(self):
-        config = AutoScaleConfig(policy="hysteresis", patience=3, max_servers=8)
-        policy = build_policy(config)
+        config = AutoScaleConfig(patience=3, max_servers=8)
+        policy = HysteresisPolicy(config)
         assert policy.decide(_telemetry(delay=1.0), _pool(4)).direction == "hold"
         assert policy.decide(_telemetry(delay=1.0), _pool(4)).direction == "hold"
         assert policy.decide(_telemetry(delay=1.0), _pool(4)).direction == "up"
 
     def test_one_calm_tick_resets_the_counter(self):
-        config = AutoScaleConfig(policy="hysteresis", patience=2, max_servers=8)
-        policy = build_policy(config)
+        config = AutoScaleConfig(patience=2, max_servers=8)
+        policy = HysteresisPolicy(config)
         assert policy.decide(_telemetry(delay=1.0), _pool(4)).direction == "hold"
         assert policy.decide(_telemetry(delay=0.2), _pool(4)).direction == "hold"
         assert policy.decide(_telemetry(delay=1.0), _pool(4)).direction == "hold"
 
     def test_acting_resets_both_counters(self):
-        config = AutoScaleConfig(policy="hysteresis", patience=2, max_servers=8)
-        policy = build_policy(config)
+        config = AutoScaleConfig(patience=2, max_servers=8)
+        policy = HysteresisPolicy(config)
         policy.decide(_telemetry(delay=1.0), _pool(4))
         assert policy.decide(_telemetry(delay=1.0), _pool(4)).direction == "up"
         # fresh evidence needed before the next action
@@ -134,13 +121,13 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"policy": "nope"},
             {"interval": 0.0},
             {"min_servers": 0},
             {"min_servers": 5, "max_servers": 4},
             {"step": 0},
             {"low_delay": 0.5, "high_delay": 0.5},
             {"high_shed_rate": 0.0},
+            {"high_shed_rate": 1.5},
             {"patience": 0},
         ],
     )
@@ -148,27 +135,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AutoScaleConfig(**kwargs).validate()
 
-    def test_every_policy_is_buildable(self):
-        for name in POLICIES:
-            build_policy(AutoScaleConfig(policy=name))
-
 
 class TestDriver:
     def test_scale_out_plans_one_add_servers(self):
-        scaler = AutoScaler(AutoScaleConfig(policy="step", step=2, max_servers=8))
+        scaler = AutoScaler(AutoScaleConfig(patience=1, step=2, max_servers=8))
         decision, messages = scaler.plan(_telemetry(delay=1.0), _pool(4))
         assert decision.direction == "up"
         assert messages == [{"op": "add_servers", "count": 2, "aid": "autoscale-add-4"}]
 
     def test_scale_in_drains_the_highest_active_server(self):
-        scaler = AutoScaler(AutoScaleConfig(policy="step", min_servers=1))
+        scaler = AutoScaler(AutoScaleConfig(patience=1, min_servers=1))
         decision, messages = scaler.plan(_telemetry(delay=0.0), _pool(4))
         assert decision.direction == "down"
         assert [m["op"] for m in messages] == ["drain"]
         assert messages[0]["server"] == 3
 
     def test_drained_servers_are_removed_regardless_of_decision(self):
-        scaler = AutoScaler(AutoScaleConfig(policy="step"))
+        scaler = AutoScaler(AutoScaleConfig(patience=1))
         pool = _pool(4, draining=1, drained={4})
         decision, messages = scaler.plan(_telemetry(delay=0.2), pool)
         assert decision.direction == "hold"  # drain in progress
@@ -177,7 +160,7 @@ class TestDriver:
     def test_a_restarted_scaler_still_grows_a_restored_pool(self):
         """The aid table survives a restart and the scaler's tick count
         does not: aids minted from ticks came back as replays."""
-        config = AutoScaleConfig(policy="step", step=1, max_servers=16)
+        config = AutoScaleConfig(patience=1, step=1, max_servers=16)
         state = ServiceState(CoAllocationScheduler(n_servers=4, tau=10.0, q_slots=8))
 
         def overloaded_tick(scaler: AutoScaler, state: ServiceState) -> list[bool]:
@@ -197,14 +180,14 @@ class TestDriver:
         assert restored.scheduler.pool_status()["active"] == 7
 
     def test_scale_in_aids_name_the_server_only(self):
-        scaler = AutoScaler(AutoScaleConfig(policy="step", min_servers=1))
+        scaler = AutoScaler(AutoScaleConfig(patience=1, min_servers=1))
         scaler.ticks = 41
         _, messages = scaler.plan(_telemetry(delay=0.0), _pool(4))
         assert [m["aid"] for m in messages] == ["autoscale-drain-3"]
 
     def test_dry_run_records_history_but_applies_nothing(self):
         scaler = AutoScaler(
-            AutoScaleConfig(policy="step", step=1, max_servers=8, dry_run=True)
+            AutoScaleConfig(patience=1, step=1, max_servers=8, dry_run=True)
         )
         decision, messages = scaler.plan(_telemetry(delay=1.0), _pool(4))
         assert decision.direction == "up"
@@ -221,7 +204,7 @@ def test_autoscale_loop_grows_a_live_pool():
         service = await start_service(
             **SMALL,
             autoscale=AutoScaleConfig(
-                policy="step", interval=0.05, max_servers=4, step=2,
+                patience=1, interval=0.05, max_servers=4, step=2,
                 high_delay=0.5, low_delay=1e-6, high_shed_rate=0.01,
             ),
         )
@@ -239,6 +222,7 @@ def test_autoscale_loop_grows_a_live_pool():
             assert pool["total"] == 4, pool
             status = await rpc(service.port, {"op": "status"})
             assert status["autoscale"]["actions"] >= 1
+            assert status["autoscale"]["patience"] == 1
         finally:
             await service.stop()
 

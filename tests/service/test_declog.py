@@ -3,6 +3,7 @@ multi-segment == single-segment replay regression."""
 
 import asyncio
 
+from repro.service import server
 from repro.service.declog import DecisionLog
 
 from .harness import SMALL, reserve_msg, rpc, rpc_all, start_service
@@ -180,18 +181,16 @@ class TestServerLogIntegration:
         assert not response["ok"]
         assert response["error"]["code"] == "MALFORMED"
 
-    def test_snapshot_compacts_and_restart_aligns(self, tmp_path):
+    def test_snapshot_compacts_and_restart_aligns(self, tmp_path, monkeypatch):
         """snapshot -> compact; restart-from-snapshot -> aligned log that
         keeps appending with the same numbering."""
         log_dir = tmp_path / "log"
         snap = tmp_path / "snap.json"
+        monkeypatch.setattr(server, "LOG_SEGMENT_BYTES", 256)
 
         async def phase1():
             service = await start_service(
-                **SMALL,
-                log_dir=str(log_dir),
-                log_segment_bytes=256,
-                snapshot_path=str(snap),
+                **SMALL, log_dir=str(log_dir), snapshot_path=str(snap)
             )
             port = service.port
             for rid in range(1, 9):
@@ -202,6 +201,7 @@ class TestServerLogIntegration:
             return response, shutdown
 
         snapshot_response, shutdown = asyncio.run(phase1())
+        monkeypatch.undo()  # the restarted service rotates at the default size
         assert snapshot_response["ok"]
         assert "log_compacted" in snapshot_response
 
@@ -221,14 +221,13 @@ class TestServerLogIntegration:
         assert after["log"]["hwm"] == before["log"]["hwm"] + 1
         assert after["accepted_checksum"] != ""
 
-    def test_multi_segment_replay_equals_single_segment(self, tmp_path):
+    def test_multi_segment_replay_equals_single_segment(self, tmp_path, monkeypatch):
         """The same op sequence through tiny segments and one huge segment
         produces byte-identical log records and checksums."""
 
         async def run(log_dir, segment_bytes):
-            service = await start_service(
-                **SMALL, log_dir=str(log_dir), log_segment_bytes=segment_bytes
-            )
+            monkeypatch.setattr(server, "LOG_SEGMENT_BYTES", segment_bytes)
+            service = await start_service(**SMALL, log_dir=str(log_dir))
             port = service.port
             for rid in range(1, 25):
                 await rpc(port, reserve_msg(rid, float(rid % 5), 10.0, 1))

@@ -215,15 +215,20 @@ class TestSnapshotMigration:
 
     def test_corrupt_pool_states_are_a_hard_error(self, tmp_path):
         service = ReservationService(CONFIG)
-        state = _state(service)
-        state["scheduler"]["calendar"]["pool"] = ["bogus"] * CONFIG.n_servers
-        path = tmp_path / "bad.snap"
-        _write_document(
-            path,
-            {"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION, "state": state},
-        )
-        with pytest.raises(SnapshotError, match="corrupt pool"):
-            read_snapshot(path)
+        bogus = ["bogus"] * CONFIG.n_servers
+        # server 1 marked removed while its idle periods are still listed:
+        # checksum-valid, and refused by the calendar's restore check
+        removed_with_periods = ["active", "removed"] + ["active"] * (CONFIG.n_servers - 2)
+        for pool in (bogus, removed_with_periods):
+            state = _state(service)
+            state["scheduler"]["calendar"]["pool"] = pool
+            path = tmp_path / "bad.snap"
+            _write_document(
+                path,
+                {"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION, "state": state},
+            )
+            with pytest.raises(SnapshotError, match="corrupt pool"):
+                read_snapshot(path)
 
     def test_pool_length_mismatch_is_a_hard_error(self, tmp_path):
         service = ReservationService(CONFIG)

@@ -29,6 +29,31 @@ class TestParser:
         assert args.workload == "KTH" and args.scheduler == "online"
         assert args.rho == 0.0 and not args.reclaim
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "all", "--all"],
+            ["profile", "--sort", "tottime"],
+            ["check", "--audit", "--audit-tau", "60"],
+            ["check", "--audit", "--audit-q-slots", "8"],
+            ["check", "--audit", "--audit-stride", "10"],
+            ["serve", "--log-segment-bytes", "256"],
+            ["serve", "--log-cursor-ttl", "60"],
+            ["serve", "--autoscale", "target"],
+        ],
+    )
+    def test_removed_options_are_usage_errors(self, argv, capsys):
+        """Settings no caller sets are constants (DESIGN.md §19): the
+        parser refuses them rather than ignoring them."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_autoscale_is_an_on_off_flag(self):
+        assert build_parser().parse_args(["serve", "--autoscale"]).autoscale is True
+        assert build_parser().parse_args(["serve"]).autoscale is False
+
 
 class TestSimulate(object):
     def test_online_summary(self, capsys):
@@ -86,14 +111,14 @@ class TestExperimentCommand:
         assert "Table 1" in out and "CTC" in out
 
     def test_artifact_or_all_required(self, capsys):
-        rc = main(["experiment"])
-        assert rc == 2
-        assert "--all" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment"])
+        assert excinfo.value.code == 2
+        assert "required: artifact" in capsys.readouterr().err
 
-    def test_all_flag_accepted(self):
-        args = build_parser().parse_args(["experiment", "--all", "--parallel", "4"])
-        assert args.all_artifacts and args.artifact is None
-        assert args.parallel == 4
+    def test_all_positional_accepted(self):
+        args = build_parser().parse_args(["experiment", "all", "--parallel", "4"])
+        assert args.artifact == "all" and args.parallel == 4
 
     @pytest.mark.slow
     def test_parallel_with_cache_dir(self, tmp_path, capsys):
@@ -134,8 +159,7 @@ class TestCacheCommand:
         assert rc == 0 and "removed 1 entries" in out
         assert not list(tmp_path.glob("*.json.gz"))
 
-    def test_clear_without_dir_is_noop(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    def test_clear_without_dir_is_noop(self, capsys):
         rc = main(["cache", "clear"])
         assert rc == 0
         assert "no cache dir configured" in capsys.readouterr().out
@@ -176,6 +200,40 @@ class TestServiceParsers:
             main(argv)
         assert excinfo.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+
+class TestBootSnapshotErrors:
+    """A snapshot the build refuses is one line on stderr and exit 2
+    (``MALFORMED``), not a traceback — for the server and the follower."""
+
+    @pytest.fixture()
+    def v1_snapshot(self, tmp_path):
+        from repro.service.snapshot import SNAPSHOT_FORMAT, state_checksum
+
+        state = {"scheduler": {}}
+        path = tmp_path / "old.snap"
+        path.write_text(json.dumps({
+            "format": SNAPSHOT_FORMAT,
+            "version": 1,
+            "sha256": state_checksum(state),
+            "state": state,
+        }))
+        return path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--snapshot-path"],
+            ["follow", "--primary-port", "1", "--bootstrap-snapshot"],
+        ],
+    )
+    def test_refused_snapshot_is_one_line_and_exit_2(self, argv, v1_snapshot, capsys):
+        rc = main([*argv, str(v1_snapshot)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"{argv[0]}: snapshot {v1_snapshot} has version 1")
+        assert "listening on" not in captured.out
 
 
 class TestReserveExitCodes:
@@ -260,7 +318,7 @@ class TestProfileCommand:
     def test_defaults(self):
         args = build_parser().parse_args(["profile"])
         assert args.requests == 20_000 and args.servers == 512
-        assert args.sort == "cumulative" and args.dump is None
+        assert args.dump is None
 
     def test_profile_prints_hot_functions(self, tmp_path, capsys):
         dump = tmp_path / "hotpath.prof"
