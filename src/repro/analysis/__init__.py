@@ -3,14 +3,13 @@
 Three engines guard the correctness of the co-allocation hot path:
 
 * :mod:`repro.analysis.lint` — a custom AST lint pass catching the bug
-  classes that broke, or nearly broke, the calendar fast path (rules
-  ``RA001`` … ``RA009``: accidental ``pop(0)`` scans, sorting inside
-  loops, float modulo / equality on time values, wall-clock or unseeded
-  randomness leaking into the simulator, code reaching into slot-tree
-  internals) plus the async-actor concurrency rules (``RA201`` …
-  ``RA204``: awaited read-modify-write races on actor state, blocking
-  calls inside coroutines, fire-and-forget tasks, unbounded stream
-  reads) from :mod:`repro.analysis.rules.concurrency`.
+  classes that broke the calendar fast path and the service (rules
+  ``RA001`` … ``RA003``, ``RA008``, ``RA009``: accidental ``pop(0)``
+  scans, sorting inside loops, float modulo on time values, reading
+  ``r_max`` beside a ``ScheduleOutcome``, the single-writer actor
+  boundary) plus the async rules ``RA202`` and ``RA204`` (blocking
+  calls inside coroutines, unbounded stream reads) from
+  :mod:`repro.analysis.rules.concurrency`.
 
 * :mod:`repro.analysis.protocol_check` — wire-protocol conformance
   (``RA205``/``RA206``): every literal ``{"op": ...}`` send site and
@@ -20,14 +19,14 @@ Three engines guard the correctness of the co-allocation hot path:
 
 * :mod:`repro.analysis.audit` — deep structural audits (checks ``RA101``
   … ``RA116``) over :class:`~repro.core.slot_tree.TwoDimTree` and
-  :class:`~repro.core.calendar.AvailabilityCalendar`: size fields, split
-  keys, leaf ordering, secondary-index synchrony, uid-map bijection,
-  slot-coverage, pending-bucket bookkeeping, tail-index ordering, and
-  idle-time conservation across ``allocate``/``release``.
+  :class:`~repro.core.calendar.AvailabilityCalendar`: size fields, leaf
+  ordering, secondary-index synchrony, uid-map bijection, write-buffer
+  agreement, slot coverage, the arithmetic horizon, tail-index ordering,
+  and idle-time conservation across ``allocate``/``release``.
 
-All are surfaced by the ``repro check`` CLI subcommand (``--concurrency``
-adds the protocol pass) and documented in ``docs/analysis.md``.  The
-audit engine also backs the ``validate()`` methods of the core data
+All are surfaced by the ``repro check`` CLI subcommand (the protocol
+pass runs with the lint pass) and documented in ``docs/analysis.md``.
+The audit engine also backs the ``validate()`` methods of the core data
 structures and ``replay(audit_stride=…)``.
 """
 

@@ -1,26 +1,20 @@
-"""The domain lint rules, RA001 … RA009 and RA201 … RA204.
+"""The domain lint rules: RA001 … RA003, RA008, RA009, RA202 and RA204.
 
 Every rule carries an ID, a fix hint, and a scope; ``docs/analysis.md``
 documents each one with its rationale and an example.  Suppress a
 finding per line with ``# repro: noqa`` (all rules) or
 ``# repro: noqa: RA001,RA003`` (specific rules) — an unknown ID in a
-pragma is itself a finding (RA010).
+pragma, a retired rule's included, is itself a finding (RA010).
 """
 
 from __future__ import annotations
 
-from .base import LintContext, Rule, Violation, in_hot_path, in_simulation
-from .boundaries import OutcomeContractRule, SlotTreeInternalsRule
-from .concurrency import (
-    BlockingCallRule,
-    FireAndForgetTaskRule,
-    LostUpdateRule,
-    UnboundedStreamRule,
-)
-from .determinism import UnseededRandomRule, WallClockRule
+from .base import LintContext, Rule, Violation, in_hot_path
+from .boundaries import OutcomeContractRule
+from .concurrency import BlockingCallRule, UnboundedStreamRule
 from .performance import FrontOfListRule, SortInLoopRule
 from .service import ActorBoundaryRule
-from .time_arith import FloatTimeEqualityRule, FloatTimeModuloRule
+from .time_arith import FloatTimeModuloRule
 
 __all__ = [
     "ALL_RULES",
@@ -28,7 +22,6 @@ __all__ = [
     "Rule",
     "Violation",
     "in_hot_path",
-    "in_simulation",
 ]
 
 #: registry, in ID order; the lint runner applies every applicable rule
@@ -36,14 +29,8 @@ ALL_RULES: tuple[Rule, ...] = (
     FrontOfListRule(),
     SortInLoopRule(),
     FloatTimeModuloRule(),
-    FloatTimeEqualityRule(),
-    WallClockRule(),
-    UnseededRandomRule(),
-    SlotTreeInternalsRule(),
     OutcomeContractRule(),
     ActorBoundaryRule(),
-    LostUpdateRule(),
     BlockingCallRule(),
-    FireAndForgetTaskRule(),
     UnboundedStreamRule(),
 )

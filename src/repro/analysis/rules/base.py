@@ -13,9 +13,6 @@ package root):
   trace-replay benchmark times, where an accidental ``O(N)`` list shift
   or an in-loop sort silently destroys the paper's ``O((log N)^2)``
   bounds.
-* *simulation* — ``core/`` and ``sim/``: the deterministic world; wall
-  clocks and unseeded randomness are forbidden so replays stay
-  bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -29,8 +26,6 @@ __all__ = [
     "Rule",
     "Violation",
     "in_hot_path",
-    "in_simulation",
-    "is_time_expr",
 ]
 
 
@@ -102,43 +97,3 @@ class Rule:
 def in_hot_path(module: str) -> bool:
     """Modules whose per-operation cost the replay benchmark guards."""
     return module.startswith("core/") or module == "sim/replay.py"
-
-
-def in_simulation(module: str) -> bool:
-    """Modules that must stay deterministic under replay."""
-    return module.startswith("core/") or module.startswith("sim/")
-
-
-#: identifiers that conventionally hold simulated-time values in this
-#: codebase (Section 2 vocabulary plus the calendar/slot geometry)
-_TIME_NAMES = frozenset(
-    {
-        "t", "st", "et", "sr", "er", "qr", "lr", "ta", "tb",
-        "tau", "now", "start", "end",
-        "start_time", "end_time", "to_time", "at_time",
-        "deadline", "horizon", "horizon_start", "horizon_end",
-        "delta_t", "lead", "delay", "cutoff", "until", "duration",
-        "new_end", "latest", "elapsed",
-    }
-)
-
-
-def _name_is_time(name: str) -> bool:
-    return name in _TIME_NAMES or name.endswith(("_time", "_end", "_start"))
-
-
-def is_time_expr(node: ast.AST) -> bool:
-    """Heuristic: does the expression denote a simulated-time value?
-
-    Names and attributes are matched against the codebase's time
-    vocabulary; arithmetic over a time value is itself a time value.
-    """
-    if isinstance(node, ast.Name):
-        return _name_is_time(node.id)
-    if isinstance(node, ast.Attribute):
-        return _name_is_time(node.attr)
-    if isinstance(node, ast.BinOp):
-        return is_time_expr(node.left) or is_time_expr(node.right)
-    if isinstance(node, ast.UnaryOp):
-        return is_time_expr(node.operand)
-    return False

@@ -1,13 +1,8 @@
-"""Rules enforcing module boundaries and API contracts.
+"""Rule enforcing the ``ScheduleOutcome`` API contract.
 
-``RA007`` keeps slot-tree internals private: the update invariants (the
-sorted leaf array and its cached summary, the materialised secondary
-indexes, the per-tree uid map) are maintained by ``core/slot_tree.py``
-alone, and any outside reader becomes an outside *mutator* one refactor
-later.  ``RA008`` enforces the ``ScheduleOutcome`` contract: the attempt
-count on rejection is ``outcome.attempts`` (a deadline/horizon early
-exit performs fewer than ``R_max`` attempts), never the scheduler's
-``r_max`` parameter.
+``RA008``: the attempt count on rejection is ``outcome.attempts`` (a
+deadline/horizon early exit performs fewer than ``R_max`` attempts),
+never the scheduler's ``r_max`` parameter.
 """
 
 from __future__ import annotations
@@ -17,42 +12,7 @@ from typing import Iterator
 
 from .base import LintContext, Rule, Violation
 
-__all__ = ["SlotTreeInternalsRule", "OutcomeContractRule"]
-
-#: attributes that exist only on slot-tree internals: the uid map and
-#: the sorted leaves with their cached count, maximum and secondaries
-_PRIVATE_ATTRS = frozenset({"_by_uid", "_leaves", "_secs", "_max_et", "_count"})
-
-#: modules allowed to touch them: the tree itself and the designated
-#: invariant auditor (whose whole job is inspecting internals)
-_ALLOWED_MODULES = (
-    "core/slot_tree.py",
-    "analysis/audit.py",
-)
-
-
-class SlotTreeInternalsRule(Rule):
-    """RA007: slot-tree internals reached from outside ``core/slot_tree.py``."""
-
-    id = "RA007"
-    title = "slot-tree internals accessed from outside"
-    hint = (
-        "go through the TwoDimTree public surface (insert/remove/bulk_load, "
-        "phase1/phase2/find_feasible, periods, validate); if an invariant "
-        "needs checking, extend repro.analysis.audit instead"
-    )
-
-    def applies_to(self, module: str) -> bool:
-        return module not in _ALLOWED_MODULES
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Attribute) and node.attr in _PRIVATE_ATTRS:
-                yield self.violation(
-                    ctx,
-                    node,
-                    f".{node.attr} is slot-tree internal state",
-                )
+__all__ = ["OutcomeContractRule"]
 
 
 class OutcomeContractRule(Rule):

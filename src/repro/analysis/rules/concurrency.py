@@ -1,18 +1,12 @@
-"""Async-actor concurrency rules, RA201 … RA204.
+"""Async concurrency rules, RA202 and RA204.
 
-The service layer's correctness rests on event-loop discipline: state
-shared between coroutines is only safe to read-modify-write *within*
-one await-free segment (RA201); nothing may block the loop (RA202);
-every spawned task needs an owner (RA203); and every stream read needs
-an explicit size bound, because ``asyncio``'s default ``limit`` is
-64 KiB and a legitimate longer line kills the connection (RA204).
-These rules make all four invariants lintable.
+The service layer's correctness rests on event-loop discipline: nothing
+may block the loop (RA202), and every stream read needs an explicit
+size bound, because ``asyncio``'s default ``limit`` is 64 KiB and a
+legitimate longer line kills the connection (RA204).
 
 Scope: ``service/``, ``gateway/`` and ``verify/`` — the packages that
-run coroutines.  RA201 additionally exempts the single-writer actor
-loop (any coroutine whose name contains ``actor``), mirroring RA009:
-the actor owns the state, so its cross-await updates cannot race
-anything.
+run coroutines.
 """
 
 from __future__ import annotations
@@ -20,53 +14,78 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..concurrency import (
-    awaited_call_ids,
-    find_lost_updates,
-    iter_coroutines,
-    walk_body,
-)
 from .base import LintContext, Rule, Violation
-from .determinism import _import_table, _qualified
 
-__all__ = [
-    "BlockingCallRule",
-    "FireAndForgetTaskRule",
-    "LostUpdateRule",
-    "UnboundedStreamRule",
-]
+__all__ = ["BlockingCallRule", "UnboundedStreamRule"]
+
+
+def _import_table(tree: ast.Module) -> dict[str, str]:
+    """Map local names to the qualified names they were imported as."""
+    table: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                table[alias.asname or alias.name.split(".")[0]] = (
+                    alias.name if alias.asname else alias.name.split(".")[0]
+                )
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            for alias in node.names:
+                table[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return table
+
+
+def _qualified(node: ast.AST, table: dict[str, str]) -> str | None:
+    """Resolve a call target to a dotted name through the import table."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    base = table.get(node.id)
+    if base is None:
+        return None
+    parts.append(base)
+    return ".".join(reversed(parts))
+
+
+def iter_coroutines(tree: ast.AST) -> Iterator[ast.AsyncFunctionDef]:
+    """Every ``async def`` in the tree, nested ones included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AsyncFunctionDef):
+            yield node
+
+
+def walk_body(fn: ast.AsyncFunctionDef) -> Iterator[ast.AST]:
+    """All nodes lexically in ``fn``'s own body.
+
+    Nested function definitions (sync or async) are *not* descended
+    into: a nested sync helper may legitimately block when handed to
+    ``asyncio.to_thread``, and a nested coroutine is checked on its own
+    when :func:`iter_coroutines` reaches it.
+    """
+    stack: list[ast.AST] = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def awaited_call_ids(fn: ast.AsyncFunctionDef) -> frozenset[int]:
+    """``id()`` of every Call node that is the direct value of an await
+    (so ``await reader.readline()`` is fine where a bare
+    ``reader.readline()`` is not)."""
+    return frozenset(
+        id(node.value)
+        for node in walk_body(fn)
+        if isinstance(node, ast.Await) and isinstance(node.value, ast.Call)
+    )
 
 
 def _in_async_scope(module: str) -> bool:
     return module.startswith(("service/", "gateway/", "verify/"))
-
-
-class LostUpdateRule(Rule):
-    """RA201: self state read-modify-written across an await (lost update)."""
-
-    id = "RA201"
-    title = "read-modify-write of shared state spans an await"
-    hint = (
-        "another task can interleave at the await and its update is lost; "
-        "re-read the attribute after awaiting, mutate it inside one await-free "
-        "segment, or route the update through the single-writer actor"
-    )
-
-    def applies_to(self, module: str) -> bool:
-        return module.startswith(("service/", "gateway/"))
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        for coroutine in iter_coroutines(ctx.tree):
-            if "actor" in coroutine.name.lower():
-                continue  # the single writer owns its state across awaits
-            for finding in find_lost_updates(coroutine):
-                yield self.violation(
-                    ctx,
-                    finding.node,
-                    f"coroutine {coroutine.name!r} writes {finding.path} from a "
-                    f"value read on line {finding.read_line}, with await(s) in "
-                    f"between — a concurrent update in the gap is silently lost",
-                )
 
 
 #: module-level callables that block the event loop, via import aliases
@@ -148,44 +167,6 @@ class BlockingCallRule(Rule):
                         f"await — on a Popen/socket/file object this blocks the "
                         f"event loop",
                     )
-
-
-class FireAndForgetTaskRule(Rule):
-    """RA203: a created task nobody retains, awaits, or observes."""
-
-    id = "RA203"
-    title = "fire-and-forget create_task"
-    hint = (
-        "keep a reference (the event loop holds tasks only weakly — a "
-        "garbage-collected task silently disappears mid-flight) and either "
-        "await it or attach a done-callback so its exceptions surface"
-    )
-
-    def applies_to(self, module: str) -> bool:
-        return _in_async_scope(module)
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        table = _import_table(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Expr) or not isinstance(node.value, ast.Call):
-                continue
-            call = node.value
-            qualified = _qualified(call.func, table)
-            spawner = qualified in ("asyncio.create_task", "asyncio.ensure_future")
-            if not spawner and isinstance(call.func, ast.Attribute):
-                receiver = call.func.value
-                # loop.create_task / get_event_loop().create_task — but not
-                # TaskGroup.create_task, which owns its children
-                spawner = call.func.attr == "create_task" and (
-                    isinstance(receiver, ast.Name) and receiver.id.endswith("loop")
-                )
-            if spawner:
-                yield self.violation(
-                    ctx,
-                    node,
-                    "task created and immediately dropped: its result, its "
-                    "exceptions, and (under GC pressure) the task itself are lost",
-                )
 
 
 #: stream factories whose default ``limit`` is 64 KiB

@@ -1,10 +1,10 @@
-"""Rules guarding float time arithmetic in slot geometry.
+"""Rule guarding float time arithmetic in slot geometry.
 
 The calendar maps times to slots with products and floor division
-(:meth:`AvailabilityCalendar.slot_of`) precisely because ``t % tau`` and
-``t == q * tau`` drift by an ulp for non-integral ``tau`` — the exact bug
-class a previous PR fixed on the slot boundaries.  ``RA003`` and
-``RA004`` keep that arithmetic from creeping back in.
+(:meth:`AvailabilityCalendar.slot_of`) precisely because ``t % tau``
+drifts by an ulp for non-integral ``tau`` — the exact bug class a
+previous PR fixed on the slot boundaries.  ``RA003`` keeps that
+arithmetic from creeping back in.
 """
 
 from __future__ import annotations
@@ -12,25 +12,42 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .base import LintContext, Rule, Violation, in_hot_path, is_time_expr
+from .base import LintContext, Rule, Violation, in_hot_path
 
-__all__ = ["FloatTimeModuloRule", "FloatTimeEqualityRule"]
+__all__ = ["FloatTimeModuloRule"]
+
+#: identifiers that conventionally hold simulated-time values in this
+#: codebase (Section 2 vocabulary plus the calendar/slot geometry)
+_TIME_NAMES = frozenset(
+    {
+        "t", "st", "et", "sr", "er", "qr", "lr", "ta", "tb",
+        "tau", "now", "start", "end",
+        "start_time", "end_time", "to_time", "at_time",
+        "deadline", "horizon", "horizon_start", "horizon_end",
+        "delta_t", "lead", "delay", "cutoff", "until", "duration",
+        "new_end", "latest", "elapsed",
+    }
+)
 
 
-def _is_inf(node: ast.AST) -> bool:
-    """`INF`, `math.inf`, or `float("inf")` — exact sentinels, safe to compare."""
-    if isinstance(node, ast.Name) and node.id in ("INF", "inf"):
-        return True
-    if isinstance(node, ast.Attribute) and node.attr == "inf":
-        return True
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "float"
-        and len(node.args) == 1
-        and isinstance(node.args[0], ast.Constant)
-    ):
-        return True
+def _name_is_time(name: str) -> bool:
+    return name in _TIME_NAMES or name.endswith(("_time", "_end", "_start"))
+
+
+def is_time_expr(node: ast.AST) -> bool:
+    """Heuristic: does the expression denote a simulated-time value?
+
+    Names and attributes are matched against the codebase's time
+    vocabulary; arithmetic over a time value is itself a time value.
+    """
+    if isinstance(node, ast.Name):
+        return _name_is_time(node.id)
+    if isinstance(node, ast.Attribute):
+        return _name_is_time(node.attr)
+    if isinstance(node, ast.BinOp):
+        return is_time_expr(node.left) or is_time_expr(node.right)
+    if isinstance(node, ast.UnaryOp):
+        return is_time_expr(node.operand)
     return False
 
 
@@ -70,47 +87,3 @@ class FloatTimeModuloRule(Rule):
                     "modulo on a time value is not ulp-exact for non-integral tau",
                 )
 
-
-class FloatTimeEqualityRule(Rule):
-    """RA004: ``==``/``!=`` against a *derived* time value.
-
-    Comparing two stored floats for equality is fine (the calendar's
-    merge-adjacency checks rely on it: both sides are the same committed
-    float).  Comparing against a value *computed* by ``*``/``/``/``+``
-    arithmetic is not — the product ``q * tau`` is one ulp away from the
-    stored boundary often enough to corrupt slot attribution.
-    Comparisons with the ``INF`` sentinel are exact and exempt.
-    """
-
-    id = "RA004"
-    title = "float equality against derived time values"
-    hint = (
-        "use ordered comparisons against the same products the slot-overlap "
-        "tests use (q*tau <= t < (q+1)*tau), or compare stored floats only"
-    )
-
-    def applies_to(self, module: str) -> bool:
-        return in_hot_path(module)
-
-    @staticmethod
-    def _is_derived_time(node: ast.AST) -> bool:
-        """Arithmetic (not a bare name/attribute) over a time value."""
-        return isinstance(node, ast.BinOp) and is_time_expr(node)
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            operands = [node.left, *node.comparators]
-            for op, lhs, rhs in zip(node.ops, operands, operands[1:]):
-                if not isinstance(op, (ast.Eq, ast.NotEq)):
-                    continue
-                if _is_inf(lhs) or _is_inf(rhs):
-                    continue
-                if self._is_derived_time(lhs) or self._is_derived_time(rhs):
-                    yield self.violation(
-                        ctx,
-                        node,
-                        "exact equality against a computed time value "
-                        "(products drift by an ulp)",
-                    )

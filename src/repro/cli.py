@@ -28,9 +28,9 @@ Installed as ``repro`` (see ``pyproject.toml``); also runnable as
     hot functions of the scheduling fast path.
 
 ``repro check``
-    Domain-aware static analysis (AST lint rules ``RA001``…``RA009``,
-    async-actor rules ``RA201``…``RA204``) over the source tree;
-    ``--concurrency`` adds the wire-protocol conformance pass
+    Domain-aware static analysis over the source tree: the AST lint
+    rules (``RA001``…``RA003``, ``RA008``, ``RA009``, and the async rules
+    ``RA202``/``RA204``) and the wire-protocol conformance pass
     (``RA205``/``RA206``) that cross-checks every literal send site and
     handler table against the declarative registry in
     ``service/protocol.py``; ``--audit`` replays a stress workload with
@@ -175,12 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chk.add_argument("--format", choices=("text", "json"), default="text")
     chk.add_argument("--out", default=None, help="also write the JSON report to this path")
-    chk.add_argument("--no-lint", action="store_true", help="skip the static lint pass")
     chk.add_argument(
-        "--concurrency",
+        "--no-lint",
         action="store_true",
-        help="run the wire-protocol conformance pass (RA205/RA206) over "
-        "the service send sites and handler tables",
+        help="skip the static passes (lint and protocol conformance)",
     )
     chk.add_argument(
         "--audit",
@@ -203,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         default=None,
         help="self-test: corrupt the audited calendar (size/seckey/uidmap/buffer, "
-        "needs --audit) or the protocol model (drop-field/unknown-op/"
-        "drop-handler/drop-follower-handler, needs --concurrency) and "
+        "runs the audit replay) or the protocol model (drop-field/unknown-op/"
+        "drop-handler/drop-follower-handler, runs the protocol pass) and "
         "require the check to catch it",
     )
 
@@ -640,12 +638,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from .analysis.protocol_check import PROTOCOL_INJECTIONS
+    from .analysis.audit import CORRUPTIONS
+    from .analysis.protocol_check import PROTOCOL_INJECTIONS, run_protocol_check
 
+    missing = [path for path in args.paths if not Path(path).exists()]
+    for path in missing:
+        print(f"check: no such file or directory: {path}", file=sys.stderr)
+    if missing:
+        return int(ErrorCode.MALFORMED)
+    # an injection always runs the pass it tests, whatever else is skipped
     protocol_inject = args.inject if args.inject in PROTOCOL_INJECTIONS else None
-    if protocol_inject is not None:
-        # a protocol self-test only makes sense inside the protocol pass
-        args.concurrency = True
+    run_protocol = not args.no_lint or protocol_inject is not None
+    run_audit = args.audit or args.inject in CORRUPTIONS
 
     report: dict[str, object] = {}
     failed = False
@@ -663,15 +667,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         text_sections.append(lint_report.to_text())
         failed = failed or not lint_report.ok
 
-    if args.concurrency:
-        from .analysis.protocol_check import run_protocol_check
-
+    if run_protocol:
         protocol_report = run_protocol_check(inject=protocol_inject)
         report["protocol"] = protocol_report.to_json()
         text_sections.append(protocol_report.to_text())
         failed = failed or not protocol_report.ok
 
-    if args.audit:
+    if run_audit:
         audit_section, audit_text, audit_ok = _run_audit_replay(args)
         report["audit"] = audit_section
         text_sections.append(audit_text)

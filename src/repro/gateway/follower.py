@@ -164,7 +164,7 @@ class Follower:
 
     # ------------------------------------------------------------------
     # tailing the primary (single-writer: only this task mutates state,
-    # hence the actor naming — mirrors the service's RA201/RA009 carve-out)
+    # hence the actor naming, the convention RA009 checks in service/)
     # ------------------------------------------------------------------
 
     async def _tail_actor_loop(self) -> None:

@@ -8,9 +8,9 @@ handlers parse lines, run admission control, and enqueue
 (:func:`~repro.service.batching.drain_batch`), applies each operation
 back-to-back without yielding, and resolves the futures.  Responses are
 written back per connection in request order — a batch's worth per
-socket write — so pipelined clients correlate FIFO.  Lint rule ``RA009`` enforces the actor boundary
-statically: no ``async def`` outside the actor may call the blocking
-commit path.
+socket write — so pipelined clients correlate FIFO.  Lint rule ``RA009``
+is the static guard of the actor boundary: no ``async def`` outside the
+actor may call the blocking commit path.
 
 **Virtual clock.** The calendar's clock advances from request-carried
 submission times (``advance(max(now, q_r))``), never from the wall

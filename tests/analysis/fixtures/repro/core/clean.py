@@ -1,18 +1,11 @@
 """Fixture: near-miss patterns that every rule must leave alone."""
 
-import random
-from time import perf_counter
 
-
-def near_misses(values: list[float], st: float, et: float, tau: float) -> float:
+def near_misses(values: list[float], st: float, tau: float) -> float:
     values.pop()  # back pop is O(1)
     values.pop(1)  # not the front
     ordered = sorted(values)  # single sort outside any loop
-    if st == et:  # stored floats, not derived arithmetic
-        return 0.0
     q = int(st // tau)
-    while q * tau > st:  # ordered comparison against the product
+    while q * tau > st:  # ordered comparison against the product, no modulo
         q -= 1
-    rng = random.Random(42)  # seeded: reproducible
-    t0 = perf_counter()  # measuring wall time is allowed
-    return ordered[0] + rng.random() + (perf_counter() - t0)
+    return ordered[0] + q

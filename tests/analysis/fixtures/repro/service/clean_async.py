@@ -1,32 +1,12 @@
-"""Fixture: async near-misses every RA2xx rule must leave alone."""
+"""Fixture: async near-misses RA202 and RA204 must leave alone."""
 
 import asyncio
 
 
-class Actor:
-    async def _actor_loop(self, queue):
-        # the single writer may carry state across awaits (RA201 exempt)
-        depth = self.depth
-        await queue.join()
-        self.depth = depth + 1
-
-    async def refresh(self, sampler):
-        # read and write in the same post-await segment: no lost update
-        await sampler.flush()
-        self.depth = self.depth + 1
-
-    async def overwrite(self, sampler):
-        # the written value does not derive from a pre-await read
-        await sampler.flush()
-        self.depth = 0
-
-
-async def well_behaved(host, port, job, proc):
+async def well_behaved(host, port, proc):
     reader, writer = await asyncio.open_connection(host, port, limit=1 << 20)
     line = await reader.readline()  # awaited stream read, not a sync file
     await asyncio.sleep(0.01)  # the async sleep, not time.sleep
-    task = asyncio.create_task(job())  # retained, observed, awaited
-    task.add_done_callback(lambda t: t.exception())
     await asyncio.to_thread(proc.wait)  # blocking call pushed off-loop
     writer.close()
-    return line, await task
+    return line

@@ -26,6 +26,13 @@ class TestLintMode:
     def test_shipped_package_is_clean_by_default(self, capsys):
         assert main(["check"]) == 0
 
+    def test_missing_path_is_a_usage_error(self, capsys):
+        rc = main(["check", "nosuchdir"])
+        captured = capsys.readouterr()
+        assert rc == 2  # what argparse exits with on a usage error
+        assert captured.err == "check: no such file or directory: nosuchdir\n"
+        assert captured.out == ""
+
     def test_json_format_and_artifact(self, capsys, tmp_path):
         artifact = tmp_path / "report.json"
         rc = main(
@@ -47,14 +54,22 @@ class TestLintMode:
 
 
 class TestConcurrencyMode:
+    """The protocol pass runs whenever the lint pass does."""
+
     def test_shipped_service_conforms(self, capsys):
-        rc = main(["check", "--no-lint", "--concurrency"])
+        rc = main(["check"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "conform to the registry" in out
 
+    def test_no_lint_skips_both_static_passes(self, capsys):
+        rc = main(["check", "--no-lint", "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert report == {"ok": True}
+
     def test_combined_lint_and_protocol_over_src(self, capsys):
-        rc = main(["check", "--concurrency", "--format", "json"])
+        rc = main(["check", "--format", "json"])
         report = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert report["ok"] is True
@@ -70,7 +85,7 @@ class TestConcurrencyMode:
         ],
     )
     def test_injected_drift_is_caught(self, capsys, kind, check_id):
-        # --concurrency is implied by a protocol injection kind
+        # a protocol injection kind runs the protocol pass under --no-lint
         rc = main(["check", "--no-lint", "--inject", kind, "--format", "json"])
         report = json.loads(capsys.readouterr().out)
         assert rc == 1  # an injected run never exits 0
@@ -105,6 +120,31 @@ class TestAuditMode:
                 "check",
                 "--no-lint",
                 "--audit",
+                "--audit-requests",
+                "120",
+                "--audit-servers",
+                "8",
+                "--inject",
+                kind,
+                "--format",
+                "json",
+            ]
+        )
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert report["audit"]["caught"] is True
+        assert check_id in {f["check"] for f in report["audit"]["findings"]}
+
+    @pytest.mark.parametrize(
+        "kind,check_id",
+        [("size", "RA101"), ("seckey", "RA106"), ("uidmap", "RA105"), ("buffer", "RA116")],
+    )
+    def test_injection_runs_the_audit_it_tests(self, capsys, kind, check_id):
+        # no --audit: a corruption kind runs the audit replay by itself
+        rc = main(
+            [
+                "check",
+                "--no-lint",
                 "--audit-requests",
                 "120",
                 "--audit-servers",

@@ -1,112 +1,20 @@
-"""Unit tests for the await-segmentation engine behind RA201…RA204.
+"""Unit tests for the coroutine walk behind RA202 and RA204.
 
 The fixtures in ``fixtures/repro/service`` cover the rule layer; these
-tests drive :mod:`repro.analysis.concurrency` directly on the corners
-the segmentation model has to get right — augmented one-liners, branch
-merging, loop re-walks, and the data-flow taint that keeps unrelated
-post-await writes from false-firing.
+tests drive the helpers in :mod:`repro.analysis.rules.concurrency`
+directly on the corners they have to get right — nested definitions,
+direct awaits, import aliases and package scope.
 """
 
 import ast
 
-from repro.analysis.concurrency import (
-    awaited_call_ids,
-    find_lost_updates,
-    iter_coroutines,
-    self_attribute_path,
-    walk_body,
-)
 from repro.analysis.lint import lint_source
+from repro.analysis.rules.concurrency import awaited_call_ids, iter_coroutines, walk_body
 
 
 def _coroutine(source: str) -> ast.AsyncFunctionDef:
     (fn,) = iter_coroutines(ast.parse(source))
     return fn
-
-
-def _lost(source: str) -> list[tuple[str, int]]:
-    fn = _coroutine(source)
-    return [(f.path, f.node.lineno) for f in find_lost_updates(fn)]
-
-
-def test_plain_rmw_across_await_detected():
-    src = (
-        "async def f(self):\n"
-        "    d = self.depth\n"
-        "    await self.flush()\n"
-        "    self.depth = d + 1\n"
-    )
-    assert _lost(src) == [("self.depth", 4)]
-
-
-def test_augassign_with_awaited_value_is_one_line_lost_update():
-    src = "async def f(self):\n    self.depth += await self.sample()\n"
-    assert _lost(src) == [("self.depth", 2)]
-
-
-def test_augassign_without_await_is_atomic():
-    src = "async def f(self):\n    await self.flush()\n    self.depth += 1\n"
-    assert _lost(src) == []
-
-
-def test_same_segment_rmw_is_clean():
-    src = "async def f(self):\n    await self.flush()\n    self.depth = self.depth + 1\n"
-    assert _lost(src) == []
-
-
-def test_unrelated_post_await_write_is_clean():
-    src = (
-        "async def f(self):\n"
-        "    d = self.depth\n"
-        "    await self.flush()\n"
-        "    self.depth = 0\n"
-        "    return d\n"
-    )
-    assert _lost(src) == []
-
-
-def test_reassignment_before_await_kills_the_taint():
-    src = (
-        "async def f(self):\n"
-        "    d = self.depth\n"
-        "    d = 0\n"
-        "    await self.flush()\n"
-        "    self.depth = d\n"
-    )
-    assert _lost(src) == []
-
-
-def test_await_inside_if_branch_still_separates_segments():
-    src = (
-        "async def f(self, fast):\n"
-        "    d = self.depth\n"
-        "    if fast:\n"
-        "        await self.flush()\n"
-        "    self.depth = d + 1\n"
-    )
-    assert _lost(src) == [("self.depth", 5)]
-
-
-def test_suspending_loop_catches_cross_iteration_hazard():
-    # the read happens on iteration k, the write on iteration k with the
-    # await of iteration k-1 in between — only a loop re-walk sees it
-    src = (
-        "async def f(self, items):\n"
-        "    for item in items:\n"
-        "        d = self.depth\n"
-        "        await self.put(item)\n"
-        "        self.depth = d + 1\n"
-    )
-    assert _lost(src) == [("self.depth", 5)]
-
-
-def test_non_suspending_loop_is_atomic():
-    src = (
-        "async def f(self, items):\n"
-        "    for item in items:\n"
-        "        self.depth = self.depth + item\n"
-    )
-    assert _lost(src) == []
 
 
 def test_nested_function_bodies_are_not_walked():
@@ -137,26 +45,6 @@ def test_awaited_call_ids_only_cover_direct_awaits():
     assert sum(1 for c in calls if id(c) in awaited) == 1
 
 
-def test_self_attribute_path_roots_and_chains():
-    read = ast.parse("self.a.b").body[0].value
-    assert self_attribute_path(read) == "self.a.b"
-    other = ast.parse("conn.a").body[0].value
-    assert self_attribute_path(other) is None
-
-
-def test_actor_coroutines_exempt_from_ra201():
-    src = (
-        "async def _actor_loop(self):\n"
-        "    d = self.depth\n"
-        "    await self.flush()\n"
-        "    self.depth = d + 1\n"
-    )
-    assert lint_source(src, module="service/x.py") == []
-    # identical body under a non-actor name fires
-    fired = lint_source(src.replace("_actor_loop", "handle"), module="service/x.py")
-    assert [v.rule_id for v in fired] == ["RA201"]
-
-
 def test_ra202_import_alias_resolution():
     src = "from time import sleep\n\n\nasync def f(d):\n    sleep(d)\n"
     assert [v.rule_id for v in lint_source(src, module="service/x.py")] == ["RA202"]
@@ -168,16 +56,6 @@ def test_ra202_asyncio_wait_not_mistaken_for_popen_wait():
         "async def f(tasks):\n"
         "    done, pending = await asyncio.wait(tasks)\n"
         "    return done, pending\n"
-    )
-    assert lint_source(src, module="service/x.py") == []
-
-
-def test_ra203_taskgroup_create_task_exempt():
-    src = (
-        "import asyncio\n\n\n"
-        "async def f(job):\n"
-        "    async with asyncio.TaskGroup() as tg:\n"
-        "        tg.create_task(job())\n"
     )
     assert lint_source(src, module="service/x.py") == []
 
