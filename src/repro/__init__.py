@@ -29,7 +29,6 @@ from .core import (
     OpCounter,
     RangeQuery,
     Request,
-    Reservation,
     TwoDimTree,
 )
 from .facade import CoAllocationScheduler
@@ -46,7 +45,6 @@ __all__ = [
     "OpCounter",
     "RangeQuery",
     "Request",
-    "Reservation",
     "TwoDimTree",
     "__version__",
 ]

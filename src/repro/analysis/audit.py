@@ -66,7 +66,7 @@ from __future__ import annotations
 from bisect import insort
 from typing import TYPE_CHECKING, Callable
 
-from ..core.types import INF, IdlePeriod, Reservation
+from ..core.types import INF, IdlePeriod
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep core import-light
     from ..core.calendar import AvailabilityCalendar
@@ -457,14 +457,12 @@ class MutationAuditor:
 
     # -- wrapped mutations ---------------------------------------------
 
-    def _allocate(
-        self, periods: list[IdlePeriod], start: float, end: float, rid: int = 0
-    ) -> list[Reservation]:
-        reservations = self._orig_allocate(periods, start, end, rid=rid)
-        for res in reservations:
-            insort(self._busy[res.server], (res.start, res.end))
+    def _allocate(self, periods: list[IdlePeriod], start: float, end: float) -> tuple[int, ...]:
+        servers = self._orig_allocate(periods, start, end)
+        for server in servers:
+            insort(self._busy[server], (start, end))
         self._after_mutation()
-        return reservations
+        return servers
 
     def _release(self, server: int, start: float, end: float) -> None:
         self._orig_release(server, start, end)

@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`~repro.core.types.Request`, :class:`~repro.core.types.IdlePeriod`,
-  :class:`~repro.core.types.Reservation`, :class:`~repro.core.types.Allocation`,
-  :class:`~repro.core.types.RangeQuery` — the vocabulary of Section 2;
+  :class:`~repro.core.types.Allocation`, :class:`~repro.core.types.RangeQuery`
+  — the vocabulary of Section 2;
 * :class:`~repro.core.slot_tree.TwoDimTree` — the per-slot 2-D tree (§4.1);
 * :class:`~repro.core.calendar.AvailabilityCalendar` — Q rolling slot trees;
 * :class:`~repro.core.coalloc.OnlineCoAllocator` — the scheduling loop (§4.2);
@@ -15,7 +15,7 @@ from .calendar import AvailabilityCalendar
 from .coalloc import OnlineCoAllocator
 from .opcount import NULL_COUNTER, OpCounter
 from .slot_tree import TwoDimTree
-from .types import INF, Allocation, IdlePeriod, RangeQuery, Request, Reservation
+from .types import INF, Allocation, IdlePeriod, RangeQuery, Request
 
 __all__ = [
     "INF",
@@ -27,6 +27,5 @@ __all__ = [
     "OpCounter",
     "RangeQuery",
     "Request",
-    "Reservation",
     "TwoDimTree",
 ]

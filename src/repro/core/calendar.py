@@ -70,7 +70,7 @@ from bisect import bisect_left, bisect_right
 
 from .opcount import NULL_COUNTER, OpCounter
 from .slot_tree import TwoDimTree
-from .types import INF, IdlePeriod, Reservation, make_period, make_reservation
+from .types import INF, IdlePeriod, make_period
 
 __all__ = ["AvailabilityCalendar", "POOL_STATES"]
 
@@ -343,13 +343,13 @@ class AvailabilityCalendar:
         periods: list[IdlePeriod],
         start: float,
         end: float,
-        rid: int = 0,
-    ) -> list[Reservation]:
+    ) -> tuple[int, ...]:
         """Carve ``[start, end)`` out of each given feasible idle period.
 
-        Each period is removed from every index it lives in and replaced
-        by at most two remnants — ``(st, start)`` and ``(end, et)`` —
-        exactly the update rule of Section 4.2.
+        Returns the periods' servers, in the order given.  Each period is
+        removed from every index it lives in and replaced by at most two
+        remnants — ``(st, start)`` and ``(end, et)`` — exactly the update
+        rule of Section 4.2.
 
         Everything is checked before anything is touched, so a refused
         call changes nothing (``ValueError``): the window must be
@@ -366,22 +366,28 @@ class AvailabilityCalendar:
         One pass over the periods then does the carving (DESIGN.md §15):
         one splice of each server's key and period arrays, one
         ``bisect`` and ``del`` per trailing period leaving the tail
-        index, and each remnant's slot range computed once — the left
-        remnants all end at ``start``, so their last slot is computed
-        once per call, and a period starting before the horizon (nearly
-        every trailing one) has the base slot as its first by one float
-        comparison.  Remnants and reservations come from the trusted
-        constructors of :mod:`repro.core.types`: the branch that builds
-        each one has just proven it non-empty, so it is not proven
-        again.  The ``O(n_r · Q)`` slot-tree updates one request
-        implies are O(1) notes in the write buffers of the overlapped
-        trees, each applied — fused with whatever else that slot has been
-        told since — when the slot is next searched, or never if it rolls
-        out of the horizon first.  Remnant uids are drawn from the
-        calendar's counter left remnant then right remnant, period by
-        period (the Phase-2 tie-break), so the new trailing remnants — all
-        starting at ``end``, with uids above any stored one — enter the
-        tail index as one sorted block.
+        index, and each remnant's slot range computed once.  The pass
+        has two branches (DESIGN.md §21).  An active trailing period
+        that starts before the horizon and before ``start`` — nearly
+        every period a wide request carves — is in no slot tree, its
+        right remnant enters only the tail index, and its left remnant
+        enters exactly the slots ``base..left_last`` that every other
+        such left remnant enters; those left remnants are gathered into
+        one ``{uid: period}`` dict that each of those slots receives
+        after the loop as one :meth:`TwoDimTree.insert_many` note.  Every
+        other period takes the general branch, one note per (period,
+        slot).  Remnants come from the trusted constructor of
+        :mod:`repro.core.types`: the branch that builds each one has just
+        proven it non-empty, so it is not proven again.  The
+        ``O(n_r · Q)`` slot-tree updates one request implies are O(1)
+        notes in the write buffers of the overlapped trees, each applied
+        — fused with whatever else that slot has been told since — when
+        the slot is next searched, or never if it rolls out of the
+        horizon first.  Remnant uids are drawn from the calendar's
+        counter left remnant then right remnant, period by period (the
+        Phase-2 tie-break), in both branches, so the new trailing
+        remnants — all starting at ``end``, with uids above any stored
+        one — enter the tail index as one sorted block.
         Draining and removed servers' periods are carved in the
         authoritative lists only.
         """
@@ -408,7 +414,8 @@ class AvailabilityCalendar:
             if idx == len(keys) or all_periods[period.server][idx] is not period:
                 raise ValueError(f"{period} is not registered on server {period.server}")
             where.append(idx)
-        if len({period.server for period in periods}) < len(periods):
+        servers = tuple([period.server for period in periods])
+        if len(set(servers)) < len(servers):
             # registered periods of one server are disjoint, so two that
             # both host the window are one period named twice
             seen: set[int] = set()
@@ -422,7 +429,7 @@ class AvailabilityCalendar:
         # nothing below can refuse the call, so the counter is stored
         # back once, after the loop, with no draw lost
         uid = self._next_uid
-        new_period, new_reservation = make_period, make_reservation
+        new_period = make_period
         base = self._base_slot
         # slot_of(t) < base exactly when t < base·τ: slot_of brackets t
         # between the same float products, and they are monotone in q
@@ -431,10 +438,29 @@ class AvailabilityCalendar:
         right_first = max(self.slot_of(end), base)
         tail_removed = 0
         trailing: list[IdlePeriod] = []
-        reservations: list[Reservation] = []
+        # the fast branch's left remnants, noted in base..left_last at the end
+        lefts: dict[int, IdlePeriod] = {}
         for period, idx in zip(periods, where):
             server, st, et = period.server, period.st, period.et
             active = status[server] == "active"
+            if et == INF and st < base_start and st < start and active:
+                # fast branch: in no slot tree (unbounded), so it only
+                # leaves the tail index
+                i = bisect_right(inf_keys, (st, period.uid)) - 1
+                assert inf_periods[i] is period, f"{period} missing from the tail index"
+                del inf_keys[i]
+                del inf_periods[i]
+                tail_removed += 1
+                # trusted: st < start by this branch's condition, and
+                # end < INF was checked before anything was touched
+                left = new_period(server, st, start, uid)
+                right = new_period(server, end, INF, uid + 1)
+                lefts[left.uid] = left
+                uid += 2
+                trailing.append(right)
+                all_keys[server][idx : idx + 1] = (st, end)
+                all_periods[server][idx : idx + 1] = (left, right)
+                continue
             if active:
                 # the carved period's slots; a right remnant ends where it
                 # does, so ``last`` serves both (an unbounded period is in
@@ -481,9 +507,15 @@ class AvailabilityCalendar:
                         tree.insert(right)
             all_keys[server][idx : idx + 1] = new_keys
             all_periods[server][idx : idx + 1] = new_periods
-            # trusted: ``start < end`` was checked before anything was touched
-            reservations.append(new_reservation(rid, server, start, end))
         self._next_uid = uid
+        if lefts:
+            # every fast-branch left remnant starts before the horizon and
+            # ends at ``start``: it overlaps exactly base..left_last
+            for q in range(base, left_last + 1):
+                tree = trees.get(q)
+                if tree is None:
+                    tree = trees[q] = TwoDimTree(counter)
+                tree.insert_many(lefts)
         if tail_removed:
             counter.add("remove", tail_removed)
         if trailing:
@@ -496,7 +528,7 @@ class AvailabilityCalendar:
             inf_keys[i:i] = [(end, p.uid) for p in trailing]
             inf_periods[i:i] = trailing
             counter.add("insert", len(trailing))
-        return reservations
+        return servers
 
     def release(self, server: int, start: float, end: float) -> None:
         """Return ``[start, end)`` on ``server`` to the idle pool.

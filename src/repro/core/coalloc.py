@@ -10,7 +10,7 @@ paper's scheduling loop:
    total attempts — running the search only at the grid points the
    calendar cannot certify infeasible in O(1) (see
    :meth:`OnlineCoAllocator.next_start`);
-3. on success, commit the reservations and report the allocation together
+3. on success, commit the window on the chosen servers and report the allocation together
    with the attempt count and the incurred delay.
 
 Deadline support (the Section 5.2 extension) falls out naturally: a
@@ -116,12 +116,11 @@ class OnlineCoAllocator:
             feasible = calendar.find_feasible(start, end, request.nr)
             if feasible is not None:
                 self.counter.add("attempt", k + 1)
-                reservations = calendar.allocate(feasible, start, end, rid=request.rid)
                 allocation = Allocation(
                     rid=request.rid,
                     start=start,
                     end=end,
-                    reservations=tuple(reservations),
+                    servers=calendar.allocate(feasible, start, end),
                     attempts=k + 1,
                     delay=start - request.sr,
                 )
@@ -175,12 +174,11 @@ class OnlineCoAllocator:
         Raises ``ValueError`` if any period can no longer host the window
         (someone else committed it in between).
         """
-        reservations = self.calendar.allocate(periods, start, end, rid=rid)
         return Allocation(
             rid=rid,
             start=start,
             end=end,
-            reservations=tuple(reservations),
+            servers=self.calendar.allocate(periods, start, end),
             attempts=1,
             delay=0.0,
         )

@@ -210,6 +210,16 @@ class TwoDimTree:
         """
         self._ins[period.uid] = period
 
+    def insert_many(self, periods: dict[int, IdlePeriod]) -> None:
+        """Note several idle periods for insertion — O(1) per period.
+
+        ``periods`` maps each period's uid to the period; the same as
+        :meth:`insert` of each value in turn, as one ``dict.update``.
+        The calendar hands every slot a request's left remnants share
+        the one dict (DESIGN.md §21).
+        """
+        self._ins.update(periods)
+
     def remove(self, period: IdlePeriod) -> None:
         """Note an idle period for removal — O(1).
 

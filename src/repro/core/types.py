@@ -5,8 +5,10 @@ The vocabulary follows Section 2 of the paper:
 * a *request* ``r = (q_r, s_r, l_r, n_r)`` asks for ``n_r`` servers for
   ``l_r`` time units starting no earlier than ``s_r`` (submitted at ``q_r``);
 * an *idle period* is a maximal interval during which one server is free;
-* a *reservation* is a committed ``[start, end)`` interval on one server;
-* an *allocation* is the set of ``n_r`` reservations granted to a request.
+* an *allocation* is the window ``[start, end)`` granted to a request on
+  each of its ``n_r`` servers (one committed interval per server, all with
+  the same bounds, so the allocation stores the window once and the
+  servers as a tuple of ints).
 
 Times are floats in arbitrary units (the simulator uses seconds).  An idle
 period whose server has no commitment after ``st`` extends to
@@ -22,7 +24,6 @@ __all__ = [
     "INF",
     "Request",
     "IdlePeriod",
-    "Reservation",
     "Allocation",
     "RangeQuery",
 ]
@@ -149,39 +150,18 @@ class IdlePeriod:
         return f"IdlePeriod(server={self.server}, [{self.st}, {self.et}), uid={self.uid})"
 
 
-@dataclass(frozen=True, slots=True)
-class Reservation:
-    """A committed interval ``[start, end)`` on one server for request ``rid``."""
-
-    rid: int
-    server: int
-    start: float
-    end: float
-
-    def __post_init__(self) -> None:
-        if not self.start < self.end:
-            raise ValueError(f"reservation for {self.rid}: [{self.start}, {self.end}) is empty")
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-# Trusted construction.  ``AvailabilityCalendar.allocate`` builds two
-# remnants and a reservation per carved period from bounds its own branch
-# conditions have just ordered, so ``__post_init__`` re-proving them is
-# pure cost (DESIGN.md §15a).  These build the same frozen, slotted
-# instances the way the frozen ``__init__`` does — each slot set through
-# its member descriptor — minus the per-field ``object.__setattr__``
-# lookup and the check.  Only ``core/calendar.py`` calls them (CI holds
-# it to that); everything else, snapshot restore included, goes through
-# the validating constructors.
+# Trusted construction.  ``AvailabilityCalendar.allocate`` builds up to
+# two remnants per carved period from bounds its own branch conditions
+# have just ordered, so ``__post_init__`` re-proving them is pure cost
+# (DESIGN.md §15a).  This builds the same frozen, slotted instance the
+# way the frozen ``__init__`` does — each slot set through its member
+# descriptor — minus the per-field ``object.__setattr__`` lookup and the
+# check.  Only ``core/calendar.py`` calls it (CI holds it to that);
+# everything else, snapshot restore included, goes through the
+# validating constructor.
 _new = object.__new__
 _period_server, _period_st, _period_et, _period_uid = (
     vars(IdlePeriod)[name].__set__ for name in ("server", "st", "et", "uid")
-)
-_res_rid, _res_server, _res_start, _res_end = (
-    vars(Reservation)[name].__set__ for name in ("rid", "server", "start", "end")
 )
 
 
@@ -195,16 +175,6 @@ def make_period(server: int, st: float, et: float, uid: int) -> IdlePeriod:
     return period
 
 
-def make_reservation(rid: int, server: int, start: float, end: float) -> Reservation:
-    """A :class:`Reservation` whose caller has already proven ``start < end``."""
-    reservation = _new(Reservation)
-    _res_rid(reservation, rid)
-    _res_server(reservation, server)
-    _res_start(reservation, start)
-    _res_end(reservation, end)
-    return reservation
-
-
 @dataclass(frozen=True, slots=True)
 class Allocation:
     """The outcome of a successful scheduling attempt.
@@ -214,9 +184,11 @@ class Allocation:
     rid:
         The request this allocation satisfies.
     start, end:
-        The common start/end times of all reservations.
-    reservations:
-        One :class:`Reservation` per allocated server.
+        The window ``[start, end)`` committed on every allocated server.
+    servers:
+        The allocated servers, in Phase-2 selection order.  A plain
+        tuple of ints, which the cyclic garbage collector does not track
+        (DESIGN.md §21).
     attempts:
         Number of scheduling attempts made (1 = succeeded at ``s_r``).
     delay:
@@ -226,17 +198,13 @@ class Allocation:
     rid: int
     start: float
     end: float
-    reservations: tuple[Reservation, ...]
+    servers: tuple[int, ...]
     attempts: int
     delay: float
 
     @property
-    def servers(self) -> tuple[int, ...]:
-        return tuple(res.server for res in self.reservations)
-
-    @property
     def nr(self) -> int:
-        return len(self.reservations)
+        return len(self.servers)
 
 
 @dataclass(frozen=True, slots=True)

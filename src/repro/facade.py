@@ -19,7 +19,7 @@ from __future__ import annotations
 from .core.calendar import AvailabilityCalendar
 from .core.coalloc import OnlineCoAllocator, ScheduleOutcome
 from .core.opcount import OpCounter
-from .core.types import Allocation, IdlePeriod, RangeQuery, Request, Reservation
+from .core.types import Allocation, IdlePeriod, RangeQuery, Request
 from .errors import ConflictError, MalformedRequestError, NotFoundError, RejectedError
 
 __all__ = ["CoAllocationScheduler", "allocation_to_dict", "allocation_from_dict"]
@@ -29,28 +29,42 @@ STATE_VERSION = 1
 
 
 def allocation_to_dict(allocation: Allocation) -> dict:
-    """JSON-serializable form of an :class:`Allocation` (snapshot support)."""
+    """JSON-serializable form of an :class:`Allocation` (snapshot support).
+
+    Each server is written as ``[server, start, end]`` under
+    ``"reservations"``, one entry per server, as snapshots have always
+    held them.
+    """
+    start, end = allocation.start, allocation.end
     return {
         "rid": allocation.rid,
         "start": allocation.start,
         "end": allocation.end,
         "attempts": allocation.attempts,
         "delay": allocation.delay,
-        "reservations": [[r.server, r.start, r.end] for r in allocation.reservations],
+        "reservations": [[server, start, end] for server in allocation.servers],
     }
 
 
 def allocation_from_dict(data: dict) -> Allocation:
-    """Inverse of :func:`allocation_to_dict`."""
-    rid = int(data["rid"])
+    """Inverse of :func:`allocation_to_dict`.
+
+    Raises ``ValueError`` unless the window is non-empty and every listed
+    reservation books exactly it: an allocation stores one window for
+    all its servers.
+    """
+    rid, start, end = int(data["rid"]), float(data["start"]), float(data["end"])
+    windows = {(float(st), float(et)) for _s, st, et in data["reservations"]}
+    if not start < end or windows - {(start, end)}:
+        raise ValueError(
+            f"allocation {rid}: reservations {sorted(windows)} do not all book "
+            f"its window [{start}, {end})"
+        )
     return Allocation(
         rid=rid,
-        start=float(data["start"]),
-        end=float(data["end"]),
-        reservations=tuple(
-            Reservation(rid=rid, server=int(s), start=float(st), end=float(et))
-            for s, st, et in data["reservations"]
-        ),
+        start=start,
+        end=end,
+        servers=tuple([int(s) for s, _st, _et in data["reservations"]]),
         attempts=int(data["attempts"]),
         delay=float(data["delay"]),
     )
@@ -201,10 +215,10 @@ class CoAllocationScheduler:
         allocation = self._allocations.pop(rid, None)
         if allocation is None:
             raise NotFoundError(f"no active allocation with rid={rid}")
-        for res in allocation.reservations:
-            lo = max(res.start, self.calendar.now)
-            if lo < res.end:
-                self.calendar.release(res.server, lo, res.end)
+        lo, end = max(allocation.start, self.calendar.now), allocation.end
+        if lo < end:
+            for server in allocation.servers:
+                self.calendar.release(server, lo, end)
 
     def release_early(self, rid: int, at_time: float) -> None:
         """Reclaim the tail of a running allocation that finished early.
@@ -213,16 +227,18 @@ class CoAllocationScheduler:
         early-completion reclamation extension (jobs usually run shorter
         than their estimate in real traces).
         """
-        allocation = self._allocations.pop(rid, None)
+        allocation = self._allocations.get(rid)
         if allocation is None:
             raise NotFoundError(f"no active allocation with rid={rid}")
         if not allocation.start <= at_time < allocation.end:
+            # refused before the pop: the allocation stays cancellable
             raise ValueError(
                 f"early release at {at_time} outside allocation window "
                 f"[{allocation.start}, {allocation.end})"
             )
-        for res in allocation.reservations:
-            self.calendar.release(res.server, at_time, res.end)
+        del self._allocations[rid]
+        for server in allocation.servers:
+            self.calendar.release(server, at_time, allocation.end)
 
     # -- elastic pool ----------------------------------------------------
 

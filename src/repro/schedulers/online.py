@@ -119,8 +119,8 @@ class OnlineScheduler(SchedulerBase):
         """Release the unused tail of an over-estimated reservation."""
         assert self.calendar is not None
         self.calendar.advance(self.now)
-        for res in allocation.reservations:
-            self.calendar.release(res.server, job.end_time, res.end)
+        for server in allocation.servers:
+            self.calendar.release(server, job.end_time, allocation.end)
 
     def utilization(self, now: float, since: float = 0.0) -> float:
         span = now - since

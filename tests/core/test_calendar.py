@@ -73,9 +73,9 @@ class TestAllocate:
     def test_allocation_splits_period(self):
         cal = make_calendar()
         periods = cal.find_feasible(20.0, 40.0, 1)
-        res = cal.allocate(periods, 20.0, 40.0, rid=7)
-        assert len(res) == 1 and res[0].rid == 7
-        server = res[0].server
+        servers = cal.allocate(periods, 20.0, 40.0)
+        assert servers == (periods[0].server,)
+        (server,) = servers
         remaining = cal.idle_periods(server)
         assert [(p.st, p.et) for p in remaining] == [(0.0, 20.0), (40.0, INF)]
         cal.validate()
@@ -117,7 +117,7 @@ class TestAllocate:
         and the grant impossible to release."""
         cal = AvailabilityCalendar(4, 10.0, 10)
         fresh, stale = cal.idle_periods(0)[0], cal.idle_periods(1)[0]
-        cal.allocate([stale], 0.0, 20.0, rid=1)
+        cal.allocate([stale], 0.0, 20.0)
         before = json.dumps(cal.export_state(), sort_keys=True)
         notes = {q: (sorted(t._ins), sorted(t._rem)) for q, t in cal._trees.items()}
         periods, start, end, match = {
@@ -127,11 +127,11 @@ class TestAllocate:
             "open_ended": ([fresh], 0.0, INF, "never ends"),
         }[case]
         with pytest.raises(ValueError, match=match):
-            cal.allocate(periods, start, end, rid=2)
+            cal.allocate(periods, start, end)
         assert json.dumps(cal.export_state(), sort_keys=True) == before
         assert {q: (sorted(t._ins), sorted(t._rem)) for q, t in cal._trees.items()} == notes
         cal.validate()
-        assert cal.allocate([fresh], 0.0, 20.0, rid=2)[0].server == 0
+        assert cal.allocate([fresh], 0.0, 20.0) == (0,)
 
     def test_gap_fill_between_reservations(self):
         cal = make_calendar(n=1)
@@ -278,15 +278,14 @@ class TestFractionalTauBoundaries:
         cal = make_calendar(n=2, tau=0.1, q=12)
         found = cal.find_feasible(0.2, 0.5, 1)
         assert found is not None
-        reservations = cal.allocate(found, 0.2, 0.5, rid=1)
+        (server,) = cal.allocate(found, 0.2, 0.5)
         cal.validate()
-        (res,) = reservations
-        cal.release(res.server, res.start, res.end)
+        cal.release(server, 0.2, 0.5)
         cal.validate()
 
     def test_boundary_end_stays_out_of_next_slot(self):
         cal = make_calendar(n=1, tau=0.1, q=12)
-        cal.allocate(cal.find_feasible(0.0, 0.5, 1), 0.0, 0.5, rid=1)
+        cal.allocate(cal.find_feasible(0.0, 0.5, 1), 0.0, 0.5)
         cal.validate()
         # the busy window [0, 0.5) must not shadow slot 5: the idle
         # remnant starting at 0.5 covers [0.5, 0.9)
@@ -298,10 +297,10 @@ class TestFractionalTauBoundaries:
             start, end = round(k * 0.1, 10), round((k + 2) * 0.1, 10)
             found = cal.find_feasible(start, end, 2)
             assert found is not None
-            reservations = cal.allocate(found, start, end, rid=k)
+            servers = cal.allocate(found, start, end)
             cal.validate()
-            for res in reservations:
-                cal.release(res.server, res.start, res.end)
+            for server in servers:
+                cal.release(server, start, end)
             cal.validate()
 
 

@@ -24,10 +24,12 @@ class TestScheduleImmediate:
         assert a.nr == 3 and len(set(a.servers)) == 3
 
     def test_reservations_match_window(self):
-        alloc, _ = make_allocator()
+        alloc, cal = make_allocator()
         a = alloc.schedule(Request(qr=5.0, sr=5.0, lr=20.0, nr=2, rid=2))
-        for res in a.reservations:
-            assert res.start == 5.0 and res.end == 25.0 and res.rid == 2
+        assert (a.rid, a.start, a.end) == (2, 5.0, 25.0)
+        for server in a.servers:
+            # the window is booked on every server the allocation names
+            assert not any(p.overlaps(5.0, 25.0) for p in cal.idle_periods(server))
 
     def test_oversized_request_fails_every_attempt(self):
         alloc, _ = make_allocator(n=4, r_max=3)

@@ -13,9 +13,7 @@ from repro.core.types import (
     IdlePeriod,
     RangeQuery,
     Request,
-    Reservation,
     make_period,
-    make_reservation,
 )
 
 
@@ -129,24 +127,14 @@ class TestIdlePeriod:
         assert p != q
 
 
-class TestReservation:
-    def test_duration(self):
-        res = Reservation(rid=1, server=2, start=10.0, end=25.0)
-        assert res.duration == 15.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            Reservation(rid=1, server=2, start=10.0, end=10.0)
-
-
 class TestTrustedConstructors:
-    """``make_period`` / ``make_reservation`` skip the emptiness check and
-    nothing else: what they build cannot be told from a public twin."""
+    """``make_period`` skips the emptiness check and nothing else: what it
+    builds cannot be told from a public twin."""
 
     def twins(self):
         return [
             (make_period(3, 1.5, INF, 41), IdlePeriod(server=3, st=1.5, et=INF, uid=41)),
-            (make_reservation(7, 3, 1.5, 9.0), Reservation(rid=7, server=3, start=1.5, end=9.0)),
+            (make_period(0, 0.0, 9.0, 7), IdlePeriod(server=0, st=0.0, et=9.0, uid=7)),
         ]
 
     def test_same_type_fields_and_repr(self):
@@ -162,12 +150,10 @@ class TestTrustedConstructors:
                 assert dataclasses.astuple(copied) == dataclasses.astuple(public)
 
     def test_equality_and_hash_follow_the_class(self):
-        (period, public_period), (reservation, public_reservation) = self.twins()
-        # periods compare by identity, as the slot trees key them
-        assert period == period and period != public_period
-        assert hash(period) == object.__hash__(period)
-        assert reservation == public_reservation
-        assert hash(reservation) == hash(public_reservation)
+        for period, public_period in self.twins():
+            # periods compare by identity, as the slot trees key them
+            assert period == period and period != public_period
+            assert hash(period) == object.__hash__(period)
 
     def test_frozen(self):
         for trusted, _public in self.twins():
@@ -179,17 +165,12 @@ class TestTrustedConstructors:
         with pytest.raises(ValueError, match="empty"):
             IdlePeriod(server=0, st=2.0, et=2.0, uid=1)
         with pytest.raises(ValueError, match="empty"):
-            Reservation(rid=1, server=0, start=2.0, end=1.0)
+            IdlePeriod(server=0, st=2.0, et=1.0, uid=1)
 
 
 class TestAllocation:
     def _alloc(self) -> Allocation:
-        reservations = tuple(
-            Reservation(rid=9, server=s, start=5.0, end=15.0) for s in (3, 1, 4)
-        )
-        return Allocation(
-            rid=9, start=5.0, end=15.0, reservations=reservations, attempts=2, delay=5.0
-        )
+        return Allocation(rid=9, start=5.0, end=15.0, servers=(3, 1, 4), attempts=2, delay=5.0)
 
     def test_servers(self):
         assert self._alloc().servers == (3, 1, 4)

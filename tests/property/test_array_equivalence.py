@@ -246,7 +246,7 @@ class TestSnapshotByteIdentity:
             sr, er = t + 100.0 * (i % 7), t + 100.0 * (i % 7) + 450.0
             found = cal.find_feasible(sr, er, 1 + i % 4)
             if found is not None:
-                cal.allocate(found, sr, er, rid=i)
+                cal.allocate(found, sr, er)
             if i % 9 == 4:
                 cal.advance(t + 50.0)
                 t += 50.0

@@ -70,8 +70,8 @@ class TestPartitionInvariant:
                 result = alloc.schedule(req)
                 if result is not None:
                     live.append(result)
-                    for res in result.reservations:
-                        reservations[res.server].append((res.start, res.end))
+                    for server in result.servers:
+                        reservations[server].append((result.start, result.end))
             elif kind == "advance":
                 cal.advance(cal.now + a)
             else:  # release a still-active allocation in its entirety
@@ -81,9 +81,9 @@ class TestPartitionInvariant:
                 if future:
                     chosen = future[int(a) % len(future)]
                     live.remove(chosen)
-                    for res in chosen.reservations:
-                        cal.release(res.server, res.start, res.end)
-                        reservations[res.server].remove((res.start, res.end))
+                    for server in chosen.servers:
+                        cal.release(server, chosen.start, chosen.end)
+                        reservations[server].remove((chosen.start, chosen.end))
             cal.validate()
             check_partition(cal, reservations)
 

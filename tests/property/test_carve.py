@@ -48,11 +48,11 @@ def watch(cal: AvailabilityCalendar) -> None:
     every stored uid."""
     original = cal.allocate
 
-    def allocate(periods, start, end, rid=0):
+    def allocate(periods, start, end):
         stored = max((p.uid for ps in cal._server_periods for p in ps), default=-1)
         first = cal._next_uid
         assert first > stored
-        reservations = original(periods, start, end, rid=rid)
+        servers = original(periods, start, end)
         assert audit_calendar(cal) == []
         uids = []
         for period in periods:
@@ -63,7 +63,7 @@ def watch(cal: AvailabilityCalendar) -> None:
                 uids.append(remnants[(end, period.et)])
         assert uids == list(range(first, first + len(uids)))
         assert cal._next_uid == first + len(uids)
-        return reservations
+        return servers
 
     cal.allocate = allocate  # type: ignore[method-assign]
 
@@ -223,6 +223,13 @@ class NoteTree(TwoDimTree):
     def insert(self, period):
         self.notes.append(("insert", period.uid))
         super().insert(period)
+
+    def insert_many(self, periods):
+        # one note per period, as if each had been inserted on its own
+        for uid, period in periods.items():
+            assert uid == period.uid, f"period uid={period.uid} noted under uid={uid}"
+            self.notes.append(("insert", uid))
+        super().insert_many(periods)
 
     def remove(self, period):
         self.notes.append(("remove", period.uid))

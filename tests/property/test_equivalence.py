@@ -56,8 +56,8 @@ class Ledger:
         self.busy: dict[int, list[tuple[float, float]]] = {s: [] for s in range(N)}
 
     def record(self, allocation) -> None:
-        for res in allocation.reservations:
-            self.busy[res.server].append((res.start, res.end))
+        for server in allocation.servers:
+            self.busy[server].append((allocation.start, allocation.end))
 
     def free_count(self, start: float, end: float) -> int:
         count = 0
@@ -82,9 +82,9 @@ def run_with_certificates(requests):
         certificates.append((req, a, pre_horizon_end))
         if a is not None:
             # the grant must be consistent *before* we record it
-            for res in a.reservations:
-                assert ledger.is_free(res.server, res.start, res.end), (
-                    f"double booking on server {res.server} for {req}"
+            for server in a.servers:
+                assert ledger.is_free(server, a.start, a.end), (
+                    f"double booking on server {server} for {req}"
                 )
             ledger.record(a)
     return cal, ledger, certificates

@@ -43,6 +43,11 @@ class RecordingTree(TwoDimTree):
         self.writes += 1
         super().insert(period)
 
+    def insert_many(self, periods):
+        # one note per period, as if each had been inserted on its own
+        self.writes += len(periods)
+        super().insert_many(periods)
+
     def remove(self, period):
         self.writes += 1
         super().remove(period)

@@ -97,10 +97,10 @@ class Driver:
         if kind == "cancel":
             if self.live:
                 allocation = self.live.pop(op[1] % len(self.live))
-                for res in allocation.reservations:
-                    lo = max(res.start, cal.now)
-                    if lo < res.end:
-                        cal.release(res.server, lo, res.end)
+                lo = max(allocation.start, cal.now)
+                if lo < allocation.end:
+                    for server in allocation.servers:
+                        cal.release(server, lo, allocation.end)
                 return "cancel", allocation.rid
         elif kind == "advance":
             cal.advance(cal.now + op[1])

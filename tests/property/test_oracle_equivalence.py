@@ -135,7 +135,7 @@ def churn(ops):
             a = pair.schedule(Request(qr=now, sr=now + lead, lr=lr, nr=nr, rid=rid))
             rid += 1
             if a is not None:
-                live.extend((r.server, r.start, r.end) for r in a.reservations)
+                live.extend((server, a.start, a.end) for server in a.servers)
         else:
             _, pick, frac = op
             if not live:

@@ -131,6 +131,92 @@ class TestBufferRules:
         assert len(tree) == 0
 
 
+def _verdict(action) -> str | None:
+    try:
+        action()
+    except KeyError:
+        return "KeyError"
+    return None
+
+
+def _state(tree: TwoDimTree):
+    return sorted(tree._ins), sorted(tree._rem), list(tree._leaves), tree._count, tree._max_et
+
+
+class TestInsertMany:
+    """``insert_many`` is ``insert`` of each period in turn (DESIGN.md
+    §21): the same buffer, stored leaves, cached count and maximum and
+    operation counts, and the same ``KeyError`` verdict for every later
+    ``remove`` — a remove that cancels a batched insert in the same
+    buffer included."""
+
+    @given(
+        pool=period_pools(max_size=30),
+        stored=st.lists(st.integers(0, 10**6), max_size=15),
+        pending=st.lists(st.integers(0, 10**6), max_size=5),
+        batch=st.lists(st.integers(0, 10**6), max_size=15),
+        later=st.lists(
+            st.tuples(st.sampled_from(["remove", "remove", "read"]), st.integers(0, 10**6)),
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_item_insert(self, pool, stored, pending, batch, later):
+        if not pool:
+            return
+        held = {pool[i % len(pool)].uid: pool[i % len(pool)] for i in stored}
+        fresh = [p for p in pool if p.uid not in held]
+        counters = OpCounter(), OpCounter()
+        one_by_one, grouped = (TwoDimTree(counter) for counter in counters)
+        for tree in (one_by_one, grouped):
+            for p in held.values():
+                tree.insert(p)
+            assert len(tree) == len(held)
+            # removals already buffered when the batch arrives
+            for i in pending:
+                if held:
+                    _verdict(lambda: tree.remove(list(held.values())[i % len(held)]))
+        notes = {fresh[i % len(fresh)].uid: fresh[i % len(fresh)] for i in batch} if fresh else {}
+        for p in notes.values():
+            one_by_one.insert(p)
+        grouped.insert_many(notes)
+        assert _state(grouped) == _state(one_by_one)
+        for kind, i in later:
+            if kind == "read":
+                assert grouped.max_end() == one_by_one.max_end()
+            else:
+                p = pool[i % len(pool)]
+                assert _verdict(lambda: grouped.remove(p)) == _verdict(
+                    lambda: one_by_one.remove(p)
+                )
+            assert _state(grouped) == _state(one_by_one)
+        assert len(grouped) == len(one_by_one)
+        assert _state(grouped) == _state(one_by_one)
+        assert counters[1].snapshot() == counters[0].snapshot()
+
+    def test_a_remove_cancels_a_batched_insert(self):
+        tree = TwoDimTree()
+        a = IdlePeriod(server=0, st=1.0, et=20.0, uid=0)
+        b = IdlePeriod(server=1, st=2.0, et=30.0, uid=1)
+        tree.insert_many({a.uid: a, b.uid: b})
+        tree.remove(a)
+        with pytest.raises(KeyError):
+            tree.remove(a)  # cancelled, so neither stored nor buffered
+        assert list(tree._ins) == [b.uid] and not tree._rem
+        assert [p.uid for p in tree.periods()] == [b.uid]
+
+    def test_the_dict_is_copied_not_shared(self):
+        """The calendar hands one dict to many slots: a note cancelled in
+        one tree stays noted in the others."""
+        first, second = TwoDimTree(), TwoDimTree()
+        a = IdlePeriod(server=0, st=1.0, et=20.0, uid=0)
+        notes = {a.uid: a}
+        first.insert_many(notes)
+        second.insert_many(notes)
+        first.remove(a)
+        assert notes == {a.uid: a} and len(first) == 0 and len(second) == 1
+
+
 class TestCalendarLevel:
     def test_slot_written_and_rolled_over_unread_never_builds_a_kernel(self):
         counter = OpCounter()
@@ -140,7 +226,7 @@ class TestCalendarLevel:
         # slot 5; nothing searches that slot
         for server in range(50):
             (trailing,) = cal.idle_periods(server)
-            cal.allocate([trailing], 55.0, 58.0, rid=server)
+            cal.allocate([trailing], 55.0, 58.0)
         assert sorted(cal._trees) == [0, 1, 2, 3, 4, 5]
         tree = cal._trees[5]
         assert len(tree._ins) == 50 and not tree._by_uid and tree._leaves == []

@@ -1,5 +1,10 @@
 """Unit tests for the public CoAllocationScheduler facade."""
 
+import gc
+import hashlib
+import json
+import random
+
 import pytest
 
 from repro import CoAllocationScheduler, Request
@@ -134,3 +139,89 @@ class TestOpsCounter:
         before = sched.counter.total()
         sched.schedule(Request(qr=0.0, sr=0.0, lr=10.0, nr=4, rid=1))
         assert sched.counter.total() > before
+
+
+class TestRefusedReleaseEarly:
+    def test_a_refused_release_early_keeps_the_allocation(self):
+        """The window is checked before the allocation is popped: a
+        refused early release used to drop it, so a later ``cancel``
+        raised ``NotFoundError`` and its servers stayed booked forever."""
+        sched = make(n=1)
+        sched.schedule(Request(qr=0.0, sr=0.0, lr=20.0, nr=1, rid=1))
+        with pytest.raises(ValueError, match="outside"):
+            sched.release_early(1, at_time=50.0)
+        sched.cancel(1)
+        a = sched.schedule(Request(qr=0.0, sr=0.0, lr=20.0, nr=1, rid=2))
+        assert a is not None and a.start == 0.0
+
+
+def run_fixed_history(sched: CoAllocationScheduler, seed: int = 33) -> CoAllocationScheduler:
+    """Grants, cancels, early releases, clock moves and one snapshot
+    restore, drawn from ``seed``; returns the restored scheduler."""
+    rng = random.Random(seed)
+    live: list[int] = []
+    for rid in range(300):
+        now = sched.calendar.now
+        roll = rng.random()
+        if rid == 150:
+            sched = CoAllocationScheduler.from_state(json.loads(json.dumps(sched.export_state())))
+        elif roll < 0.55:
+            request = Request(
+                qr=now,
+                sr=now + rng.choice([0.0, 3.0, 10.0, 45.0]),
+                lr=rng.choice([2.5, 10.0, 30.0, 80.0]),
+                nr=rng.randint(1, 24),
+                rid=rid,
+            )
+            if sched.schedule(request) is not None:
+                live.append(rid)
+        elif roll < 0.7 and live:
+            sched.cancel(live.pop(rng.randrange(len(live))))
+        elif roll < 0.85 and live:
+            rid_live = live[rng.randrange(len(live))]
+            allocation = sched._allocations[rid_live]
+            if allocation.end > now:
+                lo = max(allocation.start, now)
+                sched.release_early(rid_live, lo + rng.random() * (allocation.end - lo))
+                live.remove(rid_live)
+        else:
+            sched.advance(now + rng.choice([1.0, 10.0, 25.0]))
+    return sched
+
+
+class TestSnapshotBytes:
+    """An allocation stores its window once and its servers as ints, and
+    the snapshot still writes ``"reservations": [[server, start, end],
+    ...]`` for each: the digest of a fixed history's export is pinned
+    from when every allocation held one ``Reservation`` per server."""
+
+    PINNED = "c047f4ce65caad84"
+
+    def test_export_bytes_are_unchanged(self):
+        sched = run_fixed_history(make(n=24, tau=10.0, q=16))
+        exported = json.dumps(sched.export_state(), sort_keys=True)
+        assert len(sched._allocations) > 10
+        assert hashlib.sha256(exported.encode()).hexdigest()[:16] == self.PINNED
+
+    @pytest.mark.parametrize("window", [[5.0, 5.0], [5.0, 7.0]])
+    def test_a_reservation_off_the_window_is_refused(self, window):
+        """An allocation stores one window, so a snapshot listing a
+        reservation that books anything else is refused, not narrowed."""
+        sched = make(n=2)
+        sched.schedule(Request(qr=0.0, sr=5.0, lr=20.0, nr=2, rid=1))
+        state = json.loads(json.dumps(sched.export_state()))
+        (allocation,) = state["allocations"]
+        allocation["reservations"][1][1:] = window
+        with pytest.raises(ValueError, match="do not all book"):
+            CoAllocationScheduler.from_state(state)
+
+    def test_the_servers_of_an_allocation_are_not_gc_tracked(self):
+        """Why ``servers`` is a tuple of ints: n_r frozen per-server
+        objects would each be tracked by the cyclic collector for as long
+        as the grant lives (DESIGN.md §21).  A tuple of ints leaves the
+        collector's lists at its first collection."""
+        sched = run_fixed_history(make(n=24, tau=10.0, q=16))
+        gc.collect()
+        allocations = list(sched._allocations.values())
+        assert allocations
+        assert not any(gc.is_tracked(a.servers) for a in allocations)

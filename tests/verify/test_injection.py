@@ -15,6 +15,7 @@ from unittest import mock
 import pytest
 
 from repro.core.calendar import AvailabilityCalendar
+from repro.core.coalloc import OnlineCoAllocator
 from repro.core.types import make_period
 from repro.verify.differ import (
     INJECTIONS,
@@ -70,9 +71,15 @@ def test_remnant_uid_order_is_a_state_divergence() -> None:
     left one's is caught by the state comparison right after the first
     reserve that leaves two remnants — not at some later tie-break."""
     allocate = AvailabilityCalendar.allocate
+    schedule_detailed = OnlineCoAllocator.schedule_detailed
+    deciding: list[int] = []  # rids of the reserves scheduled, in order
     paired: list[int] = []  # rids whose carve swapped a pair, in order
 
-    def right_remnant_first(self, periods, start, end, rid=0):  # type: ignore[no-untyped-def]
+    def tracked(self, request):  # type: ignore[no-untyped-def]
+        deciding.append(request.rid)
+        return schedule_detailed(self, request)
+
+    def right_remnant_first(self, periods, start, end):  # type: ignore[no-untyped-def]
         # one uid shift per remnant built: a period leaving two remnants
         # gives its left remnant the right one's uid and vice versa
         shifts: list[int] = []
@@ -82,17 +89,20 @@ def test_remnant_uid_order_is_a_state_divergence() -> None:
             elif period.st < start or end < period.et:
                 shifts.append(0)
         if 1 in shifts:
-            paired.append(rid)
+            paired.append(deciding[-1])
         shift = iter(shifts)
 
         def swapped(server, st, et, uid):  # type: ignore[no-untyped-def]
             return make_period(server, st, et, uid + next(shift))
 
         with mock.patch("repro.core.calendar.make_period", swapped):
-            return allocate(self, periods, start, end, rid)
+            return allocate(self, periods, start, end)
 
     stream = generate_stream("dense", 0, 400)
-    with mock.patch.object(AvailabilityCalendar, "allocate", right_remnant_first):
+    with (
+        mock.patch.object(AvailabilityCalendar, "allocate", right_remnant_first),
+        mock.patch.object(OnlineCoAllocator, "schedule_detailed", tracked),
+    ):
         result = run_stream(stream)
     assert paired, "no reserve carved a period into two remnants"
     first = next(
