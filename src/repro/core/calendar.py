@@ -366,28 +366,26 @@ class AvailabilityCalendar:
         One pass over the periods then does the carving (DESIGN.md §15):
         one splice of each server's key and period arrays, one
         ``bisect`` and ``del`` per trailing period leaving the tail
-        index, and each remnant's slot range computed once.  The pass
-        has two branches (DESIGN.md §21).  An active trailing period
-        that starts before the horizon and before ``start`` — nearly
-        every period a wide request carves — is in no slot tree, its
-        right remnant enters only the tail index, and its left remnant
-        enters exactly the slots ``base..left_last`` that every other
-        such left remnant enters; those left remnants are gathered into
-        one ``{uid: period}`` dict that each of those slots receives
-        after the loop as one :meth:`TwoDimTree.insert_many` note.  Every
-        other period takes the general branch, one note per (period,
-        slot).  Remnants come from the trusted constructor of
-        :mod:`repro.core.types`: the branch that builds each one has just
-        proven it non-empty, so it is not proven again.  The
-        ``O(n_r · Q)`` slot-tree updates one request implies are O(1)
-        notes in the write buffers of the overlapped trees, each applied
-        — fused with whatever else that slot has been told since — when
-        the slot is next searched, or never if it rolls out of the
-        horizon first.  Remnant uids are drawn from the calendar's
-        counter left remnant then right remnant, period by period (the
-        Phase-2 tie-break), in both branches, so the new trailing
-        remnants — all starting at ``end``, with uids above any stored
-        one — enter the tail index as one sorted block.
+        index, and each remnant's slot range computed once.  The left
+        remnant of an active trailing period that starts in the
+        horizon's first slot or before it — nearly every remnant a wide
+        request carves — is that period's only slot note, and it enters
+        exactly the slots ``base..left_last`` that every other such
+        remnant enters.  Those remnants are gathered into one
+        ``{uid: period}`` dict that each of those slots receives after
+        the loop as one :meth:`TwoDimTree.insert_many` note (DESIGN.md
+        §21); every other remnant is noted slot by slot.  Remnants come
+        from the trusted constructor of :mod:`repro.core.types`: the
+        branch that builds each one has just proven it non-empty, so it
+        is not proven again.  The ``O(n_r · Q)`` slot-tree updates one
+        request implies are O(1) notes in the write buffers of the
+        overlapped trees, each applied — fused with whatever else that
+        slot has been told since — when the slot is next searched, or
+        never if it rolls out of the horizon first.  Remnant uids are
+        drawn from the calendar's counter left remnant then right
+        remnant, period by period (the Phase-2 tie-break), so the new
+        trailing remnants — all starting at ``end``, with uids above any
+        stored one — enter the tail index as one sorted block.
         Draining and removed servers' periods are carved in the
         authoritative lists only.
         """
@@ -438,45 +436,26 @@ class AvailabilityCalendar:
         right_first = max(self.slot_of(end), base)
         tail_removed = 0
         trailing: list[IdlePeriod] = []
-        # the fast branch's left remnants, noted in base..left_last at the end
+        # left remnants whose slots are base..left_last, noted there at the end
         lefts: dict[int, IdlePeriod] = {}
         for period, idx in zip(periods, where):
             server, st, et = period.server, period.st, period.et
             active = status[server] == "active"
-            if et == INF and st < base_start and st < start and active:
-                # fast branch: in no slot tree (unbounded), so it only
-                # leaves the tail index
-                i = bisect_right(inf_keys, (st, period.uid)) - 1
-                assert inf_periods[i] is period, f"{period} missing from the tail index"
-                del inf_keys[i]
-                del inf_periods[i]
-                tail_removed += 1
-                # trusted: st < start by this branch's condition, and
-                # end < INF was checked before anything was touched
-                left = new_period(server, st, start, uid)
-                right = new_period(server, end, INF, uid + 1)
-                lefts[left.uid] = left
-                uid += 2
-                trailing.append(right)
-                all_keys[server][idx : idx + 1] = (st, end)
-                all_periods[server][idx : idx + 1] = (left, right)
-                continue
             if active:
-                # the carved period's slots; a right remnant ends where it
-                # does, so ``last`` serves both (an unbounded period is in
-                # no tree: an empty range)
                 first = base if st < base_start else self.slot_of(st)
                 if et == INF:
+                    # unbounded: in the tail index, in no slot tree
                     i = bisect_right(inf_keys, (st, period.uid)) - 1
                     assert inf_periods[i] is period, f"{period} missing from the tail index"
                     del inf_keys[i]
                     del inf_periods[i]
                     tail_removed += 1
-                    last = base - 1
                 else:
+                    # the carved period's slots; a right remnant ends
+                    # where it does, so ``last`` serves both
                     last = self._last_overlapping_slot(et)
-                for q in range(first, last + 1):
-                    trees[q].remove(period)
+                    for q in range(first, last + 1):
+                        trees[q].remove(period)
             new_keys: list[float] = []
             new_periods: list[IdlePeriod] = []
             if st < start:
@@ -486,11 +465,18 @@ class AvailabilityCalendar:
                 new_keys.append(st)
                 new_periods.append(left)
                 if active:
-                    for q in range(first, left_last + 1):
-                        tree = trees.get(q)
-                        if tree is None:
-                            tree = trees[q] = TwoDimTree(counter)
-                        tree.insert(left)
+                    if first == base and et == INF:
+                        # a trailing period and its right remnant are in
+                        # no tree, so this note is the period's only one,
+                        # and its slots are base..left_last like every
+                        # other such left remnant's
+                        lefts[left.uid] = left
+                    else:
+                        for q in range(first, left_last + 1):
+                            tree = trees.get(q)
+                            if tree is None:
+                                tree = trees[q] = TwoDimTree(counter)
+                            tree.insert(left)
             if end < et:
                 # trusted: non-empty by this branch's condition
                 right = new_period(server, end, et, uid)
@@ -500,17 +486,18 @@ class AvailabilityCalendar:
                 if active:
                     if et == INF:
                         trailing.append(right)
-                    for q in range(right_first, last + 1):
-                        tree = trees.get(q)
-                        if tree is None:
-                            tree = trees[q] = TwoDimTree(counter)
-                        tree.insert(right)
+                    else:
+                        for q in range(right_first, last + 1):
+                            tree = trees.get(q)
+                            if tree is None:
+                                tree = trees[q] = TwoDimTree(counter)
+                            tree.insert(right)
             all_keys[server][idx : idx + 1] = new_keys
             all_periods[server][idx : idx + 1] = new_periods
         self._next_uid = uid
         if lefts:
-            # every fast-branch left remnant starts before the horizon and
-            # ends at ``start``: it overlaps exactly base..left_last
+            # each of these left remnants starts no later than slot base
+            # and ends at ``start``: it overlaps exactly base..left_last
             for q in range(base, left_last + 1):
                 tree = trees.get(q)
                 if tree is None:
