@@ -1,6 +1,6 @@
 """Domain-aware static analysis and structural invariant auditing.
 
-Three engines guard the correctness of the co-allocation hot path:
+Two engines guard the correctness of the co-allocation hot path:
 
 * :mod:`repro.analysis.lint` — a custom AST lint pass catching the bug
   classes that broke the calendar fast path and the service (rules
@@ -11,12 +11,6 @@ Three engines guard the correctness of the co-allocation hot path:
   calls inside coroutines, unbounded stream reads) from
   :mod:`repro.analysis.rules.concurrency`.
 
-* :mod:`repro.analysis.protocol_check` — wire-protocol conformance
-  (``RA205``/``RA206``): every literal ``{"op": ...}`` send site and
-  every handler table in the service is cross-checked against the
-  declarative :data:`repro.service.protocol.REGISTRY`, with drift
-  injections that self-test the checker.
-
 * :mod:`repro.analysis.audit` — deep structural audits (checks ``RA101``
   … ``RA116``) over :class:`~repro.core.slot_tree.TwoDimTree` and
   :class:`~repro.core.calendar.AvailabilityCalendar`: size fields, leaf
@@ -24,10 +18,15 @@ Three engines guard the correctness of the co-allocation hot path:
   agreement, slot coverage, the arithmetic horizon, tail-index ordering,
   and idle-time conservation across ``allocate``/``release``.
 
-All are surfaced by the ``repro check`` CLI subcommand (the protocol
-pass runs with the lint pass) and documented in ``docs/analysis.md``.
-The audit engine also backs the ``validate()`` methods of the core data
-structures and ``replay(audit_stride=…)``.
+Both are surfaced by the ``repro check`` CLI subcommand and documented
+in ``docs/analysis.md``.  The audit engine also backs the
+``validate()`` methods of the core data structures and
+``replay(audit_stride=…)``.
+
+The wire protocol has no static pass.  Its registry
+(:data:`repro.service.protocol.REGISTRY`) is enforced at runtime by
+``decode_line`` / ``validate_payload``, and the server and the follower
+build their handler tables from it (DESIGN.md §22).
 """
 
 from .audit import (
@@ -38,7 +37,6 @@ from .audit import (
     audit_tree,
 )
 from .lint import KNOWN_RULE_IDS, LintReport, lint_paths, lint_source
-from .protocol_check import PROTOCOL_INJECTIONS, ProtocolReport, run_protocol_check
 from .rules import ALL_RULES, Rule, Violation
 
 __all__ = [
@@ -48,13 +46,10 @@ __all__ = [
     "KNOWN_RULE_IDS",
     "LintReport",
     "MutationAuditor",
-    "PROTOCOL_INJECTIONS",
-    "ProtocolReport",
     "Rule",
     "Violation",
     "audit_calendar",
     "audit_tree",
     "lint_paths",
     "lint_source",
-    "run_protocol_check",
 ]

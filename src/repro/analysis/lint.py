@@ -37,12 +37,10 @@ _NOQA = re.compile(
 )
 
 #: every RA id some engine can report: the lint rules themselves, the
-#: runner's own RA000 (syntax) and RA010 (bad pragma), the structural
-#: audit checks, and the protocol-conformance rules
+#: runner's own RA000 (syntax) and RA010 (bad pragma), and the
+#: structural audit checks
 KNOWN_RULE_IDS: frozenset[str] = (
-    frozenset(rule.id for rule in ALL_RULES)
-    | {"RA000", "RA010", "RA205", "RA206"}
-    | AUDIT_CHECK_IDS
+    frozenset(rule.id for rule in ALL_RULES) | {"RA000", "RA010"} | AUDIT_CHECK_IDS
 )
 
 #: directories never linted when walking a tree

@@ -30,10 +30,7 @@ Installed as ``repro`` (see ``pyproject.toml``); also runnable as
 ``repro check``
     Domain-aware static analysis over the source tree: the AST lint
     rules (``RA001``…``RA003``, ``RA008``, ``RA009``, and the async rules
-    ``RA202``/``RA204``) and the wire-protocol conformance pass
-    (``RA205``/``RA206``) that cross-checks every literal send site and
-    handler table against the declarative registry in
-    ``service/protocol.py``; ``--audit`` replays a stress workload with
+    ``RA202``/``RA204``); ``--audit`` replays a stress workload with
     deep structural invariant audits after every calendar mutation.
     Exits non-zero on any finding; ``--format json`` emits the
     machine-readable report CI uploads as an artifact.
@@ -178,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument(
         "--no-lint",
         action="store_true",
-        help="skip the static passes (lint and protocol conformance)",
+        help="skip the static lint pass",
     )
     chk.add_argument(
         "--audit",
@@ -189,21 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--audit-servers", type=int, default=64)
     chk.add_argument(
         "--inject",
-        choices=(
-            "size",
-            "seckey",
-            "uidmap",
-            "buffer",
-            "drop-field",
-            "unknown-op",
-            "drop-handler",
-            "drop-follower-handler",
-        ),
+        choices=("size", "seckey", "uidmap", "buffer"),
         default=None,
-        help="self-test: corrupt the audited calendar (size/seckey/uidmap/buffer, "
-        "runs the audit replay) or the protocol model (drop-field/unknown-op/"
-        "drop-handler/drop-follower-handler, runs the protocol pass) and "
-        "require the check to catch it",
+        help="self-test: corrupt the audited calendar (runs the audit replay) "
+        "and require the check to catch it",
     )
 
     srv = sub.add_parser("serve", help="run the online co-allocation server")
@@ -638,18 +624,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from .analysis.audit import CORRUPTIONS
-    from .analysis.protocol_check import PROTOCOL_INJECTIONS, run_protocol_check
-
     missing = [path for path in args.paths if not Path(path).exists()]
     for path in missing:
         print(f"check: no such file or directory: {path}", file=sys.stderr)
     if missing:
         return int(ErrorCode.MALFORMED)
-    # an injection always runs the pass it tests, whatever else is skipped
-    protocol_inject = args.inject if args.inject in PROTOCOL_INJECTIONS else None
-    run_protocol = not args.no_lint or protocol_inject is not None
-    run_audit = args.audit or args.inject in CORRUPTIONS
+    # an injection always runs the audit it tests, whatever else is skipped
+    run_audit = args.audit or args.inject is not None
 
     report: dict[str, object] = {}
     failed = False
@@ -666,12 +647,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         report["lint"] = lint_report.to_json()
         text_sections.append(lint_report.to_text())
         failed = failed or not lint_report.ok
-
-    if run_protocol:
-        protocol_report = run_protocol_check(inject=protocol_inject)
-        report["protocol"] = protocol_report.to_json()
-        text_sections.append(protocol_report.to_text())
-        failed = failed or not protocol_report.ok
 
     if run_audit:
         audit_section, audit_text, audit_ok = _run_audit_replay(args)

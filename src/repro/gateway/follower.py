@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import asyncio
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..errors import ConflictError, ReproError, error_payload
+from ..errors import ConflictError, ReproError
 from ..facade import CoAllocationScheduler
 from ..service.client import ServiceClient
 from ..service.protocol import (
@@ -45,7 +45,9 @@ from ..service.protocol import (
     READ_CHUNK_BYTES,
     ProtocolError,
     decode_line,
+    echo_seq,
     encode,
+    error_response,
 )
 from ..service.server import ReservationService, ServiceConfig
 from ..service.snapshot import read_snapshot
@@ -105,6 +107,8 @@ class Follower:
         self._service: ReservationService | None = None
         self._service_watch: asyncio.Task | None = None
         self._stopped = asyncio.Event()
+        #: op -> its handler, one per registered follower op
+        self._control = {op: getattr(self, f"_ctl_{op}") for op in FOLLOWER_OPS}
 
     # ------------------------------------------------------------------
     # bootstrap
@@ -260,7 +264,7 @@ class Follower:
                     # over-long line: unrecoverable framing — answer as the
                     # primary does, then close the stream
                     exc = ProtocolError(f"line exceeds {MAX_LINE_BYTES} bytes")
-                    writer.write(encode({"ok": False, "op": None, "error": error_payload(exc)}))
+                    writer.write(encode(error_response({}, exc)))
                     await writer.drain()
                     break
                 if not raw:
@@ -270,17 +274,13 @@ class Follower:
                 try:
                     message = decode_line(raw, ops=FOLLOWER_OPS)
                 except ProtocolError as exc:
-                    response: dict[str, Any] = {"ok": False, "error": error_payload(exc)}
+                    response = error_response({}, exc)
                 else:
-                    handler = getattr(self, f"_ctl_{message['op']}")
                     try:
-                        response = await handler(message)
+                        response = await self._control[message["op"]](message)
+                        echo_seq(message, response)
                     except Exception as exc:  # answer, never kill the listener
-                        response = {
-                            "ok": False,
-                            "op": message["op"],
-                            "error": error_payload(exc),
-                        }
+                        response = error_response(message, exc)
                 writer.write(encode(response))
                 await writer.drain()
         except (ConnectionError, OSError):

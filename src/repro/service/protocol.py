@@ -20,12 +20,12 @@ The whole vocabulary — public client ops and the follower's control ops
 alike — lives in one declarative :data:`REGISTRY` of :class:`OpSpec`
 entries.  Everything else derives from it: runtime validation
 (:func:`decode_line`, :func:`validate_payload`), the ``OPS`` and
-``FOLLOWER_OPS`` tuples, and the static protocol-conformance rules
-``RA205``/``RA206`` (:mod:`repro.analysis.protocol_check`), which cross-check every literal
-``{"op": ...}`` send site and every handler table against this registry.
-Adding an op means adding one :class:`OpSpec`; forgetting the handler —
-or sending a field the spec does not know — is a lint failure, not a
-runtime surprise.
+``FOLLOWER_OPS`` tuples, and the handler tables: the server and the
+follower build theirs from those tuples when they are constructed, so
+an op registered without its ``_actor_apply_<op>`` / ``_ctl_<op>``
+handler stops the listener from starting.  Adding an op means adding
+one :class:`OpSpec` and its handler.  Both listeners answer errors
+through :func:`error_response`, the one error/``seq`` rule.
 
 Validation here is *structural* (field presence and types).  Domain
 validation — ``l_r > 0``, ``s_r >= q_r``, feasible deadlines — happens in
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..core.types import Request
-from ..errors import MalformedRequestError
+from ..errors import MalformedRequestError, error_payload
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -54,7 +54,9 @@ __all__ = [
     "REGISTRY",
     "ProtocolError",
     "decode_line",
+    "echo_seq",
     "encode",
+    "error_response",
     "request_from_payload",
     "validate_payload",
 ]
@@ -187,6 +189,29 @@ def encode(message: dict[str, Any]) -> bytes:
     return (
         json.dumps(message, separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
     ).encode("utf-8")
+
+
+def echo_seq(message: dict[str, Any], response: dict[str, Any]) -> dict[str, Any]:
+    """``response``, given the request's pass-through ``seq`` when it has one."""
+    if "seq" in message:
+        response["seq"] = message["seq"]
+    return response
+
+
+def error_response(message: dict[str, Any], exc: BaseException) -> dict[str, Any]:
+    """The typed error reply to ``message``.
+
+    It echoes ``op`` (``null`` for a line that never decoded), and
+    ``rid`` and ``seq`` when the request carried them.
+    """
+    response: dict[str, Any] = {
+        "ok": False,
+        "op": message.get("op"),
+        "error": error_payload(exc),
+    }
+    if "rid" in message:
+        response["rid"] = message["rid"]
+    return echo_seq(message, response)
 
 
 def _check_type(op: str, name: str, value: Any, tag: str) -> None:

@@ -39,12 +39,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any
 
-from ..errors import (
-    MalformedRequestError,
-    ReproError,
-    ShuttingDownError,
-    error_payload,
-)
+from ..errors import MalformedRequestError, ReproError, ShuttingDownError
 from ..facade import CoAllocationScheduler
 from .admission import AdmissionController
 from .autoscale import AutoScaleConfig, AutoScaler
@@ -53,11 +48,14 @@ from .declog import DecisionLog, decision_message
 from .metrics import ServiceMetrics
 from .protocol import (
     MAX_LINE_BYTES,
+    OPS,
     PROTOCOL_VERSION,
     READ_CHUNK_BYTES,
     ProtocolError,
     decode_line,
+    echo_seq,
     encode,
+    error_response,
 )
 from .snapshot import read_snapshot, write_snapshot
 from .state import ServiceState, accepted_checksum
@@ -133,6 +131,10 @@ class ReservationService:
             )
             self._log.align(log_hwm)
         self.metrics = ServiceMetrics()
+        #: op -> its handler, one per registered public op: an op
+        #: without an ``_actor_apply_<op>`` method fails here, not on
+        #: its first request
+        self._apply = {op: getattr(self, f"_actor_apply_{op}") for op in OPS}
         self.autoscaler: AutoScaler | None = (
             AutoScaler(config.autoscale) if config.autoscale is not None else None
         )
@@ -260,7 +262,7 @@ class ReservationService:
                     # over-long line: unrecoverable framing, close the stream
                     future = loop.create_future()
                     future.set_result(
-                        _error_response(
+                        error_response(
                             {}, ProtocolError(f"line exceeds {MAX_LINE_BYTES} bytes")
                         )
                     )
@@ -288,11 +290,11 @@ class ReservationService:
             message = decode_line(raw)
         except ProtocolError as exc:
             self.metrics.malformed += 1
-            future.set_result(_error_response({}, exc))
+            future.set_result(error_response({}, exc))
             return
         if self._stopping:
             future.set_result(
-                _error_response(message, ShuttingDownError("server is shutting down"))
+                error_response(message, ShuttingDownError("server is shutting down"))
             )
             return
         if message["op"] in _CONTROLLED_OPS:
@@ -300,7 +302,7 @@ class ReservationService:
                 self.admission.admit()
             except ReproError as exc:  # BusyError
                 self.metrics.shed += 1
-                future.set_result(_error_response(message, exc))
+                future.set_result(error_response(message, exc))
                 return
         # lifecycle/introspection ops bypass admission but still run on
         # the actor so every calendar read is single-threaded
@@ -329,7 +331,7 @@ class ReservationService:
                         # NaN is echoed as sent): answer INTERNAL rather than
                         # die with the client waiting on this connection
                         lines.append(
-                            encode(_error_response({"op": response.get("op")}, exc))
+                            encode(error_response({"op": response.get("op")}, exc))
                         )
                 try:
                     writer.write(b"".join(lines))
@@ -355,7 +357,7 @@ class ReservationService:
             for message, enqueued_at, future in batch:
                 started = perf_counter()
                 if self._stopping:
-                    response = _error_response(
+                    response = error_response(
                         message, ShuttingDownError("server is shutting down")
                     )
                 else:
@@ -375,7 +377,7 @@ class ReservationService:
                 self.admission.release()
             if not future.done():
                 future.set_result(
-                    _error_response(message, ShuttingDownError("server is shutting down"))
+                    error_response(message, ShuttingDownError("server is shutting down"))
                 )
         await self._finalize()
 
@@ -442,17 +444,14 @@ class ReservationService:
     # ------------------------------------------------------------------
 
     def _actor_apply(self, message: dict[str, Any]) -> dict[str, Any]:
-        op = message["op"]
         try:
-            response = getattr(self, f"_actor_apply_{op}")(message)
+            response = self._apply[message["op"]](message)
         except ReproError as exc:
-            response = _error_response(message, exc)
+            response = error_response(message, exc)
         except Exception as exc:  # never kill the actor on one bad op
             self.metrics.errors += 1
-            response = _error_response(message, exc)
-        if "seq" in message:
-            response["seq"] = message["seq"]
-        return response
+            response = error_response(message, exc)
+        return echo_seq(message, response)
 
     def _decide(self, kind: str, message: dict[str, Any]) -> dict[str, Any]:
         """One write op through the shared state machine.
@@ -614,24 +613,11 @@ class ReservationService:
         return meta, self._log.compact(hwm)
 
 
-def _error_response(message: dict[str, Any], exc: BaseException) -> dict[str, Any]:
-    response: dict[str, Any] = {
-        "ok": False,
-        "op": message.get("op"),
-        "error": error_payload(exc),
-    }
-    if "rid" in message:
-        response["rid"] = message["rid"]
-    if "seq" in message:
-        response["seq"] = message["seq"]
-    return response
-
-
 async def _result_of(future: asyncio.Future) -> dict[str, Any]:
     try:
         return await future
     except Exception as exc:  # defensive: a failed future still gets answered
-        return _error_response({}, exc)
+        return error_response({}, exc)
 
 
 async def serve_forever(config: ServiceConfig, ready_line: bool = True) -> None:

@@ -52,45 +52,18 @@ class TestLintMode:
         assert printed["ok"] is False
         assert [v["rule"] for v in printed["lint"]["violations"]] == ["RA003"]
 
-
-class TestConcurrencyMode:
-    """The protocol pass runs whenever the lint pass does."""
-
-    def test_shipped_service_conforms(self, capsys):
-        rc = main(["check"])
-        out = capsys.readouterr().out
+    def test_json_report_over_src_has_only_the_lint_section(self, capsys):
+        rc = main(["check", "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
         assert rc == 0
-        assert "conform to the registry" in out
+        assert set(report) == {"lint", "ok"}
+        assert report["ok"] is True and report["lint"]["ok"] is True
 
-    def test_no_lint_skips_both_static_passes(self, capsys):
+    def test_no_lint_skips_the_static_pass(self, capsys):
         rc = main(["check", "--no-lint", "--format", "json"])
         report = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert report == {"ok": True}
-
-    def test_combined_lint_and_protocol_over_src(self, capsys):
-        rc = main(["check", "--format", "json"])
-        report = json.loads(capsys.readouterr().out)
-        assert rc == 0
-        assert report["ok"] is True
-        assert report["lint"]["ok"] is True
-        assert report["protocol"]["ok"] is True
-
-    @pytest.mark.parametrize(
-        "kind,check_id",
-        [
-            ("drop-field", "RA205"),
-            ("unknown-op", "RA206"),
-            ("drop-handler", "RA206"),
-        ],
-    )
-    def test_injected_drift_is_caught(self, capsys, kind, check_id):
-        # a protocol injection kind runs the protocol pass under --no-lint
-        rc = main(["check", "--no-lint", "--inject", kind, "--format", "json"])
-        report = json.loads(capsys.readouterr().out)
-        assert rc == 1  # an injected run never exits 0
-        assert report["protocol"]["injected"]["caught"] is True
-        assert check_id in {v["rule"] for v in report["protocol"]["violations"]}
 
 
 class TestAuditMode:

@@ -481,3 +481,48 @@ class TestControlListener:
         assert answer["error"]["code"] == "MALFORMED" and closed == b""
         assert after["ok"]  # the listener itself is unharmed
         assert [t.max_size for t in accepted] == [READ_CHUNK_BYTES] * 2
+
+    def test_bad_lines_and_seq_are_answered_like_the_primary_answers_them(self, tmp_path):
+        """Both listeners answer through one error/``seq`` rule: a line
+        that does not decode echoes ``"op": null``, and a request's
+        ``seq`` comes back on its reply.  The follower used to drop
+        ``op`` from the first and ``seq`` from the second."""
+
+        async def answers(port, introspection_op):
+            lines = [
+                b"not json\n",
+                b'{"op": "frobnicate"}\n',
+                json.dumps({"op": introspection_op, "seq": 5}).encode() + b"\n",
+            ]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"".join(lines))
+            await writer.drain()
+            out = [json.loads(await reader.readline()) for _ in lines]
+            writer.close()
+            return out
+
+        async def scenario():
+            primary = await start_service(**SMALL, log_dir=str(tmp_path / "log"))
+            follower = Follower(FollowerConfig(primary_port=primary.port, poll_interval=0.01))
+            follower.bootstrap_fresh(await rpc(primary.port, {"op": "status"}))
+            await follower.start()
+            try:
+                return (
+                    await asyncio.wait_for(answers(primary.port, "status"), 10.0),
+                    await asyncio.wait_for(answers(follower.port, "follower_status"), 10.0),
+                )
+            finally:
+                await follower.stop()
+                await primary.stop()
+
+        def shape(answer):
+            # the unknown-op message lists each listener's own vocabulary
+            return {k: v["code"] if k == "error" else v for k, v in answer.items()}
+
+        from_primary, from_follower = asyncio.run(scenario())
+        (bad_p, unknown_p, status_p), (bad_f, unknown_f, status_f) = from_primary, from_follower
+        assert bad_f == bad_p
+        assert shape(bad_f) == {"ok": False, "op": None, "error": "MALFORMED"}
+        assert shape(unknown_f) == shape(unknown_p) == shape(bad_p)
+        assert status_p["ok"] and status_f["ok"]
+        assert status_p["seq"] == status_f["seq"] == 5

@@ -16,6 +16,8 @@ range-search commits, cancels, clock moves, drains and snapshot restores:
   removals and inserts in exactly the slots each period overlaps;
 * so does carving a period that starts on or next to the horizon start,
   where the first slot is one float comparison rather than ``slot_of``;
+* a wide request's left remnants reach each slot they share as one
+  ``insert_many`` call, not one ``insert`` per remnant;
 * the operation counts of a fixed history are the call chain's, and its
   final state is the validating constructors'.
 """
@@ -353,6 +355,51 @@ class TestFirstSlotAtTheHorizonStart:
             notes, expected = carve_notes(cal, period, start, end)
         assert notes == expected
         cal.validate()
+
+
+class CallTree(TwoDimTree):
+    """A slot tree that counts ``insert_many`` calls and per-item
+    ``insert`` calls apart: a count of notes cannot tell one grouped
+    note from the same remnants inserted one by one."""
+
+    __slots__ = ("grouped", "single")
+
+    def __init__(self, counter=NULL_COUNTER):
+        super().__init__(counter)
+        self.grouped: list[set[int]] = []
+        self.single: list[int] = []
+
+    def insert(self, period):
+        self.single.append(period.uid)
+        super().insert(period)
+
+    def insert_many(self, periods):
+        self.grouped.append(set(periods))
+        super().insert_many(periods)
+
+
+def test_left_remnants_of_a_wide_request_reach_each_slot_as_one_note():
+    """Every server's trailing period starts before the horizon start, so
+    each left remnant spans ``base..left_last``: each of those slots gets
+    the request's left remnants as one ``insert_many`` call and none of
+    them through ``insert``."""
+    n, tau = 8, 10.0
+    with mock.patch("repro.core.calendar.TwoDimTree", CallTree):
+        cal = AvailabilityCalendar(n, tau, Q)
+        cal.advance(1.5 * tau)
+        periods = [cal.idle_periods(server)[-1] for server in range(n)]
+        assert all(p.st < cal._base_slot * tau and p.et == INF for p in periods)
+        start = 4.2 * tau
+        cal.allocate(periods, start, start + 3 * tau)
+    lefts = {p.uid for s in range(n) for p in cal.idle_periods(s) if p.et == start}
+    assert len(lefts) == n
+    slots = range(cal._base_slot, cal._last_overlapping_slot(start) + 1)
+    assert len(slots) == 4
+    for q in slots:
+        tree = cal._trees[q]
+        assert tree.grouped == [lefts], q
+        assert not lefts.intersection(tree.single), q
+    cal.validate()
 
 
 def state_digest(cal: AvailabilityCalendar) -> str:

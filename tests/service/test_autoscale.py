@@ -15,6 +15,7 @@ from repro.service.autoscale import (
     ScaleDecision,
 )
 
+from repro.service.protocol import validate_payload
 from repro.service.state import ServiceState
 
 from .harness import SMALL, rpc, start_service
@@ -194,6 +195,49 @@ class TestDriver:
         assert messages == []
         assert scaler.history[-1]["dry_run"]
         assert scaler.summary()["dry_run"]
+
+
+def test_messages_queued_past_the_socket_are_valid():
+    """The scaler's plans and the server's own ``pool_status`` and
+    ``shutdown`` go straight onto the actor queue, so ``decode_line``
+    never sees them: each must still pass the registry's strict check."""
+    scaler = AutoScaler(AutoScaleConfig(patience=1, step=2, min_servers=1, max_servers=8))
+    ticks = [
+        (_telemetry(delay=1.0), _pool(4)),  # up
+        (_telemetry(delay=0.0), _pool(6)),  # down
+        (_telemetry(delay=0.2), _pool(5, draining=1, drained={5})),  # drained removal
+    ]
+    planned = [m for telemetry, pool in ticks for m in scaler.plan(telemetry, pool)[1]]
+    assert [m["op"] for m in planned] == ["add_servers", "drain", "remove"]
+    for message in planned:
+        assert validate_payload(message["op"], message) == message
+
+    async def queued_by_the_server():
+        service = await start_service(
+            **SMALL, autoscale=AutoScaleConfig(patience=1, interval=0.01, dry_run=True)
+        )
+        seen = []
+        put = service._queue.put
+
+        async def spy(item):
+            seen.append(item[0])
+            # checked here too: a stop() whose message the actor refuses
+            # would never return
+            validate_payload(item[0]["op"], item[0])
+            await put(item)
+
+        service._queue.put = spy
+        try:
+            while not seen:
+                await asyncio.sleep(0.01)
+        finally:
+            await service.stop()
+        return seen
+
+    internal = asyncio.run(asyncio.wait_for(queued_by_the_server(), 10.0))
+    assert {m["op"] for m in internal} == {"pool_status", "shutdown"}
+    for message in internal:
+        assert validate_payload(message["op"], message) == message
 
 
 def test_autoscale_loop_grows_a_live_pool():

@@ -6,8 +6,10 @@ import math
 import pytest
 
 from repro.core.types import Request
-from repro.errors import MalformedRequestError
+from repro.errors import ErrorCode, MalformedRequestError, ReproError
+from repro.gateway.follower import Follower
 from repro.service.protocol import (
+    FOLLOWER_OPS,
     MAX_LINE_BYTES,
     OPS,
     REGISTRY,
@@ -17,6 +19,7 @@ from repro.service.protocol import (
     request_from_payload,
     validate_payload,
 )
+from repro.service.server import ReservationService
 
 
 def line(message: dict) -> bytes:
@@ -100,6 +103,26 @@ class TestDecodeLine:
     def test_oversized_line_rejected(self):
         with pytest.raises(ProtocolError, match="exceeds"):
             decode_line(b" " * (MAX_LINE_BYTES + 1))
+
+
+class TestHandlerTables:
+    """The server and the follower build their handler tables from the
+    registry, so a registered op without a handler fails construction;
+    these see what construction cannot."""
+
+    def test_handlers_are_exactly_the_registered_ops(self):
+        def handled(cls, prefix):
+            return {name[len(prefix) :] for name in dir(cls) if name.startswith(prefix)}
+
+        assert handled(ReservationService, "_actor_apply_") == set(OPS)
+        assert handled(Follower, "_ctl_") == set(FOLLOWER_OPS)
+
+    def test_every_error_code_is_carried_by_an_exception(self):
+        def family(cls):
+            return {cls}.union(*(family(sub) for sub in cls.__subclasses__()))
+
+        carried = {cls.code for cls in family(ReproError)}
+        assert set(ErrorCode) - {ErrorCode.OK} <= carried
 
 
 class TestEncode:
