@@ -22,7 +22,24 @@ by that many bytes of UTF-8 JSON, appended to size-capped segment files
 or undecodable JSON — the signature of a crash mid-append) is truncated
 away on open; everything before it is intact.
 
-**Durability model.** The log is flushed but not fsynced: it is a
+**Encoded once.** A record is assembled from bytes already in hand, with
+no JSON encode of its own: the server passes the request line as it was
+read and the reply line as it was sent, so on disk ``message`` is the
+whole request and ``verdict`` the whole reply.  Reads normalise both
+back to the decision (:func:`normalise_record`: ``message`` through
+:func:`decision_message`, ``verdict`` less the reply's envelope keys),
+which changes nothing in a record that holds the decision alone — the
+form a caller passing dicts writes, and every log written before
+records reused wire bytes.  Memory, ``tail()``, recovery and followers
+all see the normal form.
+
+**Group commit and durability.** :meth:`DecisionLog.append` only
+assembles; :meth:`DecisionLog.flush` hands everything appended since the
+last flush to the OS in one write and one flush (``commits`` counts
+them).  The actor flushes once per micro-batch, before any reply of
+that batch can be written, so no client holds a verdict whose record
+has not reached the OS.  A flush that fails undoes its batch, on disk
+and in memory, and raises.  The log is flushed but not fsynced: it is a
 *replication* stream, not the recovery source of truth.  Recovery
 correctness comes from snapshots plus at-least-once clients — a decision
 lost with the tail is simply re-decided identically when the client
@@ -47,11 +64,12 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import suppress
 from pathlib import Path
 from typing import Any, Callable
 
 from ..errors import ErrorCode, MalformedRequestError, NotFoundError, ReproError
-from .protocol import request_from_payload
+from .protocol import encode, request_from_payload
 
 __all__ = [
     "ADMIN_KINDS",
@@ -61,6 +79,7 @@ __all__ = [
     "entry_from_outcome",
     "decide_cancel",
     "decision_message",
+    "normalise_record",
 ]
 
 #: 4-byte big-endian record length prefix
@@ -69,6 +88,10 @@ _HEADER = 4
 #: ``reserve`` wire fields a log record preserves (``op``/``seq`` are
 #: connection bookkeeping, not part of the decision)
 _RESERVE_FIELDS = ("rid", "qr", "sr", "lr", "nr", "deadline")
+
+#: a reply's envelope: the request bookkeeping it echoes around the
+#: verdict (no verdict dict carries one of these keys)
+_ENVELOPE = frozenset({"op", "rid", "aid", "seq"})
 
 
 # ----------------------------------------------------------------------
@@ -175,13 +198,19 @@ def decide_admin(scheduler: Any, kind: str, message: dict[str, Any]) -> dict[str
     raise ValueError(f"not an admin decision kind: {kind!r}")
 
 
+#: each decision kind as its JSON string: assembling a record encodes nothing
+_KIND_JSON = {
+    kind: b'"%s"' % kind.encode() for kind in ("reserve", "cancel", *ADMIN_KINDS)
+}
+
+
 def decision_message(kind: str, message: dict[str, Any]) -> dict[str, Any]:
     """The canonical (replayable) subset of a wire message for the log."""
     if kind == "reserve":
         return {
-            name: message[name]
+            name: value
             for name in _RESERVE_FIELDS
-            if message.get(name) is not None
+            if (value := message.get(name)) is not None
         }
     admin_fields = _ADMIN_FIELDS.get(kind)
     if admin_fields is not None:
@@ -189,6 +218,21 @@ def decision_message(kind: str, message: dict[str, Any]) -> dict[str, Any]:
             name: message[name] for name in admin_fields if message.get(name) is not None
         }
     return {"rid": int(message["rid"])}
+
+
+def normalise_record(record: dict[str, Any]) -> dict[str, Any]:
+    """A record as read back, in the form :meth:`DecisionLog.append` keeps.
+
+    ``message`` goes through :func:`decision_message`, and ``verdict``
+    loses the reply's envelope keys.  Normalising a record twice gives
+    the same record, so records that already hold only the decision
+    read back unchanged.
+    """
+    record["message"] = decision_message(record["kind"], record["message"])
+    record["verdict"] = {
+        key: value for key, value in record["verdict"].items() if key not in _ENVELOPE
+    }
+    return record
 
 
 # ----------------------------------------------------------------------
@@ -225,6 +269,11 @@ class DecisionLog:
         self._cursors: dict[str, tuple[int, float]] = {}
         self._active: Any = None  # open append handle for the last segment
         self._active_path: Path | None = None
+        self._active_bytes = 0  # size of the open segment, as written so far
+        #: framed records appended since the last flush, in hwm order
+        self._pending: list[bytes] = []
+        #: flushes that wrote records (``hwm / commits`` = records per commit)
+        self.commits = 0
         self._recover()
 
     # -- recovery -------------------------------------------------------
@@ -254,7 +303,8 @@ class DecisionLog:
                     record = json.loads(raw[offset + _HEADER : end].decode("utf-8"))
                     if record["hwm"] != self.hwm + 1:
                         break  # numbering gap: treat like corruption
-                except (UnicodeDecodeError, ValueError, KeyError, TypeError):
+                    normalise_record(record)
+                except (ValueError, KeyError, TypeError, AttributeError):
                     break
                 self._records.append(record)
                 self.hwm = record["hwm"]
@@ -275,47 +325,105 @@ class DecisionLog:
 
     # -- appending ------------------------------------------------------
 
-    def append(self, kind: str, message: dict[str, Any], verdict: dict[str, Any]) -> int:
-        """Record one decision; returns its hwm."""
-        record = {
-            "hwm": self.hwm + 1,
-            "kind": kind,
-            "message": message,
-            "verdict": verdict,
-        }
-        payload = json.dumps(
-            record, separators=(",", ":"), sort_keys=True, allow_nan=False
-        ).encode("utf-8")
-        handle = self._handle_for_append(record["hwm"])
-        handle.write(len(payload).to_bytes(_HEADER, "big") + payload)
-        handle.flush()
-        self._records.append(record)
-        self.hwm = record["hwm"]
-        return self.hwm
+    def append(
+        self,
+        kind: str,
+        message: dict[str, Any],
+        verdict: dict[str, Any],
+        line: bytes | None = None,
+        reply: bytes | None = None,
+    ) -> int:
+        """Record one decision; returns its hwm.  It reaches the file at :meth:`flush`.
 
-    def _handle_for_append(self, next_hwm: int) -> Any:
-        if self._active is not None and self._active_path is not None:
-            if self._active.tell() < self.segment_bytes:
-                return self._active
-            self._active.close()
-            self._active = None
-        if self._active is None:
-            if self._active_path is None:
-                # adopt the last existing segment if it still has room
-                segments = self._segments()
-                if segments and segments[-1].stat().st_size < self.segment_bytes:
-                    self._active_path = segments[-1]
-                else:
-                    self._active_path = self.dir / f"seg-{next_hwm:012d}.log"
-            else:
-                self._active_path = self.dir / f"seg-{next_hwm:012d}.log"
-            self._active = self._active_path.open("ab")
-        return self._active
+        ``message`` and ``verdict`` are the record as memory and
+        followers hold it.  ``line`` is the request line ``message`` was
+        read from, and ``reply`` the reply line that carries ``verdict``
+        in its envelope: a part given as bytes is written as those bytes,
+        a missing part is encoded from its dict.
+        """
+        kind_json = _KIND_JSON.get(kind)
+        if kind_json is None:
+            raise ValueError(f"not a decision kind: {kind!r}")
+        hwm = self.hwm + 1
+        payload = b'{"hwm":%d,"kind":%b,"message":%b,"verdict":%b}' % (
+            hwm,
+            kind_json,
+            (encode(message) if line is None else line).strip(),
+            (encode(verdict) if reply is None else reply).strip(),
+        )
+        self._pending.append(len(payload).to_bytes(_HEADER, "big") + payload)
+        self._records.append(
+            {"hwm": hwm, "kind": kind, "message": message, "verdict": verdict}
+        )
+        self.hwm = hwm
+        return hwm
 
-    def close(self) -> None:
+    def flush(self) -> None:
+        """Write every record appended since the last flush: one write, one flush.
+
+        A batch that fills its segment is split at the rotation, one write
+        per segment.  On ``OSError`` the batch is undone — its records
+        leave memory and any bytes of it leave the disk — and the error
+        propagates, so no follower is ever served a record the log lost.
+        """
+        if not self._pending:
+            return
+        pending, self._pending = self._pending, []
+        committed = self.hwm - len(pending)
+        try:
+            chunk: list[bytes] = []
+            for hwm, frame in enumerate(pending, committed + 1):
+                if self._active is None or self._active_bytes >= self.segment_bytes:
+                    self._write(chunk)
+                    chunk = []
+                    self._open_segment(hwm)
+                chunk.append(frame)
+                self._active_bytes += len(frame)
+            self._write(chunk)
+        except OSError:
+            # memory first: the disk clean-up below may fail as well
+            del self._records[committed - self.base :]
+            self.hwm = committed
+            if self._active is not None:
+                with suppress(OSError):
+                    self._active.close()
+                self._active = None
+            with suppress(OSError):
+                self._truncate_to(committed)
+            raise
+        self.commits += 1
+
+    def _write(self, chunk: list[bytes]) -> None:
+        if chunk:
+            self._active.write(b"".join(chunk))
+            self._active.flush()
+
+    def _open_segment(self, first_hwm: int) -> None:
+        """Open the segment record ``first_hwm`` goes to, closing a full one."""
+        fresh = self.dir / f"seg-{first_hwm:012d}.log"
         if self._active is not None:
             self._active.close()
-            self._active = None
+            self._active_path = fresh
+        elif self._active_path is None:
+            # adopt the last existing segment if it still has room
+            segments = self._segments()
+            if segments and segments[-1].stat().st_size < self.segment_bytes:
+                self._active_path = segments[-1]
+            else:
+                self._active_path = fresh
+        else:
+            self._active_path = fresh
+        self._active = self._active_path.open("ab")
+        self._active_bytes = self._active.tell()
+
+    def close(self) -> None:
+        """Flush what is appended, then close the open segment."""
+        try:
+            self.flush()
+        finally:
+            if self._active is not None:
+                self._active.close()
+                self._active = None
 
     # -- tailing --------------------------------------------------------
 
@@ -404,6 +512,8 @@ class DecisionLog:
         Returns the number of segments removed.  With no followers
         attached the snapshot alone bounds compaction; only *live*
         cursors (reported within ``cursor_ttl``) hold segments back.
+        Records not yet flushed lie past every segment on disk, so they
+        are never dropped.
         """
         keep_from = min([snapshot_hwm, *self.live_cursors().values()])
         segments = self._segments()
@@ -426,6 +536,7 @@ class DecisionLog:
             "hwm": self.hwm,
             "base": self.base,
             "segments": len(self._segments()),
+            "commits": self.commits,
             "followers": dict(sorted(self.live_cursors().items())),
         }
 

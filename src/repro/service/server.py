@@ -3,12 +3,14 @@
 Architecture: **single-writer actor**.  One task — :meth:`_actor_loop` —
 owns the :class:`~repro.facade.CoAllocationScheduler` and is the only
 code that ever mutates (or even reads) the calendar.  Connection
-handlers parse lines, run admission control, and enqueue
-``(message, future)`` pairs; the actor drains the queue in micro-batches
-(:func:`~repro.service.batching.drain_batch`), applies each operation
-back-to-back without yielding, and resolves the futures.  Responses are
-written back per connection in request order — a batch's worth per
-socket write — so pipelined clients correlate FIFO.  Lint rule ``RA009``
+handlers parse lines, run admission control, and enqueue each message
+beside the line it was read from; the actor drains the queue in
+micro-batches (:func:`~repro.service.batching.drain_batch`), applies
+each operation back-to-back without yielding, encodes each reply once,
+commits the batch's decision-log records in one write, and only then
+resolves the futures with the reply bytes.  Responses are written back
+per connection in request order — a batch's worth per socket write — so
+pipelined clients correlate FIFO.  Lint rule ``RA009``
 is the static guard of the actor boundary: no ``async def`` outside the
 actor may call the blocking commit path.
 
@@ -39,6 +41,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any
 
+from ..core.types import INF
 from ..errors import MalformedRequestError, ReproError, ShuttingDownError
 from ..facade import CoAllocationScheduler
 from .admission import AdmissionController
@@ -138,9 +141,16 @@ class ReservationService:
         self.autoscaler: AutoScaler | None = (
             AutoScaler(config.autoscale) if config.autoscale is not None else None
         )
-        self._queue: asyncio.Queue[tuple[dict[str, Any], float, asyncio.Future]] = (
-            asyncio.Queue()
-        )
+        #: (message, the request line it was read from or None, enqueue
+        #: time, future of the reply bytes)
+        self._queue: asyncio.Queue[
+            tuple[dict[str, Any], bytes | None, float, asyncio.Future]
+        ] = asyncio.Queue()
+        #: the fresh decision the op being applied took, for its log record:
+        #: ``(kind, record message, verdict)``, and whether the reply
+        #: carries the verdict (no error replaced it)
+        self._fresh: tuple[str, dict[str, Any], dict[str, Any]] | None = None
+        self._fresh_in_reply = True
         self._stopping = False
         self._started = perf_counter()
         self._server: asyncio.base_events.Server | None = None
@@ -205,7 +215,7 @@ class ReservationService:
         """External graceful stop: snapshot (if configured) and shut down."""
         if not self._stopping:
             future: asyncio.Future = asyncio.get_running_loop().create_future()
-            await self._queue.put(({"op": "shutdown"}, perf_counter(), future))
+            await self._queue.put(({"op": "shutdown"}, None, perf_counter(), future))
             await future
         await self.wait_stopped()
 
@@ -262,8 +272,10 @@ class ReservationService:
                     # over-long line: unrecoverable framing, close the stream
                     future = loop.create_future()
                     future.set_result(
-                        error_response(
-                            {}, ProtocolError(f"line exceeds {MAX_LINE_BYTES} bytes")
+                        encode(
+                            error_response(
+                                {}, ProtocolError(f"line exceeds {MAX_LINE_BYTES} bytes")
+                            )
                         )
                     )
                     self._pending_responses += 1
@@ -290,49 +302,38 @@ class ReservationService:
             message = decode_line(raw)
         except ProtocolError as exc:
             self.metrics.malformed += 1
-            future.set_result(error_response({}, exc))
+            future.set_result(encode(error_response({}, exc)))
             return
         if self._stopping:
-            future.set_result(
-                error_response(message, ShuttingDownError("server is shutting down"))
-            )
+            future.set_result(_shutting_down(message))
             return
         if message["op"] in _CONTROLLED_OPS:
             try:
                 self.admission.admit()
             except ReproError as exc:  # BusyError
                 self.metrics.shed += 1
-                future.set_result(error_response(message, exc))
+                future.set_result(_encode_reply(error_response(message, exc)))
                 return
         # lifecycle/introspection ops bypass admission but still run on
-        # the actor so every calendar read is single-threaded
-        self._queue.put_nowait((message, perf_counter(), future))
+        # the actor so every calendar read is single-threaded; the line
+        # rides along so a fresh decision's log record reuses its bytes
+        self._queue.put_nowait((message, raw, perf_counter(), future))
 
     async def _connection_writer(
         self, writer: asyncio.StreamWriter, responses: asyncio.Queue
     ) -> None:
-        """Write responses in request order; tolerate a vanished client.
+        """Write reply lines in request order; tolerate a vanished client.
 
-        The actor resolves a batch's futures in one step, so they are
-        found done together and leave in one ``write`` and one ``drain``.
+        The actor resolves a batch's futures in one step, with bytes it
+        has already encoded, so they are found done together and leave in
+        one ``write`` and one ``drain``.
         """
         alive = True
         async for run in ready_runs(responses, lambda future: future):
             try:
                 if not alive:
                     continue  # keep consuming futures so the actor never blocks
-                lines = []
-                for future in run:
-                    response = await _result_of(future)
-                    try:
-                        lines.append(encode(response))
-                    except ValueError as exc:
-                        # a non-finite float got into a response (a ``seq`` of
-                        # NaN is echoed as sent): answer INTERNAL rather than
-                        # die with the client waiting on this connection
-                        lines.append(
-                            encode(error_response({"op": response.get("op")}, exc))
-                        )
+                lines = [_reply_of(future) for future in run]
                 try:
                     writer.write(b"".join(lines))
                     await writer.drain()
@@ -351,35 +352,79 @@ class ReservationService:
     async def _actor_loop(self) -> None:
         """Sole owner of the scheduler; drains the queue in micro-batches."""
         while not self._stopping:
-            batch = await drain_batch(self._queue, self.config.max_batch)
-            self.metrics.record_batch(len(batch))
-            # the handlers never suspend, so the batch applies atomically
-            for message, enqueued_at, future in batch:
-                started = perf_counter()
-                if self._stopping:
-                    response = error_response(
-                        message, ShuttingDownError("server is shutting down")
-                    )
-                else:
-                    response = self._actor_apply(message)
-                service_time = perf_counter() - started
-                self.metrics.record_op(
-                    message["op"], started - enqueued_at, service_time
-                )
-                if message["op"] in _CONTROLLED_OPS:
-                    self.admission.release(service_time, started - enqueued_at)
-                if not future.done():
-                    future.set_result(response)
+            self._actor_batch(await drain_batch(self._queue, self.config.max_batch))
         # drain stragglers, then tear down
         while not self._queue.empty():
-            message, _, future = self._queue.get_nowait()
+            message, _, _, future = self._queue.get_nowait()
             if message["op"] in _CONTROLLED_OPS:
                 self.admission.release()
             if not future.done():
-                future.set_result(
-                    error_response(message, ShuttingDownError("server is shutting down"))
-                )
+                future.set_result(_shutting_down(message))
         await self._finalize()
+
+    def _actor_batch(
+        self, batch: list[tuple[dict[str, Any], bytes | None, float, asyncio.Future]]
+    ) -> None:
+        """Apply one micro-batch, commit its log records, resolve its futures.
+
+        Nothing here suspends, so the batch applies atomically, and its
+        records reach the OS — one write, one flush — before any of its
+        replies can be written.  If that commit fails, every reply that
+        carried one of its decisions is answered ``INTERNAL`` instead.
+        """
+        self.metrics.record_batch(len(batch))
+        replies = []
+        logged = []
+        for index, (message, line, enqueued_at, _) in enumerate(batch):
+            started = perf_counter()
+            if self._stopping:
+                reply = _shutting_down(message)
+            else:
+                reply, fresh = self._actor_reply(message, line)
+                if fresh:
+                    logged.append(index)
+            replies.append(reply)
+            service_time = perf_counter() - started
+            self.metrics.record_op(message["op"], started - enqueued_at, service_time)
+            if message["op"] in _CONTROLLED_OPS:
+                self.admission.release(service_time, started - enqueued_at)
+        if logged:
+            assert self._log is not None
+            try:
+                self._log.flush()
+            except OSError as exc:
+                self.metrics.errors += 1
+                for index in logged:
+                    replies[index] = _encode_reply(error_response(batch[index][0], exc))
+        for (_, _, _, future), reply in zip(batch, replies):
+            if not future.done():
+                future.set_result(reply)
+
+    def _actor_reply(
+        self, message: dict[str, Any], line: bytes | None
+    ) -> tuple[bytes, bool]:
+        """Apply one op and encode its reply, once; ``(reply, took a fresh decision)``.
+
+        A fresh decision is appended to the decision log from bytes in
+        hand: the request line and, when it carries the verdict, this
+        reply.  It reaches the file when the batch commits.
+        """
+        self._fresh = None
+        self._fresh_in_reply = True
+        response = self._actor_apply(message)
+        try:
+            reply = encode(response)
+        except ValueError as exc:
+            reply = _error_line(response, exc)
+            self._fresh_in_reply = False
+        if self._fresh is None:
+            return reply, False
+        assert self._log is not None
+        kind, record, verdict = self._fresh
+        self._log.append(
+            kind, record, verdict, line, reply if self._fresh_in_reply else None
+        )
+        return reply, True
 
     async def _metrics_loop(self) -> None:
         interval = self.config.metrics_interval
@@ -412,8 +457,8 @@ class ReservationService:
             if self._stopping:
                 break
             future: asyncio.Future = loop.create_future()
-            await self._queue.put(({"op": "pool_status"}, perf_counter(), future))
-            pool = await _result_of(future)
+            await self._queue.put(({"op": "pool_status"}, None, perf_counter(), future))
+            pool = json.loads(await future)
             if not pool.get("ok"):
                 continue
             decision, messages = self.autoscaler.plan(
@@ -421,8 +466,8 @@ class ReservationService:
             )
             for message in messages:
                 future = loop.create_future()
-                await self._queue.put((message, perf_counter(), future))
-                response = await _result_of(future)
+                await self._queue.put((message, None, perf_counter(), future))
+                response = json.loads(await future)
                 if not response.get("ok"):
                     print(
                         f"repro serve autoscale: {message['op']} refused: "
@@ -446,10 +491,12 @@ class ReservationService:
     def _actor_apply(self, message: dict[str, Any]) -> dict[str, Any]:
         try:
             response = self._apply[message["op"]](message)
-        except ReproError as exc:
-            response = error_response(message, exc)
         except Exception as exc:  # never kill the actor on one bad op
-            self.metrics.errors += 1
+            if not isinstance(exc, ReproError):
+                self.metrics.errors += 1
+            # an error reply carries no verdict: a decision taken before
+            # the handler failed is logged from its dict
+            self._fresh_in_reply = False
             response = error_response(message, exc)
         return echo_seq(message, response)
 
@@ -459,7 +506,8 @@ class ReservationService:
         A rid/aid decided before comes back with ``replayed: true``
         (at-least-once client, exactly-once decision); a fresh verdict —
         MALFORMED/CONFLICT refusals included — is appended to the
-        replication log, which the follower replays through the same
+        replication log (by :meth:`_actor_reply`, once the reply is
+        encoded), which the follower replays through the same
         :meth:`ServiceState.apply`.  A fresh verdict is the table's own
         entry: the handlers spread it into the response, never mutate it.
         """
@@ -468,7 +516,7 @@ class ReservationService:
             self.metrics.replayed += 1
             return {**verdict, "replayed": True}
         if self._log is not None:
-            self._log.append(kind, decision_message(kind, message), verdict)
+            self._fresh = (kind, decision_message(kind, message), verdict)
         return verdict
 
     def _actor_apply_reserve(self, message: dict[str, Any]) -> dict[str, Any]:
@@ -494,7 +542,7 @@ class ReservationService:
             "op": "probe",
             "count": len(periods),
             "periods": [
-                [p.server, p.st, None if p.et == float("inf") else p.et]
+                [p.server, p.st, None if p.et == INF else p.et]
                 for p in periods[:limit]
             ],
         }
@@ -613,11 +661,36 @@ class ReservationService:
         return meta, self._log.compact(hwm)
 
 
-async def _result_of(future: asyncio.Future) -> dict[str, Any]:
+def _error_line(response: dict[str, Any], exc: ValueError) -> bytes:
+    """The ``INTERNAL`` reply that stands in for an unencodable ``response``.
+
+    A non-finite float got into it (a ``seq`` of NaN is echoed as sent):
+    the client gets an error rather than waiting on a dead connection.
+    """
+    return encode(error_response({"op": response.get("op")}, exc))
+
+
+def _encode_reply(response: dict[str, Any]) -> bytes:
+    """``response`` as its wire line, or the error line standing in for it."""
     try:
-        return await future
+        return encode(response)
+    except ValueError as exc:
+        return _error_line(response, exc)
+
+
+def _shutting_down(message: dict[str, Any]) -> bytes:
+    return _encode_reply(
+        error_response(message, ShuttingDownError("server is shutting down"))
+    )
+
+
+def _reply_of(future: asyncio.Future) -> bytes:
+    """A done future's reply line, read without a coroutine per reply."""
+    try:
+        return future.result()
     except Exception as exc:  # defensive: a failed future still gets answered
-        return error_response({}, exc)
+        return encode(error_response({}, exc))
+
 
 
 async def serve_forever(config: ServiceConfig, ready_line: bool = True) -> None:

@@ -157,7 +157,7 @@ def test_slow_consumer_burst_sheds_and_bounds_queue():
         shed = [f for f in futures if f.done()]
         assert len(shed) == burst - bound
         for future in shed:
-            response = future.result()
+            response = json.loads(future.result())
             error = response["error"]
             assert response["ok"] is False
             assert error["code"] == "BUSY" and error["exit_code"] == 6
@@ -167,7 +167,7 @@ def test_slow_consumer_burst_sheds_and_bounds_queue():
 
         # restart the consumer: the admitted prefix is served FIFO
         service._actor_task = asyncio.create_task(service._actor_loop())
-        served = await asyncio.gather(*futures[:bound])
+        served = [json.loads(reply) for reply in await asyncio.gather(*futures[:bound])]
         assert [r["rid"] for r in served] == list(range(bound))
         assert all(r["ok"] for r in served)
         assert service.admission.depth == 0
