@@ -23,10 +23,6 @@ Installed as ``repro`` (see ``pyproject.toml``); also runnable as
 ``repro swf-info``
     Summarize an SWF file: jobs, processors, duration/size statistics.
 
-``repro profile``
-    Replay a heavy-traffic stress workload under cProfile and print the
-    hot functions of the scheduling fast path.
-
 ``repro check``
     Domain-aware static analysis over the source tree: the AST lint
     rules (``RA001``…``RA003``, ``RA008``, ``RA009``, and the async rules
@@ -144,17 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     info = sub.add_parser("swf-info", help="summarize an SWF file")
     info.add_argument("path")
-
-    prof = sub.add_parser("profile", help="cProfile the scheduling hot path")
-    prof.add_argument("--requests", type=int, default=20_000)
-    prof.add_argument("--servers", type=int, default=512)
-    prof.add_argument("--rho", type=float, default=0.3, help="advance-reservation fraction")
-    prof.add_argument("--load", type=float, default=0.9, help="offered load vs capacity")
-    prof.add_argument("--seed", type=int, default=7)
-    prof.add_argument("--tau", type=float, default=900.0)
-    prof.add_argument("--q-slots", type=int, default=288)
-    prof.add_argument("--limit", type=int, default=25, help="rows of the pstats table")
-    prof.add_argument("--dump", default=None, help="also write the binary profile here")
 
     cache = sub.add_parser("cache", help="inspect or clear the result store")
     cache.add_argument("action", choices=("info", "clear"))
@@ -404,9 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--poll-interval", type=float, default=0.25, help="seconds between empty polls"
     )
     fol.add_argument(
-        "--batch-limit", type=int, default=512, help="records per log_tail request"
-    )
-    fol.add_argument(
         "--bootstrap-snapshot",
         default=None,
         help="primary snapshot to bootstrap from (omitted = fresh, from the "
@@ -422,12 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="decision-log directory for the service started on promotion",
     )
-    fol.add_argument(
-        "--promote-port",
-        type=int,
-        default=0,
-        help="default TCP port for the promoted service (0 = ephemeral)",
-    )
 
     pro = sub.add_parser("promote", help="promote a follower to serving primary")
     pro.add_argument("--host", default="127.0.0.1")
@@ -436,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--promote-port",
         type=int,
         default=0,
-        help="TCP port for the promoted service (0 = follower's default)",
+        help="TCP port for the promoted service (0 = ephemeral)",
     )
 
     return parser
@@ -591,35 +567,6 @@ def _cmd_swf_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from .schedulers.online import OnlineScheduler
-    from .schedulers.profile import profile_call
-    from .sim.replay import replay
-    from .workloads.stress import stress_workload
-
-    requests = stress_workload(
-        n_requests=args.requests,
-        n_servers=args.servers,
-        rho=args.rho,
-        seed=args.seed,
-        tau=args.tau,
-        load=args.load,
-    )
-    scheduler = OnlineScheduler(n_servers=args.servers, tau=args.tau, q_slots=args.q_slots)
-    report = profile_call(replay, scheduler, requests, record_latencies=False)
-    result = report.result
-    print(
-        f"replayed {args.requests} requests on {args.servers} servers "
-        f"(rho {args.rho:g}, load {args.load:g}): "
-        f"{result.requests_per_sec:.1f} req/s under cProfile"
-    )
-    print(report.stats_text(sort="cumulative", limit=args.limit))
-    if args.dump:
-        report.dump(args.dump)
-        print(f"wrote binary profile to {args.dump}")
-    return 0
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
@@ -735,6 +682,7 @@ def _run_audit_replay(args: argparse.Namespace) -> tuple[dict, str, bool]:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from .errors import ReproError
     from .service.server import ServiceConfig, serve_forever
     from .service.snapshot import SnapshotError
 
@@ -784,6 +732,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except SnapshotError as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return int(ErrorCode.MALFORMED)
+    except ReproError as exc:
+        # a log that cannot continue the snapshot, or a failed commit
+        print(f"serve: {exc}", file=sys.stderr)
+        return int(exc.code)
     return int(ErrorCode.OK)
 
 
@@ -990,11 +942,9 @@ def _cmd_follow(args: argparse.Namespace) -> int:
         primary_port=args.primary_port,
         follower_id=args.follower_id,
         poll_interval=args.poll_interval,
-        batch_limit=args.batch_limit,
         bootstrap_snapshot=args.bootstrap_snapshot,
         snapshot_path=args.snapshot_path,
         log_dir=args.log_dir,
-        promote_port=args.promote_port,
     )
     try:
         asyncio.run(serve_follower(config))
@@ -1020,7 +970,6 @@ def main(argv: list[str] | None = None) -> int:
         "simulate": _cmd_simulate,
         "generate": _cmd_generate,
         "swf-info": _cmd_swf_info,
-        "profile": _cmd_profile,
         "check": _cmd_check,
         "cache": _cmd_cache,
         "serve": _cmd_serve,

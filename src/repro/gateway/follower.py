@@ -7,13 +7,14 @@ the service already proves elsewhere:
   write decision as ``(message, verdict)``;
 * the scheduler is deterministic, so replaying ``message`` through the
   *same* state machine the primary's actor runs
-  (:meth:`repro.service.state.ServiceState.apply`) reproduces ``verdict``
+  (:meth:`repro.service.state.ServiceState.replay`, the routine a
+  restarting primary replays its own log with) reproduces ``verdict``
   bit-for-bit — the follower asserts this on every record and
   crash-stops on divergence rather than serving a silently wrong
   calendar;
 * promotion (``repro promote``) exports the replayed state and hands it
   to a real :class:`~repro.service.server.ReservationService` — the
-  exact code path of a restart-from-snapshot, so failover is
+  one boot path, snapshot then log suffix, so failover is
   decision-identical by the same argument (and verified end-to-end by
   the ``kill-promote`` chaos plan).
 
@@ -49,9 +50,14 @@ from ..service.protocol import (
     encode,
     error_response,
 )
-from ..service.server import ReservationService, ServiceConfig
+from ..service.server import LOG_TAIL_LIMIT, ReservationService, ServiceConfig
 from ..service.snapshot import read_snapshot
-from ..service.state import DECISION_KINDS, ServiceState
+from ..service.state import (
+    DECISION_KINDS,
+    ReplicationDivergenceError,
+    ReplicationGapError,
+    ServiceState,
+)
 
 __all__ = [
     "Follower",
@@ -60,14 +66,6 @@ __all__ = [
     "ReplicationGapError",
     "serve_follower",
 ]
-
-
-class ReplicationDivergenceError(ReproError):
-    """Replaying a logged message did not reproduce the logged verdict."""
-
-
-class ReplicationGapError(ReproError):
-    """The primary compacted past this follower's cursor (re-bootstrap)."""
 
 
 @dataclass(slots=True)
@@ -80,11 +78,9 @@ class FollowerConfig:
     primary_port: int = 0
     follower_id: str = "follower-1"
     poll_interval: float = 0.25  # seconds between empty-tail polls
-    batch_limit: int = 512  # records per log_tail request
     bootstrap_snapshot: str | None = None  # primary snapshot to start from
     snapshot_path: str | None = None  # handed to the service on promotion
     log_dir: str | None = None  # the promoted service's own decision log
-    promote_port: int = 0  # default port for the promoted service
 
 
 class Follower:
@@ -136,35 +132,10 @@ class Follower:
     # ------------------------------------------------------------------
 
     def apply_record(self, record: dict[str, Any]) -> None:
-        """Apply one log record, verifying hwm continuity and the verdict."""
+        """Apply one log record through :meth:`ServiceState.replay`."""
         assert self.state is not None, "follower not bootstrapped"
-        hwm = int(record["hwm"])
-        if hwm != self.cursor + 1:
-            raise ReplicationGapError(
-                f"record hwm {hwm} does not follow cursor {self.cursor}"
-            )
-        kind = record["kind"]
-        message = record["message"]
-        if kind not in DECISION_KINDS:
-            raise ReplicationDivergenceError(f"unknown record kind {kind!r}")
-        verdict, replayed = self.state.apply(kind, message)
-        if replayed:
-            # the primary logs fresh decisions only: a record for a rid/aid
-            # this standby already holds means the two histories forked
-            raise ReplicationDivergenceError(
-                f"record {hwm} ({kind} rid={message.get('rid')} "
-                f"aid={message.get('aid')}) was already decided here as "
-                f"{verdict!r} — the primary's log and this follower disagree "
-                f"on history"
-            )
-        if verdict != record["verdict"]:
-            raise ReplicationDivergenceError(
-                f"record {hwm} ({kind} rid={message.get('rid')}): local verdict "
-                f"{verdict!r} != logged verdict {record['verdict']!r} — the "
-                f"follower would serve a different calendar than the primary"
-            )
-        self.applied[kind] += 1
-        self.cursor = hwm
+        self.cursor = self.state.replay(record, self.cursor)
+        self.applied[record["kind"]] += 1
 
     # ------------------------------------------------------------------
     # tailing the primary (single-writer: only this task mutates state,
@@ -179,7 +150,7 @@ class Follower:
                     {
                         "op": "log_tail",
                         "cursor": self.cursor,
-                        "limit": self.config.batch_limit,
+                        "limit": LOG_TAIL_LIMIT,
                         "follower_id": self.config.follower_id,
                     }
                 )
@@ -321,7 +292,7 @@ class Follower:
         scheduler = self.state.scheduler
         config = ServiceConfig(
             host=self.config.host,
-            port=int(message.get("port") or self.config.promote_port),
+            port=int(message.get("port") or 0),
             n_servers=scheduler.n_servers,
             tau=scheduler.calendar.tau,
             q_slots=scheduler.calendar.q_slots,

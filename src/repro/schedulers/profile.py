@@ -12,7 +12,7 @@ Two distinct meanings of "profile" live here:
   forever.
 
 * :func:`profile_call` / :class:`ProfileReport` — cProfile-based runtime
-  attribution for the scheduling hot path, behind ``repro profile`` and
+  attribution for the scheduling hot path, behind
   ``benchmarks/bench_hotpath.py --profile``.  When a future change slows
   replay down, the per-function cumulative times pin the regression to a
   code path instead of a wall-clock delta.

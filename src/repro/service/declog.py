@@ -33,19 +33,28 @@ form a caller passing dicts writes, and every log written before
 records reused wire bytes.  Memory, ``tail()``, recovery and followers
 all see the normal form.
 
-**Group commit and durability.** :meth:`DecisionLog.append` only
-assembles; :meth:`DecisionLog.flush` hands everything appended since the
-last flush to the OS in one write and one flush (``commits`` counts
-them).  The actor flushes once per micro-batch, before any reply of
-that batch can be written, so no client holds a verdict whose record
-has not reached the OS.  A flush that fails undoes its batch, on disk
-and in memory, and raises.  The log is flushed but not fsynced: it is a
-*replication* stream, not the recovery source of truth.  Recovery
-correctness comes from snapshots plus at-least-once clients — a decision
-lost with the tail is simply re-decided identically when the client
-resends (the same argument that makes restart-from-snapshot
-decision-identical), and :meth:`DecisionLog.align` renumbers nothing:
-re-appended records get the same hwm the lost originals had.
+**Group commit.** :meth:`DecisionLog.append` only assembles;
+:meth:`DecisionLog.flush` hands everything appended since the last
+flush to the OS in one write and one flush (``commits`` counts them, and
+:attr:`DecisionLog.committed` is the hwm it reached).  The actor flushes
+once per micro-batch, before any reply of that batch can be written, so
+no client holds a verdict whose record has not reached the OS, and
+:meth:`DecisionLog.tail` serves committed records only, so no follower
+holds one either.
+
+**Durability and recovery.** The snapshot plus the log's suffix is the
+recovery source.  A server boots from its snapshot at hwm *S* (or from
+its config, *S* = 0), then replays records ``S+1..hwm`` through
+:meth:`repro.service.state.ServiceState.replay`, the routine followers
+tail with, so a restart gets back every decision any client was
+answered.  A log behind the snapshot is reset empty at ``base = S``
+(:meth:`DecisionLog.align`); a log whose ``base`` lies past *S*, or
+whose replay diverges, refuses the boot.  Nothing is ever truncated but
+a torn tail on open.  A flush that raises undoes nothing: the server
+answers the batch's writes ``INTERNAL`` and stops without a snapshot,
+and the next boot recovers exactly the records the disk holds (a write
+answered ``INTERNAL`` may be among them).  The log is flushed but not
+fsynced: it survives a killed process, not a lost machine.
 
 **Compaction.** A snapshot at hwm *S* makes records ``1..S`` redundant
 for recovery, but an attached follower at cursor *c < S* still needs
@@ -64,7 +73,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from contextlib import suppress
 from pathlib import Path
 from typing import Any, Callable
 
@@ -274,6 +282,8 @@ class DecisionLog:
         self._pending: list[bytes] = []
         #: flushes that wrote records (``hwm / commits`` = records per commit)
         self.commits = 0
+        #: hwm of the last record handed to the OS (what :meth:`tail` serves)
+        self.committed = 0
         self._recover()
 
     # -- recovery -------------------------------------------------------
@@ -284,16 +294,11 @@ class DecisionLog:
     def _recover(self) -> None:
         """Scan segments in order, truncating at the first torn record."""
         segments = self._segments()
-        if not segments:
-            return
-        first = _segment_first_hwm(segments[0])
-        self.base = first - 1
-        self.hwm = self.base
-        torn = False
+        if segments:
+            self.base = self.hwm = _segment_first_hwm(segments[0]) - 1
         for path in segments:
             raw = path.read_bytes()
             offset = 0
-            good = 0
             while offset + _HEADER <= len(raw):
                 length = int.from_bytes(raw[offset : offset + _HEADER], "big")
                 end = offset + _HEADER + length
@@ -309,19 +314,16 @@ class DecisionLog:
                 self._records.append(record)
                 self.hwm = record["hwm"]
                 offset = end
-                good = end
-            if good < len(raw):
+            if offset < len(raw):
                 # crash mid-append (or bit rot): drop the tail and stop —
                 # anything in later segments is unreachable without it
                 with path.open("r+b") as handle:
-                    handle.truncate(good)
-                torn = True
-            if torn:
+                    handle.truncate(offset)
+                for later in self._segments():
+                    if _segment_first_hwm(later) > self.hwm:
+                        later.unlink()
                 break
-        if torn:
-            for path in self._segments():
-                if _segment_first_hwm(path) > self.hwm:
-                    path.unlink()
+        self.committed = self.hwm
 
     # -- appending ------------------------------------------------------
 
@@ -362,35 +364,23 @@ class DecisionLog:
         """Write every record appended since the last flush: one write, one flush.
 
         A batch that fills its segment is split at the rotation, one write
-        per segment.  On ``OSError`` the batch is undone — its records
-        leave memory and any bytes of it leave the disk — and the error
-        propagates, so no follower is ever served a record the log lost.
+        per segment.  An ``OSError`` propagates and undoes nothing: the
+        batch stays in memory past :attr:`committed`, and recovery at the
+        next open truncates whatever part of it reached the disk torn.
         """
         if not self._pending:
             return
         pending, self._pending = self._pending, []
-        committed = self.hwm - len(pending)
-        try:
-            chunk: list[bytes] = []
-            for hwm, frame in enumerate(pending, committed + 1):
-                if self._active is None or self._active_bytes >= self.segment_bytes:
-                    self._write(chunk)
-                    chunk = []
-                    self._open_segment(hwm)
-                chunk.append(frame)
-                self._active_bytes += len(frame)
-            self._write(chunk)
-        except OSError:
-            # memory first: the disk clean-up below may fail as well
-            del self._records[committed - self.base :]
-            self.hwm = committed
-            if self._active is not None:
-                with suppress(OSError):
-                    self._active.close()
-                self._active = None
-            with suppress(OSError):
-                self._truncate_to(committed)
-            raise
+        chunk: list[bytes] = []
+        for hwm, frame in enumerate(pending, self.hwm - len(pending) + 1):
+            if self._active is None or self._active_bytes >= self.segment_bytes:
+                self._write(chunk)
+                chunk = []
+                self._open_segment(hwm)
+            chunk.append(frame)
+            self._active_bytes += len(frame)
+        self._write(chunk)
+        self.committed = self.hwm
         self.commits += 1
 
     def _write(self, chunk: list[bytes]) -> None:
@@ -428,16 +418,17 @@ class DecisionLog:
     # -- tailing --------------------------------------------------------
 
     def tail(self, cursor: int, limit: int) -> list[dict[str, Any]]:
-        """Records with ``cursor < hwm <= cursor + limit`` (may be empty).
+        """Committed records with ``cursor < hwm <= cursor + limit`` (may be empty).
 
-        A cursor below :attr:`base` is a gap — the needed records were
-        compacted away — and the *caller* decides what that means (the
-        server reports ``base`` so the follower can detect it).
+        A record appended but not yet flushed is not served: its commit
+        may still fail.  A cursor below :attr:`base` is a gap — the
+        needed records were compacted away — and the *caller* decides
+        what that means (the server reports ``base`` so the follower can
+        detect it).
         """
-        if cursor >= self.hwm:
-            return []
         start = max(cursor, self.base) - self.base  # index into _records
-        return self._records[start : start + max(0, limit)]
+        stop = min(start + max(0, limit), self.committed - self.base)
+        return self._records[start:stop]
 
     def register_cursor(self, follower_id: str, cursor: int) -> None:
         """Remember a follower's progress; compaction respects it."""
@@ -462,49 +453,20 @@ class DecisionLog:
     # -- alignment and compaction --------------------------------------
 
     def align(self, snapshot_hwm: int) -> None:
-        """Make the log agree with a restored snapshot at ``snapshot_hwm``.
+        """Reset the log empty at ``base = snapshot_hwm`` if it is behind the snapshot.
 
-        * Log ahead of the snapshot: truncate back — determinism means
-          the dropped suffix is re-appended bit-identically as clients
-          resend, so follower cursors beyond ``snapshot_hwm`` stay valid.
-        * Log behind the snapshot (lost or fresh directory): reset empty
-          at ``base = snapshot_hwm`` — records ``1..snapshot_hwm`` exist
-          only inside the snapshot now, and a follower below that cursor
-          must bootstrap from the snapshot instead.
+        A lost or fresh directory: records ``1..snapshot_hwm`` exist only
+        inside the snapshot now, and a follower below that cursor must
+        bootstrap from the snapshot instead.  A log at or past the
+        snapshot is left as it is; the server replays its suffix.
         """
-        if self.hwm > snapshot_hwm:
-            self._truncate_to(snapshot_hwm)
-        elif self.hwm < snapshot_hwm:
+        if self.hwm < snapshot_hwm:
             self.close()
             for path in self._segments():
                 path.unlink()
             self._records.clear()
             self._active_path = None
-            self.base = snapshot_hwm
-            self.hwm = snapshot_hwm
-
-    def _truncate_to(self, target: int) -> None:
-        """Drop every record with ``hwm > target`` (memory and disk)."""
-        self.close()
-        for path in self._segments():
-            first = _segment_first_hwm(path)
-            if first > target:
-                path.unlink()
-                continue
-            # scan to the cut point inside this segment
-            raw = path.read_bytes()
-            offset = 0
-            hwm = first - 1
-            while offset + _HEADER <= len(raw) and hwm < target:
-                length = int.from_bytes(raw[offset : offset + _HEADER], "big")
-                offset += _HEADER + length
-                hwm += 1
-            if offset < len(raw):
-                with path.open("r+b") as handle:
-                    handle.truncate(offset)
-        del self._records[max(0, target - self.base) :]
-        self._active_path = None
-        self.hwm = target
+            self.base = self.hwm = self.committed = snapshot_hwm
 
     def compact(self, snapshot_hwm: int) -> int:
         """Drop whole segments covered by the snapshot *and* every follower.

@@ -25,9 +25,11 @@ kill/restart from snapshot in the middle — the property the
 live in one :class:`~repro.service.state.ServiceState`; every write op
 goes through its ``apply``, which answers a resent rid (an at-least-once
 client retrying after a connection loss) with the recorded verdict
-instead of scheduling it twice.  The tables ride inside snapshots, so
-the guarantee spans restarts.  This module adds only what a socket
-needs: admission, the queue, metrics and the decision log.
+instead of scheduling it twice.  The tables ride inside snapshots, and
+with a decision log the boot replays the records past the snapshot
+(:meth:`ReservationService._replay_log`), so the guarantee spans
+restarts.  This module adds only what a socket needs: admission, the
+queue, metrics and the decision log.
 """
 
 from __future__ import annotations
@@ -61,13 +63,17 @@ from .protocol import (
     error_response,
 )
 from .snapshot import read_snapshot, write_snapshot
-from .state import ServiceState, accepted_checksum
+from .state import ReplicationGapError, ServiceState, accepted_checksum
 
 __all__ = ["ServiceConfig", "ReservationService", "accepted_checksum", "serve_forever"]
 
 #: ops that pass through admission control; introspection and lifecycle
 #: ops are always admitted so operators can reach an overloaded server
 _CONTROLLED_OPS = frozenset({"reserve", "probe", "cancel"})
+
+#: ops that write a snapshot: the batch's records commit before one runs,
+#: so a snapshot never covers a decision the log has not committed
+_SNAPSHOT_OPS = frozenset({"snapshot", "shutdown"})
 
 #: idle periods listed in one ``probe`` reply unless the request says otherwise
 PROBE_LIMIT = 64
@@ -128,11 +134,13 @@ class ReservationService:
             max_depth=config.max_queue, max_delay=config.max_delay
         )
         self._log: DecisionLog | None = None
+        #: log records replayed at boot (``status.log.recovered``)
+        self.recovered = 0
         if config.log_dir:
             self._log = DecisionLog(
                 config.log_dir, LOG_SEGMENT_BYTES, cursor_ttl=LOG_CURSOR_TTL
             )
-            self._log.align(log_hwm)
+            self.recovered = self._replay_log(self._log, log_hwm)
         self.metrics = ServiceMetrics()
         #: op -> its handler, one per registered public op: an op
         #: without an ``_actor_apply_<op>`` method fails here, not on
@@ -152,6 +160,8 @@ class ReservationService:
         self._fresh: tuple[str, dict[str, Any], dict[str, Any]] | None = None
         self._fresh_in_reply = True
         self._stopping = False
+        #: why the server stopped itself (a failed commit), if it did
+        self.failure: ReproError | None = None
         self._started = perf_counter()
         self._server: asyncio.base_events.Server | None = None
         self._actor_task: asyncio.Task | None = None
@@ -165,6 +175,28 @@ class ReservationService:
         #: responses enqueued to connection writers but not yet flushed;
         #: shutdown waits for this to reach zero before closing sockets
         self._pending_responses = 0
+
+    def _replay_log(self, log: DecisionLog, snapshot_hwm: int) -> int:
+        """Replay ``log``'s records past ``snapshot_hwm`` as a follower does; returns how many.
+
+        A log that cannot continue the snapshot refuses the boot, naming both hwms.
+        """
+        if log.base > snapshot_hwm:
+            raise ReplicationGapError(
+                f"decision log {log.dir} starts after hwm {log.base}, past the "
+                f"snapshot's hwm {snapshot_hwm}"
+            )
+        log.align(snapshot_hwm)
+        cursor = snapshot_hwm
+        try:
+            for record in log.tail(snapshot_hwm, log.hwm - snapshot_hwm):
+                cursor = self.state.replay(record, cursor)
+        except ReproError as exc:
+            raise type(exc)(
+                f"replaying decision log {log.dir} from the snapshot's hwm "
+                f"{snapshot_hwm} to hwm {log.hwm}: {exc}"
+            ) from None
+        return cursor - snapshot_hwm
 
     @classmethod
     def create(cls, config: ServiceConfig) -> "ReservationService":
@@ -369,14 +401,16 @@ class ReservationService:
 
         Nothing here suspends, so the batch applies atomically, and its
         records reach the OS — one write, one flush — before any of its
-        replies can be written.  If that commit fails, every reply that
-        carried one of its decisions is answered ``INTERNAL`` instead.
+        replies can be written (and before a snapshot op of the batch
+        runs).  A failed commit stops the server: see :meth:`_commit`.
         """
         self.metrics.record_batch(len(batch))
-        replies = []
-        logged = []
+        replies: list[bytes] = []
+        logged: list[int] = []
         for index, (message, line, enqueued_at, _) in enumerate(batch):
             started = perf_counter()
+            if logged and message["op"] in _SNAPSHOT_OPS:
+                self._commit(batch, replies, logged)
             if self._stopping:
                 reply = _shutting_down(message)
             else:
@@ -389,16 +423,33 @@ class ReservationService:
             if message["op"] in _CONTROLLED_OPS:
                 self.admission.release(service_time, started - enqueued_at)
         if logged:
-            assert self._log is not None
-            try:
-                self._log.flush()
-            except OSError as exc:
-                self.metrics.errors += 1
-                for index in logged:
-                    replies[index] = _encode_reply(error_response(batch[index][0], exc))
+            self._commit(batch, replies, logged)
         for (_, _, _, future), reply in zip(batch, replies):
             if not future.done():
                 future.set_result(reply)
+
+    def _commit(self, batch: list, replies: list[bytes], logged: list[int]) -> None:
+        """Commit the records of ``batch[i]`` for ``i`` in ``logged``, then forget them.
+
+        On failure those writes are answered ``INTERNAL`` and the server
+        stops without a snapshot: memory may hold decisions the disk lacks.
+        """
+        assert self._log is not None
+        try:
+            self._log.flush()
+        except OSError as exc:
+            self.metrics.errors += 1
+            for index in logged:
+                replies[index] = _encode_reply(error_response(batch[index][0], exc))
+            self.failure = ReproError(
+                f"decision log commit after hwm {self._log.committed} failed "
+                f"({exc}); stopped without a snapshot: a restart recovers the "
+                f"records on disk"
+            )
+            self._stopping = True
+            with suppress(OSError):
+                self._log.close()
+        logged.clear()
 
     def _actor_reply(
         self, message: dict[str, Any], line: bytes | None
@@ -588,7 +639,7 @@ class ReservationService:
         return {
             "ok": True,
             "op": "log_tail",
-            "hwm": self._log.hwm,
+            "hwm": self._log.committed,
             "base": self._log.base,
             "records": self._log.tail(cursor, limit),
         }
@@ -619,7 +670,7 @@ class ReservationService:
         if self.autoscaler is not None:
             response["autoscale"] = self.autoscaler.summary()
         if self._log is not None:
-            response["log"] = self._log.summary()
+            response["log"] = {**self._log.summary(), "recovered": self.recovered}
         return response
 
     def _actor_apply_snapshot(self, message: dict[str, Any]) -> dict[str, Any]:
@@ -698,12 +749,15 @@ async def serve_forever(config: ServiceConfig, ready_line: bool = True) -> None:
 
     Prints a parseable ``listening on HOST:PORT`` line to stdout once
     bound (the chaos plans and ``benchmarks/stack`` read it to discover
-    an ephemeral port).
+    an ephemeral port).  A server that stopped itself (a failed commit)
+    raises its :attr:`~ReservationService.failure` once stopped.
     """
     service = ReservationService.create(config)
     await service.start()
     if ready_line:
         extra = " (restored from snapshot)" if service.restored else ""
+        if config.log_dir:
+            extra += f" (replayed {service.recovered} log records)"
         print(
             f"repro serve: listening on {config.host}:{service.port} "
             f"(N={service.scheduler.n_servers}, tau={service.scheduler.calendar.tau:g}, "
@@ -715,3 +769,5 @@ async def serve_forever(config: ServiceConfig, ready_line: bool = True) -> None:
     except asyncio.CancelledError:
         await service.stop()
         raise
+    if service.failure is not None:
+        raise service.failure

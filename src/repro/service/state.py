@@ -14,7 +14,8 @@ cheapest harness.
 It is also the only code that knows the snapshot's section names:
 :meth:`ServiceState.export` writes them, :meth:`ServiceState.from_snapshot`
 reads them back.  Restart, follower bootstrap and promotion all go
-through that pair.
+through that pair, and then through :meth:`ServiceState.replay`, the one
+routine that applies a logged record and checks it against its verdict.
 
 Reads (``probe``, ``pool_status``, ``status``) are not state-machine
 transitions: they never move the virtual clock, are never logged and
@@ -26,13 +27,28 @@ from __future__ import annotations
 import hashlib
 from typing import Any
 
+from ..errors import ReproError
 from ..facade import CoAllocationScheduler
 from . import declog
 
-__all__ = ["DECISION_KINDS", "ServiceState", "accepted_checksum"]
+__all__ = [
+    "DECISION_KINDS",
+    "ReplicationDivergenceError",
+    "ReplicationGapError",
+    "ServiceState",
+    "accepted_checksum",
+]
 
 #: the write ops :meth:`ServiceState.apply` decides (= decision-log record kinds)
 DECISION_KINDS = ("reserve", "cancel", *declog.ADMIN_KINDS)
+
+
+class ReplicationDivergenceError(ReproError):
+    """Replaying a logged message did not reproduce the logged verdict."""
+
+
+class ReplicationGapError(ReproError):
+    """A record does not follow the last one applied (records are missing)."""
 
 
 def accepted_checksum(decided: dict[int, dict[str, Any]]) -> str:
@@ -93,6 +109,31 @@ class ServiceState:
         if aid is not None:
             self.admin_decided[str(aid)] = verdict
         return verdict, False
+
+    def replay(self, record: dict[str, Any], cursor: int) -> int:
+        """Apply one logged record on top of records ``1..cursor``; returns its hwm.
+
+        The one replay routine: a restart replaying its own log and a
+        follower tailing the primary's (and so a promotion) come through
+        here.  The primary logs fresh decisions only, so a record must
+        follow ``cursor``, must not name a rid/aid decided here before,
+        and must reproduce its logged verdict; otherwise this raises.
+        """
+        hwm = int(record["hwm"])
+        if hwm != cursor + 1:
+            raise ReplicationGapError(f"record hwm {hwm} does not follow cursor {cursor}")
+        kind, message = record["kind"], record["message"]
+        if kind not in DECISION_KINDS:
+            raise ReplicationDivergenceError(f"unknown record kind {kind!r}")
+        verdict, replayed = self.apply(kind, message)
+        if replayed or verdict != record["verdict"]:
+            raise ReplicationDivergenceError(
+                f"record {hwm} ({kind} rid={message.get('rid')} aid={message.get('aid')}) "
+                f"{'was already decided' if replayed else 'is decided'} here as "
+                f"{verdict!r}, logged as {record['verdict']!r}: the log and this "
+                f"state disagree on history"
+            )
+        return hwm
 
     def export(self, log_hwm: int) -> dict[str, Any]:
         """The snapshot ``state`` document (tables in key order).

@@ -19,10 +19,10 @@ Plans
 -----
 
 ``kill-restart``
-    ``snapshot`` after op *s*, SIGKILL after op *k* > *s*, restart from
-    the snapshot, resend ops *s+1..k* (they were decided after the
-    snapshot, so the restored server re-decides them — the verdicts must
-    be identical), then finish the stream.
+    With ``--log-dir``: ``snapshot`` after op *s*, SIGKILL after op
+    *k* > *s*, restart (the boot replays the log past the snapshot),
+    resend the reserves and admin ops of *s+1..k* — each must answer
+    ``replayed: true`` with its pre-kill verdict — then finish the stream.
 ``duplicate``
     Every n-th reserve is sent twice back-to-back; the second response
     must carry the recorded verdict with ``replayed: true`` (the
@@ -48,6 +48,7 @@ Plans
     the snapshot must re-decide ops *s+1..k* identically *and* restore
     byte-equal pool membership.  The final snapshot's pool must match
     the oracle's, on top of the usual ledger/verdict/checksum standards.
+    Without a decision log, the restart re-decides the resent ops.
 ``kill-promote`` (explicit ``--plan kill-promote``)
     The primary runs with ``--log-dir`` and a ``repro follow``
     subprocess tails its decision log.  After op *k* the primary is
@@ -389,6 +390,7 @@ def run_chaos(
     duplicate_checks = 0
     duplicate_mismatches: list[dict[str, Any]] = []
     restarts = 0
+    replayed_resends = 0
     reserve_count = 0
     scale_ops = 0
     pool_restore_mismatch: dict[str, Any] | None = None
@@ -401,7 +403,9 @@ def run_chaos(
     log_index: list[int] = []
     logged_rids: set[int] = set()
 
-    extra = ["--log-dir", str(Path(work) / "primary-log")] if plan.kind == "kill-promote" else None
+    extra = None
+    if plan.kind in ("kill-promote", "kill-restart"):
+        extra = ["--log-dir", str(Path(work) / "primary-log")]
     proc, port = _start_server(stream.config, snapshot_path, extra=extra)
     if plan.kind == "kill-promote":
         follower_proc, follower_ctl_port = _start_follower(port, snapshot_path, work)
@@ -506,19 +510,26 @@ def run_chaos(
                     client.close()
                     proc.send_signal(signal.SIGKILL)
                     proc.wait(timeout=30)
-                    proc, port = _start_server(stream.config, snapshot_path)
+                    proc, port = _start_server(stream.config, snapshot_path, extra=extra)
                     restarts += 1
                     client = _Client(port)
-                    # ops decided after the snapshot died with the process;
-                    # the restored server must re-decide them identically
+                    # with a log the restart replayed ops s+1..k; without
+                    # one they died with the process and are re-decided
                     assert snapshot_at is not None and kill_at is not None
                     for j in range(snapshot_at + 1, kill_at + 1):
-                        replayed = _normalize(ops[j], client.rpc(_wire(ops[j], j)))
-                        if _jsonable(replayed) != _jsonable(verdicts[j]):
+                        if extra and ops[j]["kind"] not in ("reserve", *ADMIN_KINDS):
+                            continue
+                        response = client.rpc(_wire(ops[j], j))
+                        replayed = _normalize(ops[j], response)
+                        if _jsonable(replayed) != _jsonable(verdicts[j]) or (
+                            extra and not response.get("replayed")
+                        ):
                             replay_mismatches.append(
                                 {"index": j, "before_kill": verdicts[j],
-                                 "after_restart": replayed}
+                                 "after_restart": replayed,
+                                 "replayed": response.get("replayed")}
                             )
+                        replayed_resends += bool(response.get("replayed"))
                     if plan.kind == "scale-events":
                         # the restart + replay must land on the exact pool
                         # membership (and drain progress) the kill interrupted
@@ -599,6 +610,7 @@ def run_chaos(
         "scale_ops": scale_ops,
         "accepted": len(ledger.entries),
         "restarts": restarts,
+        "replayed_resends": replayed_resends,
         "promote": promote_info,
         "duplicate_checks": duplicate_checks,
         "ledger_violations": ledger.violations,

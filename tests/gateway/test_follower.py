@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.facade import CoAllocationScheduler
+from repro.gateway import follower as follower_module
 from repro.gateway.follower import (
     Follower,
     FollowerConfig,
@@ -314,16 +315,15 @@ def _sample_records(n=20):
 
 
 class TestTailLoop:
-    def test_garbled_reply_reconnects_from_last_good_cursor(self):
+    def test_garbled_reply_reconnects_from_last_good_cursor(self, monkeypatch):
         records, checksum = _sample_records()
+        monkeypatch.setattr(follower_module, "LOG_TAIL_LIMIT", 16)
 
         async def scenario():
             primary = _FlakyPrimary(records)
             await primary.start()
             follower = Follower(
-                FollowerConfig(
-                    primary_port=primary.port, poll_interval=0.01, batch_limit=16
-                )
+                FollowerConfig(primary_port=primary.port, poll_interval=0.01)
             )
             follower.state = ServiceState(fresh_scheduler())
             await follower.start()

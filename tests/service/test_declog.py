@@ -1,6 +1,6 @@
 """Decision log: framing, rotation, recovery, compaction, the
-multi-segment == single-segment replay regression, group commit and
-records assembled from wire bytes."""
+multi-segment == single-segment replay regression, group commit,
+records assembled from wire bytes, and restart as replay of the log."""
 
 import asyncio
 import json
@@ -18,6 +18,8 @@ from repro.service.batching import drain_batch
 from repro.service.declog import DecisionLog
 from repro.service.protocol import encode
 from repro.service.server import ReservationService, ServiceConfig
+from repro.service.snapshot import read_snapshot, snapshot_bytes
+from repro.service.state import ReplicationDivergenceError, ReplicationGapError
 
 from .harness import SMALL, reserve_msg, rpc, rpc_all, start_service
 
@@ -76,6 +78,8 @@ class TestDecisionLog:
         assert reopened.hwm == 7
         # appending after the truncation reuses hwm 8 cleanly
         assert reopened.append("cancel", {"rid": 99}, {"ok": False}) == 8
+        assert reopened.tail(7, 10) == []  # served once committed
+        reopened.flush()
         assert reopened.tail(7, 10)[0]["message"] == {"rid": 99}
 
     def test_garbage_tail_is_truncated_on_recovery(self, tmp_path):
@@ -89,12 +93,12 @@ class TestDecisionLog:
         assert reopened.hwm == 5
         assert len(reopened.tail(0, 100)) == 5
 
-    def test_align_truncates_when_log_is_ahead_of_snapshot(self, tmp_path):
+    def test_align_keeps_a_log_ahead_of_the_snapshot(self, tmp_path):
         log = DecisionLog(tmp_path)
         _fill(log, 10)
-        log.align(6)  # restore from a snapshot taken at hwm 6
-        assert log.hwm == 6
-        assert [r["hwm"] for r in log.tail(0, 100)] == list(range(1, 7))
+        log.align(6)  # restore from a snapshot taken at hwm 6: 7..10 replay
+        assert log.hwm == 10
+        assert [r["hwm"] for r in log.tail(0, 100)] == list(range(1, 11))
 
     def test_align_resets_when_log_is_behind_snapshot(self, tmp_path):
         log = DecisionLog(tmp_path)
@@ -340,6 +344,22 @@ class RecordingWriter:
         pass
 
 
+class ReplyWriter:
+    """A connection's StreamWriter that keeps the replies it is given."""
+
+    def __init__(self):
+        self.replies = []
+
+    def write(self, data):
+        self.replies += [json.loads(line) for line in data.splitlines()]
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+
 def fresh_writes(n):
     """``n`` fresh write ops: reserves (granted, rejected, malformed) and cancels."""
     ops = []
@@ -436,51 +456,77 @@ class TestGroupCommit:
         assert calls == {"dumps": len(messages), "encode": len(messages)}
 
     @pytest.mark.parametrize("failing", ["write", "flush"])
-    def test_a_failed_commit_answers_internal_and_the_server_stays_up(
+    def test_a_failed_commit_answers_internal_and_stops_the_server(
         self, tmp_path, monkeypatch, failing
     ):
-        """A verdict never leaves without its record.
+        """A verdict never leaves without its record, and the server does
+        not run on with decisions its disk may lack: it stops without a
+        snapshot, and the restart recovers exactly the records on disk,
+        every ``ok`` reply among them."""
+        config = ServiceConfig(
+            **SMALL, log_dir=str(tmp_path / "log"), snapshot_path=str(tmp_path / "snap")
+        )
+        fail = spy_on_segments(monkeypatch, [])
+        committed = fresh_writes(8)
+        failing_batch = [
+            reserve_msg(101, 0.0, 10.0, 1, seq=1),
+            reserve_msg(102, 0.0, -1.0, 1),
+            {"op": "cancel", "rid": 1},
+            {"op": "add_servers", "count": 1, "aid": "a"},
+            {"op": "snapshot"},  # the batch commits (and fails) before it
+            reserve_msg(103, 0.0, 10.0, 1),
+        ]
 
-        The ``decided`` table still holds the refused decisions: a resent
-        rid replays a verdict no log holds (DESIGN.md §23; the disk-fault
-        contract is ROADMAP item 4).
-        """
-        log_dir = tmp_path / "log"
-        fail = spy_on_segments(monkeypatch, [], {failing: True})
+        async def run(messages):
+            service = ReservationService.create(config)
+            writer = ReplyWriter()
+            await drive_actor(service, messages, writer)
+            return service, writer.replies
 
-        async def scenario():
-            service = await start_service(**SMALL, log_dir=str(log_dir))
-            port = service.port
-            failed = await rpc_all(
-                port,
-                reserve_msg(1, 0.0, 10.0, 1, seq=1),
-                reserve_msg(2, 0.0, -1.0, 1),
-                {"op": "cancel", "rid": 1},
-                {"op": "add_servers", "count": 1, "aid": "a"},
-            )
-            during = await rpc(port, {"op": "status"})
-            fail.clear()
-            after = await rpc_all(port, reserve_msg(3, 0.0, 10.0, 1), {"op": "status"})
-            await service.stop()
-            return failed, during, after
+        first, before = asyncio.run(run(committed))
+        snapshot = (tmp_path / "snap").read_bytes()  # the clean stop's, at hwm 8
+        fail[failing] = True
+        failed, during = asyncio.run(run(failing_batch))
+        fail.clear()
+        assert (tmp_path / "snap").read_bytes() == snapshot
+        on_disk = records_on_disk(tmp_path / "log")
+        resends = [op for op in committed if op["op"] == "reserve"]
+        rebooted, after = asyncio.run(run(resends))
 
-        failed, during, after = asyncio.run(scenario())
-        for reply in failed:
+        for reply in during[:4]:
             assert reply["ok"] is False and reply["error"]["code"] == "INTERNAL"
             assert {"start", "servers", "n_servers"}.isdisjoint(reply)
-        assert failed[0]["seq"] == 1 and failed[0]["rid"] == 1
-        assert during["ok"] and during["log"]["hwm"] == 0
-        granted, status = after
-        assert granted["ok"] and status["log"]["hwm"] == 1
-        assert [r["message"]["rid"] for r in records_on_disk(log_dir)] == [3]
-        assert DecisionLog(log_dir).tail(0, 10) == [
-            {
-                "hwm": 1,
-                "kind": "reserve",
-                "message": {"rid": 3, "sr": 0.0, "lr": 10.0, "nr": 1},
-                "verdict": {k: v for k, v in granted.items() if k not in ("op", "rid")},
-            }
+        assert during[0]["seq"] == 1 and during[0]["rid"] == 101
+        assert [r["error"]["code"] for r in during[4:]] == ["SHUTTING_DOWN"] * 2
+        assert "after hwm 8 failed" in str(failed.failure)
+        # write: nothing of the batch reached the disk; flush: all of it did
+        assert len(on_disk) == (8 if failing == "write" else 12)
+        assert rebooted.recovered == len(on_disk) - 8
+        assert [r["hwm"] for r in rebooted._log.tail(0, 100)] == [
+            r["hwm"] for r in on_disk
         ]
+        decided = [r for r in before if r["op"] == "reserve"]
+        assert after == [{**r, "replayed": True} for r in decided]
+        assert first.failure is None and rebooted.failure is None
+
+    def test_log_tail_serves_no_record_of_a_failed_commit(self, tmp_path, monkeypatch):
+        """A ``log_tail`` in the same batch as a fresh write answers
+        before the commit: it must not carry the uncommitted record."""
+        spy_on_segments(monkeypatch, [], {"flush": True})
+
+        async def scenario():
+            service = ReservationService(ServiceConfig(**SMALL, log_dir=str(tmp_path)))
+            writer = ReplyWriter()
+            await drive_actor(
+                service,
+                [reserve_msg(1, 0.0, 10.0, 1), {"op": "log_tail", "cursor": 0}],
+                writer,
+            )
+            return writer.replies
+
+        reserve, tail = asyncio.run(scenario())
+        assert reserve["error"]["code"] == "INTERNAL"
+        assert tail["ok"] and tail["records"] == [] and tail["hwm"] == 0
 
     def test_status_reports_commits(self, tmp_path):
         async def scenario():
@@ -599,3 +645,121 @@ class TestRecovery:
         assert (tmp_path / "log" / "seg-000000000001.log").read_bytes() == (
             source / "seg-000000000001.log"
         ).read_bytes()
+
+
+# ----------------------------------------------------------------------
+# restart is replay: snapshot + the log's suffix, through ServiceState.replay
+# ----------------------------------------------------------------------
+
+
+def restart_ops():
+    """Writes of every kind, with a snapshot now and then (or never)."""
+    rid = st.integers(min_value=1, max_value=8)
+    reserve = st.builds(
+        reserve_msg,
+        rid,
+        st.sampled_from([0.0, 5.0, 20.0]),
+        st.sampled_from([-1.0, 10.0, 40.0]),  # -1 -> MALFORMED
+        st.sampled_from([1, 2, 3]),  # 3 > N -> rejected
+    )
+    cancel = st.builds(lambda r: {"op": "cancel", "rid": r}, st.integers(1, 9))
+    aid = st.sampled_from([{}, {"aid": "a1"}, {"aid": "a2"}])
+    admin = st.one_of(
+        st.builds(lambda a: {"op": "add_servers", "count": 1, **a}, aid),
+        st.builds(lambda s, a: {"op": "drain", "server": s, **a}, st.integers(0, 3), aid),
+    )
+    snapshot = st.just({"op": "snapshot"})
+    return st.lists(st.one_of(reserve, reserve, cancel, admin, snapshot), max_size=16)
+
+
+async def abandon(service):
+    """Drop a live service as SIGKILL would: no shutdown, no final snapshot."""
+    service._server.close()
+    await service._server.wait_closed()
+    service._actor_task.cancel()
+    await asyncio.gather(service._actor_task, return_exceptions=True)
+    if service._log._active is not None:
+        service._log._active.close()  # the OS closes a killed process's files
+
+
+def identity(reply):
+    """The rid or aid a write reply answers for, if any."""
+    if reply.get("op") == "reserve":
+        return ("rid", reply["rid"])
+    if reply.get("aid") is not None:
+        return ("aid", reply["aid"])
+    return None
+
+
+class TestRestartIsReplay:
+    @settings(max_examples=40, deadline=None)
+    @given(ops=restart_ops(), segment_bytes=st.sampled_from([160, 1 << 20]))
+    def test_a_restart_recovers_every_answered_decision(
+        self, tmp_path_factory, ops, segment_bytes
+    ):
+        """Abandon a live primary at hwm k — its last snapshot at some
+        s <= k, or none — and reboot it on the same directories: the
+        state is the uninterrupted primary's at k, byte for byte, and
+        every rid/aid answered before the abandon answers its verdict
+        again with ``replayed: true``."""
+        work = tmp_path_factory.mktemp("restart")
+        config = dict(
+            **SMALL, log_dir=str(work / "log"), snapshot_path=str(work / "snap")
+        )
+
+        async def abandoned():
+            service = await start_service(**config)
+            replies = [await rpc(service.port, op) for op in ops]
+            exported = service.state.export(service._log.hwm)
+            await abandon(service)
+            return replies, exported
+
+        async def rebooted(resends):
+            service = await start_service(**config)
+            state = service.state.export(service._log.hwm)
+            status = await rpc(service.port, {"op": "status"})
+            answers = [await rpc(service.port, op) for op in resends]
+            await service.stop()
+            return state, status, answers
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(server, "LOG_SEGMENT_BYTES", segment_bytes)
+            replies, exported = asyncio.run(abandoned())
+        snap = work / "snap"
+        s = read_snapshot(snap)["log_hwm"] if snap.exists() else 0
+        answered = {}
+        for op, reply in zip(ops, replies):
+            key = identity(reply)
+            if key is not None and key not in answered:
+                answered[key] = (op, reply)
+        state, status, answers = asyncio.run(
+            rebooted([op for op, _ in answered.values()])
+        )
+
+        assert snapshot_bytes(state) == snapshot_bytes(exported)
+        assert status["log"]["recovered"] == exported["log_hwm"] - s
+        for (_, reply), answer in zip(answered.values(), answers):
+            assert answer == {**reply, "replayed": True}
+
+    def test_a_log_starting_past_the_snapshot_refuses_the_boot(self, tmp_path):
+        log = DecisionLog(tmp_path, segment_bytes=256)
+        _fill(log, 30)
+        log.compact(30)  # records 1..base are gone, and there is no snapshot
+        log.close()
+        assert log.base > 0
+        with pytest.raises(
+            ReplicationGapError,
+            match=rf"starts after hwm {log.base}, past the snapshot's hwm 0",
+        ):
+            ReservationService(ServiceConfig(**SMALL, log_dir=str(tmp_path)))
+
+    def test_a_diverging_replay_refuses_the_boot(self, tmp_path):
+        log = DecisionLog(tmp_path)
+        log.append("reserve", {"rid": 1, "sr": 0.0, "lr": 5.0, "nr": 1}, {"ok": True})
+        log.append("cancel", {"rid": 1}, {"ok": True})
+        log.close()
+        with pytest.raises(
+            ReplicationDivergenceError,
+            match=r"from the snapshot's hwm 0 to hwm 2: record 1 \(reserve rid=1 ",
+        ):
+            ReservationService(ServiceConfig(**SMALL, log_dir=str(tmp_path)))

@@ -40,15 +40,21 @@ class TestParser:
             ["serve", "--log-segment-bytes", "256"],
             ["serve", "--log-cursor-ttl", "60"],
             ["serve", "--autoscale", "target"],
+            ["profile"],
+            ["follow", "--primary-port", "1", "--batch-limit", "16"],
+            ["follow", "--primary-port", "1", "--promote-port", "9"],
         ],
     )
     def test_removed_options_are_usage_errors(self, argv, capsys):
         """Settings no caller sets are constants (DESIGN.md §19): the
-        parser refuses them rather than ignoring them."""
+        parser refuses them rather than ignoring them (a removed
+        subcommand is an invalid choice)."""
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        removed_command = argv[0] == "profile"
+        expected = "invalid choice: 'profile'" if removed_command else "unrecognized arguments"
+        assert expected in capsys.readouterr().err
 
     def test_autoscale_is_an_on_off_flag(self):
         assert build_parser().parse_args(["serve", "--autoscale"]).autoscale is True
@@ -236,6 +242,67 @@ class TestBootSnapshotErrors:
         assert "listening on" not in captured.out
 
 
+class TestBootRefusals:
+    """A log that cannot continue the snapshot, and a failed commit's
+    stop, are one line on stderr and a non-zero exit, not a traceback."""
+
+    SERVE = ["serve", "--servers", "2", "--tau", "10", "--q-slots", "4"]
+
+    def _serve(self, log_dir, capsys):
+        rc = main([*self.SERVE, "--log-dir", str(log_dir)])
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert rc == 1 and line.startswith("serve: ")
+        return line, captured.out
+
+    def test_a_log_gap_refuses_the_boot(self, tmp_path, capsys):
+        from repro.service.declog import DecisionLog
+
+        log = DecisionLog(tmp_path, segment_bytes=128)
+        for rid in range(1, 9):
+            log.append("cancel", {"rid": rid}, {"ok": False})
+        log.flush()
+        log.compact(8)
+        log.close()
+        line, out = self._serve(tmp_path, capsys)
+        assert f"starts after hwm {log.base}, past the snapshot's hwm 0" in line
+        assert "listening on" not in out
+
+    def test_a_diverging_replay_refuses_the_boot(self, tmp_path, capsys):
+        from repro.service.declog import DecisionLog
+
+        log = DecisionLog(tmp_path)
+        log.append("cancel", {"rid": 1}, {"ok": True})  # nothing to cancel: a lie
+        log.close()
+        line, out = self._serve(tmp_path, capsys)
+        assert "from the snapshot's hwm 0 to hwm 1: record 1 (cancel rid=1 aid=None)" in line
+        assert "listening on" not in out
+
+    def test_a_failed_commit_stops_the_server(self, tmp_path, capsys, monkeypatch):
+        import asyncio
+
+        from repro.service.declog import DecisionLog
+        from repro.service.protocol import encode
+        from repro.service.server import ReservationService
+
+        def full_disk(self, chunk):
+            if chunk:
+                raise OSError(28, "No space left on device")
+
+        start = ReservationService.start
+
+        async def start_and_reserve(self):
+            await start(self)  # then a client's first write arrives
+            message = {"op": "reserve", "rid": 1, "sr": 0, "lr": 5, "nr": 1}
+            self._ingest(encode(message), asyncio.get_running_loop().create_future())
+
+        monkeypatch.setattr(DecisionLog, "_write", full_disk)
+        monkeypatch.setattr(ReservationService, "start", start_and_reserve)
+        line, out = self._serve(tmp_path, capsys)
+        assert "commit after hwm 0 failed" in line and "No space left" in line
+        assert "listening on" in out
+
+
 class TestReserveExitCodes:
     def test_malformed_is_exit_2_without_contacting_a_server(self, capsys):
         rc = main(
@@ -312,22 +379,3 @@ class TestServiceEndToEnd:
         response = json.loads(capsys.readouterr().out)
         assert rc == 3
         assert response["error"]["code"] == "REJECTED"
-
-
-class TestProfileCommand:
-    def test_defaults(self):
-        args = build_parser().parse_args(["profile"])
-        assert args.requests == 20_000 and args.servers == 512
-        assert args.dump is None
-
-    def test_profile_prints_hot_functions(self, tmp_path, capsys):
-        dump = tmp_path / "hotpath.prof"
-        rc = main(
-            ["profile", "--requests", "60", "--servers", "16",
-             "--limit", "5", "--dump", str(dump)]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "replayed 60 requests on 16 servers" in out
-        assert "cumulative time" in out  # the pstats table made it out
-        assert dump.exists()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.service.declog import ADMIN_KINDS
 from repro.verify.chaos import ChaosPlan, run_chaos
 from repro.verify.genstream import generate_stream
 
@@ -27,10 +28,17 @@ def _assert_passed(report: dict) -> None:
 
 
 def test_kill_restart_preserves_decisions(tmp_path) -> None:
+    """The restart replays its own log: every reserve and admin op
+    decided between the snapshot and the kill answers ``replayed: true``
+    with its pre-kill verdict when resent."""
     stream = generate_stream("dense", 11, 120)
     plan = ChaosPlan(kind="kill-restart")
     report = run_chaos(stream, plan, work_dir=str(tmp_path))
     assert report["restarts"] == 1
+    ops = [op for op in stream.ops if op["kind"] != "restore"]
+    lost = ops[len(ops) // 3 + 1 : 2 * len(ops) // 3 + 1]
+    resent = sum(op["kind"] in ("reserve", *ADMIN_KINDS) for op in lost)
+    assert report["replayed_resends"] == resent > 0
     _assert_passed(report)
 
 
