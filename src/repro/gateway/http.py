@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..service.protocol import WIRE_ENCODER
+
 __all__ = [
     "HttpError",
     "HttpRequest",
@@ -84,6 +86,9 @@ class HttpRequest:
             payload = json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise HttpError(400, f"body is not valid JSON: {exc}") from exc
+        except RecursionError:
+            # a body under the size cap can nest deeper than the parser recurses
+            raise HttpError(400, "body is not valid JSON: nested too deeply") from None
         if not isinstance(payload, dict):
             raise HttpError(
                 400, f"body must be a JSON object, got {type(payload).__name__}"
@@ -197,9 +202,7 @@ def response_bytes(
 
 def json_body(payload: dict[str, Any]) -> bytes:
     """A JSON response body: byte for byte ``protocol.encode`` minus the newline."""
-    return json.dumps(
-        payload, separators=(",", ":"), sort_keys=True, allow_nan=False
-    ).encode("utf-8")
+    return WIRE_ENCODER.encode(payload).encode("utf-8")
 
 
 def json_response(
@@ -229,7 +232,7 @@ async def http_request(
     """
     payload = b""
     if body is not None:
-        payload = json.dumps(body, separators=(",", ":"), allow_nan=False).encode()
+        payload = WIRE_ENCODER.encode(body).encode("utf-8")
     head = [f"{method} {path} HTTP/1.1", "Host: repro"]
     head.extend(f"{name}: {value}" for name, value in headers)
     if body is not None:

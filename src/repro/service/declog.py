@@ -494,8 +494,11 @@ class DecisionLog:
         return removed
 
     def summary(self) -> dict[str, Any]:
+        """``status.log``: ``hwm`` counts every appended record, ``committed``
+        only those a flush has written (the rest are this batch's)."""
         return {
             "hwm": self.hwm,
+            "committed": self.committed,
             "base": self.base,
             "segments": len(self._segments()),
             "commits": self.commits,

@@ -53,6 +53,7 @@ __all__ = [
     "OpSpec",
     "REGISTRY",
     "ProtocolError",
+    "WIRE_ENCODER",
     "decode_line",
     "echo_seq",
     "encode",
@@ -184,11 +185,25 @@ class ProtocolError(MalformedRequestError):
     """The line is not a valid protocol message (framing or fields)."""
 
 
+#: the one JSON encoder of every wire line, HTTP body and snapshot:
+#: compact separators, sorted keys, no ``NaN``/``Infinity``.  It is built
+#: once (``json.dumps`` with any non-default setting builds an encoder
+#: per call), and without the cycle check: every value it meets is
+#: decoded JSON or a dict the server built, neither of which can contain
+#: itself.  Nesting too deep for the interpreter raises ``RecursionError``
+#: either way; callers treat it as they treat ``ValueError``.
+WIRE_ENCODER = json.JSONEncoder(
+    separators=(",", ":"), sort_keys=True, allow_nan=False, check_circular=False
+)
+
+
 def encode(message: dict[str, Any]) -> bytes:
-    """One message as an NDJSON line (compact separators, sorted keys)."""
-    return (
-        json.dumps(message, separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
-    ).encode("utf-8")
+    """One message as an NDJSON line (compact separators, sorted keys).
+
+    Raises ``ValueError`` on a non-finite float and ``RecursionError`` on
+    nesting too deep to encode.
+    """
+    return (WIRE_ENCODER.encode(message) + "\n").encode("utf-8")
 
 
 def echo_seq(message: dict[str, Any], response: dict[str, Any]) -> dict[str, Any]:
@@ -248,6 +263,9 @@ def decode_line(raw: bytes, ops: tuple[str, ...] = OPS) -> dict[str, Any]:
         message = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        # a short line can nest deeper than the parser recurses
+        raise ProtocolError("not valid JSON: nested too deeply") from None
     if not isinstance(message, dict):
         raise ProtocolError(f"expected a JSON object, got {type(message).__name__}")
     op = message.get("op")

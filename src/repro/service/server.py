@@ -56,6 +56,7 @@ from .protocol import (
     OPS,
     PROTOCOL_VERSION,
     READ_CHUNK_BYTES,
+    WIRE_ENCODER,
     ProtocolError,
     decode_line,
     echo_seq,
@@ -159,6 +160,9 @@ class ReservationService:
         #: carries the verdict (no error replaced it)
         self._fresh: tuple[str, dict[str, Any], dict[str, Any]] | None = None
         self._fresh_in_reply = True
+        #: period uid -> its ``[server,st,et]`` reply part, as the last
+        #: probe listed them (see :meth:`_actor_apply_probe`)
+        self._probe_parts: dict[int, str] = {}
         self._stopping = False
         #: why the server stopped itself (a failed commit), if it did
         self.failure: ReproError | None = None
@@ -463,11 +467,14 @@ class ReservationService:
         self._fresh = None
         self._fresh_in_reply = True
         response = self._actor_apply(message)
-        try:
-            reply = encode(response)
-        except ValueError as exc:
-            reply = _error_line(response, exc)
-            self._fresh_in_reply = False
+        if isinstance(response, bytes):
+            reply = response  # a probe line, already assembled
+        else:
+            try:
+                reply = encode(response)
+            except (ValueError, RecursionError) as exc:
+                reply = _error_line(response, exc)
+                self._fresh_in_reply = False
         if self._fresh is None:
             return reply, False
         assert self._log is not None
@@ -539,7 +546,11 @@ class ReservationService:
     # operation application (actor-confined; the only scheduler caller)
     # ------------------------------------------------------------------
 
-    def _actor_apply(self, message: dict[str, Any]) -> dict[str, Any]:
+    def _actor_apply(self, message: dict[str, Any]) -> dict[str, Any] | bytes:
+        """The handler's response to ``message``, ``seq`` echoed.
+
+        A probe's handler returns its finished line, ``seq`` included.
+        """
         try:
             response = self._apply[message["op"]](message)
         except Exception as exc:  # never kill the actor on one bad op
@@ -549,6 +560,8 @@ class ReservationService:
             # the handler failed is logged from its dict
             self._fresh_in_reply = False
             response = error_response(message, exc)
+        if isinstance(response, bytes):
+            return response
         return echo_seq(message, response)
 
     def _decide(self, kind: str, message: dict[str, Any]) -> dict[str, Any]:
@@ -582,21 +595,44 @@ class ReservationService:
                 self.metrics.malformed += 1
         return {"op": "reserve", "rid": int(message["rid"]), **entry}
 
-    def _actor_apply_probe(self, message: dict[str, Any]) -> dict[str, Any]:
+    def _actor_apply_probe(self, message: dict[str, Any]) -> bytes:
+        """The probe's reply line, assembled from encoded parts.
+
+        The line is byte for byte ``encode`` of ``{"ok": true, "op":
+        "probe", "count": n, "periods": [[server, st, et], ...]}`` with
+        ``seq`` echoed: a fixed head, one part per listed period, and
+        the ``seq`` tail.  A period is immutable and its uid is never
+        reused, so its part is formatted once and reused while
+        consecutive probes list it; each probe's table replaces the
+        last, so it holds at most ``limit`` parts.
+        """
         ta, tb = float(message["ta"]), float(message["tb"])
         if not ta < tb:
             raise MalformedRequestError(f"probe window [{ta}, {tb}) is empty")
-        limit = int(message.get("limit") or PROBE_LIMIT)
+        limit = message.get("limit")
+        if limit is None:
+            limit = PROBE_LIMIT
+        elif limit < 0:
+            raise MalformedRequestError(f"probe limit {limit} is negative")
         periods = self.scheduler.range_search(ta, tb)
-        return {
-            "ok": True,
-            "op": "probe",
-            "count": len(periods),
-            "periods": [
-                [p.server, p.st, None if p.et == INF else p.et]
-                for p in periods[:limit]
-            ],
-        }
+        known = self._probe_parts
+        parts: dict[int, str] = {}  # uid -> part; the listed uids are distinct
+        for p in periods[:limit]:
+            part = known.get(p.uid)
+            if part is None:
+                part = WIRE_ENCODER.encode([p.server, p.st, None if p.et == INF else p.et])
+            parts[p.uid] = part
+        self._probe_parts = parts
+        tail = "]}\n"
+        if "seq" in message:
+            try:
+                tail = f'],"seq":{WIRE_ENCODER.encode(message["seq"])}}}\n'
+            except (ValueError, RecursionError) as exc:
+                return _error_line({"op": "probe"}, exc)
+        return (
+            f'{{"count":{len(periods)},"ok":true,"op":"probe","periods":['
+            f'{",".join(parts.values())}{tail}'
+        ).encode("utf-8")
 
     def _actor_apply_cancel(self, message: dict[str, Any]) -> dict[str, Any]:
         return {
@@ -712,11 +748,12 @@ class ReservationService:
         return meta, self._log.compact(hwm)
 
 
-def _error_line(response: dict[str, Any], exc: ValueError) -> bytes:
+def _error_line(response: dict[str, Any], exc: ValueError | RecursionError) -> bytes:
     """The ``INTERNAL`` reply that stands in for an unencodable ``response``.
 
-    A non-finite float got into it (a ``seq`` of NaN is echoed as sent):
-    the client gets an error rather than waiting on a dead connection.
+    A non-finite float, or nesting too deep to encode, got into it (``seq``
+    is echoed as sent): the client gets an error rather than waiting on a
+    dead connection.
     """
     return encode(error_response({"op": response.get("op")}, exc))
 
@@ -725,7 +762,7 @@ def _encode_reply(response: dict[str, Any]) -> bytes:
     """``response`` as its wire line, or the error line standing in for it."""
     try:
         return encode(response)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         return _error_line(response, exc)
 
 

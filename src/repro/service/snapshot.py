@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Any
 
 from ..core.calendar import AvailabilityCalendar
+from .protocol import WIRE_ENCODER
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -60,7 +61,7 @@ class SnapshotError(ValueError):
 
 
 def _canonical(state: dict[str, Any]) -> str:
-    return json.dumps(state, separators=(",", ":"), sort_keys=True, allow_nan=False)
+    return WIRE_ENCODER.encode(state)
 
 
 def state_checksum(state: dict[str, Any]) -> str:

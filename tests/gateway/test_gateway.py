@@ -166,6 +166,30 @@ class TestProxySemantics:
         assert served[0] == 200 and served[2]["ok"]
         assert status["decided"] == 1 and status["metrics"]["malformed"] == 0
 
+    def test_an_over_deep_body_is_a_400_and_the_connection_is_kept(self):
+        """A body under the size cap can nest deeper than the JSON parser
+        recurses; its ``RecursionError`` used to kill the connection."""
+        deep = b'{"ta":0,"tb":5,"seq":' + b"[" * 20_000 + b"]" * 20_000 + b"}"
+
+        async def scenario():
+            service, gateway = await start_stack()
+            reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+            refused = await asyncio.wait_for(
+                raw_post(reader, writer, "/v1/probe", deep), timeout=10.0
+            )
+            served = await asyncio.wait_for(
+                http_request(reader, writer, "GET", "/v1/status"), timeout=10.0
+            )
+            writer.close()
+            await gateway.stop()
+            await service.stop()
+            return refused, served
+
+        (code, body), served = asyncio.run(scenario())
+        assert code == 400 and body["error"]["code"] == "MALFORMED"
+        assert "nested too deeply" in body["error"]["message"]
+        assert served[0] == 200 and served[2]["ok"]
+
     def test_gateway_and_tcp_answer_identically(self):
         """The HTTP body is the backend's NDJSON response verbatim: the
         same op via the gateway and via raw TCP yields the same JSON."""

@@ -421,7 +421,8 @@ class TestGroupCommit:
 
         The record reuses the request line and the reply's bytes, so a
         second encode per decision (of the record, or of the reply in the
-        connection writer) fails this.
+        connection writer) fails this.  Every encode goes through the
+        shared ``protocol.WIRE_ENCODER``, none through ``json.dumps``.
         """
         messages = fresh_writes(self.N)
 
@@ -453,7 +454,7 @@ class TestGroupCommit:
         service, batch, calls = asyncio.run(scenario())
         assert service._log.hwm == len(messages)
         assert all(future.done() for *_, future in batch)
-        assert calls == {"dumps": len(messages), "encode": len(messages)}
+        assert calls == {"dumps": 0, "encode": len(messages)}
 
     @pytest.mark.parametrize("failing", ["write", "flush"])
     def test_a_failed_commit_answers_internal_and_stops_the_server(
@@ -527,6 +528,24 @@ class TestGroupCommit:
         reserve, tail = asyncio.run(scenario())
         assert reserve["error"]["code"] == "INTERNAL"
         assert tail["ok"] and tail["records"] == [] and tail["hwm"] == 0
+
+    def test_status_names_committed_beside_hwm(self, tmp_path):
+        """A ``status`` in the batch of a fresh write answers before the
+        commit: ``hwm`` counts the appended record, ``committed`` does not."""
+
+        async def scenario():
+            service = ReservationService(ServiceConfig(**SMALL, log_dir=str(tmp_path)))
+            writer = ReplyWriter()
+            await drive_actor(
+                service, [reserve_msg(1, 0.0, 10.0, 1), {"op": "status"}], writer
+            )
+            after = service._actor_apply_status({"op": "status"})
+            return writer.replies, after
+
+        (reserve, status), after = asyncio.run(scenario())
+        assert reserve["ok"]
+        assert status["log"]["hwm"] == 1 and status["log"]["committed"] == 0
+        assert after["log"]["hwm"] == after["log"]["committed"] == 1
 
     def test_status_reports_commits(self, tmp_path):
         async def scenario():

@@ -190,6 +190,54 @@ def test_an_unencodable_response_is_answered_not_dropped():
     run(scenario())
 
 
+def test_an_over_deep_line_is_malformed_and_the_connection_is_kept():
+    """A line far under ``MAX_LINE_BYTES`` can nest deeper than the JSON
+    parser recurses; its ``RecursionError`` used to kill the connection
+    handler, so neither it nor the next request was answered."""
+    deep = b'{"op":"status","seq":' + b"[" * 20_000 + b"]" * 20_000 + b"}\n"
+
+    async def scenario():
+        service = await start_service(**SMALL)
+        bad, good = await asyncio.wait_for(
+            rpc_all(service.port, deep, {"op": "status", "seq": 7}), timeout=10.0
+        )
+        assert bad["ok"] is False and bad["op"] is None
+        assert bad["error"]["code"] == "MALFORMED"
+        assert good["ok"] and good["seq"] == 7
+        assert service.metrics.malformed == 1
+        await service.stop()
+
+    run(scenario())
+
+
+def test_probe_limit_is_a_count_from_zero():
+    """``limit`` lists the first ``limit`` periods: 0 lists none, and a
+    negative limit is malformed (it once meant "all but the last few")."""
+
+    async def scenario():
+        service = await start_service(n_servers=4, tau=10.0, q_slots=4)
+        window = {"op": "probe", "ta": 0.0, "tb": 5.0}
+        full, none, two, over, negative, status = await rpc_all(
+            service.port,
+            window,
+            {**window, "limit": 0},
+            {**window, "limit": 2},
+            {**window, "limit": 99},
+            {**window, "limit": -1},
+            {"op": "status"},
+        )
+        assert full["count"] == 4 and len(full["periods"]) == 4
+        assert none["ok"] and none["count"] == 4 and none["periods"] == []
+        assert two["count"] == 4 and two["periods"] == full["periods"][:2]
+        assert over["periods"] == full["periods"]
+        assert negative["error"]["code"] == "MALFORMED"
+        assert "limit" in negative["error"]["message"]
+        assert status["ok"]
+        await service.stop()
+
+    run(scenario())
+
+
 def test_accepted_connections_read_in_bounded_chunks():
     """Every accepted connection caps asyncio's per-read recv buffer
     (see ``protocol.READ_CHUNK_BYTES`` for what the 256 KiB default costs)."""
