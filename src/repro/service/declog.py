@@ -18,20 +18,30 @@ follower checks, so any divergence is detected, not silently absorbed.
 
 **Framing.** Each record is a 4-byte big-endian length prefix followed
 by that many bytes of UTF-8 JSON, appended to size-capped segment files
-``seg-<first-hwm>.log``.  A torn tail (partial header, short payload,
-or undecodable JSON — the signature of a crash mid-append) is truncated
-away on open; everything before it is intact.
+``seg-<first-hwm>.log``.  A torn tail (a partial header, a short
+payload, or a frame that does not open with its own ``{"hwm":n,`` — the
+signature of a crash mid-append, or of bytes that are not a record) is
+truncated away on open; everything before it is intact.
+
+**The disk is the log.** The segment files are the only copy of the
+history: the log keeps no record in memory.  One frame reader
+(:meth:`DecisionLog._frames`) serves recovery and, through
+:meth:`DecisionLog.payloads`, the boot replay, ``log_tail`` and
+:meth:`DecisionLog.tail`: it finds the segment holding a record by the
+segment's name, skips the frames before it by their length prefix, and
+decodes nothing.
 
 **Encoded once.** A record is assembled from bytes already in hand, with
 no JSON encode of its own: the server passes the request line as it was
 read and the reply line as it was sent, so on disk ``message`` is the
-whole request and ``verdict`` the whole reply.  Reads normalise both
-back to the decision (:func:`normalise_record`: ``message`` through
+whole request and ``verdict`` the whole reply.  ``log_tail`` serves
+those payloads as they are, and the consumer normalises them back to
+the decision (:func:`normalise_record`: ``message`` through
 :func:`decision_message`, ``verdict`` less the reply's envelope keys),
-which changes nothing in a record that holds the decision alone — the
-form a caller passing dicts writes, and every log written before
-records reused wire bytes.  Memory, ``tail()``, recovery and followers
-all see the normal form.
+in one place, :meth:`repro.service.state.ServiceState.replay`.  That
+changes nothing in a record that holds the decision alone — the form a
+caller passing dicts writes, and every log written before records
+reused wire bytes.
 
 **Group commit.** :meth:`DecisionLog.append` only assembles;
 :meth:`DecisionLog.flush` hands everything appended since the last
@@ -50,11 +60,12 @@ tail with, so a restart gets back every decision any client was
 answered.  A log behind the snapshot is reset empty at ``base = S``
 (:meth:`DecisionLog.align`); a log whose ``base`` lies past *S*, or
 whose replay diverges, refuses the boot.  Nothing is ever truncated but
-a torn tail on open.  A flush that raises undoes nothing: the server
-answers the batch's writes ``INTERNAL`` and stops without a snapshot,
-and the next boot recovers exactly the records the disk holds (a write
-answered ``INTERNAL`` may be among them).  The log is flushed but not
-fsynced: it survives a killed process, not a lost machine.
+a torn tail on open.  A flush that raises undoes nothing: bytes past
+:attr:`DecisionLog.committed` may be on disk, but no read serves them;
+the server answers the batch's writes ``INTERNAL`` and stops without a
+snapshot, and the next boot recovers exactly the records the disk holds
+(a write answered ``INTERNAL`` may be among them).  The log is flushed
+but not fsynced: it survives a killed process, not a lost machine.
 
 **Compaction.** A snapshot at hwm *S* makes records ``1..S`` redundant
 for recovery, but an attached follower at cursor *c < S* still needs
@@ -73,8 +84,9 @@ from __future__ import annotations
 import json
 import math
 import time
+from bisect import bisect_right
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from ..errors import ErrorCode, MalformedRequestError, NotFoundError, ReproError
 from .protocol import encode, request_from_payload
@@ -229,18 +241,22 @@ def decision_message(kind: str, message: dict[str, Any]) -> dict[str, Any]:
 
 
 def normalise_record(record: dict[str, Any]) -> dict[str, Any]:
-    """A record as read back, in the form :meth:`DecisionLog.append` keeps.
+    """A record as read back, reduced to the decision: a new dict.
 
     ``message`` goes through :func:`decision_message`, and ``verdict``
     loses the reply's envelope keys.  Normalising a record twice gives
     the same record, so records that already hold only the decision
     read back unchanged.
     """
-    record["message"] = decision_message(record["kind"], record["message"])
-    record["verdict"] = {
-        key: value for key, value in record["verdict"].items() if key not in _ENVELOPE
+    kind = record["kind"]
+    return {
+        "hwm": record["hwm"],
+        "kind": kind,
+        "message": decision_message(kind, record["message"]),
+        "verdict": {
+            key: value for key, value in record["verdict"].items() if key not in _ENVELOPE
+        },
     }
-    return record
 
 
 # ----------------------------------------------------------------------
@@ -271,8 +287,6 @@ class DecisionLog:
         self.hwm = 0
         #: highest hwm compacted away (retained records have hwm > base)
         self.base = 0
-        #: retained records, in hwm order (tail is served from memory)
-        self._records: list[dict[str, Any]] = []
         #: follower_id -> (last cursor, last report time) via ``log_tail``
         self._cursors: dict[str, tuple[int, float]] = {}
         self._active: Any = None  # open append handle for the last segment
@@ -284,46 +298,123 @@ class DecisionLog:
         self.commits = 0
         #: hwm of the last record handed to the OS (what :meth:`tail` serves)
         self.committed = 0
+        #: ``(hwm, segment, end)`` of the last frame a reader's consumer
+        #: took: where :meth:`_frames` goes on reading past record ``hwm``
+        self._mark: tuple[int, Path, int] | None = None
         self._recover()
 
-    # -- recovery -------------------------------------------------------
+    # -- reading --------------------------------------------------------
 
     def _segments(self) -> list[Path]:
         return sorted(self.dir.glob("seg-*.log"))
 
-    def _recover(self) -> None:
-        """Scan segments in order, truncating at the first torn record."""
+    def _frames(
+        self, after: int, stop: float = math.inf, budget: float = math.inf
+    ) -> Iterator[tuple[int, Path, int, bytes]]:
+        """The whole frames on disk for records ``after < hwm <= stop``.
+
+        Each comes as ``(hwm, segment, end, payload)``.  The walk ends at
+        record ``stop``; before a frame that would take
+        the payloads, each counted with one byte more for a separator,
+        past ``budget`` bytes (though it always yields one); and at the
+        first frame cut short (a torn tail).  It decodes nothing, numbers
+        the frames on from the segment's name, and knows nothing of
+        :attr:`committed`: callers stop where they must.
+
+        It goes on from the end of the last frame it read when that was
+        record ``after`` — a follower that keeps up asks for the records
+        past the last one it was sent — so such a walk reads only the
+        frames it yields.  Otherwise it starts at the segment whose name
+        says it holds record ``after + 1`` (the first one when ``after``
+        lies below it) and seeks past the frames before that record by
+        their length prefix.
+        """
         segments = self._segments()
-        if segments:
-            self.base = self.hwm = _segment_first_hwm(segments[0]) - 1
-        for path in segments:
-            raw = path.read_bytes()
+        if not segments:
+            return
+        if self._mark is not None and self._mark[0] == after:
+            hwm, path, offset = self._mark
+            start = segments.index(path)
+        else:
+            firsts = [_segment_first_hwm(path) for path in segments]
+            start = max(bisect_right(firsts, after + 1) - 1, 0)
+            hwm, offset = firsts[start] - 1, 0
+        sent = False
+        for path in segments[start:]:
+            with path.open("rb") as handle:
+                handle.seek(offset)
+                while header := handle.read(_HEADER):
+                    length = int.from_bytes(header, "big")
+                    hwm += 1
+                    offset += _HEADER + length
+                    if hwm <= after:
+                        handle.seek(length, 1)  # a committed frame: whole
+                        continue
+                    budget -= length + 1
+                    if budget < 0 and sent:
+                        return
+                    payload = handle.read(length)
+                    if len(header) < _HEADER or len(payload) < length:
+                        return  # torn tail
+                    self._mark = (hwm, path, offset)
+                    sent = True
+                    yield hwm, path, offset, payload
+                    if hwm >= stop:
+                        return
             offset = 0
-            while offset + _HEADER <= len(raw):
-                length = int.from_bytes(raw[offset : offset + _HEADER], "big")
-                end = offset + _HEADER + length
-                if end > len(raw):
-                    break  # short payload: torn tail
-                try:
-                    record = json.loads(raw[offset + _HEADER : end].decode("utf-8"))
-                    if record["hwm"] != self.hwm + 1:
-                        break  # numbering gap: treat like corruption
-                    normalise_record(record)
-                except (ValueError, KeyError, TypeError, AttributeError):
-                    break
-                self._records.append(record)
-                self.hwm = record["hwm"]
-                offset = end
-            if offset < len(raw):
-                # crash mid-append (or bit rot): drop the tail and stop —
-                # anything in later segments is unreachable without it
-                with path.open("r+b") as handle:
-                    handle.truncate(offset)
-                for later in self._segments():
-                    if _segment_first_hwm(later) > self.hwm:
-                        later.unlink()
+
+    def _recover(self) -> None:
+        """Find the last whole record in order, and cut everything after it.
+
+        A frame must open with its own ``{"hwm":n,`` in sequence; the
+        first that does not (garbage, or a numbering gap) is treated
+        like a torn tail.  Nothing is decoded: a record is read back
+        whole only where it is replayed, and a frame damaged behind an
+        intact head is found there.
+        """
+        segments = self._segments()
+        if not segments:
+            return
+        self.base = self.hwm = _segment_first_hwm(segments[0]) - 1
+        last, cut = segments[0], 0
+        for hwm, path, end, payload in self._frames(self.base):
+            if not payload.startswith(b'{"hwm":%d,' % hwm):
                 break
+            self.hwm, last, cut = hwm, path, end
+        self._mark = None  # the walk may have read a frame cut below
+        if last.stat().st_size > cut:
+            # crash mid-append (or bit rot): drop the tail and every later
+            # segment — they are unreachable without it
+            with last.open("r+b") as handle:
+                handle.truncate(cut)
+        for later in segments:
+            if _segment_first_hwm(later) > self.hwm:
+                later.unlink()
         self.committed = self.hwm
+
+    def payloads(
+        self, cursor: int, limit: int, max_bytes: float = math.inf
+    ) -> Iterator[bytes]:
+        """The committed records with ``cursor < hwm <= cursor + limit``, as on disk.
+
+        Each is one frame's payload bytes, undecoded.  The records stop
+        before their bytes, each counted with one more for a separator,
+        would pass ``max_bytes``, but one is always served when any is
+        due.  A record appended but not yet flushed is not served: its
+        commit may still fail, and bytes a failed flush left past
+        :attr:`committed` are never read as records.  A cursor below
+        :attr:`base` is a gap — the needed records were compacted away —
+        and the *caller* decides what that means (the server reports
+        ``base`` so the follower can detect it).
+        """
+        stop = min(cursor + max(0, limit), self.committed)
+        if max(cursor, self.base) < stop:
+            for _, _, _, payload in self._frames(cursor, stop, max_bytes):
+                yield payload
+
+    def tail(self, cursor: int, limit: int) -> list[dict[str, Any]]:
+        """:meth:`payloads` decoded: the records as written (may be empty)."""
+        return [json.loads(payload) for payload in self.payloads(cursor, limit)]
 
     # -- appending ------------------------------------------------------
 
@@ -337,11 +428,11 @@ class DecisionLog:
     ) -> int:
         """Record one decision; returns its hwm.  It reaches the file at :meth:`flush`.
 
-        ``message`` and ``verdict`` are the record as memory and
-        followers hold it.  ``line`` is the request line ``message`` was
-        read from, and ``reply`` the reply line that carries ``verdict``
-        in its envelope: a part given as bytes is written as those bytes,
-        a missing part is encoded from its dict.
+        ``message`` and ``verdict`` are the decision.  ``line`` is the
+        request line ``message`` was read from, and ``reply`` the reply
+        line that carries ``verdict`` in its envelope: a part given as
+        bytes is written as those bytes, a missing part is encoded from
+        its dict.
         """
         kind_json = _KIND_JSON.get(kind)
         if kind_json is None:
@@ -354,9 +445,6 @@ class DecisionLog:
             (encode(verdict) if reply is None else reply).strip(),
         )
         self._pending.append(len(payload).to_bytes(_HEADER, "big") + payload)
-        self._records.append(
-            {"hwm": hwm, "kind": kind, "message": message, "verdict": verdict}
-        )
         self.hwm = hwm
         return hwm
 
@@ -364,9 +452,11 @@ class DecisionLog:
         """Write every record appended since the last flush: one write, one flush.
 
         A batch that fills its segment is split at the rotation, one write
-        per segment.  An ``OSError`` propagates and undoes nothing: the
-        batch stays in memory past :attr:`committed`, and recovery at the
-        next open truncates whatever part of it reached the disk torn.
+        per segment.  An ``OSError`` propagates and undoes nothing: part
+        of the batch may be on disk past :attr:`committed`, where no read
+        serves it, and recovery at the next open truncates whatever part
+        of it reached the disk torn.  A log whose flush failed is closed,
+        not appended to.
         """
         if not self._pending:
             return
@@ -415,20 +505,7 @@ class DecisionLog:
                 self._active.close()
                 self._active = None
 
-    # -- tailing --------------------------------------------------------
-
-    def tail(self, cursor: int, limit: int) -> list[dict[str, Any]]:
-        """Committed records with ``cursor < hwm <= cursor + limit`` (may be empty).
-
-        A record appended but not yet flushed is not served: its commit
-        may still fail.  A cursor below :attr:`base` is a gap — the
-        needed records were compacted away — and the *caller* decides
-        what that means (the server reports ``base`` so the follower can
-        detect it).
-        """
-        start = max(cursor, self.base) - self.base  # index into _records
-        stop = min(start + max(0, limit), self.committed - self.base)
-        return self._records[start:stop]
+    # -- followers ------------------------------------------------------
 
     def register_cursor(self, follower_id: str, cursor: int) -> None:
         """Remember a follower's progress; compaction respects it."""
@@ -464,8 +541,7 @@ class DecisionLog:
             self.close()
             for path in self._segments():
                 path.unlink()
-            self._records.clear()
-            self._active_path = None
+            self._active_path = self._mark = None
             self.base = self.hwm = self.committed = snapshot_hwm
 
     def compact(self, snapshot_hwm: int) -> int:
@@ -478,6 +554,7 @@ class DecisionLog:
         are never dropped.
         """
         keep_from = min([snapshot_hwm, *self.live_cursors().values()])
+        self._mark = None  # it may name a segment about to go
         segments = self._segments()
         removed = 0
         for index, path in enumerate(segments):
@@ -489,7 +566,6 @@ class DecisionLog:
                 break
             path.unlink()
             removed += 1
-            del self._records[: last_hwm - self.base]
             self.base = last_hwm
         return removed
 

@@ -64,7 +64,12 @@ from .protocol import (
     error_response,
 )
 from .snapshot import read_snapshot, write_snapshot
-from .state import ReplicationGapError, ServiceState, accepted_checksum
+from .state import (
+    ReplicationDivergenceError,
+    ReplicationGapError,
+    ServiceState,
+    accepted_checksum,
+)
 
 __all__ = ["ServiceConfig", "ReservationService", "accepted_checksum", "serve_forever"]
 
@@ -156,7 +161,7 @@ class ReservationService:
             tuple[dict[str, Any], bytes | None, float, asyncio.Future]
         ] = asyncio.Queue()
         #: the fresh decision the op being applied took, for its log record:
-        #: ``(kind, record message, verdict)``, and whether the reply
+        #: ``(kind, request message, verdict)``, and whether the reply
         #: carries the verdict (no error replaced it)
         self._fresh: tuple[str, dict[str, Any], dict[str, Any]] | None = None
         self._fresh_in_reply = True
@@ -193,7 +198,15 @@ class ReservationService:
         log.align(snapshot_hwm)
         cursor = snapshot_hwm
         try:
-            for record in log.tail(snapshot_hwm, log.hwm - snapshot_hwm):
+            # one pass, a record at a time: memory does not grow with the log
+            for payload in log.payloads(snapshot_hwm, log.hwm - snapshot_hwm):
+                try:
+                    record = json.loads(payload)
+                except (ValueError, RecursionError) as exc:
+                    # a frame damaged behind its intact ``{"hwm":n,`` head
+                    raise ReplicationDivergenceError(
+                        f"record {cursor + 1} is not a JSON record: {exc}"
+                    ) from None
                 cursor = self.state.replay(record, cursor)
         except ReproError as exc:
             raise type(exc)(
@@ -462,7 +475,10 @@ class ReservationService:
 
         A fresh decision is appended to the decision log from bytes in
         hand: the request line and, when it carries the verdict, this
-        reply.  It reaches the file when the batch commits.
+        reply.  A record whose reply is an error, or whose line holds
+        ``NaN`` or ``Infinity``, is encoded from the decision instead, so
+        no ``log_tail`` line carries either token.  It reaches the file
+        when the batch commits.
         """
         self._fresh = None
         self._fresh_in_reply = True
@@ -478,9 +494,16 @@ class ReservationService:
         if self._fresh is None:
             return reply, False
         assert self._log is not None
-        kind, record, verdict = self._fresh
+        kind, message, verdict = self._fresh
+        if (
+            line is None
+            or not self._fresh_in_reply
+            or b"NaN" in line
+            or b"Infinity" in line
+        ):
+            line, message = None, decision_message(kind, message)
         self._log.append(
-            kind, record, verdict, line, reply if self._fresh_in_reply else None
+            kind, message, verdict, line, reply if self._fresh_in_reply else None
         )
         return reply, True
 
@@ -549,7 +572,8 @@ class ReservationService:
     def _actor_apply(self, message: dict[str, Any]) -> dict[str, Any] | bytes:
         """The handler's response to ``message``, ``seq`` echoed.
 
-        A probe's handler returns its finished line, ``seq`` included.
+        The ``probe`` and ``log_tail`` handlers return their finished
+        line, ``seq`` included.
         """
         try:
             response = self._apply[message["op"]](message)
@@ -580,7 +604,7 @@ class ReservationService:
             self.metrics.replayed += 1
             return {**verdict, "replayed": True}
         if self._log is not None:
-            self._fresh = (kind, decision_message(kind, message), verdict)
+            self._fresh = (kind, message, verdict)
         return verdict
 
     def _actor_apply_reserve(self, message: dict[str, Any]) -> dict[str, Any]:
@@ -623,16 +647,14 @@ class ReservationService:
                 part = WIRE_ENCODER.encode([p.server, p.st, None if p.et == INF else p.et])
             parts[p.uid] = part
         self._probe_parts = parts
-        tail = "]}\n"
-        if "seq" in message:
-            try:
-                tail = f'],"seq":{WIRE_ENCODER.encode(message["seq"])}}}\n'
-            except (ValueError, RecursionError) as exc:
-                return _error_line({"op": "probe"}, exc)
+        try:
+            tail = _list_tail(message)
+        except (ValueError, RecursionError) as exc:
+            return _error_line({"op": "probe"}, exc)
         return (
             f'{{"count":{len(periods)},"ok":true,"op":"probe","periods":['
-            f'{",".join(parts.values())}{tail}'
-        ).encode("utf-8")
+            f'{",".join(parts.values())}'
+        ).encode("utf-8") + tail
 
     def _actor_apply_cancel(self, message: dict[str, Any]) -> dict[str, Any]:
         return {
@@ -662,23 +684,44 @@ class ReservationService:
     def _actor_apply_pool_status(self, message: dict[str, Any]) -> dict[str, Any]:
         return {"ok": True, "op": "pool_status", **self.scheduler.pool_status()}
 
-    def _actor_apply_log_tail(self, message: dict[str, Any]) -> dict[str, Any]:
+    def _actor_apply_log_tail(self, message: dict[str, Any]) -> bytes:
+        """The ``log_tail`` reply line, its records the committed payloads as on disk.
+
+        The line is ``{"base":b,"hwm":h,"ok":true,"op":"log_tail",
+        "records":[...]}`` with ``seq`` echoed, and ``records`` holds the
+        frames' payload bytes joined by commas: no record is decoded or
+        encoded.  It lists at most ``limit`` records (512 when omitted,
+        and never more), and stops before the line would pass
+        ``MAX_LINE_BYTES``, though it always lists one record if any is
+        past the cursor.
+        """
         if self._log is None:
             raise MalformedRequestError(
                 "decision log disabled: start the server with --log-dir"
             )
-        cursor = int(message["cursor"])
-        limit = min(int(message.get("limit") or LOG_TAIL_LIMIT), LOG_TAIL_LIMIT)
+        cursor = message["cursor"]
+        limit = message.get("limit")
+        if limit is None:
+            limit = LOG_TAIL_LIMIT
+        if cursor < 0 or limit < 0:
+            raise MalformedRequestError(
+                f"log_tail cursor {cursor} and limit {limit} must not be negative"
+            )
+        try:
+            tail = _list_tail(message)
+        except (ValueError, RecursionError) as exc:
+            return _error_line({"op": "log_tail"}, exc)
         follower_id = message.get("follower_id")
         if follower_id:
             self._log.register_cursor(str(follower_id), cursor)
-        return {
-            "ok": True,
-            "op": "log_tail",
-            "hwm": self._log.committed,
-            "base": self._log.base,
-            "records": self._log.tail(cursor, limit),
-        }
+        head = b'{"base":%d,"hwm":%d,"ok":true,"op":"log_tail","records":[' % (
+            self._log.base,
+            self._log.committed,
+        )
+        records = self._log.payloads(
+            cursor, min(limit, LOG_TAIL_LIMIT), MAX_LINE_BYTES - len(head) - len(tail)
+        )
+        return head + b",".join(records) + tail
 
     def _actor_apply_status(self, message: dict[str, Any]) -> dict[str, Any]:
         response = {
@@ -746,6 +789,17 @@ class ReservationService:
         # everything below the snapshot (and every follower cursor) is
         # now durable elsewhere: drop the covered whole segments
         return meta, self._log.compact(hwm)
+
+
+def _list_tail(message: dict[str, Any]) -> bytes:
+    """What closes an assembled reply after its list: ``]}``, or ``seq`` echoed.
+
+    Raises ``ValueError`` or ``RecursionError`` when ``seq`` cannot be
+    encoded.
+    """
+    if "seq" not in message:
+        return b"]}\n"
+    return f'],"seq":{WIRE_ENCODER.encode(message["seq"])}}}\n'.encode("utf-8")
 
 
 def _error_line(response: dict[str, Any], exc: ValueError | RecursionError) -> bytes:

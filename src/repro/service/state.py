@@ -118,19 +118,29 @@ class ServiceState:
         here.  The primary logs fresh decisions only, so a record must
         follow ``cursor``, must not name a rid/aid decided here before,
         and must reproduce its logged verdict; otherwise this raises.
+        ``record`` is as the log holds it, request line and reply
+        envelope included: this is the one place that normalises it
+        (:func:`~repro.service.declog.normalise_record`).
         """
-        hwm = int(record["hwm"])
+        try:
+            hwm, kind = int(record["hwm"]), record["kind"]
+            if kind in DECISION_KINDS:
+                record = declog.normalise_record(record)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ReplicationDivergenceError(
+                f"the record after cursor {cursor} is not a log record ({exc!r})"
+            ) from None
         if hwm != cursor + 1:
             raise ReplicationGapError(f"record hwm {hwm} does not follow cursor {cursor}")
-        kind, message = record["kind"], record["message"]
         if kind not in DECISION_KINDS:
             raise ReplicationDivergenceError(f"unknown record kind {kind!r}")
+        message, logged = record["message"], record["verdict"]
         verdict, replayed = self.apply(kind, message)
-        if replayed or verdict != record["verdict"]:
+        if replayed or verdict != logged:
             raise ReplicationDivergenceError(
                 f"record {hwm} ({kind} rid={message.get('rid')} aid={message.get('aid')}) "
                 f"{'was already decided' if replayed else 'is decided'} here as "
-                f"{verdict!r}, logged as {record['verdict']!r}: the log and this "
+                f"{verdict!r}, logged as {logged!r}: the log and this "
                 f"state disagree on history"
             )
         return hwm

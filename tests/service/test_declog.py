@@ -1,10 +1,13 @@
 """Decision log: framing, rotation, recovery, compaction, the
 multi-segment == single-segment replay regression, group commit,
-records assembled from wire bytes, and restart as replay of the log."""
+records assembled from wire bytes, ``log_tail`` serving them as on disk,
+memory that does not grow with the log, and restart as replay of the log."""
 
 import asyncio
+import gc
 import json
 import shutil
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -16,8 +19,8 @@ from repro.gateway.follower import Follower, FollowerConfig
 from repro.service import server
 from repro.service.batching import drain_batch
 from repro.service.declog import DecisionLog
-from repro.service.protocol import encode
-from repro.service.server import ReservationService, ServiceConfig
+from repro.service.protocol import MAX_LINE_BYTES, encode
+from repro.service.server import LOG_TAIL_LIMIT, ReservationService, ServiceConfig
 from repro.service.snapshot import read_snapshot, snapshot_bytes
 from repro.service.state import ReplicationDivergenceError, ReplicationGapError
 
@@ -272,13 +275,22 @@ class TestServerLogIntegration:
 
 
 class SpyHandle:
-    """A segment handle that records its calls and can fail on demand."""
+    """A segment handle that records its calls and can fail on demand.
+
+    ``fail[name]`` true makes that call raise before it does anything;
+    ``fail["write"] == "half"`` makes a write put the first half of its
+    bytes on disk, then raise.
+    """
 
     def __init__(self, handle, events, fail):
         self.handle, self.events, self.fail = handle, events, fail
 
     def _call(self, name, *args):
         self.events.append(name)
+        if self.fail.get(name) == "half":
+            (data,) = args
+            self.handle.write(data[: len(data) // 2])
+            self.handle.flush()
         if self.fail.get(name):
             raise OSError(28, "No space left on device")
         return getattr(self.handle, name)(*args)
@@ -309,17 +321,52 @@ def spy_on_segments(monkeypatch, events, fail=None):
     return fail
 
 
-def records_on_disk(log_dir):
-    """Every record the segment files hold right now, parsed as written."""
-    records = []
+def payloads_on_disk(log_dir):
+    """Every frame's payload the segment files hold right now, as bytes."""
+    payloads = []
     for path in sorted(log_dir.glob("seg-*.log")):
         raw = path.read_bytes()
         offset = 0
         while offset + 4 <= len(raw):
             length = int.from_bytes(raw[offset : offset + 4], "big")
-            records.append(json.loads(raw[offset + 4 : offset + 4 + length]))
+            payloads.append(raw[offset + 4 : offset + 4 + length])
             offset += 4 + length
-    return records
+    return payloads
+
+
+def records_on_disk(log_dir):
+    """Every record the segment files hold right now, parsed as written."""
+    return [json.loads(payload) for payload in payloads_on_disk(log_dir)]
+
+
+def strict_json(line):
+    """``line`` parsed as strict JSON: ``NaN`` and ``Infinity`` refused."""
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+class CountingReader:
+    """A segment opened for reading that counts the bytes read from it."""
+
+    def __init__(self, handle, counts):
+        self.handle, self.counts = handle, counts
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def read(self, size=-1):
+        data = self.handle.read(size)
+        self.counts.append(len(data))
+        return data
+
+    def seek(self, *args):
+        return self.handle.seek(*args)
 
 
 class RecordingWriter:
@@ -512,22 +559,58 @@ class TestGroupCommit:
 
     def test_log_tail_serves_no_record_of_a_failed_commit(self, tmp_path, monkeypatch):
         """A ``log_tail`` in the same batch as a fresh write answers
-        before the commit: it must not carry the uncommitted record."""
-        spy_on_segments(monkeypatch, [], {"flush": True})
+        before the commit: it must not carry the uncommitted record, and
+        once the commit has failed the log serves nothing of it either,
+        though its bytes (all of them, or half) reached the disk."""
+        fail = spy_on_segments(monkeypatch, [])
 
-        async def scenario():
-            service = ReservationService(ServiceConfig(**SMALL, log_dir=str(tmp_path)))
+        async def scenario(log_dir):
+            service = ReservationService(ServiceConfig(**SMALL, log_dir=str(log_dir)))
             writer = ReplyWriter()
             await drive_actor(
                 service,
                 [reserve_msg(1, 0.0, 10.0, 1), {"op": "log_tail", "cursor": 0}],
                 writer,
             )
-            return writer.replies
+            return service, writer.replies
 
-        reserve, tail = asyncio.run(scenario())
-        assert reserve["error"]["code"] == "INTERNAL"
-        assert tail["ok"] and tail["records"] == [] and tail["hwm"] == 0
+        for failing, how in (("flush", True), ("write", "half")):
+            fail.clear()
+            fail[failing] = how
+            service, (reserve, tail) = asyncio.run(scenario(tmp_path / failing))
+            assert reserve["error"]["code"] == "INTERNAL"
+            assert tail["ok"] and tail["records"] == [] and tail["hwm"] == 0
+            assert (tmp_path / failing / "seg-000000000001.log").stat().st_size > 0
+            assert service._log.tail(0, 10) == [] and service._log.committed == 0
+
+    def test_torn_bytes_past_committed_are_never_served(self, tmp_path, monkeypatch):
+        """A flush that puts half of its batch on disk and then raises
+        leaves bytes past ``committed``, whole frames among them: the
+        frame reader walks them, but no read serves them.  The next open
+        keeps the whole frames and cuts the torn one."""
+        fail = spy_on_segments(monkeypatch, [])
+        log = DecisionLog(tmp_path)
+        _fill(log, 5)
+        committed = log.tail(0, 100)
+        segment = tmp_path / "seg-000000000001.log"
+        size = segment.stat().st_size
+        for rid in range(6, 14):
+            log.append("cancel", {"rid": rid}, {"ok": False})
+        fail["write"] = "half"
+        with pytest.raises(OSError):
+            log.flush()
+        fail.clear()
+        assert segment.stat().st_size > size
+        assert log.committed == 5 and log.hwm == 13
+        whole = [hwm for hwm, *_ in log._frames(0)]
+        assert whole[:5] == [1, 2, 3, 4, 5] and whole[-1] > 5  # whole frames past committed
+        assert log.tail(0, 100) == committed
+        assert log.tail(5, 100) == [] and list(log.payloads(5, 100)) == []
+        log.close()
+        reopened = DecisionLog(tmp_path)
+        assert reopened.hwm == whole[-1] < 13
+        assert reopened.tail(0, 5) == committed
+        assert segment.stat().st_size == sum(4 + len(p) for p in payloads_on_disk(tmp_path))
 
     def test_status_names_committed_beside_hwm(self, tmp_path):
         """A ``status`` in the batch of a fresh write answers before the
@@ -560,7 +643,245 @@ class TestGroupCommit:
 
 
 # ----------------------------------------------------------------------
-# recovery reads back what memory holds
+# log_tail serves the committed payloads as they are on disk
+# ----------------------------------------------------------------------
+
+
+def actor_line(service, message):
+    """The reply line the actor writes for ``message``, without a socket."""
+    reply, _ = service._actor_reply(message, None)
+    return reply
+
+
+class TestLogTail:
+    def test_records_are_the_committed_payloads_byte_for_byte(self, tmp_path, monkeypatch):
+        """The reply is assembled from the frames' payload bytes: the
+        primary decodes no record, and encodes only the echoed ``seq``."""
+        queued = {"op": "add_servers", "count": 1, "aid": "a"}  # no request line
+
+        async def scenario():
+            service = ReservationService(ServiceConfig(**SMALL, log_dir=str(tmp_path)))
+            loop = asyncio.get_running_loop()
+            for message in fresh_writes(12):
+                service._ingest(encode(message), loop.create_future())
+            await service._queue.put((queued, None, perf_counter(), loop.create_future()))
+            service._actor_batch(await drain_batch(service._queue, 64))
+            return service
+
+        service = asyncio.run(scenario())
+        calls = {"decode": 0, "encode": 0}
+        decode, encoder = json.JSONDecoder.decode, json.JSONEncoder.encode
+
+        def counting_decode(self, text, *args):
+            calls["decode"] += 1
+            return decode(self, text, *args)
+
+        def counting_encode(self, value):
+            calls["encode"] += 1
+            return encoder(self, value)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(json.JSONDecoder, "decode", counting_decode)
+            patch.setattr(json.JSONEncoder, "encode", counting_encode)
+            line = actor_line(service, {"op": "log_tail", "cursor": 3, "seq": [1, "s"]})
+        assert calls == {"decode": 0, "encode": 1}
+        payloads = payloads_on_disk(tmp_path)
+        assert len(payloads) == 13
+        assert line == (
+            b'{"base":0,"hwm":13,"ok":true,"op":"log_tail","records":['
+            + b",".join(payloads[3:])
+            + b'],"seq":[1,"s"]}\n'
+        )
+        assert json.loads(line)["records"] == records_on_disk(tmp_path)[3:]
+        assert actor_line(service, {"op": "log_tail", "cursor": 13}) == (
+            b'{"base":0,"hwm":13,"ok":true,"op":"log_tail","records":[]}\n'
+        )
+
+    def test_limit_and_cursor(self, tmp_path):
+        """``limit`` omitted is 512, 0 lists nothing, above 512 is cut to
+        512; a negative ``limit`` or ``cursor`` is ``MALFORMED``, and a
+        refused cursor does not pin compaction."""
+        service = ReservationService(ServiceConfig(**SMALL, log_dir=str(tmp_path)))
+        _fill(service._log, LOG_TAIL_LIMIT + 88)
+
+        def tail(**fields):
+            return json.loads(actor_line(service, {"op": "log_tail", **fields}))
+
+        def hwms(reply):
+            return [record["hwm"] for record in reply["records"]]
+
+        assert hwms(tail(cursor=0)) == list(range(1, LOG_TAIL_LIMIT + 1))
+        assert tail(cursor=0, limit=0) == {
+            "ok": True, "op": "log_tail", "hwm": 600, "base": 0, "records": []
+        }
+        assert hwms(tail(cursor=10, limit=LOG_TAIL_LIMIT + 80)) == list(range(11, 523))
+        assert hwms(tail(cursor=590, limit=5)) == [591, 592, 593, 594, 595]
+        assert hwms(tail(cursor=598)) == [599, 600]
+        for fields in (
+            {"cursor": 0, "limit": -1},
+            {"cursor": -1},
+            {"cursor": -1, "limit": 5, "follower_id": "f"},
+        ):
+            reply = tail(**fields)
+            assert not reply["ok"] and reply["error"]["code"] == "MALFORMED", fields
+        assert service._log.live_cursors() == {}
+
+    def test_a_reply_stays_under_the_line_cap(self, tmp_path):
+        """A reserve that takes all 2048 servers logs a reply of ≈9 KB, so
+        a few hundred such records pass the 1 MiB line cap: a follower
+        read that reply as a broken line, asked for the same cursor again
+        forever, and reported ``primary_up: false``.  A reply stops before
+        the cap, and the follower catches up."""
+        ops = []
+        for rid in range(1, 121):
+            ops += [reserve_msg(rid, 0.0, 10.0, 2048), {"op": "cancel", "rid": rid}]
+
+        async def scenario():
+            primary = await start_service(
+                n_servers=2048, tau=10.0, q_slots=4, log_dir=str(tmp_path)
+            )
+            status = await rpc(primary.port, {"op": "status"})
+            replies = await rpc_all(primary.port, *ops)
+            follower = Follower(FollowerConfig(primary_port=primary.port, poll_interval=0.01))
+            follower.bootstrap_fresh(status)
+            await follower.start()
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 30.0
+            while follower.cursor < len(ops) and loop.time() < deadline:
+                await asyncio.sleep(0.01)
+            seen = (follower.cursor, follower.primary_up, follower.failed)
+            checksums = (follower.state.accepted_checksum(), primary.state.accepted_checksum())
+            await follower.stop()
+            lines, cursor = [], 0
+            while cursor < len(ops):
+                lines.append(actor_line(primary, {"op": "log_tail", "cursor": cursor}))
+                cursor += len(json.loads(lines[-1])["records"])
+            await primary.stop()
+            return replies, seen, checksums, lines
+
+        replies, seen, checksums, lines = asyncio.run(scenario())
+        assert all(reply["ok"] for reply in replies)
+        assert seen == (len(ops), True, None)
+        assert checksums[0] == checksums[1]
+        assert len(lines) > 1 and all(len(line) <= MAX_LINE_BYTES for line in lines)
+        assert len(lines[0]) > MAX_LINE_BYTES - 10_000  # filled to the cap, not short
+
+    def test_a_follower_that_keeps_up_reads_only_its_own_records(
+        self, tmp_path, monkeypatch
+    ):
+        """A poll past the last record served goes on from where that
+        record ends: over 40 rounds of 25 new records, across segment
+        rotations, the reader reads each frame once and nothing else
+        (reading each segment from its start cost the whole segment per
+        poll)."""
+        log = DecisionLog(tmp_path, segment_bytes=4096)
+        opened = Path.open
+        counts, served = [], []
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            handle = opened(path, mode, *args, **kwargs)
+            return CountingReader(handle, counts) if mode == "rb" else handle
+
+        for round_ in range(40):
+            for rid in range(25 * round_ + 1, 25 * round_ + 26):
+                log.append("cancel", {"rid": rid}, {"ok": False})
+            log.flush()
+            with monkeypatch.context() as patch:
+                patch.setattr(Path, "open", counting_open)
+                served += log.payloads(len(served), LOG_TAIL_LIMIT)
+        log.close()
+        assert len(list(tmp_path.glob("seg-*.log"))) > 10
+        assert served == payloads_on_disk(tmp_path)
+        assert sum(counts) == sum(4 + len(payload) for payload in served)
+
+    def test_no_reply_carries_nan_or_infinity(self, tmp_path):
+        """A request line with ``NaN`` or ``Infinity`` in it — a ``seq``
+        the reply cannot echo, or a key no decision reads — is logged
+        from its decision, so the ``log_tail`` line is strict JSON and
+        replays to the server's state."""
+        lines = [
+            b'{"op":"reserve","rid":1,"sr":0,"lr":10,"nr":1,"seq":NaN}\n',
+            b'{"op":"reserve","rid":2,"sr":0,"lr":10,"nr":1,"note":-Infinity}\n',
+            b'{"op":"cancel","rid":2,"note":[Infinity],"seq":7}\n',
+        ]
+
+        async def scenario():
+            service = ReservationService(ServiceConfig(**SMALL, log_dir=str(tmp_path)))
+            loop = asyncio.get_running_loop()
+            futures = [loop.create_future() for _ in lines]
+            for line, future in zip(lines, futures):
+                service._ingest(line, future)
+            service._actor_batch(await drain_batch(service._queue, 64))
+            return service, [json.loads(future.result()) for future in futures]
+
+        service, replies = asyncio.run(scenario())
+        assert replies[0]["error"]["code"] == "INTERNAL"
+        assert replies[1]["ok"] and replies[2]["ok"] and replies[2]["seq"] == 7
+        reply = strict_json(actor_line(service, {"op": "log_tail", "cursor": 0}))
+        service._log.close()
+        assert [record["hwm"] for record in reply["records"]] == [1, 2, 3]
+        follower = replayed_from(reply["records"])
+        assert snapshot_bytes(follower.state.export(3)) == snapshot_bytes(
+            service.state.export(3)
+        )
+
+    def test_one_record_over_the_cap_is_still_sent(self, tmp_path, monkeypatch):
+        """A reply always lists one record past the cursor, so a cursor
+        never stalls on a record the cap cannot hold."""
+        monkeypatch.setattr(server, "MAX_LINE_BYTES", 100)
+        service = ReservationService(ServiceConfig(**SMALL, log_dir=str(tmp_path)))
+        _fill(service._log, 3)
+        for cursor in range(3):
+            reply = json.loads(actor_line(service, {"op": "log_tail", "cursor": cursor}))
+            assert [record["hwm"] for record in reply["records"]] == [cursor + 1]
+
+
+# ----------------------------------------------------------------------
+# the log keeps no record in memory
+# ----------------------------------------------------------------------
+
+
+def retained_by_log(log_dir, n):
+    """Bytes the service's ``DecisionLog`` holds after ``n`` fresh writes.
+
+    The writes run through ``_actor_batch`` 64 at a time with tracemalloc
+    on; what the log retains is what dropping it gives back.
+    """
+
+    async def scenario():
+        service = ReservationService(ServiceConfig(**SMALL, log_dir=str(log_dir)))
+        loop = asyncio.get_running_loop()
+        messages = fresh_writes(n)
+        for start in range(0, n, 64):
+            for message in messages[start : start + 64]:
+                service._ingest(encode(message), loop.create_future())
+            service._actor_batch(await drain_batch(service._queue, 64))
+        assert service._log.committed == n
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        service._log = None
+        gc.collect()
+        return held - tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        return asyncio.run(scenario())
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_the_log_retains_nothing_per_record(self, tmp_path):
+        """The segment files are the only copy of the history: the memory
+        the log holds does not grow with the records it has logged (a
+        record list held ≈0.5 KB per record, ≈1.5 MB more at 4 000)."""
+        small = retained_by_log(tmp_path / "small", 1000)
+        large = retained_by_log(tmp_path / "large", 4000)
+        assert large - small < 16 * 1024, (small, large)
+
+
+# ----------------------------------------------------------------------
+# recovery replays to the server's own state
 # ----------------------------------------------------------------------
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -576,7 +897,7 @@ def wire_ops():
         st.sampled_from([1, 2, 3]),  # 3 > N -> rejected
         st.sampled_from([{}, {"seq": 4}, {"seq": "s"}]),
     )
-    nan_seq = rid.map(lambda r: ("nan", r))
+    nan_seq = st.tuples(st.sampled_from(["nan", "nan-note"]), rid)
     cancel = st.builds(lambda r: {"op": "cancel", "rid": r}, st.integers(1, 9))
     aid = st.sampled_from([{}, {"aid": "a1"}, {"aid": "a2"}])
     server = st.integers(0, 4)  # 4 is out of range until two servers were added
@@ -600,18 +921,33 @@ async def send_stream(service, ops):
             future = loop.create_future()
             await service._queue.put((op[1], None, perf_counter(), future))
             replies.append(json.loads(await future))
-        elif isinstance(op, tuple):  # a seq the reply cannot echo
-            line = b'{"op":"reserve","rid":%d,"sr":0,"lr":10,"nr":1,"seq":NaN}\n' % op[1]
+        elif isinstance(op, tuple):  # a seq the reply cannot echo, or a key none reads
+            extra = b'"seq":NaN' if op[0] == "nan" else b'"note":Infinity'
+            line = b'{"op":"reserve","rid":%d,"sr":0,"lr":10,"nr":1,%b}\n' % (op[1], extra)
             replies.append(await rpc(service.port, line))
         else:
             replies.append(await rpc(service.port, op))
     return replies
 
 
+def replayed_from(records):
+    """A fresh follower on the boot pool that applied ``records``.
+
+    (From the boot pool: ``status`` reports the grown one, ROADMAP item 1(a).)
+    """
+    follower = Follower(FollowerConfig())
+    follower.bootstrap_fresh({**SMALL, "delta_t": SMALL["tau"], "r_max": SMALL["q_slots"] // 2})
+    for record in records:
+        follower.apply_record(record)
+    return follower
+
+
 class TestRecovery:
     @settings(max_examples=60, deadline=None)
     @given(ops=wire_ops())
-    def test_recovery_reads_back_what_memory_holds(self, tmp_path_factory, ops):
+    def test_recovery_replays_to_the_servers_own_state(self, tmp_path_factory, ops):
+        """The records on disk, replayed by a follower and by a reboot,
+        give the server's own state: tables and checksum, byte for byte."""
         log_dir = tmp_path_factory.mktemp("log")
 
         async def scenario():
@@ -622,34 +958,49 @@ class TestRecovery:
             return service, replies, status
 
         service, replies, status = asyncio.run(scenario())
-        memory = service._log.tail(0, service._log.hwm)
+        exported = snapshot_bytes(service.state.export(service._log.hwm))
+        as_written = records_on_disk(log_dir)
         recovered = DecisionLog(log_dir)
-        assert recovered.hwm == service._log.hwm == len(memory)
-        assert recovered.tail(0, recovered.hwm) == memory
+        assert recovered.hwm == service._log.hwm == len(as_written)
+        assert recovered.tail(0, recovered.hwm) == as_written
         for reply, op in zip(replies, ops):
             if isinstance(op, tuple) and op[0] == "nan":
                 assert reply["error"]["code"] == "INTERNAL"
         # the follower replays every record, the unanswerable ones included
-        # (from the boot pool: status reports the grown one, ROADMAP item 1(a))
-        follower = Follower(FollowerConfig())
-        follower.bootstrap_fresh({**status, "n_servers": SMALL["n_servers"]})
-        for record in recovered.tail(0, recovered.hwm):
-            follower.apply_record(record)
+        follower = replayed_from(recovered.tail(0, recovered.hwm))
         assert follower.state.accepted_checksum() == status["accepted_checksum"]
+        assert snapshot_bytes(follower.state.export(follower.cursor)) == exported
+        rebooted = ReservationService(ServiceConfig(**SMALL, log_dir=str(log_dir)))
+        assert rebooted.recovered == len(as_written)
+        assert snapshot_bytes(rebooted.state.export(rebooted._log.hwm)) == exported
+        # what log_tail sends is strict JSON, whatever the request lines held
+        served = strict_json(actor_line(rebooted, {"op": "log_tail", "cursor": 0}))
+        assert served["records"] == as_written[:LOG_TAIL_LIMIT]
 
     def test_torn_tail_of_a_server_written_segment_is_truncated(self, tmp_path):
+        """The torn record goes; the five before it read back as written,
+        and a reboot replays them to the state a follower reaches on them."""
+
         async def scenario():
             service = await start_service(**SMALL, log_dir=str(tmp_path))
             await rpc_all(service.port, *fresh_writes(6))
             await service.stop()
-            return service._log.tail(0, 6)
+            return snapshot_bytes(service.state.export(6))
 
-        memory = asyncio.run(scenario())
+        exported = asyncio.run(scenario())
+        as_written = records_on_disk(tmp_path)
+        assert snapshot_bytes(replayed_from(as_written).state.export(6)) == exported
         seg = sorted(tmp_path.glob("seg-*.log"))[-1]
         seg.write_bytes(seg.read_bytes()[:-5])
         reopened = DecisionLog(tmp_path)
         assert reopened.hwm == 5
-        assert reopened.tail(0, 10) == memory[:5]
+        assert reopened.tail(0, 10) == as_written[:5]
+        reopened.close()
+        rebooted = ReservationService(ServiceConfig(**SMALL, log_dir=str(tmp_path)))
+        assert rebooted.recovered == 5
+        assert snapshot_bytes(rebooted.state.export(5)) == snapshot_bytes(
+            replayed_from(as_written[:5]).state.export(5)
+        )
 
     def test_a_segment_of_dict_records_reads_back_unchanged(self, tmp_path):
         """Records that hold the decision alone — the dict path's form,

@@ -1,5 +1,6 @@
 """The probe reply is assembled from encoded parts: it must stay ``encode`` of its dict."""
 
+import json
 import math
 
 from hypothesis import given, settings
@@ -94,10 +95,15 @@ def test_a_second_identical_probe_formats_no_part(monkeypatch):
         service._actor_reply(message, None)
     probe = probe_msg(40.0, 45.0)
     calls = []
-    encode = server.WIRE_ENCODER.encode
-    monkeypatch.setattr(
-        server.WIRE_ENCODER, "encode", lambda value: calls.append(value) or encode(value)
-    )
+    encode = json.JSONEncoder.encode
+
+    def counting(self, value):
+        calls.append(value)
+        return encode(self, value)
+
+    # on the class: patching the shared instance would leave a bound
+    # method on it after the undo, hiding it from later class-level spies
+    monkeypatch.setattr(json.JSONEncoder, "encode", counting)
     first, _ = service._actor_reply(probe, None)
     formatted = len(calls)
     second, _ = service._actor_reply(probe, None)

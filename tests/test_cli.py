@@ -278,6 +278,29 @@ class TestBootRefusals:
         assert "from the snapshot's hwm 0 to hwm 1: record 1 (cancel rid=1 aid=None)" in line
         assert "listening on" not in out
 
+    @pytest.mark.parametrize(
+        "damage, refusal",
+        [
+            ((b'"message":', b'"message";'), "record 1 is not a JSON record"),
+            ((b'"kind":', b'"kine":'), "the record after cursor 0 is not a log record"),
+        ],
+    )
+    def test_a_record_damaged_behind_its_head_refuses_the_boot(
+        self, tmp_path, capsys, damage, refusal
+    ):
+        from repro.service.declog import DecisionLog
+
+        log = DecisionLog(tmp_path)
+        log.append("cancel", {"rid": 1}, {"ok": False})
+        log.close()
+        (segment,) = tmp_path.glob("seg-*.log")
+        raw = segment.read_bytes()
+        assert raw.count(damage[0]) == 1
+        segment.write_bytes(raw.replace(*damage))  # one byte; the frame head intact
+        line, out = self._serve(tmp_path, capsys)
+        assert f"from the snapshot's hwm 0 to hwm 1: {refusal}" in line
+        assert "listening on" not in out
+
     def test_a_failed_commit_stops_the_server(self, tmp_path, capsys, monkeypatch):
         import asyncio
 
