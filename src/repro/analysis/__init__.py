@@ -13,15 +13,14 @@ Two engines guard the correctness of the co-allocation hot path:
 
 * :mod:`repro.analysis.audit` — deep structural audits (checks ``RA101``
   … ``RA116``) over :class:`~repro.core.slot_tree.TwoDimTree` and
-  :class:`~repro.core.calendar.AvailabilityCalendar`: size fields, leaf
+  :class:`~repro.core.calendar.AvailabilityCalendar`: cached summaries, leaf
   ordering, secondary-index synchrony, uid-map bijection, write-buffer
-  agreement, slot coverage, the arithmetic horizon, tail-index ordering,
-  and idle-time conservation across ``allocate``/``release``.
+  agreement, slot coverage, the arithmetic horizon and tail-index
+  ordering.
 
-Both are surfaced by the ``repro check`` CLI subcommand and documented
-in ``docs/analysis.md``.  The audit engine also backs the
-``validate()`` methods of the core data structures and
-``replay(audit_stride=…)``.
+The lint pass is the ``repro check`` CLI subcommand; the audit engine
+backs the ``validate()`` methods of the core data structures, which the
+tests call.  Both are documented in ``docs/analysis.md``.
 
 The wire protocol has no static pass.  Its registry
 (:data:`repro.service.protocol.REGISTRY`) is enforced at runtime by
@@ -32,7 +31,6 @@ build their handler tables from it (DESIGN.md §22).
 from .audit import (
     AuditError,
     AuditFinding,
-    MutationAuditor,
     audit_calendar,
     audit_tree,
 )
@@ -45,7 +43,6 @@ __all__ = [
     "AuditFinding",
     "KNOWN_RULE_IDS",
     "LintReport",
-    "MutationAuditor",
     "Rule",
     "Violation",
     "audit_calendar",

@@ -3,14 +3,14 @@
 This module is the machine-checked statement of what "correct" means for
 the calendar machinery — the enhanced red-black-tree literature's lesson
 is that reservation data structures live or die by exactly these checks.
-Every invariant carries a stable ID so tests (and humans reading a CI
-report) can tell a corrupted size field from a desynchronized secondary
+Every invariant carries a stable ID so tests (and humans reading a test
+failure) can tell a stale cached summary from a desynchronized secondary
 index:
 
 Per-tree (``audit_tree``):
 
-* ``RA101`` — the tree's cached leaf count and latest ending time
-  agree with its leaves;
+* ``RA101`` — the tree's cached latest ending time agrees with its
+  leaves;
 * ``RA103`` — leaves appear in strictly ascending ``(st, uid)`` order
   and each leaf equals its period's ``(st, uid, et)``;
 * ``RA104`` — every materialised secondary index is sorted ascending;
@@ -33,7 +33,7 @@ Slot trees are write-buffered, and an audit must not change what it
 audits: nothing here flushes.  The structural checks read the *stored*
 tree; the cross-calendar checks compare each tree's *effective* content
 (stored − buffered removals + buffered inserts) with the calendar's
-authoritative lists — so a run audited after every mutation walks
+authoritative lists — so a test that audits after every operation walks
 exactly the buffer states an unaudited run does.
 
 Cross-calendar (``audit_calendar``, which also audits every slot tree):
@@ -50,12 +50,13 @@ Cross-calendar (``audit_calendar``, which also audits every slot tree):
 * ``RA115`` — the tail index is sorted, its parallel arrays agree, and
   it holds exactly the live unbounded periods.
 
-Conservation (``RA114``) needs to know what was allocated, so it lives
-in :class:`MutationAuditor`: attach one to a calendar and every
-``allocate``/``release``/``advance`` is followed (every ``stride``-th
-mutation) by a full audit plus a ledger check that idle periods and
-committed reservations exactly tile each server's timeline — no idle
-time lost, none double-booked.
+Conservation — each server's idle periods tile the time it has not
+given away — needs to know what was allocated, which the calendar does
+not keep.  The tests check it against their own record of grants
+(``tests/property/test_calendar_properties.py``'s partition property),
+and the differential fuzzer against the reference oracle's idle state
+(DESIGN.md §27); ``RA114``, the ledger that once checked it here, is
+retired.
 
 The core ``validate()`` methods delegate here; :exc:`AuditError`
 subclasses :exc:`AssertionError` so existing callers keep working.
@@ -63,8 +64,7 @@ subclasses :exc:`AssertionError` so existing callers keep working.
 
 from __future__ import annotations
 
-from bisect import insort
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..core.types import INF, IdlePeriod
 
@@ -76,13 +76,8 @@ __all__ = [
     "AUDIT_CHECK_IDS",
     "AuditError",
     "AuditFinding",
-    "MutationAuditor",
     "audit_calendar",
     "audit_tree",
-    "corrupt_buffer",
-    "corrupt_secondary_key",
-    "corrupt_size_field",
-    "corrupt_uid_map",
 ]
 
 #: every check id the audit engine can report (documented above and in
@@ -90,7 +85,7 @@ __all__ = [
 AUDIT_CHECK_IDS = frozenset(
     {
         "RA101", "RA103", "RA104", "RA105", "RA106",
-        "RA111", "RA112", "RA113", "RA114", "RA115", "RA116",
+        "RA111", "RA112", "RA113", "RA115", "RA116",
     }
 )
 
@@ -139,8 +134,8 @@ def audit_tree(tree: "TwoDimTree", label: str = "tree") -> list[AuditFinding]:
     """Audit one slot tree; returns findings (empty == every invariant holds).
 
     Reads the tree's storage directly: ``_leaves`` is the stored periods
-    as ``(st, uid, et)`` sorted ascending, ``_count`` and ``_max_et``
-    cache its length and latest ending time, and ``_secs`` maps each node
+    as ``(st, uid, et)`` sorted ascending, ``_max_et`` caches its
+    latest ending time, and ``_secs`` maps each node
     ``(lo, hi)`` a search has bisected to the sorted ``(et, uid)`` keys
     of ``_leaves[lo:hi]``.  Period objects are resolved through the uid
     map.  The write buffer is checked against the uid map (RA116) and
@@ -168,14 +163,6 @@ def audit_tree(tree: "TwoDimTree", label: str = "tree") -> list[AuditFinding]:
     leaves = tree._leaves
 
     # RA101: the cached summary
-    if tree._count != len(leaves):
-        findings.append(
-            AuditFinding(
-                "RA101",
-                label,
-                f"tree caches count {tree._count} but holds {len(leaves)} leaves",
-            )
-        )
     latest = max((leaf[2] for leaf in leaves), default=-INF)
     if tree._max_et != latest:
         findings.append(
@@ -395,249 +382,3 @@ def audit_calendar(cal: "AvailabilityCalendar") -> list[AuditFinding]:
                 )
             )
     return findings
-
-
-# ----------------------------------------------------------------------
-# conservation auditing across mutations
-# ----------------------------------------------------------------------
-
-
-class MutationAuditor:
-    """Audits a calendar after every (``stride``-th) mutation.
-
-    Wraps the calendar's ``allocate``/``release``/``advance`` (and the
-    elastic-pool ``add_servers``/``remove``) instance
-    methods; each committed reservation is recorded in a per-server busy
-    ledger so the conservation invariant (``RA114``) is checkable: after
-    every mutation, each server's idle periods and recorded busy
-    intervals must exactly tile its timeline from the horizon start to
-    infinity — idle time is neither lost nor double-booked by
-    ``allocate``/``release``.
-
-    Attach to a freshly built calendar (before any allocation) or the
-    ledger starts incomplete.  ``stride`` trades coverage for speed: 1
-    audits every mutation (the ``repro check --audit`` setting), larger
-    values sample.  Audits raise
-    :exc:`AuditError` on the first violated invariant.
-    """
-
-    def __init__(
-        self,
-        calendar: "AvailabilityCalendar",
-        stride: int = 1,
-        conservation: bool = True,
-    ) -> None:
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        self.calendar = calendar
-        self.stride = stride
-        self.conservation = conservation
-        self.mutations = 0
-        self.audits_run = 0
-        self._busy: list[list[tuple[float, float]]] = [
-            [] for _ in range(calendar.n_servers)
-        ]
-        self._orig_allocate = calendar.allocate
-        self._orig_release = calendar.release
-        self._orig_advance = calendar.advance
-        self._orig_add_servers = calendar.add_servers
-        self._orig_remove = calendar.remove
-        calendar.allocate = self._allocate  # type: ignore[method-assign]
-        calendar.release = self._release  # type: ignore[method-assign]
-        calendar.advance = self._advance  # type: ignore[method-assign]
-        calendar.add_servers = self._add_servers  # type: ignore[method-assign]
-        calendar.remove = self._remove  # type: ignore[method-assign]
-
-    def detach(self) -> None:
-        """Restore the calendar's unwrapped methods."""
-        cal = self.calendar
-        for name in ("allocate", "release", "advance", "add_servers", "remove"):
-            if name in cal.__dict__:
-                del cal.__dict__[name]
-
-    # -- wrapped mutations ---------------------------------------------
-
-    def _allocate(self, periods: list[IdlePeriod], start: float, end: float) -> tuple[int, ...]:
-        servers = self._orig_allocate(periods, start, end)
-        for server in servers:
-            insort(self._busy[server], (start, end))
-        self._after_mutation()
-        return servers
-
-    def _release(self, server: int, start: float, end: float) -> None:
-        self._orig_release(server, start, end)
-        self._subtract_busy(server, start, end)
-        self._after_mutation()
-
-    def _advance(self, to_time: float) -> None:
-        self._orig_advance(to_time)
-        self._after_mutation()
-
-    def _add_servers(self, count: int) -> list[int]:
-        new_ids = self._orig_add_servers(count)
-        # a joined server's ledger starts empty: its timeline begins at
-        # its trailing idle period's start, so tiling holds from day one
-        for _ in new_ids:
-            self._busy.append([])
-        self._after_mutation()
-        return new_ids
-
-    def _remove(self, server: int) -> bool:
-        changed = self._orig_remove(server)
-        if changed:
-            # the calendar verified the server was drained; its ledger is
-            # history-only now and the server is exempt from tiling
-            self._busy[server] = []
-        self._after_mutation()
-        return changed
-
-    def _subtract_busy(self, server: int, start: float, end: float) -> None:
-        """Remove ``[start, end)`` from the recorded busy intervals."""
-        out: list[tuple[float, float]] = []
-        for lo, hi in self._busy[server]:
-            if hi <= start or lo >= end:  # disjoint
-                out.append((lo, hi))
-                continue
-            if lo < start:
-                out.append((lo, start))
-            if end < hi:
-                out.append((end, hi))
-        self._busy[server] = out
-
-    # -- auditing -------------------------------------------------------
-
-    def _after_mutation(self) -> None:
-        self.mutations += 1
-        if self.mutations % self.stride == 0:
-            self.audit_now()
-
-    def audit_now(self) -> None:
-        """Run the full structural + conservation audit; raise on findings."""
-        self.audits_run += 1
-        findings = audit_calendar(self.calendar)
-        if self.conservation:
-            findings.extend(self.conservation_findings())
-        if findings:
-            raise AuditError(findings)
-
-    def conservation_findings(self) -> list[AuditFinding]:
-        """RA114: idle periods + recorded busy intervals tile each server's
-        timeline exactly, from the trim cutoff (horizon start) to infinity.
-
-        Elastic-pool aware: a server that joined mid-run tiles from its
-        join time (its ledger and idle list both start there — the
-        pairwise-continuity check needs no explicit start bound), a
-        draining server tiles like any other (its commitments are still
-        honored), and a removed server is exempt (its timeline ended).
-        """
-        findings: list[AuditFinding] = []
-        cal = self.calendar
-        cutoff = cal.horizon_start
-        # drain/remove may race an attach-time sizing in external callers;
-        # grow defensively so a late-joined server is always ledgered
-        while len(self._busy) < cal.n_servers:
-            self._busy.append([])
-        for server in range(cal.n_servers):
-            where = f"server {server}"
-            if cal._status[server] == "removed":
-                continue
-            # prune intervals the calendar itself has trimmed away
-            busy = [iv for iv in self._busy[server] if iv[1] > cutoff]
-            self._busy[server] = busy
-            segments = [
-                (max(p.st, cutoff), p.et, "idle") for p in cal._server_periods[server] if p.et > cutoff
-            ] + [(max(lo, cutoff), hi, "busy") for lo, hi in busy]
-            segments.sort()
-            if not segments:
-                findings.append(
-                    AuditFinding("RA114", where, "timeline empty: no idle or busy coverage")
-                )
-                continue
-            for (alo, ahi, akind), (blo, bhi, bkind) in zip(segments, segments[1:]):
-                if ahi > blo:
-                    findings.append(
-                        AuditFinding(
-                            "RA114",
-                            where,
-                            f"{akind} [{alo}, {ahi}) overlaps {bkind} [{blo}, {bhi}) "
-                            "(idle time double-booked)",
-                        )
-                    )
-                elif ahi < blo:
-                    findings.append(
-                        AuditFinding(
-                            "RA114",
-                            where,
-                            f"gap [{ahi}, {blo}) between {akind} and {bkind} segments "
-                            "(idle time lost)",
-                        )
-                    )
-            if segments[-1][1] != INF:
-                findings.append(
-                    AuditFinding(
-                        "RA114",
-                        where,
-                        f"timeline ends at {segments[-1][1]}: the trailing idle "
-                        "period (et=inf) is missing",
-                    )
-                )
-        return findings
-
-
-# ----------------------------------------------------------------------
-# deliberate corruption (self-tests and `repro check --inject`)
-# ----------------------------------------------------------------------
-
-
-def _pick_tree(
-    cal: "AvailabilityCalendar", want: Callable[["TwoDimTree"], bool]
-) -> "TwoDimTree":
-    for tree in cal._trees.values():
-        if want(tree):
-            return tree
-    raise LookupError("no slot tree in the calendar satisfies the corruption's needs")
-
-
-def corrupt_size_field(cal: "AvailabilityCalendar") -> str:
-    """Break the cached leaf count; the audit must report RA101."""
-    tree = _pick_tree(cal, lambda t: len(t) >= 2)
-    tree._count += 1
-    return f"incremented cached count to {tree._count} in a tree of {len(tree._leaves)} leaves"
-
-
-def corrupt_secondary_key(cal: "AvailabilityCalendar") -> str:
-    """Drift a key of a materialised secondary index; the audit must
-    report RA106 (and usually RA104)."""
-    tree = _pick_tree(cal, lambda t: len(t) >= 2 and min(p.et for p in t.periods()) != INF)
-    # a search over every leaf materialises the secondary of each mark
-    tree.range_search(INF, -INF)
-    sec = min(tree._secs.values())  # the one holding the earliest (finite) end
-    et, uid = sec[0]
-    sec[0] = (et + 1.0, uid)
-    return f"drifted secondary key of uid {uid} from et={et} to et={et + 1.0}"
-
-
-def corrupt_uid_map(cal: "AvailabilityCalendar") -> str:
-    """Drop a uid-map entry; the audit must report RA105."""
-    tree = _pick_tree(cal, lambda t: len(t) >= 1)
-    uid = next(iter(tree._by_uid))
-    del tree._by_uid[uid]
-    return f"removed uid {uid} from the tree's uid map"
-
-
-def corrupt_buffer(cal: "AvailabilityCalendar") -> str:
-    """Buffer an insert of a stored period; the audit must report RA116."""
-    tree = _pick_tree(cal, lambda t: len(t) >= 1)
-    uid, period = next(iter(tree._by_uid.items()))
-    tree._ins[uid] = period
-    return f"buffered a second insert of stored uid {uid}"
-
-
-#: corruption kinds exposed by ``repro check --inject``, mapped to the
-#: audit check each one must trip
-CORRUPTIONS: dict[str, tuple[Callable[["AvailabilityCalendar"], str], str]] = {
-    "size": (corrupt_size_field, "RA101"),
-    "seckey": (corrupt_secondary_key, "RA106"),
-    "uidmap": (corrupt_uid_map, "RA105"),
-    "buffer": (corrupt_buffer, "RA116"),
-}

@@ -26,10 +26,8 @@ Installed as ``repro`` (see ``pyproject.toml``); also runnable as
 ``repro check``
     Domain-aware static analysis over the source tree: the AST lint
     rules (``RA001``…``RA003``, ``RA008``, ``RA009``, and the async rules
-    ``RA202``/``RA204``); ``--audit`` replays a stress workload with
-    deep structural invariant audits after every calendar mutation.
-    Exits non-zero on any finding; ``--format json`` emits the
-    machine-readable report CI uploads as an artifact.
+    ``RA202``/``RA204``).  Exits non-zero on any finding; ``--format
+    json`` emits the machine-readable report CI uploads as an artifact.
 
 ``repro serve``
     Run the online co-allocation server: a live calendar behind a
@@ -149,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="store location (omitted = no disk tier)",
     )
 
-    chk = sub.add_parser("check", help="static lint + structural invariant audit")
+    chk = sub.add_parser("check", help="domain-aware static lint of the source tree")
     chk.add_argument(
         "paths",
         nargs="*",
@@ -157,25 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chk.add_argument("--format", choices=("text", "json"), default="text")
     chk.add_argument("--out", default=None, help="also write the JSON report to this path")
-    chk.add_argument(
-        "--no-lint",
-        action="store_true",
-        help="skip the static lint pass",
-    )
-    chk.add_argument(
-        "--audit",
-        action="store_true",
-        help="replay a stress workload auditing every calendar mutation",
-    )
-    chk.add_argument("--audit-requests", type=int, default=2000)
-    chk.add_argument("--audit-servers", type=int, default=64)
-    chk.add_argument(
-        "--inject",
-        choices=("size", "seckey", "uidmap", "buffer"),
-        default=None,
-        help="self-test: corrupt the audited calendar (runs the audit replay) "
-        "and require the check to catch it",
-    )
 
     srv = sub.add_parser("serve", help="run the online co-allocation server")
     srv.add_argument("--host", default="127.0.0.1")
@@ -571,112 +550,23 @@ def _cmd_check(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
+    from .analysis.lint import lint_paths
+
     missing = [path for path in args.paths if not Path(path).exists()]
     for path in missing:
         print(f"check: no such file or directory: {path}", file=sys.stderr)
     if missing:
         return int(ErrorCode.MALFORMED)
-    # an injection always runs the audit it tests, whatever else is skipped
-    run_audit = args.audit or args.inject is not None
-
-    report: dict[str, object] = {}
-    failed = False
-    text_sections: list[str] = []
-
-    if not args.no_lint:
-        from .analysis.lint import lint_paths
-
-        paths = args.paths
-        if not paths:
-            # default: the installed package itself, wherever it lives
-            paths = [str(Path(__file__).resolve().parent)]
-        lint_report = lint_paths(paths)
-        report["lint"] = lint_report.to_json()
-        text_sections.append(lint_report.to_text())
-        failed = failed or not lint_report.ok
-
-    if run_audit:
-        audit_section, audit_text, audit_ok = _run_audit_replay(args)
-        report["audit"] = audit_section
-        text_sections.append(audit_text)
-        failed = failed or not audit_ok
-
-    report["ok"] = not failed
+    # default: the installed package itself, wherever it lives
+    lint_report = lint_paths(args.paths or [str(Path(__file__).resolve().parent)])
+    report = {"lint": lint_report.to_json(), "ok": lint_report.ok}
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     if args.format == "json":
         print(json.dumps(report, indent=2))
     else:
-        print("\n\n".join(text_sections) if text_sections else "nothing to check")
-    return 1 if failed else 0
-
-
-#: the audited stress replay's fixed shape: every mutation is audited
-_AUDIT_SEED = 7
-_AUDIT_TAU = 900.0
-_AUDIT_Q_SLOTS = 96
-
-
-def _run_audit_replay(args: argparse.Namespace) -> tuple[dict, str, bool]:
-    """Replay a stress workload auditing every mutation; returns
-    ``(json_section, text, ok)``."""
-    from .analysis.audit import CORRUPTIONS, AuditError, audit_calendar
-    from .schedulers.online import OnlineScheduler
-    from .sim.replay import replay
-    from .workloads.stress import stress_workload
-
-    requests = stress_workload(
-        n_requests=args.audit_requests,
-        n_servers=args.audit_servers,
-        rho=0.3,
-        seed=_AUDIT_SEED,
-        tau=_AUDIT_TAU,
-    )
-    scheduler = OnlineScheduler(
-        n_servers=args.audit_servers, tau=_AUDIT_TAU, q_slots=_AUDIT_Q_SLOTS
-    )
-    section: dict[str, object] = {
-        "requests": args.audit_requests,
-        "servers": args.audit_servers,
-        "stride": 1,
-    }
-    try:
-        result = replay(scheduler, requests, record_latencies=False, audit_stride=1)
-    except AuditError as exc:
-        section["findings"] = [f.to_dict() for f in exc.findings]
-        text = "audit: FAILED during replay\n" + "\n".join(
-            f"  {f!r}" for f in exc.findings[:20]
-        )
-        return section, text, False
-    section["outcome_checksum"] = result.outcome_checksum
-    section["accepted"] = result.accepted
-
-    if args.inject in CORRUPTIONS:
-        corrupt, expected_id = CORRUPTIONS[args.inject]
-        assert scheduler.calendar is not None
-        description = corrupt(scheduler.calendar)
-        findings = audit_calendar(scheduler.calendar)
-        section["injected"] = {"kind": args.inject, "description": description}
-        section["findings"] = [f.to_dict() for f in findings]
-        caught = any(f.check_id == expected_id for f in findings)
-        section["caught"] = caught
-        lines = [f"audit: injected corruption ({args.inject}): {description}"]
-        lines += [f"  {f!r}" for f in findings[:20]]
-        lines.append(
-            f"audit: corruption {'caught' if caught else 'MISSED'} "
-            f"(expected {expected_id})"
-        )
-        # an injected corruption must always fail the check; missing it
-        # entirely is itself a (worse) failure
-        return section, "\n".join(lines), False
-
-    section["findings"] = []
-    text = (
-        f"audit: clean — {args.audit_requests} requests on {args.audit_servers} "
-        "servers, every mutation audited, "
-        f"checksum {result.outcome_checksum}"
-    )
-    return section, text, True
+        print(lint_report.to_text())
+    return 0 if lint_report.ok else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -47,7 +47,7 @@ Invariants (exercised by ``validate()`` and the property tests):
 
 * leaves appear in strictly ascending ``(st, uid)`` order and each equals
   the period the uid map holds for it;
-* the cached leaf count and latest ending time agree with the leaves;
+* the cached latest ending time agrees with the leaves;
 * every materialised secondary index holds exactly the ``(et, uid)`` keys
   of the leaf range it names, in ascending order;
 * the write buffer names only what it may (removals of stored periods,
@@ -146,7 +146,7 @@ class TwoDimTree:
         operation counts; defaults to a do-nothing counter.
     """
 
-    __slots__ = ("_counter", "_by_uid", "_ins", "_rem", "_leaves", "_count", "_max_et", "_secs")
+    __slots__ = ("_counter", "_by_uid", "_ins", "_rem", "_leaves", "_max_et", "_secs")
 
     def __init__(self, counter: OpCounter = NULL_COUNTER) -> None:
         self._counter = counter
@@ -159,8 +159,6 @@ class TwoDimTree:
         #: stored periods as ``(st, uid, et)``, ascending — ``(st, uid)``
         #: is unique, so the ordering never consults ``et``
         self._leaves: list[tuple[float, int, float]] = []
-        #: ``len(_leaves)``, the root node's upper bound
-        self._count = 0
         #: latest ending time of any leaf; ``-inf`` when empty
         self._max_et = -math.inf
         #: node ``(lo, hi)`` -> its secondary index, for the nodes a
@@ -174,7 +172,7 @@ class TwoDimTree:
     def __len__(self) -> int:
         if self._ins or self._rem:
             self._flush()
-        return self._count
+        return len(self._leaves)
 
     def __contains__(self, period: IdlePeriod) -> bool:
         if self._ins or self._rem:
@@ -261,12 +259,12 @@ class TwoDimTree:
             del by_uid[p.uid]
         for p in inserts:
             by_uid[p.uid] = p
-        self._counter.add_batch(len(inserts), len(removals), self._count)
+        self._counter.add_batch(len(inserts), len(removals), len(self._leaves))
 
     def _splice(self, removals: list[IdlePeriod], inserts: list[IdlePeriod]) -> None:
         """Drop the removed uids, append the inserts, re-sort — one pass,
         near-linear because the survivors are already in order — and
-        refresh the cached count and maximum; secondaries are dropped."""
+        refresh the cached maximum; secondaries are dropped."""
         kept = self._leaves
         if removals:
             drop = {p.uid for p in removals}
@@ -278,7 +276,6 @@ class TwoDimTree:
             kept += [(p.st, p.uid, p.et) for p in inserts]
             kept.sort()
         self._leaves = kept
-        self._count = len(kept)
         self._max_et = max([et for _st, _uid, et in kept]) if kept else -math.inf
         self._secs = {}
 
@@ -321,7 +318,7 @@ class TwoDimTree:
         marks: list[tuple[int, int]] = []
         visits = 0
         lo = 0
-        hi = self._count
+        hi = len(leaves)
         while lo < hi:
             visits += 1
             mid = (lo + hi + 1) // 2
@@ -422,7 +419,7 @@ class TwoDimTree:
         """Check every structural invariant; raises ``AssertionError`` on violation.
 
         Delegates to :func:`repro.analysis.audit.audit_tree` — the full
-        machine-checked invariant list (cached count and maximum, leaf
+        machine-checked invariant list (cached maximum, leaf
         and secondary ordering, uid-map bijection, primary/secondary
         leaf-set equality, write buffer) lives there, with one stable
         check ID per invariant.  The raised

@@ -329,7 +329,8 @@ async def serve_follower(config: FollowerConfig, ready_line: bool = True) -> Non
 
     Bootstraps from ``config.bootstrap_snapshot`` when given, else fresh
     from the primary's ``status`` geometry (retrying until the primary
-    answers, so boot order does not matter).
+    answers ok, so boot order does not matter, and a primary that is
+    shutting down is waited out like one not yet up).
     """
     follower = Follower(config)
     if config.bootstrap_snapshot:
@@ -338,8 +339,11 @@ async def serve_follower(config: FollowerConfig, ready_line: bool = True) -> Non
         while follower.state is None:
             try:
                 status = await follower._primary.rpc({"op": "status"})
-                follower.bootstrap_fresh(status)
             except ConnectionError:
+                status = {}
+            if status.get("ok"):
+                follower.bootstrap_fresh(status)
+            else:
                 await asyncio.sleep(config.poll_interval)
     await follower.start()
     if ready_line:

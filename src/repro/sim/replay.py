@@ -5,8 +5,8 @@
 order, the clock advanced to each arrival — but times every ``submit``
 call individually, which the event-heap driver cannot do without
 polluting the measurement with heap bookkeeping.  It exists for the
-benchmark harness (``benchmarks/bench_hotpath.py``) and the ``repro
-profile`` CLI; experiments keep using ``run_simulation``.
+benchmark harness (``benchmarks/bench_hotpath.py``, whose ``--profile``
+runs it under cProfile); experiments keep using ``run_simulation``.
 
 Only schedulers that decide at submission time and schedule no internal
 events can be replayed this way (the online co-allocator with reclamation
@@ -15,14 +15,6 @@ off).  Batch baselines need the event heap and are rejected.
 The :class:`ReplayResult` carries an ``outcome_checksum`` — a digest over
 every job's ``(rid, start, servers)`` outcome — so performance work on
 the calendar can assert that replays stay bit-identical across changes.
-
-Passing ``audit_stride=k`` attaches a
-:class:`~repro.analysis.audit.MutationAuditor` to the scheduler's
-calendar for the whole replay: every ``k``-th calendar mutation is
-followed by a full structural + conservation audit, and a final full
-audit runs after the last submission (``repro check --audit`` replays
-with ``k = 1``).  Audits never mutate anything, so the outcome checksum
-is unchanged by auditing.
 """
 
 from __future__ import annotations
@@ -83,18 +75,12 @@ def replay(
     scheduler,
     requests: list[Request],
     record_latencies: bool = True,
-    audit_stride: int | None = None,
 ) -> ReplayResult:
     """Replay ``requests`` through ``scheduler``, timing each submission.
 
     The scheduler must resolve every job inside ``submit`` (no pending
     internal events afterwards); the online scheduler satisfies this with
     ``reclaim_early`` off.
-
-    ``audit_stride`` attaches a mutation auditor to the scheduler's
-    calendar (see the module docstring); ``None`` audits nothing.  Auditing raises
-    :class:`~repro.analysis.audit.AuditError` on the first violated
-    invariant and leaves outcomes bit-identical otherwise.
     """
     if getattr(scheduler, "reclaim_early", False):
         raise ValueError("replay() cannot honour reclamation events; use run_simulation")
@@ -103,13 +89,6 @@ def replay(
         return ReplayResult(0, 0, 0.0, [], _checksum([]), 0.0, [])
     engine = Engine(start_time=ordered[0].qr)
     scheduler.bind(engine)
-    auditor = None
-    if audit_stride is not None:
-        calendar = getattr(scheduler, "calendar", None)
-        if calendar is not None:
-            from ..analysis.audit import MutationAuditor
-
-            auditor = MutationAuditor(calendar, stride=audit_stride)
     jobs = [Job(req) for req in ordered]
     latencies: list[float] = []
     submit = scheduler.submit
@@ -126,9 +105,6 @@ def replay(
             submit(job)
     elapsed = perf_counter() - t_begin
     assert engine.pending() == 0, "replayed scheduler left internal events pending"
-    if auditor is not None:
-        auditor.audit_now()  # final full audit of the end state
-        auditor.detach()
 
     done = [job for job in jobs if job.state == JobState.DONE]
     attempts = [job.attempts for job in done]

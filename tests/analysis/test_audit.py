@@ -1,22 +1,14 @@
-"""Tests for the structural audit engine and the mutation auditor.
+"""Tests for the structural audit engine.
 
-The mutation tests corrupt a live, replay-populated calendar and assert
-that the audit reports exactly the check ID documented for that breakage
-(RA101 size fields, RA105 uid map, RA106 secondary keys, …).
+The corruption tests break a live, replay-populated calendar in place
+and assert that the audit reports exactly the check ID documented for
+that breakage (RA101 cached summary, RA105 uid map, RA106 secondary
+keys, …).
 """
 
 import pytest
 
-from repro.analysis.audit import (
-    AuditError,
-    MutationAuditor,
-    audit_calendar,
-    audit_tree,
-    corrupt_buffer,
-    corrupt_secondary_key,
-    corrupt_size_field,
-    corrupt_uid_map,
-)
+from repro.analysis.audit import AuditError, audit_calendar, audit_tree
 from repro.core.calendar import AvailabilityCalendar
 from repro.core.slot_tree import TwoDimTree
 from repro.core.types import INF, IdlePeriod, make_period
@@ -38,28 +30,41 @@ def check_ids(findings):
     return {f.check_id for f in findings}
 
 
+def stored_tree(cal, size=1):
+    """A slot tree of ``cal`` holding at least ``size`` stored periods,
+    its write buffer applied."""
+    return next(t for t in cal._trees.values() if len(t) >= size)
+
+
 class TestTreeCorruptions:
     def test_replayed_calendar_audits_clean(self):
         assert audit_calendar(populated().calendar) == []
 
-    def test_corrupt_size_field_reports_ra101(self):
+    def test_corrupt_max_end_reports_ra101(self):
         cal = populated().calendar
-        corrupt_size_field(cal)
+        stored_tree(cal)._max_et += 1.0
         assert "RA101" in check_ids(audit_calendar(cal))
 
     def test_corrupt_secondary_key_reports_ra106(self):
         cal = populated().calendar
-        corrupt_secondary_key(cal)
+        tree = stored_tree(cal, 2)
+        tree.range_search(INF, -INF)  # a search over every leaf builds each mark's secondary
+        sec = next(sec for sec in tree._secs.values() if sec[0][0] != INF)
+        et, uid = sec[0]
+        sec[0] = (et + 1.0, uid)
         assert "RA106" in check_ids(audit_calendar(cal))
 
     def test_corrupt_uid_map_reports_ra105(self):
         cal = populated().calendar
-        corrupt_uid_map(cal)
+        tree = stored_tree(cal)
+        del tree._by_uid[next(iter(tree._by_uid))]
         assert "RA105" in check_ids(audit_calendar(cal))
 
     def test_corrupt_buffer_reports_ra116(self):
         cal = populated().calendar
-        corrupt_buffer(cal)
+        tree = stored_tree(cal)
+        uid, period = next(iter(tree._by_uid.items()))
+        tree._ins[uid] = period  # a second insert of a stored period
         assert "RA116" in check_ids(audit_calendar(cal))
 
     def test_buffered_removal_of_an_unstored_period_reports_ra116(self):
@@ -82,7 +87,7 @@ class TestTreeCorruptions:
 
     def test_validate_raises_audit_error_which_is_assertion_error(self):
         cal = populated().calendar
-        corrupt_size_field(cal)
+        stored_tree(cal)._max_et += 1.0
         with pytest.raises(AssertionError) as excinfo:
             cal.validate()
         assert isinstance(excinfo.value, AuditError)
@@ -92,7 +97,7 @@ class TestTreeCorruptions:
         cal = populated().calendar
         clean_before = all(not audit_tree(t) for t in cal._trees.values())
         assert clean_before
-        corrupt_size_field(cal)
+        stored_tree(cal)._max_et += 1.0
         dirty = [q for q, t in cal._trees.items() if audit_tree(t)]
         assert len(dirty) == 1
 
@@ -164,64 +169,36 @@ class TestCalendarCorruptions:
         assert "RA115" in check_ids(audit_calendar(cal))
 
 
-class TestMutationAuditor:
-    def test_full_stride_replay_stays_clean(self):
-        scheduler = OnlineScheduler(n_servers=8, tau=900.0, q_slots=96)
-        requests = stress_workload(150, 8, rho=0.3, seed=11)
-        result = replay(scheduler, requests, record_latencies=False, audit_stride=1)
-        assert result.accepted > 0
-
-    def test_auditing_does_not_change_outcomes(self):
-        requests = stress_workload(150, 8, rho=0.3, seed=11)
-        plain = replay(
-            OnlineScheduler(n_servers=8, tau=900.0, q_slots=96),
-            requests,
-            record_latencies=False,
-        )
-        audited = replay(
-            OnlineScheduler(n_servers=8, tau=900.0, q_slots=96),
-            requests,
-            record_latencies=False,
-            audit_stride=1,
-        )
-        assert audited.outcome_checksum == plain.outcome_checksum
-
-    def test_auditing_does_not_flush_the_write_buffers(self):
+class TestAuditReadsInPlace:
+    def test_auditing_does_not_flush_the_write_buffers(self, monkeypatch):
         """An audit reads each tree's stored and buffered content where it
-        lies: the audited run does the same tree work, op for op, and ends
-        with as many periods still buffered, slot by slot, as the unaudited one."""
+        lies: a replay audited after every carve and every clock advance
+        does the same tree work, op for op, and ends with as many periods
+        still buffered, slot by slot, as the unaudited one."""
         requests = stress_workload(150, 8, rho=0.3, seed=11)
+        findings = []
+
+        def audited(method):
+            def wrapper(cal, *args):
+                result = method(cal, *args)
+                findings.append(audit_calendar(cal))
+                return result
+
+            return wrapper
+
         runs = []
-        for stride in (None, 1):
+        for audit in (False, True):
+            if audit:
+                for name in ("allocate", "advance"):
+                    method = getattr(AvailabilityCalendar, name)
+                    monkeypatch.setattr(AvailabilityCalendar, name, audited(method))
             scheduler = OnlineScheduler(n_servers=8, tau=900.0, q_slots=96)
-            replay(scheduler, requests, record_latencies=False, audit_stride=stride)
+            result = replay(scheduler, requests, record_latencies=False)
             buffered = {
                 q: (len(t._ins), len(t._rem), list(t._leaves))
                 for q, t in scheduler.calendar._trees.items()
             }
-            runs.append((scheduler.counter.snapshot(), buffered))
+            runs.append((result.outcome_checksum, scheduler.counter.snapshot(), buffered))
         assert runs[0] == runs[1]
-        assert any(ins for ins, _rem, _leaves in runs[0][1].values())
-
-    def test_ledger_tampering_reports_ra114(self):
-        cal = AvailabilityCalendar(n_servers=4, tau=900.0, q_slots=96)
-        auditor = MutationAuditor(cal)
-        auditor.audit_now()  # fresh calendar passes
-        hs = cal.horizon_start
-        auditor._busy[0].append((hs + 10.0, hs + 20.0))  # busy nothing allocated
-        with pytest.raises(AuditError) as excinfo:
-            auditor.audit_now()
-        assert check_ids(excinfo.value.findings) == {"RA114"}
-
-    def test_detach_restores_the_calendar_methods(self):
-        cal = AvailabilityCalendar(n_servers=4, tau=900.0, q_slots=96)
-        auditor = MutationAuditor(cal)
-        assert "allocate" in cal.__dict__
-        auditor.detach()
-        assert "allocate" not in cal.__dict__
-
-    def test_stride_must_be_positive(self):
-        cal = AvailabilityCalendar(n_servers=2, tau=900.0, q_slots=24)
-        with pytest.raises(ValueError):
-            MutationAuditor(cal, stride=0)
-
+        assert len(findings) > len(requests) and not any(findings)
+        assert any(ins for ins, _rem, _leaves in runs[0][2].values())

@@ -70,7 +70,8 @@ def test_unknown_rule_id_in_noqa_is_ra010():
 
 
 @pytest.mark.parametrize(
-    "retired", ["RA004", "RA005", "RA006", "RA007", "RA201", "RA203", "RA205", "RA206"]
+    "retired",
+    ["RA004", "RA005", "RA006", "RA007", "RA114", "RA201", "RA203", "RA205", "RA206"],
 )
 def test_retired_rule_id_in_noqa_is_ra010(retired):
     # a retired rule suppresses nothing, so a pragma still naming it is stale

@@ -3,11 +3,13 @@ gap/divergence crash-stops, garbled-reply recovery, in-process promote."""
 
 import asyncio
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ShuttingDownError
 from repro.facade import CoAllocationScheduler
 from repro.gateway import follower as follower_module
 from repro.gateway.follower import (
@@ -15,14 +17,22 @@ from repro.gateway.follower import (
     FollowerConfig,
     ReplicationDivergenceError,
     ReplicationGapError,
+    serve_follower,
 )
-from repro.service.protocol import MAX_LINE_BYTES, READ_CHUNK_BYTES
+from repro.service.protocol import MAX_LINE_BYTES, READ_CHUNK_BYTES, error_response
 from repro.service.declog import decide_cancel, decide_reserve, decision_message
 from repro.service.server import accepted_checksum
 from repro.service.snapshot import snapshot_bytes, write_snapshot
 from repro.service.state import ServiceState
 
-from ..service.harness import SMALL, reserve_msg, rpc, start_service
+from ..service.harness import (
+    SMALL,
+    ScriptedBackend,
+    reserve_msg,
+    rpc,
+    start_fake_backend,
+    start_service,
+)
 
 GEOMETRY = dict(n_servers=2, tau=10.0, q_slots=4, delta_t=1.0, r_max=2)
 
@@ -371,6 +381,53 @@ class TestTailLoop:
 
         failed = asyncio.run(scenario())
         assert failed is not None and "re-bootstrap" in failed
+
+
+class TestBootstrap:
+    def test_a_status_answered_not_ok_is_retried(self, capsys):
+        """A primary that answers the bootstrap ``status`` with an error —
+        one that is shutting down, say — is waited out like one that is
+        not up yet: the follower boots on the geometry of the first ok
+        reply.  It used to die on the error reply with ``KeyError``."""
+        geometry = dict(GEOMETRY, n_servers=3)
+        statuses = []
+
+        async def script(message):
+            if message["op"] == "status":
+                statuses.append(message)
+            if message["op"] == "status" and len(statuses) > 1:
+                reply = {"ok": True, "op": "status", **geometry}
+            else:  # the first status, and every log_tail
+                reply = error_response(message, ShuttingDownError("shutting down"))
+            return (json.dumps(reply) + "\n").encode()
+
+        async def scenario():
+            backend = ScriptedBackend(script)
+            server, primary_port = await start_fake_backend(backend.handle)
+            task = asyncio.create_task(
+                serve_follower(FollowerConfig(primary_port=primary_port, poll_interval=0.01))
+            )
+            printed = ""
+            try:
+                for _ in range(500):
+                    printed += capsys.readouterr().out
+                    if "listening on" in printed or task.done():
+                        break
+                    await asyncio.sleep(0.01)
+                if task.done():
+                    task.result()  # raises what killed the follower
+                port = int(re.search(r"listening on 127\.0\.0\.1:(\d+)", printed).group(1))
+                return await rpc(port, {"op": "follower_status"})
+            finally:
+                task.cancel()
+                await asyncio.gather(task, return_exceptions=True)
+                server.close()
+                await server.wait_closed()
+
+        status = asyncio.run(scenario())
+        assert len(statuses) == 2
+        assert status["ok"] and status["pool"]["total"] == 3
+        assert status["hwm"] == 0 and status["failed"] is None
 
 
 class TestPromote:

@@ -140,12 +140,12 @@ def _verdict(action) -> str | None:
 
 
 def _state(tree: TwoDimTree):
-    return sorted(tree._ins), sorted(tree._rem), list(tree._leaves), tree._count, tree._max_et
+    return sorted(tree._ins), sorted(tree._rem), list(tree._leaves), tree._max_et
 
 
 class TestInsertMany:
     """``insert_many`` is ``insert`` of each period in turn (DESIGN.md
-    §21): the same buffer, stored leaves, cached count and maximum and
+    §21): the same buffer, stored leaves, cached maximum and
     operation counts, and the same ``KeyError`` verdict for every later
     ``remove`` — a remove that cancels a batched insert in the same
     buffer included."""
