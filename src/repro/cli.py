@@ -44,9 +44,9 @@ Installed as ``repro`` (see ``pyproject.toml``); also runnable as
     implementation, comparing every decision and the full calendar
     state; ``--shrink`` delta-debugs any divergence to a minimal repro,
     ``--inject`` self-tests the detector against a deliberately broken
-    Phase-2 selection, and ``--chaos`` drives a real server subprocess
-    through deterministic fault plans (kill/restart, duplicate and
-    reordered sends).  See ``docs/testing.md``.
+    Phase-2 selection, and ``--chaos`` drives real server subprocesses
+    through the two fault plans that need one (``front-door`` through a
+    gateway, ``kill-promote`` onto a follower).  See ``docs/testing.md``.
 
 ``repro reserve``
     One-shot client: submit a single reservation to a running server.
@@ -182,13 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch", type=int, default=64, help="actor micro-batch size bound"
     )
     srv.add_argument(
-        "--metrics-interval",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="log a JSON metrics line to stderr this often (0 = off)",
-    )
-    srv.add_argument(
         "--log-dir",
         default=None,
         help="decision-log directory for follower replication "
@@ -286,19 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     fz.add_argument(
         "--plan",
         default="all",
-        choices=(
-            "all",
-            "kill-restart",
-            "duplicate",
-            "reorder",
-            "scale-events",
-            "front-door",
-            "kill-promote",
-        ),
+        choices=("all", "front-door", "kill-promote"),
         help="chaos plan: front-door replays through a repro gateway over "
         "HTTP, kill-promote SIGKILLs the primary and promotes a log-tailing "
-        "follower; all = the first three (scale-events, front-door and "
-        "kill-promote are explicit-only)",
+        "follower; all = both",
     )
     fz.add_argument(
         "--shrink",
@@ -609,7 +593,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         max_delay=args.max_delay,
         max_batch=args.max_batch,
-        metrics_interval=args.metrics_interval,
         log_dir=args.log_dir,
         autoscale=autoscale,
     )
@@ -632,7 +615,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     import json
 
-    from .verify.chaos import default_plans, run_chaos
+    from .verify.chaos import PLANS, ChaosPlan, run_chaos
     from .verify.differ import (
         emit_pytest,
         load_trace,
@@ -682,7 +665,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     if args.chaos:
         for stream in streams:
-            for plan in default_plans(args.plan):
+            for kind in PLANS if args.plan == "all" else (args.plan,):
+                plan = ChaosPlan(kind)
                 chaos_report = run_chaos(stream, plan)
                 runs.append(chaos_report)
                 verdict = "ok" if chaos_report["passed"] else "FAILED"
@@ -822,6 +806,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
 def _cmd_follow(args: argparse.Namespace) -> int:
     import asyncio
 
+    from .errors import ReproError
     from .gateway import FollowerConfig, serve_follower
     from .service.snapshot import SnapshotError
 
@@ -843,6 +828,10 @@ def _cmd_follow(args: argparse.Namespace) -> int:
     except SnapshotError as exc:
         print(f"follow: {exc}", file=sys.stderr)
         return int(ErrorCode.MALFORMED)
+    except ReproError as exc:
+        # a --primary-port that is not a primary's
+        print(f"follow: {exc}", file=sys.stderr)
+        return int(exc.code)
     return int(ErrorCode.OK)
 
 

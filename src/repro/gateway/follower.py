@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..errors import ConflictError, ReproError
+from ..errors import ConflictError, ErrorCode, MalformedRequestError, ReproError
 from ..facade import CoAllocationScheduler
 from ..service.client import ServiceClient
 from ..service.protocol import (
@@ -330,7 +330,10 @@ async def serve_follower(config: FollowerConfig, ready_line: bool = True) -> Non
     Bootstraps from ``config.bootstrap_snapshot`` when given, else fresh
     from the primary's ``status`` geometry (retrying until the primary
     answers ok, so boot order does not matter, and a primary that is
-    shutting down is waited out like one not yet up).
+    shutting down is waited out like one not yet up).  A port that
+    refuses ``status`` as ``MALFORMED`` is no primary — another
+    follower's control port, say — and raises
+    :class:`~repro.errors.MalformedRequestError` instead of waiting.
     """
     follower = Follower(config)
     if config.bootstrap_snapshot:
@@ -341,8 +344,15 @@ async def serve_follower(config: FollowerConfig, ready_line: bool = True) -> Non
                 status = await follower._primary.rpc({"op": "status"})
             except ConnectionError:
                 status = {}
+            error = status.get("error") or {}
             if status.get("ok"):
                 follower.bootstrap_fresh(status)
+            elif error.get("code") == ErrorCode.MALFORMED.wire:
+                follower._primary.close()
+                raise MalformedRequestError(
+                    f"{config.primary_host}:{config.primary_port} is not a primary: "
+                    f"it refused status ({error.get('message')})"
+                )
             else:
                 await asyncio.sleep(config.poll_interval)
     await follower.start()

@@ -10,8 +10,8 @@ calendar code path.
 
 Responses are still per-operation (each carries its own future); batching
 changes *when* work happens, never its FIFO order or its outcome — the
-kill/restart identity check of the ``kill-restart`` chaos plan depends
-on that.
+restart identity check of ``TestRestartIsReplay`` (a reboot replays the
+log to the abandoned primary's state) depends on that.
 
 The way back out is batched the same way: the actor resolves a batch's
 futures in one step, so a connection writer finds a run of them done

@@ -5,8 +5,8 @@ queue wait (admission to dequeue), service time (actor processing), and
 the outcome class (accepted / rejected-by-reason / shed / malformed /
 error).  Percentiles come from bounded sliding windows — a standing
 server must not grow its telemetry without bound — and ``status``
-responses plus the periodic ``--metrics-interval`` log line both render
-:meth:`ServiceMetrics.summary`.
+responses render :meth:`ServiceMetrics.summary`, which the gateway's
+``/metrics`` re-exports.
 """
 
 from __future__ import annotations

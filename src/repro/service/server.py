@@ -18,8 +18,8 @@ actor may call the blocking commit path.
 submission times (``advance(max(now, q_r))``), never from the wall
 clock.  Replaying the same request stream therefore yields bit-identical
 accept/reject decisions regardless of pacing, batching boundaries, or a
-kill/restart from snapshot in the middle — the property the
-``kill-restart`` chaos plan (``repro fuzz --chaos``) certifies.
+kill/restart from snapshot in the middle — the property
+``tests/service/test_declog.py::TestRestartIsReplay`` certifies.
 
 **Exactly-once.** The scheduler and the rid/aid-keyed verdict tables
 live in one :class:`~repro.service.state.ServiceState`; every write op
@@ -110,7 +110,6 @@ class ServiceConfig:
     max_queue: int = 1024
     max_delay: float = 5.0
     max_batch: int = 64
-    metrics_interval: float = 0.0  # seconds; 0 disables the periodic log line
     log_dir: str | None = None  # decision-log directory (None disables the log)
     autoscale: AutoScaleConfig | None = None  # None disables the scaler task
 
@@ -174,7 +173,6 @@ class ReservationService:
         self._started = perf_counter()
         self._server: asyncio.base_events.Server | None = None
         self._actor_task: asyncio.Task | None = None
-        self._metrics_task: asyncio.Task | None = None
         self._autoscale_task: asyncio.Task | None = None
         self._stopped: asyncio.Event = asyncio.Event()
         self._writers: set[asyncio.StreamWriter] = set()
@@ -239,7 +237,7 @@ class ReservationService:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        """Bind the socket and launch the actor (and metrics) tasks."""
+        """Bind the socket and launch the actor (and autoscaler) tasks."""
         self._server = await asyncio.start_server(
             self._handle_connection,
             host=self.config.host,
@@ -247,10 +245,6 @@ class ReservationService:
             limit=MAX_LINE_BYTES,
         )
         self._actor_task = asyncio.create_task(self._actor_loop(), name="repro-actor")
-        if self.config.metrics_interval > 0:
-            self._metrics_task = asyncio.create_task(
-                self._metrics_loop(), name="repro-metrics"
-            )
         if self.autoscaler is not None:
             self._autoscale_task = asyncio.create_task(
                 self._autoscale_loop(), name="repro-autoscale"
@@ -273,8 +267,6 @@ class ReservationService:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._metrics_task is not None:
-            self._metrics_task.cancel()
         if self._autoscale_task is not None:
             self._autoscale_task.cancel()
         # let the connection writers flush already-resolved responses —
@@ -506,20 +498,6 @@ class ReservationService:
             kind, message, verdict, line, reply if self._fresh_in_reply else None
         )
         return reply, True
-
-    async def _metrics_loop(self) -> None:
-        interval = self.config.metrics_interval
-        while True:
-            await asyncio.sleep(interval)
-            line = json.dumps(
-                {
-                    "uptime_s": round(perf_counter() - self._started, 1),
-                    "admission": self.admission.summary(),
-                    **self.metrics.summary(),
-                },
-                sort_keys=True,
-            )
-            print(f"repro serve metrics: {line}", file=sys.stderr, flush=True)
 
     async def _autoscale_loop(self) -> None:
         """Tick the auto-scaler; apply its plan through the actor queue.

@@ -11,8 +11,9 @@ plans:
   load profiles;
 * :mod:`repro.verify.differ` — the lock-step differential executor,
   delta-debugging shrinker, and failing-test emitter;
-* :mod:`repro.verify.chaos` — deterministic fault plans (kill/restart,
-  duplicate and reordered sends) for the reservation service.
+* :mod:`repro.verify.chaos` — the two deterministic fault plans that
+  need real processes: ``front-door`` (through a gateway) and
+  ``kill-promote`` (failover onto a follower).
 
 See ``docs/testing.md`` for how to run and extend the fuzzer, and
 ``tests/verify/corpus/`` for the regression corpus of minimized traces.

@@ -18,38 +18,17 @@ class, and then holds the service to three simultaneous standards:
 Plans
 -----
 
-``kill-restart``
-    With ``--log-dir``: ``snapshot`` after op *s*, SIGKILL after op
-    *k* > *s*, restart (the boot replays the log past the snapshot),
-    resend the reserves and admin ops of *s+1..k* — each must answer
-    ``replayed: true`` with its pre-kill verdict — then finish the stream.
-``duplicate``
-    Every n-th reserve is sent twice back-to-back; the second response
-    must carry the recorded verdict with ``replayed: true`` (the
-    rid-keyed exactly-once decision log).
-``reorder``
-    The op list is deterministically shuffled within fixed-size windows
-    before sending — an at-least-once client's retry storm.  The oracle
-    replays the *same* shuffled order, so verdicts must still agree.
-``front-door`` (explicit ``--plan front-door``)
+Each plan needs a process the in-process differ cannot stand in for: a
+gateway, or a follower tailing the log over a socket.  Faults that are
+only a restart, a resend or an op order are reproduced in process by
+tier 1 and the differ (DESIGN.md §28).
+
+``front-door``
     The whole stream is replayed through a real ``repro gateway``
     subprocess as HTTP/JSON instead of raw NDJSON — the gateway passes
     backend bodies through verbatim, so the identical oracle/ledger/
     checksum standards apply to the HTTP surface with zero adaptation.
-``scale-events`` (explicit ``--plan scale-events``)
-    The stream's pool mutations (``add_servers``/``drain``/``remove``,
-    generated with ``--scale-events``) run through the live service.
-    Every mutation carries a deterministic ``aid`` and is sent *twice*
-    back-to-back — the duplicate must answer the recorded verdict with
-    ``replayed: true`` (the aid-keyed exactly-once admin table).  The
-    service is snapshotted after op *s* and SIGKILLed **mid-drain**: the
-    kill lands right after the first ``drain`` past the snapshot, the
-    pool membership is captured (``pool_status``), and the restart from
-    the snapshot must re-decide ops *s+1..k* identically *and* restore
-    byte-equal pool membership.  The final snapshot's pool must match
-    the oracle's, on top of the usual ledger/verdict/checksum standards.
-    Without a decision log, the restart re-decides the resent ops.
-``kill-promote`` (explicit ``--plan kill-promote``)
+``kill-promote``
     The primary runs with ``--log-dir`` and a ``repro follow``
     subprocess tails its decision log.  After op *k* the primary is
     SIGKILLed — **no snapshot was ever taken** — and the follower is
@@ -60,7 +39,7 @@ Plans
     end with the same accepted checksum as the uninterrupted oracle.
 
 Everything is driven by ``(stream, plan)``; no wall-clock dependence
-(the service clock is virtual), no randomness outside the plan seed.
+(the service clock is virtual) and no randomness.
 """
 
 from __future__ import annotations
@@ -68,7 +47,6 @@ from __future__ import annotations
 import http.client
 import json
 import os
-import random
 import re
 import shutil
 import signal
@@ -89,51 +67,25 @@ from ..service.state import accepted_checksum
 from .differ import OracleDriver, _jsonable, _normalize, _wire
 from .genstream import Stream
 
-__all__ = ["ChaosPlan", "default_plans", "run_chaos"]
+__all__ = ["PLANS", "ChaosPlan", "run_chaos"]
 
 _READY = re.compile(r"listening on [0-9.]+:(\d+)")
 _RPC_TIMEOUT = 30.0
+
+
+#: every plan, in the order ``--plan all`` runs them
+PLANS = ("front-door", "kill-promote")
 
 
 @dataclass
 class ChaosPlan:
     """One deterministic fault schedule."""
 
-    kind: str  # kill-restart | duplicate | reorder | scale-events | front-door | kill-promote
-    snapshot_at: int | None = None  # kill-*: snapshot after this op index
-    kill_at: int | None = None  # kill-*: SIGKILL after this op index
-    duplicate_every: int = 5  # duplicate: resend every n-th reserve
-    reorder_window: int = 4  # reorder: shuffle window size
-    seed: int = 0
+    kind: str  # one of PLANS
+    kill_at: int | None = None  # kill-promote: SIGKILL after this op index
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "snapshot_at": self.snapshot_at,
-            "kill_at": self.kill_at,
-            "duplicate_every": self.duplicate_every,
-            "reorder_window": self.reorder_window,
-            "seed": self.seed,
-        }
-
-
-def default_plans(kind: str | None = None) -> list[ChaosPlan]:
-    plans = [
-        ChaosPlan(kind="kill-restart"),
-        ChaosPlan(kind="duplicate"),
-        ChaosPlan(kind="reorder"),
-    ]
-    if kind is None or kind == "all":
-        return plans
-    if kind in ("front-door", "kill-promote", "scale-events"):
-        # explicit-only plans: they spawn extra subprocesses (gateway /
-        # follower) or need a specially generated stream (scale events),
-        # so "all" does not imply them
-        return [ChaosPlan(kind=kind)]
-    matched = [p for p in plans if p.kind == kind]
-    if not matched:
-        raise ValueError(f"unknown chaos plan {kind!r}")
-    return matched
+        return {"kind": self.kind, "kill_at": self.kill_at}
 
 
 # ----------------------------------------------------------------------
@@ -338,43 +290,14 @@ def run_chaos(
     """Execute one (stream, plan) pair; returns the JSON-ready report.
 
     ``report["passed"]`` is the overall verdict: no ledger violations, no
-    verdict divergence from the oracle, identical replayed verdicts
-    across the kill/restart, ``replayed`` flags on duplicates, equal
-    final state and checksums.
+    verdict divergence from the oracle, identical resent verdicts across
+    the kill/promote, equal final state and checksums.
     """
+    if plan.kind not in PLANS:
+        raise ValueError(f"unknown chaos plan {plan.kind!r}")
     ops = [op for op in stream.ops if op["kind"] != "restore"]
-    if plan.kind == "reorder":
-        rng = random.Random(f"repro-chaos:{plan.seed}")
-        ops = list(ops)
-        window = max(2, plan.reorder_window)
-        for base in range(0, len(ops), window):
-            block = ops[base : base + window]
-            rng.shuffle(block)
-            ops[base : base + window] = block
-    snapshot_at = kill_at = None
-    if plan.kind in ("kill-restart", "scale-events"):
-        snapshot_at = plan.snapshot_at if plan.snapshot_at is not None else len(ops) // 3
-        if plan.kill_at is not None:
-            kill_at = plan.kill_at
-        elif plan.kind == "scale-events":
-            # SIGKILL *mid-drain*: right after the first drain verdict past
-            # the snapshot, while the pool still carries the draining state
-            kill_at = next(
-                (
-                    i
-                    for i, op in enumerate(ops)
-                    if i > snapshot_at and op["kind"] == "drain"
-                ),
-                (2 * len(ops)) // 3,
-            )
-        else:
-            kill_at = (2 * len(ops)) // 3
-        if not 0 <= snapshot_at < kill_at < len(ops):
-            raise ValueError(
-                f"{plan.kind} plan needs 0 <= snapshot_at < kill_at < {len(ops)}, "
-                f"got snapshot_at={snapshot_at} kill_at={kill_at}"
-            )
-    elif plan.kind == "kill-promote":
+    kill_at = None
+    if plan.kind == "kill-promote":
         kill_at = plan.kill_at if plan.kill_at is not None else (2 * len(ops)) // 3
         if not 0 <= kill_at < len(ops):
             raise ValueError(
@@ -387,13 +310,8 @@ def run_chaos(
     ledger = ShadowLedger()
     verdicts: list[dict[str, Any]] = []
     replay_mismatches: list[dict[str, Any]] = []
-    duplicate_checks = 0
-    duplicate_mismatches: list[dict[str, Any]] = []
     restarts = 0
-    replayed_resends = 0
     reserve_count = 0
-    scale_ops = 0
-    pool_restore_mismatch: dict[str, Any] | None = None
     follower_proc = gateway_proc = None
     promote_info: dict[str, Any] | None = None
     # kill-promote: log_index[h-1] = index of the op that wrote decision-log
@@ -404,7 +322,7 @@ def run_chaos(
     logged_rids: set[int] = set()
 
     extra = None
-    if plan.kind in ("kill-promote", "kill-restart"):
+    if plan.kind == "kill-promote":
         extra = ["--log-dir", str(Path(work) / "primary-log")]
     proc, port = _start_server(stream.config, snapshot_path, extra=extra)
     if plan.kind == "kill-promote":
@@ -419,21 +337,6 @@ def run_chaos(
         for index, op in enumerate(ops):
             verdict = _normalize(op, client.rpc(_wire(op, index)))
             verdicts.append(verdict)
-            if op["kind"] in ADMIN_KINDS or op["kind"] == "pool_status":
-                scale_ops += 1
-            if plan.kind == "scale-events" and op["kind"] in ADMIN_KINDS:
-                # every pool mutation is sent twice: the duplicate carries
-                # the same aid and must answer the recorded verdict
-                duplicate_checks += 1
-                dup_response = client.rpc(_wire(op, index))
-                dup = _normalize(op, dup_response)
-                if _jsonable(dup) != _jsonable(verdict) or not dup_response.get(
-                    "replayed"
-                ):
-                    duplicate_mismatches.append(
-                        {"index": index, "first": verdict, "duplicate": dup,
-                         "replayed": dup_response.get("replayed")}
-                    )
             if op["kind"] == "cancel" and verdict["ok"]:
                 # an acknowledged cancel frees the window: later accepts
                 # may legitimately reuse it without double-booking
@@ -448,17 +351,6 @@ def run_chaos(
                         float(verdict["end"]),
                         [int(s) for s in verdict["servers"]],
                     )
-                if plan.kind == "duplicate" and reserve_count % plan.duplicate_every == 0:
-                    duplicate_checks += 1
-                    dup_response = client.rpc(_wire(op))
-                    dup = _normalize(op, dup_response)
-                    if _jsonable(dup) != _jsonable(verdict) or (
-                        verdict["ok"] and not dup_response.get("replayed")
-                    ):
-                        duplicate_mismatches.append(
-                            {"index": index, "first": verdict, "duplicate": dup,
-                             "replayed": dup_response.get("replayed")}
-                        )
             if plan.kind == "kill-promote":
                 if (
                     op["kind"] == "cancel"
@@ -497,52 +389,6 @@ def run_chaos(
                                 {"index": j, "before_kill": verdicts[j],
                                  "after_promote": replayed}
                             )
-            if plan.kind in ("kill-restart", "scale-events"):
-                if index == snapshot_at:
-                    client.rpc({"op": "snapshot"})
-                if index == kill_at:
-                    pool_before = None
-                    if plan.kind == "scale-events":
-                        pool_before = _normalize(
-                            {"kind": "pool_status"},
-                            client.rpc({"op": "pool_status"}),
-                        )
-                    client.close()
-                    proc.send_signal(signal.SIGKILL)
-                    proc.wait(timeout=30)
-                    proc, port = _start_server(stream.config, snapshot_path, extra=extra)
-                    restarts += 1
-                    client = _Client(port)
-                    # with a log the restart replayed ops s+1..k; without
-                    # one they died with the process and are re-decided
-                    assert snapshot_at is not None and kill_at is not None
-                    for j in range(snapshot_at + 1, kill_at + 1):
-                        if extra and ops[j]["kind"] not in ("reserve", *ADMIN_KINDS):
-                            continue
-                        response = client.rpc(_wire(ops[j], j))
-                        replayed = _normalize(ops[j], response)
-                        if _jsonable(replayed) != _jsonable(verdicts[j]) or (
-                            extra and not response.get("replayed")
-                        ):
-                            replay_mismatches.append(
-                                {"index": j, "before_kill": verdicts[j],
-                                 "after_restart": replayed,
-                                 "replayed": response.get("replayed")}
-                            )
-                        replayed_resends += bool(response.get("replayed"))
-                    if plan.kind == "scale-events":
-                        # the restart + replay must land on the exact pool
-                        # membership (and drain progress) the kill interrupted
-                        pool_after = _normalize(
-                            {"kind": "pool_status"},
-                            client.rpc({"op": "pool_status"}),
-                        )
-                        if _jsonable(pool_after) != _jsonable(pool_before):
-                            pool_restore_mismatch = {
-                                "index": index,
-                                "before_kill": pool_before,
-                                "after_restart": pool_after,
-                            }
         # the end-of-run status/shutdown exchange is a TCP control-plane
         # conversation: the gateway deliberately exposes no shutdown
         end_client = _Client(port) if plan.kind == "front-door" else client
@@ -595,8 +441,6 @@ def run_chaos(
         not ledger.violations
         and not verdict_divergences
         and not replay_mismatches
-        and not duplicate_mismatches
-        and pool_restore_mismatch is None
         and state_equal
         and pool_equal
         and len(set(checksums.values())) == 1
@@ -607,18 +451,13 @@ def run_chaos(
         "seed": stream.seed,
         "ops": len(ops),
         "reserves": reserve_count,
-        "scale_ops": scale_ops,
         "accepted": len(ledger.entries),
         "restarts": restarts,
-        "replayed_resends": replayed_resends,
         "promote": promote_info,
-        "duplicate_checks": duplicate_checks,
         "ledger_violations": ledger.violations,
         "verdict_divergences": verdict_divergences[:20],
         "verdict_divergences_total": len(verdict_divergences),
         "replay_mismatches": replay_mismatches[:20],
-        "duplicate_mismatches": duplicate_mismatches[:20],
-        "pool_restore_mismatch": pool_restore_mismatch,
         "checksums": checksums,
         "state_equal": state_equal,
         "pool_equal": pool_equal,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ShuttingDownError
+from repro.errors import MalformedRequestError, ShuttingDownError
 from repro.facade import CoAllocationScheduler
 from repro.gateway import follower as follower_module
 from repro.gateway.follower import (
@@ -19,7 +19,14 @@ from repro.gateway.follower import (
     ReplicationGapError,
     serve_follower,
 )
-from repro.service.protocol import MAX_LINE_BYTES, READ_CHUNK_BYTES, error_response
+from repro.service.protocol import (
+    FOLLOWER_OPS,
+    MAX_LINE_BYTES,
+    READ_CHUNK_BYTES,
+    ProtocolError,
+    decode_line,
+    error_response,
+)
 from repro.service.declog import decide_cancel, decide_reserve, decision_message
 from repro.service.server import accepted_checksum
 from repro.service.snapshot import snapshot_bytes, write_snapshot
@@ -428,6 +435,37 @@ class TestBootstrap:
         assert len(statuses) == 2
         assert status["ok"] and status["pool"]["total"] == 3
         assert status["hwm"] == 0 and status["failed"] is None
+
+    def test_a_status_refused_as_malformed_stops_the_boot(self):
+        """A ``--primary-port`` that is another follower's control port
+        refuses ``status`` as ``MALFORMED``, as that listener does: no
+        retry can help, so the boot stops with the refusal instead of
+        waiting forever without a word."""
+        asked = []
+
+        async def script(message):
+            asked.append(message["op"])
+            try:
+                decode_line(json.dumps(message).encode(), ops=FOLLOWER_OPS)
+            except ProtocolError as exc:
+                return (json.dumps(error_response({}, exc)) + "\n").encode()
+            raise AssertionError(f"a follower control port serves {message['op']!r}")
+
+        async def scenario():
+            backend = ScriptedBackend(script)
+            server, port = await start_fake_backend(backend.handle)
+            try:
+                config = FollowerConfig(primary_port=port, poll_interval=0.01)
+                with pytest.raises(MalformedRequestError) as excinfo:
+                    await asyncio.wait_for(serve_follower(config, ready_line=False), 5.0)
+                return port, str(excinfo.value)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        port, message = asyncio.run(scenario())
+        assert asked == ["status"]
+        assert message.startswith(f"127.0.0.1:{port} is not a primary: it refused status (")
 
 
 class TestPromote:

@@ -1037,6 +1037,7 @@ def restart_ops():
     admin = st.one_of(
         st.builds(lambda a: {"op": "add_servers", "count": 1, **a}, aid),
         st.builds(lambda s, a: {"op": "drain", "server": s, **a}, st.integers(0, 3), aid),
+        st.builds(lambda s, a: {"op": "remove", "server": s, **a}, st.integers(0, 3), aid),
     )
     snapshot = st.just({"op": "snapshot"})
     return st.lists(st.one_of(reserve, reserve, cancel, admin, snapshot), max_size=16)
@@ -1110,6 +1111,51 @@ class TestRestartIsReplay:
         assert status["log"]["recovered"] == exported["log_hwm"] - s
         for (_, reply), answer in zip(answered.values(), answers):
             assert answer == {**reply, "replayed": True}
+
+    def test_a_restart_mid_drain_keeps_the_pool(self, tmp_path):
+        """Rid 1 holds server 1 over [20, 30).  At 15 server 1 is drained
+        — its remove is refused, it still holds that commitment — server
+        0 is drained and removed, and server 2 joins, idle from 15 (not
+        from the horizon's start, 10).  A snapshot lands mid-drain; the
+        primary abandoned after the last op reboots on the same pool,
+        periods and verdicts, and every aid answers ``replayed: true``."""
+        config = dict(
+            **SMALL, log_dir=str(tmp_path / "log"), snapshot_path=str(tmp_path / "snap")
+        )
+        ops = [
+            reserve_msg(1, 20.0, 10.0, 1, qr=0.0),
+            {"op": "drain", "server": 1, "qr": 15.0, "aid": "d1"},
+            {"op": "snapshot"},
+            {"op": "remove", "server": 1, "aid": "r1"},
+            {"op": "drain", "server": 0, "aid": "d0"},
+            {"op": "remove", "server": 0, "aid": "r0"},
+            {"op": "add_servers", "count": 1, "aid": "a2"},
+        ]
+
+        async def run(messages):
+            service = await start_service(**config)
+            replies = [await rpc(service.port, op) for op in messages]
+            pool = await rpc(service.port, {"op": "pool_status"})
+            calendar = service.state.export(service._log.hwm)["scheduler"]["calendar"]
+            await abandon(service)
+            return replies, pool, calendar["periods"]
+
+        replies, pool, periods = asyncio.run(run(ops))
+        assert replies[0]["servers"] == [1]
+        assert [r["ok"] for r in replies] == [True] * 3 + [False] + [True] * 3
+        assert replies[3]["error"]["code"] == "CONFLICT"
+        assert replies[6]["servers"] == [2]
+        assert pool["servers"] == ["removed", "draining", "active"]
+        assert pool["drain_progress"] == [{"server": 1, "drained": False}]
+        assert periods[0] == []
+        assert [(st, et) for st, et, _ in periods[1]] == [(0.0, 20.0), (30.0, None)]
+        assert [(st, et) for st, et, _ in periods[2]] == [(15.0, None)]
+
+        resends = [op for op in ops if "aid" in op]
+        answers, pool_after, periods_after = asyncio.run(run(resends))
+        assert pool_after == pool and periods_after == periods
+        expected = [reply for op, reply in zip(ops, replies) if "aid" in op]
+        assert answers == [{**reply, "replayed": True} for reply in expected]
 
     def test_a_log_starting_past_the_snapshot_refuses_the_boot(self, tmp_path):
         log = DecisionLog(tmp_path, segment_bytes=256)

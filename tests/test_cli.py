@@ -3,8 +3,10 @@
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -176,7 +178,7 @@ class TestServiceParsers:
         args = build_parser().parse_args(["serve"])
         assert args.port == 0 and args.servers == 64
         assert args.max_queue == 1024 and args.max_batch == 64
-        assert args.snapshot_path is None and args.metrics_interval == 0.0
+        assert args.snapshot_path is None and args.log_dir is None
 
     def test_loadgen_subcommand_is_gone(self, capsys):
         """benchmarks/stack owns load, the chaos plans own replay (DESIGN §10)."""
@@ -199,6 +201,12 @@ class TestServiceParsers:
             ["serve", "--shards", "4"],
             ["fuzz", "--shards", "2"],
             ["fuzz", "--chaos", "--plan", "kill-shard"],
+            # the plans and the knob that went (DESIGN.md §28)
+            ["fuzz", "--chaos", "--plan", "kill-restart"],
+            ["fuzz", "--chaos", "--plan", "duplicate"],
+            ["fuzz", "--chaos", "--plan", "reorder"],
+            ["fuzz", "--chaos", "--plan", "scale-events"],
+            ["serve", "--metrics-interval", "30"],
         ],
     )
     def test_shard_tier_options_are_argparse_usage_errors(self, argv, capsys):
@@ -239,6 +247,50 @@ class TestBootSnapshotErrors:
         assert rc == 2
         (line,) = captured.err.splitlines()
         assert line.startswith(f"{argv[0]}: snapshot {v1_snapshot} has version 1")
+        assert "listening on" not in captured.out
+
+    def test_a_port_that_is_not_a_primary_is_one_line_and_exit_2(self, capsys):
+        """``--primary-port`` naming a follower's control port: ``status``
+        is refused ``MALFORMED`` there, so ``follow`` stops with one line
+        and exit 2 instead of retrying it in silence."""
+        from repro.service.protocol import (
+            FOLLOWER_OPS,
+            ProtocolError,
+            decode_line,
+            encode,
+            error_response,
+        )
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def control_port():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rwb") as stream:
+                for raw in stream:
+                    try:
+                        decode_line(raw, ops=FOLLOWER_OPS)
+                    except ProtocolError as exc:
+                        stream.write(encode(error_response({}, exc)))
+                        stream.flush()
+
+        result = {}
+        server = threading.Thread(target=control_port, daemon=True)
+        server.start()
+        follow = threading.Thread(
+            target=lambda: result.update(rc=main(["follow", "--primary-port", str(port)])),
+            daemon=True,
+        )
+        follow.start()
+        follow.join(timeout=10)
+        listener.close()
+        assert "rc" in result, "follow kept retrying a port that is not a primary"
+        server.join(timeout=10)
+        assert not server.is_alive(), "follow left its connection open"
+        captured = capsys.readouterr()
+        assert result["rc"] == 2
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"follow: 127.0.0.1:{port} is not a primary")
         assert "listening on" not in captured.out
 
 
