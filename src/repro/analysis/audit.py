@@ -39,8 +39,8 @@ exactly the buffer states an unaudited run does.
 Cross-calendar (``audit_calendar``, which also audits every slot tree):
 
 * ``RA111`` — per-server idle periods are non-empty, sorted, pairwise
-  disjoint, carry the right server id, and the bisect key arrays mirror them;
-  every non-removed server's list ends in its one unbounded period;
+  disjoint and carry the right server id; every non-removed server's
+  list ends in its one unbounded period;
 * ``RA112`` — every bounded period is indexed (stored or buffered) in
   exactly the slot trees it overlaps (and unbounded ones never leak
   into trees: they live in the tail index);
@@ -244,7 +244,7 @@ def audit_calendar(cal: "AvailabilityCalendar") -> list[AuditFinding]:
     invariants tying per-server lists, trees and tail index together."""
     findings: list[AuditFinding] = []
 
-    # RA111: authoritative per-server lists and their bisect key arrays
+    # RA111: authoritative per-server lists
     for server, periods in enumerate(cal._server_periods):
         where = f"server {server}"
         if cal._status[server] == "removed":
@@ -273,10 +273,6 @@ def audit_calendar(cal: "AvailabilityCalendar") -> list[AuditFinding]:
             if not p.st < p.et:
                 # the carve's trusted constructor does not check this
                 findings.append(AuditFinding("RA111", where, f"period {p} is empty"))
-        if cal._server_keys[server] != [p.st for p in periods]:
-            findings.append(
-                AuditFinding("RA111", where, "key array out of sync with period list")
-            )
 
     # per-tree structural audits + collect where every uid is indexed
     indexed: dict[int, set[int]] = {}

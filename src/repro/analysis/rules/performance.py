@@ -68,7 +68,7 @@ class SortInLoopRule(Rule):
     title = "sort inside a loop"
     hint = (
         "hoist the sort out of the loop, or maintain order incrementally "
-        "with bisect/insort (see the calendar's per-server key arrays)"
+        "with bisect/insort (see the calendar's per-server period lists)"
     )
 
     def applies_to(self, module: str) -> bool:

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from operator import attrgetter
 
 from .opcount import NULL_COUNTER, OpCounter
 from .slot_tree import TwoDimTree
@@ -80,6 +81,10 @@ POOL_STATES = ("active", "draining", "removed")
 
 #: sentinel uid bound making ``(t, _UID_HIGH)`` compare after any real key
 _UID_HIGH = math.inf
+
+#: a server's period list is sorted by start (starts are unique per
+#: server: its periods are disjoint), so it is its own bisect key
+_start = attrgetter("st")
 
 
 class AvailabilityCalendar:
@@ -119,7 +124,6 @@ class AvailabilityCalendar:
         #: the uid of the next period this calendar creates
         self._next_uid = n_servers
         self._server_periods = [[period] for period in initial]
-        self._server_keys = [[period.st] for period in initial]
         self._inf_keys = [(period.st, period.uid) for period in initial]
         self._inf_periods = initial
 
@@ -156,12 +160,9 @@ class AvailabilityCalendar:
         # ``_unwritten``
         self._trees: dict[int, TwoDimTree] = {}
         self._unwritten = TwoDimTree(counter)
+        # per-server idle periods sorted by start: membership and
+        # insertion points are a bisect keyed on ``st``
         self._server_periods: list[list[IdlePeriod]] = [[] for _ in range(n_servers)]
-        # parallel per-server key arrays: starting times of the periods in
-        # ``_server_periods`` (disjoint periods have unique starts per
-        # server), so membership and insertion points are a bisect instead
-        # of a scan or a per-insert key-list rebuild
-        self._server_keys: list[list[float]] = [[] for _ in range(n_servers)]
         # tail index: unbounded periods, parallel arrays sorted by (st, uid);
         # keyed as float pairs so probes like ``(sr, _UID_HIGH)`` type-check
         self._inf_keys: list[tuple[float, float]] = []
@@ -238,7 +239,7 @@ class AvailabilityCalendar:
     def _trim_history(self) -> None:
         """Drop per-server periods that ended before the horizon start."""
         cutoff = self.horizon_start
-        for server, periods in enumerate(self._server_periods):
+        for periods in self._server_periods:
             n = 0
             for p in periods:
                 if p.et > cutoff:
@@ -246,7 +247,6 @@ class AvailabilityCalendar:
                 n += 1
             if n:
                 del periods[:n]
-                del self._server_keys[server][:n]
 
     # ------------------------------------------------------------------
     # period registration
@@ -315,22 +315,18 @@ class AvailabilityCalendar:
             trees[q].remove(period)
 
     def _add_period(self, period: IdlePeriod) -> None:
-        keys = self._server_keys[period.server]
-        idx = bisect_right(keys, period.st)
-        keys.insert(idx, period.st)
-        self._server_periods[period.server].insert(idx, period)
+        periods = self._server_periods[period.server]
+        periods.insert(bisect_right(periods, period.st, key=_start), period)
         self._index_period(period)
 
     def _drop_period(self, period: IdlePeriod) -> None:
-        keys = self._server_keys[period.server]
         periods = self._server_periods[period.server]
-        idx = bisect_left(keys, period.st)
-        # starts are unique per server, so the key pins the exact period;
+        idx = bisect_left(periods, period.st, key=_start)
+        # starts are unique per server, so the start pins the exact period;
         # a stale handle (already carved by someone else) raises, matching
         # the commit-after-range-search failure contract
         if idx >= len(periods) or periods[idx] is not period:
             raise ValueError(f"{period} is not registered on server {period.server}")
-        del keys[idx]
         del periods[idx]
         self._unindex_period(period)
 
@@ -361,33 +357,39 @@ class AvailabilityCalendar:
         :meth:`~repro.core.coalloc.OnlineCoAllocator.commit`); every
         period must host the window, must still be registered (a handle
         carved since a range search returned it is stale), and may be
-        named only once.
+        named only once.  A trailing handle is registered when it is the
+        last period of its server's list, where every server keeps its
+        one trailing period; a bounded one is found by a ``bisect`` on
+        the list's starts.
 
-        One pass over the periods then does the carving (DESIGN.md §15):
-        one splice of each server's key and period arrays, one
-        ``bisect`` and ``del`` per trailing period leaving the tail
-        index, and each remnant's slot range computed once.  The left
-        remnant of an active trailing period that starts in the
-        horizon's first slot or before it — nearly every remnant a wide
-        request carves — is that period's only slot note, and it enters
-        exactly the slots ``base..left_last`` that every other such
-        remnant enters.  Those remnants are gathered into one
-        ``{uid: period}`` dict that each of those slots receives after
-        the loop as one :meth:`TwoDimTree.insert_many` note (DESIGN.md
-        §21); every other remnant is noted slot by slot.  Remnants come
-        from the trusted constructor of :mod:`repro.core.types`: the
-        branch that builds each one has just proven it non-empty, so it
-        is not proven again.  The ``O(n_r · Q)`` slot-tree updates one
-        request implies are O(1) notes in the write buffers of the
-        overlapped trees, each applied — fused with whatever else that
-        slot has been told since — when the slot is next searched, or
-        never if it rolls out of the horizon first.  Remnant uids are
-        drawn from the calendar's counter left remnant then right
-        remnant, period by period (the Phase-2 tie-break), so the new
-        trailing remnants — all starting at ``end``, with uids above any
-        stored one — enter the tail index as one sorted block.
-        Draining and removed servers' periods are carved in the
-        authoritative lists only.
+        One pass over the periods then does the carving (DESIGN.md §15,
+        §29): one slice assignment of each server's list, and each
+        remnant's slot range computed once.  The left remnant of an
+        active trailing period that starts in the horizon's first slot
+        or before it — nearly every remnant a wide request carves — is
+        that period's only slot note, and it enters exactly the slots
+        ``base..left_last`` that every other such remnant enters.  Those
+        remnants are gathered into one ``{uid: period}`` dict that each
+        of those slots receives after the loop as one
+        :meth:`TwoDimTree.insert_many` note (DESIGN.md §21); every other
+        remnant is noted slot by slot.  Remnants come from the trusted
+        constructor of :mod:`repro.core.types`: the branch that builds
+        each one has just proven it non-empty, so it is not proven
+        again.  The ``O(n_r · Q)`` slot-tree updates one request implies
+        are O(1) notes in the write buffers of the overlapped trees,
+        each applied — fused with whatever else that slot has been told
+        since — when the slot is next searched, or never if it rolls out
+        of the horizon first.  Remnant uids are drawn from the
+        calendar's counter left remnant then right remnant, period by
+        period (the Phase-2 tie-break).
+
+        The carved trailing periods leave the tail index after the loop,
+        one run of neighbours at a time: a run costs one ``bisect`` and
+        one slice ``del``, and the tail block :meth:`find_feasible`
+        returns (latest-starting first) is one run.  The new trailing
+        remnants — all starting at ``end``, with uids above any stored
+        one — then enter it as one sorted block.  Draining and removed
+        servers' periods are carved in the authoritative lists only.
         """
         if start >= self.horizon_end:
             raise ValueError(
@@ -403,13 +405,17 @@ class AvailabilityCalendar:
                 raise ValueError(
                     f"period {period} cannot host [{start}, {end}) on server {period.server}"
                 )
-        all_keys, all_periods = self._server_keys, self._server_periods
+        all_periods = self._server_periods
         where: list[int] = []
         for period in periods:
-            # starts are unique per server, so the key pins the exact period
-            keys = all_keys[period.server]
-            idx = bisect_left(keys, period.st)
-            if idx == len(keys) or all_periods[period.server][idx] is not period:
+            plist = all_periods[period.server]
+            if period.et == INF:
+                # a server's one trailing period ends its list
+                idx = len(plist) - 1
+            else:
+                # starts are unique per server, so the start pins the period
+                idx = bisect_left(plist, period.st, key=_start)
+            if idx < 0 or idx == len(plist) or plist[idx] is not period:
                 raise ValueError(f"{period} is not registered on server {period.server}")
             where.append(idx)
         servers = tuple([period.server for period in periods])
@@ -423,7 +429,6 @@ class AvailabilityCalendar:
                 seen.add(period.server)
 
         status, trees, counter = self._status, self._trees, self.counter
-        inf_keys, inf_periods = self._inf_keys, self._inf_periods
         # nothing below can refuse the call, so the counter is stored
         # back once, after the loop, with no draw lost
         uid = self._next_uid
@@ -434,7 +439,8 @@ class AvailabilityCalendar:
         base_start = base * self.tau
         left_last = self._last_overlapping_slot(start)
         right_first = max(self.slot_of(end), base)
-        tail_removed = 0
+        # active trailing periods, to leave the tail index after the loop
+        carved: list[IdlePeriod] = []
         trailing: list[IdlePeriod] = []
         # left remnants whose slots are base..left_last, noted there at the end
         lefts: dict[int, IdlePeriod] = {}
@@ -445,25 +451,19 @@ class AvailabilityCalendar:
                 first = base if st < base_start else self.slot_of(st)
                 if et == INF:
                     # unbounded: in the tail index, in no slot tree
-                    i = bisect_right(inf_keys, (st, period.uid)) - 1
-                    assert inf_periods[i] is period, f"{period} missing from the tail index"
-                    del inf_keys[i]
-                    del inf_periods[i]
-                    tail_removed += 1
+                    carved.append(period)
                 else:
                     # the carved period's slots; a right remnant ends
                     # where it does, so ``last`` serves both
                     last = self._last_overlapping_slot(et)
                     for q in range(first, last + 1):
                         trees[q].remove(period)
-            new_keys: list[float] = []
-            new_periods: list[IdlePeriod] = []
+            remnants: tuple[IdlePeriod, ...] = ()
             if st < start:
                 # trusted: non-empty by this branch's condition
                 left = new_period(server, st, start, uid)
                 uid += 1
-                new_keys.append(st)
-                new_periods.append(left)
+                remnants = (left,)
                 if active:
                     if first == base and et == INF:
                         # a trailing period and its right remnant are in
@@ -481,8 +481,7 @@ class AvailabilityCalendar:
                 # trusted: non-empty by this branch's condition
                 right = new_period(server, end, et, uid)
                 uid += 1
-                new_keys.append(end)
-                new_periods.append(right)
+                remnants += (right,)
                 if active:
                     if et == INF:
                         trailing.append(right)
@@ -492,8 +491,7 @@ class AvailabilityCalendar:
                             if tree is None:
                                 tree = trees[q] = TwoDimTree(counter)
                             tree.insert(right)
-            all_keys[server][idx : idx + 1] = new_keys
-            all_periods[server][idx : idx + 1] = new_periods
+            all_periods[server][idx : idx + 1] = remnants
         self._next_uid = uid
         if lefts:
             # each of these left remnants starts no later than slot base
@@ -503,8 +501,22 @@ class AvailabilityCalendar:
                 if tree is None:
                     tree = trees[q] = TwoDimTree(counter)
                 tree.insert_many(lefts)
-        if tail_removed:
-            counter.add("remove", tail_removed)
+        inf_keys, inf_periods = self._inf_keys, self._inf_periods
+        if carved:
+            n, j = len(carved), 0
+            while j < n:
+                period = carved[j]
+                hi = bisect_right(inf_keys, (period.st, period.uid))
+                assert inf_periods[hi - 1] is period, f"{period} missing from the tail index"
+                # the periods named next are usually its neighbours below:
+                # find_feasible names a tail block latest-starting first
+                lo, j = hi - 1, j + 1
+                while j < n and lo and inf_periods[lo - 1] is carved[j]:
+                    lo -= 1
+                    j += 1
+                del inf_keys[lo:hi]
+                del inf_periods[lo:hi]
+            counter.add("remove", n)
         if trailing:
             # every new trailing remnant starts at ``end`` with a fresh,
             # ascending uid above any stored one (the counter only grows,
@@ -533,12 +545,11 @@ class AvailabilityCalendar:
         if not start < end:
             raise ValueError(f"release window [{start}, {end}) is empty")
         periods = self._server_periods[server]
-        keys = self._server_keys[server]
         # the only merge candidates are the period starting exactly at
         # ``end`` and the one ending exactly at ``start`` — both found by
-        # one bisect on the key array
-        idx = bisect_left(keys, end)
-        after = periods[idx] if idx < len(keys) and keys[idx] == end else None
+        # one bisect on the starts
+        idx = bisect_left(periods, end, key=_start)
+        after = periods[idx] if idx < len(periods) and periods[idx].st == end else None
         if after is None and end > self.horizon_end:
             # nothing idle starts at ``end``, so the freed period would be
             # bounded there; a reservation's own end always passes (what
@@ -629,7 +640,6 @@ class AvailabilityCalendar:
         new_ids = list(range(self.n_servers, self.n_servers + count))
         for server in new_ids:
             self._server_periods.append([])
-            self._server_keys.append([])
             self._status.append("active")
             self.n_servers += 1
             self._add_period(IdlePeriod(server=server, st=self.now, et=INF, uid=self._next_uid))
@@ -680,7 +690,6 @@ class AvailabilityCalendar:
         # periods left every derived index at drain time; dropping the
         # authoritative list is all that remains
         self._server_periods[server].clear()
-        self._server_keys[server].clear()
         self._status[server] = "removed"
         return True
 

@@ -103,17 +103,11 @@ class TestTreeCorruptions:
 
 
 class TestCalendarCorruptions:
-    def test_desynced_key_array_reports_ra111(self):
-        cal = populated().calendar
-        cal._server_keys[0].append(1e12)
-        assert "RA111" in check_ids(audit_calendar(cal))
-
     def test_dropped_trailing_period_reports_ra111(self):
         """A server left without its unbounded period (what a refused
         release once did) is a broken list, whatever the ledger says."""
         cal = populated().calendar
         trailing = cal._server_periods[0].pop()
-        cal._server_keys[0].pop()
         assert trailing.et == INF
         assert any(
             f.check_id == "RA111" and f.location == "server 0" for f in audit_calendar(cal)
@@ -125,7 +119,6 @@ class TestCalendarCorruptions:
         cal = populated().calendar
         trailing = cal._server_periods[0][-1]
         cal._server_periods[0].insert(-1, make_period(0, trailing.st, trailing.st, -1))
-        cal._server_keys[0].insert(-1, trailing.st)
         assert any(
             f.check_id == "RA111" and f.location == "server 0" and "empty" in f.message
             for f in audit_calendar(cal)

@@ -107,17 +107,32 @@ class TestAllocate:
             cal.allocate([stale], 5.0, 15.0)
 
     @pytest.mark.parametrize(
-        "case", ["fresh_then_stale", "named_twice", "empty_window", "open_ended"]
+        "case",
+        [
+            "fresh_then_stale",
+            "named_twice",
+            "empty_window",
+            "open_ended",
+            "stale_trailing_carved_again",
+            "bounded_then_stale_trailing",
+        ],
     )
     def test_a_refused_allocation_changes_nothing(self, case):
         """Every handle is checked before the first one is carved: a stale
         or repeated handle late in the list used to leave the earlier
         servers carved, their time held by no allocation.  An open-ended
         window used to be granted, leaving its server no trailing period
-        and the grant impossible to release."""
+        and the grant impossible to release.  A trailing handle is checked
+        against the end of its server's list, which a handle whose server
+        has been carved again since no longer is."""
         cal = AvailabilityCalendar(4, 10.0, 10)
         fresh, stale = cal.idle_periods(0)[0], cal.idle_periods(1)[0]
         cal.allocate([stale], 0.0, 20.0)
+        recarved = cal.idle_periods(1)[-1]  # [20, ∞), carved again below
+        cal.allocate([recarved], 30.0, 40.0)
+        cal.allocate(cal.idle_periods(2), 50.0, 60.0)
+        bounded = cal.idle_periods(2)[0]  # [0, 50), in slots 0..4
+        assert (bounded.st, bounded.et) == (0.0, 50.0)
         before = json.dumps(cal.export_state(), sort_keys=True)
         notes = {q: (sorted(t._ins), sorted(t._rem)) for q, t in cal._trees.items()}
         periods, start, end, match = {
@@ -125,6 +140,8 @@ class TestAllocate:
             "named_twice": ([fresh, fresh], 0.0, 20.0, "named twice"),
             "empty_window": ([fresh], 20.0, 20.0, "empty"),
             "open_ended": ([fresh], 0.0, INF, "never ends"),
+            "stale_trailing_carved_again": ([fresh, recarved], 20.0, 30.0, "not registered"),
+            "bounded_then_stale_trailing": ([bounded, stale], 0.0, 20.0, "not registered"),
         }[case]
         with pytest.raises(ValueError, match=match):
             cal.allocate(periods, start, end)

@@ -1,8 +1,9 @@
 """``allocate`` carves a request in one pass (DESIGN.md §15).
 
-The pass splices each server's arrays, takes each trailing period out of
-the tail index with one bisect, computes each remnant's slot range once,
-and adds the new trailing remnants to the tail index as one sorted block.
+The pass assigns one slice of each server's period list, computes each
+remnant's slot range once, takes the carved trailing periods out of the
+tail index one run of neighbours at a time, and adds the new trailing
+remnants to it as one sorted block.
 These tests hold it to what the per-period call chain it replaced
 guaranteed, under random histories of reserves,
 range-search commits, cancels, clock moves, drains and snapshot restores:
@@ -18,6 +19,9 @@ range-search commits, cancels, clock moves, drains and snapshot restores:
   where the first slot is one float comparison rather than ``slot_of``;
 * a wide request's left remnants reach each slot they share as one
   ``insert_many`` call, not one ``insert`` per remnant;
+* whichever trailing periods are carved, in whichever order, the tail
+  index and every server list come out as a restore of the state builds
+  them;
 * the operation counts of a fixed history are the call chain's, and its
   final state is the validating constructors'.
 """
@@ -355,6 +359,63 @@ class TestFirstSlotAtTheHorizonStart:
             notes, expected = carve_notes(cal, period, start, end)
         assert notes == expected
         cal.validate()
+
+
+@st.composite
+def tail_commits(draw):
+    """Grants on a 16-server calendar, on a grid of τ/4 (so trailing
+    periods share starts and differ by uid), then a τ/4 window and which
+    of the trailing periods covering it to commit, in which order."""
+    grants = draw(
+        st.lists(
+            st.tuples(st.integers(0, 4 * Q - 1), st.integers(1, 8), st.integers(1, 16)),
+            max_size=12,
+        )
+    )
+    probe = draw(st.integers(0, 4 * Q - 1))
+    pick = draw(st.sampled_from(["every_other", "every_other_reversed", "all", "all_reversed"]))
+    return grants, probe, pick, draw(st.integers(0, 1))
+
+
+def rows(periods):
+    return [(p.server, p.st, p.et, p.uid) for p in periods]
+
+
+def layout(cal: AvailabilityCalendar):
+    """The tail index and every server list, as plain values."""
+    return list(cal._inf_keys), rows(cal._inf_periods), [rows(ps) for ps in cal._server_periods]
+
+
+class TestTailRuns:
+    """The carved trailing periods leave the tail index after the pass,
+    one run of neighbours per ``bisect`` and slice ``del``: every other
+    trailing period of a range search is a run of one each, and the
+    reversed whole is one run, as a ``find_feasible`` tail block is."""
+
+    @given(case=tail_commits())
+    @settings(max_examples=150, deadline=None)
+    def test_what_is_left_is_what_a_restore_builds(self, case):
+        grants, probe, pick, offset = case
+        cal = AvailabilityCalendar(16, TAU, Q)
+        for k, length, nr in grants:
+            start = k * TAU / 4
+            found = cal.find_feasible(start, start + length * TAU / 4, nr)
+            if found:
+                cal.allocate(found, start, start + length * TAU / 4)
+        ta = probe * TAU / 4
+        trailing = [p for p in cal.range_search(ta, ta + TAU / 4) if p.et == INF]
+        chosen = {
+            "every_other": trailing[offset::2],
+            "every_other_reversed": trailing[offset::2][::-1],
+            "all": trailing,
+            "all_reversed": trailing[::-1],
+        }[pick]
+        if chosen:
+            cal.allocate(chosen, ta, ta + TAU / 4)
+        assert audit_calendar(cal) == []
+        assert all(p not in cal._inf_periods for p in chosen)
+        state = json.loads(json.dumps(cal.export_state()))
+        assert layout(cal) == layout(AvailabilityCalendar.from_state(state))
 
 
 class CallTree(TwoDimTree):

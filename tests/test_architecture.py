@@ -211,7 +211,9 @@ if grep -rnE 'mypyc|REPRO_MYPYC|REPRO_PURE_CORE|IS_COMPILED|importlib' src/repro
 #: IdlePeriod. An allocation is its servers (DESIGN.md §21): allocate
 #: builds no Reservation, and make_reservation is gone. The calendar
 #: numbers its own periods (DESIGN.md §16): every period it builds is
-#: handed a uid explicitly
+#: handed a uid explicitly. A server's period list is its own bisect key
+#: (DESIGN.md §29): a parallel _server_keys array coming back is a second
+#: copy of every start that each update has to keep in step
 ONE_CARVE_PATH = r"""
 python - <<'EOF'
 import ast, pathlib
@@ -234,6 +236,7 @@ for path in sorted(pathlib.Path("src/repro").rglob("*.py")):
         names.add(getattr(n, "name", None))  # a def or class
         names.update(a.name for a in getattr(n, "names", ()) if isinstance(a, ast.alias))
     assert "make_reservation" not in names, f"{path} brings make_reservation back"
+    assert "_server_keys" not in names, f"{path} keeps a _server_keys array again"
     if path.as_posix() == "src/repro/core/types.py":
         continue  # where make_period is defined
     used = trusted & names
@@ -348,6 +351,17 @@ class TestOneCarvePath:
             "    return rid, start, end, tuple(servers)\n",
         )
         assert "src/repro/core/types.py brings make_reservation back" in caught(
+            ONE_CARVE_PATH, root
+        )
+
+    def test_a_server_key_array_restored_is_caught(self, tmp_path):
+        root = mutated_copy(
+            tmp_path,
+            "core/calendar.py",
+            "\n\ndef _keyed(calendar):\n"
+            "    calendar._server_keys = [[p.st for p in ps] for ps in calendar._server_periods]\n",
+        )
+        assert "src/repro/core/calendar.py keeps a _server_keys array again" in caught(
             ONE_CARVE_PATH, root
         )
 

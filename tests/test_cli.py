@@ -300,14 +300,28 @@ class TestBootRefusals:
 
     SERVE = ["serve", "--servers", "2", "--tau", "10", "--q-slots", "4"]
 
-    def _serve(self, log_dir, capsys):
+    #: seconds a refused boot may take; one that serves instead is stopped
+    #: then and fails with ``TimeoutError`` rather than serving forever
+    BOOT_SECONDS = 5.0
+
+    def _serve(self, log_dir, capsys, monkeypatch):
+        import asyncio
+
+        from repro.service import server
+
+        serve_forever = server.serve_forever
+
+        async def bounded(config):
+            await asyncio.wait_for(serve_forever(config), self.BOOT_SECONDS)
+
+        monkeypatch.setattr(server, "serve_forever", bounded)
         rc = main([*self.SERVE, "--log-dir", str(log_dir)])
         captured = capsys.readouterr()
         (line,) = captured.err.splitlines()
         assert rc == 1 and line.startswith("serve: ")
         return line, captured.out
 
-    def test_a_log_gap_refuses_the_boot(self, tmp_path, capsys):
+    def test_a_log_gap_refuses_the_boot(self, tmp_path, capsys, monkeypatch):
         from repro.service.declog import DecisionLog
 
         log = DecisionLog(tmp_path, segment_bytes=128)
@@ -316,17 +330,17 @@ class TestBootRefusals:
         log.flush()
         log.compact(8)
         log.close()
-        line, out = self._serve(tmp_path, capsys)
+        line, out = self._serve(tmp_path, capsys, monkeypatch)
         assert f"starts after hwm {log.base}, past the snapshot's hwm 0" in line
         assert "listening on" not in out
 
-    def test_a_diverging_replay_refuses_the_boot(self, tmp_path, capsys):
+    def test_a_diverging_replay_refuses_the_boot(self, tmp_path, capsys, monkeypatch):
         from repro.service.declog import DecisionLog
 
         log = DecisionLog(tmp_path)
         log.append("cancel", {"rid": 1}, {"ok": True})  # nothing to cancel: a lie
         log.close()
-        line, out = self._serve(tmp_path, capsys)
+        line, out = self._serve(tmp_path, capsys, monkeypatch)
         assert "from the snapshot's hwm 0 to hwm 1: record 1 (cancel rid=1 aid=None)" in line
         assert "listening on" not in out
 
@@ -338,7 +352,7 @@ class TestBootRefusals:
         ],
     )
     def test_a_record_damaged_behind_its_head_refuses_the_boot(
-        self, tmp_path, capsys, damage, refusal
+        self, tmp_path, capsys, monkeypatch, damage, refusal
     ):
         from repro.service.declog import DecisionLog
 
@@ -349,7 +363,7 @@ class TestBootRefusals:
         raw = segment.read_bytes()
         assert raw.count(damage[0]) == 1
         segment.write_bytes(raw.replace(*damage))  # one byte; the frame head intact
-        line, out = self._serve(tmp_path, capsys)
+        line, out = self._serve(tmp_path, capsys, monkeypatch)
         assert f"from the snapshot's hwm 0 to hwm 1: {refusal}" in line
         assert "listening on" not in out
 
@@ -373,7 +387,7 @@ class TestBootRefusals:
 
         monkeypatch.setattr(DecisionLog, "_write", full_disk)
         monkeypatch.setattr(ReservationService, "start", start_and_reserve)
-        line, out = self._serve(tmp_path, capsys)
+        line, out = self._serve(tmp_path, capsys, monkeypatch)
         assert "commit after hwm 0 failed" in line and "No space left" in line
         assert "listening on" in out
 
