@@ -47,9 +47,9 @@ from .http import (
     MAX_BODY_BYTES,
     HttpError,
     HttpRequest,
+    RequestBuffer,
     format_retry_after,
     json_body,
-    read_request,
     response_bytes,
 )
 from .prom import PromRegistry
@@ -67,8 +67,8 @@ _STATUS_FOR = {
     "INTERNAL": 500,
 }
 
-#: the data-plane ops POSTable under /v1/ (rate-limited per tenant)
-_DATA_OPS = ("reserve", "probe", "cancel")
+#: the data-plane ops POSTable under /v1/ (rate-limited per tenant), by route
+_DATA_ROUTES = {f"/v1/{op}": op for op in ("reserve", "probe", "cancel")}
 
 #: pool mutations accepted by POST /v1/admin/scale (authenticated but not
 #: rate-limited: an operator shrinking an overloaded pool must get through)
@@ -240,7 +240,11 @@ class Gateway:
                 for pending in run:
                     answer = pending.answer
                     if isinstance(answer, _Exchange):
-                        answer = await self._settle(answer)
+                        line = answer.line
+                        if line.done() and not line.cancelled() and not line.exception():
+                            answer = self._reply_for(answer, line.result())
+                        else:
+                            answer = await self._settle(answer)
                     self.latency.observe(perf_counter() - pending.started)
                     status, body, headers, content_type = answer
                     chunks.append(
@@ -265,18 +269,29 @@ class Gateway:
         responses: asyncio.Queue[_Pending | None],
         slots: asyncio.Semaphore,
     ) -> None:
-        """Parse requests until EOF, a framing error or a last request."""
+        """Parse requests until EOF, a framing error or a last request.
+
+        A read takes whatever the socket holds, and every request it
+        completes is parsed from the connection's own buffer without a
+        further wait.  A request holds its slot from before it is parsed.
+        """
+        framing = RequestBuffer()
         try:
             while True:
                 await slots.acquire()
                 try:
-                    request = await read_request(reader, MAX_BODY_BYTES)
+                    request = framing.next_request()
+                    while request is None:
+                        chunk = await reader.read(READ_CHUNK_BYTES)
+                        if not chunk:
+                            framing.eof()
+                            return  # clean EOF between requests
+                        framing.feed(chunk)
+                        request = framing.next_request()
                 except HttpError as exc:
                     # framing is not recoverable mid-stream: answer and close
                     error = _error_reply(exc.status, exc.message)
                     responses.put_nowait(_Pending(perf_counter(), False, error))
-                    break
-                if request is None:
                     break
                 started = perf_counter()
                 if request.path == "/metrics" and request.method == "GET":
@@ -292,6 +307,11 @@ class Gateway:
             responses.put_nowait(None)
 
     def _dispatch(self, request: HttpRequest) -> _Reply | _Exchange:
+        op = _DATA_ROUTES.get(request.path)
+        if op is not None:
+            if request.method != "POST":
+                return _error_reply(405, f"{op} is POST-only")
+            return self._handle_op(request, op, rate_limited=True)
         if request.path == "/healthz":
             if request.method != "GET":
                 return _error_reply(405, "healthz is GET-only")
@@ -310,11 +330,6 @@ class Gateway:
             if request.method != "POST":
                 return _error_reply(405, "scale is POST-only")
             return self._handle_op(request, _SCALE_LABEL, rate_limited=False)
-        for op in _DATA_OPS:
-            if request.path == f"/v1/{op}":
-                if request.method != "POST":
-                    return _error_reply(405, f"{op} is POST-only")
-                return self._handle_op(request, op, rate_limited=True)
         return _error_reply(404, f"no route for {request.path!r}")
 
     # ------------------------------------------------------------------
@@ -386,20 +401,34 @@ class Gateway:
         return _json_reply(400, {"ok": False, "op": op, "error": error_payload(exc)})
 
     async def _settle(self, exchange: _Exchange) -> _Reply:
-        """The backend's reply line out as HTTP, body verbatim."""
-        op, tenant = exchange.op, exchange.tenant
+        """The backend's reply to ``exchange`` out as HTTP, once it has come."""
         try:
             line = await self._reply_line(exchange)
-            response = json.loads(line)
         except (ConnectionError, ValueError) as exc:
-            self.rejects_total.inc(tenant=tenant, reason="backend_down")
-            self.backend_up.set(0)
-            return _json_reply(
-                502,
-                {"ok": False, "op": op, "error": _edge_error("backend_down", str(exc))},
-            )
+            return self._backend_down(exchange, exc)
+        return self._reply_for(exchange, line)
+
+    def _reply_for(self, exchange: _Exchange, line: bytes) -> _Reply:
+        """The backend's reply line as HTTP, body verbatim.
+
+        Only a reply that may be an error or a replay is decoded.  Every
+        backend reply has a top-level ``ok`` and is written compact
+        (``protocol.WIRE_ENCODER``, or assembled equal to it), so an
+        error holds ``"ok":false`` and a replay ``"replayed":true``; a
+        line holding ``"ok":true`` and neither is a plain success.  The
+        test can only over-approximate: a ``seq`` that nests those keys
+        costs a decode, never a wrong status.
+        """
+        if b'"ok":true' in line and b'"ok":false' not in line and b'"replayed":true' not in line:
+            self.backend_up.set(1)
+            return _Reply(200, line[:-1])
+        try:
+            response = json.loads(line)
+        except ValueError as exc:
+            return self._backend_down(exchange, exc)
         self.backend_up.set(1)
         body = line[:-1]  # ``protocol.encode`` and ``json_body`` agree byte for byte
+        tenant = exchange.tenant
         if response.get("ok"):
             if response.get("replayed"):
                 self.replayed_total.inc(tenant=tenant)
@@ -416,6 +445,19 @@ class Gateway:
             if retry_after is not None:
                 headers = (("Retry-After", format_retry_after(float(retry_after))),)
         return _Reply(status, body, headers)
+
+    def _backend_down(self, exchange: _Exchange, exc: Exception) -> _Reply:
+        """The 502 for an exchange that got no usable reply."""
+        self.rejects_total.inc(tenant=exchange.tenant, reason="backend_down")
+        self.backend_up.set(0)
+        return _json_reply(
+            502,
+            {
+                "ok": False,
+                "op": exchange.op,
+                "error": _edge_error("backend_down", str(exc)),
+            },
+        )
 
     async def _reply_line(self, exchange: _Exchange) -> bytes:
         """The reply to one submitted request, resent once if its connection died.

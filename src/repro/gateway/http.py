@@ -15,6 +15,7 @@ callers are programs and precise errors shorten debugging loops.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ __all__ = [
     "HttpRequest",
     "MAX_BODY_BYTES",
     "MAX_HEADER_BYTES",
+    "RequestBuffer",
     "format_retry_after",
     "http_request",
     "json_body",
@@ -109,22 +111,13 @@ class HttpRequest:
         return connection != "close"
 
 
-async def read_request(
-    reader: asyncio.StreamReader, max_body: int = MAX_BODY_BYTES
-) -> HttpRequest | None:
-    """Parse one request off the stream; ``None`` on a clean EOF.
+def _parse_head(head: bytes | bytearray, max_body: int) -> tuple[HttpRequest, int]:
+    """The request a head (its closing blank line included) opens, and its body length.
 
-    Raises :class:`HttpError` on malformed framing — the caller answers
-    it and closes (framing errors are not recoverable mid-stream).
+    The one grammar of a request head, for :func:`read_request` and
+    :class:`RequestBuffer` alike; raises :class:`HttpError` on anything
+    it cannot frame.
     """
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF between requests
-        raise HttpError(400, "connection closed mid-request") from exc
-    except asyncio.LimitOverrunError as exc:
-        raise HttpError(431, "request head exceeds the header cap") from exc
     if len(head) > MAX_HEADER_BYTES:
         raise HttpError(431, f"request head exceeds {MAX_HEADER_BYTES} bytes")
     lines = head.decode("latin-1").split("\r\n")
@@ -143,7 +136,7 @@ async def read_request(
         headers[name.strip().lower()] = value.strip()
     if headers.get("transfer-encoding"):
         raise HttpError(411, "chunked bodies unsupported: send Content-Length")
-    body = b""
+    length = 0
     if "content-length" in headers:
         try:
             length = int(headers["content-length"])
@@ -153,16 +146,91 @@ async def read_request(
             raise HttpError(400, "Content-Length is negative")
         if length > max_body:
             raise HttpError(413, f"body exceeds {max_body} bytes")
-        if length:
-            try:
-                body = await reader.readexactly(length)
-            except asyncio.IncompleteReadError as exc:
-                raise HttpError(400, "connection closed mid-body") from exc
     elif method in ("POST", "PUT", "PATCH"):
         raise HttpError(411, "a request body requires Content-Length")
-    return HttpRequest(
-        method=method, path=path, query=query, headers=headers, body=body, version=version
-    )
+    return HttpRequest(method, path, query, headers, b"", version), length
+
+
+async def read_request(
+    reader: asyncio.StreamReader, max_body: int = MAX_BODY_BYTES
+) -> HttpRequest | None:
+    """Parse one request off the stream; ``None`` on a clean EOF.
+
+    Raises :class:`HttpError` on malformed framing — the caller answers
+    it and closes (framing errors are not recoverable mid-stream).  The
+    gateway frames a connection through :class:`RequestBuffer` instead,
+    every complete request of a read in one pass; this is the same
+    grammar one request at a time.
+    """
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return None  # clean EOF between requests
+        raise HttpError(400, "connection closed mid-request") from exc
+    except asyncio.LimitOverrunError as exc:
+        raise HttpError(431, "request head exceeds the header cap") from exc
+    request, length = _parse_head(head, max_body)
+    if length:
+        try:
+            request.body = await reader.readexactly(length)
+        except asyncio.IncompleteReadError as exc:
+            raise HttpError(400, "connection closed mid-body") from exc
+    return request
+
+
+class RequestBuffer:
+    """The bytes one connection has sent, framed into requests.
+
+    :meth:`feed` appends what a read returned, and :meth:`next_request`
+    takes the next complete request off the front, so every request a
+    read completes is parsed without another wait on the socket.  The
+    errors and their statuses are :func:`read_request`'s: a head that
+    cannot end within :data:`MAX_HEADER_BYTES` is 431 as soon as that
+    many bytes have come without its end, and :meth:`eof` is a 400 when
+    it leaves a request half sent.
+    """
+
+    __slots__ = ("_data", "_scanned", "_head")
+
+    def __init__(self) -> None:
+        self._data = bytearray()
+        #: how far ``_data`` is known to hold no complete head
+        self._scanned = 0
+        #: a request whose head is parsed and whose body has not all come
+        self._head: tuple[HttpRequest, int, int] | None = None
+
+    def feed(self, chunk: bytes) -> None:
+        self._data += chunk
+
+    def next_request(self) -> HttpRequest | None:
+        """The next complete request, or ``None`` until more bytes come."""
+        data = self._data
+        if self._head is None:
+            end = data.find(b"\r\n\r\n", self._scanned)
+            if end < 0:
+                if len(data) >= MAX_HEADER_BYTES:
+                    raise HttpError(431, f"request head exceeds {MAX_HEADER_BYTES} bytes")
+                self._scanned = max(0, len(data) - 3)
+                return None
+            start = end + 4
+            request, length = _parse_head(data[:start], MAX_BODY_BYTES)
+            self._head = (request, start, start + length)
+        request, start, stop = self._head
+        if len(data) < stop:
+            return None
+        request.body = bytes(data[start:stop])
+        del data[:stop]
+        self._head = None
+        self._scanned = 0
+        return request
+
+    def eof(self) -> None:
+        """The peer has closed: a 400 if a request is left half sent."""
+        if self._head is not None:
+            raise HttpError(400, "connection closed mid-body")
+        if self._data:
+            raise HttpError(400, "connection closed mid-request")
 
 
 def format_retry_after(retry_after: float) -> str:
@@ -181,6 +249,15 @@ def format_retry_after(retry_after: float) -> str:
     return str(max(1, math.ceil(retry_after)))
 
 
+@functools.cache
+def _head_parts(status: int, content_type: str, keep_alive: bool) -> tuple[bytes, bytes]:
+    """A response head around its ``Content-Length`` value, rendered once."""
+    reason = _REASONS.get(status, "Unknown")
+    before = f"HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: "
+    after = f"\r\nConnection: {'keep-alive' if keep_alive else 'close'}"
+    return before.encode("latin-1"), after.encode("latin-1")
+
+
 def response_bytes(
     status: int,
     body: bytes,
@@ -188,16 +265,17 @@ def response_bytes(
     extra_headers: tuple[tuple[str, str], ...] = (),
     keep_alive: bool = True,
 ) -> bytes:
-    """Render one full HTTP/1.1 response."""
-    reason = _REASONS.get(status, "Unknown")
-    head = [
-        f"HTTP/1.1 {status} {reason}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    head.extend(f"{name}: {value}" for name, value in extra_headers)
-    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+    """Render one full HTTP/1.1 response.
+
+    The head is the same per (status, content type, keep-alive) but for
+    ``Content-Length``, so only that value and any ``extra_headers`` are
+    formatted per response.
+    """
+    before, after = _head_parts(status, content_type, keep_alive)
+    if extra_headers:
+        extra = "".join(f"\r\n{name}: {value}" for name, value in extra_headers)
+        after += extra.encode("latin-1")
+    return b"%s%d%s\r\n\r\n%s" % (before, len(body), after, body)
 
 
 def json_body(payload: dict[str, Any]) -> bytes:

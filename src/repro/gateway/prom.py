@@ -9,18 +9,33 @@ TCP ``status`` op reports — one percentile implementation, two surfaces.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 from ..service.metrics import ReservoirWindow
 
 __all__ = ["Counter", "Gauge", "PromRegistry", "Summary"]
 
+#: a series' labels as sorted ``(name, value)`` pairs
+LabelKey = tuple[tuple[str, str], ...]
+
+
+@functools.cache
+def _label_key(**labels: str) -> LabelKey:
+    """The key a metric files the series with these labels under.
+
+    Sorted once per label set, not once per update.  The cache holds one
+    entry per label set the metrics are given, which are the gateway's
+    bounded vocabulary (its tenants, endpoints, reasons and quantiles).
+    """
+    return tuple(sorted(labels.items()))
+
 
 def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _render_labels(labels: tuple[tuple[str, str], ...]) -> str:
+def _render_labels(labels: LabelKey) -> str:
     if not labels:
         return ""
     inner = ",".join(f'{name}="{_escape(value)}"' for name, value in labels)
@@ -59,14 +74,14 @@ class Counter(_Metric):
 
     def __init__(self, name: str, help_text: str) -> None:
         super().__init__(name, help_text)
-        self._values: dict[tuple[tuple[str, str], ...], float] = {}
+        self._values: dict[LabelKey, float] = {}
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = tuple(sorted(labels.items()))
+        key = _label_key(**labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
     def value(self, **labels: str) -> float:
-        return self._values.get(tuple(sorted(labels.items())), 0.0)
+        return self._values.get(_label_key(**labels), 0.0)
 
     def samples(self) -> Iterator[str]:
         if not self._values:
@@ -83,10 +98,10 @@ class Gauge(_Metric):
 
     def __init__(self, name: str, help_text: str) -> None:
         super().__init__(name, help_text)
-        self._values: dict[tuple[tuple[str, str], ...], float] = {}
+        self._values: dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: str) -> None:
-        self._values[tuple(sorted(labels.items()))] = float(value)
+        self._values[_label_key(**labels)] = float(value)
 
     def samples(self) -> Iterator[str]:
         if not self._values:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from ..core.types import Request
 from ..errors import MalformedRequestError, error_payload
@@ -180,21 +180,61 @@ OPS: tuple[str, ...] = tuple(s.name for s in _SPECS if s.role == "public")
 #: operations the warm-standby follower's control listener understands
 FOLLOWER_OPS: tuple[str, ...] = tuple(s.name for s in _SPECS if s.role == "follower")
 
+#: the fields an HTTP body may hold, by public op: its own and ``seq``
+_BODY_FIELDS: dict[str, frozenset[str]] = {
+    s.name: s.field_names | {"seq"} for s in _SPECS if s.role == "public"
+}
+
 
 class ProtocolError(MalformedRequestError):
     """The line is not a valid protocol message (framing or fields)."""
 
 
+class _WireEncoder(json.JSONEncoder):
+    """A ``JSONEncoder`` whose C encoder is made once, not once per call.
+
+    ``JSONEncoder.encode`` goes through ``iterencode(_one_shot=True)``,
+    which builds a fresh ``_json`` encoder (and a ``floatstr`` closure)
+    on every call.  This one builds it in ``__init__`` with the same
+    arguments ``iterencode`` would pass, so the bytes and the errors are
+    the stdlib's; without the C accelerator it is ``JSONEncoder.encode``.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(
+            separators=(",", ":"), sort_keys=True, allow_nan=False, check_circular=False
+        )
+        make = getattr(json.encoder, "c_make_encoder", None)  # None without ``_json``
+        self._chunks: Callable[[Any, int], Any] | None = None
+        if make is not None:
+            self._chunks = make(
+                None,  # the markers of the cycle check, which is off
+                self.default,
+                json.encoder.encode_basestring_ascii,
+                self.indent,
+                self.key_separator,
+                self.item_separator,
+                self.sort_keys,
+                self.skipkeys,
+                self.allow_nan,
+            )
+
+    def encode(self, o: Any) -> str:
+        if self._chunks is None:
+            return super().encode(o)
+        return "".join(self._chunks(o, 0))
+
+
 #: the one JSON encoder of every wire line, HTTP body and snapshot:
 #: compact separators, sorted keys, no ``NaN``/``Infinity``.  It is built
-#: once (``json.dumps`` with any non-default setting builds an encoder
-#: per call), and without the cycle check: every value it meets is
-#: decoded JSON or a dict the server built, neither of which can contain
-#: itself.  Nesting too deep for the interpreter raises ``RecursionError``
-#: either way; callers treat it as they treat ``ValueError``.
-WIRE_ENCODER = json.JSONEncoder(
-    separators=(",", ":"), sort_keys=True, allow_nan=False, check_circular=False
-)
+#: once, C encoder included (``json.dumps`` with any non-default setting
+#: builds a ``JSONEncoder`` per call, and ``JSONEncoder.encode`` builds a
+#: C encoder per call), and without the cycle check: every value it
+#: meets is decoded JSON or a dict the server built, neither of which
+#: can contain itself.  Nesting too deep for the interpreter raises
+#: ``RecursionError`` either way; callers treat it as they treat
+#: ``ValueError``.
+WIRE_ENCODER = _WireEncoder()
 
 
 def encode(message: dict[str, Any]) -> bytes:
@@ -292,10 +332,10 @@ def validate_payload(op: str, payload: dict[str, Any]) -> dict[str, Any]:
     ignored typo).  Returns the message dict with ``op`` filled in.
     Raises :class:`ProtocolError` on any structural problem.
     """
-    spec = REGISTRY.get(op)
-    if spec is None or spec.role != "public":
+    allowed = _BODY_FIELDS.get(op)
+    if allowed is None:
         raise ProtocolError(f"unknown op {op!r} (expected one of {', '.join(OPS)})")
-    allowed = spec.field_names | {"seq"}
+    spec = REGISTRY[op]
     for name in payload:
         if name == "op":
             if payload[name] != op:

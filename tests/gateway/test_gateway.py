@@ -11,11 +11,29 @@ import json
 import socket
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import BusyError
-from repro.gateway.app import PIPELINE_DEPTH, Gateway, GatewayConfig
-from repro.gateway.http import format_retry_after, http_request
-from repro.service.protocol import encode
+from repro.errors import (
+    BusyError,
+    ConflictError,
+    MalformedRequestError,
+    NotFoundError,
+    RejectedError,
+    ShuttingDownError,
+    error_payload,
+)
+from repro.gateway.app import PIPELINE_DEPTH, Gateway, GatewayConfig, _Exchange
+from repro.gateway.http import (
+    MAX_BODY_BYTES,
+    MAX_HEADER_BYTES,
+    HttpError,
+    RequestBuffer,
+    format_retry_after,
+    http_request,
+    read_request,
+)
+from repro.service.protocol import ProtocolError, encode
 
 from ..service.harness import (
     SMALL,
@@ -943,3 +961,330 @@ class TestMetrics:
         assert "repro_gateway_backend_inflight 0" in text  # sampled after its own probe
         assert 'repro_service_accepted_total' in text
         assert 'repro_gateway_request_seconds{quantile="0.5"}' in text
+
+
+# ----------------------------------------------------------------------
+# which reply lines the gateway decodes
+# ----------------------------------------------------------------------
+
+#: the error-code -> status table the gateway documents, written out
+#: here so a drift in ``app._STATUS_FOR`` shows
+DOCUMENTED_STATUS = {
+    "MALFORMED": 400,
+    "NOT_FOUND": 404,
+    "CONFLICT": 409,
+    "REJECTED": 200,
+    "BUSY": 429,
+    "SHUTTING_DOWN": 503,
+}
+
+
+def decoded_reply(line: bytes):
+    """The answer to ``line`` from a gateway that decodes every reply:
+    ``(status, body, Retry-After or None, replays counted, busy counted)``."""
+    response = json.loads(line)
+    if response.get("ok"):
+        return 200, line[:-1], None, int(bool(response.get("replayed"))), 0
+    error = response.get("error") or {}
+    status = DOCUMENTED_STATUS.get(error.get("code"), 500)
+    retry_after = None
+    if status == 429 and error.get("retry_after") is not None:
+        retry_after = format_retry_after(float(error["retry_after"]))
+    return status, line[:-1], retry_after, 0, int(status == 429)
+
+
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+    | st.sampled_from(['"ok":false', '"ok":true', '"replayed":true', "ok", "replayed"])
+)
+_keys = st.sampled_from(["ok", "replayed", "error", "code", "retry_after"]) | st.text(max_size=6)
+#: a ``seq`` the backend echoes untouched: anything JSON, often nesting
+#: ``ok``/``replayed`` keys and strings that look like them
+_seqs = st.recursive(
+    _leaves,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(_keys, children, max_size=3),
+    max_leaves=10,
+)
+_rids = st.integers(0, 10**6)
+_times = st.floats(0, 1e6, allow_nan=False)
+
+
+def _granted(rid, start, servers):
+    return {
+        "ok": True, "op": "reserve", "rid": rid, "start": start, "end": start + 5.0,
+        "servers": servers, "attempts": 1, "delay": 0.0,
+    }
+
+
+def _error(op, exc, **fields):
+    return {"ok": False, "op": op, **fields, "error": error_payload(exc)}
+
+
+_shapes = st.one_of(
+    st.builds(_granted, _rids, _times, st.lists(st.integers(0, 63), max_size=4)),
+    st.builds(
+        lambda rid, start: {**_granted(rid, start, [0]), "replayed": True}, _rids, _times
+    ),
+    st.builds(
+        lambda rid, attempts, replayed: {
+            **_error("reserve", RejectedError("no capacity", "no_capacity", attempts), rid=rid),
+            **({"replayed": True} if replayed else {}),
+        },
+        _rids, st.integers(1, 30), st.booleans(),
+    ),
+    st.builds(
+        lambda rid: _error("reserve", MalformedRequestError("lr must be positive"), rid=rid),
+        _rids,
+    ),
+    st.builds(
+        lambda periods: {"count": len(periods), "ok": True, "op": "probe", "periods": periods},
+        st.lists(st.tuples(st.integers(0, 63), _times, _times | st.none()).map(list), max_size=6),
+    ),
+    st.just(_error("probe", ProtocolError("probe: field 'tb' must be a finite number"))),
+    st.builds(lambda rid: {"ok": True, "op": "cancel", "rid": rid}, _rids),
+    st.builds(
+        lambda rid: _error("cancel", NotFoundError(f"no active reservation {rid}"), rid=rid),
+        _rids,
+    ),
+    st.builds(
+        lambda op, retry_after: _error(op, BusyError("admission queue full", retry_after)),
+        st.sampled_from(["reserve", "probe", "cancel"]),
+        st.floats(0, 100, allow_nan=False),
+    ),
+    st.builds(
+        lambda op: _error(op, ShuttingDownError("draining")),
+        st.sampled_from(["reserve", "probe", "cancel", "status"]),
+    ),
+    st.just(_error("add_servers", ConflictError("server 0 is draining"))),
+)
+
+
+@st.composite
+def backend_replies(draw):
+    reply = draw(_shapes)
+    if draw(st.booleans()):
+        reply["seq"] = draw(_seqs)
+    return reply
+
+
+class TestReplyClassification:
+    """A reply is decoded only when it may be an error or a replay; the
+    answer is the one a gateway that decodes every reply gives."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(reply=backend_replies())
+    def test_the_answer_equals_the_decoding_reference(self, reply):
+        gateway = Gateway(GatewayConfig())
+        line = encode(reply)
+        exchange = _Exchange(reply["op"], "acme", {"op": reply["op"]}, None)
+        answer = gateway._reply_for(exchange, line)
+        status, body, retry_after, replayed, busy = decoded_reply(line)
+        assert (answer.status, answer.body) == (status, body)
+        assert dict(answer.headers).get("Retry-After") == retry_after
+        assert gateway.replayed_total.value(tenant="acme") == replayed
+        assert gateway.rejects_total.value(tenant="acme", reason="busy") == busy
+        assert gateway.rejects_total.value(tenant="acme", reason="backend_down") == 0
+
+    def test_a_burst_of_successes_decodes_no_reply_line(self, monkeypatch):
+        """A pipelined burst of success replies is answered with no
+        ``json.loads`` of a reply line; the replay behind it is the one
+        line decoded (so the spy sees the gateway's decodes)."""
+        ops = ["reserve", "probe", "cancel"] * (PIPELINE_DEPTH // 3)
+        replies = []
+        for seq, op in enumerate(ops):
+            reply = {"ok": True, "op": op, "seq": seq}
+            if op == "probe":
+                reply.update(count=1, periods=[[0, 0.0, None]])
+            replies.append(encode(reply))
+        replay = encode({**_granted(7, 0.0, [0]), "replayed": True})
+        replies.append(replay)
+        sent = set(replies)
+        decoded = []
+        loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            if isinstance(text, bytes) and text in sent:
+                decoded.append(text)
+            return loads(text, *args, **kwargs)
+
+        async def scenario():
+            async def script(message):
+                return replies[message["seq"]]
+
+            server, backend_port = await start_fake_backend(ScriptedBackend(script).handle)
+            gateway = Gateway(GatewayConfig(backend_port=backend_port))
+            await gateway.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+            requests = [
+                post_bytes(
+                    f"/v1/{op}",
+                    {
+                        "reserve": reserve_msg(seq, 0.0, 5.0, 1),
+                        "probe": {"ta": 0.0, "tb": 1.0},
+                        "cancel": {"rid": seq},
+                    }[op] | {"seq": seq},
+                )
+                for seq, op in enumerate(ops)
+            ]
+            requests.append(post_bytes("/v1/reserve", reserve_msg(7, 0.0, 5.0, 1, seq=len(ops))))
+            with monkeypatch.context() as patch:
+                patch.setattr(json, "loads", counting_loads)
+                writer.write(b"".join(requests))
+                responses = [await read_response(reader) for _ in requests]
+            writer.close()
+            await gateway.stop()
+            server.close()
+            await server.wait_closed()
+            return responses, gateway
+
+        responses, gateway = asyncio.run(scenario())
+        assert decoded == [replay]
+        assert [(code, body) for code, _, body in responses] == [
+            (200, line[:-1]) for line in replies
+        ]
+        assert gateway.replayed_total.value(tenant="anonymous") == 1
+
+
+# ----------------------------------------------------------------------
+# framing: a read's requests parsed from one buffer
+# ----------------------------------------------------------------------
+
+#: two good requests a framing error may sit behind
+VALID = (
+    post_bytes("/v1/probe", {"ta": 0.0, "tb": 1.0})
+    + b"GET /healthz HTTP/1.1\r\nHost: repro\r\n\r\n"
+)
+VALID_PARSED = [
+    ("POST", "/v1/probe", b'{"ta": 0.0, "tb": 1.0}'),
+    ("GET", "/healthz", b""),
+]
+
+#: each framing error, the bytes that cause it and the status it is answered with
+FRAMING_ERRORS = {
+    "request line": (b"GARBAGE\r\n\r\n", 400),
+    "request version": (b"GET /healthz HTTP/2.0\r\n\r\n", 400),
+    "header line": (b"GET /healthz HTTP/1.1\r\nNoColonHere\r\n\r\n", 400),
+    "chunked": (
+        b"POST /v1/probe HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+        411,
+    ),
+    "no length": (b"POST /v1/probe HTTP/1.1\r\nHost: repro\r\n\r\n{}", 411),
+    "bad length": (b"POST /v1/probe HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400),
+    "negative length": (b"POST /v1/probe HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+    "body too large": (
+        b"POST /v1/probe HTTP/1.1\r\nContent-Length: %d\r\n\r\n{" % (MAX_BODY_BYTES + 1),
+        413,
+    ),
+    "head too large": (
+        b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * MAX_HEADER_BYTES + b"\r\n\r\n",
+        431,
+    ),
+    "eof mid-head": (b"POST /v1/probe HTTP/1.1\r\nContent-Le", 400),
+    "eof mid-body": (b'POST /v1/probe HTTP/1.1\r\nContent-Length: 30\r\n\r\n{"ta":0', 400),
+}
+
+
+def frame(chunks):
+    """Requests framed from ``chunks`` as they arrive, then the EOF:
+    ``([(method, path, body), ...], status of the error that ended it or None)``."""
+    buffer = RequestBuffer()
+    parsed = []
+    try:
+        for chunk in chunks:
+            buffer.feed(chunk)
+            while (request := buffer.next_request()) is not None:
+                parsed.append((request.method, request.path, request.body))
+        buffer.eof()
+    except HttpError as exc:
+        return parsed, exc.status
+    return parsed, None
+
+
+def frame_stream(data):
+    """The same bytes through the stream parser :func:`read_request`."""
+
+    async def scenario():
+        reader = asyncio.StreamReader(limit=MAX_BODY_BYTES)
+        reader.feed_data(data)
+        reader.feed_eof()
+        parsed = []
+        try:
+            while (request := await read_request(reader)) is not None:
+                parsed.append((request.method, request.path, request.body))
+        except HttpError as exc:
+            return parsed, exc.status
+        return parsed, None
+
+    return asyncio.run(scenario())
+
+
+class TestFraming:
+    def test_valid_requests_frame_across_every_split(self):
+        assert frame([VALID]) == (VALID_PARSED, None)
+        for cut in range(1, len(VALID)):
+            assert frame([VALID[:cut], VALID[cut:]]) == (VALID_PARSED, None), cut
+        assert frame([bytes([byte]) for byte in VALID]) == (VALID_PARSED, None)
+
+    @pytest.mark.parametrize("case", sorted(FRAMING_ERRORS))
+    def test_each_error_keeps_its_status_across_every_split(self, case):
+        bad, status = FRAMING_ERRORS[case]
+        data = VALID + bad
+        expected = (VALID_PARSED, status)
+        assert frame([data]) == expected
+        assert frame_stream(data) == expected
+        assert frame([bad]) == ([], status)
+        for cut in range(1, len(data)):
+            assert frame([data[:cut], data[cut:]]) == expected, cut
+        assert frame([bytes([byte]) for byte in data]) == expected
+
+    def test_a_read_ending_on_a_request_boundary_is_a_clean_eof(self):
+        assert frame([VALID, b""]) == (VALID_PARSED, None)
+        assert frame_stream(VALID) == (VALID_PARSED, None)
+
+    def test_errors_behind_valid_requests_answer_in_order_and_close(self):
+        """Over a socket: the valid requests and the bad one in one write,
+        then the bad one split over two writes; the valid ones are
+        answered, the bad one with its status, and the connection closes."""
+
+        async def scenario():
+            async def script(message):
+                return encode({"ok": True, "op": message["op"]})
+
+            server, backend_port = await start_fake_backend(ScriptedBackend(script).handle)
+            gateway = Gateway(GatewayConfig(backend_port=backend_port))
+            await gateway.start()
+            results = {}
+            for case, (bad, _) in sorted(FRAMING_ERRORS.items()):
+                for cut in (None, len(bad) // 2):
+                    reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+                    if cut is None:
+                        writer.write(VALID + bad)
+                    else:
+                        writer.write(VALID + bad[:cut])
+                        await writer.drain()
+                        await asyncio.sleep(0.02)  # the rest arrives in a later read
+                        writer.write(bad[cut:])
+                    if case.startswith("eof"):
+                        writer.write_eof()
+                    answered = [await read_response(reader) for _ in range(3)]
+                    rest = await asyncio.wait_for(reader.read(), timeout=5)
+                    writer.close()
+                    results[case, cut] = (
+                        [code for code, _, _ in answered],
+                        answered[-1][1]["connection"],
+                        rest,
+                    )
+            await gateway.stop()
+            server.close()
+            await server.wait_closed()
+            return results
+
+        results = asyncio.run(scenario())
+        for (case, _), (codes, connection, rest) in results.items():
+            assert codes == [200, 200, FRAMING_ERRORS[case][1]], case
+            assert connection == "close" and rest == b"", case

@@ -19,7 +19,7 @@ from repro.gateway.follower import Follower, FollowerConfig
 from repro.service import server
 from repro.service.batching import drain_batch
 from repro.service.declog import DecisionLog
-from repro.service.protocol import MAX_LINE_BYTES, encode
+from repro.service.protocol import MAX_LINE_BYTES, WIRE_ENCODER, encode
 from repro.service.server import LOG_TAIL_LIMIT, ReservationService, ServiceConfig
 from repro.service.snapshot import read_snapshot, snapshot_bytes
 from repro.service.state import ReplicationDivergenceError, ReplicationGapError
@@ -469,7 +469,8 @@ class TestGroupCommit:
         The record reuses the request line and the reply's bytes, so a
         second encode per decision (of the record, or of the reply in the
         connection writer) fails this.  Every encode goes through the
-        shared ``protocol.WIRE_ENCODER``, none through ``json.dumps``.
+        shared ``protocol.WIRE_ENCODER``, none through ``json.dumps``; the
+        spy sits on its class's ``encode``, the one entry point.
         """
         messages = fresh_writes(self.N)
 
@@ -482,7 +483,7 @@ class TestGroupCommit:
                 service._ingest(encode(message), loop.create_future())
             batch = await drain_batch(service._queue, len(messages))
             calls = {"dumps": 0, "encode": 0}
-            dumps, encoder = json.dumps, json.JSONEncoder.encode
+            dumps, encoder = json.dumps, type(WIRE_ENCODER).encode
 
             def counting_dumps(*args, **kwargs):
                 calls["dumps"] += 1
@@ -494,7 +495,7 @@ class TestGroupCommit:
 
             with monkeypatch.context() as patch:
                 patch.setattr(json, "dumps", counting_dumps)
-                patch.setattr(json.JSONEncoder, "encode", counting_encode)
+                patch.setattr(type(WIRE_ENCODER), "encode", counting_encode)
                 service._actor_batch(batch)
             return service, batch, calls
 
@@ -670,7 +671,7 @@ class TestLogTail:
 
         service = asyncio.run(scenario())
         calls = {"decode": 0, "encode": 0}
-        decode, encoder = json.JSONDecoder.decode, json.JSONEncoder.encode
+        decode, encoder = json.JSONDecoder.decode, type(WIRE_ENCODER).encode
 
         def counting_decode(self, text, *args):
             calls["decode"] += 1
@@ -682,7 +683,7 @@ class TestLogTail:
 
         with monkeypatch.context() as patch:
             patch.setattr(json.JSONDecoder, "decode", counting_decode)
-            patch.setattr(json.JSONEncoder, "encode", counting_encode)
+            patch.setattr(type(WIRE_ENCODER), "encode", counting_encode)
             line = actor_line(service, {"op": "log_tail", "cursor": 3, "seq": [1, "s"]})
         assert calls == {"decode": 0, "encode": 1}
         payloads = payloads_on_disk(tmp_path)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.types import INF
 from repro.service import server
-from repro.service.protocol import echo_seq
+from repro.service.protocol import WIRE_ENCODER, echo_seq
 from repro.service.server import PROBE_LIMIT, ReservationService, ServiceConfig
 
 CONFIG = dict(n_servers=6, tau=10.0, q_slots=6)
@@ -95,7 +95,7 @@ def test_a_second_identical_probe_formats_no_part(monkeypatch):
         service._actor_reply(message, None)
     probe = probe_msg(40.0, 45.0)
     calls = []
-    encode = json.JSONEncoder.encode
+    encode = type(WIRE_ENCODER).encode
 
     def counting(self, value):
         calls.append(value)
@@ -103,7 +103,7 @@ def test_a_second_identical_probe_formats_no_part(monkeypatch):
 
     # on the class: patching the shared instance would leave a bound
     # method on it after the undo, hiding it from later class-level spies
-    monkeypatch.setattr(json.JSONEncoder, "encode", counting)
+    monkeypatch.setattr(type(WIRE_ENCODER), "encode", counting)
     first, _ = service._actor_reply(probe, None)
     formatted = len(calls)
     second, _ = service._actor_reply(probe, None)

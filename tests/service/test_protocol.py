@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.types import Request
 from repro.errors import ErrorCode, MalformedRequestError, ReproError
@@ -13,6 +15,7 @@ from repro.service.protocol import (
     MAX_LINE_BYTES,
     OPS,
     REGISTRY,
+    WIRE_ENCODER,
     ProtocolError,
     decode_line,
     encode,
@@ -135,6 +138,73 @@ class TestEncode:
     def test_nan_refused(self):
         with pytest.raises(ValueError):
             encode({"op": "status", "x": math.nan})
+
+
+#: what ``WIRE_ENCODER`` must equal: the stdlib encoder with the wire
+#: settings, which builds its C encoder afresh on every call
+REFERENCE = json.JSONEncoder(separators=(",", ":"), sort_keys=True, allow_nan=False)
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 1e16, -1e16, 5e-324, 1.7976931348623157e308])
+    | st.text()
+    | st.sampled_from(["\u00e9", "\u2028", "\U0001f600", "\x00", '"\\'])
+)
+
+
+def _dicts(children):
+    # a dict's keys are all str or all int: sorting a mix is a TypeError
+    return st.dictionaries(st.text(), children) | st.dictionaries(st.integers(), children)
+
+
+_values = st.recursive(_scalars, lambda children: st.lists(children) | _dicts(children))
+
+
+class TestWireEncoder:
+    """The built-once encoder writes what the stdlib encoder writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_values)
+    def test_bytes_equal_the_stdlib_encoder(self, value):
+        assert WIRE_ENCODER.encode(value) == REFERENCE.encode(value)
+
+    def test_edge_values(self):
+        value = {"b": [-0.0, 1e16, 5e-324], "a": {"\u00e9": "\u2028\U0001f600", 2: 1}}
+        with pytest.raises(TypeError):  # a mix of str and int keys cannot be sorted
+            REFERENCE.encode(value)
+        with pytest.raises(TypeError):
+            WIRE_ENCODER.encode(value)
+        value["a"] = {"\u00e9": "\u2028\U0001f600", "2": 1}
+        assert WIRE_ENCODER.encode(value) == REFERENCE.encode(value) == (
+            '{"a":{"2":1,"\\u00e9":"\\u2028\\ud83d\\ude00"},"b":[-0.0,1e+16,5e-324]}'
+        )
+        assert WIRE_ENCODER.encode({3: 1, 1: 2}) == '{"1":2,"3":1}'
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_are_a_value_error(self, bad):
+        for value in (bad, [bad], {"x": {"y": bad}}):
+            with pytest.raises(ValueError):
+                WIRE_ENCODER.encode(value)
+
+    def test_without_the_c_encoder_it_is_the_stdlib_encode(self, monkeypatch):
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        encoder = type(WIRE_ENCODER)()
+        value = {"z": [1, 2.5, None, True], "a": {"\u00e9": -0.0}}
+        assert encoder.encode(value) == REFERENCE.encode(value) == WIRE_ENCODER.encode(value)
+        with pytest.raises(ValueError):
+            encoder.encode([math.nan])
+
+    def test_nesting_too_deep_is_a_recursion_error(self):
+        deep: list = []
+        for _ in range(20_000):
+            deep = [deep]
+        with pytest.raises(RecursionError):
+            WIRE_ENCODER.encode(deep)
+        with pytest.raises(RecursionError):
+            WIRE_ENCODER.encode({"seq": deep})
 
 
 class TestRequestFromPayload:

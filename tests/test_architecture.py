@@ -40,6 +40,22 @@ def wire_dumps_calls(source: str) -> list[int]:
     return lines
 
 
+def encoder_constructions(source: str) -> list[int]:
+    """Lines of ``source`` that construct a ``JSONEncoder``.
+
+    A second encoder object is a second copy of the wire settings, and
+    one built per call also builds its C encoder per call.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "JSONEncoder":
+                lines.append(node.lineno)
+    return lines
+
+
 class TestOneEncoder:
     """Every wire line, HTTP body and snapshot is encoded by ``protocol.WIRE_ENCODER``."""
 
@@ -49,9 +65,26 @@ class TestOneEncoder:
             for package in ("service", "gateway")
             for path in sorted((SRC / package).glob("*.py"))
             if path.name != "protocol.py"
-            if (found := wire_dumps_calls(path.read_text(encoding="utf-8")))
+            if (
+                found := wire_dumps_calls(source := path.read_text(encoding="utf-8"))
+                + encoder_constructions(source)
+            )
         }
         assert offenders == {}
+
+    def test_a_json_body_with_its_own_encoder_is_caught(self):
+        source = (SRC / "gateway" / "http.py").read_text(encoding="utf-8")
+        shared = 'return WIRE_ENCODER.encode(payload).encode("utf-8")'
+        assert source.count(shared) == 1
+        assert encoder_constructions(source) == []
+        mutant = source.replace(
+            shared,
+            "return json.JSONEncoder(\n"
+            '        separators=(",", ":"), sort_keys=True, allow_nan=False\n'
+            '    ).encode(payload).encode("utf-8")',
+        )
+        assert len(encoder_constructions(mutant)) == 1
+        assert wire_dumps_calls(mutant) == []  # the first predicate alone misses it
 
     def test_a_json_body_with_its_own_dumps_is_caught(self):
         source = (SRC / "gateway" / "http.py").read_text(encoding="utf-8")
